@@ -15,7 +15,7 @@ from .concat import (Layout, Partition, bare_layout, concatenated_distance,
                      uniform_layout)
 from .faults import (FaultLocation, FaultReport, check_single_fault_ft,
                      effective_distance_report, enumerate_locations,
-                     find_min_uncorrectable, propagate_fault)
+                     find_min_uncorrectable, propagate)
 from .gates import Gate, conjugate_by_gate, diagonal_gate, gate
 from .library import AdmissionError, GadgetLibrary, logical_gate, verify_gadget
 from .pauli import Pauli

@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import catalog as cataloglib
-from . import concat, faults, gates, library, report
+from . import concat, faults, gates, library, report, simulate
 from .circuits import SynthesisError, circuit_from_text, circuit_to_text
 from .codes import distance, min_weight_logical
 from .pauli import Pauli
@@ -277,7 +277,11 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     injections = []
     for entry in args.fault:
         place_text, _, pauli_text = entry.partition(":")
-        injections.append((int(place_text), Pauli.from_string(pauli_text)))
+        pauli = Pauli.from_string(pauli_text)
+        if pauli.n != circuit.register_size:
+            raise UsageError(f"fault {entry!r} acts on {pauli.n} qubits, "
+                             f"the register has {circuit.register_size}")
+        injections.append((int(place_text), pauli))
     injections.sort(key=lambda pf: pf[0])
     first_place, first = injections[0]
     extra = {}
@@ -367,7 +371,7 @@ _TABLE_RENDERERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         cat = _load_catalog(args.catalog)
         rep = report.Report(args.command, cat.fingerprint())
@@ -379,16 +383,16 @@ def main(argv: list[str] | None = None) -> int:
     except faults.BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
+    except (SynthesisError, simulate.VerificationError) as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, concat.LayoutError, KeyError, ValueError) as exc:
-        if isinstance(exc, (SynthesisError, library.AdmissionError)):
-            print(f"refused: {exc}", file=sys.stderr)
-            return 1
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except library.AdmissionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    rep.timing_s = time.time() - started
+    rep.timing_s = time.perf_counter() - started
 
     if rep.raw_text is not None:
         text = rep.raw_text

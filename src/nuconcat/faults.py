@@ -10,7 +10,8 @@ of the gate's qubits, a sound superset of the exact conjugation support.
 
 Pair search screens with per-fault end-branch products (sound envelope,
 syndrome data is linear so products are cheap) and confirms candidates by
-true joint propagation before reporting.
+propagating both faults jointly through the same envelope before
+reporting.
 """
 
 from __future__ import annotations
@@ -99,15 +100,22 @@ def propagate(circuit: GadgetCircuit, place: int, x: int, z: int,
     ``extra`` optionally injects further faults at later places (joint
     propagation); a fault at place p enters just after gate p.  Returns
     (set of end-of-circuit (x, z) masks, whether propagation stayed
-    deterministic).
+    deterministic).  ``place`` must lie in [-1, len(gates)) and every
+    ``extra`` place after it.
     """
+    n_gates = len(circuit.gates)
+    if not -1 <= place < n_gates:
+        raise ValueError(f"fault place {place} outside [-1, {n_gates})")
+    for later in extra or ():
+        if not place < later < n_gates:
+            raise ValueError(f"fault place {later} outside ({place}, {n_gates})")
     branches = {(x, z)}
     deterministic = True
-    for gi in range(place + 1, len(circuit.gates) + 1):
+    for gi in range(place + 1, n_gates + 1):
         if extra and gi - 1 in extra:
             ex, ez = extra[gi - 1]
             branches = {(bx ^ ex, bz ^ ez) for bx, bz in branches}
-        if gi == len(circuit.gates):
+        if gi == n_gates:
             break
         g = circuit.gates[gi]
         if g.is_clifford:
@@ -141,17 +149,6 @@ def propagate(circuit: GadgetCircuit, place: int, x: int, z: int,
         if len(branches) > BRANCH_CAP:
             raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
     return branches, deterministic
-
-
-@dataclass(frozen=True)
-class PropagationResult:
-    branches: frozenset[tuple[int, int]]
-    deterministic: bool
-
-
-def propagate_fault(circuit: GadgetCircuit, loc: FaultLocation) -> PropagationResult:
-    branches, det = propagate(circuit, loc.place, loc.x, loc.z)
-    return PropagationResult(frozenset(branches), det)
 
 
 # -- fast hierarchical decoding over (x, z) masks -----------------------------------
@@ -307,7 +304,8 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
 
     Screens with products of per-fault end branches (a sound envelope:
     conjugation is multiplicative and the branch sets only widen), then
-    confirms the first candidate by true joint propagation.
+    confirms the first candidate by joint propagation of both faults
+    through the same envelope.
     """
     if max_faults != 2:
         raise ValueError("only pair search is supported")
@@ -350,7 +348,8 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
 
 def _confirm_pair(ctx, circuit: GadgetCircuit, a: FaultLocation,
                   b: FaultLocation) -> tuple[tuple[int, int], str] | None:
-    """True joint propagation of a candidate pair; first failing branch."""
+    """Joint propagation of a candidate pair through the branch envelope;
+    first failing branch."""
     first, second = (a, b) if a.place <= b.place else (b, a)
     if first.place == second.place:
         branches, _ = propagate(circuit, first.place,
@@ -377,8 +376,11 @@ def effective_distance_report(layout: Layout, gadget_set: list[GadgetCircuit],
                               budget: int = 20_000_000) -> EffectiveDistanceResult:
     """Single-fault suites over every gadget, then a pair search until a
     witness appears.  3 = all single faults pass and some pair fails;
-    1 = a single fault already fails (the construction is broken)."""
+    1 = a single fault already fails (the construction is broken); None =
+    no witness, with the statement naming any gadget whose pair search
+    the budget refused."""
     singles = []
+    refused = []
     for c in gadget_set:
         rep = check_single_fault_ft(layout, c)
         singles.append(rep)
@@ -389,9 +391,14 @@ def effective_distance_report(layout: Layout, gadget_set: list[GadgetCircuit],
         try:
             rep = find_min_uncorrectable(layout, c, 2, budget)
         except BudgetError:
+            refused.append(c.label)
             continue
         if rep.witness is not None:
             return EffectiveDistanceResult(
                 3, f"2-fault witness in {c.label}", singles, rep)
+    if refused:
+        return EffectiveDistanceResult(
+            None, "single faults pass; pair search refused by the budget for "
+            + ", ".join(refused), singles, None)
     return EffectiveDistanceResult(
         None, ">= 3, no witness within gadget set", singles, None)

@@ -9,6 +9,7 @@ failed verification is a hard error.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,25 +27,35 @@ class AdmissionError(RuntimeError):
     """A synthesized circuit failed oracle verification."""
 
 
-def verify_gadget(operands: list[Operand], circuit: GadgetCircuit,
-                  claimed: Gate) -> Certificate:
-    """Route to the strongest applicable oracle.
+def _oracle_checks(operands: list[Operand], circuit: GadgetCircuit,
+                   claimed: Gate) -> list[Callable[[], Certificate]]:
+    """Every oracle that applies, weakest first, as zero-argument checks.
 
-    Dense simulation when the register fits; Heisenberg conjugation for
-    Clifford circuits of any size; exact coset-phase analysis for
-    X/CNOT/diagonal circuits.
+    Coset-phase analysis for X/CNOT/diagonal circuits with a diagonal
+    claim; Heisenberg conjugation for Clifford circuits of any size; dense
+    simulation when the register fits.  Each oracle is looked up on
+    :mod:`simulate` when it runs.
     """
     total = sum(op.n for op in operands)
-    if total <= simulate.MAX_DENSE_QUBITS:
-        claimed_matrix = gates.gate_matrix(claimed)
-        return simulate.verify_logical_action(operands, circuit, claimed_matrix)
+    checks = []
+    if claimed.is_diagonal and all(g.is_permutation or g.is_diagonal for g in circuit.gates):
+        checks.append(lambda: simulate.verify_diagonal_action(operands, circuit, claimed))
     if circuit.is_clifford and claimed.is_clifford:
-        return simulate.verify_clifford_action(operands, circuit, claimed)
-    if all(g.is_permutation or g.is_diagonal for g in circuit.gates) and claimed.is_diagonal:
-        return simulate.verify_diagonal_action(operands, circuit, claimed)
-    raise VerificationError(
-        f"no oracle applies to {circuit.label} at {total} qubits "
-        f"(non-Clifford, non-diagonal structure)")
+        checks.append(lambda: simulate.verify_clifford_action(operands, circuit, claimed))
+    if total <= simulate.MAX_DENSE_QUBITS:
+        checks.append(lambda: simulate.verify_logical_action(
+            operands, circuit, gates.gate_matrix(claimed)))
+    if not checks:
+        raise VerificationError(
+            f"no oracle applies to {circuit.label} at {total} qubits "
+            f"(non-Clifford, non-diagonal structure)")
+    return checks
+
+
+def verify_gadget(operands: list[Operand], circuit: GadgetCircuit,
+                  claimed: Gate) -> Certificate:
+    """Run the strongest applicable oracle."""
+    return _oracle_checks(operands, circuit, claimed)[-1]()
 
 
 def logical_gate(kind: str, arity: int | None = None,
@@ -84,12 +95,8 @@ class GadgetLibrary:
     # -- transversal declarations ------------------------------------------
 
     def rule_certificate(self, code_name: str, kind: str) -> Certificate:
-        """Verify one declaration with every applicable oracle and merge.
-
-        Small registers get dense simulation, Clifford circuits the
-        Heisenberg check, permutation/diagonal circuits the coset-phase
-        check; all that apply must pass.
-        """
+        """Verify one declaration with every applicable oracle and merge;
+        all that apply must pass."""
         key = (code_name, kind)
         with self._lock:
             if key in self._rule_certs:
@@ -100,17 +107,7 @@ class GadgetLibrary:
         circuit = expand_transversal(code, kind, rule, arity)
         claimed = logical_gate(kind)
         operands = [Operand.from_code(code)] * arity
-        certs: list[Certificate] = []
-        if claimed.is_diagonal and all(g.is_permutation or g.is_diagonal
-                                       for g in circuit.gates):
-            certs.append(simulate.verify_diagonal_action(operands, circuit, claimed))
-        if circuit.is_clifford and claimed.is_clifford:
-            certs.append(simulate.verify_clifford_action(operands, circuit, claimed))
-        if arity * code.n <= simulate.MAX_DENSE_QUBITS:
-            certs.append(simulate.verify_logical_action(
-                operands, circuit, gates.gate_matrix(claimed)))
-        if not certs:
-            raise VerificationError(f"no oracle applies to {kind} on {code_name}")
+        certs = [check() for check in _oracle_checks(operands, circuit, claimed)]
         for cert in certs:
             if not cert.passed:
                 raise AdmissionError(
@@ -177,18 +174,3 @@ class GadgetLibrary:
         with self._lock:
             self._cache.setdefault(key, admitted)
         return admitted
-
-    def universal_gadget_set(self, layout: Layout) -> list[AdmittedGadget]:
-        """The layout's gate library: the diagonal family realised by
-        staircases plus the outer code's declared transversal gates."""
-        out = []
-        outer = layout.outer.name
-        if outer in ("steane",):
-            kinds = [gates.T, gates.CCZ, gates.H, gates.S, gates.CNOT, gates.X, gates.Z]
-        elif outer in ("five_prime", "five_qubit"):
-            kinds = [gates.T, gates.S, gates.CZ, gates.CCZ, gates.K, gates.X, gates.Z]
-        else:
-            kinds = [gates.T, gates.CNOT, gates.X, gates.Z]
-        for kind in kinds:
-            out.append(self.gadget(layout, logical_gate(kind)))
-        return out

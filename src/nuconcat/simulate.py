@@ -1,16 +1,17 @@
 """Ground-truth oracles for gadget verification.
 
-Three independent methods, selected by :func:`verify_gadget`:
+Three independent methods; :mod:`nuconcat.library` routes each gadget to
+the ones that apply:
 
 * dense statevector simulation (exact amplitudes, <= 22 qubits);
 * Heisenberg conjugation of stabilizers and logicals (Clifford circuits,
   any size, sign-exact group membership);
 * coset-phase analysis for circuits made of X/CNOT/diagonal gates: the
   basis permutation must uncompute to the identity, and the accumulated
-  diagonal phase is evaluated exactly (rational multiples of pi) on the
-  classical support of each logical codeword.  Multi-operand pi-phase
-  gates are checked by multilinear finite differences instead of
-  enumerating the product support.
+  diagonal phase, a phase polynomial over the classical support of each
+  logical codeword tuple (Amy-Maslov-Mosca, arXiv:1303.2042), must equal
+  the claimed constant exactly, coefficient by coefficient over
+  Z_{2*den} (any size, any rational multiple of pi).
 
 Certificates record which method ran and what it measured.
 """
@@ -18,13 +19,14 @@ Certificates record which method ran and what it measured.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import gates
-from ._bitlin import Solver, solve_affine
+from ._bitlin import Solver, nullspace, solve_affine
 from .circuits import GadgetCircuit
 from .codes import StabilizerCode
 from .concat import Layout, flatten_logicals, flatten_stabilizers
@@ -34,7 +36,6 @@ from .pauli import Pauli
 MAX_DENSE_QUBITS = 22
 FIDELITY_TOL = 1e-10
 NORM_TOL = 1e-12
-ENUMERATION_CAP = 1 << 17
 
 
 class VerificationError(ValueError):
@@ -338,24 +339,8 @@ def _support_space(op: Operand) -> tuple[list[int], list[int], Pauli]:
     """
     gens = list(op.generators)
     # kernel of the x-parts: combinations multiplying to pure-Z elements
-    solver_rows: list[tuple[int, int]] = []  # (reduced x-row, combination)
-    kernel: list[int] = []
-    for i, g in enumerate(gens):
-        row, combo = g.x, 1 << i
-        reducing = True
-        while row and reducing:
-            reducing = False
-            for r, c in solver_rows:
-                if (row >> (r.bit_length() - 1)) & 1:
-                    row ^= r
-                    combo ^= c
-                    reducing = True
-                    break
-        if row:
-            solver_rows.append((row, combo))
-            solver_rows.sort(key=lambda rc: -rc[0])
-        else:
-            kernel.append(combo)
+    x_columns = [sum(((g.x >> q) & 1) << i for i, g in enumerate(gens)) for q in range(op.n)]
+    kernel = nullspace(x_columns, len(gens))
     rows: list[int] = []
     targets: list[int] = []
     for combo in kernel:
@@ -383,27 +368,52 @@ def _support_space(op: Operand) -> tuple[list[int], list[int], Pauli]:
     return rows, targets, pure
 
 
-def _claimed_theta(claimed: Gate, labels: tuple[int, ...]) -> Fraction:
-    if not claimed.is_diagonal:
-        raise VerificationError("coset-phase method needs a diagonal claimed gate")
-    return claimed.theta() % 2 if all(labels) else Fraction(0)
+def _xor_polynomial(const: int, variables: list[int], modulus: int) -> dict[int, int]:
+    """``const xor x_i xor x_j ...`` as a multilinear polynomial mod ``modulus``.
+
+    Monomials are bit-masks over the mask variables.  Each variable enters
+    by ``p xor x = p + x - 2px``, so coefficients are powers of -2 and a
+    power-of-two modulus bounds the degree.
+    """
+    poly = {0: const}
+    for i in variables:
+        bit = 1 << i
+        grown = dict(poly)
+        grown[bit] = 1
+        for mono, coef in poly.items():
+            grown[mono | bit] = grown.get(mono | bit, 0) - 2 * coef
+        poly = {mono: coef % modulus for mono, coef in grown.items() if coef % modulus}
+    return poly
+
+
+def _times(a: dict[int, int], b: dict[int, int], modulus: int) -> dict[int, int]:
+    """Product of multilinear polynomials mod ``modulus`` (x^2 = x)."""
+    out: dict[int, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            out[ma | mb] = (out.get(ma | mb, 0) + ca * cb) % modulus
+    return {mono: coef for mono, coef in out.items() if coef}
 
 
 def verify_diagonal_action(operands: list[Operand], circuit: GadgetCircuit,
                            claimed: Gate) -> Certificate:
-    """Exact phase check for X/CNOT/diagonal circuits on stabilizer codewords.
+    """Exact phase-polynomial check for X/CNOT/diagonal circuits on stabilizer codewords.
 
-    The permutation part must uncompute to the identity; the diagonal
-    phase, a rational multiple of pi per basis state, must be constant on
-    the classical support of every logical codeword tuple and equal the
-    claimed logical phase.  Supports are enumerated when small; otherwise
-    every phase term must be a multiple of pi and the parity form is
-    checked by multilinear finite differences over the support bases.
+    The permutation part must uncompute to the identity.  On the classical
+    support ``seed xor span(basis)`` of each logical label tuple, every
+    factor of a diagonal gate is an affine GF(2) form in the mask bits, so
+    the phase, in units of pi/den with den the lcm of the angle
+    denominators, is a multilinear polynomial with integer coefficients
+    mod 2*den.  That form is unique: the phase is constant on the support
+    exactly when every non-constant coefficient vanishes, and the constant
+    must equal the claimed logical phase.
     """
     m = len(operands)
     total = sum(op.n for op in operands)
     if total != circuit.register_size:
         raise VerificationError("operands do not cover the register")
+    if not claimed.is_diagonal:
+        raise VerificationError("coset-phase method needs a diagonal claimed gate")
     trace = _trace_permutation(circuit)
     if trace.offsets != 0 or any(trace.rows[q] != 1 << q for q in range(total)):
         return Certificate("css-coset", False,
@@ -436,96 +446,38 @@ def verify_diagonal_action(operands: list[Operand], circuit: GadgetCircuit,
                 projected.append(v)
         return seed, projected
 
-    sized = 1
-    supports = {}
-    for b in range(m):
-        for label in range(2):
-            supports[(b, label)] = solve_support(b, label)
-    dims = [len(supports[(b, 0)][1]) for b in range(m)]
-    for d in dims:
-        sized <<= d
-
-    def phase_of(word: int) -> Fraction:
-        acc = Fraction(0)
-        for theta, bits in trace.phase_terms:
-            prod = 1
-            for row, off in bits:
-                if (((row & word).bit_count() & 1) ^ off) == 0:
-                    prod = 0
-                    break
-            if prod:
-                acc += theta
-        return acc % 2
-
-    if sized <= ENUMERATION_CAP:
-        for labels in itertools.product(range(2), repeat=m):
-            want = _claimed_theta(claimed, labels)
-            seeds = [supports[(b, labels[b])][0] for b in range(m)]
-            bases = [supports[(b, labels[b])][1] for b in range(m)]
-            flat_basis = [v for bb in bases for v in bb]
-            base_word = 0
-            for s in seeds:
-                base_word ^= s
-            for mask in range(1 << len(flat_basis)):
-                word = base_word
-                mm = mask
-                while mm:
-                    low = mm & -mm
-                    word ^= flat_basis[low.bit_length() - 1]
-                    mm ^= low
-                if phase_of(word) != want:
-                    return Certificate(
-                        "css-coset", False,
-                        details=f"phase {phase_of(word)} != {want} at labels {labels}")
-        return Certificate("css-coset", True, phase=1.0 + 0j,
-                           details=f"enumerated {sized} support words per label tuple")
-
-    # multilinear path: every term must be a pi phase
-    for theta, _ in trace.phase_terms:
-        if theta.denominator != 1:
-            raise VerificationError(
-                "support too large to enumerate and phases are finer than pi")
-
-    def parity_of(word: int) -> int:
-        par = 0
-        for theta, bits in trace.phase_terms:
-            if theta % 2 == 0:
-                continue
-            prod = 1
-            for row, off in bits:
-                if (((row & word).bit_count() & 1) ^ off) == 0:
-                    prod = 0
-                    break
-            par ^= prod
-        return par
-
-    max_arity = max((len(bits) for _, bits in trace.phase_terms), default=1)
+    supports = {(b, label): solve_support(b, label) for b in range(m) for label in range(2)}
+    den = math.lcm(claimed.theta().denominator,
+                   *(theta.denominator for theta, _ in trace.phase_terms))
+    modulus = 2 * den
     for labels in itertools.product(range(2), repeat=m):
-        want = _claimed_theta(claimed, labels)
-        want_parity = 0 if want == 0 else 1
-        if want not in (Fraction(0), Fraction(1)):
-            raise VerificationError("claimed phase is not a pi multiple")
-        seeds = [supports[(b, labels[b])][0] for b in range(m)]
-        bases = [v for b in range(m) for v in supports[(b, labels[b])][1]]
-        base_word = 0
-        for s in seeds:
-            base_word ^= s
-        if parity_of(base_word) != want_parity:
+        want = int(claimed.theta() * den) if all(labels) else 0
+        seed, basis = 0, []
+        for b in range(m):
+            part_seed, part_basis = supports[(b, labels[b])]
+            seed ^= part_seed
+            basis += part_basis
+        poly: dict[int, int] = {}
+        for theta, bits in trace.phase_terms:
+            term = {0: int(theta * den)}
+            for row, off in bits:
+                # every coefficient of ``term`` is a multiple of ``scale``, so
+                # the next factor only matters mod modulus // scale
+                scale = math.gcd(modulus, *term.values())
+                const = ((row & seed).bit_count() & 1) ^ off
+                variables = [i for i, v in enumerate(basis) if (row & v).bit_count() & 1]
+                term = _times(term, _xor_polynomial(const, variables, modulus // scale), modulus)
+            for mono, coef in term.items():
+                poly[mono] = (poly.get(mono, 0) + coef) % modulus
+        constant = poly.pop(0, 0)
+        if any(poly.values()):
             return Certificate("css-coset", False,
-                               details=f"seed parity mismatch at labels {labels}")
-        # all mixed finite differences up to the gate arity must vanish
-        for order in range(1, max_arity + 1):
-            for combo in itertools.combinations(range(len(bases)), order):
-                acc = 0
-                for sub_bits in range(1 << order):
-                    word = base_word
-                    for i in range(order):
-                        if (sub_bits >> i) & 1:
-                            word ^= bases[combo[i]]
-                    acc ^= parity_of(word)
-                if acc:
-                    return Certificate(
-                        "css-coset", False,
-                        details=f"phase varies over the support at labels {labels}")
+                               details=f"phase varies over the support at labels {labels}")
+        if constant != want:
+            return Certificate(
+                "css-coset", False,
+                details=f"phase {Fraction(constant, den)} != {Fraction(want, den)} "
+                        f"at labels {labels}")
     return Certificate("css-coset", True, phase=1.0 + 0j,
-                       details=f"multilinear check over {len(bases)}-dim support bases")
+                       details=f"phase polynomial constant on {1 << len(basis)} "
+                               f"support words per label tuple")

@@ -87,6 +87,13 @@ def test_gadget_refusal_exit_code(capsys):
     assert "K_DAG" in err and "rm15" in err
 
 
+def test_gadget_without_oracle_is_refused(capsys):
+    code, _, err = run(capsys, "gadget", "--layout", "bare:five_qubit", "--gate",
+                       "CKZ_THETA", "--theta", "pi/2", "--k", "4")
+    assert code == 1
+    assert err.startswith("refused:") and "no oracle applies" in err
+
+
 def test_gadget_z_theta(capsys):
     code, out, _ = run(capsys, "gadget", "--layout", "code49", "--gate", "Z_THETA",
                        "--theta", "pi/4", "--format", "machine")
@@ -160,3 +167,24 @@ def test_mutation_guard(capsys, monkeypatch):
     assert bad_code == 1
     assert strip_timing(bad_out) != strip_timing(clean_out)
     assert "single_fault_failures: 0" not in bad_out
+
+
+@pytest.fixture
+def steane_t_circuit(capsys, tmp_path):
+    path = tmp_path / "t7.circuit"
+    code, _, _ = run(capsys, "gadget", "--layout", "bare:steane", "--gate", "T",
+                     "--circuit-out", str(path))
+    assert code == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("faults", [
+    ["--fault=-5:XIIIIII"],
+    ["--fault=-1:XIIIIII", "--fault=99:IXIIIII"],
+    ["--fault=-1:X"],
+])
+def test_replay_rejects_bad_faults(capsys, steane_t_circuit, faults):
+    code, out, err = run(capsys, "replay", "--layout", "bare:steane",
+                         "--circuit", steane_t_circuit, *faults)
+    assert code == 2
+    assert err.startswith("usage error:") and "uncorrectable" not in out

@@ -7,7 +7,7 @@ from nuconcat.circuits import GadgetCircuit, staircase_gadget
 from nuconcat.concat import bare_layout, hierarchical_decode
 from nuconcat.faults import (DecodeContext, check_single_fault_ft,
                              enumerate_locations, find_min_uncorrectable,
-                             propagate, propagate_fault)
+                             propagate)
 from nuconcat.gates import gate
 from nuconcat.pauli import Pauli
 
@@ -60,8 +60,8 @@ def test_x_branches_at_ccz_spray_z():
 def test_clifford_only_is_deterministic(lib, layouts):
     adm = lib.gadget(layouts[49], library.logical_gate(gates.CNOT))
     for loc in enumerate_locations(adm.circuit)[:60]:
-        result = propagate_fault(adm.circuit, loc)
-        assert result.deterministic and len(result.branches) == 1
+        branches, deterministic = propagate(adm.circuit, loc.place, loc.x, loc.z)
+        assert deterministic and len(branches) == 1
 
 
 def test_fast_decoder_matches_reference(layouts):
@@ -88,7 +88,7 @@ def test_branch_confinement_single_fault(lib, layouts):
     block at the end of the 49-qubit T gadget."""
     adm = lib.gadget(layouts[49], library.logical_gate(gates.T))
     for loc in enumerate_locations(adm.circuit):
-        for bx, bz in propagate_fault(adm.circuit, loc).branches:
+        for bx, bz in propagate(adm.circuit, loc.place, loc.x, loc.z)[0]:
             support = bx | bz
             for block in range(3):
                 mask = ((1 << 15) - 1) << (15 * block)
@@ -133,7 +133,7 @@ def test_pair_witness_on_49(lib, layouts):
 
 
 def test_pair_witness_replay_consistency(lib, layouts):
-    """The reported witness fails under true joint propagation as well."""
+    """The reported witness fails under joint propagation as well."""
     lay = layouts[49]
     adm = lib.gadget(lay, library.logical_gate(gates.T))
     report = find_min_uncorrectable(lay, adm.circuit)
@@ -165,6 +165,28 @@ def test_budget_refusal(lib, layouts):
     adm = lib.gadget(layouts[49], library.logical_gate(gates.T))
     with pytest.raises(faults.BudgetError):
         find_min_uncorrectable(layouts[49], adm.circuit, 2, budget=10)
+
+
+def test_propagate_rejects_places_outside_the_circuit():
+    c = make_circuit(3, gate(gates.CNOT, 0, 1), gate(gates.T, 1), gate(gates.CNOT, 0, 1))
+    for place in (-5, -2, 3, 99):
+        with pytest.raises(ValueError, match="outside"):
+            propagate(c, place, 1, 0)
+    for later in (-1, 0, 3, 99):
+        with pytest.raises(ValueError, match="outside"):
+            propagate(c, 0, 1, 0, extra={later: (1, 0)})
+    assert propagate(c, 0, 1, 0, extra={2: (1, 0)})[0] == {(0b010, 0)}
+
+
+def test_effective_distance_names_budget_refusals(lib, layouts):
+    """A refused pair search leaves the distance open and says why."""
+    lay = layouts[49]
+    circuits = [lib.gadget(lay, library.logical_gate(k)).circuit for k in (gates.T, gates.CCZ)]
+    result = faults.effective_distance_report(lay, circuits, budget=10)
+    assert result.value is None and result.witness_report is None
+    assert "refused" in result.statement and ">=" not in result.statement
+    for c in circuits:
+        assert c.label in result.statement
 
 
 def test_effective_distance_broken_gadget(cat):

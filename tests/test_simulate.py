@@ -1,10 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nuconcat import gates, library, simulate
-from nuconcat.circuits import GadgetCircuit, expand_transversal, staircase_gadget
+from nuconcat.circuits import GadgetCircuit, expand_transversal, invert, staircase_gadget
 from nuconcat.gates import Gate, gate
 from nuconcat.pauli import Pauli
 from nuconcat.simulate import (Operand, StateVector, VerificationError,
@@ -188,3 +191,151 @@ def test_verify_gadget_router(cat, lib, layouts):
     # coset phases for large diagonal
     adm = lib.gadget(layouts[49], library.logical_gate(gates.T))
     assert adm.certificate.method == "css-coset"
+
+
+# Method strings of every catalog declaration, frozen from the two-path
+# css-coset oracle this check replaced; oracle routing must keep them.
+RULE_METHODS = {
+    ("five_prime", "K"): "heisenberg+dense", ("five_prime", "X"): "heisenberg+dense",
+    ("five_prime", "Y"): "heisenberg+dense", ("five_prime", "Z"): "heisenberg+dense",
+    ("five_qubit", "X"): "heisenberg+dense", ("five_qubit", "Y"): "heisenberg+dense",
+    ("five_qubit", "Z"): "css-coset+heisenberg+dense",
+    ("rm15", "CCZ"): "css-coset", ("rm15", "CNOT"): "heisenberg",
+    ("rm15", "CZ"): "css-coset+heisenberg", ("rm15", "S"): "css-coset+heisenberg+dense",
+    ("rm15", "T"): "css-coset+dense", ("rm15", "X"): "heisenberg+dense",
+    ("rm15", "Y"): "heisenberg+dense", ("rm15", "Z"): "css-coset+heisenberg+dense",
+    ("steane", "CNOT"): "heisenberg+dense", ("steane", "CZ"): "css-coset+heisenberg+dense",
+    ("steane", "H"): "heisenberg+dense", ("steane", "S"): "css-coset+heisenberg+dense",
+    ("steane", "X"): "heisenberg+dense", ("steane", "Y"): "heisenberg+dense",
+    ("steane", "Z"): "css-coset+heisenberg+dense",
+}
+
+
+def test_rule_certificate_methods(cat, lib):
+    got = {(name, kind): lib.rule_certificate(name, kind).method
+           for name, rules in cat.rules.items() for kind in rules}
+    assert got == RULE_METHODS
+
+
+def test_css_coset_certifies_98_qubit_conjugated_cz(lib, layouts):
+    """T ; CZ ; T^-1 on two code49 operands acts as CZ: a 98-qubit register
+    with phases finer than pi on a support far too large to enumerate."""
+    lay = layouts[49]
+    t = lib.dispatcher.logical_gadget(lay, library.logical_gate(gates.T))
+    cz = lib.dispatcher.logical_gadget(lay, library.logical_gate(gates.CZ))
+    operands = [Operand.from_layout(lay)] * 2
+    claim = library.logical_gate(gates.CZ)
+    good = GadgetCircuit(98, t.gates + cz.gates + invert(t).gates, "T;CZ;T^-1", cz.blocks)
+    cert = verify_diagonal_action(operands, good, claim)
+    assert cert.passed and cert.method == "css-coset"
+    broken = GadgetCircuit(98, t.gates + cz.gates, "T;CZ", cz.blocks)
+    assert not verify_diagonal_action(operands, broken, claim).passed
+
+
+DYADIC = st.builds(Fraction, st.integers(0, 15), st.sampled_from([1, 2, 4, 8]))
+
+
+# k = 2 is one fixed example: a 21-qubit dense check takes seconds and
+# close to a gigabyte.
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(0, 1), theta=DYADIC)
+@example(k=2, theta=Fraction(3, 8))
+def test_staircase_css_coset_agrees_with_dense(cat, k, theta):
+    code = cat.code("steane")
+    circuit = staircase_gadget(code, k, theta)
+    operands = [Operand.from_code(code)] * (k + 1)
+    for claim_theta, expected in ((theta, True), (theta + Fraction(1, 4), False)):
+        claim = gates.diagonal_gate(tuple(range(k + 1)), claim_theta)
+        assert verify_diagonal_action(operands, circuit, claim).passed == expected
+        assert verify_logical_action(operands, circuit,
+                                     gates.gate_matrix(claim)).passed == expected
+
+
+def _draw_conjugated_diagonal(data, code, m: int) -> tuple[GadgetCircuit, Gate]:
+    """Random X/CNOT prefix, diagonal middle and inverse prefix on m copies
+    of ``code``, with a random diagonal claim on all m operands."""
+    n = code.n * m
+    qubit = st.integers(0, n - 1)
+    perm = data.draw(st.lists(st.one_of(
+        qubit.map(lambda q: gate(gates.X, q)),
+        st.lists(qubit, min_size=2, max_size=2, unique=True).map(
+            lambda ab: gate(gates.CNOT, *ab))), max_size=4))
+    quarter = st.integers(0, 7).map(lambda j: Fraction(j, 4))
+    # Z strings of Z-type stabilizers and logical Z keep the phase constant
+    strings = [g.z for g in (*code.generators, code.logical_z) if not g.x]
+    pool = [tuple(gate(gates.Z, b * code.n + q) for q in range(code.n) if (z >> q) & 1)
+            for b in range(m) for z in strings]
+    middle = data.draw(st.lists(st.one_of(
+        st.sampled_from(pool),
+        st.builds(lambda qs, t: (gates.diagonal_gate(tuple(qs), t),),
+                  st.lists(qubit, min_size=1, max_size=3, unique=True), quarter)),
+        max_size=4))
+    circuit = GadgetCircuit(n, (*perm, *(g for part in middle for g in part), *reversed(perm)),
+                            "random", ((0, n),))
+    return circuit, gates.diagonal_gate(tuple(range(m)), data.draw(quarter))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_diagonal_circuits_css_coset_vs_dense(cat, data):
+    """A css-coset pass implies a dense pass; since the permutation
+    uncomputes, the css-coset verdict is exactly a dense pass with global
+    phase 1."""
+    name, m = data.draw(st.sampled_from([("steane", 1), ("steane", 2), ("rm15", 1)]))
+    code = cat.code(name)
+    circuit, claim = _draw_conjugated_diagonal(data, code, m)
+    operands = [Operand.from_code(code)] * m
+    coset = verify_diagonal_action(operands, circuit, claim)
+    dense = verify_logical_action(operands, circuit, gates.gate_matrix(claim))
+    if coset.passed:
+        assert dense.passed
+    assert coset.passed == (dense.passed and abs(dense.phase - 1) < 1e-9)
+
+
+def _enumerated_verdict(operands: list[Operand], circuit: GadgetCircuit, claimed: Gate) -> bool:
+    """Brute-force reference for CSS operands: run every word of every
+    codeword support through the circuit and sum the phases it picks up."""
+    offsets = [sum(op.n for op in operands[:b]) for b in range(len(operands))]
+    for labels in itertools.product(range(2), repeat=len(operands)):
+        seed, span = 0, []
+        for op, off, label in zip(operands, offsets, labels):
+            seed ^= (op.logical_x.x << off) * label
+            span += [g.x << off for g in op.generators if g.x]
+        want = claimed.theta() if all(labels) else 0
+        for mask in range(1 << len(span)):
+            word = seed
+            for i, v in enumerate(span):
+                if (mask >> i) & 1:
+                    word ^= v
+            start, phase = word, Fraction(0)
+            for g in circuit.gates:
+                if g.kind == gates.X:
+                    word ^= 1 << g.qubits[0]
+                elif g.kind == gates.CNOT:
+                    word ^= ((word >> g.qubits[0]) & 1) << g.qubits[1]
+                elif all((word >> q) & 1 for q in g.qubits):
+                    phase += g.theta()
+            if word != start or phase % 2 != want:
+                return False
+    return True
+
+
+def test_css_coset_matches_enumeration_beyond_dense_cap(cat):
+    code = cat.code("rm15")
+    circuit = expand_transversal(code, gates.CCZ, cat.rules["rm15"][gates.CCZ], 3)
+    operands = [Operand.from_code(code)] * 3
+    for theta in (Fraction(1), Fraction(1, 2)):
+        claim = gates.diagonal_gate((0, 1, 2), theta)
+        assert verify_diagonal_action(operands, circuit, claim).passed \
+            == _enumerated_verdict(operands, circuit, claim) == (theta == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_diagonal_circuits_css_coset_vs_enumeration(cat, data):
+    """Two rm15 operands: 30 qubits, past the dense cap."""
+    code = cat.code("rm15")
+    circuit, claim = _draw_conjugated_diagonal(data, code, 2)
+    operands = [Operand.from_code(code)] * 2
+    assert verify_diagonal_action(operands, circuit, claim).passed \
+        == _enumerated_verdict(operands, circuit, claim)
