@@ -7,8 +7,8 @@ from .circuits import (GadgetCircuit, SynthesisError, circuit_from_text,
                        circuit_to_text, invert, staircase_gadget)
 from .codes import (LookupDecoder, StabilizerCode, build_decoder, distance,
                     five_prime, five_qubit, min_weight_logical,
-                    reed_muller_15, residual_logical_action, steane, syndrome,
-                    transform_code)
+                    reed_muller_15, residual_logical_action, stabilizer_group,
+                    steane, syndrome, transform_code)
 from .concat import (Layout, Partition, bare_layout, concatenated_distance,
                      flatten_stabilizers, hierarchical_decode,
                      non_uniform_layout, parse_layout, partition_from_gadget,

@@ -3,17 +3,26 @@
 from __future__ import annotations
 
 
-def rank(rows: list[int]) -> int:
-    r = 0
-    basis: list[int] = []
+def rref(rows: list[int]) -> list[int]:
+    """Fully reduced row-echelon basis of the span of ``rows``.
+
+    Each returned row's top bit is its pivot and no other returned row has
+    that bit set; rows appear in the order their pivots were found.
+    """
+    reduced: list[int] = []
     for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
+        for r in reduced:
+            if (row >> (r.bit_length() - 1)) & 1:
+                row ^= r
         if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-            r += 1
-    return r
+            top = 1 << (row.bit_length() - 1)
+            reduced = [r ^ row if r & top else r for r in reduced]
+            reduced.append(row)
+    return reduced
+
+
+def rank(rows: list[int]) -> int:
+    return len(rref(rows))
 
 
 class Solver:
@@ -60,30 +69,16 @@ class Solver:
 
 def nullspace(rows: list[int], n_bits: int) -> list[int]:
     """Basis of {v : row & v has even parity for every row}."""
-    # Gaussian elimination on the rows, tracking pivot columns.
-    reduced: list[int] = []
-    pivot_cols: list[int] = []
-    for row in rows:
-        for r, c in zip(reduced, pivot_cols):
-            if (row >> c) & 1:
-                row ^= r
-        if row:
-            c = row.bit_length() - 1
-            # normalise earlier rows against the new pivot
-            for i, r in enumerate(reduced):
-                if (r >> c) & 1:
-                    reduced[i] = r ^ row
-            reduced.append(row)
-            pivot_cols.append(c)
-    pivot_set = set(pivot_cols)
+    reduced = rref(rows)
+    pivots = {r.bit_length() - 1 for r in reduced}
     basis = []
     for free in range(n_bits):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = 1 << free
-        for r, c in zip(reduced, pivot_cols):
+        for r in reduced:
             if (r >> free) & 1:
-                vec |= 1 << c
+                vec |= 1 << (r.bit_length() - 1)
         basis.append(vec)
     return basis
 
@@ -93,26 +88,12 @@ def solve_affine(rows: list[int], targets: list[int], n_bits: int) -> tuple[int,
 
     Returns (particular solution, nullspace basis) or None when inconsistent.
     """
-    # Work on the augmented system: append the target bit at position n_bits.
-    augmented = [row | (t << n_bits) for row, t in zip(rows, targets)]
-    reduced: list[int] = []
-    pivot_cols: list[int] = []
-    for row in augmented:
-        for r, c in zip(reduced, pivot_cols):
-            if (row >> c) & 1:
-                row ^= r
-        body = row & ((1 << n_bits) - 1)
-        if body:
-            c = body.bit_length() - 1
-            for i, r in enumerate(reduced):
-                if (r >> c) & 1:
-                    reduced[i] = r ^ row
-            reduced.append(row)
-            pivot_cols.append(c)
-        elif row >> n_bits:
-            return None  # 0 = 1
+    # The target is the lowest bit of each augmented row, so it is a pivot
+    # only of the reduced row 1, which reads 0 = 1.
+    reduced = rref([row << 1 | t for row, t in zip(rows, targets)])
+    if 1 in reduced:
+        return None
     solution = 0
-    for r, c in zip(reduced, pivot_cols):
-        if r >> n_bits:
-            solution |= 1 << c
-    return solution, nullspace([r & ((1 << n_bits) - 1) for r in reduced], n_bits)
+    for r in reduced:
+        solution |= (r & 1) << (r.bit_length() - 2)
+    return solution, nullspace([r >> 1 for r in reduced], n_bits)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import gates
+from ._bitlin import rref
 from .codes import StabilizerCode, min_weight_candidates
 from .concat import Layout, bare_layout
 from .gates import Gate
@@ -59,7 +60,7 @@ class GadgetCircuit:
 
 
 def invert(c: GadgetCircuit) -> GadgetCircuit:
-    return GadgetCircuit(c.register_size, tuple(g.dagger() for g in reversed(c.gates)),
+    return GadgetCircuit(c.register_size, _inverted_gates(c.gates),
                          f"inv({c.label})", c.blocks, c.layouts)
 
 
@@ -97,41 +98,9 @@ def normalization_gates(rep: Pauli) -> tuple[tuple[Gate, ...], Pauli]:
     return tuple(lc), transformed
 
 
-def staircase_rep(code: StabilizerCode) -> Pauli:
-    """Representative the staircase is built on: the canonical minimum-weight
-    logical-Z element (the tie-break already favours pure-Z forms)."""
-    return min_weight_candidates(code, "Z")[0]
-
-
 def staircase_gadget(code: StabilizerCode, k: int, theta: Fraction) -> GadgetCircuit:
     """Logical C^kZ(theta) on k+1 blocks of ``code``, coupling d qubits each."""
-    rep = staircase_rep(code)
-    lc, _ = normalization_gates(rep)
-    support = rep.support
-    n = code.n
-    blocks = tuple((b * n, n) for b in range(k + 1))
-
-    gate_list: list[Gate] = []
-    for b in range(k + 1):
-        off = b * n
-        gate_list.extend(Gate(g.kind, (g.qubits[0] + off,)) for g in lc)
-        gate_list.extend(gates.gate(gates.CNOT, off + a, off + b2)
-                         for a, b2 in zip(support, support[1:]))
-    collectors = tuple(b * n + support[-1] for b in range(k + 1))
-    gate_list.append(gates.diagonal_gate(collectors, theta))
-    uncompute: list[Gate] = []
-    for b in range(k + 1):
-        off = b * n
-        uncompute.extend(Gate(g.kind, (g.qubits[0] + off,)) for g in lc)
-        uncompute.extend(gates.gate(gates.CNOT, off + a, off + b2)
-                         for a, b2 in zip(support, support[1:]))
-    gate_list.extend(_inverted_gates(uncompute))
-
-    label = gates.diagonal_gate(tuple(range(k + 1)), theta).kind
-    if label in (gates.Z_THETA, gates.CKZ_THETA):
-        label += f"({gates.format_theta(theta)})"
-    return GadgetCircuit((k + 1) * n, tuple(gate_list), label, blocks,
-                         (bare_layout(code),) * (k + 1))
+    return GadgetDispatcher({})._outer_staircase(bare_layout(code), k, theta)
 
 
 # -- transversal rules ----------------------------------------------------------
@@ -188,18 +157,10 @@ def encoding_circuit(code: StabilizerCode) -> tuple[tuple[Gate, ...], int]:
     if not code.css:
         raise SynthesisError(f"{code.name} is not CSS; no encoder synthesis available")
     rows = [g.x for g in code.generators if g.x]
-    # row-reduce so no pivot appears in another row
-    reduced: list[int] = []
-    for row in rows:
-        for r in reduced:
-            if (row >> (r.bit_length() - 1)) & 1:
-                row ^= r
-        if not row:
-            raise AssertionError(f"{code.name}: dependent X generators")
-        for i, r in enumerate(reduced):
-            if (r >> (row.bit_length() - 1)) & 1:
-                reduced[i] = r ^ row
-        reduced.append(row)
+    # fully reduced, so no pivot appears in another row
+    reduced = rref(rows)
+    if len(reduced) != len(rows):
+        raise AssertionError(f"{code.name}: dependent X generators")
     lx = code.logical_x.x
     for r in reduced:
         if (lx >> (r.bit_length() - 1)) & 1:

@@ -193,7 +193,6 @@ def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
         }
         if single.failures:
             failed = True
-            first = single.failures[0]
             entry["first_failure"] = {
                 "location": single.witness[0].describe(adm.circuit),
                 "residual": single.witness_residual,
@@ -283,17 +282,8 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
                              f"the register has {circuit.register_size}")
         injections.append((int(place_text), pauli))
     injections.sort(key=lambda pf: pf[0])
-    first_place, first = injections[0]
-    extra = {}
-    x, z = first.x, first.z
-    for place, p in injections[1:]:
-        if place == first_place:
-            x ^= p.x
-            z ^= p.z
-        else:
-            prev = extra.get(place, (0, 0))
-            extra[place] = (prev[0] ^ p.x, prev[1] ^ p.z)
-    branches, deterministic = faults.propagate(circuit, first_place, x, z, extra or None)
+    branches, deterministic = faults.propagate(
+        circuit, [(place, p.x, p.z) for place, p in injections])
     ctx = faults._context_for(circuit, layout)
     outcomes = []
     failed = False

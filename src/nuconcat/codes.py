@@ -298,18 +298,31 @@ def normalizer_class(code: StabilizerCode, p: Pauli) -> str:
             (True, True): "Y", (False, True): "Z"}[(anti_z, anti_x)]
 
 
+class StabilizerGroup:
+    """Group generated by independent commuting signed Paulis on ``n`` qubits.
+
+    Membership is exact including the sign: ``p in group`` holds only when
+    ``p`` equals a product of generators.
+    """
+
+    def __init__(self, generators, n: int):
+        self.generators = tuple(generators)
+        self.n = n
+        self._solver = Solver([g.x << n | g.z for g in self.generators])
+
+    def product(self, combo: int) -> Pauli:
+        """Product of the generators whose bits are set in ``combo``, in index order."""
+        out = Pauli.identity(self.n)
+        for i, g in enumerate(self.generators):
+            if (combo >> i) & 1:
+                out = out * g
+        return out
+
+    def __contains__(self, p: Pauli) -> bool:
+        combo = self._solver.solve(p.x << self.n | p.z)
+        return combo is not None and self.product(combo) == p
+
+
 @lru_cache(maxsize=None)
-def _group_solver(code: StabilizerCode) -> Solver:
-    return Solver([g.x << code.n | g.z for g in code.generators])
-
-
-def in_stabilizer_group(code: StabilizerCode, p: Pauli) -> bool:
-    """Exact membership including sign: p must equal a product of generators."""
-    combo = _group_solver(code).solve(p.x << code.n | p.z)
-    if combo is None:
-        return False
-    product = Pauli.identity(code.n)
-    for i, g in enumerate(code.generators):
-        if (combo >> i) & 1:
-            product = product * g
-    return product == p
+def stabilizer_group(code: StabilizerCode) -> StabilizerGroup:
+    return StabilizerGroup(code.generators, code.n)

@@ -86,10 +86,6 @@ class Layout:
     def block(self, outer_q: int) -> tuple[int, StabilizerCode | None]:
         return self.offsets[outer_q], self.assignment[outer_q]
 
-    def block_qubits(self, outer_q: int) -> range:
-        start, inner = self.block(outer_q)
-        return range(start, start + (1 if inner is None else inner.n))
-
     def fingerprint(self) -> str:
         return self.descriptor
 

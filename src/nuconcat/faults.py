@@ -16,6 +16,7 @@ reporting.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -93,30 +94,28 @@ def _deposit(local: int, qubits: tuple[int, ...]) -> int:
     return out
 
 
-def propagate(circuit: GadgetCircuit, place: int, x: int, z: int,
-              extra: dict[int, tuple[int, int]] | None = None) -> tuple[set[tuple[int, int]], bool]:
-    """Push a fault from just after ``place`` to the end of the gadget.
+def propagate(circuit: GadgetCircuit,
+              faults: Iterable[tuple[int, int, int]]) -> tuple[set[tuple[int, int]], bool]:
+    """Push faults ``(place, x, z)`` jointly to the end of the gadget.
 
-    ``extra`` optionally injects further faults at later places (joint
-    propagation); a fault at place p enters just after gate p.  Returns
-    (set of end-of-circuit (x, z) masks, whether propagation stayed
-    deterministic).  ``place`` must lie in [-1, len(gates)) and every
-    ``extra`` place after it.
+    A fault at place p enters just after gate p (-1 = register input);
+    faults at the same place are multiplied.  Returns (set of
+    end-of-circuit (x, z) masks, whether propagation stayed
+    deterministic).  Every place must lie in [-1, len(gates)).
     """
     n_gates = len(circuit.gates)
-    if not -1 <= place < n_gates:
-        raise ValueError(f"fault place {place} outside [-1, {n_gates})")
-    for later in extra or ():
-        if not place < later < n_gates:
-            raise ValueError(f"fault place {later} outside ({place}, {n_gates})")
-    branches = {(x, z)}
+    injected: dict[int, tuple[int, int]] = {}
+    for place, x, z in faults:
+        if not -1 <= place < n_gates:
+            raise ValueError(f"fault place {place} outside [-1, {n_gates})")
+        px, pz = injected.get(place, (0, 0))
+        injected[place] = (px ^ x, pz ^ z)
+    if not injected:
+        raise ValueError("no fault to propagate")
+    start = min(injected)
+    branches = {injected.pop(start)}
     deterministic = True
-    for gi in range(place + 1, n_gates + 1):
-        if extra and gi - 1 in extra:
-            ex, ez = extra[gi - 1]
-            branches = {(bx ^ ex, bz ^ ez) for bx, bz in branches}
-        if gi == n_gates:
-            break
+    for gi in range(start + 1, n_gates):
         g = circuit.gates[gi]
         if g.is_clifford:
             table = _xz_table(g.kind)
@@ -146,6 +145,9 @@ def propagate(circuit: GadgetCircuit, place: int, x: int, z: int,
             branches = moved
         else:
             raise ValueError(f"cannot propagate through {g.kind}")
+        if injected and gi in injected:
+            ex, ez = injected.pop(gi)
+            branches = {(bx ^ ex, bz ^ ez) for bx, bz in branches}
         if len(branches) > BRANCH_CAP:
             raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
     return branches, deterministic
@@ -257,7 +259,7 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport
     locations = enumerate_locations(circuit)
     report = FaultReport(layout.fingerprint(), circuit.label, len(locations), 0)
     for loc in locations:
-        branches, _ = propagate(circuit, loc.place, loc.x, loc.z)
+        branches, _ = propagate(circuit, ((loc.place, loc.x, loc.z),))
         report.branches_checked += len(branches)
         for bx, bz in sorted(branches):
             residual = _decode_operands(ctx, bx, bz)
@@ -316,7 +318,7 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
     locations = enumerate_locations(circuit)
     ends: list[list[tuple[int, int]]] = []
     for loc in locations:
-        branches, _ = propagate(circuit, loc.place, loc.x, loc.z)
+        branches, _ = propagate(circuit, ((loc.place, loc.x, loc.z),))
         ends.append(sorted(branches))
 
     report = FaultReport(layout.fingerprint(), circuit.label,
@@ -350,13 +352,7 @@ def _confirm_pair(ctx, circuit: GadgetCircuit, a: FaultLocation,
                   b: FaultLocation) -> tuple[tuple[int, int], str] | None:
     """Joint propagation of a candidate pair through the branch envelope;
     first failing branch."""
-    first, second = (a, b) if a.place <= b.place else (b, a)
-    if first.place == second.place:
-        branches, _ = propagate(circuit, first.place,
-                                first.x ^ second.x, first.z ^ second.z)
-    else:
-        branches, _ = propagate(circuit, first.place, first.x, first.z,
-                                extra={second.place: (second.x, second.z)})
+    branches, _ = propagate(circuit, ((a.place, a.x, a.z), (b.place, b.x, b.z)))
     for bx, bz in sorted(branches):
         residual = _decode_operands(ctx, bx, bz)
         if residual != "I":

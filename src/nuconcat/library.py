@@ -89,7 +89,6 @@ class GadgetLibrary:
         self.dispatcher = GadgetDispatcher(catalog.rules)
         self._cache: dict[tuple, AdmittedGadget] = {}
         self._rule_certs: dict[tuple[str, str], Certificate] = {}
-        self._verified_codes: set[str] = set()
         self._lock = threading.Lock()
 
     # -- transversal declarations ------------------------------------------
@@ -128,25 +127,24 @@ class GadgetLibrary:
         certs = {}
         for kind in self.catalog.rules.get(code_name, {}):
             certs[kind] = self.rule_certificate(code_name, kind)
-        self._verified_codes.add(code_name)
         return certs
 
     def _require_codes(self, layout: Layout) -> None:
         names = {layout.outer.name} | {
             inner.name for inner in layout.assignment if inner is not None}
         for name in sorted(names):
-            if name in self.catalog.rules and name not in self._verified_codes:
-                self.verify_code_rules(name)
+            self.verify_code_rules(name)
 
     # -- gadgets --------------------------------------------------------------
 
-    def gadget(self, layout: Layout, logical: Gate) -> AdmittedGadget:
-        key = (layout.fingerprint(), logical.kind, logical.qubits, logical.theta_over_pi)
+    def _admit(self, key: tuple, layout: Layout, logical: Gate,
+               synthesise: Callable[[], GadgetCircuit]) -> AdmittedGadget:
+        """Cached gadget for ``key``, or synthesise one, verify it on copies
+        of ``layout`` and cache it; a failed verification is a hard error."""
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
-        self._require_codes(layout)
-        circuit = self.dispatcher.logical_gadget(layout, logical)
+        circuit = synthesise()
         operand = Operand.from_layout(layout)
         cert = verify_gadget([operand] * len(circuit.blocks), circuit, logical)
         if not cert.passed:
@@ -155,22 +153,19 @@ class GadgetLibrary:
                 f"{cert.method} check: {cert.details}")
         admitted = AdmittedGadget(circuit, cert, logical)
         with self._lock:
-            self._cache.setdefault(key, admitted)
-        return admitted
+            return self._cache.setdefault(key, admitted)
+
+    def gadget(self, layout: Layout, logical: Gate) -> AdmittedGadget:
+        def synthesise() -> GadgetCircuit:
+            self._require_codes(layout)
+            return self.dispatcher.logical_gadget(layout, logical)
+
+        key = (layout.fingerprint(), logical.kind, logical.qubits, logical.theta_over_pi)
+        return self._admit(key, layout, logical, synthesise)
 
     def base_staircase(self, code: StabilizerCode, k: int, theta: Fraction) -> AdmittedGadget:
         """Theorem-level staircase on bare code blocks, dense-verified."""
-        layout = bare_layout(code)
         logical = gates.diagonal_gate(tuple(range(k + 1)), theta)
         key = ("staircase:" + code.name, logical.kind, logical.qubits, logical.theta_over_pi)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        circuit = staircase_gadget(code, k, theta)
-        cert = verify_gadget([Operand.from_code(code)] * (k + 1), circuit, logical)
-        if not cert.passed:
-            raise AdmissionError(f"staircase {circuit.label} on {code.name} failed: {cert.details}")
-        admitted = AdmittedGadget(circuit, cert, logical)
-        with self._lock:
-            self._cache.setdefault(key, admitted)
-        return admitted
+        return self._admit(key, bare_layout(code), logical,
+                           lambda: staircase_gadget(code, k, theta))

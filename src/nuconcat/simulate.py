@@ -10,8 +10,8 @@ the ones that apply:
   basis permutation must uncompute to the identity, and the accumulated
   diagonal phase, a phase polynomial over the classical support of each
   logical codeword tuple (Amy-Maslov-Mosca, arXiv:1303.2042), must equal
-  the claimed constant exactly, coefficient by coefficient over
-  Z_{2*den} (any size, any rational multiple of pi).
+  the claimed constant up to one global phase, coefficient by coefficient
+  over Z_{2*den} (any size, any rational multiple of pi).
 
 Certificates record which method ran and what it measured.
 """
@@ -28,7 +28,7 @@ import numpy as np
 from . import gates
 from ._bitlin import Solver, nullspace, solve_affine
 from .circuits import GadgetCircuit
-from .codes import StabilizerCode
+from .codes import StabilizerCode, StabilizerGroup
 from .concat import Layout, flatten_logicals, flatten_stabilizers
 from .gates import Gate
 from .pauli import Pauli
@@ -270,21 +270,10 @@ def verify_clifford_action(operands: list[Operand], circuit: GadgetCircuit,
     offsets = [sum(op.n for op in operands[:b]) for b in range(m)]
     all_gens = [_embed_at(g, total, offsets[b])
                 for b, op in enumerate(operands) for g in op.generators]
-    solver = Solver([g.x << total | g.z for g in all_gens])
-
-    def in_group(p: Pauli) -> bool:
-        combo = solver.solve(p.x << total | p.z)
-        if combo is None:
-            return False
-        product = Pauli.identity(total)
-        for i, g in enumerate(all_gens):
-            if (combo >> i) & 1:
-                product = product * g
-        return product == p
-
+    group = StabilizerGroup(all_gens, total)
     for g in all_gens:
         image = gates.conjugate_through(g, circuit.gates)
-        if not in_group(image):
+        if image not in group:
             return Certificate("heisenberg", False,
                                details=f"stabilizer {g} maps outside the group")
     for b in range(m):
@@ -295,7 +284,7 @@ def verify_clifford_action(operands: list[Operand], circuit: GadgetCircuit,
                 _lift_logical(operands, offsets, total, source), circuit.gates)
             want = _lift_logical(operands, offsets, total,
                                  gates.conjugate_by_gate(source, claimed))
-            if not in_group(got * want.inverse()):
+            if got * want.inverse() not in group:
                 return Certificate("heisenberg", False,
                                    details=f"logical {letter}_{b} image mismatch")
     return Certificate("heisenberg", True, phase=None)
@@ -337,17 +326,15 @@ def _support_space(op: Operand) -> tuple[list[int], list[int], Pauli]:
     Returns (constraint rows, target bits as a list, pure-Z logical element);
     the label constraint is the last row, with target ``label xor sign``.
     """
-    gens = list(op.generators)
+    group = StabilizerGroup(op.generators, op.n)
+    gens = group.generators
     # kernel of the x-parts: combinations multiplying to pure-Z elements
     x_columns = [sum(((g.x >> q) & 1) << i for i, g in enumerate(gens)) for q in range(op.n)]
     kernel = nullspace(x_columns, len(gens))
     rows: list[int] = []
     targets: list[int] = []
     for combo in kernel:
-        product = Pauli.identity(op.n)
-        for i, g in enumerate(gens):
-            if (combo >> i) & 1:
-                product = product * g
+        product = group.product(combo)
         if product.x or product.display_phase_exp not in (0, 2):
             raise AssertionError("pure-Z reduction failed")
         rows.append(product.z)
@@ -359,10 +346,7 @@ def _support_space(op: Operand) -> tuple[list[int], list[int], Pauli]:
     if combo is None:
         raise VerificationError("logical Z has no pure-Z coset form; "
                                 "coset-phase method inapplicable")
-    pure = lz
-    for i, g in enumerate(gens):
-        if (combo >> i) & 1:
-            pure = pure * g
+    pure = lz * group.product(combo)
     if pure.x or pure.display_phase_exp not in (0, 2):
         raise AssertionError("logical-Z purification failed")
     return rows, targets, pure
@@ -405,8 +389,9 @@ def verify_diagonal_action(operands: list[Operand], circuit: GadgetCircuit,
     the phase, in units of pi/den with den the lcm of the angle
     denominators, is a multilinear polynomial with integer coefficients
     mod 2*den.  That form is unique: the phase is constant on the support
-    exactly when every non-constant coefficient vanishes, and the constant
-    must equal the claimed logical phase.
+    exactly when every non-constant coefficient vanishes.  The constant at
+    labels (0, ..., 0) is the global phase; every other constant must equal
+    it plus the claimed logical phase.
     """
     m = len(operands)
     total = sum(op.n for op in operands)
@@ -450,8 +435,8 @@ def verify_diagonal_action(operands: list[Operand], circuit: GadgetCircuit,
     den = math.lcm(claimed.theta().denominator,
                    *(theta.denominator for theta, _ in trace.phase_terms))
     modulus = 2 * den
+    global_phase = None
     for labels in itertools.product(range(2), repeat=m):
-        want = int(claimed.theta() * den) if all(labels) else 0
         seed, basis = 0, []
         for b in range(m):
             part_seed, part_basis = supports[(b, labels[b])]
@@ -473,11 +458,15 @@ def verify_diagonal_action(operands: list[Operand], circuit: GadgetCircuit,
         if any(poly.values()):
             return Certificate("css-coset", False,
                                details=f"phase varies over the support at labels {labels}")
+        if global_phase is None:  # labels (0, ..., 0) come first
+            global_phase = constant
+        want = (global_phase + (int(claimed.theta() * den) if all(labels) else 0)) % modulus
         if constant != want:
             return Certificate(
                 "css-coset", False,
                 details=f"phase {Fraction(constant, den)} != {Fraction(want, den)} "
                         f"at labels {labels}")
-    return Certificate("css-coset", True, phase=1.0 + 0j,
+    return Certificate("css-coset", True,
+                       phase=complex(np.exp(1j * np.pi * global_phase / den)),
                        details=f"phase polynomial constant on {1 << len(basis)} "
                                f"support words per label tuple")

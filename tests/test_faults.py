@@ -33,26 +33,26 @@ def test_location_count_49_t_gadget(lib, layouts):
 
 def test_x_spreads_through_staircase():
     c = make_circuit(3, gate(gates.CNOT, 0, 1), gate(gates.CNOT, 1, 2))
-    branches, det = propagate(c, -1, 1, 0)  # X on qubit 0 before anything
+    branches, det = propagate(c, [(-1, 1, 0)])  # X on qubit 0 before anything
     assert det and branches == {(0b111, 0)}
 
 
 def test_z_commutes_through_diagonals():
     c = make_circuit(2, gate(gates.T, 0), gate(gates.CZ, 0, 1), gate(gates.S, 1))
-    branches, det = propagate(c, -1, 0, 0b01)
+    branches, det = propagate(c, [(-1, 0, 0b01)])
     assert det and branches == {(0, 0b01)}
 
 
 def test_x_branches_at_t():
     c = make_circuit(1, gate(gates.T, 0))
-    branches, det = propagate(c, -1, 1, 0)
+    branches, det = propagate(c, [(-1, 1, 0)])
     assert not det
     assert branches == {(1, 0), (1, 1)}  # {X, Y} envelope
 
 
 def test_x_branches_at_ccz_spray_z():
     c = make_circuit(3, gate(gates.CCZ, 0, 1, 2))
-    branches, det = propagate(c, -1, 0b001, 0)
+    branches, det = propagate(c, [(-1, 0b001, 0)])
     assert not det
     assert branches == {(0b001, z) for z in range(8)}
 
@@ -60,7 +60,7 @@ def test_x_branches_at_ccz_spray_z():
 def test_clifford_only_is_deterministic(lib, layouts):
     adm = lib.gadget(layouts[49], library.logical_gate(gates.CNOT))
     for loc in enumerate_locations(adm.circuit)[:60]:
-        branches, deterministic = propagate(adm.circuit, loc.place, loc.x, loc.z)
+        branches, deterministic = propagate(adm.circuit, [(loc.place, loc.x, loc.z)])
         assert deterministic and len(branches) == 1
 
 
@@ -88,7 +88,7 @@ def test_branch_confinement_single_fault(lib, layouts):
     block at the end of the 49-qubit T gadget."""
     adm = lib.gadget(layouts[49], library.logical_gate(gates.T))
     for loc in enumerate_locations(adm.circuit):
-        for bx, bz in propagate(adm.circuit, loc.place, loc.x, loc.z)[0]:
+        for bx, bz in propagate(adm.circuit, [(loc.place, loc.x, loc.z)])[0]:
             support = bx | bz
             for block in range(3):
                 mask = ((1 << 15) - 1) << (15 * block)
@@ -138,7 +138,7 @@ def test_pair_witness_replay_consistency(lib, layouts):
     adm = lib.gadget(lay, library.logical_gate(gates.T))
     report = find_min_uncorrectable(lay, adm.circuit)
     a, b = report.witness
-    branches, _ = propagate(adm.circuit, a.place, a.x ^ b.x, a.z ^ b.z)
+    branches, _ = propagate(adm.circuit, [(a.place, a.x, a.z), (b.place, b.x, b.z)])
     ctx = faults._context_for(adm.circuit, lay)
     assert any(faults._decode_operands(ctx, bx, bz) != "I" for bx, bz in branches)
 
@@ -155,7 +155,7 @@ def test_bare_transversal_pairs_fail_without_spreading(cat, lib):
     assert result.value == 3
     a, b = result.witness_report.witness
     for loc in (a, b):
-        branches, det = propagate(gadgets[0].circuit, loc.place, loc.x, loc.z)
+        branches, det = propagate(gadgets[0].circuit, [(loc.place, loc.x, loc.z)])
         assert det
         for bx, bz in branches:
             assert (bx | bz).bit_count() <= 1
@@ -171,11 +171,17 @@ def test_propagate_rejects_places_outside_the_circuit():
     c = make_circuit(3, gate(gates.CNOT, 0, 1), gate(gates.T, 1), gate(gates.CNOT, 0, 1))
     for place in (-5, -2, 3, 99):
         with pytest.raises(ValueError, match="outside"):
-            propagate(c, place, 1, 0)
-    for later in (-1, 0, 3, 99):
+            propagate(c, [(place, 1, 0)])
         with pytest.raises(ValueError, match="outside"):
-            propagate(c, 0, 1, 0, extra={later: (1, 0)})
-    assert propagate(c, 0, 1, 0, extra={2: (1, 0)})[0] == {(0b010, 0)}
+            propagate(c, [(0, 1, 0), (place, 1, 0)])
+    for joint in ([(0, 1, 0), (2, 1, 0)], [(2, 1, 0), (0, 1, 0)]):
+        assert propagate(c, joint)[0] == {(0b010, 0)}
+
+
+def test_propagate_merges_faults_at_one_place():
+    c = make_circuit(3, gate(gates.CNOT, 0, 1), gate(gates.T, 1), gate(gates.CNOT, 0, 1))
+    assert propagate(c, [(-1, 1, 0), (-1, 1, 0)]) == ({(0, 0)}, True)
+    assert propagate(c, [(0, 1, 0), (0, 0, 1), (1, 0, 2)]) == propagate(c, [(0, 1, 1), (1, 0, 2)])
 
 
 def test_effective_distance_names_budget_refusals(lib, layouts):

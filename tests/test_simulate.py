@@ -278,24 +278,24 @@ def _draw_conjugated_diagonal(data, code, m: int) -> tuple[GadgetCircuit, Gate]:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_random_diagonal_circuits_css_coset_vs_dense(cat, data):
-    """A css-coset pass implies a dense pass; since the permutation
-    uncomputes, the css-coset verdict is exactly a dense pass with global
-    phase 1."""
+    """Both oracles accept the same circuits, with the same global phase."""
     name, m = data.draw(st.sampled_from([("steane", 1), ("steane", 2), ("rm15", 1)]))
     code = cat.code(name)
     circuit, claim = _draw_conjugated_diagonal(data, code, m)
     operands = [Operand.from_code(code)] * m
     coset = verify_diagonal_action(operands, circuit, claim)
     dense = verify_logical_action(operands, circuit, gates.gate_matrix(claim))
+    assert coset.passed == dense.passed
     if coset.passed:
-        assert dense.passed
-    assert coset.passed == (dense.passed and abs(dense.phase - 1) < 1e-9)
+        assert abs(coset.phase - dense.phase) < 1e-9
 
 
 def _enumerated_verdict(operands: list[Operand], circuit: GadgetCircuit, claimed: Gate) -> bool:
     """Brute-force reference for CSS operands: run every word of every
-    codeword support through the circuit and sum the phases it picks up."""
+    codeword support through the circuit and sum the phases it picks up;
+    the first word, at labels (0, ..., 0), fixes the global phase."""
     offsets = [sum(op.n for op in operands[:b]) for b in range(len(operands))]
+    global_phase = None
     for labels in itertools.product(range(2), repeat=len(operands)):
         seed, span = 0, []
         for op, off, label in zip(operands, offsets, labels):
@@ -315,7 +315,9 @@ def _enumerated_verdict(operands: list[Operand], circuit: GadgetCircuit, claimed
                     word ^= ((word >> g.qubits[0]) & 1) << g.qubits[1]
                 elif all((word >> q) & 1 for q in g.qubits):
                     phase += g.theta()
-            if word != start or phase % 2 != want:
+            if global_phase is None:
+                global_phase = phase
+            if word != start or (phase - global_phase - want) % 2:
                 return False
     return True
 
@@ -328,6 +330,32 @@ def test_css_coset_matches_enumeration_beyond_dense_cap(cat):
         claim = gates.diagonal_gate((0, 1, 2), theta)
         assert verify_diagonal_action(operands, circuit, claim).passed \
             == _enumerated_verdict(operands, circuit, claim) == (theta == 1)
+
+
+def test_css_coset_accepts_a_global_phase(cat):
+    """X^7 Z^7 X^7 on Steane is -Z: both oracles certify Z with phase -1."""
+    code = cat.code("steane")
+    xs = tuple(gate(gates.X, q) for q in range(7))
+    zs = tuple(gate(gates.Z, q) for q in range(7))
+    circuit = GadgetCircuit(7, xs + zs + xs, "-Z", ((0, 7),))
+    operands = [Operand.from_code(code)]
+    claim = library.logical_gate(gates.Z)
+    for cert in (verify_diagonal_action(operands, circuit, claim),
+                 verify_logical_action(operands, circuit, gates.gate_matrix(claim))):
+        assert cert.passed and abs(cert.phase + 1) < 1e-9
+
+
+def test_css_coset_accepts_a_global_phase_beyond_dense_cap(cat):
+    """X0 Z0 X0 Z0 = -I ahead of the rm15 transversal CZ on 30 qubits."""
+    code = cat.code("rm15")
+    cz = expand_transversal(code, gates.CZ, cat.rules["rm15"][gates.CZ], 2)
+    prefix = (gate(gates.X, 0), gate(gates.Z, 0)) * 2
+    circuit = GadgetCircuit(30, prefix + cz.gates, "-CZ", cz.blocks)
+    operands = [Operand.from_code(code)] * 2
+    claim = library.logical_gate(gates.CZ)
+    cert = verify_diagonal_action(operands, circuit, claim)
+    assert cert.passed and abs(cert.phase + 1) < 1e-9
+    assert _enumerated_verdict(operands, circuit, claim)
 
 
 @settings(max_examples=40, deadline=None)
