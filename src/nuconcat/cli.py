@@ -284,11 +284,11 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     injections.sort(key=lambda pf: pf[0])
     branches, deterministic = faults.propagate(
         circuit, [(place, p.x, p.z) for place, p in injections])
-    ctx = faults._context_for(circuit, layout)
+    ctx = faults.DecodeContext(layout, circuit.blocks)
     outcomes = []
     failed = False
     for bx, bz in sorted(branches):
-        residual = faults._decode_operands(ctx, bx, bz)
+        residual = ctx.decode(bx, bz)
         outcomes.append({"branch": str(Pauli(circuit.register_size, bx, bz, 0)),
                          "residual": residual})
         failed = failed or residual != "I"

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from . import gates
 from ._bitlin import Solver, rank
@@ -243,6 +245,24 @@ class LookupDecoder:
         if s >> (self.code.n - 1):
             raise DimensionError(f"syndrome 0x{s:x} too wide for {self.code.name}")
         return self.table[s]
+
+    @cached_property
+    def residual_classes(self) -> np.ndarray:
+        """Logical class left after correcting an error, indexed by the
+        error's syndrome s | anti_z << (n - 1) | anti_x << n, where anti_z
+        and anti_x say whether it anticommutes with logical Z and logical
+        X.  Class bit 0 = anticommutes with logical Z, bit 1 = with logical
+        X (I = 0, X = 1, Z = 2, Y = 3).  Computed once per decoder."""
+        size = 1 << (self.code.n - 1)
+        cx = np.fromiter((self.table[s].x for s in range(size)), np.uint64, size)
+        cz = np.fromiter((self.table[s].z for s in range(size)), np.uint64, size)
+        correction = np.zeros(size, np.uint8)
+        for bit, rep in enumerate((self.code.logical_z, self.code.logical_x)):
+            correction |= (np.bitwise_count((cx & rep.z) ^ (cz & rep.x)) & 1) << bit
+        # commutation parities add: class(correction * error) = XOR of the two
+        out = np.concatenate([correction ^ parities for parities in range(4)])
+        out.flags.writeable = False
+        return out
 
 
 @lru_cache(maxsize=None)

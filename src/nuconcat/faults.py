@@ -8,17 +8,36 @@ so results read "under the gate-fault model".  Non-Clifford diagonal
 gates branch a passing X-component into the set {P * Z^S} over subsets S
 of the gate's qubits, a sound superset of the exact conjugation support.
 
-Pair search screens with per-fault end-branch products (sound envelope,
-syndrome data is linear so products are cheap) and confirms candidates by
-propagating both faults jointly through the same envelope before
-reporting.
+Propagation is one batched Pauli-frame walk (after Gidney's Stim,
+arXiv:2103.02202).  Each row of the frame is one branch of one fault
+group, held as packed uint64 x/z words plus the index of its group.  The
+circuit is walked once for the whole batch: a group's faults are XORed
+into its rows at their places, a Clifford gate is a table lookup on the
+gate's bits of every row, and a diagonal gate expands the rows with X on
+its qubits over Z^S, after merging the rows of one group that differ
+only in the gate's z bits.  A single-fault campaign is one batch of all
+locations; ``propagate`` is a batch of one group.
+
+Decoding is table-driven on the same rows.  For every operand block and
+outer qubit, the inner syndrome and the anticommutation with the inner
+logical Z and X are popcounts against the generator words.  They are
+linear, so the values of a product of branches are the XOR of theirs.  A
+per-code class array from the lookup decoder turns them into the outer
+letter; the same popcounts and lookup on the outer letters give the
+residual.
+
+Pair search screens with per-fault end-branch products (sound envelope)
+and confirms candidates by propagating both faults jointly through the
+same envelope before reporting.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 from . import gates
 from .circuits import GadgetCircuit
@@ -71,27 +90,136 @@ def enumerate_locations(circuit: GadgetCircuit) -> list[FaultLocation]:
 
 # -- propagation -----------------------------------------------------------------
 
+def _pack(masks: Iterable[int], n_words: int) -> np.ndarray:
+    """Int bit-masks as rows of ``n_words`` little-endian uint64 words."""
+    data = b"".join(m.to_bytes(8 * n_words, "little") for m in masks)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, n_words).astype(np.uint64)
+
+
+def _unpack(words: np.ndarray) -> int:
+    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
+def _qubit_mask(qubits: Iterable[int]) -> int:
+    return sum(1 << q for q in qubits)
+
+
 @lru_cache(maxsize=None)
-def _xz_table(kind: str) -> dict[tuple[int, int], tuple[int, int]]:
-    """Phase-free local conjugation table for a Clifford gate kind."""
-    table = {}
+def _clifford_flips(kind: str) -> np.ndarray:
+    """Bits a Clifford kind flips, indexed by the local Pauli x | z << k
+    on its k qubits (phases dropped)."""
+    k = gates.ARITY[kind]
+    flips = np.zeros(1 << (2 * k), np.uint64)
     for (lx, lz), image in gates._local_table(kind).items():
-        table[(lx, lz)] = (image.x, image.z)
-    return table
+        flips[lx | lz << k] = (lx ^ image.x) | (lz ^ image.z) << k
+    flips.flags.writeable = False
+    return flips
 
 
-def _extract(mask: int, qubits: tuple[int, ...]) -> int:
-    out = 0
-    for i, q in enumerate(qubits):
-        out |= ((mask >> q) & 1) << i
-    return out
+class _Frame:
+    """Branches of a batch of fault groups, one row per branch."""
+
+    def __init__(self, n_words: int, n_groups: int):
+        self.n_words = n_words
+        self.x = np.zeros((0, n_words), np.uint64)
+        self.z = np.zeros((0, n_words), np.uint64)
+        self.owner = np.zeros(0, np.intp)
+        self.started = np.zeros(n_groups, bool)
+        self.deterministic = np.ones(n_groups, bool)
+
+    def inject(self, faults: dict[int, tuple[int, int]]) -> None:
+        """XOR each group's fault into its rows; a group's first fault is
+        its first row."""
+        owners = np.fromiter(faults, np.intp, len(faults))
+        fx = _pack((x for x, _ in faults.values()), self.n_words)
+        fz = _pack((z for _, z in faults.values()), self.n_words)
+        old = self.started[owners]
+        for o, ex, ez in zip(owners[old], fx[old], fz[old]):
+            rows = self.owner == o
+            self.x[rows] ^= ex
+            self.z[rows] ^= ez
+        new = ~old
+        self.x = np.concatenate([self.x, fx[new]])
+        self.z = np.concatenate([self.z, fz[new]])
+        self.owner = np.concatenate([self.owner, owners[new]])
+        self.started[owners] = True
+
+    def clifford(self, g: gates.Gate) -> None:
+        # (plane, word, bit) of the gate's x bits, then its z bits
+        bits = [(plane, q >> 6, q & 63) for plane in (self.x, self.z) for q in g.qubits]
+        local = np.zeros(len(self.owner), np.uint64)
+        for i, (plane, w, b) in enumerate(bits):
+            local |= ((plane[:, w] >> b) & 1) << i
+        flips = _clifford_flips(g.kind)[local]
+        for i, (plane, w, b) in enumerate(bits):
+            plane[:, w] ^= ((flips >> i) & 1) << b
+
+    def diagonal(self, g: gates.Gate) -> None:
+        """Expand rows with X on the gate's qubits over Z^S."""
+        gmask = _pack([_qubit_mask(g.qubits)], self.n_words)[0]
+        hit = (self.x & gmask).any(axis=1)
+        if not hit.any():
+            return
+        self.deterministic[self.owner[hit]] = False
+        # Rows of one group that differ only in the gate's z bits expand
+        # to the same rows: merge them first, by sorting (np.unique would
+        # import numpy.ma, about 0.7 MB, on first use).
+        w = self.n_words
+        keys = np.column_stack([self.owner[hit].astype(np.uint64), self.x[hit],
+                                self.z[hit] & ~gmask])
+        keys = keys[np.lexsort(keys.T)]
+        keys = keys[np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])]
+        n_sub = 1 << len(g.qubits)
+        subsets = _pack((_qubit_mask(q for i, q in enumerate(g.qubits) if (s >> i) & 1)
+                         for s in range(n_sub)), w)
+        keep = ~hit
+        self.x = np.concatenate([self.x[keep], np.repeat(keys[:, 1:1 + w], n_sub, axis=0)])
+        self.z = np.concatenate([self.z[keep],
+                                 (keys[:, None, 1 + w:] | subsets).reshape(-1, w)])
+        self.owner = np.concatenate([self.owner[keep],
+                                     np.repeat(keys[:, 0].astype(np.intp), n_sub)])
+        if np.bincount(self.owner).max() > BRANCH_CAP:
+            raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
 
 
-def _deposit(local: int, qubits: tuple[int, ...]) -> int:
-    out = 0
-    for i, q in enumerate(qubits):
-        out |= ((local >> i) & 1) << q
-    return out
+def _walk(circuit: GadgetCircuit, faults: Iterable[tuple[int, int, int, int]]) -> _Frame:
+    """Push faults ``(group, place, x, z)`` to the end of the gadget, every
+    group of faults jointly, in one pass over the gates.
+
+    Groups are numbered from 0.  A fault at place p enters just after
+    gate p (-1 = register input); faults of one group at one place are
+    multiplied.  Every place must lie in [-1, len(gates)) and every fault
+    on the register.  ``BRANCH_CAP`` bounds the branches of each group; only diagonal gates
+    add branches, so it is checked after each.
+    """
+    n_gates = len(circuit.gates)
+    injected: dict[int, dict[int, tuple[int, int]]] = {}   # place -> group -> fault
+    n_groups = 0
+    for owner, place, x, z in faults:
+        if not -1 <= place < n_gates:
+            raise ValueError(f"fault place {place} outside [-1, {n_gates})")
+        if x < 0 or z < 0 or (x | z) >> circuit.register_size:
+            raise ValueError(f"fault acts outside the register of {circuit.register_size} qubits")
+        at = injected.setdefault(place, {})
+        if owner in at:
+            x, z = x ^ at[owner][0], z ^ at[owner][1]
+        at[owner] = (x, z)
+        n_groups = max(n_groups, owner + 1)
+    if not n_groups:
+        raise ValueError("no fault to propagate")
+    frame = _Frame((circuit.register_size + 63) // 64, n_groups)
+    for place in range(-1, n_gates):
+        if place >= 0 and len(frame.owner):
+            g = circuit.gates[place]
+            if g.is_clifford:
+                frame.clifford(g)
+            elif g.is_diagonal:
+                frame.diagonal(g)
+            else:
+                raise ValueError(f"cannot propagate through {g.kind}")
+        if place in injected:
+            frame.inject(injected.pop(place))
+    return frame
 
 
 def propagate(circuit: GadgetCircuit,
@@ -101,130 +229,120 @@ def propagate(circuit: GadgetCircuit,
     A fault at place p enters just after gate p (-1 = register input);
     faults at the same place are multiplied.  Returns (set of
     end-of-circuit (x, z) masks, whether propagation stayed
-    deterministic).  Every place must lie in [-1, len(gates)).
+    deterministic).  Every place must lie in [-1, len(gates)) and every
+    fault on the register.
     """
-    n_gates = len(circuit.gates)
-    injected: dict[int, tuple[int, int]] = {}
-    for place, x, z in faults:
-        if not -1 <= place < n_gates:
-            raise ValueError(f"fault place {place} outside [-1, {n_gates})")
-        px, pz = injected.get(place, (0, 0))
-        injected[place] = (px ^ x, pz ^ z)
-    if not injected:
-        raise ValueError("no fault to propagate")
-    start = min(injected)
-    branches = {injected.pop(start)}
-    deterministic = True
-    for gi in range(start + 1, n_gates):
-        g = circuit.gates[gi]
-        if g.is_clifford:
-            table = _xz_table(g.kind)
-            qs = g.qubits
-            qmask = _deposit((1 << len(qs)) - 1, qs)
-            moved = set()
-            for bx, bz in branches:
-                lx, lz = _extract(bx, qs), _extract(bz, qs)
-                if lx == 0 and lz == 0:
-                    moved.add((bx, bz))
-                    continue
-                ix, iz = table[(lx, lz)]
-                moved.add(((bx & ~qmask) | _deposit(ix, qs),
-                           (bz & ~qmask) | _deposit(iz, qs)))
-            branches = moved
-        elif g.is_diagonal:
-            qs = g.qubits
-            qmask = _deposit((1 << len(qs)) - 1, qs)
-            moved = set()
-            for bx, bz in branches:
-                if bx & qmask:
-                    deterministic = False
-                    for sub in range(1 << len(qs)):
-                        moved.add((bx, bz ^ _deposit(sub, qs)))
-                else:
-                    moved.add((bx, bz))
-            branches = moved
-        else:
-            raise ValueError(f"cannot propagate through {g.kind}")
-        if injected and gi in injected:
-            ex, ez = injected.pop(gi)
-            branches = {(bx ^ ex, bz ^ ez) for bx, bz in branches}
-        if len(branches) > BRANCH_CAP:
-            raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
-    return branches, deterministic
+    frame = _walk(circuit, ((0, place, x, z) for place, x, z in faults))
+    branches = {(_unpack(x), _unpack(z)) for x, z in zip(frame.x, frame.z)}
+    return branches, bool(frame.deterministic[0])
 
 
-# -- fast hierarchical decoding over (x, z) masks -----------------------------------
+# -- table-driven hierarchical decoding ------------------------------------------------
+
+_RESIDUAL = "IXZY"   # class bits: 1 = anticommutes with logical Z, 2 = with logical X
+
+
+def _check_masks(code: StabilizerCode | None) -> list[int]:
+    """Symplectic masks z | x << n of the generators, then logical Z, then
+    logical X: an error e = ex | ez << n anticommutes with check j iff
+    e & mask_j has odd weight.  A bare qubit is a one-qubit code with no
+    generators."""
+    if code is None:
+        return [0b01, 0b10]
+    return [p.z | p.x << code.n for p in (*code.generators, code.logical_z, code.logical_x)]
+
+
+def _block_words(errors: np.ndarray, masks: list[int]) -> np.ndarray:
+    """Per symplectic error, bit j = its anticommutation with check j: the
+    syndrome in the low bits, then the logical-Z and logical-X parities.
+    Codes have at most 15 qubits (``build_decoder``), so 16 bits suffice."""
+    word = np.zeros(len(errors), np.uint16)
+    for j, m in enumerate(masks):
+        word |= (np.bitwise_count(errors & m) & 1).astype(np.uint16) << j
+    return word
+
+
+def _letters(code: StabilizerCode | None) -> np.ndarray:
+    """Residual class after lookup decoding, indexed by block word."""
+    if code is None:
+        return np.arange(4, dtype=np.uint8)
+    return build_decoder(code).residual_classes
+
+
+def _field(plane: np.ndarray, start: int, width: int) -> np.ndarray:
+    """Bits start .. start + width - 1 of every row (width < 64)."""
+    w, b = start >> 6, start & 63
+    out = plane[:, w] >> b
+    if b + width > 64:
+        out |= plane[:, w + 1] << (64 - b)
+    return out & ((1 << width) - 1)
+
 
 class DecodeContext:
-    """Precomputed bit-mask pipeline for hierarchical decoding of a layout."""
+    """Inner-then-outer lookup decoding of every operand block of a
+    register, on rows of packed (x, z) words.  ``blocks`` lists the
+    (offset, length) of each operand; by default one operand at 0.
 
-    def __init__(self, layout: Layout):
-        self.layout = layout
-        self.total_n = layout.total_n
-        self.blocks: list[tuple[int, int, object | None]] = []  # (start, width, inner key)
-        self.inner: dict[str, dict] = {}
-        for q in range(layout.outer.n):
-            start, code = layout.block(q)
-            if code is None:
-                self.blocks.append((start, 1, None))
-            else:
-                self.blocks.append((start, code.n, code.name))
-                if code.name not in self.inner:
-                    self.inner[code.name] = self._code_tables(code)
-        self.outer = self._code_tables(layout.outer)
+    ``data`` maps rows to one block word per (operand, outer qubit)
+    column; the words are linear in (x, z).  ``residuals`` maps block
+    words to the residual class: I only when every operand decodes to I,
+    else the class of the first operand that does not.
+    """
 
-    @staticmethod
-    def _code_tables(code: StabilizerCode) -> dict:
-        decoder = build_decoder(code)
-        gens = [(g.x, g.z) for g in code.generators]
-        lx, lz = code.logical_x, code.logical_z
-        synd_class = {}
-        for s, corr in decoder.table.items():
-            synd_class[s] = (int(not corr.commutes(lz)), int(not corr.commutes(lx)))
-        return {"gens": gens, "synd_class": synd_class,
-                "lx": (lx.x, lx.z), "lz": (lz.x, lz.z), "n": code.n}
+    def __init__(self, layout: Layout, blocks: Sequence[tuple[int, int]] | None = None):
+        blocks = ((0, layout.total_n),) if blocks is None else blocks
+        self.n_words = (max(off + length for off, length in blocks) + 63) // 64
+        n = layout.outer.n
+        tables = {}
+        self.columns = []   # (start, width, check masks) per block word
+        self.letters = []   # residual class by block word, per block word
+        for off, length in blocks:
+            if length != layout.total_n:
+                raise ValueError("gadget blocks do not match the layout")
+            for q in range(n):
+                start, code = layout.block(q)
+                if code not in tables:
+                    tables[code] = _check_masks(code), _letters(code)
+                masks, letters = tables[code]
+                self.columns.append((off + start, 1 if code is None else code.n, masks))
+                self.letters.append(letters)
+        self.n_operands = len(blocks)
+        # outer letter on outer qubit q -> its bits of the outer error x | z << n
+        self.spread = [np.array([0, 1 << q, 1 << (q + n), 1 << q | 1 << (q + n)], np.uint64)
+                       for q in range(n)]
+        self.outer_masks = _check_masks(layout.outer)
+        self.outer_letters = _letters(layout.outer)
 
-    @staticmethod
-    def _syndrome(tables: dict, x: int, z: int) -> int:
-        s = 0
-        for i, (gx, gz) in enumerate(tables["gens"]):
-            if ((gx & z).bit_count() + (gz & x).bit_count()) & 1:
-                s |= 1 << i
-        return s
+    def data(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Block words of rows of packed x and z words, (rows, columns)."""
+        out = np.empty((len(x), len(self.columns)), np.uint16)
+        for k, (start, width, masks) in enumerate(self.columns):
+            errors = _field(x, start, width) | _field(z, start, width) << width
+            out[:, k] = _block_words(errors, masks)
+        return out
 
-    @staticmethod
-    def _class_parities(tables: dict, x: int, z: int) -> tuple[int, int]:
-        lxx, lxz = tables["lx"]
-        lzx, lzz = tables["lz"]
-        anti_z = ((lzx & z).bit_count() + (lzz & x).bit_count()) & 1
-        anti_x = ((lxx & z).bit_count() + (lxz & x).bit_count()) & 1
-        return anti_z, anti_x
+    def residuals(self, data: np.ndarray) -> np.ndarray:
+        """Residual class per row of block words; 0 = I."""
+        n = len(self.spread)
+        out = np.zeros(len(data), np.uint8)
+        for op in range(self.n_operands):
+            outer = np.zeros(len(data), np.uint64)
+            for q in range(n):
+                k = op * n + q
+                outer |= self.spread[q][self.letters[k][data[:, k]]]
+            residual = self.outer_letters[_block_words(outer, self.outer_masks)]
+            out = np.where(out != 0, out, residual)
+        return out
 
-    _CLASS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-    _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    def branch_residuals(self, branches: Sequence[tuple[int, int]]) -> np.ndarray:
+        """Residual class per (x, z) int pair; 0 = I."""
+        n_words = max([self.n_words, *((max(b).bit_length() + 63) // 64 for b in branches)])
+        return self.residuals(self.data(_pack((x for x, _ in branches), n_words),
+                                        _pack((z for _, z in branches), n_words)))
 
     def decode(self, x: int, z: int) -> str:
-        """Outer residual class of a physical (x, z) error."""
-        ox = oz = 0
-        for q, (start, width, key) in enumerate(self.blocks):
-            if key is None:
-                xb, zb = (x >> start) & 1, (z >> start) & 1
-            else:
-                tables = self.inner[key]
-                mask = (1 << width) - 1
-                bx, bz = (x >> start) & mask, (z >> start) & mask
-                if bx == 0 and bz == 0:
-                    continue
-                s = self._syndrome(tables, bx, bz)
-                caz, cax = tables["synd_class"][s]
-                ez, ex = self._class_parities(tables, bx, bz)
-                xb, zb = self._LETTER_BITS[self._CLASS[(caz ^ ez, cax ^ ex)]]
-            ox |= xb << q
-            oz |= zb << q
-        s = self._syndrome(self.outer, ox, oz)
-        caz, cax = self.outer["synd_class"][s]
-        ez, ex = self._class_parities(self.outer, ox, oz)
-        return self._CLASS[(caz ^ ez, cax ^ ex)]
+        """Residual class of one physical (x, z) error."""
+        return _RESIDUAL[self.branch_residuals([(x, z)])[0]]
 
 
 # -- reports --------------------------------------------------------------------
@@ -253,18 +371,22 @@ class FaultReport:
         return not self.failures
 
 
+def _propagate_each(circuit: GadgetCircuit, locations: list[FaultLocation]) -> _Frame:
+    """Every location's fault on its own, propagated as one batch."""
+    return _walk(circuit, ((loc.index, loc.place, loc.x, loc.z) for loc in locations))
+
+
 def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport:
-    """Exhaustive single-fault campaign; every branch must decode to I."""
-    ctx = _context_for(circuit, layout)
+    """Exhaustive single-fault campaign; every branch must decode to I.
+    Failures are ordered by location, then by branch (x, z)."""
+    ctx = DecodeContext(layout, circuit.blocks)
     locations = enumerate_locations(circuit)
-    report = FaultReport(layout.fingerprint(), circuit.label, len(locations), 0)
-    for loc in locations:
-        branches, _ = propagate(circuit, ((loc.place, loc.x, loc.z),))
-        report.branches_checked += len(branches)
-        for bx, bz in sorted(branches):
-            residual = _decode_operands(ctx, bx, bz)
-            if residual != "I":
-                report.failures.append(Failure((loc.index,), (bx, bz), residual))
+    frame = _propagate_each(circuit, locations)
+    report = FaultReport(layout.fingerprint(), circuit.label, len(locations), len(frame.owner))
+    residual = ctx.residuals(ctx.data(frame.x, frame.z))
+    failing = sorted((int(frame.owner[r]), _unpack(frame.x[r]), _unpack(frame.z[r]),
+                      _RESIDUAL[residual[r]]) for r in np.flatnonzero(residual))
+    report.failures = [Failure((i,), (x, z), res) for i, x, z, res in failing]
     if report.failures:
         report.min_uncorrectable_size = 1
         first = report.failures[0]
@@ -274,71 +396,40 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport
     return report
 
 
-def _context_for(circuit: GadgetCircuit, layout: Layout) -> list[tuple[int, DecodeContext]]:
-    """One decode context per logical operand block of the gadget."""
-    ctx = []
-    shared = DecodeContext(layout)
-    for off, length in circuit.blocks:
-        if length != layout.total_n:
-            raise ValueError("gadget blocks do not match the layout")
-        ctx.append((off, shared))
-    return ctx
-
-
-def _decode_operands(ctx: list[tuple[int, DecodeContext]], x: int, z: int) -> str:
-    """I only when every operand block decodes to I."""
-    for off, dc in ctx:
-        mask = (1 << dc.total_n) - 1
-        res = dc.decode((x >> off) & mask, (z >> off) & mask)
-        if res != "I":
-            return res
-    return "I"
-
-
-def pair_budget(circuit: GadgetCircuit) -> int:
-    n_locs = len(enumerate_locations(circuit))
-    return n_locs * (n_locs - 1) // 2
-
-
 def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
                            max_faults: int = 2, budget: int = 20_000_000) -> FaultReport:
     """Deterministic lexicographic scan of fault pairs.
 
-    Screens with products of per-fault end branches (a sound envelope:
-    conjugation is multiplicative and the branch sets only widen), then
-    confirms the first candidate by joint propagation of both faults
-    through the same envelope.
+    For each i, screens every j > i at once with the XOR of the block
+    words of their end branches (a sound envelope: conjugation is
+    multiplicative and the branch sets only widen), then confirms the
+    candidates in order of j by joint propagation of both faults through
+    the same envelope; the first confirmed pair is the witness.
     """
     if max_faults != 2:
         raise ValueError("only pair search is supported")
-    est = pair_budget(circuit)
+    locations = enumerate_locations(circuit)
+    est = len(locations) * (len(locations) - 1) // 2
     if est > budget:
         raise BudgetError(f"pair search needs {est} pairs, budget is {budget}")
-    ctx = _context_for(circuit, layout)
-    locations = enumerate_locations(circuit)
-    ends: list[list[tuple[int, int]]] = []
-    for loc in locations:
-        branches, _ = propagate(circuit, ((loc.place, loc.x, loc.z),))
-        ends.append(sorted(branches))
+    ctx = DecodeContext(layout, circuit.blocks)
+    frame = _propagate_each(circuit, locations)
+    order = np.argsort(frame.owner, kind="stable")
+    owner = frame.owner[order]
+    data = ctx.data(frame.x[order], frame.z[order])
+    bounds = np.searchsorted(owner, np.arange(len(locations) + 1))
 
-    report = FaultReport(layout.fingerprint(), circuit.label,
-                         len(locations), sum(len(e) for e in ends))
+    report = FaultReport(layout.fingerprint(), circuit.label, len(locations), len(owner))
     for i in range(len(locations)):
-        for j in range(i + 1, len(locations)):
-            hit = None
-            for bx1, bz1 in ends[i]:
-                for bx2, bz2 in ends[j]:
-                    residual = _decode_operands(ctx, bx1 ^ bx2, bz1 ^ bz2)
-                    if residual != "I":
-                        hit = ((bx1 ^ bx2, bz1 ^ bz2), residual)
-                        break
-                if hit:
-                    break
-            if not hit:
-                continue
+        lo, hi = bounds[i], bounds[i + 1]
+        later = data[hi:]
+        hit = np.zeros(len(later), bool)
+        for row in data[lo:hi]:
+            hit |= ctx.residuals(later ^ row) != 0
+        for j in np.flatnonzero(np.bincount(owner[hi:][hit])):
             confirmed = _confirm_pair(ctx, circuit, locations[i], locations[j])
             if confirmed is not None:
-                report.failures.append(Failure((i, j), confirmed[0], confirmed[1]))
+                report.failures.append(Failure((i, int(j)), confirmed[0], confirmed[1]))
                 report.min_uncorrectable_size = 2
                 report.witness = (locations[i], locations[j])
                 report.witness_branch = confirmed[0]
@@ -348,16 +439,17 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
     return report
 
 
-def _confirm_pair(ctx, circuit: GadgetCircuit, a: FaultLocation,
+def _confirm_pair(ctx: DecodeContext, circuit: GadgetCircuit, a: FaultLocation,
                   b: FaultLocation) -> tuple[tuple[int, int], str] | None:
     """Joint propagation of a candidate pair through the branch envelope;
     first failing branch."""
     branches, _ = propagate(circuit, ((a.place, a.x, a.z), (b.place, b.x, b.z)))
-    for bx, bz in sorted(branches):
-        residual = _decode_operands(ctx, bx, bz)
-        if residual != "I":
-            return (bx, bz), residual
-    return None
+    ordered = sorted(branches)
+    residual = ctx.branch_residuals(ordered)
+    failing = np.flatnonzero(residual)
+    if not len(failing):
+        return None
+    return ordered[failing[0]], _RESIDUAL[residual[failing[0]]]
 
 
 @dataclass

@@ -1,10 +1,15 @@
+import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nuconcat import faults, gates, library
-from nuconcat.circuits import GadgetCircuit, staircase_gadget
-from nuconcat.concat import bare_layout, hierarchical_decode
+from nuconcat import cli, faults, gates, library
+from nuconcat.circuits import GadgetCircuit, GadgetDispatcher, staircase_gadget
+from nuconcat.concat import bare_layout, hierarchical_decode, parse_layout
 from nuconcat.faults import (DecodeContext, check_single_fault_ft,
                              enumerate_locations, find_min_uncorrectable,
                              propagate)
@@ -14,6 +19,112 @@ from nuconcat.pauli import Pauli
 
 def make_circuit(n, *gs):
     return GadgetCircuit(n, tuple(gs), "demo", ((0, n),))
+
+
+# -- reference propagation: one fault set at a time, branches as a set of ints ----
+
+def _extract(mask, qubits):
+    return sum(((mask >> q) & 1) << i for i, q in enumerate(qubits))
+
+
+def _deposit(local, qubits):
+    return sum(((local >> i) & 1) << q for i, q in enumerate(qubits))
+
+
+def reference_propagate(circuit, fault_list):
+    """Gate-by-gate propagation of one fault set, as ``propagate`` defines it."""
+    injected = {}
+    for place, x, z in fault_list:
+        px, pz = injected.get(place, (0, 0))
+        injected[place] = (px ^ x, pz ^ z)
+    start = min(injected)
+    branches = {injected.pop(start)}
+    deterministic = True
+    for gi in range(start + 1, len(circuit.gates)):
+        g = circuit.gates[gi]
+        qs = g.qubits
+        qmask = _deposit((1 << len(qs)) - 1, qs)
+        moved = set()
+        for bx, bz in branches:
+            if g.is_clifford:
+                image = gates._local_table(g.kind)[(_extract(bx, qs), _extract(bz, qs))]
+                moved.add(((bx & ~qmask) | _deposit(image.x, qs),
+                           (bz & ~qmask) | _deposit(image.z, qs)))
+            elif bx & qmask:
+                deterministic = False
+                moved.update((bx, bz ^ _deposit(sub, qs)) for sub in range(1 << len(qs)))
+            else:
+                moved.add((bx, bz))
+        branches = moved
+        if gi in injected:
+            ex, ez = injected.pop(gi)
+            branches = {(bx ^ ex, bz ^ ez) for bx, bz in branches}
+        if len(branches) > faults.BRANCH_CAP:
+            raise faults.BudgetError(f"branch set exceeded {faults.BRANCH_CAP}")
+    return branches, deterministic
+
+
+ONE_QUBIT = [gates.H, gates.S, gates.S_DAG, gates.K, gates.K_DAG, gates.X, gates.Y,
+             gates.Z, gates.T, gates.T_DAG, gates.Z_THETA]
+MULTI_QUBIT = [gates.CNOT, gates.CZ, gates.CCZ, gates.CKZ_THETA]
+
+
+@st.composite
+def circuits_with_faults(draw):
+    """Random circuits on <= 6 active qubits, placed either at 0..5 or
+    across the word boundaries of a 200-qubit register, with 1-2 faults."""
+    n_active = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        register = 200
+        active = draw(st.lists(st.sampled_from([0, 1, 62, 63, 64, 65, 127, 128, 190, 199]),
+                               min_size=n_active, max_size=n_active, unique=True))
+    else:
+        register, active = n_active, list(range(n_active))
+    gate_list = []
+    for _ in range(draw(st.integers(0, 10))):
+        kinds = ONE_QUBIT + [k for k in MULTI_QUBIT if n_active >= (3 if k == gates.CCZ else 2)]
+        kind = draw(st.sampled_from(kinds))
+        theta = draw(st.sampled_from([Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)]))
+        if kind == gates.CKZ_THETA:
+            arity = draw(st.integers(2, n_active))
+        else:
+            arity = gates.ARITY.get(kind, 1)
+            theta = theta if kind == gates.Z_THETA else None
+        qubits = tuple(draw(st.permutations(active))[:arity])
+        gate_list.append(gates.Gate(kind, qubits, theta))
+
+    def pauli_on_active():
+        x, z = draw(st.integers(0, (1 << n_active) - 1)), draw(st.integers(0, (1 << n_active) - 1))
+        return _deposit(x, active), _deposit(z, active)
+
+    places = st.integers(-1, len(gate_list) - 1)
+    first = draw(places)
+    fault_list = [(first, *pauli_on_active())]
+    if draw(st.booleans()):
+        second = first if draw(st.booleans()) else draw(places)
+        fault_list.append((second, *pauli_on_active()))
+    return GadgetCircuit(register, tuple(gate_list), "random", ((0, register),)), fault_list
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits_with_faults())
+def test_propagate_matches_reference(case):
+    circuit, fault_list = case
+    assert propagate(circuit, fault_list) == reference_propagate(circuit, fault_list)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits_with_faults(), st.integers(1, 4))
+def test_branch_cap_refusal_matches_reference(case, cap):
+    circuit, fault_list = case
+    with mock.patch.object(faults, "BRANCH_CAP", cap):
+        try:
+            expected = reference_propagate(circuit, fault_list)
+        except faults.BudgetError:
+            with pytest.raises(faults.BudgetError):
+                propagate(circuit, fault_list)
+        else:
+            assert propagate(circuit, fault_list) == expected
 
 
 def test_location_counts():
@@ -64,16 +175,64 @@ def test_clifford_only_is_deterministic(lib, layouts):
         assert deterministic and len(branches) == 1
 
 
-def test_fast_decoder_matches_reference(layouts):
-    """The bit-mask decode pipeline agrees with the Pauli-level one."""
-    import random
-    rng = random.Random(17)
-    lay = layouts[49]
-    ctx = DecodeContext(lay)
-    for _ in range(300):
-        x = rng.getrandbits(49)
-        z = rng.getrandbits(49)
-        assert ctx.decode(x, z) == hierarchical_decode(lay, Pauli(49, x, z, 0))
+DECODER_LAYOUTS = [*cli.LAYOUT_SHORTCUTS, "bare:steane", "bare:five_prime", "bare:five_qubit"]
+
+
+def random_errors(rng, n, count):
+    """Sparse errors (weight 1-4), which mostly decode to I, and dense ones."""
+    out = []
+    for i in range(count):
+        if i % 2:
+            out.append((rng.getrandbits(n), rng.getrandbits(n)))
+            continue
+        x = z = 0
+        for q in rng.sample(range(n), rng.randint(1, 4)):
+            letter = rng.randint(1, 3)
+            x |= (letter & 1) << q
+            z |= (letter >> 1) << q
+        out.append((x, z))
+    return out
+
+
+def test_fast_decoder_matches_reference(cat):
+    """The table-driven decoder agrees with the Pauli-level one on all six
+    table layouts and the bare layouts (one test, so that its name stays)."""
+    for name in DECODER_LAYOUTS:
+        lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
+        n = lay.total_n
+        errors = random_errors(random.Random(17), n, 200)
+        ctx = DecodeContext(lay)
+        got = ["IXZY"[r] for r in ctx.branch_residuals(errors)]
+        want = [hierarchical_decode(lay, Pauli(n, x, z, 0)) for x, z in errors]
+        assert got == want, name
+        assert [ctx.decode(x, z) for x, z in errors[:20]] == want[:20], name
+        assert "I" in want and len(set(want)) == 4, name
+
+
+@pytest.mark.parametrize("name", ["code49", "code75", "bare:steane"])
+def test_decoder_data_is_linear(cat, name):
+    """Block words of a product are the XOR of the factors' block words, on
+    every operand of a two-operand register."""
+    lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
+    n = lay.total_n
+    ctx = DecodeContext(lay, ((0, n), (n, n)))
+    rng = random.Random(5)
+    first = random_errors(rng, 2 * n, 100)
+    second = random_errors(rng, 2 * n, 100)
+    product = [(x1 ^ x2, z1 ^ z2) for (x1, z1), (x2, z2) in zip(first, second)]
+
+    def data(errors):
+        return ctx.data(faults._pack((x for x, _ in errors), ctx.n_words),
+                        faults._pack((z for _, z in errors), ctx.n_words))
+
+    xored = data(first) ^ data(second)
+    assert np.array_equal(xored, data(product))
+    assert np.array_equal(ctx.residuals(xored), ctx.branch_residuals(product))
+    for (x, z), r in zip(product, ctx.branch_residuals(product)):
+        per_operand = [hierarchical_decode(lay, Pauli(n, (x >> off) & ((1 << n) - 1),
+                                                      (z >> off) & ((1 << n) - 1), 0))
+                       for off in (0, n)]
+        assert "IXZY"[r] == next((res for res in per_operand if res != "I"), "I")
 
 
 def test_single_fault_pass_examples(lib, layouts):
@@ -139,8 +298,8 @@ def test_pair_witness_replay_consistency(lib, layouts):
     report = find_min_uncorrectable(lay, adm.circuit)
     a, b = report.witness
     branches, _ = propagate(adm.circuit, [(a.place, a.x, a.z), (b.place, b.x, b.z)])
-    ctx = faults._context_for(adm.circuit, lay)
-    assert any(faults._decode_operands(ctx, bx, bz) != "I" for bx, bz in branches)
+    ctx = DecodeContext(lay, adm.circuit.blocks)
+    assert any(ctx.decode(bx, bz) != "I" for bx, bz in branches)
 
 
 def test_bare_transversal_pairs_fail_without_spreading(cat, lib):
@@ -176,6 +335,9 @@ def test_propagate_rejects_places_outside_the_circuit():
             propagate(c, [(0, 1, 0), (place, 1, 0)])
     for joint in ([(0, 1, 0), (2, 1, 0)], [(2, 1, 0), (0, 1, 0)]):
         assert propagate(c, joint)[0] == {(0b010, 0)}
+    for x, z in ((1 << 3, 0), (0, 1 << 70), (-1, 0)):
+        with pytest.raises(ValueError, match="outside the register"):
+            propagate(c, [(0, x, z)])
 
 
 def test_propagate_merges_faults_at_one_place():
@@ -201,3 +363,36 @@ def test_effective_distance_broken_gadget(cat):
     half = GadgetCircuit(7, full.gates[:3], "broken-T", ((0, 7),))
     result = faults.effective_distance_report(bare_layout(code), [half])
     assert result.value == 1
+
+
+# -- ordered outputs: these depend on the scan order ---------------------------------
+
+def oracle_free_gadget(cat, name, kind):
+    layout = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
+    circuit = GadgetDispatcher(cat.rules).logical_gadget(layout, library.logical_gate(kind))
+    return layout, circuit
+
+
+def test_bare_steane_t_campaign_order(cat):
+    layout, circuit = oracle_free_gadget(cat, "bare:steane", gates.T)
+    report = check_single_fault_ft(layout, circuit)
+    assert (report.locations_checked, report.branches_checked, len(report.failures)) == (84, 106, 46)
+    assert [(f.locations, f.branch, f.residual) for f in report.failures[:2]] == [
+        ((0,), (1, 7), "Z"), ((1,), (1, 6), "Z")]
+    keys = [(f.locations, f.branch) for f in report.failures]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name,kind,expected", [
+    ("code49", gates.T, (0, 3)),
+    ("code49", gates.CNOT, (135, 138)),
+    ("code105", gates.S, None),
+])
+def test_first_pair_witness(cat, name, kind, expected):
+    layout, circuit = oracle_free_gadget(cat, name, kind)
+    report = find_min_uncorrectable(layout, circuit)
+    if expected is None:
+        assert report.min_uncorrectable_size == "none <= 2" and report.witness is None
+    else:
+        assert report.min_uncorrectable_size == 2
+        assert tuple(loc.index for loc in report.witness) == expected
