@@ -370,6 +370,8 @@ def main(argv: list[str] | None = None) -> int:
             "ftcheck": cmd_ftcheck, "table1": cmd_table1, "replay": cmd_replay,
         }[args.command]
         handler(args, cat, rep)
+        rep.timing_s = time.perf_counter() - started
+        _emit(args, rep)
     except faults.BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
@@ -379,11 +381,16 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, concat.LayoutError, KeyError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an input file not readable or an output file not writable
+        print(f"usage error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except library.AdmissionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    rep.timing_s = time.perf_counter() - started
+    return 1 if rep.failed else 0
 
+
+def _emit(args, rep: report.Report) -> None:
     if rep.raw_text is not None:
         text = rep.raw_text
     elif args.format == "machine":
@@ -400,7 +407,6 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text, end="" if text.endswith("\n") else "\n")
-    return 1 if rep.failed else 0
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ Generator conventions are fixed here (the catalog serialises them); all
 index-dependent facts downstream are derived from these conventions, not
 assumed.  Qubits are 0-indexed throughout.
 
-Coset enumeration is exact: every code handled here has at most 2^14
-stabilizer elements, so minimum logical weights and decoder tables are
-computed by exhaustive scan with deterministic tie-breaking.
+Both minimum-weight searches are exact numpy computations on the key
+``weight << 2n | x << n | z`` (ties break on the smallest x, then z): coset
+minima sort the keys of all 2^(n-1) coset elements, and the decoder table
+is a shortest path over the 2^(n-1) syndromes, adding one qubit at a time.
 """
 
 from __future__ import annotations
@@ -179,22 +180,25 @@ def syndrome(code: StabilizerCode, error: Pauli) -> int:
     """Bit i set iff the error anticommutes with generator i."""
     if error.n != code.n:
         raise DimensionError(f"error on {error.n} qubits vs code on {code.n}")
-    s = 0
-    for i, g in enumerate(code.generators):
-        if not error.commutes(g):
-            s |= 1 << i
-    return s
-
-
-def _coset_key(p: Pauli) -> tuple[int, int, int]:
-    return (p.weight(), p.x, p.z)
+    return sum(1 << i for i, g in enumerate(code.generators) if not error.commutes(g))
 
 
 @lru_cache(maxsize=None)
-def _coset_scan(code: StabilizerCode, cls: str) -> tuple[Pauli, ...]:
-    """All elements of the ``cls`` logical coset, sorted by (weight, x, z)."""
+def _coset_order(code: StabilizerCode, cls: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys (weight << 2n | x << n | z) of the ``cls`` logical coset
+    elements ``logical_rep(cls) * product(combo)`` and their combos."""
+    n = code.n
+    if n > 20:
+        raise CodeConstructionError(f"{code.name}: full coset enumeration refused at n={n}")
     rep = code.logical_rep(cls)
-    return tuple(sorted((rep * s for s in code.stabilizer_elements()), key=_coset_key))
+    xs, zs = np.array([rep.x], np.int64), np.array([rep.z], np.int64)
+    for g in code.generators:  # doubling keeps index == combo
+        xs, zs = np.concatenate([xs, xs ^ g.x]), np.concatenate([zs, zs ^ g.z])
+    keys = np.bitwise_count(xs | zs).astype(np.int64) << 2 * n | xs << n | zs
+    order = np.argsort(keys)
+    keys = keys[order]
+    keys.flags.writeable = order.flags.writeable = False
+    return keys, order
 
 
 def min_weight_logical(code: StabilizerCode, cls: str) -> Pauli:
@@ -203,19 +207,20 @@ def min_weight_logical(code: StabilizerCode, cls: str) -> Pauli:
     Ties break on lexicographically smallest (x bits, z bits), which also
     prefers pure-Z representatives among equal-weight candidates.
     """
-    return _coset_scan(code, cls)[0]
+    combo = int(_coset_order(code, cls)[1][0])
+    return code.logical_rep(cls) * stabilizer_group(code).product(combo)
 
 
 def min_weight_candidates(code: StabilizerCode, cls: str) -> tuple[Pauli, ...]:
-    scan = _coset_scan(code, cls)
-    d = scan[0].weight()
-    return tuple(p for p in scan if p.weight() == d)
+    """All minimum-weight elements of the logical coset, in key order."""
+    keys, combos = _coset_order(code, cls)
+    weights = keys >> 2 * code.n
+    rep, group = code.logical_rep(cls), stabilizer_group(code)
+    return tuple(rep * group.product(int(c)) for c in combos[weights == weights[0]])
 
 
 @lru_cache(maxsize=None)
 def distance(code: StabilizerCode) -> int:
-    if code.n > 20:
-        raise CodeConstructionError(f"{code.name}: full coset enumeration refused at n={code.n}")
     return min(min_weight_logical(code, cls).weight() for cls in LOGICAL_CLASSES)
 
 
@@ -271,33 +276,22 @@ def build_decoder(code: StabilizerCode) -> LookupDecoder:
     n_syndromes = 1 << (n - 1)
     if n_syndromes > 1 << 14:
         raise CodeConstructionError(f"{code.name}: decoder table would exceed 2^14 entries")
-    # Syndrome is linear over the (x, z) representation: precompute the
-    # syndrome of each single-qubit letter once.
-    letter_syndrome = {}
+    # best[s] = least key (weight << 2n | x << n | z) of a correction with
+    # syndrome s on the qubits seen so far.  Keys add without carries (each
+    # qubit owns its x and z bits, the weight sits above bit 2n), so adding
+    # qubit q's letters keeps the (weight, x, z) order exact.
+    best = np.full(n_syndromes, 1 << 62, np.int64)  # 1 << 62 = not reached yet
+    best[0] = 0
+    index = np.arange(n_syndromes)
     for q in range(n):
+        step = best
         for letter in "XYZ":
-            letter_syndrome[(q, letter)] = syndrome(code, Pauli.single(n, q, letter))
-
-    table: dict[int, tuple[int, int, int]] = {0: (0, 0, 0)}  # syndrome -> (x, z, weight)
-
-    letters = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-    for w in range(1, n + 1):
-        if len(table) == n_syndromes:
-            break
-        for support in itertools.combinations(range(n), w):
-            for assignment in itertools.product("XYZ", repeat=w):
-                s = x = z = 0
-                for q, letter in zip(support, assignment):
-                    s ^= letter_syndrome[(q, letter)]
-                    xb, zb = letters[letter]
-                    x |= xb << q
-                    z |= zb << q
-                known = table.get(s)
-                if known is None or (known[2] == w and (x, z) < (known[0], known[1])):
-                    table[s] = (x, z, w)
-
-    paulis = {s: Pauli(n, x, z, 0) for s, (x, z, _) in table.items()}
-    return LookupDecoder(code, paulis)
+            p = Pauli.single(n, q, letter)
+            step = np.minimum(step, best[index ^ syndrome(code, p)] + (1 << 2 * n | p.x << n | p.z))
+        best = step
+    mask = (1 << n) - 1
+    return LookupDecoder(code, {s: Pauli(n, k >> n & mask, k & mask, 0)
+                                for s, k in enumerate(best.tolist())})
 
 
 def residual_logical_action(code: StabilizerCode, error: Pauli,

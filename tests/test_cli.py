@@ -188,3 +188,16 @@ def test_replay_rejects_bad_faults(capsys, steane_t_circuit, faults):
                          "--circuit", steane_t_circuit, *faults)
     assert code == 2
     assert err.startswith("usage error:") and "uncorrectable" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["codes", "list", "--catalog", "{missing}/catalog.txt"],
+    ["replay", "--layout", "bare:steane", "--circuit", "{missing}/t7.circuit", "--fault", "0:X"],
+    ["distance", "--layout", "code49", "--out", "{missing}/report.txt"],
+], ids=["catalog", "circuit", "out"])
+def test_unreadable_files_are_usage_errors(capsys, tmp_path, argv):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2
+    assert err.startswith("usage error:") and str(missing) in err
+    assert "Traceback" not in err and out == ""

@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nuconcat import gates
-from nuconcat.codes import (build_decoder, distance, five_prime,
-                            five_qubit, min_weight_logical, normalizer_class,
-                            reed_muller_15, residual_logical_action,
+from nuconcat.codes import (StabilizerCode, build_decoder, distance, five_prime,
+                            five_qubit, min_weight_candidates, min_weight_logical,
+                            normalizer_class, reed_muller_15, residual_logical_action,
                             stabilizer_group, staircase_support, steane,
                             syndrome, transform_code)
 from nuconcat.pauli import Pauli
@@ -208,3 +211,99 @@ def test_css_syndromes_decouple(ctor):
         sz = syndrome(code, Pauli.single(code.n, q, "Z"))
         assert all((sx >> i) & 1 == 0 for i in x_bits)
         assert all((sz >> i) & 1 == 0 for i in z_bits)
+
+
+# -- reference scans ------------------------------------------------------------
+# The two Python-object scans the array builders replaced, kept as test oracles.
+
+def reference_decoder(code):
+    """Weight-by-weight scan: syndrome -> (x, z, weight) of the first
+    correction found, ties broken on the smallest (x, z)."""
+    n = code.n
+    letter_syndrome = {(q, letter): syndrome(code, Pauli.single(n, q, letter))
+                       for q in range(n) for letter in "XYZ"}
+    table = {0: (0, 0, 0)}
+    letters = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    for w in range(1, n + 1):
+        if len(table) == 1 << (n - 1):
+            break
+        for support in itertools.combinations(range(n), w):
+            for assignment in itertools.product("XYZ", repeat=w):
+                s = x = z = 0
+                for q, letter in zip(support, assignment):
+                    s ^= letter_syndrome[(q, letter)]
+                    xb, zb = letters[letter]
+                    x |= xb << q
+                    z |= zb << q
+                known = table.get(s)
+                if known is None or (known[2] == w and (x, z) < (known[0], known[1])):
+                    table[s] = (x, z, w)
+    return {s: Pauli(n, x, z, 0) for s, (x, z, _) in table.items()}
+
+
+def reference_coset_scan(code, cls):
+    """Every signed element of the logical coset, sorted by (weight, x, z)."""
+    rep = code.logical_rep(cls)
+    return sorted((rep * s for s in code.stabilizer_elements()),
+                  key=lambda p: (p.weight(), p.x, p.z))
+
+
+def signed(p):
+    return (p.x, p.z, p.phase_exp)
+
+
+@st.composite
+def derived_codes(draw):
+    """A base code conjugated by random local Cliffords, then given a random
+    generator basis (g_i replaced by g_i * g_j)."""
+    base = draw(st.sampled_from([steane, five_qubit, five_prime]))()
+    kinds = [gates.H, gates.S, gates.S_DAG, gates.K, gates.K_DAG, gates.X, gates.Y, gates.Z]
+    layer = [gates.gate(draw(st.sampled_from(kinds)), q)
+             for q in range(base.n) if draw(st.booleans())]
+    code = transform_code(base, layer)
+    gens = list(code.generators)
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.permutations(range(len(gens))))[:2]
+        gens[i] = gens[i] * gens[j]
+    return StabilizerCode("derived", code.n, tuple(gens), code.logical_x, code.logical_z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(derived_codes())
+def test_decoder_table_matches_reference(code):
+    table = build_decoder(code).table
+    reference = reference_decoder(code)
+    assert len(reference) == 1 << (code.n - 1)
+    assert {s: signed(p) for s, p in table.items()} == {s: signed(p) for s, p in reference.items()}
+
+
+def test_rm15_decoder_table_pinned():
+    """rm15's table equals the reference scan's (checked once, the scan takes
+    seconds): its digest and weight histogram are pinned."""
+    table = build_decoder(reed_muller_15()).table
+    text = "".join(f"{s}:{table[s].x}:{table[s].z}:{table[s].phase_exp}\n"
+                   for s in range(1 << 14))
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("a9e4e733a08b3ec3")
+    weights = Counter(p.weight() for p in table.values())
+    assert sorted(weights.items()) == [(0, 1), (1, 45), (2, 630), (3, 4760), (4, 10500), (5, 448)]
+
+
+def check_coset_scans(code):
+    for cls in "XYZ":
+        scan = reference_coset_scan(code, cls)
+        d = scan[0].weight()
+        assert signed(min_weight_logical(code, cls)) == signed(scan[0])
+        assert [signed(p) for p in min_weight_candidates(code, cls)] == [
+            signed(p) for p in scan if p.weight() == d]
+
+
+@settings(max_examples=60, deadline=None)
+@given(derived_codes())
+def test_coset_scans_match_reference(code):
+    check_coset_scans(code)
+
+
+def test_rm15_coset_scans_match_reference():
+    code = reed_muller_15()
+    check_coset_scans(code)
+    assert [len(min_weight_candidates(code, cls)) for cls in "XYZ"] == [120, 120, 35]
