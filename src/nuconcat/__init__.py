@@ -19,9 +19,8 @@ from .faults import (FaultLocation, FaultReport, check_single_fault_ft,
 from .gates import Gate, conjugate_by_gate, diagonal_gate, gate
 from .library import AdmissionError, GadgetLibrary, logical_gate, verify_gadget
 from .pauli import Pauli
-from .simulate import (Certificate, Operand, StateVector, apply_circuit,
-                       encode, verify_clifford_action, verify_diagonal_action,
-                       verify_logical_action)
+from .simulate import (Certificate, Operand, apply_circuit, verify_clifford_action,
+                       verify_diagonal_action, verify_logical_action)
 
 _gates.self_check()
 

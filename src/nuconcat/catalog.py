@@ -136,15 +136,14 @@ def parse_catalog(text: str) -> Catalog:
         elif key == "stabilizer":
             current["stabilizers"].append(Pauli.from_string(rest.strip()))
         elif key == "logical-x":
-            current["logical_x"] = Pauli.from_string(rest.strip())
+            current["logical-x"] = Pauli.from_string(rest.strip())
         elif key == "logical-z":
-            current["logical_z"] = Pauli.from_string(rest.strip())
+            current["logical-z"] = Pauli.from_string(rest.strip())
         elif key == "transversal":
             parts = rest.split()
-            kind = parts[0]
-            if parts[1] == "rep":
+            if len(parts) == 2 and parts[1] == "rep":
                 rule = TransversalRule("rep")
-            elif parts[1] == "bitwise":
+            elif len(parts) >= 3 and parts[1] == "bitwise":
                 fixups = []
                 for tok in parts[3:]:
                     if tok == "fixup":
@@ -153,12 +152,16 @@ def parse_catalog(text: str) -> Catalog:
                     fixups.append((fk, int(fq)))
                 rule = TransversalRule("bitwise", parts[2], tuple(fixups))
             else:
-                raise ValueError(f"bad transversal style in {line!r}")
-            current["rules"][kind] = rule
+                raise ValueError(f"bad transversal declaration {line!r}; expected "
+                                 f"'transversal KIND rep' or 'transversal KIND bitwise PHYS'")
+            current["rules"][parts[0]] = rule
         elif key == "end":
+            missing = [d for d in ("n", "logical-x", "logical-z") if d not in current]
+            if missing:
+                raise ValueError(f"code {current['name']!r} lacks {', '.join(missing)}")
             code = StabilizerCode(current["name"], current["n"],
                                   tuple(current["stabilizers"]),
-                                  current["logical_x"], current["logical_z"],
+                                  current["logical-x"], current["logical-z"],
                                   css=current["css"])
             cat.add(code, current["rules"], current["derivation"])
             current = None

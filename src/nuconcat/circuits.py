@@ -121,26 +121,11 @@ class TransversalRule:
     fixups: tuple[tuple[str, int], ...] = ()
 
 
-def expand_transversal(code: StabilizerCode, logical_kind: str, rule: TransversalRule,
-                       arity: int) -> GadgetCircuit:
-    n = code.n
-    blocks = tuple((b * n, n) for b in range(arity))
-    gate_list: list[Gate] = []
-    if rule.style == "rep":
-        rep = code.logical_rep(logical_kind)
-        for q in rep.support:
-            gate_list.append(gates.gate(rep.letter(q), q))
-    elif rule.style == "bitwise":
-        if gates.ARITY.get(rule.phys_kind, 1) != arity:
-            raise SynthesisError(f"{rule.phys_kind} arity does not match {logical_kind}")
-        for q in range(n):
-            gate_list.append(Gate(rule.phys_kind, tuple(b * n + q for b in range(arity))))
-        for kind, q in rule.fixups:
-            gate_list.append(gates.gate(kind, q))
-    else:
-        raise SynthesisError(f"unknown transversal style {rule.style!r}")
-    return GadgetCircuit(arity * n, tuple(gate_list), logical_kind, blocks,
-                         (bare_layout(code),) * arity)
+def expand_transversal(code: StabilizerCode, logical_kind: str,
+                       rule: TransversalRule) -> GadgetCircuit:
+    """The declared rule on bare blocks of ``code``, one per operand."""
+    dispatcher = GadgetDispatcher({code.name: {logical_kind: rule}})
+    return dispatcher._outer_transversal(bare_layout(code), logical_kind)
 
 
 # -- block-local logical Cliffords (CSS encoder conjugation) --------------------
@@ -229,12 +214,8 @@ class GadgetDispatcher:
 
     def _logical_1q(self, code: StabilizerCode, kind: str,
                     allow_block_local: bool, context: str) -> GadgetCircuit:
-        found = _rule_for(self.rules.get(code.name, {}), kind)
-        if found is not None:
-            rule, daggered = found
-            target = Gate(kind, tuple(range(gates.ARITY[kind]))).dagger().kind if daggered else kind
-            circuit = expand_transversal(code, target, rule, 1)
-            return invert(circuit) if daggered else circuit
+        if _rule_for(self.rules.get(code.name, {}), kind) is not None:
+            return self._outer_transversal(bare_layout(code), kind)
         if allow_block_local and code.css:
             return block_logical_gadget(code, kind)
         raise SynthesisError(
@@ -275,7 +256,9 @@ class GadgetDispatcher:
                                                f" (lifting outer logical {target})"))
         else:
             phys = rule.phys_kind
-            if gates.ARITY[phys] == 1:
+            if gates.ARITY.get(phys, 1) != arity:
+                raise SynthesisError(f"{phys} arity does not match {kind}")
+            if arity == 1:
                 seq: list[Gate] = []
                 for q in range(layout.outer.n):
                     seq.extend(self._phys_1q(layout, q, phys, True,

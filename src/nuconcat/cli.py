@@ -82,7 +82,9 @@ def _parse_gate(text: str, theta_text: str | None, k: int | None) -> gates.Gate:
     if kind in (gates.Z_THETA, gates.CKZ_THETA):
         if theta is None:
             raise UsageError(f"{kind} requires --theta")
-        arity = 1 if kind == gates.Z_THETA else (k + 1 if k else 2)
+        if k is not None and k < 0:
+            raise UsageError(f"--k must be >= 0, got {k}")
+        arity = 1 if kind == gates.Z_THETA else (2 if k is None else k + 1)
         return gates.diagonal_gate(tuple(range(arity)), theta)
     if kind not in gates.ARITY:
         raise UsageError(f"unknown gate kind {kind!r}")
@@ -167,16 +169,18 @@ def cmd_gadget(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
 
 
 def _campaign_gadgets(lib: library.GadgetLibrary, layout: concat.Layout,
-                      names: list[str] | None):
-    kinds = names or CAMPAIGN_GATES.get(layout.outer.name, [gates.T])
-    return [lib.gadget(layout, library.logical_gate(k)) for k in kinds]
+                      logicals: list[gates.Gate] | None):
+    logicals = logicals or [library.logical_gate(k)
+                            for k in CAMPAIGN_GATES.get(layout.outer.name, [gates.T])]
+    return [lib.gadget(layout, g) for g in logicals]
 
 
 def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     layout = _resolve_layout(cat, args.layout)
     lib = library.GadgetLibrary(cat)
-    names = args.gates.split(",") if args.gates else None
-    admitted = _campaign_gadgets(lib, layout, names)
+    logicals = [_parse_gate(name, None, None) for name in args.gates.split(",")] \
+        if args.gates else None
+    admitted = _campaign_gadgets(lib, layout, logicals)
     rep.results["layout"] = layout.descriptor
     rep.results["fault_model"] = ("Pauli faults at gate outputs and register inputs; "
                                   "idle locations excluded")

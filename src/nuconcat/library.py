@@ -101,11 +101,9 @@ class GadgetLibrary:
             if key in self._rule_certs:
                 return self._rule_certs[key]
         code = self.catalog.code(code_name)
-        rule = self.catalog.rules[code_name][kind]
-        arity = gates.ARITY[kind]
-        circuit = expand_transversal(code, kind, rule, arity)
+        circuit = expand_transversal(code, kind, self.catalog.rules[code_name][kind])
         claimed = logical_gate(kind)
-        operands = [Operand.from_code(code)] * arity
+        operands = [Operand.from_code(code)] * len(circuit.blocks)
         certs = [check() for check in _oracle_checks(operands, circuit, claimed)]
         for cert in certs:
             if not cert.passed:

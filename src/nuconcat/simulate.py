@@ -3,7 +3,8 @@
 Three independent methods; :mod:`nuconcat.library` routes each gadget to
 the ones that apply:
 
-* dense statevector simulation (exact amplitudes, <= 22 qubits);
+* dense simulation of all logical basis states in one pass (exact
+  amplitudes, <= 22 qubits);
 * Heisenberg conjugation of stabilizers and logicals (Clifford circuits,
   any size, sign-exact group membership);
 * coset-phase analysis for circuits made of X/CNOT/diagonal gates: the
@@ -70,115 +71,78 @@ class Operand:
         return Operand(layout.total_n, flatten_stabilizers(layout), lx, lz)
 
 
-# -- dense statevector ---------------------------------------------------------
+# -- dense simulation ------------------------------------------------------------
+#
+# A batch of states is one complex rows x 2^n array, bit q of the column
+# index = qubit q.  Viewed as (rows, 2, ..., 2), qubit q is axis n - q.
 
-class StateVector:
-    """Dense 2^n statevector; basis index bit q = qubit q."""
-
-    def __init__(self, n: int, amplitudes: np.ndarray | None = None):
-        if n > MAX_DENSE_QUBITS:
-            raise VerificationError(f"{n} qubits exceeds the dense cap of {MAX_DENSE_QUBITS}")
-        self.n = n
-        if amplitudes is None:
-            amplitudes = np.zeros(1 << n, dtype=complex)
-            amplitudes[0] = 1.0
-        self.amplitudes = np.asarray(amplitudes, dtype=complex)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+def apply_pauli(amps: np.ndarray, p: Pauli) -> np.ndarray:
+    """Exact Pauli action on a flat vector: i^e X^x Z^z |c> = i^e (-1)^(z.c) |c ^ x>."""
+    idx = np.arange(len(amps), dtype=np.int64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z) & 1)
+    out = np.empty_like(amps)
+    out[idx ^ p.x] = (1j ** p.phase_exp) * signs * amps
+    return out
 
 
-def _parity(values: np.ndarray, mask: int) -> np.ndarray:
-    return np.bitwise_count(values & mask) & 1
-
-
-def apply_pauli(state: StateVector, p: Pauli) -> StateVector:
-    """Exact Pauli action: i^e X^x Z^z |c> = i^e (-1)^(z.c) |c ^ x>."""
-    idx = np.arange(1 << state.n, dtype=np.int64)
-    signs = 1.0 - 2.0 * _parity(idx, p.z)
-    out = np.empty_like(state.amplitudes)
-    out[idx ^ p.x] = (1j ** p.phase_exp) * signs * state.amplitudes
-    return StateVector(state.n, out)
-
-
-def apply_gate(state: StateVector, g: Gate) -> StateVector:
-    n = state.n
-    amps = state.amplitudes
-    idx = np.arange(1 << n, dtype=np.int64)
-    if g.kind == gates.X:
-        return StateVector(n, amps[idx ^ (1 << g.qubits[0])])
-    if g.kind == gates.CNOT:
-        ctrl, targ = g.qubits
-        src = np.where((idx >> ctrl) & 1 == 1, idx ^ (1 << targ), idx)
-        return StateVector(n, amps[src])
-    if g.is_diagonal:
-        mask = 0
-        for q in g.qubits:
-            mask |= 1 << q
-        hit = np.bitwise_count(idx & mask) == len(g.qubits)
-        phase = np.exp(1j * np.pi * float(g.theta()))
-        out = np.where(hit, phase * amps, amps)
-        return StateVector(n, out)
-    # generic single-qubit unitary
-    if len(g.qubits) != 1:
-        raise VerificationError(f"no dense rule for {g.kind}")
-    u = gates.gate_matrix(g)
-    q = g.qubits[0]
-    psi = amps.reshape([2] * n)
-    axis = n - 1 - q
-    psi = np.moveaxis(psi, axis, -1)
-    psi = psi @ u.T
-    psi = np.moveaxis(psi, -1, axis)
-    return StateVector(n, psi.reshape(-1))
-
-
-def apply_circuit(state: StateVector, circuit: GadgetCircuit) -> StateVector:
-    if circuit.register_size != state.n:
-        raise VerificationError("register size mismatch")
-    for g in circuit.gates:
-        state = apply_gate(state, g)
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise VerificationError("statevector norm drifted")
-    return state
-
-
-def codeword(code_or_operand, label: int) -> StateVector:
-    """|label-bar> built by projection onto +1 eigenspaces; |1> = logical X |0>."""
-    op = code_or_operand if isinstance(code_or_operand, Operand) \
-        else Operand.from_code(code_or_operand)
+def codewords(op: Operand) -> np.ndarray:
+    """The (2, 2^n) pair |0-bar>, |1-bar>: |0> by projection onto the +1
+    eigenspaces of the generators and logical Z, |1> = logical X |0>."""
     for seed in range(1 << op.n):
-        state = StateVector(op.n)
-        state.amplitudes[:] = 0.0
-        state.amplitudes[seed] = 1.0
+        zero = np.zeros(1 << op.n, dtype=complex)
+        zero[seed] = 1.0
         for g in (*op.generators, op.logical_z):
-            state = StateVector(op.n, (state.amplitudes + apply_pauli(state, g).amplitudes) / 2)
-        nrm = state.norm()
+            zero = (zero + apply_pauli(zero, g)) / 2
+        nrm = np.linalg.norm(zero)
         if nrm > 1e-6:
-            zero = StateVector(op.n, state.amplitudes / nrm)
-            return apply_pauli(zero, op.logical_x) if label else zero
+            zero /= nrm
+            return np.stack([zero, apply_pauli(zero, op.logical_x)])
     raise VerificationError("no computational seed projects onto the code space")
 
 
-def encode(code: StabilizerCode, alpha: complex, beta: complex) -> StateVector:
-    """alpha |0-bar> + beta |1-bar> (inputs must be normalised)."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise VerificationError("encode requires |alpha|^2 + |beta|^2 = 1")
-    zero = codeword(code, 0)
-    one = codeword(code, 1)
-    return StateVector(code.n, alpha * zero.amplitudes + beta * one.amplitudes)
+def apply_circuit(states: np.ndarray, circuit: GadgetCircuit) -> np.ndarray:
+    """Run every row of ``states``, a C-contiguous complex rows x 2^n
+    array, through the circuit in one pass, in place.
 
+    X and CNOT swap two half or quarter slices, a diagonal gate scales the
+    slice where all its qubits are 1, and any other one-qubit gate mixes
+    its qubit's two slices.  Every row must keep its norm.
+    """
+    n = circuit.register_size
+    if states.shape[1:] != (1 << n,) or states.dtype != complex or not states.flags.c_contiguous:
+        raise VerificationError(f"states must be a contiguous complex rows x 2^{n} array")
+    norms = [np.vdot(row, row).real for row in states]
+    psi = states.reshape(len(states), *[2] * n)
 
-def tensor(states: list[StateVector]) -> StateVector:
-    """Combined state with states[0] on the lowest qubits."""
-    amps = np.array([1.0 + 0j])
-    n = 0
-    for s in states:
-        amps = np.kron(s.amplitudes, amps)
-        n += s.n
-    return StateVector(n, amps)
+    def part(bits: dict[int, int]) -> np.ndarray:
+        index = [slice(None)] * (n + 1)
+        for q, bit in bits.items():
+            index[n - q] = bit
+        return psi[tuple(index)]
+
+    for g in circuit.gates:
+        *ctrl, q = g.qubits
+        if g.is_permutation:  # X, or CNOT on its control = 1 slice
+            on = dict.fromkeys(ctrl, 1)
+            lo, hi = part({**on, q: 0}), part({**on, q: 1})
+            swap = lo.copy()
+            lo[...] = hi
+            hi[...] = swap
+        elif g.is_diagonal:
+            ones = part(dict.fromkeys(g.qubits, 1))
+            ones *= np.exp(1j * np.pi * float(g.theta()))
+        elif not ctrl:
+            u = gates.gate_matrix(g)
+            lo, hi = part({q: 0}), part({q: 1})
+            mixed = u[1, 0] * lo + u[1, 1] * hi
+            lo *= u[0, 0]
+            lo += u[0, 1] * hi
+            hi[...] = mixed
+        else:
+            raise VerificationError(f"no dense rule for {g.kind}")
+    if any(abs(np.vdot(row, row).real - nrm) > NORM_TOL for row, nrm in zip(states, norms)):
+        raise VerificationError("statevector norm drifted")
+    return states
 
 
 # -- dense logical-action verification -------------------------------------------
@@ -186,7 +150,7 @@ def tensor(states: list[StateVector]) -> StateVector:
 def _logical_inputs(m: int) -> list[np.ndarray]:
     """Spanning inputs: all basis states, one |+> per operand, global |+...+>."""
     dim = 1 << m
-    inputs = [np.eye(dim, dtype=complex)[:, j] for j in range(dim)]
+    inputs = list(np.eye(dim, dtype=complex))
     for b in range(m):
         v = np.zeros(dim, dtype=complex)
         v[0] = v[1 << b] = 1 / np.sqrt(2)
@@ -198,25 +162,33 @@ def _logical_inputs(m: int) -> list[np.ndarray]:
 def verify_logical_action(operands: list[Operand], circuit: GadgetCircuit,
                           claimed: np.ndarray) -> Certificate:
     """Dense check that the circuit equals the claimed logical unitary
-    (up to one consistent global phase) and preserves the code space."""
+    (up to one consistent global phase) and preserves the code space.
+
+    The 2^m logical basis states run through the circuit in one pass.
+    Contracting the output with each operand's conjugated codeword pair
+    gives U_L[i, j] = <b_i|C|b_j>, and the spanning inputs are checked
+    against U_L in 2^m dimensions.
+    """
     m = len(operands)
     total = sum(op.n for op in operands)
     if total != circuit.register_size:
         raise VerificationError("operands do not cover the register")
     if total > MAX_DENSE_QUBITS:
         raise VerificationError(f"{total} qubits exceeds the dense cap")
-    block_words = [[codeword(op, b) for b in range(2)] for op in operands]
-    basis = []
-    for j in range(1 << m):
-        basis.append(tensor([block_words[b][(j >> b) & 1] for b in range(m)]).amplitudes)
-    basis_mat = np.array(basis)  # rows = logical basis states
+    pairs = [codewords(op) for op in operands]
+    # row j: operand b in label (j >> b) & 1, operand 0 on the lowest qubits
+    states = np.ones((1, 1), dtype=complex)
+    for pair in pairs:
+        states = np.kron(pair, states)
+    amps = apply_circuit(states, circuit)
+    for pair in reversed(pairs):  # the highest operand leads each row
+        amps = pair.conj() @ amps.reshape(-1, pair.shape[1], amps.shape[-1] // pair.shape[1])
+    logical = amps.reshape(1 << m, 1 << m).T
 
     phase = None
     min_fidelity = 1.0
     for v in _logical_inputs(m):
-        phys = StateVector(total, basis_mat.T @ v)
-        out = apply_circuit(phys, circuit)
-        coeffs = basis_mat.conj() @ out.amplitudes
+        coeffs = logical @ v
         leak = 1.0 - float(np.vdot(coeffs, coeffs).real)
         if leak > FIDELITY_TOL:
             return Certificate("dense", False, fidelity=1.0 - leak,

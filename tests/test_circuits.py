@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from nuconcat import gates, library, simulate
-from nuconcat.circuits import (GadgetCircuit, SynthesisError, block_logical_gadget,
-                               circuit_from_text, circuit_to_text, encoding_circuit,
+from nuconcat.circuits import (GadgetCircuit, GadgetDispatcher, SynthesisError,
+                               TransversalRule, block_logical_gadget, circuit_from_text,
+                               circuit_to_text, encoding_circuit, expand_transversal,
                                invert, normalization_gates, staircase_gadget)
 from nuconcat.codes import distance
 from nuconcat.concat import non_uniform_layout, uniform_layout
 from nuconcat.pauli import Pauli
-from nuconcat.simulate import Operand, StateVector, apply_circuit
+from nuconcat.simulate import Operand, apply_circuit, codewords
 
 
 def test_steane_t_staircase_structure(cat):
@@ -72,9 +73,8 @@ def test_invert_is_dense_inverse(cat):
     rng = np.random.default_rng(3)
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     amps /= np.linalg.norm(amps)
-    state = StateVector(5, amps.copy())
-    out = apply_circuit(apply_circuit(state, g), invert(g))
-    assert np.allclose(out.amplitudes, amps)
+    out = apply_circuit(apply_circuit(amps[None].copy(), g), invert(g))
+    assert np.allclose(out[0], amps)
 
 
 def test_circuit_text_round_trip(cat):
@@ -97,14 +97,12 @@ def test_encoder_builds_codewords(cat):
     for name in ("steane", "rm15"):
         code = cat.code(name)
         enc, q_in = encoding_circuit(code)
+        starts = np.zeros((2, 1 << code.n), dtype=complex)
+        starts[0, 0] = starts[1, 1 << q_in] = 1  # |0...0> and X on the input qubit
+        got = apply_circuit(starts, GadgetCircuit(code.n, enc, "enc", ((0, code.n),)))
+        want = codewords(Operand.from_code(code))
         for b in range(2):
-            start = StateVector(code.n)
-            if b:
-                start = simulate.apply_pauli(start, Pauli.single(code.n, q_in, "X"))
-            got = apply_circuit(
-                start, GadgetCircuit(code.n, enc, "enc", ((0, code.n),)))
-            want = simulate.codeword(code, b)
-            assert abs(abs(np.vdot(got.amplitudes, want.amplitudes)) - 1) < 1e-10
+            assert abs(abs(np.vdot(got[b], want[b])) - 1) < 1e-10
 
 
 def test_encoder_refuses_non_css(cat):
@@ -154,6 +152,20 @@ def test_dispatch_refuses_five_qubit_with_rm_inner(lib, cat):
     message = str(err.value)
     assert "K_DAG" in message
     assert "rm15" in message
+
+
+def test_dispatch_refuses_rule_arity_mismatch(cat):
+    """A two-operand kind declared with a one-qubit physical gate is refused
+    on bare blocks and on a concatenated layout alike, not expanded on
+    operand 0 only."""
+    steane = cat.code("steane")
+    bogus = TransversalRule("bitwise", gates.H)
+    with pytest.raises(SynthesisError, match="arity does not match"):
+        expand_transversal(steane, gates.CZ, bogus)
+    rules = {**cat.rules, "steane": {**cat.rules["steane"], gates.CZ: bogus}}
+    lay = non_uniform_layout(steane, cat.code("rm15"))
+    with pytest.raises(SynthesisError, match="arity does not match"):
+        GadgetDispatcher(rules).logical_gadget(lay, library.logical_gate(gates.CZ))
 
 
 def test_dispatch_refuses_unknown_nontransversal(lib, cat):

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import re
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nuconcat import catalog as cataloglib
 from nuconcat import cli, codes
+from nuconcat.circuits import circuit_to_text, staircase_gadget
 from nuconcat.codes import LookupDecoder
 
 
@@ -201,3 +209,93 @@ def test_unreadable_files_are_usage_errors(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("usage error:") and str(missing) in err
     assert "Traceback" not in err and out == ""
+
+
+def test_gadget_ckz_with_zero_controls(capsys):
+    """--k 0 is one operand: CKZ_THETA(pi/2) folds to S; k < 0 is a usage error."""
+    code, out, _ = run(capsys, "gadget", "--layout", "bare:steane", "--gate", "CKZ_THETA",
+                       "--theta", "pi/2", "--k", "0", "--format", "machine")
+    assert code == 0
+    assert "label: S" in out and "block@7" not in out
+    code, _, err = run(capsys, "gadget", "--layout", "bare:steane", "--gate", "CKZ_THETA",
+                       "--theta", "pi/2", "--k", "-1")
+    assert code == 2
+    assert err.startswith("usage error:") and "--k" in err
+
+
+def test_ftcheck_gate_names_are_validated(capsys):
+    code, out, err = run(capsys, "ftcheck", "--layout", "code49", "--gates", "Z_THETA")
+    assert code == 2
+    assert err.startswith("usage error:") and "Z_THETA" in err and out == ""
+
+
+CATALOG_TEXT = cataloglib.dump_catalog(cataloglib.default_catalog())
+# the bare:steane T gadget
+CIRCUIT_TEXT = circuit_to_text(staircase_gadget(cataloglib.default_catalog().code("steane"),
+                                                0, Fraction(1, 4)))
+SHORT_TRANSVERSAL = [CATALOG_TEXT.replace("transversal H bitwise H", line, 1)
+                     for line in ("transversal H", "transversal H bitwise")]
+
+
+@pytest.mark.parametrize("text,named", [
+    (SHORT_TRANSVERSAL[0], "'transversal H'"),
+    (SHORT_TRANSVERSAL[1], "'transversal H bitwise'"),
+    (CATALOG_TEXT.replace("n 7\n", "", 1), "'steane' lacks n"),
+], ids=["no-style", "no-physical-gate", "no-size"])
+def test_malformed_catalog_lines_are_usage_errors(capsys, tmp_path, text, named):
+    path = tmp_path / "catalog.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "codes", "list", "--catalog", str(path))
+    assert code == 2
+    assert err.startswith("usage error:") and named in err and out == ""
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """``text`` with 1-3 lines deleted, tokens deleted, lines swapped or the
+    text truncated at a token boundary; no number is ever rewritten."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["line", "token", "truncate", "swap"]))
+        tokens = lines[i].split()
+        if action == "line":
+            del lines[i]
+        elif action == "token" and tokens:
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+            lines[i] = " ".join(tokens)
+        elif action == "truncate":
+            lines[i:] = [" ".join(tokens[:draw(st.integers(0, len(tokens)))])]
+        elif action == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+PARSED_INPUTS = {
+    "catalog": ["codes", "list", "--catalog", "{input}"],
+    "circuit": ["replay", "--layout", "bare:steane", "--circuit", "{input}",
+                "--fault=-1:XIIIIII"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(mutated(CATALOG_TEXT).map(lambda t: ("catalog", t)),
+                      mutated(CIRCUIT_TEXT).map(lambda t: ("circuit", t))))
+@example(case=("catalog", SHORT_TRANSVERSAL[0]))
+@example(case=("catalog", SHORT_TRANSVERSAL[1]))
+def test_malformed_files_never_raise(case):
+    """A mutated catalog or circuit file ends in exit 0, 1 or 2, never a
+    traceback; exit 2 comes with a usage error line."""
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([a.format(input=path) for a in PARSED_INPUTS[kind]])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("usage error:")
