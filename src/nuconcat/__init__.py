@@ -4,13 +4,11 @@ gate gadgets, oracle verification, and exhaustive fault-tolerance checks."""
 from . import gates as _gates
 from .catalog import Catalog, default_catalog, dump_catalog, parse_catalog
 from .circuits import (GadgetCircuit, SynthesisError, circuit_from_text,
-                       circuit_to_text, invert, staircase_gadget)
+                       circuit_to_text, staircase_gadget)
 from .codes import (LookupDecoder, StabilizerCode, build_decoder, distance,
-                    five_prime, five_qubit, min_weight_logical,
-                    reed_muller_15, residual_logical_action, stabilizer_group,
-                    steane, syndrome, transform_code)
-from .concat import (Layout, Partition, bare_layout, concatenated_distance,
-                     flatten_stabilizers, hierarchical_decode,
+                    five_prime, five_qubit, min_weight_logical, reed_muller_15,
+                    stabilizer_group, steane, syndrome, transform_code)
+from .concat import (Layout, Partition, bare_layout, concatenated_distance, flatten,
                      non_uniform_layout, parse_layout, partition_from_gadget,
                      uniform_layout)
 from .faults import (FaultLocation, FaultReport, check_single_fault_ft,
@@ -19,7 +17,7 @@ from .faults import (FaultLocation, FaultReport, check_single_fault_ft,
 from .gates import Gate, conjugate_by_gate, diagonal_gate, gate
 from .library import AdmissionError, GadgetLibrary, logical_gate, verify_gadget
 from .pauli import Pauli
-from .simulate import (Certificate, Operand, apply_circuit, verify_clifford_action,
+from .simulate import (Certificate, apply_circuit, verify_clifford_action,
                        verify_diagonal_action, verify_logical_action)
 
 _gates.self_check()

@@ -7,12 +7,16 @@ representative to pure Z form with local Cliffords, accumulating its
 parity onto one qubit with a CNOT chain, applying one physical
 C^kZ(theta) across the collection qubits, and uncomputing.  Only d
 qubits per block are ever coupled.
+
+On a layout every outer-level gate of a gadget takes one path: on bare
+qubits it is the gate itself, on an encoded block the inner code's
+declared rule (expanded on bare blocks of that code), re-indexed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,7 +44,6 @@ class GadgetCircuit:
     gates: tuple[Gate, ...]
     label: str
     blocks: tuple[tuple[int, int], ...]
-    layouts: tuple[Layout, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         for g in self.gates:
@@ -57,11 +60,6 @@ class GadgetCircuit:
 
     def touched_qubits(self) -> frozenset[int]:
         return frozenset(q for g in self.gates for q in g.qubits)
-
-
-def invert(c: GadgetCircuit) -> GadgetCircuit:
-    return GadgetCircuit(c.register_size, _inverted_gates(c.gates),
-                         f"inv({c.label})", c.blocks, c.layouts)
 
 
 def _inverted_gates(gs) -> tuple[Gate, ...]:
@@ -175,8 +173,7 @@ def block_logical_gadget(code: StabilizerCode, kind: str) -> GadgetCircuit:
     """
     enc, q_in = encoding_circuit(code)
     gate_list = _inverted_gates(enc) + (gates.gate(kind, q_in),) + enc
-    return GadgetCircuit(code.n, gate_list, f"{kind}[block:{code.name}]",
-                         ((0, code.n),), (bare_layout(code),))
+    return GadgetCircuit(code.n, gate_list, f"{kind}[block:{code.name}]", ((0, code.n),))
 
 
 # -- layout-level dispatch --------------------------------------------------------
@@ -202,26 +199,29 @@ class GadgetDispatcher:
     def __init__(self, rules: dict[str, dict[str, TransversalRule]]):
         self.rules = rules
 
-    # ---- single-qubit helpers ----
+    def _on_blocks(self, inner: StabilizerCode | None, starts: tuple[int, ...], kind: str,
+                   theta: Fraction | None = None, block_local: bool = False,
+                   context: str = "") -> list[Gate]:
+        """Logical ``kind`` (angle ``theta``) with operand b on the block at
+        ``starts[b]``.
 
-    def _phys_1q(self, layout: Layout, outer_q: int, kind: str,
-                 allow_block_local: bool, context: str) -> list[Gate]:
-        start, inner = layout.block(outer_q)
+        Bare blocks get the gate itself.  An encoded block gets its code's
+        declared rule, expanded and re-indexed; a one-qubit kind without
+        one falls back to the block-local gadget when ``block_local``
+        allows it.  ``context`` ends the refusal message.
+        """
         if inner is None:
-            return [gates.gate(kind, start)]
-        return [Gate(g.kind, tuple(q + start for q in g.qubits), g.theta_over_pi)
-                for g in self._logical_1q(inner, kind, allow_block_local, context).gates]
-
-    def _logical_1q(self, code: StabilizerCode, kind: str,
-                    allow_block_local: bool, context: str) -> GadgetCircuit:
-        if _rule_for(self.rules.get(code.name, {}), kind) is not None:
-            return self._outer_transversal(bare_layout(code), kind)
-        if allow_block_local and code.css:
-            return block_logical_gadget(code, kind)
-        raise SynthesisError(
-            f"{code.name} has no transversal realisation of {kind}{context}")
-
-    # ---- public dispatch ----
+            return [Gate(kind, starts, theta)]
+        if theta is None and _rule_for(self.rules.get(inner.name, {}), kind) is not None:
+            local = self._outer_transversal(bare_layout(inner), kind)
+        elif block_local and len(starts) == 1 and inner.css:
+            local = block_logical_gadget(inner, kind)
+        else:
+            angle = "" if theta is None else f"({gates.format_theta(theta)})"
+            raise SynthesisError(
+                f"{inner.name} has no transversal realisation of {kind}{angle}{context}")
+        return [Gate(g.kind, tuple(starts[q // inner.n] + q % inner.n for q in g.qubits),
+                     g.theta_over_pi) for g in local.gates]
 
     def logical_gadget(self, layout: Layout, logical: Gate) -> GadgetCircuit:
         """Gadget for one logical gate on ``layout`` (or across copies of it).
@@ -247,41 +247,27 @@ class GadgetDispatcher:
         rule, daggered = _rule_for(self.rules[layout.outer.name], kind)
         total = layout.total_n
         blocks = tuple((b * total, total) for b in range(arity))
-        gate_list: list[Gate] = []
         if rule.style == "rep":
             target = Gate(kind, tuple(range(arity))).dagger().kind if daggered else kind
             rep = layout.outer.logical_rep(target)
-            for q in rep.support:
-                gate_list.extend(self._phys_1q(layout, q, rep.letter(q), True,
-                                               f" (lifting outer logical {target})"))
+            steps = [(q, rep.letter(q), f" (lifting outer logical {target})")
+                     for q in rep.support]
         else:
             phys = rule.phys_kind
             if gates.ARITY.get(phys, 1) != arity:
                 raise SynthesisError(f"{phys} arity does not match {kind}")
-            if arity == 1:
-                seq: list[Gate] = []
-                for q in range(layout.outer.n):
-                    seq.extend(self._phys_1q(layout, q, phys, True,
-                                             f" (outer-transversal {kind})"))
-                for fk, fq in rule.fixups:
-                    seq.extend(self._phys_1q(layout, fq, fk, True,
-                                             f" (fixup of outer-transversal {kind})"))
-                gate_list.extend(_inverted_gates(seq) if daggered else seq)
-            else:
-                # aligned multi-operand gate (CNOT/CZ/CCZ between layout copies)
-                for q in range(layout.outer.n):
-                    start, inner = layout.block(q)
-                    width = 1 if inner is None else inner.n
-                    if inner is not None and _rule_for(self.rules.get(inner.name, {}), phys) is None:
-                        raise SynthesisError(
-                            f"{inner.name} has no transversal realisation of {phys}"
-                            f" (outer-transversal {kind})")
-                    for j in range(width):
-                        gate_list.append(Gate(phys, tuple(b * total + start + j
-                                                          for b in range(arity))))
-                if rule.fixups:
-                    raise SynthesisError("fixups unsupported on multi-operand rules")
-        return GadgetCircuit(arity * total, tuple(gate_list), kind, blocks, (layout,) * arity)
+            if rule.fixups and arity > 1:
+                raise SynthesisError("fixups unsupported on multi-operand rules")
+            # multi-operand gates (CNOT/CZ/CCZ) align the layout copies
+            steps = [(q, phys, f" (outer-transversal {kind})") for q in range(layout.outer.n)]
+            steps += [(fq, fk, f" (fixup of outer-transversal {kind})") for fk, fq in rule.fixups]
+        seq: list[Gate] = []
+        for q, step_kind, context in steps:
+            start, inner = layout.block(q)
+            seq += self._on_blocks(inner, tuple(b * total + start for b in range(arity)),
+                                   step_kind, block_local=True, context=context)
+        return GadgetCircuit(arity * total, _inverted_gates(seq) if daggered else tuple(seq),
+                             kind, blocks)
 
     def _outer_staircase(self, layout: Layout, k: int, theta: Fraction) -> GadgetCircuit:
         """Outer-code staircase with every outer-level gate realised on the layout."""
@@ -309,13 +295,19 @@ class GadgetDispatcher:
 
         half: list[Gate] = []
         for g in lc:
-            half.extend(self._phys_1q(layout, g.qubits[0], g.kind, False,
-                                      " (staircase normalisation inside the coupling"
-                                      " region must stay transversal)"))
+            start, inner = layout.block(g.qubits[0])
+            half += self._on_blocks(inner, (start,), g.kind, context=(
+                " (staircase normalisation inside the coupling region must stay transversal)"))
         for a, b in zip(support, support[1:]):
             half.extend(self._layout_cnot(layout, a, b))
 
-        collector_gates = self._layout_diagonal(layout, support[-1], k, theta, total)
+        # one physical C^kZ(theta) across the collector qubit of each
+        # operand; on encoded collectors, the inner code's logical one
+        collector = gates.diagonal_gate(tuple(range(k + 1)), theta)
+        start, inner = layout.block(support[-1])
+        collector_gates = self._on_blocks(
+            inner, tuple(b * total + start for b in range(k + 1)), collector.kind,
+            collector.theta_over_pi, context=" (collector of the staircase)")
 
         gate_list: list[Gate] = []
         for b in range(k + 1):
@@ -326,53 +318,21 @@ class GadgetDispatcher:
             uncompute.extend(shift(half, b * total))
         gate_list.extend(_inverted_gates(uncompute))
 
-        label = gates.diagonal_gate(tuple(range(k + 1)), theta).kind
+        label = collector.kind
         if label in (gates.Z_THETA, gates.CKZ_THETA):
             label += f"({gates.format_theta(theta)})"
-        return GadgetCircuit((k + 1) * total, tuple(gate_list), label, blocks,
-                             (layout,) * (k + 1))
+        return GadgetCircuit((k + 1) * total, tuple(gate_list), label, blocks)
 
     def _layout_cnot(self, layout: Layout, ctrl: int, targ: int) -> list[Gate]:
         (cs, ci), (ts, ti) = layout.block(ctrl), layout.block(targ)
-        if ci is None and ti is None:
-            return [gates.gate(gates.CNOT, cs, ts)]
-        if ci is None or ti is None or ci.name != ti.name:
+        names = [inner.name if inner else "bare" for inner in (ci, ti)]
+        if names[0] != names[1]:
             raise SynthesisError(
                 f"staircase CNOT couples outer qubits {ctrl} and {targ} with "
-                f"mismatched encodings ({ci.name if ci else 'bare'} vs "
-                f"{ti.name if ti else 'bare'})")
-        if _rule_for(self.rules.get(ci.name, {}), gates.CNOT) is None:
+                f"mismatched encodings ({names[0]} vs {names[1]})")
+        if ci is not None and _rule_for(self.rules.get(ci.name, {}), gates.CNOT) is None:
             raise SynthesisError(f"{ci.name} has no transversal CNOT")
-        return [gates.gate(gates.CNOT, cs + j, ts + j) for j in range(ci.n)]
-
-    def _layout_diagonal(self, layout: Layout, collector: int, k: int,
-                         theta: Fraction, operand_stride: int) -> list[Gate]:
-        """Physical C^kZ(theta) across the collector qubit of each operand."""
-        start, inner = layout.block(collector)
-        if inner is None:
-            return [gates.diagonal_gate(tuple(b * operand_stride + start
-                                              for b in range(k + 1)), theta)]
-        # encoded collectors: the gate becomes the inner-logical diagonal,
-        # which must itself be transversal in the inner code
-        return self._inner_diagonal(inner, start, k, theta, operand_stride)
-
-    def _inner_diagonal(self, inner: StabilizerCode, start: int, k: int,
-                        theta: Fraction, stride: int) -> list[Gate]:
-        logical = gates.diagonal_gate(tuple(range(k + 1)), theta)
-        rules = self.rules.get(inner.name, {})
-        found = _rule_for(rules, logical.kind)
-        if found is None or logical.kind in (gates.Z_THETA, gates.CKZ_THETA):
-            raise SynthesisError(
-                f"{inner.name} has no transversal realisation of {logical.kind}"
-                f"{'' if logical.theta_over_pi is None else '(' + gates.format_theta(logical.theta_over_pi) + ')'}"
-                " (collector of the staircase)")
-        rule, daggered = found
-        phys = rule.phys_kind
-        seq = [Gate(phys, tuple(b * stride + start + j for b in range(k + 1)))
-               for j in range(inner.n)]
-        for fk, fq in rule.fixups:
-            seq.append(gates.gate(fk, start + fq))
-        return list(_inverted_gates(seq)) if daggered else seq
+        return self._on_blocks(ci, (cs, ts), gates.CNOT)
 
 
 # -- circuit text ------------------------------------------------------------------
@@ -388,13 +348,19 @@ def circuit_to_text(c: GadgetCircuit) -> str:
 _BLOCK_RE = re.compile(r"^(\d+):(\d+)$")
 
 
+def _index(token: str, line: str, expected: str) -> int:
+    if not re.fullmatch(r"[0-9]+", token):
+        raise ValueError(f"bad circuit line {line!r}: expected {expected}")
+    return int(token)
+
+
 def circuit_from_text(text: str) -> GadgetCircuit:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
     if len(lines) < 3 or not lines[0].startswith("circuit "):
         raise ValueError("bad circuit file header")
     label = lines[0].removeprefix("circuit ").strip()
-    register = int(lines[1].removeprefix("register "))
+    register = _index(lines[1].removeprefix("register "), lines[1], "'register N'")
     blocks = []
     for token in lines[2].removeprefix("blocks ").split():
         m = _BLOCK_RE.match(token)
@@ -411,6 +377,6 @@ def circuit_from_text(text: str) -> GadgetCircuit:
             if tok.startswith("theta="):
                 theta = gates.parse_theta(tok.removeprefix("theta="))
             else:
-                qubits.append(int(tok))
+                qubits.append(_index(tok, line, "'KIND QUBIT ... [theta=ANGLE]'"))
         gate_list.append(Gate(kind, tuple(qubits), theta))
     return GadgetCircuit(register, tuple(gate_list), label, tuple(blocks))

@@ -294,16 +294,6 @@ def build_decoder(code: StabilizerCode) -> LookupDecoder:
                                 for s, k in enumerate(best.tolist())})
 
 
-def residual_logical_action(code: StabilizerCode, error: Pauli,
-                            decoder: LookupDecoder | None = None) -> str:
-    """Classify correction * error as I (stabilizer) or a logical X/Y/Z."""
-    decoder = decoder or build_decoder(code)
-    residual = decoder.decode(syndrome(code, error)) * error
-    if syndrome(code, residual) != 0:
-        raise AssertionError("decoder left a detectable residual")  # table bug
-    return normalizer_class(code, residual)
-
-
 def normalizer_class(code: StabilizerCode, p: Pauli) -> str:
     """Logical class of a normalizer element by commutation with the reps."""
     anti_z = not p.commutes(code.logical_z)  # X-like component flips Z

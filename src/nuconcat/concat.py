@@ -1,10 +1,10 @@
-"""Concatenation layouts, flattened stabilizers, hierarchical decoding,
-and exact concatenated distance.
+"""Concatenation layouts, their flattening to one stabilizer code, and
+exact concatenated distance.
 
 A layout is an outer code plus a per-outer-qubit assignment: either an
 inner code (that outer qubit becomes an encoded block) or bare (it stays
 a single physical qubit).  A layout is non-uniform when the assignment is
-not constant.
+not constant.  Flattened, it is a stabilizer code in its own right.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._bitlin import rank
-from .codes import (StabilizerCode, build_decoder, min_weight_logical,
-                    normalizer_class, staircase_support, syndrome)
+from .codes import (StabilizerCode, min_weight_logical, normalizer_class,
+                    staircase_support, syndrome)
 from .pauli import DimensionError, Pauli
 
 
@@ -85,9 +84,6 @@ class Layout:
 
     def block(self, outer_q: int) -> tuple[int, StabilizerCode | None]:
         return self.offsets[outer_q], self.assignment[outer_q]
-
-    def fingerprint(self) -> str:
-        return self.descriptor
 
 
 def uniform_layout(outer: StabilizerCode, inner: StabilizerCode) -> Layout:
@@ -181,59 +177,23 @@ def lift(layout: Layout, outer_op: Pauli) -> Pauli:
 
 
 @lru_cache(maxsize=None)
-def flatten_stabilizers(layout: Layout) -> tuple[Pauli, ...]:
-    """Inner generators per block plus lifted outer generators.
+def flatten(layout: Layout) -> StabilizerCode:
+    """The layout as one stabilizer code, named by its descriptor.
 
-    Yields total_n - 1 independent commuting generators; commutation and
-    symplectic rank are asserted because lifting depends on the logical
-    representative conventions.
+    Generators are the inner generators per block, then the lifted outer
+    generators; the logicals are the lifted outer logicals.  The code's
+    own checks (count, commutation, independence, logicals) guard the
+    lifting conventions.
     """
     total = layout.total_n
-    gens: list[Pauli] = []
-    for q in range(layout.outer.n):
-        start, inner = layout.block(q)
-        if inner is not None:
-            for g in inner.generators:
-                gens.append(g.embed(total, range(start, start + inner.n)))
-    for g in layout.outer.generators:
-        gens.append(lift(layout, g))
-    if len(gens) != total - 1:
-        raise AssertionError("flattened generator count mismatch")
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            if not a.commutes(b):
-                raise AssertionError(f"flattened generators anticommute: {a} vs {b}")
-    if rank([g.x << total | g.z for g in gens]) != total - 1:
-        raise AssertionError("flattened generators not independent")
-    return tuple(gens)
-
-
-def flatten_logicals(layout: Layout) -> tuple[Pauli, Pauli]:
-    return lift(layout, layout.outer.logical_x), lift(layout, layout.outer.logical_z)
-
-
-# -- hierarchical decoding ----------------------------------------------------
-
-def hierarchical_decode(layout: Layout, error: Pauli) -> str:
-    """Residual logical class after inner-then-outer lookup decoding."""
-    if error.n != layout.total_n:
-        raise DimensionError("error register does not match layout")
-    letters: dict[int, str] = {}
-    for q in range(layout.outer.n):
-        start, inner = layout.block(q)
-        if inner is None:
-            letter = error.letter(start)
-        else:
-            block_err = error.restrict(range(start, start + inner.n))
-            decoder = build_decoder(inner)
-            correction = decoder.decode(syndrome(inner, block_err))
-            letter = normalizer_class(inner, correction * block_err)
-        if letter != "I":
-            letters[q] = letter
-    outer_error = Pauli.from_letters(layout.outer.n, letters)
-    outer_decoder = build_decoder(layout.outer)
-    correction = outer_decoder.decode(syndrome(layout.outer, outer_error))
-    return normalizer_class(layout.outer, correction * outer_error)
+    gens = [g.embed(total, range(start, start + inner.n))
+            for start, inner in zip(layout.offsets, layout.assignment)
+            if inner is not None for g in inner.generators]
+    gens += [lift(layout, g) for g in layout.outer.generators]
+    css = layout.outer.css and all(inner is None or inner.css for inner in layout.assignment)
+    return StabilizerCode(layout.descriptor, total, tuple(gens),
+                          lift(layout, layout.outer.logical_x),
+                          lift(layout, layout.outer.logical_z), css=css)
 
 
 # -- exact distance -------------------------------------------------------------
@@ -284,7 +244,7 @@ def concatenated_distance(layout: Layout) -> DistanceResult:
                 best_cls = cls
 
     witness = _min_weight_lift(layout, best_elem)
-    _verify_witness(layout, witness, best[0])
+    _verify_witness(flatten(layout), witness, best[0])
     return DistanceResult(best[0], witness, best_elem, best_cls)
 
 
@@ -306,12 +266,10 @@ def _min_weight_lift(layout: Layout, outer_op: Pauli) -> Pauli:
     return out
 
 
-def _verify_witness(layout: Layout, witness: Pauli, claimed_weight: int) -> None:
+def _verify_witness(flat: StabilizerCode, witness: Pauli, claimed_weight: int) -> None:
     if witness.weight() != claimed_weight:
         raise AssertionError("witness weight mismatch")
-    for g in flatten_stabilizers(layout):
-        if not witness.commutes(g):
-            raise AssertionError("witness has nonzero syndrome")
-    lx, lz = flatten_logicals(layout)
-    if witness.commutes(lx) and witness.commutes(lz):
+    if syndrome(flat, witness):
+        raise AssertionError("witness has nonzero syndrome")
+    if normalizer_class(flat, witness) == "I":
         raise AssertionError("witness is not logically nontrivial")

@@ -382,7 +382,7 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport
     ctx = DecodeContext(layout, circuit.blocks)
     locations = enumerate_locations(circuit)
     frame = _propagate_each(circuit, locations)
-    report = FaultReport(layout.fingerprint(), circuit.label, len(locations), len(frame.owner))
+    report = FaultReport(layout.descriptor, circuit.label, len(locations), len(frame.owner))
     residual = ctx.residuals(ctx.data(frame.x, frame.z))
     failing = sorted((int(frame.owner[r]), _unpack(frame.x[r]), _unpack(frame.z[r]),
                       _RESIDUAL[residual[r]]) for r in np.flatnonzero(residual))
@@ -419,7 +419,7 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
     data = ctx.data(frame.x[order], frame.z[order])
     bounds = np.searchsorted(owner, np.arange(len(locations) + 1))
 
-    report = FaultReport(layout.fingerprint(), circuit.label, len(locations), len(owner))
+    report = FaultReport(layout.descriptor, circuit.label, len(locations), len(owner))
     for i in range(len(locations)):
         lo, hi = bounds[i], bounds[i + 1]
         later = data[hi:]

@@ -18,16 +18,16 @@ from .catalog import Catalog
 from .circuits import (GadgetCircuit, GadgetDispatcher, SynthesisError,
                        expand_transversal, staircase_gadget)
 from .codes import StabilizerCode
-from .concat import Layout, bare_layout
+from .concat import Layout, flatten
 from .gates import Gate
-from .simulate import Certificate, Operand, VerificationError
+from .simulate import Certificate, VerificationError
 
 
 class AdmissionError(RuntimeError):
     """A synthesized circuit failed oracle verification."""
 
 
-def _oracle_checks(operands: list[Operand], circuit: GadgetCircuit,
+def _oracle_checks(operands: list[StabilizerCode], circuit: GadgetCircuit,
                    claimed: Gate) -> list[Callable[[], Certificate]]:
     """Every oracle that applies, weakest first, as zero-argument checks.
 
@@ -52,7 +52,7 @@ def _oracle_checks(operands: list[Operand], circuit: GadgetCircuit,
     return checks
 
 
-def verify_gadget(operands: list[Operand], circuit: GadgetCircuit,
+def verify_gadget(operands: list[StabilizerCode], circuit: GadgetCircuit,
                   claimed: Gate) -> Certificate:
     """Run the strongest applicable oracle."""
     return _oracle_checks(operands, circuit, claimed)[-1]()
@@ -79,7 +79,7 @@ class AdmittedGadget:
 class GadgetLibrary:
     """Verified gadget store for one catalog.
 
-    The cache maps (layout fingerprint, logical gate) to admitted gadgets;
+    The cache maps (layout descriptor, logical gate) to admitted gadgets;
     inserts are idempotent and lock-protected so concurrent lookups never
     observe a torn entry.
     """
@@ -103,7 +103,7 @@ class GadgetLibrary:
         code = self.catalog.code(code_name)
         circuit = expand_transversal(code, kind, self.catalog.rules[code_name][kind])
         claimed = logical_gate(kind)
-        operands = [Operand.from_code(code)] * len(circuit.blocks)
+        operands = [code] * len(circuit.blocks)
         certs = [check() for check in _oracle_checks(operands, circuit, claimed)]
         for cert in certs:
             if not cert.passed:
@@ -135,19 +135,18 @@ class GadgetLibrary:
 
     # -- gadgets --------------------------------------------------------------
 
-    def _admit(self, key: tuple, layout: Layout, logical: Gate,
+    def _admit(self, key: tuple, code: StabilizerCode, logical: Gate,
                synthesise: Callable[[], GadgetCircuit]) -> AdmittedGadget:
         """Cached gadget for ``key``, or synthesise one, verify it on copies
-        of ``layout`` and cache it; a failed verification is a hard error."""
+        of ``code`` and cache it; a failed verification is a hard error."""
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
         circuit = synthesise()
-        operand = Operand.from_layout(layout)
-        cert = verify_gadget([operand] * len(circuit.blocks), circuit, logical)
+        cert = verify_gadget([code] * len(circuit.blocks), circuit, logical)
         if not cert.passed:
             raise AdmissionError(
-                f"gadget {circuit.label} on {layout.descriptor} failed its "
+                f"gadget {circuit.label} on {code.name} failed its "
                 f"{cert.method} check: {cert.details}")
         admitted = AdmittedGadget(circuit, cert, logical)
         with self._lock:
@@ -158,12 +157,11 @@ class GadgetLibrary:
             self._require_codes(layout)
             return self.dispatcher.logical_gadget(layout, logical)
 
-        key = (layout.fingerprint(), logical.kind, logical.qubits, logical.theta_over_pi)
-        return self._admit(key, layout, logical, synthesise)
+        key = (layout.descriptor, logical.kind, logical.qubits, logical.theta_over_pi)
+        return self._admit(key, flatten(layout), logical, synthesise)
 
     def base_staircase(self, code: StabilizerCode, k: int, theta: Fraction) -> AdmittedGadget:
         """Theorem-level staircase on bare code blocks, dense-verified."""
         logical = gates.diagonal_gate(tuple(range(k + 1)), theta)
         key = ("staircase:" + code.name, logical.kind, logical.qubits, logical.theta_over_pi)
-        return self._admit(key, bare_layout(code), logical,
-                           lambda: staircase_gadget(code, k, theta))
+        return self._admit(key, code, logical, lambda: staircase_gadget(code, k, theta))

@@ -14,6 +14,8 @@ the ones that apply:
   the claimed constant up to one global phase, coefficient by coefficient
   over Z_{2*den} (any size, any rational multiple of pi).
 
+Each logical operand is a :class:`~nuconcat.codes.StabilizerCode`: a
+base code, or a layout flattened by :func:`nuconcat.concat.flatten`.
 Certificates record which method ran and what it measured.
 """
 
@@ -29,8 +31,7 @@ import numpy as np
 from . import gates
 from ._bitlin import Solver, nullspace, solve_affine
 from .circuits import GadgetCircuit
-from .codes import StabilizerCode, StabilizerGroup
-from .concat import Layout, flatten_logicals, flatten_stabilizers
+from .codes import StabilizerCode, StabilizerGroup, stabilizer_group
 from .gates import Gate
 from .pauli import Pauli
 
@@ -52,25 +53,6 @@ class Certificate:
     details: str = ""
 
 
-@dataclass(frozen=True)
-class Operand:
-    """One logical operand: a code block (base or flattened layout)."""
-
-    n: int
-    generators: tuple[Pauli, ...]
-    logical_x: Pauli
-    logical_z: Pauli
-
-    @staticmethod
-    def from_code(code: StabilizerCode) -> "Operand":
-        return Operand(code.n, code.generators, code.logical_x, code.logical_z)
-
-    @staticmethod
-    def from_layout(layout: Layout) -> "Operand":
-        lx, lz = flatten_logicals(layout)
-        return Operand(layout.total_n, flatten_stabilizers(layout), lx, lz)
-
-
 # -- dense simulation ------------------------------------------------------------
 #
 # A batch of states is one complex rows x 2^n array, bit q of the column
@@ -85,18 +67,18 @@ def apply_pauli(amps: np.ndarray, p: Pauli) -> np.ndarray:
     return out
 
 
-def codewords(op: Operand) -> np.ndarray:
+def codewords(code: StabilizerCode) -> np.ndarray:
     """The (2, 2^n) pair |0-bar>, |1-bar>: |0> by projection onto the +1
     eigenspaces of the generators and logical Z, |1> = logical X |0>."""
-    for seed in range(1 << op.n):
-        zero = np.zeros(1 << op.n, dtype=complex)
+    for seed in range(1 << code.n):
+        zero = np.zeros(1 << code.n, dtype=complex)
         zero[seed] = 1.0
-        for g in (*op.generators, op.logical_z):
+        for g in (*code.generators, code.logical_z):
             zero = (zero + apply_pauli(zero, g)) / 2
         nrm = np.linalg.norm(zero)
         if nrm > 1e-6:
             zero /= nrm
-            return np.stack([zero, apply_pauli(zero, op.logical_x)])
+            return np.stack([zero, apply_pauli(zero, code.logical_x)])
     raise VerificationError("no computational seed projects onto the code space")
 
 
@@ -159,7 +141,7 @@ def _logical_inputs(m: int) -> list[np.ndarray]:
     return inputs
 
 
-def verify_logical_action(operands: list[Operand], circuit: GadgetCircuit,
+def verify_logical_action(operands: list[StabilizerCode], circuit: GadgetCircuit,
                           claimed: np.ndarray) -> Certificate:
     """Dense check that the circuit equals the claimed logical unitary
     (up to one consistent global phase) and preserves the code space.
@@ -213,7 +195,7 @@ def _embed_at(p: Pauli, total: int, offset: int) -> Pauli:
     return p.embed(total, range(offset, offset + p.n))
 
 
-def _lift_logical(operands: list[Operand], offsets: list[int], total: int,
+def _lift_logical(operands: list[StabilizerCode], offsets: list[int], total: int,
                   logical: Pauli) -> Pauli:
     """Group-homomorphic lift of an m-qubit logical Pauli to physical reps."""
     out = Pauli(total, 0, 0, logical.phase_exp)
@@ -225,7 +207,7 @@ def _lift_logical(operands: list[Operand], offsets: list[int], total: int,
     return out
 
 
-def verify_clifford_action(operands: list[Operand], circuit: GadgetCircuit,
+def verify_clifford_action(operands: list[StabilizerCode], circuit: GadgetCircuit,
                            claimed: Gate) -> Certificate:
     """Conjugate stabilizers and logicals through a Clifford circuit.
 
@@ -292,16 +274,16 @@ def _trace_permutation(circuit: GadgetCircuit) -> _AffineTrace:
     return _AffineTrace(rows, offs, terms)
 
 
-def _support_space(op: Operand) -> tuple[list[int], list[int], Pauli]:
+def _support_space(code: StabilizerCode) -> tuple[list[int], list[int], Pauli]:
     """Constraint system of the codeword supports, on the operand's own bits.
 
     Returns (constraint rows, target bits as a list, pure-Z logical element);
     the label constraint is the last row, with target ``label xor sign``.
     """
-    group = StabilizerGroup(op.generators, op.n)
+    group = stabilizer_group(code)
     gens = group.generators
     # kernel of the x-parts: combinations multiplying to pure-Z elements
-    x_columns = [sum(((g.x >> q) & 1) << i for i, g in enumerate(gens)) for q in range(op.n)]
+    x_columns = [sum(((g.x >> q) & 1) << i for i, g in enumerate(gens)) for q in range(code.n)]
     kernel = nullspace(x_columns, len(gens))
     rows: list[int] = []
     targets: list[int] = []
@@ -312,7 +294,7 @@ def _support_space(op: Operand) -> tuple[list[int], list[int], Pauli]:
         rows.append(product.z)
         targets.append(1 if product.display_phase_exp == 2 else 0)
     # pure-Z element of the logical-Z coset
-    lz = op.logical_z
+    lz = code.logical_z
     x_solver = Solver([g.x for g in gens])
     combo = x_solver.solve(lz.x)
     if combo is None:
@@ -351,7 +333,7 @@ def _times(a: dict[int, int], b: dict[int, int], modulus: int) -> dict[int, int]
     return {mono: coef for mono, coef in out.items() if coef}
 
 
-def verify_diagonal_action(operands: list[Operand], circuit: GadgetCircuit,
+def verify_diagonal_action(operands: list[StabilizerCode], circuit: GadgetCircuit,
                            claimed: Gate) -> Certificate:
     """Exact phase-polynomial check for X/CNOT/diagonal circuits on stabilizer codewords.
 

@@ -1,18 +1,21 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nuconcat import gates, library, simulate
+from nuconcat import catalog as cataloglib
+from nuconcat import cli, gates, library, simulate
 from nuconcat.circuits import (GadgetCircuit, GadgetDispatcher, SynthesisError,
                                TransversalRule, block_logical_gadget, circuit_from_text,
                                circuit_to_text, encoding_circuit, expand_transversal,
-                               invert, normalization_gates, staircase_gadget)
+                               normalization_gates, staircase_gadget)
 from nuconcat.codes import distance
-from nuconcat.concat import non_uniform_layout, uniform_layout
+from nuconcat.concat import non_uniform_layout, parse_layout, uniform_layout
 from nuconcat.pauli import Pauli
-from nuconcat.simulate import Operand, apply_circuit, codewords
+from nuconcat.simulate import apply_circuit, codewords
+from reference import invert
 
 
 def test_steane_t_staircase_structure(cat):
@@ -100,7 +103,7 @@ def test_encoder_builds_codewords(cat):
         starts = np.zeros((2, 1 << code.n), dtype=complex)
         starts[0, 0] = starts[1, 1 << q_in] = 1  # |0...0> and X on the input qubit
         got = apply_circuit(starts, GadgetCircuit(code.n, enc, "enc", ((0, code.n),)))
-        want = codewords(Operand.from_code(code))
+        want = codewords(code)
         for b in range(2):
             assert abs(abs(np.vdot(got[b], want[b])) - 1) < 1e-10
 
@@ -114,10 +117,10 @@ def test_block_logical_h_on_rm15(cat):
     code = cat.code("rm15")
     g = block_logical_gadget(code, gates.H)
     cert = simulate.verify_logical_action(
-        [Operand.from_code(code)], g, gates.gate_matrix(gates.gate(gates.H, 0)))
+        [code], g, gates.gate_matrix(gates.gate(gates.H, 0)))
     assert cert.passed
     cert2 = simulate.verify_clifford_action(
-        [Operand.from_code(code)], g, gates.gate(gates.H, 0))
+        [code], g, gates.gate(gates.H, 0))
     assert cert2.passed
 
 
@@ -168,7 +171,65 @@ def test_dispatch_refuses_rule_arity_mismatch(cat):
         GadgetDispatcher(rules).logical_gadget(lay, library.logical_gate(gates.CZ))
 
 
+def test_rep_rule_realises_an_encoded_collector(layouts):
+    """Without a Z rule on the outer Steane code, logical Z on code49 is a
+    staircase whose rm15 collector expands rm15's own ``rep`` rule: Z on
+    every qubit of its logical-Z representative."""
+    custom = cataloglib.default_catalog()
+    del custom.rules["steane"][gates.Z]
+    adm = library.GadgetLibrary(custom).gadget(layouts[49], library.logical_gate(gates.Z))
+    assert len(adm.circuit.gates) == 75
+    assert adm.certificate.passed and adm.certificate.method == "heisenberg"
+    collector = [g for g in adm.circuit.gates if g.kind == gates.Z]
+    assert len(collector) == 15 and {g.qubits[0] // 15 for g in collector} == {2}
+
+
 def test_dispatch_refuses_unknown_nontransversal(lib, cat):
     lay = uniform_layout(cat.code("steane"), cat.code("rm15"))
     with pytest.raises(SynthesisError):
         lib.dispatcher.logical_gadget(lay, library.logical_gate(gates.K))
+
+
+PINNED_THETAS = (Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+PINNED_CODES = ("steane", "rm15", "five_qubit", "five_prime")
+
+
+def _outcome(build) -> str:
+    try:
+        c = build()
+    except SynthesisError as exc:
+        return f"refused: {exc}"
+    return repr((c.label, c.register_size, c.blocks, [str(g) for g in c.gates]))
+
+
+def dispatcher_outcomes(cat):
+    """One line per dispatcher output: every named kind and C^kZ(theta),
+    k <= 2, on the shortcut, bare, uniform and non-uniform layouts; the
+    base staircases; and every catalog rule's expansion."""
+    dispatcher = GadgetDispatcher(cat.rules)
+    descriptors = [*cli.LAYOUT_SHORTCUTS.values(), *(f"bare:{o}" for o in PINNED_CODES),
+                   *(f"{form}:{o}:{i}" for form in ("uniform", "nonuniform")
+                     for o in PINNED_CODES for i in PINNED_CODES)]
+    diagonals = [gates.diagonal_gate(tuple(range(k + 1)), t)
+                 for k in range(3) for t in PINNED_THETAS]
+    logicals = [library.logical_gate(kind) for kind in gates.ARITY] + diagonals
+    for descriptor in descriptors:
+        layout = parse_layout(descriptor, cat.code)
+        for logical in logicals:
+            yield _outcome(lambda: dispatcher.logical_gadget(layout, logical))
+    for name in PINNED_CODES:
+        for k in range(3):
+            for t in PINNED_THETAS:
+                yield _outcome(lambda: staircase_gadget(cat.code(name), k, t))
+    for name, rules in cat.rules.items():
+        for kind, rule in rules.items():
+            yield _outcome(lambda: expand_transversal(cat.code(name), kind, rule))
+
+
+def test_dispatcher_outputs_are_pinned(cat):
+    """Gates, label, register size and blocks of every dispatcher output,
+    or its refusal message, hashed together."""
+    digest = hashlib.sha256()
+    for line in dispatcher_outcomes(cat):
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == "4d38f0762b4f50a57ae7f50fd875f6637e2ae5f3805998a0ff12efcf0e521f0d"

@@ -237,15 +237,44 @@ SHORT_TRANSVERSAL = [CATALOG_TEXT.replace("transversal H bitwise H", line, 1)
                      for line in ("transversal H", "transversal H bitwise")]
 
 
-@pytest.mark.parametrize("text,named", [
-    (SHORT_TRANSVERSAL[0], "'transversal H'"),
-    (SHORT_TRANSVERSAL[1], "'transversal H bitwise'"),
-    (CATALOG_TEXT.replace("n 7\n", "", 1), "'steane' lacks n"),
-], ids=["no-style", "no-physical-gate", "no-size"])
-def test_malformed_catalog_lines_are_usage_errors(capsys, tmp_path, text, named):
-    path = tmp_path / "catalog.txt"
-    path.write_text(text)
-    code, out, err = run(capsys, "codes", "list", "--catalog", str(path))
+PARSED_INPUTS = {
+    "catalog": ["codes", "list", "--catalog", "{file}"],
+    "circuit": ["replay", "--layout", "bare:steane", "--circuit", "{file}",
+                "--fault=-1:XIIIIII"],
+    "layout": ["distance", "--layout", "{file}"],
+    "fault": ["replay", "--layout", "bare:steane", "--circuit", "{circuit}", "--fault={text}"],
+}
+
+
+def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
+    """Run the command of ``PARSED_INPUTS[kind]`` on ``text``: written to
+    the input file, or passed as the argument itself for ``fault``."""
+    (tmp / "input.txt").write_text(text)
+    (tmp / "t7.circuit").write_text(CIRCUIT_TEXT)
+    argv = [a.format(file=tmp / "input.txt", circuit=tmp / "t7.circuit", text=text)
+            for a in PARSED_INPUTS[kind]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("kind,text,named", [
+    ("catalog", SHORT_TRANSVERSAL[0], "'transversal H'"),
+    ("catalog", SHORT_TRANSVERSAL[1], "'transversal H bitwise'"),
+    ("catalog", CATALOG_TEXT.replace("n 7\n", "", 1), "'steane' lacks n"),
+    ("circuit", CIRCUIT_TEXT.replace("register 7\n", "", 1),
+     "line 'blocks 0:7': expected 'register N'"),
+    ("circuit", CIRCUIT_TEXT.replace("register 7", "register seven", 1),
+     "line 'register seven': expected 'register N'"),
+    ("circuit", CIRCUIT_TEXT.replace("CNOT 0 1", "CNOT 0 one", 1),
+     "line 'CNOT 0 one': expected 'KIND QUBIT ... [theta=ANGLE]'"),
+], ids=["no-style", "no-physical-gate", "no-size",
+        "no-register", "register-not-integer", "qubit-not-integer"])
+def test_malformed_catalog_lines_are_usage_errors(tmp_path, kind, text, named):
+    """A malformed catalog or circuit line exits 2 with a message naming
+    the line and, for circuits, the expected form."""
+    code, out, err = run_parsed(kind, text, tmp_path)
     assert code == 2
     assert err.startswith("usage error:") and named in err and out == ""
 
@@ -274,28 +303,49 @@ def mutated(draw, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-PARSED_INPUTS = {
-    "catalog": ["codes", "list", "--catalog", "{input}"],
-    "circuit": ["replay", "--layout", "bare:steane", "--circuit", "{input}",
-                "--fault=-1:XIIIIII"],
-}
+@st.composite
+def mutated_fields(draw, text: str) -> str:
+    """``text`` cut at ``: ; , =`` into fields and separators, with 1-3
+    pieces deleted, repeated or swapped, or one character deleted."""
+    pieces = re.split(r"([:;,=])", text)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(pieces) - 1))
+        action = draw(st.sampled_from(["delete", "repeat", "swap", "char"]))
+        if action == "delete":
+            del pieces[i]
+        elif action == "repeat":
+            pieces.insert(i, pieces[i])
+        elif action == "swap":
+            j = draw(st.integers(0, len(pieces) - 1))
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+        elif pieces[i]:
+            c = draw(st.integers(0, len(pieces[i]) - 1))
+            pieces[i] = pieces[i][:c] + pieces[i][c + 1:]
+        if not pieces:
+            break
+    return "".join(pieces)
 
 
-@settings(max_examples=150, deadline=None)
+LAYOUT_TEXTS = ["outer=steane;assign=rm15,rm15,rm15,bare,bare,bare,bare",
+                "b2:five_prime:rm15:five_prime", "uniform:steane:five_prime"]
+FAULT_TEXTS = ["-1:XIIIIII", "2:-IZIIIYI"]
+
+
+@settings(max_examples=200, deadline=None)
 @given(case=st.one_of(mutated(CATALOG_TEXT).map(lambda t: ("catalog", t)),
-                      mutated(CIRCUIT_TEXT).map(lambda t: ("circuit", t))))
+                      mutated(CIRCUIT_TEXT).map(lambda t: ("circuit", t)),
+                      st.sampled_from(LAYOUT_TEXTS).flatmap(mutated_fields)
+                      .map(lambda t: ("layout", t)),
+                      st.sampled_from(FAULT_TEXTS).flatmap(mutated_fields)
+                      .map(lambda t: ("fault", t))))
 @example(case=("catalog", SHORT_TRANSVERSAL[0]))
 @example(case=("catalog", SHORT_TRANSVERSAL[1]))
 def test_malformed_files_never_raise(case):
-    """A mutated catalog or circuit file ends in exit 0, 1 or 2, never a
-    traceback; exit 2 comes with a usage error line."""
-    kind, text = case
+    """A mutated catalog, circuit or layout-descriptor file, or a mutated
+    replay fault argument, ends in exit 0, 1 or 2, never a traceback;
+    exit 2 comes with a usage error line."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "input.txt"
-        path.write_text(text)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main([a.format(input=path) for a in PARSED_INPUTS[kind]])
+        code, _, err = run_parsed(*case, Path(tmp))
     assert code in (0, 1, 2)
     if code == 2:
-        assert err.getvalue().startswith("usage error:")
+        assert err.startswith("usage error:")

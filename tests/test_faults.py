@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from nuconcat import cli, faults, gates, library
 from nuconcat.circuits import GadgetCircuit, GadgetDispatcher, staircase_gadget
-from nuconcat.concat import bare_layout, hierarchical_decode, parse_layout
+from nuconcat.concat import bare_layout, parse_layout
 from nuconcat.faults import (DecodeContext, check_single_fault_ft,
                              enumerate_locations, find_min_uncorrectable,
                              propagate)
 from nuconcat.gates import gate
 from nuconcat.pauli import Pauli
+from reference import hierarchical_decode
 
 
 def make_circuit(n, *gs):
@@ -265,8 +266,8 @@ def test_negative_control_half_staircase(cat):
     report = check_single_fault_ft(lay, half)
     assert not report.passed
     assert report.min_uncorrectable_size == 1
-    from nuconcat.simulate import Operand, verify_logical_action
-    cert = verify_logical_action([Operand.from_code(code)], half,
+    from nuconcat.simulate import verify_logical_action
+    cert = verify_logical_action([code], half,
                                  gates.gate_matrix(gate(gates.T, 0)))
     assert not cert.passed
 

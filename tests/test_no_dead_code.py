@@ -1,6 +1,6 @@
 """Every module-level function and class of the package has a user: a
-reference from package code outside its own definition, or an export
-from ``__init__.py``."""
+reference from package code outside its own definition.  An export from
+``__init__.py`` is not a use; code that only tests call lives in the tests."""
 
 import ast
 from pathlib import Path
@@ -26,7 +26,8 @@ def test_every_definition_has_a_user():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
-            statements.append(stmt)
+            if path.name != "__init__.py":
+                statements.append(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 definitions.append((path.stem, stmt.name, stmt))
     uses = [(stmt, referenced_names(stmt)) for stmt in statements]

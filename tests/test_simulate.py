@@ -7,18 +7,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nuconcat import gates, library, simulate
-from nuconcat.circuits import GadgetCircuit, expand_transversal, invert, staircase_gadget
+from nuconcat.circuits import GadgetCircuit, expand_transversal, staircase_gadget
+from nuconcat.codes import StabilizerCode
+from nuconcat.concat import flatten
 from nuconcat.gates import Gate, gate
 from nuconcat.pauli import Pauli
-from nuconcat.simulate import (Operand, VerificationError, apply_circuit, apply_pauli,
+from nuconcat.simulate import (VerificationError, apply_circuit, apply_pauli,
                                codewords, verify_clifford_action, verify_diagonal_action,
                                verify_logical_action)
+from reference import invert
+
+BARE_QUBIT = StabilizerCode("bare", 1, (), Pauli.from_string("X"), Pauli.from_string("Z"))
 
 
-def test_state_cap():
-    bare = Operand(23, (), Pauli.single(23, 0, "X"), Pauli.single(23, 0, "Z"))
+def test_state_cap(cat):
+    operands = [cat.code("steane")] * 3 + [BARE_QUBIT] * 2
+    blocks = tuple((7 * b, 7) for b in range(3)) + ((21, 1), (22, 1))
     with pytest.raises(VerificationError, match="dense cap"):
-        verify_logical_action([bare], GadgetCircuit(23, (), "id", ((0, 23),)), np.eye(2))
+        verify_logical_action(operands, GadgetCircuit(23, (), "id", blocks), np.eye(32))
 
 
 def test_apply_pauli_bits_and_phase():
@@ -122,14 +128,14 @@ def test_encode_invariants(cat):
     reads +1 on |0> and -1 on |1>."""
     for name in ("steane", "five_qubit", "five_prime", "rm15"):
         code = cat.code(name)
-        pair = codewords(Operand.from_code(code))
+        pair = codewords(code)
         assert pair.shape == (2, 1 << code.n)
         for label, word in enumerate(pair):
             assert abs(np.vdot(word, word) - 1) < 1e-12
             for g in code.generators:
                 assert abs(np.vdot(word, apply_pauli(word, g)) - 1) < 1e-12
             assert abs(np.vdot(word, apply_pauli(word, code.logical_z)) - (-1) ** label) < 1e-12
-    zero = codewords(Operand.from_code(cat.code("rm15")))[0]
+    zero = codewords(cat.code("rm15"))[0]
     nonzero = np.abs(zero) > 1e-12
     assert nonzero.sum() == 16
     assert np.allclose(np.abs(zero[nonzero]), 0.25)
@@ -137,7 +143,7 @@ def test_encode_invariants(cat):
 
 def test_encode_one_is_logical_x_of_zero(cat):
     code = cat.code("steane")
-    zero, one = codewords(Operand.from_code(code))
+    zero, one = codewords(code)
     assert np.allclose(one, apply_pauli(zero, code.logical_x))
 
 
@@ -145,7 +151,7 @@ def test_identity_circuit_verifies_for_all_codes(cat):
     for name in ("steane", "five_qubit", "five_prime", "rm15"):
         code = cat.code(name)
         empty = GadgetCircuit(code.n, (), "id", ((0, code.n),))
-        cert = verify_logical_action([Operand.from_code(code)], empty, np.eye(2))
+        cert = verify_logical_action([code], empty, np.eye(2))
         assert cert.passed and abs(cert.phase - 1) < 1e-9
 
 
@@ -154,12 +160,11 @@ def test_dense_keeps_distinct_operands_in_order(cat):
     bare qubit) above it: CNOTs from the bare qubit onto the Steane logical
     X support are a logical CNOT controlled by operand 1."""
     code = cat.code("steane")
-    bare = Operand(1, (), Pauli.from_string("X"), Pauli.from_string("Z"))
     lx = code.logical_x
     assert not lx.z
     circuit = GadgetCircuit(8, tuple(gate(gates.CNOT, 7, q) for q in lx.support),
                             "CNOT(1->0)", ((0, 7), (7, 1)))
-    operands = [Operand.from_code(code), bare]
+    operands = [code, BARE_QUBIT]
     assert verify_logical_action(operands, circuit, np.eye(4)[[0, 1, 3, 2]]).passed
     assert not verify_logical_action(operands, circuit, np.eye(4)[[0, 3, 2, 1]]).passed
 
@@ -167,7 +172,7 @@ def test_dense_keeps_distinct_operands_in_order(cat):
 def test_dense_catches_wrong_claim(cat):
     code = cat.code("steane")
     g = staircase_gadget(code, 0, Fraction(1, 4))
-    cert = verify_logical_action([Operand.from_code(code)], g,
+    cert = verify_logical_action([code], g,
                                  gates.gate_matrix(gate(gates.S, 0)))
     assert not cert.passed
 
@@ -176,9 +181,9 @@ def test_heisenberg_catches_wrong_claim(cat):
     code = cat.code("steane")
     rule = cat.rules["steane"][gates.H]
     circuit = expand_transversal(code, gates.H, rule)
-    assert verify_clifford_action([Operand.from_code(code)], circuit,
+    assert verify_clifford_action([code], circuit,
                                   gate(gates.H, 0)).passed
-    assert not verify_clifford_action([Operand.from_code(code)], circuit,
+    assert not verify_clifford_action([code], circuit,
                                       gate(gates.S, 0)).passed
 
 
@@ -186,16 +191,16 @@ def test_css_coset_catches_wrong_claim(cat):
     code = cat.code("rm15")
     rule = cat.rules["rm15"][gates.T]
     circuit = expand_transversal(code, gates.T, rule)
-    assert verify_diagonal_action([Operand.from_code(code)], circuit,
+    assert verify_diagonal_action([code], circuit,
                                   gate(gates.T, 0)).passed
-    wrong = verify_diagonal_action([Operand.from_code(code)], circuit,
+    wrong = verify_diagonal_action([code], circuit,
                                    gate(gates.S, 0))
     assert not wrong.passed
     # plain T per qubit implements logical T_dagger, not T
     plain = GadgetCircuit(15, tuple(gate(gates.T, q) for q in range(15)), "t15", ((0, 15),))
-    assert not verify_diagonal_action([Operand.from_code(code)], plain,
+    assert not verify_diagonal_action([code], plain,
                                       gate(gates.T, 0)).passed
-    assert verify_diagonal_action([Operand.from_code(code)], plain,
+    assert verify_diagonal_action([code], plain,
                                   gate(gates.T_DAG, 0)).passed
 
 
@@ -203,7 +208,7 @@ def test_css_coset_detects_leakage(cat):
     code = cat.code("rm15")
     # half a staircase leaves the permutation uncomputed
     half = GadgetCircuit(15, (gate(gates.CNOT, 0, 1),), "broken", ((0, 15),))
-    cert = verify_diagonal_action([Operand.from_code(code)], half, gate(gates.Z, 0))
+    cert = verify_diagonal_action([code], half, gate(gates.Z, 0))
     assert not cert.passed and "permutation" in cert.details
 
 
@@ -221,7 +226,7 @@ def test_oracle_agreement_dense_vs_heisenberg(cat, lib):
                       kind, arity))
     assert cases
     for code, circuit, kind, arity in cases:
-        ops = [Operand.from_code(code)] * arity
+        ops = [code] * arity
         claimed = Gate(kind, tuple(range(arity)))
         dense = verify_logical_action(ops, circuit, gates.gate_matrix(claimed))
         heis = verify_clifford_action(ops, circuit, claimed)
@@ -270,7 +275,7 @@ def test_css_coset_certifies_98_qubit_conjugated_cz(lib, layouts):
     lay = layouts[49]
     t = lib.dispatcher.logical_gadget(lay, library.logical_gate(gates.T))
     cz = lib.dispatcher.logical_gadget(lay, library.logical_gate(gates.CZ))
-    operands = [Operand.from_layout(lay)] * 2
+    operands = [flatten(lay)] * 2
     claim = library.logical_gate(gates.CZ)
     good = GadgetCircuit(98, t.gates + cz.gates + invert(t).gates, "T;CZ;T^-1", cz.blocks)
     cert = verify_diagonal_action(operands, good, claim)
@@ -290,7 +295,7 @@ DYADIC = st.builds(Fraction, st.integers(0, 15), st.sampled_from([1, 2, 4, 8]))
 def test_staircase_css_coset_agrees_with_dense(cat, k, theta):
     code = cat.code("steane")
     circuit = staircase_gadget(code, k, theta)
-    operands = [Operand.from_code(code)] * (k + 1)
+    operands = [code] * (k + 1)
     for claim_theta, expected in ((theta, True), (theta + Fraction(1, 4), False)):
         claim = gates.diagonal_gate(tuple(range(k + 1)), claim_theta)
         assert verify_diagonal_action(operands, circuit, claim).passed == expected
@@ -329,7 +334,7 @@ def test_random_diagonal_circuits_css_coset_vs_dense(cat, data):
     name, m = data.draw(st.sampled_from([("steane", 1), ("steane", 2), ("rm15", 1)]))
     code = cat.code(name)
     circuit, claim = _draw_conjugated_diagonal(data, code, m)
-    operands = [Operand.from_code(code)] * m
+    operands = [code] * m
     coset = verify_diagonal_action(operands, circuit, claim)
     dense = verify_logical_action(operands, circuit, gates.gate_matrix(claim))
     assert coset.passed == dense.passed
@@ -337,7 +342,8 @@ def test_random_diagonal_circuits_css_coset_vs_dense(cat, data):
         assert abs(coset.phase - dense.phase) < 1e-9
 
 
-def _enumerated_verdict(operands: list[Operand], circuit: GadgetCircuit, claimed: Gate) -> bool:
+def _enumerated_verdict(operands: list[StabilizerCode], circuit: GadgetCircuit,
+                        claimed: Gate) -> bool:
     """Brute-force reference for CSS operands: run every word of every
     codeword support through the circuit and sum the phases it picks up;
     the first word, at labels (0, ..., 0), fixes the global phase."""
@@ -372,7 +378,7 @@ def _enumerated_verdict(operands: list[Operand], circuit: GadgetCircuit, claimed
 def test_css_coset_matches_enumeration_beyond_dense_cap(cat):
     code = cat.code("rm15")
     circuit = expand_transversal(code, gates.CCZ, cat.rules["rm15"][gates.CCZ])
-    operands = [Operand.from_code(code)] * 3
+    operands = [code] * 3
     for theta in (Fraction(1), Fraction(1, 2)):
         claim = gates.diagonal_gate((0, 1, 2), theta)
         assert verify_diagonal_action(operands, circuit, claim).passed \
@@ -385,7 +391,7 @@ def test_css_coset_accepts_a_global_phase(cat):
     xs = tuple(gate(gates.X, q) for q in range(7))
     zs = tuple(gate(gates.Z, q) for q in range(7))
     circuit = GadgetCircuit(7, xs + zs + xs, "-Z", ((0, 7),))
-    operands = [Operand.from_code(code)]
+    operands = [code]
     claim = library.logical_gate(gates.Z)
     for cert in (verify_diagonal_action(operands, circuit, claim),
                  verify_logical_action(operands, circuit, gates.gate_matrix(claim))):
@@ -398,7 +404,7 @@ def test_css_coset_accepts_a_global_phase_beyond_dense_cap(cat):
     cz = expand_transversal(code, gates.CZ, cat.rules["rm15"][gates.CZ])
     prefix = (gate(gates.X, 0), gate(gates.Z, 0)) * 2
     circuit = GadgetCircuit(30, prefix + cz.gates, "-CZ", cz.blocks)
-    operands = [Operand.from_code(code)] * 2
+    operands = [code] * 2
     claim = library.logical_gate(gates.CZ)
     cert = verify_diagonal_action(operands, circuit, claim)
     assert cert.passed and abs(cert.phase + 1) < 1e-9
@@ -411,6 +417,6 @@ def test_random_diagonal_circuits_css_coset_vs_enumeration(cat, data):
     """Two rm15 operands: 30 qubits, past the dense cap."""
     code = cat.code("rm15")
     circuit, claim = _draw_conjugated_diagonal(data, code, 2)
-    operands = [Operand.from_code(code)] * 2
+    operands = [code] * 2
     assert verify_diagonal_action(operands, circuit, claim).passed \
         == _enumerated_verdict(operands, circuit, claim)
