@@ -8,9 +8,8 @@ from .circuits import (GadgetCircuit, SynthesisError, circuit_from_text,
 from .codes import (LookupDecoder, StabilizerCode, build_decoder, distance,
                     five_prime, five_qubit, min_weight_logical, reed_muller_15,
                     stabilizer_group, steane, syndrome, transform_code)
-from .concat import (Layout, Partition, bare_layout, concatenated_distance, flatten,
-                     non_uniform_layout, parse_layout, partition_from_gadget,
-                     uniform_layout)
+from .concat import (Layout, bare_layout, concatenated_distance, flatten,
+                     non_uniform_layout, parse_layout, uniform_layout)
 from .faults import (FaultLocation, FaultReport, check_single_fault_ft,
                      effective_distance_report, enumerate_locations,
                      find_min_uncorrectable, propagate)

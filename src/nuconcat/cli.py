@@ -10,6 +10,7 @@ refused (raise it with --budget).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -207,7 +208,7 @@ def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
         pair_entries = []
         witness_found = False
         for adm in admitted:
-            pair = faults.find_min_uncorrectable(layout, adm.circuit, 2, args.budget)
+            pair = faults.find_min_uncorrectable(layout, adm.circuit, args.budget)
             entry = {"gadget": adm.circuit.label, "result": str(pair.min_uncorrectable_size)}
             if pair.witness is not None:
                 witness_found = True
@@ -279,12 +280,14 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
         circuit = circuit_from_text(fh.read())
     injections = []
     for entry in args.fault:
-        place_text, _, pauli_text = entry.partition(":")
-        pauli = Pauli.from_string(pauli_text)
+        match = re.fullmatch(r"(-?[0-9]+):(.*)", entry)
+        if match is None:
+            raise UsageError(f"--fault {entry!r}: expected PLACE:PAULI with an integer PLACE")
+        pauli = Pauli.from_string(match[2])
         if pauli.n != circuit.register_size:
-            raise UsageError(f"fault {entry!r} acts on {pauli.n} qubits, "
+            raise UsageError(f"--fault {entry!r} acts on {pauli.n} qubits, "
                              f"the register has {circuit.register_size}")
-        injections.append((int(place_text), pauli))
+        injections.append((int(match[1]), pauli))
     injections.sort(key=lambda pf: pf[0])
     branches, deterministic = faults.propagate(
         circuit, [(place, p.x, p.z) for place, p in injections])

@@ -8,6 +8,8 @@ Both minimum-weight searches are exact numpy computations on the key
 ``weight << 2n | x << n | z`` (ties break on the smallest x, then z): coset
 minima sort the keys of all 2^(n-1) coset elements, and the decoder table
 is a shortest path over the 2^(n-1) syndromes, adding one qubit at a time.
+The coset scan also takes a cost row per qubit in place of the weight,
+which is how concatenated distances charge each outer letter.
 """
 
 from __future__ import annotations
@@ -75,19 +77,6 @@ class StabilizerCode:
             p = self.logical_x * self.logical_z
             return Pauli(p.n, p.x, p.z, (p.phase_exp + 1) & 3)
         raise ValueError(f"unknown logical class {cls!r}")
-
-    def stabilizer_elements(self):
-        """All 2^(n-1) group elements with exact signs (Gray-code walk)."""
-        gens = self.generators
-        current = Pauli.identity(self.n)
-        yield current
-        prev_code = 0
-        for i in range(1, 1 << len(gens)):
-            code = i ^ (i >> 1)
-            flipped = (code ^ prev_code).bit_length() - 1
-            current = current * gens[flipped]
-            prev_code = code
-            yield current
 
 
 # -- constructions ---------------------------------------------------------
@@ -183,10 +172,17 @@ def syndrome(code: StabilizerCode, error: Pauli) -> int:
     return sum(1 << i for i, g in enumerate(code.generators) if not error.commutes(g))
 
 
+UNIT_COST = (0, 1, 1, 1)
+
+
 @lru_cache(maxsize=None)
-def _coset_order(code: StabilizerCode, cls: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys (weight << 2n | x << n | z) of the ``cls`` logical coset
-    elements ``logical_rep(cls) * product(combo)`` and their combos."""
+def _coset_order(code: StabilizerCode, cls: str,
+                 costs: tuple[tuple[int, ...], ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys (cost << 2n | x << n | z) of the ``cls`` logical coset
+    elements ``logical_rep(cls) * product(combo)`` and their combos.
+
+    Qubit q's letter costs ``costs[q][x_q | z_q << 1]`` (I, X, Z, Y); the
+    default unit rows make the cost the weight."""
     n = code.n
     if n > 20:
         raise CodeConstructionError(f"{code.name}: full coset enumeration refused at n={n}")
@@ -194,11 +190,22 @@ def _coset_order(code: StabilizerCode, cls: str) -> tuple[np.ndarray, np.ndarray
     xs, zs = np.array([rep.x], np.int64), np.array([rep.z], np.int64)
     for g in code.generators:  # doubling keeps index == combo
         xs, zs = np.concatenate([xs, xs ^ g.x]), np.concatenate([zs, zs ^ g.z])
-    keys = np.bitwise_count(xs | zs).astype(np.int64) << 2 * n | xs << n | zs
+    cost = np.zeros(len(xs), np.int64)
+    for q, row in enumerate(costs or (UNIT_COST,) * n):
+        cost += np.asarray(row, np.int64)[xs >> q & 1 | (zs >> q & 1) << 1]
+    keys = cost << 2 * n | xs << n | zs
     order = np.argsort(keys)
     keys = keys[order]
     keys.flags.writeable = order.flags.writeable = False
     return keys, order
+
+
+def coset_minimum(code: StabilizerCode, cls: str,
+                  costs: tuple[tuple[int, ...], ...] | None = None) -> tuple[int, Pauli]:
+    """Least key (cost << 2n | x << n | z) of the ``cls`` logical coset and
+    its signed element; ``costs`` as in the coset scan."""
+    keys, combos = _coset_order(code, cls, costs)
+    return int(keys[0]), code.logical_rep(cls) * stabilizer_group(code).product(int(combos[0]))
 
 
 def min_weight_logical(code: StabilizerCode, cls: str) -> Pauli:
@@ -207,8 +214,7 @@ def min_weight_logical(code: StabilizerCode, cls: str) -> Pauli:
     Ties break on lexicographically smallest (x bits, z bits), which also
     prefers pure-Z representatives among equal-weight candidates.
     """
-    combo = int(_coset_order(code, cls)[1][0])
-    return code.logical_rep(cls) * stabilizer_group(code).product(combo)
+    return coset_minimum(code, cls)[1]
 
 
 def min_weight_candidates(code: StabilizerCode, cls: str) -> tuple[Pauli, ...]:
@@ -239,17 +245,20 @@ def staircase_support(code: StabilizerCode) -> tuple[int, ...]:
 class LookupDecoder:
     """Full syndrome table of minimum-weight corrections.
 
-    Tie-break among same-syndrome, same-weight corrections is the smallest
-    (x bits, z bits) pair, so tables are reproducible.
+    ``table[s]`` is the key ``weight << 2n | x << n | z`` of syndrome s's
+    correction.  Tie-break among same-syndrome, same-weight corrections is
+    the smallest (x bits, z bits) pair, so tables are reproducible.
     """
 
     code: StabilizerCode
-    table: dict[int, Pauli]
+    table: np.ndarray
 
     def decode(self, s: int) -> Pauli:
         if s >> (self.code.n - 1):
             raise DimensionError(f"syndrome 0x{s:x} too wide for {self.code.name}")
-        return self.table[s]
+        n, key = self.code.n, int(self.table[s])
+        mask = (1 << n) - 1
+        return Pauli(n, key >> n & mask, key & mask, 0)
 
     @cached_property
     def residual_classes(self) -> np.ndarray:
@@ -258,10 +267,9 @@ class LookupDecoder:
         and anti_x say whether it anticommutes with logical Z and logical
         X.  Class bit 0 = anticommutes with logical Z, bit 1 = with logical
         X (I = 0, X = 1, Z = 2, Y = 3).  Computed once per decoder."""
-        size = 1 << (self.code.n - 1)
-        cx = np.fromiter((self.table[s].x for s in range(size)), np.uint64, size)
-        cz = np.fromiter((self.table[s].z for s in range(size)), np.uint64, size)
-        correction = np.zeros(size, np.uint8)
+        n, mask = self.code.n, (1 << self.code.n) - 1
+        cx, cz = self.table >> n & mask, self.table & mask
+        correction = np.zeros(len(self.table), np.uint8)
         for bit, rep in enumerate((self.code.logical_z, self.code.logical_x)):
             correction |= (np.bitwise_count((cx & rep.z) ^ (cz & rep.x)) & 1) << bit
         # commutation parities add: class(correction * error) = XOR of the two
@@ -289,9 +297,8 @@ def build_decoder(code: StabilizerCode) -> LookupDecoder:
             p = Pauli.single(n, q, letter)
             step = np.minimum(step, best[index ^ syndrome(code, p)] + (1 << 2 * n | p.x << n | p.z))
         best = step
-    mask = (1 << n) - 1
-    return LookupDecoder(code, {s: Pauli(n, k >> n & mask, k & mask, 0)
-                                for s, k in enumerate(best.tolist())})
+    best.flags.writeable = False
+    return LookupDecoder(code, best)
 
 
 def normalizer_class(code: StabilizerCode, p: Pauli) -> str:

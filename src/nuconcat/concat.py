@@ -12,45 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import (StabilizerCode, min_weight_logical, normalizer_class,
-                    staircase_support, syndrome)
+from .codes import (LOGICAL_CLASSES, UNIT_COST, StabilizerCode, coset_minimum,
+                    min_weight_logical, normalizer_class, staircase_support, syndrome)
 from .pauli import DimensionError, Pauli
 
 
 class LayoutError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Coupled / uncoupled split of the outer qubits.
-
-    ``b1`` holds the outer qubits touched by the staircase of the outer
-    code's diagonal-gate gadget; ``b2`` is the complement.
-    """
-
-    n_outer: int
-    b1: frozenset[int]
-
-    def __post_init__(self):
-        if not self.b1:
-            raise LayoutError("coupled set must be nonempty")
-        if not all(0 <= q < self.n_outer for q in self.b1):
-            raise LayoutError("coupled set outside outer register")
-
-    @property
-    def b2(self) -> frozenset[int]:
-        return frozenset(range(self.n_outer)) - self.b1
-
-
-def partition_from_gadget(outer: StabilizerCode, support=None) -> Partition:
-    """Partition induced by the gadget coupling set (union over gadgets).
-
-    Defaults to the canonical staircase support of the outer code.
-    """
-    if support is None:
-        support = staircase_support(outer)
-    return Partition(outer.n, frozenset(support))
 
 
 @dataclass(frozen=True)
@@ -95,15 +63,12 @@ def bare_layout(outer: StabilizerCode) -> Layout:
 
 
 def non_uniform_layout(outer: StabilizerCode, inner: StabilizerCode,
-                       partition: Partition | None = None,
                        b2_inner: StabilizerCode | None = None) -> Layout:
-    """Encode the coupled set with ``inner``; leave b2 bare or encode it
-    with ``b2_inner`` (the two-level-everywhere variant)."""
-    partition = partition or partition_from_gadget(outer)
-    if partition.n_outer != outer.n:
-        raise LayoutError("partition does not match outer code")
-    assignment = tuple(inner if q in partition.b1 else b2_inner for q in range(outer.n))
-    return Layout(outer, assignment)
+    """Encode the coupled set (the outer staircase support) with ``inner``;
+    leave the rest, b2, bare or encode it with ``b2_inner`` (the
+    two-level-everywhere variant)."""
+    coupled = staircase_support(outer)
+    return Layout(outer, tuple(inner if q in coupled else b2_inner for q in range(outer.n)))
 
 
 # -- descriptors -------------------------------------------------------------
@@ -206,13 +171,6 @@ class DistanceResult:
     outer_class: str
 
 
-@lru_cache(maxsize=None)
-def _inner_cost(inner: StabilizerCode | None) -> dict[str, int]:
-    if inner is None:
-        return {"I": 0, "X": 1, "Y": 1, "Z": 1}
-    return {"I": 0, **{cls: min_weight_logical(inner, cls).weight() for cls in "XYZ"}}
-
-
 def concatenated_distance(layout: Layout) -> DistanceResult:
     """Exact minimum weight over all flattened logical operators.
 
@@ -223,29 +181,16 @@ def concatenated_distance(layout: Layout) -> DistanceResult:
     flattened generators.
     """
     outer = layout.outer
-    if outer.n - 1 > 6:
-        raise LayoutError(f"outer coset enumeration refused at n={outer.n}")
-    costs = [_inner_cost(inner) for inner in layout.assignment]
-
-    best: tuple[int, ...] | None = None
-    best_elem: Pauli | None = None
-    best_cls = ""
-    for cls in ("X", "Y", "Z"):
-        rep = outer.logical_rep(cls)
-        for s in outer.stabilizer_elements():
-            elem = rep * s
-            w = 0
-            for q in range(outer.n):
-                w += costs[q][elem.letter(q)]
-            key = (w, elem.x, elem.z)
-            if best is None or key < best:
-                best = key
-                best_elem = elem
-                best_cls = cls
-
-    witness = _min_weight_lift(layout, best_elem)
-    _verify_witness(flatten(layout), witness, best[0])
-    return DistanceResult(best[0], witness, best_elem, best_cls)
+    costs = tuple(UNIT_COST if inner is None else
+                  (0, *(min_weight_logical(inner, cls).weight() for cls in "XZY"))
+                  for inner in layout.assignment)
+    minima = {cls: coset_minimum(outer, cls, costs) for cls in LOGICAL_CLASSES}
+    cls = min(minima, key=lambda c: minima[c][0])
+    key, element = minima[cls]
+    weight = key >> 2 * outer.n
+    witness = _min_weight_lift(layout, element)
+    _verify_witness(flatten(layout), witness, weight)
+    return DistanceResult(weight, witness, element, cls)
 
 
 def _min_weight_lift(layout: Layout, outer_op: Pauli) -> Pauli:

@@ -397,7 +397,7 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport
 
 
 def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
-                           max_faults: int = 2, budget: int = 20_000_000) -> FaultReport:
+                           budget: int = 20_000_000) -> FaultReport:
     """Deterministic lexicographic scan of fault pairs.
 
     For each i, screens every j > i at once with the XOR of the block
@@ -406,8 +406,6 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
     candidates in order of j by joint propagation of both faults through
     the same envelope; the first confirmed pair is the witness.
     """
-    if max_faults != 2:
-        raise ValueError("only pair search is supported")
     locations = enumerate_locations(circuit)
     est = len(locations) * (len(locations) - 1) // 2
     if est > budget:
@@ -477,7 +475,7 @@ def effective_distance_report(layout: Layout, gadget_set: list[GadgetCircuit],
                 1, f"single fault uncorrectable in {c.label}", singles, rep)
     for c in gadget_set:
         try:
-            rep = find_min_uncorrectable(layout, c, 2, budget)
+            rep = find_min_uncorrectable(layout, c, budget)
         except BudgetError:
             refused.append(c.label)
             continue

@@ -221,6 +221,8 @@ def verify_clifford_action(operands: list[StabilizerCode], circuit: GadgetCircui
         raise VerificationError("claimed gate is not Clifford")
     m = len(operands)
     total = sum(op.n for op in operands)
+    if total != circuit.register_size:
+        raise VerificationError("operands do not cover the register")
     offsets = [sum(op.n for op in operands[:b]) for b in range(m)]
     all_gens = [_embed_at(g, total, offsets[b])
                 for b, op in enumerate(operands) for g in op.generators]

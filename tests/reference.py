@@ -2,9 +2,41 @@
 slow, obviously correct form of something the package does on arrays."""
 
 from nuconcat.circuits import GadgetCircuit
-from nuconcat.codes import build_decoder, normalizer_class, syndrome
-from nuconcat.concat import Layout
+from nuconcat.codes import (LOGICAL_CLASSES, StabilizerCode, build_decoder, min_weight_logical,
+                            normalizer_class, syndrome)
+from nuconcat.concat import DistanceResult, Layout, _min_weight_lift
 from nuconcat.pauli import DimensionError, Pauli
+
+
+def stabilizer_elements(code: StabilizerCode):
+    """All 2^(n-1) group elements with exact signs (Gray-code walk)."""
+    current = Pauli.identity(code.n)
+    yield current
+    prev_code = 0
+    for i in range(1, 1 << len(code.generators)):
+        gray = i ^ (i >> 1)
+        current = current * code.generators[(gray ^ prev_code).bit_length() - 1]
+        prev_code = gray
+        yield current
+
+
+def concatenated_distance(layout: Layout) -> DistanceResult:
+    """Python scan of the outer logical cosets, each outer letter charged
+    1 on a bare qubit and its inner coset minimum on an encoded one; the
+    least (cost, x, z) wins."""
+    costs = [{"I": 0, "X": 1, "Y": 1, "Z": 1} if inner is None else
+             {"I": 0, **{c: min_weight_logical(inner, c).weight() for c in LOGICAL_CLASSES}}
+             for inner in layout.assignment]
+    best = None
+    for cls in LOGICAL_CLASSES:
+        rep = layout.outer.logical_rep(cls)
+        for s in stabilizer_elements(layout.outer):
+            elem = rep * s
+            key = (sum(costs[q][elem.letter(q)] for q in range(elem.n)), elem.x, elem.z)
+            if best is None or key < best[0]:
+                best = key, elem, cls
+    (weight, _, _), elem, cls = best
+    return DistanceResult(weight, _min_weight_lift(layout, elem), elem, cls)
 
 
 def hierarchical_decode(layout: Layout, error: Pauli) -> str:

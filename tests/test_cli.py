@@ -64,6 +64,7 @@ def test_codes_dump_round_trip(capsys, tmp_path):
 
 @pytest.mark.parametrize("layout,expected", [
     ("uniform:steane:rm15", 9), ("code49", 5), ("code75", 9), ("code73", 9),
+    ("uniform:rm15:steane", 9),
 ])
 def test_distance_command(capsys, layout, expected):
     code, out, _ = run(capsys, "distance", "--layout", layout, "--format", "machine")
@@ -165,8 +166,8 @@ def test_mutation_guard(capsys, monkeypatch):
     def corrupted(code):
         decoder = real_build(code)
         # push every nonzero correction into the wrong logical coset
-        table = {s: (corr if s == 0 else corr * code.logical_z)
-                 for s, corr in decoder.table.items()}
+        table = decoder.table ^ (code.logical_z.x << code.n | code.logical_z.z)
+        table[0] = decoder.table[0]
         return LookupDecoder(code, table)
 
     monkeypatch.setattr("nuconcat.faults.build_decoder", corrupted)
@@ -269,11 +270,14 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
      "line 'register seven': expected 'register N'"),
     ("circuit", CIRCUIT_TEXT.replace("CNOT 0 1", "CNOT 0 one", 1),
      "line 'CNOT 0 one': expected 'KIND QUBIT ... [theta=ANGLE]'"),
+    ("fault", "one:XIIIIII", "--fault 'one:XIIIIII': expected PLACE:PAULI"),
+    ("fault", "XIIIIII", "--fault 'XIIIIII': expected PLACE:PAULI"),
 ], ids=["no-style", "no-physical-gate", "no-size",
-        "no-register", "register-not-integer", "qubit-not-integer"])
+        "no-register", "register-not-integer", "qubit-not-integer",
+        "place-not-integer", "no-place"])
 def test_malformed_catalog_lines_are_usage_errors(tmp_path, kind, text, named):
-    """A malformed catalog or circuit line exits 2 with a message naming
-    the line and, for circuits, the expected form."""
+    """A malformed catalog line, circuit line or replay fault exits 2 with
+    a message naming it and, for circuits and faults, the expected form."""
     code, out, err = run_parsed(kind, text, tmp_path)
     assert code == 2
     assert err.startswith("usage error:") and named in err and out == ""

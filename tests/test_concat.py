@@ -1,32 +1,23 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nuconcat.codes import min_weight_logical, staircase_support
+from nuconcat.codes import CodeConstructionError, min_weight_logical, staircase_support
 from nuconcat.concat import (LayoutError, bare_layout, concatenated_distance, flatten,
-                             lift, parse_layout, partition_from_gadget)
+                             lift, non_uniform_layout, parse_layout, uniform_layout)
 from nuconcat.pauli import Pauli
+from reference import concatenated_distance as reference_distance
 from reference import hierarchical_decode
 
 
-def test_partition_sizes(cat):
-    p = partition_from_gadget(cat.code("steane"))
-    assert len(p.b1) == 3 and len(p.b2) == 4
-    p = partition_from_gadget(cat.code("five_prime"))
-    assert len(p.b1) == 3 and len(p.b2) == 2
-    full = partition_from_gadget(cat.code("steane"), range(7))
-    assert not full.b2
-
-
-def test_partition_matches_staircase(cat):
-    for name in ("steane", "five_prime"):
+def test_non_uniform_layout_encodes_staircase_support(cat):
+    rm15 = cat.code("rm15")
+    for name, coupled in (("steane", (0, 1, 2)), ("five_prime", (0, 2, 4))):
         code = cat.code(name)
-        p = partition_from_gadget(code)
-        assert p.b1 == set(staircase_support(code))
-        assert len(p.b1) == min_weight_logical(code, "Z").weight()
-
-
-def test_empty_support_rejected(cat):
-    with pytest.raises(LayoutError):
-        partition_from_gadget(cat.code("steane"), ())
+        assert staircase_support(code) == coupled
+        assert len(coupled) == min_weight_logical(code, "Z").weight()
+        layout = non_uniform_layout(code, rm15)
+        assert tuple(q for q, inner in enumerate(layout.assignment) if inner) == coupled
 
 
 @pytest.mark.parametrize("total", [105, 49, 75, 47, 73, 55])
@@ -138,3 +129,40 @@ def test_witness_is_verified_logical(layouts):
 def test_degenerate_bare_layout_distance(cat):
     result = concatenated_distance(bare_layout(cat.code("steane")))
     assert result.distance == 3
+
+
+def signed(p):
+    return (p.x, p.z, p.phase_exp)
+
+
+@st.composite
+def explicit_layouts(draw, cat):
+    outer = draw(st.sampled_from(["steane", "five_qubit", "five_prime"]))
+    names = draw(st.lists(st.sampled_from(["bare", "steane", "five_qubit", "five_prime", "rm15"]),
+                          min_size=cat.code(outer).n, max_size=cat.code(outer).n))
+    return f"outer={outer};assign=" + ",".join(names)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_concatenated_distance_matches_reference(cat, data):
+    layout = parse_layout(data.draw(explicit_layouts(cat)), cat.code)
+    got, want = concatenated_distance(layout), reference_distance(layout)
+    assert got.distance == want.distance
+    assert signed(got.outer_element) == signed(want.outer_element)
+    assert got.outer_class == want.outer_class
+    assert signed(got.witness) == signed(want.witness)
+
+
+def test_distance_of_a_15_qubit_outer_code(cat):
+    """rm15 as the outer code with Steane blocks: d = 3 * 3.  The outer scan
+    refuses outer codes past 20 qubits, like every coset scan."""
+    layout = parse_layout("uniform:rm15:steane", cat.code)
+    result = concatenated_distance(layout)
+    assert (result.distance, result.outer_class, str(result.outer_element)) == (
+        9, "Z", "+ZZZIIIIIIIIIIII")
+    want = reference_distance(layout)
+    assert signed(result.witness) == signed(want.witness) and result.distance == want.distance
+    five = cat.code("five_qubit")
+    with pytest.raises(CodeConstructionError, match="refused at n=25"):
+        concatenated_distance(bare_layout(flatten(uniform_layout(five, five))))

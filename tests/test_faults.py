@@ -324,7 +324,7 @@ def test_bare_transversal_pairs_fail_without_spreading(cat, lib):
 def test_budget_refusal(lib, layouts):
     adm = lib.gadget(layouts[49], library.logical_gate(gates.T))
     with pytest.raises(faults.BudgetError):
-        find_min_uncorrectable(layouts[49], adm.circuit, 2, budget=10)
+        find_min_uncorrectable(layouts[49], adm.circuit, budget=10)
 
 
 def test_propagate_rejects_places_outside_the_circuit():

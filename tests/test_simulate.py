@@ -212,6 +212,18 @@ def test_css_coset_detects_leakage(cat):
     assert not cert.passed and "permutation" in cert.details
 
 
+def test_every_oracle_refuses_operands_that_miss_the_register(cat):
+    """Steane's 7-qubit transversal H claimed on two Steane operands (14
+    qubits): each oracle refuses instead of judging the circuit."""
+    code = cat.code("steane")
+    circuit = expand_transversal(code, gates.H, cat.rules["steane"][gates.H])
+    h = gate(gates.H, 0)
+    for oracle, claimed in ((verify_logical_action, np.kron(np.eye(2), gates.gate_matrix(h))),
+                            (verify_clifford_action, h), (verify_diagonal_action, h)):
+        with pytest.raises(VerificationError, match="operands do not cover the register"):
+            oracle([code, code], circuit, claimed)
+
+
 def test_oracle_agreement_dense_vs_heisenberg(cat, lib):
     """Every Clifford gadget small enough for dense simulation gets the
     same verdict from both oracles."""
