@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import gates
 from ._bitlin import rref
-from .codes import StabilizerCode, min_weight_candidates
+from .codes import BARE, StabilizerCode, min_weight_candidates
 from .concat import Layout, bare_layout
 from .gates import Gate
 from .pauli import Pauli
@@ -199,7 +199,7 @@ class GadgetDispatcher:
     def __init__(self, rules: dict[str, dict[str, TransversalRule]]):
         self.rules = rules
 
-    def _on_blocks(self, inner: StabilizerCode | None, starts: tuple[int, ...], kind: str,
+    def _on_blocks(self, inner: StabilizerCode, starts: tuple[int, ...], kind: str,
                    theta: Fraction | None = None, block_local: bool = False,
                    context: str = "") -> list[Gate]:
         """Logical ``kind`` (angle ``theta``) with operand b on the block at
@@ -210,7 +210,7 @@ class GadgetDispatcher:
         one falls back to the block-local gadget when ``block_local``
         allows it.  ``context`` ends the refusal message.
         """
-        if inner is None:
+        if inner == BARE:
             return [Gate(kind, starts, theta)]
         if theta is None and _rule_for(self.rules.get(inner.name, {}), kind) is not None:
             local = self._outer_transversal(bare_layout(inner), kind)
@@ -309,28 +309,21 @@ class GadgetDispatcher:
             inner, tuple(b * total + start for b in range(k + 1)), collector.kind,
             collector.theta_over_pi, context=" (collector of the staircase)")
 
-        gate_list: list[Gate] = []
-        for b in range(k + 1):
-            gate_list.extend(shift(half, b * total))
-        gate_list.extend(collector_gates)
-        uncompute: list[Gate] = []
-        for b in range(k + 1):
-            uncompute.extend(shift(half, b * total))
-        gate_list.extend(_inverted_gates(uncompute))
+        compute = tuple(g for b in range(k + 1) for g in shift(half, b * total))
+        gate_list = compute + tuple(collector_gates) + _inverted_gates(compute)
 
         label = collector.kind
         if label in (gates.Z_THETA, gates.CKZ_THETA):
             label += f"({gates.format_theta(theta)})"
-        return GadgetCircuit((k + 1) * total, tuple(gate_list), label, blocks)
+        return GadgetCircuit((k + 1) * total, gate_list, label, blocks)
 
     def _layout_cnot(self, layout: Layout, ctrl: int, targ: int) -> list[Gate]:
         (cs, ci), (ts, ti) = layout.block(ctrl), layout.block(targ)
-        names = [inner.name if inner else "bare" for inner in (ci, ti)]
-        if names[0] != names[1]:
+        if ci.name != ti.name:
             raise SynthesisError(
                 f"staircase CNOT couples outer qubits {ctrl} and {targ} with "
-                f"mismatched encodings ({names[0]} vs {names[1]})")
-        if ci is not None and _rule_for(self.rules.get(ci.name, {}), gates.CNOT) is None:
+                f"mismatched encodings ({ci.name} vs {ti.name})")
+        if ci != BARE and _rule_for(self.rules.get(ci.name, {}), gates.CNOT) is None:
             raise SynthesisError(f"{ci.name} has no transversal CNOT")
         return self._on_blocks(ci, (cs, ts), gates.CNOT)
 

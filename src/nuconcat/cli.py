@@ -283,7 +283,10 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
         match = re.fullmatch(r"(-?[0-9]+):(.*)", entry)
         if match is None:
             raise UsageError(f"--fault {entry!r}: expected PLACE:PAULI with an integer PLACE")
-        pauli = Pauli.from_string(match[2])
+        try:
+            pauli = Pauli.from_string(match[2])
+        except ValueError as exc:
+            raise UsageError(f"--fault {entry!r}: expected PLACE:PAULI ({exc})") from None
         if pauli.n != circuit.register_size:
             raise UsageError(f"--fault {entry!r} acts on {pauli.n} qubits, "
                              f"the register has {circuit.register_size}")

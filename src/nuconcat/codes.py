@@ -163,6 +163,11 @@ def five_prime() -> StabilizerCode:
     return transform_code(five_qubit(), FIVE_PRIME_TRANSFORM, name="five_prime")
 
 
+# The trivial [[1,1,1]] code: a layout leaves an outer qubit bare by
+# assigning it this code.
+BARE = StabilizerCode("bare", 1, (), Pauli(1, 1, 0), Pauli(1, 0, 1), css=True)
+
+
 # -- syndromes and cosets ---------------------------------------------------
 
 def syndrome(code: StabilizerCode, error: Pauli) -> int:

@@ -1,19 +1,21 @@
 """Concatenation layouts, their flattening to one stabilizer code, and
 exact concatenated distance.
 
-A layout is an outer code plus a per-outer-qubit assignment: either an
-inner code (that outer qubit becomes an encoded block) or bare (it stays
-a single physical qubit).  A layout is non-uniform when the assignment is
-not constant.  Flattened, it is a stabilizer code in its own right.
+A layout is an outer code plus a per-outer-qubit assignment of an inner
+code: that outer qubit becomes an encoded block, or stays a single
+physical qubit when the code is the trivial one-qubit ``BARE``.  A layout
+is non-uniform when the assignment is not constant.  Flattened, it is a
+stabilizer code in its own right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
-from .codes import (LOGICAL_CLASSES, UNIT_COST, StabilizerCode, coset_minimum,
-                    min_weight_logical, normalizer_class, staircase_support, syndrome)
+from .codes import (BARE, LOGICAL_CLASSES, StabilizerCode, coset_minimum, min_weight_logical,
+                    normalizer_class, staircase_support, syndrome)
 from .pauli import DimensionError, Pauli
 
 
@@ -24,7 +26,7 @@ class LayoutError(ValueError):
 @dataclass(frozen=True)
 class Layout:
     outer: StabilizerCode
-    assignment: tuple[StabilizerCode | None, ...]
+    assignment: tuple[StabilizerCode, ...]
     descriptor: str = ""
 
     def __post_init__(self):
@@ -35,22 +37,17 @@ class Layout:
 
     @property
     def total_n(self) -> int:
-        return sum(1 if inner is None else inner.n for inner in self.assignment)
+        return sum(inner.n for inner in self.assignment)
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        out = []
-        at = 0
-        for inner in self.assignment:
-            out.append(at)
-            at += 1 if inner is None else inner.n
-        return tuple(out)
+        return tuple(accumulate((inner.n for inner in self.assignment[:-1]), initial=0))
 
     @property
     def is_uniform(self) -> bool:
-        return len(set(inner.name if inner else None for inner in self.assignment)) == 1
+        return len({inner.name for inner in self.assignment}) == 1
 
-    def block(self, outer_q: int) -> tuple[int, StabilizerCode | None]:
+    def block(self, outer_q: int) -> tuple[int, StabilizerCode]:
         return self.offsets[outer_q], self.assignment[outer_q]
 
 
@@ -59,11 +56,11 @@ def uniform_layout(outer: StabilizerCode, inner: StabilizerCode) -> Layout:
 
 
 def bare_layout(outer: StabilizerCode) -> Layout:
-    return Layout(outer, (None,) * outer.n)
+    return Layout(outer, (BARE,) * outer.n)
 
 
 def non_uniform_layout(outer: StabilizerCode, inner: StabilizerCode,
-                       b2_inner: StabilizerCode | None = None) -> Layout:
+                       b2_inner: StabilizerCode = BARE) -> Layout:
     """Encode the coupled set (the outer staircase support) with ``inner``;
     leave the rest, b2, bare or encode it with ``b2_inner`` (the
     two-level-everywhere variant)."""
@@ -74,8 +71,8 @@ def non_uniform_layout(outer: StabilizerCode, inner: StabilizerCode,
 # -- descriptors -------------------------------------------------------------
 
 def format_layout(layout: Layout) -> str:
-    names = ["bare" if inner is None else inner.name for inner in layout.assignment]
-    return f"outer={layout.outer.name};assign=" + ",".join(names)
+    return f"outer={layout.outer.name};assign=" + ",".join(
+        inner.name for inner in layout.assignment)
 
 
 def parse_layout(text: str, code_by_name) -> Layout:
@@ -96,7 +93,7 @@ def parse_layout(text: str, code_by_name) -> Layout:
         if not tail.startswith("assign="):
             raise LayoutError(f"bad layout descriptor {text!r}")
         names = tail.removeprefix("assign=").split(",")
-        assignment = tuple(None if nm == "bare" else code_by_name(nm) for nm in names)
+        assignment = tuple(BARE if nm == "bare" else code_by_name(nm) for nm in names)
         return Layout(outer, assignment)
     parts = text.split(":")
     form = parts[0]
@@ -117,8 +114,8 @@ def parse_layout(text: str, code_by_name) -> Layout:
 def lift(layout: Layout, outer_op: Pauli) -> Pauli:
     """Lift an outer-level Pauli to the physical register.
 
-    Letters on encoded qubits become the inner logical representatives
-    (with their exact signs); letters on bare qubits pass through.
+    Letters become the inner logical representatives, with their exact
+    signs; on a bare qubit that is the letter itself.
     """
     if outer_op.n != layout.outer.n:
         raise DimensionError("outer operator size mismatch")
@@ -129,15 +126,10 @@ def lift(layout: Layout, outer_op: Pauli) -> Pauli:
         if letter == "I":
             continue
         start, inner = layout.block(q)
-        if inner is None:
-            # strip the internal i carried by a Y letter; re-added by single()
-            factor = Pauli.single(total, start, letter)
-            factor = Pauli(total, factor.x, factor.z, factor.phase_exp - (letter == "Y"))
-        else:
-            rep = inner.logical_rep(letter)
-            factor = Pauli(rep.n, rep.x, rep.z, rep.phase_exp - (letter == "Y"))
-            factor = factor.embed(total, range(start, start + inner.n))
-        out = out * factor
+        rep = inner.logical_rep(letter)
+        # the i of a Y letter is already in outer_op.phase_exp
+        factor = Pauli(rep.n, rep.x, rep.z, rep.phase_exp - (letter == "Y"))
+        out = out * factor.embed(total, range(start, start + inner.n))
     return out
 
 
@@ -152,10 +144,9 @@ def flatten(layout: Layout) -> StabilizerCode:
     """
     total = layout.total_n
     gens = [g.embed(total, range(start, start + inner.n))
-            for start, inner in zip(layout.offsets, layout.assignment)
-            if inner is not None for g in inner.generators]
+            for start, inner in zip(layout.offsets, layout.assignment) for g in inner.generators]
     gens += [lift(layout, g) for g in layout.outer.generators]
-    css = layout.outer.css and all(inner is None or inner.css for inner in layout.assignment)
+    css = layout.outer.css and all(inner.css for inner in layout.assignment)
     return StabilizerCode(layout.descriptor, total, tuple(gens),
                           lift(layout, layout.outer.logical_x),
                           lift(layout, layout.outer.logical_z), css=css)
@@ -175,14 +166,12 @@ def concatenated_distance(layout: Layout) -> DistanceResult:
     """Exact minimum weight over all flattened logical operators.
 
     Scans every nontrivial outer logical coset element and charges each
-    outer letter its cheapest inner realisation: 0 for identity, 1 on a
-    bare qubit, and the inner coset minimum for an encoded qubit.  The
-    witness is rebuilt from the argmin and re-verified against the
-    flattened generators.
+    outer letter its cheapest inner realisation: 0 for identity, else the
+    inner coset minimum (1 on a bare qubit).  The witness is rebuilt from
+    the argmin and re-verified against the flattened generators.
     """
     outer = layout.outer
-    costs = tuple(UNIT_COST if inner is None else
-                  (0, *(min_weight_logical(inner, cls).weight() for cls in "XZY"))
+    costs = tuple((0, *(min_weight_logical(inner, cls).weight() for cls in "XZY"))
                   for inner in layout.assignment)
     minima = {cls: coset_minimum(outer, cls, costs) for cls in LOGICAL_CLASSES}
     cls = min(minima, key=lambda c: minima[c][0])
@@ -202,12 +191,7 @@ def _min_weight_lift(layout: Layout, outer_op: Pauli) -> Pauli:
         if letter == "I":
             continue
         start, inner = layout.block(q)
-        if inner is None:
-            factor = Pauli.single(total, start, letter)
-        else:
-            factor = min_weight_logical(inner, letter).embed(
-                total, range(start, start + inner.n))
-        out = out * factor
+        out = out * min_weight_logical(inner, letter).embed(total, range(start, start + inner.n))
     return out
 
 

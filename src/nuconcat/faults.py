@@ -242,13 +242,10 @@ def propagate(circuit: GadgetCircuit,
 _RESIDUAL = "IXZY"   # class bits: 1 = anticommutes with logical Z, 2 = with logical X
 
 
-def _check_masks(code: StabilizerCode | None) -> list[int]:
+def _check_masks(code: StabilizerCode) -> list[int]:
     """Symplectic masks z | x << n of the generators, then logical Z, then
     logical X: an error e = ex | ez << n anticommutes with check j iff
-    e & mask_j has odd weight.  A bare qubit is a one-qubit code with no
-    generators."""
-    if code is None:
-        return [0b01, 0b10]
+    e & mask_j has odd weight."""
     return [p.z | p.x << code.n for p in (*code.generators, code.logical_z, code.logical_x)]
 
 
@@ -262,10 +259,8 @@ def _block_words(errors: np.ndarray, masks: list[int]) -> np.ndarray:
     return word
 
 
-def _letters(code: StabilizerCode | None) -> np.ndarray:
+def _letters(code: StabilizerCode) -> np.ndarray:
     """Residual class after lookup decoding, indexed by block word."""
-    if code is None:
-        return np.arange(4, dtype=np.uint8)
     return build_decoder(code).residual_classes
 
 
@@ -304,7 +299,7 @@ class DecodeContext:
                 if code not in tables:
                     tables[code] = _check_masks(code), _letters(code)
                 masks, letters = tables[code]
-                self.columns.append((off + start, 1 if code is None else code.n, masks))
+                self.columns.append((off + start, code.n, masks))
                 self.letters.append(letters)
         self.n_operands = len(blocks)
         # outer letter on outer qubit q -> its bits of the outer error x | z << n
@@ -363,7 +358,6 @@ class FaultReport:
     failures: list[Failure] = field(default_factory=list)
     min_uncorrectable_size: int | str = "none <= 1"
     witness: tuple[FaultLocation, ...] | None = None
-    witness_branch: tuple[int, int] | None = None
     witness_residual: str = ""
 
     @property
@@ -391,7 +385,6 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport
         report.min_uncorrectable_size = 1
         first = report.failures[0]
         report.witness = (locations[first.locations[0]],)
-        report.witness_branch = first.branch
         report.witness_residual = first.residual
     return report
 
@@ -430,7 +423,6 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
                 report.failures.append(Failure((i, int(j)), confirmed[0], confirmed[1]))
                 report.min_uncorrectable_size = 2
                 report.witness = (locations[i], locations[j])
-                report.witness_branch = confirmed[0]
                 report.witness_residual = confirmed[1]
                 return report
     report.min_uncorrectable_size = "none <= 2"

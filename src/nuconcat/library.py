@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from . import gates, simulate
 from .catalog import Catalog
-from .circuits import (GadgetCircuit, GadgetDispatcher, SynthesisError,
-                       expand_transversal, staircase_gadget)
+from .circuits import GadgetCircuit, GadgetDispatcher, expand_transversal, staircase_gadget
 from .codes import StabilizerCode
 from .concat import Layout, flatten
 from .gates import Gate
@@ -58,14 +57,8 @@ def verify_gadget(operands: list[StabilizerCode], circuit: GadgetCircuit,
     return _oracle_checks(operands, circuit, claimed)[-1]()
 
 
-def logical_gate(kind: str, arity: int | None = None,
-                 theta: Fraction | None = None) -> Gate:
+def logical_gate(kind: str) -> Gate:
     """The claimed logical gate, on logical operand indices."""
-    if kind in (gates.Z_THETA, gates.CKZ_THETA):
-        if theta is None:
-            raise SynthesisError(f"{kind} needs an angle")
-        n = arity if arity is not None else (1 if kind == gates.Z_THETA else 2)
-        return gates.diagonal_gate(tuple(range(n)), theta)
     return Gate(kind, tuple(range(gates.ARITY[kind])))
 
 
@@ -128,9 +121,7 @@ class GadgetLibrary:
         return certs
 
     def _require_codes(self, layout: Layout) -> None:
-        names = {layout.outer.name} | {
-            inner.name for inner in layout.assignment if inner is not None}
-        for name in sorted(names):
+        for name in sorted({layout.outer.name, *(inner.name for inner in layout.assignment)}):
             self.verify_code_rules(name)
 
     # -- gadgets --------------------------------------------------------------

@@ -22,10 +22,8 @@ def stabilizer_elements(code: StabilizerCode):
 
 def concatenated_distance(layout: Layout) -> DistanceResult:
     """Python scan of the outer logical cosets, each outer letter charged
-    1 on a bare qubit and its inner coset minimum on an encoded one; the
-    least (cost, x, z) wins."""
-    costs = [{"I": 0, "X": 1, "Y": 1, "Z": 1} if inner is None else
-             {"I": 0, **{c: min_weight_logical(inner, c).weight() for c in LOGICAL_CLASSES}}
+    its inner coset minimum; the least (cost, x, z) wins."""
+    costs = [{"I": 0, **{c: min_weight_logical(inner, c).weight() for c in LOGICAL_CLASSES}}
              for inner in layout.assignment]
     best = None
     for cls in LOGICAL_CLASSES:
@@ -46,13 +44,9 @@ def hierarchical_decode(layout: Layout, error: Pauli) -> str:
     letters: dict[int, str] = {}
     for q in range(layout.outer.n):
         start, inner = layout.block(q)
-        if inner is None:
-            letter = error.letter(start)
-        else:
-            block_err = error.restrict(range(start, start + inner.n))
-            decoder = build_decoder(inner)
-            correction = decoder.decode(syndrome(inner, block_err))
-            letter = normalizer_class(inner, correction * block_err)
+        block_err = error.restrict(range(start, start + inner.n))
+        correction = build_decoder(inner).decode(syndrome(inner, block_err))
+        letter = normalizer_class(inner, correction * block_err)
         if letter != "I":
             letters[q] = letter
     outer_error = Pauli.from_letters(layout.outer.n, letters)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import re
 import tempfile
@@ -155,6 +156,20 @@ def test_machine_output_deterministic(capsys):
     assert strip_timing(out1) == strip_timing(out2)
 
 
+def test_machine_outputs_are_pinned(capsys):
+    """Exit code and machine output, timing removed, of ``distance`` on
+    every layout shortcut and two layouts with bare qubits, and of the
+    code49 pair check, hashed together."""
+    digest = hashlib.sha256()
+    for argv in [*(["distance", "--layout", layout] for layout in (
+            *cli.LAYOUT_SHORTCUTS, "bare:steane",
+            "outer=steane;assign=rm15,bare,bare,bare,bare,bare,bare")),
+            ["ftcheck", "--layout", "code49", "--pairs"]]:
+        code, out, _ = run(capsys, *argv, "--format", "machine")
+        digest.update(f"{code}\n{strip_timing(out)}".encode())
+    assert digest.hexdigest() == "1025382dd89b8d850d8fc253a019040e6578a1f5062b87d8332b2cedc63c5a5e"
+
+
 def test_mutation_guard(capsys, monkeypatch):
     """Corrupting the decoder changes the fault-campaign outcome."""
     clean_code, clean_out, _ = run(capsys, "ftcheck", "--layout", "code49",
@@ -272,9 +287,11 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
      "line 'CNOT 0 one': expected 'KIND QUBIT ... [theta=ANGLE]'"),
     ("fault", "one:XIIIIII", "--fault 'one:XIIIIII': expected PLACE:PAULI"),
     ("fault", "XIIIIII", "--fault 'XIIIIII': expected PLACE:PAULI"),
+    ("fault", "-1:XQIIIII", "--fault '-1:XQIIIII': expected PLACE:PAULI"),
+    ("fault", "3:XIIIIII:Z", "--fault '3:XIIIIII:Z': expected PLACE:PAULI"),
 ], ids=["no-style", "no-physical-gate", "no-size",
         "no-register", "register-not-integer", "qubit-not-integer",
-        "place-not-integer", "no-place"])
+        "place-not-integer", "no-place", "bad-letter", "extra-field"])
 def test_malformed_catalog_lines_are_usage_errors(tmp_path, kind, text, named):
     """A malformed catalog line, circuit line or replay fault exits 2 with
     a message naming it and, for circuits and faults, the expected form."""

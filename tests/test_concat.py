@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuconcat.codes import CodeConstructionError, min_weight_logical, staircase_support
+from nuconcat.codes import BARE, CodeConstructionError, min_weight_logical, staircase_support
 from nuconcat.concat import (LayoutError, bare_layout, concatenated_distance, flatten,
                              lift, non_uniform_layout, parse_layout, uniform_layout)
 from nuconcat.pauli import Pauli
@@ -17,7 +17,7 @@ def test_non_uniform_layout_encodes_staircase_support(cat):
         assert staircase_support(code) == coupled
         assert len(coupled) == min_weight_logical(code, "Z").weight()
         layout = non_uniform_layout(code, rm15)
-        assert tuple(q for q, inner in enumerate(layout.assignment) if inner) == coupled
+        assert tuple(q for q, inner in enumerate(layout.assignment) if inner is not BARE) == coupled
 
 
 @pytest.mark.parametrize("total", [105, 49, 75, 47, 73, 55])

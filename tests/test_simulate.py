@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nuconcat import gates, library, simulate
 from nuconcat.circuits import GadgetCircuit, expand_transversal, staircase_gadget
-from nuconcat.codes import StabilizerCode
+from nuconcat.codes import BARE, StabilizerCode
 from nuconcat.concat import flatten
 from nuconcat.gates import Gate, gate
 from nuconcat.pauli import Pauli
@@ -17,11 +17,9 @@ from nuconcat.simulate import (VerificationError, apply_circuit, apply_pauli,
                                verify_logical_action)
 from reference import invert
 
-BARE_QUBIT = StabilizerCode("bare", 1, (), Pauli.from_string("X"), Pauli.from_string("Z"))
-
 
 def test_state_cap(cat):
-    operands = [cat.code("steane")] * 3 + [BARE_QUBIT] * 2
+    operands = [cat.code("steane")] * 3 + [BARE] * 2
     blocks = tuple((7 * b, 7) for b in range(3)) + ((21, 1), (22, 1))
     with pytest.raises(VerificationError, match="dense cap"):
         verify_logical_action(operands, GadgetCircuit(23, (), "id", blocks), np.eye(32))
@@ -164,7 +162,7 @@ def test_dense_keeps_distinct_operands_in_order(cat):
     assert not lx.z
     circuit = GadgetCircuit(8, tuple(gate(gates.CNOT, 7, q) for q in lx.support),
                             "CNOT(1->0)", ((0, 7), (7, 1)))
-    operands = [code, BARE_QUBIT]
+    operands = [code, BARE]
     assert verify_logical_action(operands, circuit, np.eye(4)[[0, 1, 3, 2]]).passed
     assert not verify_logical_action(operands, circuit, np.eye(4)[[0, 3, 2, 1]]).passed
 
