@@ -1,6 +1,22 @@
-"""GF(2) linear algebra on int bit-masks (rows as plain Python ints)."""
+"""GF(2) linear algebra on int bit-masks (rows as plain Python ints).
+
+``rref`` is the one eliminator: it builds a fully reduced basis, and
+``reduce`` clears every pivot bit of a row against such a basis.  ``rank``,
+``nullspace`` and ``solve_affine`` read the basis.  To learn which input
+rows combine to a vector, tag each row with one low bit per row before
+reducing (as ``codes.StabilizerGroup`` does).
+"""
 
 from __future__ import annotations
+
+
+def reduce(reduced: list[int], row: int) -> int:
+    """``row`` with every pivot bit of the fully reduced basis ``reduced``
+    cleared: 0 exactly when ``row`` lies in its span."""
+    for r in reduced:
+        if (row >> (r.bit_length() - 1)) & 1:
+            row ^= r
+    return row
 
 
 def rref(rows: list[int]) -> list[int]:
@@ -11,9 +27,7 @@ def rref(rows: list[int]) -> list[int]:
     """
     reduced: list[int] = []
     for row in rows:
-        for r in reduced:
-            if (row >> (r.bit_length() - 1)) & 1:
-                row ^= r
+        row = reduce(reduced, row)
         if row:
             top = 1 << (row.bit_length() - 1)
             reduced = [r ^ row if r & top else r for r in reduced]
@@ -23,48 +37,6 @@ def rref(rows: list[int]) -> list[int]:
 
 def rank(rows: list[int]) -> int:
     return len(rref(rows))
-
-
-class Solver:
-    """Incremental row-reduced span with solve-for-combination support."""
-
-    def __init__(self, rows: list[int]):
-        self.rows = list(rows)
-        # pivot bit -> (reduced row, combination mask over original rows)
-        self.pivots: dict[int, tuple[int, int]] = {}
-        for i, row in enumerate(self.rows):
-            self._insert(row, 1 << i)
-
-    def _insert(self, row: int, combo: int) -> None:
-        row, combo = self._reduce(row, combo)
-        if row:
-            self.pivots[row.bit_length() - 1] = (row, combo)
-
-    def add(self, row: int) -> None:
-        """Extend the span by one more row (no solve bookkeeping)."""
-        self._insert(row, 0)
-
-    def _reduce(self, row: int, combo: int = 0) -> tuple[int, int]:
-        while row:
-            pivot = row.bit_length() - 1
-            if pivot not in self.pivots:
-                break
-            prow, pcombo = self.pivots[pivot]
-            row ^= prow
-            combo ^= pcombo
-        return row, combo
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def contains(self, vec: int) -> bool:
-        return self._reduce(vec)[0] == 0
-
-    def solve(self, vec: int) -> int | None:
-        """Mask over original rows whose XOR equals ``vec``, or None."""
-        row, combo = self._reduce(vec)
-        return None if row else combo
 
 
 def nullspace(rows: list[int], n_bits: int) -> list[int]:

@@ -9,6 +9,7 @@ unverified gadgets.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 from . import codes as codelib
@@ -110,6 +111,12 @@ def dump_catalog(cat: Catalog) -> str:
     return "\n".join(lines)
 
 
+def _integer(token: str, line: str, expected: str) -> int:
+    if not re.fullmatch(r"[0-9]+", token):
+        raise ValueError(f"bad catalog line {line!r}: expected {expected}")
+    return int(token)
+
+
 def parse_catalog(text: str) -> Catalog:
     cat = Catalog()
     lines = iter(text.splitlines())
@@ -128,7 +135,7 @@ def parse_catalog(text: str) -> Catalog:
         elif current is None:
             raise ValueError(f"directive outside code block: {line!r}")
         elif key == "n":
-            current["n"] = int(rest)
+            current["n"] = _integer(rest.strip(), line, "'n N'")
         elif key == "css":
             current["css"] = rest.strip() == "true"
         elif key == "derivation":
@@ -149,7 +156,7 @@ def parse_catalog(text: str) -> Catalog:
                     if tok == "fixup":
                         continue
                     fk, _, fq = tok.partition("@")
-                    fixups.append((fk, int(fq)))
+                    fixups.append((fk, _integer(fq, line, "'fixup KIND@QUBIT'")))
                 rule = TransversalRule("bitwise", parts[2], tuple(fixups))
             else:
                 raise ValueError(f"bad transversal declaration {line!r}; expected "

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import gates
-from ._bitlin import rref
+from ._bitlin import reduce, rref
 from .codes import BARE, StabilizerCode, min_weight_candidates
 from .concat import Layout, bare_layout
 from .gates import Gate
@@ -36,8 +36,9 @@ class SynthesisError(ValueError):
 class GadgetCircuit:
     """Located gate sequence realising one logical gate.
 
-    ``blocks`` lists (offset, length) per logical operand; fault locations
-    are the gate indices 0..len(gates)-1 plus per-qubit input faults.
+    ``blocks`` lists (offset, length) per logical operand, tiling the
+    register in order; fault locations are the gate indices
+    0..len(gates)-1 plus per-qubit input faults.
     """
 
     register_size: int
@@ -50,6 +51,12 @@ class GadgetCircuit:
             for q in g.qubits:
                 if not 0 <= q < self.register_size:
                     raise ValueError(f"gate {g} outside register of {self.register_size}")
+        end = 0
+        for off, length in self.blocks:
+            end = off + length if off == end and length > 0 else None
+        if end != self.register_size:
+            raise ValueError(f"blocks {_blocks_text(self.blocks)} do not tile the "
+                             f"register of {self.register_size} in order")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -144,10 +151,7 @@ def encoding_circuit(code: StabilizerCode) -> tuple[tuple[Gate, ...], int]:
     reduced = rref(rows)
     if len(reduced) != len(rows):
         raise AssertionError(f"{code.name}: dependent X generators")
-    lx = code.logical_x.x
-    for r in reduced:
-        if (lx >> (r.bit_length() - 1)) & 1:
-            lx ^= r
+    lx = reduce(reduced, code.logical_x.x)
     q_in = (lx & -lx).bit_length() - 1
     gate_list: list[Gate] = []
     for q in range(code.n):
@@ -330,10 +334,14 @@ class GadgetDispatcher:
 
 # -- circuit text ------------------------------------------------------------------
 
+def _blocks_text(blocks: tuple[tuple[int, int], ...]) -> str:
+    return " ".join(f"{off}:{ln}" for off, ln in blocks)
+
+
 def circuit_to_text(c: GadgetCircuit) -> str:
     lines = [f"circuit {c.label}",
              f"register {c.register_size}",
-             "blocks " + " ".join(f"{off}:{ln}" for off, ln in c.blocks)]
+             "blocks " + _blocks_text(c.blocks)]
     lines.extend(str(g) for g in c.gates)
     return "\n".join(lines) + "\n"
 

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gates
-from ._bitlin import Solver, rank
+from ._bitlin import rank, reduce, rref
 from .pauli import DimensionError, Pauli
 
 LOGICAL_CLASSES = ("X", "Y", "Z")
@@ -318,13 +318,16 @@ class StabilizerGroup:
     """Group generated by independent commuting signed Paulis on ``n`` qubits.
 
     Membership is exact including the sign: ``p in group`` holds only when
-    ``p`` equals a product of generators.
+    ``p`` equals a product of generators.  The symplectic rows are reduced
+    with one low tag bit per generator, so reducing ``p`` to no symplectic
+    bits leaves the combination of generators in the tag bits.
     """
 
     def __init__(self, generators, n: int):
         self.generators = tuple(generators)
         self.n = n
-        self._solver = Solver([g.x << n | g.z for g in self.generators])
+        k = len(self.generators)
+        self._reduced = rref([(g.x << n | g.z) << k | 1 << i for i, g in enumerate(self.generators)])
 
     def product(self, combo: int) -> Pauli:
         """Product of the generators whose bits are set in ``combo``, in index order."""
@@ -335,8 +338,9 @@ class StabilizerGroup:
         return out
 
     def __contains__(self, p: Pauli) -> bool:
-        combo = self._solver.solve(p.x << self.n | p.z)
-        return combo is not None and self.product(combo) == p
+        k = len(self.generators)
+        combo = reduce(self._reduced, (p.x << self.n | p.z) << k)
+        return combo >> k == 0 and self.product(combo) == p
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gates
-from ._bitlin import Solver, nullspace, solve_affine
+from ._bitlin import rref, solve_affine
 from .circuits import GadgetCircuit
 from .codes import StabilizerCode, StabilizerGroup, stabilizer_group
 from .gates import Gate
@@ -51,6 +51,17 @@ class Certificate:
     fidelity: float | None = None
     phase: complex | None = None
     details: str = ""
+
+
+def _operand_offsets(operands: list[StabilizerCode], circuit: GadgetCircuit,
+                     claim_fits: bool) -> list[int]:
+    """First qubit of each operand, once the operands are known to cover the
+    register and the claim (``claim_fits``) to act on exactly all of them."""
+    if sum(op.n for op in operands) != circuit.register_size:
+        raise VerificationError("operands do not cover the register")
+    if not claim_fits:
+        raise VerificationError(f"claim does not act on exactly the {len(operands)} operands")
+    return [sum(op.n for op in operands[:b]) for b in range(len(operands))]
 
 
 # -- dense simulation ------------------------------------------------------------
@@ -152,11 +163,9 @@ def verify_logical_action(operands: list[StabilizerCode], circuit: GadgetCircuit
     against U_L in 2^m dimensions.
     """
     m = len(operands)
-    total = sum(op.n for op in operands)
-    if total != circuit.register_size:
-        raise VerificationError("operands do not cover the register")
-    if total > MAX_DENSE_QUBITS:
-        raise VerificationError(f"{total} qubits exceeds the dense cap")
+    _operand_offsets(operands, circuit, np.shape(claimed) == (1 << m, 1 << m))
+    if circuit.register_size > MAX_DENSE_QUBITS:
+        raise VerificationError(f"{circuit.register_size} qubits exceeds the dense cap")
     pairs = [codewords(op) for op in operands]
     # row j: operand b in label (j >> b) & 1, operand 0 on the lowest qubits
     states = np.ones((1, 1), dtype=complex)
@@ -220,10 +229,8 @@ def verify_clifford_action(operands: list[StabilizerCode], circuit: GadgetCircui
     if not claimed.is_clifford:
         raise VerificationError("claimed gate is not Clifford")
     m = len(operands)
-    total = sum(op.n for op in operands)
-    if total != circuit.register_size:
-        raise VerificationError("operands do not cover the register")
-    offsets = [sum(op.n for op in operands[:b]) for b in range(m)]
+    offsets = _operand_offsets(operands, circuit, sorted(claimed.qubits) == list(range(m)))
+    total = circuit.register_size
     all_gens = [_embed_at(g, total, offsets[b])
                 for b, op in enumerate(operands) for g in op.generators]
     group = StabilizerGroup(all_gens, total)
@@ -284,9 +291,15 @@ def _support_space(code: StabilizerCode) -> tuple[list[int], list[int], Pauli]:
     """
     group = stabilizer_group(code)
     gens = group.generators
-    # kernel of the x-parts: combinations multiplying to pure-Z elements
+    # combinations whose x-parts give logical Z's x-part, and the kernel:
+    # combinations multiplying to pure-Z elements
     x_columns = [sum(((g.x >> q) & 1) << i for i, g in enumerate(gens)) for q in range(code.n)]
-    kernel = nullspace(x_columns, len(gens))
+    lz = code.logical_z
+    solution = solve_affine(x_columns, [(lz.x >> q) & 1 for q in range(code.n)], len(gens))
+    if solution is None:
+        raise VerificationError("logical Z has no pure-Z coset form; "
+                                "coset-phase method inapplicable")
+    lz_combo, kernel = solution
     rows: list[int] = []
     targets: list[int] = []
     for combo in kernel:
@@ -296,13 +309,7 @@ def _support_space(code: StabilizerCode) -> tuple[list[int], list[int], Pauli]:
         rows.append(product.z)
         targets.append(1 if product.display_phase_exp == 2 else 0)
     # pure-Z element of the logical-Z coset
-    lz = code.logical_z
-    x_solver = Solver([g.x for g in gens])
-    combo = x_solver.solve(lz.x)
-    if combo is None:
-        raise VerificationError("logical Z has no pure-Z coset form; "
-                                "coset-phase method inapplicable")
-    pure = lz * group.product(combo)
+    pure = lz * group.product(lz_combo)
     if pure.x or pure.display_phase_exp not in (0, 2):
         raise AssertionError("logical-Z purification failed")
     return rows, targets, pure
@@ -350,17 +357,14 @@ def verify_diagonal_action(operands: list[StabilizerCode], circuit: GadgetCircui
     it plus the claimed logical phase.
     """
     m = len(operands)
-    total = sum(op.n for op in operands)
-    if total != circuit.register_size:
-        raise VerificationError("operands do not cover the register")
+    offsets = _operand_offsets(operands, circuit, sorted(claimed.qubits) == list(range(m)))
     if not claimed.is_diagonal:
         raise VerificationError("coset-phase method needs a diagonal claimed gate")
     trace = _trace_permutation(circuit)
-    if trace.offsets != 0 or any(trace.rows[q] != 1 << q for q in range(total)):
+    if trace.offsets != 0 or trace.rows != [1 << q for q in range(circuit.register_size)]:
         return Certificate("css-coset", False,
                            details="basis permutation does not uncompute to identity")
 
-    offsets = [sum(op.n for op in operands[:b]) for b in range(m)]
     touched = 0
     for theta, bits in trace.phase_terms:
         for row, _ in bits:
@@ -375,17 +379,9 @@ def verify_diagonal_action(operands: list[StabilizerCode], circuit: GadgetCircui
         if solution is None:
             raise VerificationError("inconsistent support constraints")
         seed, basis = solution
-        seed <<= offsets[b]
-        # quotient by qubits the circuit never reads
-        projected: list[int] = []
-        solver = Solver([])
-        for v in basis:
-            v <<= offsets[b]
-            pv = v & touched
-            if pv and not solver.contains(pv):
-                solver.add(pv)
-                projected.append(v)
-        return seed, projected
+        # quotient by qubits the circuit never reads: every phase-term row
+        # lies inside ``touched``, so only the projections are ever read
+        return seed << offsets[b], rref([(v << offsets[b]) & touched for v in basis])
 
     supports = {(b, label): solve_support(b, label) for b in range(m) for label in range(2)}
     den = math.lcm(claimed.theta().denominator,

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuconcat._bitlin import Solver, nullspace, rank, rref, solve_affine
+from nuconcat._bitlin import nullspace, rank, reduce, rref, solve_affine
 
 WIDTH = 10
 
@@ -70,16 +70,12 @@ def test_solve_affine_matches_brute_force(system, data):
 
 @settings(max_examples=200, deadline=None)
 @given(systems(), st.integers(0, (1 << WIDTH) - 1))
-def test_solver_solves_for_a_combination(system, vec):
+def test_reduce_clears_every_pivot_and_decides_membership(system, vec):
     rows, n_bits = system
     vec &= (1 << n_bits) - 1
-    solver = Solver(rows)
-    combo = solver.solve(vec)
-    assert solver.contains(vec) == (vec in span(rows)) == (combo is not None)
-    assert solver.rank == rank(rows)
-    if combo is not None:
-        picked = 0
-        for i, row in enumerate(rows):
-            if (combo >> i) & 1:
-                picked ^= row
-        assert picked == vec
+    reduced = rref(rows)
+    rest = reduce(reduced, vec)
+    assert (rest == 0) == (vec in span(rows))
+    assert not any((rest >> (r.bit_length() - 1)) & 1 for r in reduced)
+    assert rest ^ vec in span(rows)
+    assert all(reduce(reduced, row ^ vec) == rest for row in rows)

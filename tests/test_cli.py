@@ -158,16 +158,22 @@ def test_machine_output_deterministic(capsys):
 
 def test_machine_outputs_are_pinned(capsys):
     """Exit code and machine output, timing removed, of ``distance`` on
-    every layout shortcut and two layouts with bare qubits, and of the
-    code49 pair check, hashed together."""
+    every layout shortcut and two layouts with bare qubits, of the code49
+    pair check, and of the css-coset and heisenberg certificates behind
+    ``codes info`` on every code and three encoded gadgets, hashed
+    together."""
     digest = hashlib.sha256()
     for argv in [*(["distance", "--layout", layout] for layout in (
             *cli.LAYOUT_SHORTCUTS, "bare:steane",
             "outer=steane;assign=rm15,bare,bare,bare,bare,bare,bare")),
-            ["ftcheck", "--layout", "code49", "--pairs"]]:
+            ["ftcheck", "--layout", "code49", "--pairs"],
+            *(["codes", "info", name] for name in ("steane", "rm15", "five_qubit", "five_prime")),
+            ["gadget", "--layout", "code49", "--gate", "T"],
+            ["gadget", "--layout", "code49", "--gate", "CCZ"],
+            ["gadget", "--layout", "code47", "--gate", "K"]]:
         code, out, _ = run(capsys, *argv, "--format", "machine")
         digest.update(f"{code}\n{strip_timing(out)}".encode())
-    assert digest.hexdigest() == "1025382dd89b8d850d8fc253a019040e6578a1f5062b87d8332b2cedc63c5a5e"
+    assert digest.hexdigest() == "86ebf28d218a8ac7af1465c52f4c45948b4f69049c2ea7e8866e45b980b4ea7d"
 
 
 def test_mutation_guard(capsys, monkeypatch):
@@ -279,22 +285,30 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("catalog", SHORT_TRANSVERSAL[0], "'transversal H'"),
     ("catalog", SHORT_TRANSVERSAL[1], "'transversal H bitwise'"),
     ("catalog", CATALOG_TEXT.replace("n 7\n", "", 1), "'steane' lacks n"),
+    ("catalog", CATALOG_TEXT.replace("n 7\n", "n seven\n", 1), "line 'n seven': expected 'n N'"),
+    ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup Z@two", 1),
+     "line 'transversal K bitwise K fixup Z@two': expected 'fixup KIND@QUBIT'"),
     ("circuit", CIRCUIT_TEXT.replace("register 7\n", "", 1),
      "line 'blocks 0:7': expected 'register N'"),
     ("circuit", CIRCUIT_TEXT.replace("register 7", "register seven", 1),
      "line 'register seven': expected 'register N'"),
     ("circuit", CIRCUIT_TEXT.replace("CNOT 0 1", "CNOT 0 one", 1),
      "line 'CNOT 0 one': expected 'KIND QUBIT ... [theta=ANGLE]'"),
+    ("circuit", CIRCUIT_TEXT.replace("blocks 0:7", "blocks 3:7", 1),
+     "blocks 3:7 do not tile the register of 7"),
+    ("circuit", CIRCUIT_TEXT.replace("blocks 0:7", "blocks 0:7 0:7", 1),
+     "blocks 0:7 0:7 do not tile the register of 7"),
     ("fault", "one:XIIIIII", "--fault 'one:XIIIIII': expected PLACE:PAULI"),
     ("fault", "XIIIIII", "--fault 'XIIIIII': expected PLACE:PAULI"),
     ("fault", "-1:XQIIIII", "--fault '-1:XQIIIII': expected PLACE:PAULI"),
     ("fault", "3:XIIIIII:Z", "--fault '3:XIIIIII:Z': expected PLACE:PAULI"),
-], ids=["no-style", "no-physical-gate", "no-size",
+], ids=["no-style", "no-physical-gate", "no-size", "size-not-integer", "fixup-not-integer",
         "no-register", "register-not-integer", "qubit-not-integer",
+        "blocks-past-register", "blocks-overlap",
         "place-not-integer", "no-place", "bad-letter", "extra-field"])
 def test_malformed_catalog_lines_are_usage_errors(tmp_path, kind, text, named):
     """A malformed catalog line, circuit line or replay fault exits 2 with
-    a message naming it and, for circuits and faults, the expected form."""
+    a message naming it and, where one applies, the expected form."""
     code, out, err = run_parsed(kind, text, tmp_path)
     assert code == 2
     assert err.startswith("usage error:") and named in err and out == ""

@@ -279,6 +279,24 @@ def derived_codes(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(derived_codes(), st.data())
+def test_group_membership_matches_reference(code, data):
+    """``p in stabilizer_group(code)`` exactly when ``p`` is a signed group
+    element, for elements, their negations, other phases and random Paulis."""
+    elements = sorted(signed(s) for s in stabilizer_elements(code))
+    x, z, e = data.draw(st.sampled_from(elements))
+    n = code.n
+    word = st.integers(0, (1 << n) - 1)
+    candidates = [Pauli(n, x, z, e), Pauli(n, x, z, e).negate(),
+                  Pauli(n, x, z, data.draw(st.integers(0, 3))),
+                  Pauli(n, data.draw(word), data.draw(word), data.draw(st.integers(0, 3)))]
+    group = stabilizer_group(code)
+    for p in candidates:
+        assert (p in group) == (signed(p) in elements)
+    assert candidates[0] in group and candidates[1] not in group
+
+
+@settings(max_examples=60, deadline=None)
 @given(derived_codes())
 def test_decoder_table_matches_reference(code):
     decoder = build_decoder(code)

@@ -222,6 +222,18 @@ def test_every_oracle_refuses_operands_that_miss_the_register(cat):
             oracle([code, code], circuit, claimed)
 
 
+def test_every_oracle_refuses_a_claim_of_the_wrong_arity(cat):
+    """Steane's transversal Z on one operand claimed as a two-operand CZ:
+    each oracle refuses instead of judging the circuit."""
+    code = cat.code("steane")
+    circuit = expand_transversal(code, gates.Z, cat.rules["steane"][gates.Z])
+    cz = gate(gates.CZ, 0, 1)
+    for oracle, claimed in ((verify_logical_action, gates.gate_matrix(cz)),
+                            (verify_clifford_action, cz), (verify_diagonal_action, cz)):
+        with pytest.raises(VerificationError, match="claim does not act on exactly the 1 operands"):
+            oracle([code], circuit, claimed)
+
+
 def test_oracle_agreement_dense_vs_heisenberg(cat, lib):
     """Every Clifford gadget small enough for dense simulation gets the
     same verdict from both oracles."""
