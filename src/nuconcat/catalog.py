@@ -137,6 +137,8 @@ def parse_catalog(text: str) -> Catalog:
         elif key == "n":
             current["n"] = _integer(rest.strip(), line, "'n N'")
         elif key == "css":
+            if rest.strip() not in ("true", "false"):
+                raise ValueError(f"bad catalog line {line!r}: expected 'css true' or 'css false'")
             current["css"] = rest.strip() == "true"
         elif key == "derivation":
             current["derivation"] = rest.strip()

@@ -292,20 +292,19 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
                              f"the register has {circuit.register_size}")
         injections.append((int(match[1]), pauli))
     injections.sort(key=lambda pf: pf[0])
-    branches, deterministic = faults.propagate(
-        circuit, [(place, p.x, p.z) for place, p in injections])
-    ctx = faults.DecodeContext(layout, circuit.blocks)
+    frame = faults.propagate(circuit, [(0, place, p.x, p.z) for place, p in injections])
+    residual = faults.DecodeContext(layout, circuit.blocks).decode(frame.x, frame.z)
     outcomes = []
     failed = False
-    for bx, bz in sorted(branches):
-        residual = ctx.decode(bx, bz)
+    for bx, bz, res in sorted((*frame.branch(r), faults.RESIDUAL[c])
+                              for r, c in enumerate(residual)):
         outcomes.append({"branch": str(Pauli(circuit.register_size, bx, bz, 0)),
-                         "residual": residual})
-        failed = failed or residual != "I"
+                         "residual": res})
+        failed = failed or res != "I"
     rep.results["layout"] = layout.descriptor
     rep.results["gadget"] = circuit.label
     rep.results["faults"] = [f"{p}@{place}" for place, p in injections]
-    rep.results["deterministic"] = deterministic
+    rep.results["deterministic"] = bool(frame.deterministic[0])
     rep.results["branches"] = outcomes
     rep.results["uncorrectable"] = failed
     rep.failed = failed

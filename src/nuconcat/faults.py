@@ -15,20 +15,22 @@ circuit is walked once for the whole batch: a group's faults are XORed
 into its rows at their places, a Clifford gate is a table lookup on the
 gate's bits of every row, and a diagonal gate expands the rows with X on
 its qubits over Z^S, after merging the rows of one group that differ
-only in the gate's z bits.  A single-fault campaign is one batch of all
-locations; ``propagate`` is a batch of one group.
+only in the gate's z bits.  A single-fault campaign walks every location
+as its own group; a pair confirmation and ``replay`` walk their faults as
+one group.
 
-Decoding is table-driven on the same rows.  For every operand block and
+Decoding is table-driven on the same rows: ``DecodeContext.decode`` maps
+the rows of a walk to residual classes.  For every operand block and
 outer qubit, the inner syndrome and the anticommutation with the inner
-logical Z and X are popcounts against the generator words.  They are
-linear, so the values of a product of branches are the XOR of theirs.  A
-per-code class array from the lookup decoder turns them into the outer
-letter; the same popcounts and lookup on the outer letters give the
-residual.
+logical Z and X are popcounts against the generator words (``data``).
+They are linear, so the values of a product of branches are the XOR of
+theirs.  A per-code class array from the lookup decoder turns them into
+the outer letter; the same popcounts and lookup on the outer letters
+give the residual (``residuals``).
 
 Pair search screens with per-fault end-branch products (sound envelope)
-and confirms candidates by propagating both faults jointly through the
-same envelope before reporting.
+and confirms candidates by walking both faults as one group through the
+same envelope and decoding its rows before reporting.
 """
 
 from __future__ import annotations
@@ -127,6 +129,10 @@ class _Frame:
         self.started = np.zeros(n_groups, bool)
         self.deterministic = np.ones(n_groups, bool)
 
+    def branch(self, row: int) -> tuple[int, int]:
+        """The (x, z) masks of one row."""
+        return _unpack(self.x[row]), _unpack(self.z[row])
+
     def inject(self, faults: dict[int, tuple[int, int]]) -> None:
         """XOR each group's fault into its rows; a group's first fault is
         its first row."""
@@ -134,10 +140,13 @@ class _Frame:
         fx = _pack((x for x, _ in faults.values()), self.n_words)
         fz = _pack((z for _, z in faults.values()), self.n_words)
         old = self.started[owners]
-        for o, ex, ez in zip(owners[old], fx[old], fz[old]):
-            rows = self.owner == o
-            self.x[rows] ^= ex
-            self.z[rows] ^= ez
+        if old.any():
+            ex = np.zeros((len(self.started), self.n_words), np.uint64)
+            ez = np.zeros_like(ex)
+            ex[owners[old]] = fx[old]
+            ez[owners[old]] = fz[old]
+            self.x ^= ex[self.owner]
+            self.z ^= ez[self.owner]
         new = ~old
         self.x = np.concatenate([self.x, fx[new]])
         self.z = np.concatenate([self.z, fz[new]])
@@ -182,15 +191,18 @@ class _Frame:
             raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
 
 
-def _walk(circuit: GadgetCircuit, faults: Iterable[tuple[int, int, int, int]]) -> _Frame:
-    """Push faults ``(group, place, x, z)`` to the end of the gadget, every
-    group of faults jointly, in one pass over the gates.
+def propagate(circuit: GadgetCircuit, faults: Iterable[tuple[int, int, int, int]]) -> _Frame:
+    """Push faults ``(group, place, x, z)`` to the end of the gadget, the
+    faults of each group jointly, in one pass over the gates.
 
     Groups are numbered from 0.  A fault at place p enters just after
     gate p (-1 = register input); faults of one group at one place are
     multiplied.  Every place must lie in [-1, len(gates)) and every fault
-    on the register.  ``BRANCH_CAP`` bounds the branches of each group; only diagonal gates
-    add branches, so it is checked after each.
+    on the register.  Returns the frame: end-of-circuit rows ``x`` and
+    ``z``, the group of each row in ``owner``, and per group whether
+    propagation stayed ``deterministic``.  ``BRANCH_CAP`` bounds the
+    branches of each group; only diagonal gates add branches, so it is
+    checked after each.
     """
     n_gates = len(circuit.gates)
     injected: dict[int, dict[int, tuple[int, int]]] = {}   # place -> group -> fault
@@ -222,24 +234,9 @@ def _walk(circuit: GadgetCircuit, faults: Iterable[tuple[int, int, int, int]]) -
     return frame
 
 
-def propagate(circuit: GadgetCircuit,
-              faults: Iterable[tuple[int, int, int]]) -> tuple[set[tuple[int, int]], bool]:
-    """Push faults ``(place, x, z)`` jointly to the end of the gadget.
-
-    A fault at place p enters just after gate p (-1 = register input);
-    faults at the same place are multiplied.  Returns (set of
-    end-of-circuit (x, z) masks, whether propagation stayed
-    deterministic).  Every place must lie in [-1, len(gates)) and every
-    fault on the register.
-    """
-    frame = _walk(circuit, ((0, place, x, z) for place, x, z in faults))
-    branches = {(_unpack(x), _unpack(z)) for x, z in zip(frame.x, frame.z)}
-    return branches, bool(frame.deterministic[0])
-
-
 # -- table-driven hierarchical decoding ------------------------------------------------
 
-_RESIDUAL = "IXZY"   # class bits: 1 = anticommutes with logical Z, 2 = with logical X
+RESIDUAL = "IXZY"   # class bits: 1 = anticommutes with logical Z, 2 = with logical X
 
 
 def _check_masks(code: StabilizerCode) -> list[int]:
@@ -276,17 +273,16 @@ def _field(plane: np.ndarray, start: int, width: int) -> np.ndarray:
 class DecodeContext:
     """Inner-then-outer lookup decoding of every operand block of a
     register, on rows of packed (x, z) words.  ``blocks`` lists the
-    (offset, length) of each operand; by default one operand at 0.
+    (offset, length) of each operand.
 
     ``data`` maps rows to one block word per (operand, outer qubit)
     column; the words are linear in (x, z).  ``residuals`` maps block
     words to the residual class: I only when every operand decodes to I,
-    else the class of the first operand that does not.
+    else the class of the first operand that does not.  ``decode`` is the
+    two in turn.
     """
 
-    def __init__(self, layout: Layout, blocks: Sequence[tuple[int, int]] | None = None):
-        blocks = ((0, layout.total_n),) if blocks is None else blocks
-        self.n_words = (max(off + length for off, length in blocks) + 63) // 64
+    def __init__(self, layout: Layout, blocks: Sequence[tuple[int, int]]):
         n = layout.outer.n
         tables = {}
         self.columns = []   # (start, width, check masks) per block word
@@ -329,15 +325,9 @@ class DecodeContext:
             out = np.where(out != 0, out, residual)
         return out
 
-    def branch_residuals(self, branches: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Residual class per (x, z) int pair; 0 = I."""
-        n_words = max([self.n_words, *((max(b).bit_length() + 63) // 64 for b in branches)])
-        return self.residuals(self.data(_pack((x for x, _ in branches), n_words),
-                                        _pack((z for _, z in branches), n_words)))
-
-    def decode(self, x: int, z: int) -> str:
-        """Residual class of one physical (x, z) error."""
-        return _RESIDUAL[self.branch_residuals([(x, z)])[0]]
+    def decode(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Residual class per row of packed x and z words; 0 = I."""
+        return self.residuals(self.data(x, z))
 
 
 # -- reports --------------------------------------------------------------------
@@ -365,21 +355,16 @@ class FaultReport:
         return not self.failures
 
 
-def _propagate_each(circuit: GadgetCircuit, locations: list[FaultLocation]) -> _Frame:
-    """Every location's fault on its own, propagated as one batch."""
-    return _walk(circuit, ((loc.index, loc.place, loc.x, loc.z) for loc in locations))
-
-
 def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport:
     """Exhaustive single-fault campaign; every branch must decode to I.
     Failures are ordered by location, then by branch (x, z)."""
     ctx = DecodeContext(layout, circuit.blocks)
     locations = enumerate_locations(circuit)
-    frame = _propagate_each(circuit, locations)
+    frame = propagate(circuit, ((loc.index, loc.place, loc.x, loc.z) for loc in locations))
     report = FaultReport(layout.descriptor, circuit.label, len(locations), len(frame.owner))
-    residual = ctx.residuals(ctx.data(frame.x, frame.z))
-    failing = sorted((int(frame.owner[r]), _unpack(frame.x[r]), _unpack(frame.z[r]),
-                      _RESIDUAL[residual[r]]) for r in np.flatnonzero(residual))
+    residual = ctx.decode(frame.x, frame.z)
+    failing = sorted((int(frame.owner[r]), *frame.branch(r), RESIDUAL[residual[r]])
+                     for r in np.flatnonzero(residual))
     report.failures = [Failure((i,), (x, z), res) for i, x, z, res in failing]
     if report.failures:
         report.min_uncorrectable_size = 1
@@ -396,15 +381,15 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
     For each i, screens every j > i at once with the XOR of the block
     words of their end branches (a sound envelope: conjugation is
     multiplicative and the branch sets only widen), then confirms the
-    candidates in order of j by joint propagation of both faults through
-    the same envelope; the first confirmed pair is the witness.
+    candidates in order of j with ``_confirm_pair``; the first confirmed
+    pair is the witness.
     """
     locations = enumerate_locations(circuit)
     est = len(locations) * (len(locations) - 1) // 2
     if est > budget:
         raise BudgetError(f"pair search needs {est} pairs, budget is {budget}")
     ctx = DecodeContext(layout, circuit.blocks)
-    frame = _propagate_each(circuit, locations)
+    frame = propagate(circuit, ((loc.index, loc.place, loc.x, loc.z) for loc in locations))
     order = np.argsort(frame.owner, kind="stable")
     owner = frame.owner[order]
     data = ctx.data(frame.x[order], frame.z[order])
@@ -431,15 +416,16 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
 
 def _confirm_pair(ctx: DecodeContext, circuit: GadgetCircuit, a: FaultLocation,
                   b: FaultLocation) -> tuple[tuple[int, int], str] | None:
-    """Joint propagation of a candidate pair through the branch envelope;
-    first failing branch."""
-    branches, _ = propagate(circuit, ((a.place, a.x, a.z), (b.place, b.x, b.z)))
-    ordered = sorted(branches)
-    residual = ctx.branch_residuals(ordered)
-    failing = np.flatnonzero(residual)
-    if not len(failing):
+    """Walk a candidate pair as one group through the branch envelope and
+    decode its rows; the least failing (x, z) branch and its residual, or
+    None when every branch decodes to I."""
+    frame = propagate(circuit, ((0, a.place, a.x, a.z), (0, b.place, b.x, b.z)))
+    residual = ctx.decode(frame.x, frame.z)
+    failing = [(*frame.branch(r), r) for r in np.flatnonzero(residual)]
+    if not failing:
         return None
-    return ordered[failing[0]], _RESIDUAL[residual[failing[0]]]
+    x, z, r = min(failing)
+    return (x, z), RESIDUAL[residual[r]]
 
 
 @dataclass

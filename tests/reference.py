@@ -1,6 +1,7 @@
 """Pauli-level reference implementations that only tests use: each is the
 slow, obviously correct form of something the package does on arrays."""
 
+from nuconcat import faults, gates
 from nuconcat.circuits import GadgetCircuit
 from nuconcat.codes import (LOGICAL_CLASSES, StabilizerCode, build_decoder, min_weight_logical,
                             normalizer_class, syndrome)
@@ -59,3 +60,46 @@ def invert(c: GadgetCircuit) -> GadgetCircuit:
     """The inverse circuit: every gate daggered, in reverse order."""
     return GadgetCircuit(c.register_size, tuple(g.dagger() for g in reversed(c.gates)),
                          f"inv({c.label})", c.blocks)
+
+
+def _extract(mask, qubits):
+    return sum(((mask >> q) & 1) << i for i, q in enumerate(qubits))
+
+
+def _deposit(local, qubits):
+    return sum(((local >> i) & 1) << q for i, q in enumerate(qubits))
+
+
+def reference_propagate(circuit: GadgetCircuit, fault_list):
+    """Gate-by-gate propagation of one fault group ``(place, x, z)``, with
+    branches as a set of (x, z) ints: (set, deterministic), as
+    ``faults.propagate`` defines it for one group."""
+    injected = {}
+    for place, x, z in fault_list:
+        px, pz = injected.get(place, (0, 0))
+        injected[place] = (px ^ x, pz ^ z)
+    start = min(injected)
+    branches = {injected.pop(start)}
+    deterministic = True
+    for gi in range(start + 1, len(circuit.gates)):
+        g = circuit.gates[gi]
+        qs = g.qubits
+        qmask = _deposit((1 << len(qs)) - 1, qs)
+        moved = set()
+        for bx, bz in branches:
+            if g.is_clifford:
+                image = gates._local_table(g.kind)[(_extract(bx, qs), _extract(bz, qs))]
+                moved.add(((bx & ~qmask) | _deposit(image.x, qs),
+                           (bz & ~qmask) | _deposit(image.z, qs)))
+            elif bx & qmask:
+                deterministic = False
+                moved.update((bx, bz ^ _deposit(sub, qs)) for sub in range(1 << len(qs)))
+            else:
+                moved.add((bx, bz))
+        branches = moved
+        if gi in injected:
+            ex, ez = injected.pop(gi)
+            branches = {(bx ^ ex, bz ^ ez) for bx, bz in branches}
+        if len(branches) > faults.BRANCH_CAP:
+            raise faults.BudgetError(f"branch set exceeded {faults.BRANCH_CAP}")
+    return branches, deterministic

@@ -150,6 +150,22 @@ def test_replay_single_fault_correctable(capsys, tmp_path):
     assert "uncorrectable: false" in out
 
 
+def test_replay_outputs_are_pinned(capsys, tmp_path):
+    """Exit code and machine output, timing removed, of ``replay`` on the
+    code49 T gadget for the witness pair and for one correctable single
+    fault that branches, hashed together."""
+    path = tmp_path / "t49.circuit"
+    run(capsys, "gadget", "--layout", "code49", "--gate", "T", "--circuit-out", str(path))
+    x0 = "X" + "I" * 48
+    x1 = "IX" + "I" * 47
+    digest = hashlib.sha256()
+    for fault_args in ([f"--fault=-1:{x0}", f"--fault=-1:{x1}"], [f"--fault=-1:{x0}"]):
+        code, out, _ = run(capsys, "replay", "--layout", "code49", "--circuit", str(path),
+                           *fault_args, "--format", "machine")
+        digest.update(f"{code}\n{strip_timing(out)}".encode())
+    assert digest.hexdigest() == "5a2bd8382f7887fd1d93fd98de53864ca2ac25f62dfa91116ec813da3f1f6b62"
+
+
 def test_machine_output_deterministic(capsys):
     _, out1, _ = run(capsys, "distance", "--layout", "code49", "--format", "machine")
     _, out2, _ = run(capsys, "distance", "--layout", "code49", "--format", "machine")
@@ -312,6 +328,16 @@ def test_malformed_catalog_lines_are_usage_errors(tmp_path, kind, text, named):
     code, out, err = run_parsed(kind, text, tmp_path)
     assert code == 2
     assert err.startswith("usage error:") and named in err and out == ""
+
+
+def test_catalog_css_must_be_true_or_false(tmp_path, capsys):
+    """A ``css`` value other than true/false is refused, not read as false."""
+    path = tmp_path / "catalog.txt"
+    path.write_text(CATALOG_TEXT.replace("css true", "css yes", 1))
+    code, out, err = run(capsys, "codes", "info", "steane", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:")
+    assert "line 'css yes': expected 'css true' or 'css false'" in err
 
 
 @st.composite

@@ -15,54 +15,18 @@ from nuconcat.faults import (DecodeContext, check_single_fault_ft,
                              propagate)
 from nuconcat.gates import gate
 from nuconcat.pauli import Pauli
-from reference import hierarchical_decode
+from reference import _deposit, hierarchical_decode, reference_propagate
 
 
 def make_circuit(n, *gs):
     return GadgetCircuit(n, tuple(gs), "demo", ((0, n),))
 
 
-# -- reference propagation: one fault set at a time, branches as a set of ints ----
-
-def _extract(mask, qubits):
-    return sum(((mask >> q) & 1) << i for i, q in enumerate(qubits))
-
-
-def _deposit(local, qubits):
-    return sum(((local >> i) & 1) << q for i, q in enumerate(qubits))
-
-
-def reference_propagate(circuit, fault_list):
-    """Gate-by-gate propagation of one fault set, as ``propagate`` defines it."""
-    injected = {}
-    for place, x, z in fault_list:
-        px, pz = injected.get(place, (0, 0))
-        injected[place] = (px ^ x, pz ^ z)
-    start = min(injected)
-    branches = {injected.pop(start)}
-    deterministic = True
-    for gi in range(start + 1, len(circuit.gates)):
-        g = circuit.gates[gi]
-        qs = g.qubits
-        qmask = _deposit((1 << len(qs)) - 1, qs)
-        moved = set()
-        for bx, bz in branches:
-            if g.is_clifford:
-                image = gates._local_table(g.kind)[(_extract(bx, qs), _extract(bz, qs))]
-                moved.add(((bx & ~qmask) | _deposit(image.x, qs),
-                           (bz & ~qmask) | _deposit(image.z, qs)))
-            elif bx & qmask:
-                deterministic = False
-                moved.update((bx, bz ^ _deposit(sub, qs)) for sub in range(1 << len(qs)))
-            else:
-                moved.add((bx, bz))
-        branches = moved
-        if gi in injected:
-            ex, ez = injected.pop(gi)
-            branches = {(bx ^ ex, bz ^ ez) for bx, bz in branches}
-        if len(branches) > faults.BRANCH_CAP:
-            raise faults.BudgetError(f"branch set exceeded {faults.BRANCH_CAP}")
-    return branches, deterministic
+def branches(frame, group=0):
+    """A group's end rows as ({(x, z)}, deterministic), the form of
+    ``reference_propagate``."""
+    return ({frame.branch(r) for r in np.flatnonzero(frame.owner == group)},
+            bool(frame.deterministic[group]))
 
 
 ONE_QUBIT = [gates.H, gates.S, gates.S_DAG, gates.K, gates.K_DAG, gates.X, gates.Y,
@@ -71,9 +35,10 @@ MULTI_QUBIT = [gates.CNOT, gates.CZ, gates.CCZ, gates.CKZ_THETA]
 
 
 @st.composite
-def circuits_with_faults(draw):
+def circuits_with_faults(draw, max_groups=1):
     """Random circuits on <= 6 active qubits, placed either at 0..5 or
-    across the word boundaries of a 200-qubit register, with 1-2 faults."""
+    across the word boundaries of a 200-qubit register, with 1 to
+    ``max_groups`` fault groups of 1-2 faults each."""
     n_active = draw(st.integers(1, 6))
     if draw(st.booleans()):
         register = 200
@@ -99,33 +64,52 @@ def circuits_with_faults(draw):
         return _deposit(x, active), _deposit(z, active)
 
     places = st.integers(-1, len(gate_list) - 1)
-    first = draw(places)
-    fault_list = [(first, *pauli_on_active())]
-    if draw(st.booleans()):
-        second = first if draw(st.booleans()) else draw(places)
-        fault_list.append((second, *pauli_on_active()))
-    return GadgetCircuit(register, tuple(gate_list), "random", ((0, register),)), fault_list
+
+    def fault_list():
+        first = draw(places)
+        group = [(first, *pauli_on_active())]
+        if draw(st.booleans()):
+            second = first if draw(st.booleans()) else draw(places)
+            group.append((second, *pauli_on_active()))
+        return group
+
+    circuit = GadgetCircuit(register, tuple(gate_list), "random", ((0, register),))
+    return circuit, [fault_list() for _ in range(draw(st.integers(1, max_groups)))]
 
 
 @settings(max_examples=300, deadline=None)
 @given(circuits_with_faults())
 def test_propagate_matches_reference(case):
-    circuit, fault_list = case
-    assert propagate(circuit, fault_list) == reference_propagate(circuit, fault_list)
+    circuit, (fault_list,) = case
+    frame = propagate(circuit, [(0, *f) for f in fault_list])
+    assert branches(frame) == reference_propagate(circuit, fault_list)
 
 
 @settings(max_examples=200, deadline=None)
 @given(circuits_with_faults(), st.integers(1, 4))
 def test_branch_cap_refusal_matches_reference(case, cap):
-    circuit, fault_list = case
+    circuit, (fault_list,) = case
+    group = [(0, *f) for f in fault_list]
     with mock.patch.object(faults, "BRANCH_CAP", cap):
         try:
             expected = reference_propagate(circuit, fault_list)
         except faults.BudgetError:
             with pytest.raises(faults.BudgetError):
-                propagate(circuit, fault_list)
+                propagate(circuit, group)
         else:
-            assert propagate(circuit, fault_list) == expected
+            assert branches(propagate(circuit, group)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits_with_faults(max_groups=5))
+def test_groups_walked_together_match_reference_alone(case):
+    """Several groups in one walk, each with faults at its own places,
+    end as each group does on its own."""
+    circuit, groups = case
+    frame = propagate(circuit, [(g, *f) for g, fault_list in enumerate(groups)
+                                for f in fault_list])
+    for g, fault_list in enumerate(groups):
+        assert branches(frame, g) == reference_propagate(circuit, fault_list)
 
 
 def test_location_counts():
@@ -145,38 +129,41 @@ def test_location_count_49_t_gadget(lib, layouts):
 
 def test_x_spreads_through_staircase():
     c = make_circuit(3, gate(gates.CNOT, 0, 1), gate(gates.CNOT, 1, 2))
-    branches, det = propagate(c, [(-1, 1, 0)])  # X on qubit 0 before anything
-    assert det and branches == {(0b111, 0)}
+    # X on qubit 0 before anything
+    assert branches(propagate(c, [(0, -1, 1, 0)])) == ({(0b111, 0)}, True)
 
 
 def test_z_commutes_through_diagonals():
     c = make_circuit(2, gate(gates.T, 0), gate(gates.CZ, 0, 1), gate(gates.S, 1))
-    branches, det = propagate(c, [(-1, 0, 0b01)])
-    assert det and branches == {(0, 0b01)}
+    assert branches(propagate(c, [(0, -1, 0, 0b01)])) == ({(0, 0b01)}, True)
 
 
 def test_x_branches_at_t():
     c = make_circuit(1, gate(gates.T, 0))
-    branches, det = propagate(c, [(-1, 1, 0)])
-    assert not det
-    assert branches == {(1, 0), (1, 1)}  # {X, Y} envelope
+    assert branches(propagate(c, [(0, -1, 1, 0)])) == ({(1, 0), (1, 1)}, False)  # {X, Y}
 
 
 def test_x_branches_at_ccz_spray_z():
     c = make_circuit(3, gate(gates.CCZ, 0, 1, 2))
-    branches, det = propagate(c, [(-1, 0b001, 0)])
-    assert not det
-    assert branches == {(0b001, z) for z in range(8)}
+    assert branches(propagate(c, [(0, -1, 0b001, 0)])) == ({(0b001, z) for z in range(8)}, False)
 
 
 def test_clifford_only_is_deterministic(lib, layouts):
     adm = lib.gadget(layouts[49], library.logical_gate(gates.CNOT))
-    for loc in enumerate_locations(adm.circuit)[:60]:
-        branches, deterministic = propagate(adm.circuit, [(loc.place, loc.x, loc.z)])
-        assert deterministic and len(branches) == 1
+    locs = enumerate_locations(adm.circuit)[:60]
+    frame = propagate(adm.circuit, ((loc.index, loc.place, loc.x, loc.z) for loc in locs))
+    assert frame.deterministic.all()
+    assert np.array_equal(np.bincount(frame.owner), np.ones(len(locs)))
 
 
 DECODER_LAYOUTS = [*cli.LAYOUT_SHORTCUTS, "bare:steane", "bare:five_prime", "bare:five_qubit"]
+
+
+def rows(errors, n):
+    """(x, z) int pairs as packed rows on an n-qubit register."""
+    n_words = (n + 63) // 64
+    return (faults._pack((x for x, _ in errors), n_words),
+            faults._pack((z for _, z in errors), n_words))
 
 
 def random_errors(rng, n, count):
@@ -202,11 +189,10 @@ def test_fast_decoder_matches_reference(cat):
         lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
         n = lay.total_n
         errors = random_errors(random.Random(17), n, 200)
-        ctx = DecodeContext(lay)
-        got = ["IXZY"[r] for r in ctx.branch_residuals(errors)]
+        ctx = DecodeContext(lay, ((0, n),))
+        got = [faults.RESIDUAL[r] for r in ctx.decode(*rows(errors, n))]
         want = [hierarchical_decode(lay, Pauli(n, x, z, 0)) for x, z in errors]
         assert got == want, name
-        assert [ctx.decode(x, z) for x, z in errors[:20]] == want[:20], name
         assert "I" in want and len(set(want)) == 4, name
 
 
@@ -221,15 +207,11 @@ def test_decoder_data_is_linear(cat, name):
     first = random_errors(rng, 2 * n, 100)
     second = random_errors(rng, 2 * n, 100)
     product = [(x1 ^ x2, z1 ^ z2) for (x1, z1), (x2, z2) in zip(first, second)]
-
-    def data(errors):
-        return ctx.data(faults._pack((x for x, _ in errors), ctx.n_words),
-                        faults._pack((z for _, z in errors), ctx.n_words))
-
-    xored = data(first) ^ data(second)
-    assert np.array_equal(xored, data(product))
-    assert np.array_equal(ctx.residuals(xored), ctx.branch_residuals(product))
-    for (x, z), r in zip(product, ctx.branch_residuals(product)):
+    xored = ctx.data(*rows(first, 2 * n)) ^ ctx.data(*rows(second, 2 * n))
+    assert np.array_equal(xored, ctx.data(*rows(product, 2 * n)))
+    decoded = ctx.decode(*rows(product, 2 * n))
+    assert np.array_equal(ctx.residuals(xored), decoded)
+    for (x, z), r in zip(product, decoded):
         per_operand = [hierarchical_decode(lay, Pauli(n, (x >> off) & ((1 << n) - 1),
                                                       (z >> off) & ((1 << n) - 1), 0))
                        for off in (0, n)]
@@ -247,13 +229,15 @@ def test_branch_confinement_single_fault(lib, layouts):
     """A single fault never leaves more than one physical error per inner
     block at the end of the 49-qubit T gadget."""
     adm = lib.gadget(layouts[49], library.logical_gate(gates.T))
-    for loc in enumerate_locations(adm.circuit):
-        for bx, bz in propagate(adm.circuit, [(loc.place, loc.x, loc.z)])[0]:
-            support = bx | bz
-            for block in range(3):
-                mask = ((1 << 15) - 1) << (15 * block)
-                assert (support & mask).bit_count() <= 1
-            assert (support >> 45).bit_count() <= 1
+    frame = propagate(adm.circuit, ((loc.index, loc.place, loc.x, loc.z)
+                                    for loc in enumerate_locations(adm.circuit)))
+    for r in range(len(frame.owner)):
+        bx, bz = frame.branch(r)
+        support = bx | bz
+        for block in range(3):
+            mask = ((1 << 15) - 1) << (15 * block)
+            assert (support & mask).bit_count() <= 1
+        assert (support >> 45).bit_count() <= 1
 
 
 def test_negative_control_half_staircase(cat):
@@ -298,9 +282,8 @@ def test_pair_witness_replay_consistency(lib, layouts):
     adm = lib.gadget(lay, library.logical_gate(gates.T))
     report = find_min_uncorrectable(lay, adm.circuit)
     a, b = report.witness
-    branches, _ = propagate(adm.circuit, [(a.place, a.x, a.z), (b.place, b.x, b.z)])
-    ctx = DecodeContext(lay, adm.circuit.blocks)
-    assert any(ctx.decode(bx, bz) != "I" for bx, bz in branches)
+    frame = propagate(adm.circuit, [(0, a.place, a.x, a.z), (0, b.place, b.x, b.z)])
+    assert DecodeContext(lay, adm.circuit.blocks).decode(frame.x, frame.z).any()
 
 
 def test_bare_transversal_pairs_fail_without_spreading(cat, lib):
@@ -315,9 +298,9 @@ def test_bare_transversal_pairs_fail_without_spreading(cat, lib):
     assert result.value == 3
     a, b = result.witness_report.witness
     for loc in (a, b):
-        branches, det = propagate(gadgets[0].circuit, [(loc.place, loc.x, loc.z)])
+        ends, det = branches(propagate(gadgets[0].circuit, [(0, loc.place, loc.x, loc.z)]))
         assert det
-        for bx, bz in branches:
+        for bx, bz in ends:
             assert (bx | bz).bit_count() <= 1
 
 
@@ -331,20 +314,21 @@ def test_propagate_rejects_places_outside_the_circuit():
     c = make_circuit(3, gate(gates.CNOT, 0, 1), gate(gates.T, 1), gate(gates.CNOT, 0, 1))
     for place in (-5, -2, 3, 99):
         with pytest.raises(ValueError, match="outside"):
-            propagate(c, [(place, 1, 0)])
+            propagate(c, [(0, place, 1, 0)])
         with pytest.raises(ValueError, match="outside"):
-            propagate(c, [(0, 1, 0), (place, 1, 0)])
-    for joint in ([(0, 1, 0), (2, 1, 0)], [(2, 1, 0), (0, 1, 0)]):
-        assert propagate(c, joint)[0] == {(0b010, 0)}
+            propagate(c, [(0, 0, 1, 0), (0, place, 1, 0)])
+    for joint in ([(0, 0, 1, 0), (0, 2, 1, 0)], [(0, 2, 1, 0), (0, 0, 1, 0)]):
+        assert branches(propagate(c, joint))[0] == {(0b010, 0)}
     for x, z in ((1 << 3, 0), (0, 1 << 70), (-1, 0)):
         with pytest.raises(ValueError, match="outside the register"):
-            propagate(c, [(0, x, z)])
+            propagate(c, [(0, 0, x, z)])
 
 
 def test_propagate_merges_faults_at_one_place():
     c = make_circuit(3, gate(gates.CNOT, 0, 1), gate(gates.T, 1), gate(gates.CNOT, 0, 1))
-    assert propagate(c, [(-1, 1, 0), (-1, 1, 0)]) == ({(0, 0)}, True)
-    assert propagate(c, [(0, 1, 0), (0, 0, 1), (1, 0, 2)]) == propagate(c, [(0, 1, 1), (1, 0, 2)])
+    assert branches(propagate(c, [(0, -1, 1, 0), (0, -1, 1, 0)])) == ({(0, 0)}, True)
+    assert (branches(propagate(c, [(0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 2)]))
+            == branches(propagate(c, [(0, 0, 1, 1), (0, 1, 0, 2)])))
 
 
 def test_effective_distance_names_budget_refusals(lib, layouts):
