@@ -298,7 +298,7 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     failed = False
     for bx, bz, res in sorted((*frame.branch(r), faults.RESIDUAL[c])
                               for r, c in enumerate(residual)):
-        outcomes.append({"branch": str(Pauli(circuit.register_size, bx, bz, 0)),
+        outcomes.append({"branch": str(Pauli.hermitian(circuit.register_size, bx, bz)),
                          "residual": res})
         failed = failed or res != "I"
     rep.results["layout"] = layout.descriptor

@@ -8,29 +8,23 @@ so results read "under the gate-fault model".  Non-Clifford diagonal
 gates branch a passing X-component into the set {P * Z^S} over subsets S
 of the gate's qubits, a sound superset of the exact conjugation support.
 
-Propagation is one batched Pauli-frame walk (after Gidney's Stim,
-arXiv:2103.02202).  Each row of the frame is one branch of one fault
-group, held as packed uint64 x/z words plus the index of its group.  The
-circuit is walked once for the whole batch: a group's faults are XORed
-into its rows at their places, a Clifford gate is a table lookup on the
-gate's bits of every row, and a diagonal gate expands the rows with X on
-its qubits over Z^S, after merging the rows of one group that differ
-only in the gate's z bits.  A single-fault campaign walks every location
-as its own group; a pair confirmation and ``replay`` walk their faults as
-one group.
+Locations are arrays built from one pattern table per gate arity.  The
+faults of a batch of groups are walked once (a Pauli frame after Gidney's
+Stim, arXiv:2103.02202): each row is one branch of one group, in
+word-major uint64 x/z planes of shape (words, rows).  Group g starts as
+the zero row g, which no gate changes, so its faults XOR into row g until
+it branches.  A Clifford gate is a GF(2)-linear update of the phase-free
+bits; a diagonal gate expands the rows with X on its qubits over Z^S.
+A campaign walks every location as its own group; a pair confirmation
+and ``replay`` walk their faults as one group.
 
-Decoding is table-driven on the same rows: ``DecodeContext.decode`` maps
-the rows of a walk to residual classes.  For every operand block and
-outer qubit, the inner syndrome and the anticommutation with the inner
-logical Z and X are popcounts against the generator words (``data``).
-They are linear, so the values of a product of branches are the XOR of
-theirs.  A per-code class array from the lookup decoder turns them into
-the outer letter; the same popcounts and lookup on the outer letters
-give the residual (``residuals``).
-
-Pair search screens with per-fault end-branch products (sound envelope)
-and confirms candidates by walking both faults as one group through the
-same envelope and decoding its rows before reporting.
+``DecodeContext.decode`` decodes the same rows: per operand block and
+outer qubit, the inner syndrome and logical parities form a block word,
+linear in the error, so it is the XOR of one table entry per byte of the
+error.  The lookup decoder's class array turns block words into outer
+letters, which are decoded the same way.  Pair search screens with the
+XOR of end-branch block words (a sound envelope) and confirms candidates
+by walking both faults as one group.
 """
 
 from __future__ import annotations
@@ -62,175 +56,198 @@ class FaultLocation:
     z: int
 
     def pauli(self, n: int) -> Pauli:
-        return Pauli(n, self.x, self.z, 0)
+        return Pauli.hermitian(n, self.x, self.z)
 
     def describe(self, circuit: GadgetCircuit) -> str:
         where = "input" if self.place < 0 else f"after gate {self.place} ({circuit.gates[self.place]})"
         return f"{self.pauli(circuit.register_size)} {where}"
 
 
-def enumerate_locations(circuit: GadgetCircuit) -> list[FaultLocation]:
-    """Register-input faults (3 per qubit) plus every nontrivial Pauli on
-    every gate's output qubits."""
-    locs: list[FaultLocation] = []
-    idx = 0
-    for q in range(circuit.register_size):
-        for xb, zb in ((1, 0), (1, 1), (0, 1)):
-            locs.append(FaultLocation(idx, -1, xb << q, zb << q))
-            idx += 1
-    for gi, g in enumerate(circuit.gates):
-        qs = g.qubits
-        for pattern in range(1, 1 << (2 * len(qs))):
-            x = z = 0
-            for i, q in enumerate(qs):
-                x |= ((pattern >> (2 * i)) & 1) << q
-                z |= ((pattern >> (2 * i + 1)) & 1) << q
-            locs.append(FaultLocation(idx, gi, x, z))
-            idx += 1
-    return locs
-
-
-# -- propagation -----------------------------------------------------------------
+# -- locations -------------------------------------------------------------------
 
 def _pack(masks: Iterable[int], n_words: int) -> np.ndarray:
-    """Int bit-masks as rows of ``n_words`` little-endian uint64 words."""
+    """Int bit-masks as the columns of ``n_words`` little-endian uint64 words."""
     data = b"".join(m.to_bytes(8 * n_words, "little") for m in masks)
-    return np.frombuffer(data, dtype="<u8").reshape(-1, n_words).astype(np.uint64)
+    return np.ascontiguousarray(np.frombuffer(data, "<u8").reshape(-1, n_words).T, np.uint64)
 
 
 def _unpack(words: np.ndarray) -> int:
     return int.from_bytes(words.astype("<u8").tobytes(), "little")
 
 
-def _qubit_mask(qubits: Iterable[int]) -> int:
-    return sum(1 << q for q in qubits)
+@dataclass(frozen=True)
+class Locations:
+    """Fault locations by index: ``place``, and Paulis as word-major x and
+    z planes in ``xz``, (2, words, locations)."""
 
+    place: np.ndarray
+    xz: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.place)
+
+    def __getitem__(self, i: int) -> FaultLocation:
+        return FaultLocation(int(i), int(self.place[i]), *(_unpack(p[:, i]) for p in self.xz))
+
+
+def enumerate_locations(circuit: GadgetCircuit) -> Locations:
+    """Register-input faults (X, Y, Z per qubit) plus every nontrivial
+    Pauli on every gate's output qubits."""
+    n = circuit.register_size
+    qubits = [g.qubits for g in circuit.gates]
+    arity = np.array([len(qs) for qs in qubits], np.intp)
+    sizes = np.concatenate([np.full(n, 3), (1 << 2 * arity) - 1])
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    place = np.repeat(np.arange(-1, len(qubits)), np.concatenate([[3 * n], sizes[n:]]))
+    xz = np.zeros((2, (n + 63) // 64, start[-1]), np.uint64)
+    x, z = xz
+    # (qubits, first location, patterns); pattern bit 2i = x, 2i + 1 = z of qubit i
+    blocks = [(np.arange(n)[:, None], start[:n], np.array([1, 3, 2], np.uint64))]
+    for k in np.flatnonzero(np.bincount(arity)):
+        gis = np.flatnonzero(arity == k)
+        blocks.append((np.array([qubits[gi] for gi in gis]), start[n + gis],
+                       np.arange(1, 1 << 2 * k, dtype=np.uint64)))
+    for qs, first, patterns in blocks:
+        rows = first[:, None] + np.arange(len(patterns))
+        for i in range(qs.shape[1]):
+            word, bit = qs[:, i, None] >> 6, (qs[:, i, None] & 63).astype(np.uint64)
+            x[word, rows] |= ((patterns >> 2 * i) & 1) << bit
+            z[word, rows] |= ((patterns >> 2 * i + 1) & 1) << bit
+    return Locations(place, xz)
+
+
+# -- propagation -----------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _clifford_flips(kind: str) -> np.ndarray:
-    """Bits a Clifford kind flips, indexed by the local Pauli x | z << k
-    on its k qubits (phases dropped)."""
-    k = gates.ARITY[kind]
-    flips = np.zeros(1 << (2 * k), np.uint64)
-    for (lx, lz), image in gates._local_table(kind).items():
-        flips[lx | lz << k] = (lx ^ image.x) | (lz ^ image.z) << k
-    flips.flags.writeable = False
-    return flips
+def _clifford_updates(kind: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Phase-free conjugation as GF(2) updates of the local bits (x of the
+    k qubits, then z): (bit j, the old bits whose XOR is added to it)."""
+    k, table = gates.ARITY[kind], gates._local_table(kind)
+    images = [table[u & ((1 << k) - 1), u >> k] for u in (1 << i for i in range(2 * k))]
+    flips = [1 << i ^ (im.x | im.z << k) for i, im in enumerate(images)]
+    return tuple((j, sources) for j in range(2 * k)
+                 if (sources := tuple(i for i in range(2 * k) if flips[i] >> j & 1)))
 
 
 class _Frame:
-    """Branches of a batch of fault groups, one row per branch."""
+    """Row r is the Pauli (x[:, r], z[:, r]) of group owner[r].  Group g is
+    the one row g while ``deterministic[g]``; the buffers hold spare rows."""
 
     def __init__(self, n_words: int, n_groups: int):
-        self.n_words = n_words
-        self.x = np.zeros((0, n_words), np.uint64)
-        self.z = np.zeros((0, n_words), np.uint64)
-        self.owner = np.zeros(0, np.intp)
-        self.started = np.zeros(n_groups, bool)
+        self._xz = np.zeros((2, n_words, n_groups), np.uint64)
+        self._owner = np.arange(n_groups)
+        self.rows = n_groups
         self.deterministic = np.ones(n_groups, bool)
+
+    x = property(lambda self: self._xz[0, :, :self.rows])
+    z = property(lambda self: self._xz[1, :, :self.rows])
+    owner = property(lambda self: self._owner[:self.rows])
 
     def branch(self, row: int) -> tuple[int, int]:
         """The (x, z) masks of one row."""
-        return _unpack(self.x[row]), _unpack(self.z[row])
+        return _unpack(self._xz[0, :, row]), _unpack(self._xz[1, :, row])
 
-    def inject(self, faults: dict[int, tuple[int, int]]) -> None:
-        """XOR each group's fault into its rows; a group's first fault is
-        its first row."""
-        owners = np.fromiter(faults, np.intp, len(faults))
-        fx = _pack((x for x, _ in faults.values()), self.n_words)
-        fz = _pack((z for _, z in faults.values()), self.n_words)
-        old = self.started[owners]
-        if old.any():
-            ex = np.zeros((len(self.started), self.n_words), np.uint64)
-            ez = np.zeros_like(ex)
-            ex[owners[old]] = fx[old]
-            ez[owners[old]] = fz[old]
-            self.x ^= ex[self.owner]
-            self.z ^= ez[self.owner]
-        new = ~old
-        self.x = np.concatenate([self.x, fx[new]])
-        self.z = np.concatenate([self.z, fz[new]])
-        self.owner = np.concatenate([self.owner, owners[new]])
-        self.started[owners] = True
+    def inject(self, groups: slice | np.ndarray, fxz: np.ndarray) -> None:
+        """XOR fault columns into row g of each group g, or its rows once branched."""
+        branched = ~self.deterministic[groups]
+        if branched.any():
+            groups = np.arange(len(self.deterministic))[groups]
+            lookup = np.full(len(self.deterministic), -1)
+            lookup[groups[branched]] = np.flatnonzero(branched)
+            fault = lookup[self.owner]
+            rows = np.flatnonzero(fault >= 0)
+            self._xz[:, :, rows] ^= fxz[:, :, fault[rows]]
+            groups, fxz = groups[~branched], fxz[:, :, ~branched]
+        self._xz[:, :, groups] ^= fxz
 
     def clifford(self, g: gates.Gate) -> None:
-        # (plane, word, bit) of the gate's x bits, then its z bits
-        bits = [(plane, q >> 6, q & 63) for plane in (self.x, self.z) for q in g.qubits]
-        local = np.zeros(len(self.owner), np.uint64)
-        for i, (plane, w, b) in enumerate(bits):
-            local |= ((plane[:, w] >> b) & 1) << i
-        flips = _clifford_flips(g.kind)[local]
-        for i, (plane, w, b) in enumerate(bits):
-            plane[:, w] ^= ((flips >> i) & 1) << b
+        # (word of every row, bit) of the gate's x bits, then its z bits;
+        # every gain reads the bits before the gate
+        bits = [(plane[q >> 6], q & 63) for plane in (self.x, self.z) for q in g.qubits]
+        gains = []
+        for j, sources in _clifford_updates(g.kind):
+            row, b = bits[j]
+            gain = 0
+            for src, sb in (bits[i] for i in sources):
+                gain = gain ^ (src >> (sb - b) if sb >= b else src << (b - sb))
+            gains.append((row, gain & (1 << b)))
+        for row, gain in gains:
+            row ^= gain
 
     def diagonal(self, g: gates.Gate) -> None:
         """Expand rows with X on the gate's qubits over Z^S."""
-        gmask = _pack([_qubit_mask(g.qubits)], self.n_words)[0]
-        hit = (self.x & gmask).any(axis=1)
-        if not hit.any():
-            return
-        self.deterministic[self.owner[hit]] = False
-        # Rows of one group that differ only in the gate's z bits expand
-        # to the same rows: merge them first, by sorting (np.unique would
-        # import numpy.ma, about 0.7 MB, on first use).
-        w = self.n_words
-        keys = np.column_stack([self.owner[hit].astype(np.uint64), self.x[hit],
-                                self.z[hit] & ~gmask])
-        keys = keys[np.lexsort(keys.T)]
-        keys = keys[np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])]
-        n_sub = 1 << len(g.qubits)
-        subsets = _pack((_qubit_mask(q for i, q in enumerate(g.qubits) if (s >> i) & 1)
+        x, z, owner = self.x, self.z, self.owner
+        w, n_sub = len(x), 1 << len(g.qubits)
+        subsets = _pack((sum(1 << q for i, q in enumerate(g.qubits) if (s >> i) & 1)
                          for s in range(n_sub)), w)
-        keep = ~hit
-        self.x = np.concatenate([self.x[keep], np.repeat(keys[:, 1:1 + w], n_sub, axis=0)])
-        self.z = np.concatenate([self.z[keep],
-                                 (keys[:, None, 1 + w:] | subsets).reshape(-1, w)])
-        self.owner = np.concatenate([self.owner[keep],
-                                     np.repeat(keys[:, 0].astype(np.intp), n_sub)])
+        gmask = subsets[:, -1:]
+        hit = np.flatnonzero((x & gmask).any(axis=0))
+        if not len(hit):
+            return
+        self.deterministic[owner[hit]] = False
+        # Rows of one group that differ only in the gate's z bits expand alike:
+        # merge them by sorting (np.unique would import numpy.ma, ~0.7 MB).
+        keys = np.vstack([x[:, hit], z[:, hit] & ~gmask, owner[hit].astype(np.uint64)])
+        keys = keys[:, np.lexsort(keys)]
+        keys = keys[:, np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)])]
+        # A key merges at most n_sub rows, so its rows fill the hit slots.
+        end = self.rows + keys.shape[1] * n_sub - len(hit)
+        if end > len(self._owner):   # double the buffers
+            extra = max(end, 2 * len(self._owner)) - len(self._owner)
+            self._xz = np.pad(self._xz, ((0, 0), (0, 0), (0, extra)))
+            self._owner = np.pad(self._owner, (0, extra))
+        slots = np.concatenate([hit, np.arange(self.rows, end)])
+        self._xz[0][:, slots] = np.repeat(keys[:w], n_sub, axis=1)
+        self._xz[1][:, slots] = (keys[w:2 * w, :, None] | subsets[:, None, :]).reshape(w, -1)
+        self._owner[slots] = np.repeat(keys[2 * w].astype(np.intp), n_sub)
+        self.rows = end
         if np.bincount(self.owner).max() > BRANCH_CAP:
             raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
 
 
-def propagate(circuit: GadgetCircuit, faults: Iterable[tuple[int, int, int, int]]) -> _Frame:
-    """Push faults ``(group, place, x, z)`` to the end of the gadget, the
+def propagate(circuit: GadgetCircuit,
+              faults: Locations | Iterable[tuple[int, int, int, int]]) -> _Frame:
+    """Push faults ``(group, place, x, z)``, groups numbered from 0, or
+    ``Locations`` (location i is group i) to the end of the gadget, the
     faults of each group jointly, in one pass over the gates.
 
-    Groups are numbered from 0.  A fault at place p enters just after
-    gate p (-1 = register input); faults of one group at one place are
-    multiplied.  Every place must lie in [-1, len(gates)) and every fault
-    on the register.  Returns the frame: end-of-circuit rows ``x`` and
-    ``z``, the group of each row in ``owner``, and per group whether
-    propagation stayed ``deterministic``.  ``BRANCH_CAP`` bounds the
-    branches of each group; only diagonal gates add branches, so it is
-    checked after each.
+    A fault at place p enters just after gate p (-1 = register input);
+    faults of one group at one place are multiplied.  Every place must lie
+    in [-1, len(gates)) and every fault on the register.  Returns the
+    frame: end rows ``x`` and ``z`` (word-major), the group of each row in
+    ``owner``, and per group whether propagation stayed ``deterministic``;
+    ``BRANCH_CAP`` bounds each group's branches after each diagonal gate.
     """
     n_gates = len(circuit.gates)
-    injected: dict[int, dict[int, tuple[int, int]]] = {}   # place -> group -> fault
-    n_groups = 0
-    for owner, place, x, z in faults:
-        if not -1 <= place < n_gates:
-            raise ValueError(f"fault place {place} outside [-1, {n_gates})")
-        if x < 0 or z < 0 or (x | z) >> circuit.register_size:
-            raise ValueError(f"fault acts outside the register of {circuit.register_size} qubits")
-        at = injected.setdefault(place, {})
-        if owner in at:
-            x, z = x ^ at[owner][0], z ^ at[owner][1]
-        at[owner] = (x, z)
-        n_groups = max(n_groups, owner + 1)
-    if not n_groups:
+    if isinstance(faults, Locations):
+        groups, place, fxz = None, faults.place, faults.xz
+    else:
+        merged: dict[tuple[int, int], tuple[int, int]] = {}   # (place, group) -> fault
+        for owner, p, x, z in faults:
+            if x < 0 or z < 0 or (x | z) >> circuit.register_size:
+                raise ValueError(f"fault acts outside the register of {circuit.register_size} qubits")
+            px, pz = merged.get((p, owner), (0, 0))
+            merged[p, owner] = (px ^ x, pz ^ z)
+        keys = sorted(merged)
+        place, groups = (np.array([k[c] for k in keys], np.intp) for c in (0, 1))
+        fxz = np.array([_pack((merged[k][c] for k in keys), (circuit.register_size + 63) // 64)
+                        for c in (0, 1)])
+    if not len(place):
         raise ValueError("no fault to propagate")
-    frame = _Frame((circuit.register_size + 63) // 64, n_groups)
-    for place in range(-1, n_gates):
-        if place >= 0 and len(frame.owner):
-            g = circuit.gates[place]
-            if g.is_clifford:
-                frame.clifford(g)
-            elif g.is_diagonal:
-                frame.diagonal(g)
-            else:
+    outside = (place < -1) | (place >= n_gates)
+    if outside.any():
+        raise ValueError(f"fault place {place[outside][0]} outside [-1, {n_gates})")
+    frame = _Frame(fxz.shape[1], len(place) if groups is None else int(groups.max()) + 1)
+    bounds = np.searchsorted(place, np.arange(-1, n_gates + 1))
+    for p in range(int(place[0]), n_gates):
+        if p >= 0:
+            g = circuit.gates[p]
+            if not (g.is_clifford or g.is_diagonal):
                 raise ValueError(f"cannot propagate through {g.kind}")
-        if place in injected:
-            frame.inject(injected.pop(place))
+            (frame.clifford if g.is_clifford else frame.diagonal)(g)
+        lo, hi = bounds[p + 1], bounds[p + 2]
+        if lo < hi:
+            frame.inject(slice(lo, hi) if groups is None else groups[lo:hi], fxz[:, :, lo:hi])
     return frame
 
 
@@ -239,77 +256,69 @@ def propagate(circuit: GadgetCircuit, faults: Iterable[tuple[int, int, int, int]
 RESIDUAL = "IXZY"   # class bits: 1 = anticommutes with logical Z, 2 = with logical X
 
 
-def _check_masks(code: StabilizerCode) -> list[int]:
-    """Symplectic masks z | x << n of the generators, then logical Z, then
-    logical X: an error e = ex | ez << n anticommutes with check j iff
-    e & mask_j has odd weight."""
-    return [p.z | p.x << code.n for p in (*code.generators, code.logical_z, code.logical_x)]
+@lru_cache(maxsize=None)
+def _word_tables(code: StabilizerCode) -> np.ndarray:
+    """Block words by byte of a symplectic error e = ex | ez << n: [b, v]
+    is the word of v << 8b, bit j its anticommutation with generator j,
+    then logical Z and X (codes have at most 15 qubits, so 16 bits)."""
+    masks = [p.z | p.x << code.n for p in (*code.generators, code.logical_z, code.logical_x)]
+    values = np.arange(256, dtype=np.uint64)
+    tables = np.zeros(((2 * code.n + 7) // 8, 256), np.uint16)
+    for b, table in enumerate(tables):
+        for j, m in enumerate(masks):
+            table |= (np.bitwise_count(values & (m >> 8 * b)) & 1).astype(np.uint16) << j
+    tables.flags.writeable = False
+    return tables
 
 
-def _block_words(errors: np.ndarray, masks: list[int]) -> np.ndarray:
-    """Per symplectic error, bit j = its anticommutation with check j: the
-    syndrome in the low bits, then the logical-Z and logical-X parities.
-    Codes have at most 15 qubits (``build_decoder``), so 16 bits suffice."""
-    word = np.zeros(len(errors), np.uint16)
-    for j, m in enumerate(masks):
-        word |= (np.bitwise_count(errors & m) & 1).astype(np.uint16) << j
+def _block_words(errors: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Block word per symplectic error, one table entry per byte."""
+    word = tables[0][errors & 255]
+    for b in range(1, len(tables)):
+        word ^= tables[b][(errors >> 8 * b) & 255]
     return word
 
 
-def _letters(code: StabilizerCode) -> np.ndarray:
-    """Residual class after lookup decoding, indexed by block word."""
-    return build_decoder(code).residual_classes
-
-
 def _field(plane: np.ndarray, start: int, width: int) -> np.ndarray:
-    """Bits start .. start + width - 1 of every row (width < 64)."""
+    """Bits start .. start + width - 1 (< 64) of every row of a plane."""
     w, b = start >> 6, start & 63
-    out = plane[:, w] >> b
+    out = plane[w] >> b
     if b + width > 64:
-        out |= plane[:, w + 1] << (64 - b)
+        out |= plane[w + 1] << (64 - b)
     return out & ((1 << width) - 1)
 
 
 class DecodeContext:
-    """Inner-then-outer lookup decoding of every operand block of a
-    register, on rows of packed (x, z) words.  ``blocks`` lists the
-    (offset, length) of each operand.
-
-    ``data`` maps rows to one block word per (operand, outer qubit)
-    column; the words are linear in (x, z).  ``residuals`` maps block
-    words to the residual class: I only when every operand decodes to I,
-    else the class of the first operand that does not.  ``decode`` is the
-    two in turn.
-    """
+    """Inner-then-outer lookup decoding of every operand block, (offset,
+    length) in ``blocks``, of word-major x/z planes.  ``data`` gives one
+    block word per (operand, outer qubit) column, linear in (x, z);
+    ``residuals`` maps them to the residual class: I only when every
+    operand decodes to I, else the class of the first that does not."""
 
     def __init__(self, layout: Layout, blocks: Sequence[tuple[int, int]]):
         n = layout.outer.n
-        tables = {}
-        self.columns = []   # (start, width, check masks) per block word
+        self.columns = []   # (start, width, word tables) per block word
         self.letters = []   # residual class by block word, per block word
         for off, length in blocks:
             if length != layout.total_n:
                 raise ValueError("gadget blocks do not match the layout")
             for q in range(n):
                 start, code = layout.block(q)
-                if code not in tables:
-                    tables[code] = _check_masks(code), _letters(code)
-                masks, letters = tables[code]
-                self.columns.append((off + start, code.n, masks))
-                self.letters.append(letters)
+                self.columns.append((off + start, code.n, _word_tables(code)))
+                self.letters.append(build_decoder(code).residual_classes)
         self.n_operands = len(blocks)
         # outer letter on outer qubit q -> its bits of the outer error x | z << n
         self.spread = [np.array([0, 1 << q, 1 << (q + n), 1 << q | 1 << (q + n)], np.uint64)
                        for q in range(n)]
-        self.outer_masks = _check_masks(layout.outer)
-        self.outer_letters = _letters(layout.outer)
+        self.outer_words = _word_tables(layout.outer)
+        self.outer_letters = build_decoder(layout.outer).residual_classes
 
     def data(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Block words of rows of packed x and z words, (rows, columns)."""
-        out = np.empty((len(x), len(self.columns)), np.uint16)
-        for k, (start, width, masks) in enumerate(self.columns):
+        """Block words of word-major x and z planes, (rows, columns)."""
+        out = np.empty((x.shape[1], len(self.columns)), np.uint16)
+        for k, (start, width, words) in enumerate(self.columns):
             errors = _field(x, start, width) | _field(z, start, width) << width
-            out[:, k] = _block_words(errors, masks)
+            out[:, k] = _block_words(errors, words)
         return out
 
     def residuals(self, data: np.ndarray) -> np.ndarray:
@@ -318,15 +327,14 @@ class DecodeContext:
         out = np.zeros(len(data), np.uint8)
         for op in range(self.n_operands):
             outer = np.zeros(len(data), np.uint64)
-            for q in range(n):
-                k = op * n + q
+            for q, k in enumerate(range(op * n, op * n + n)):
                 outer |= self.spread[q][self.letters[k][data[:, k]]]
-            residual = self.outer_letters[_block_words(outer, self.outer_masks)]
+            residual = self.outer_letters[_block_words(outer, self.outer_words)]
             out = np.where(out != 0, out, residual)
         return out
 
     def decode(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Residual class per row of packed x and z words; 0 = I."""
+        """Residual class per row of word-major x and z planes; 0 = I."""
         return self.residuals(self.data(x, z))
 
 
@@ -360,17 +368,16 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport
     Failures are ordered by location, then by branch (x, z)."""
     ctx = DecodeContext(layout, circuit.blocks)
     locations = enumerate_locations(circuit)
-    frame = propagate(circuit, ((loc.index, loc.place, loc.x, loc.z) for loc in locations))
-    report = FaultReport(layout.descriptor, circuit.label, len(locations), len(frame.owner))
+    frame = propagate(circuit, locations)
+    report = FaultReport(layout.descriptor, circuit.label, len(locations), frame.rows)
     residual = ctx.decode(frame.x, frame.z)
-    failing = sorted((int(frame.owner[r]), *frame.branch(r), RESIDUAL[residual[r]])
-                     for r in np.flatnonzero(residual))
-    report.failures = [Failure((i,), (x, z), res) for i, x, z, res in failing]
+    report.failures = [Failure((i,), (x, z), res) for i, x, z, res in sorted(
+        (int(frame.owner[r]), *frame.branch(r), RESIDUAL[residual[r]])
+        for r in np.flatnonzero(residual))]
     if report.failures:
-        report.min_uncorrectable_size = 1
         first = report.failures[0]
+        report.min_uncorrectable_size, report.witness_residual = 1, first.residual
         report.witness = (locations[first.locations[0]],)
-        report.witness_residual = first.residual
     return report
 
 
@@ -389,10 +396,10 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
     if est > budget:
         raise BudgetError(f"pair search needs {est} pairs, budget is {budget}")
     ctx = DecodeContext(layout, circuit.blocks)
-    frame = propagate(circuit, ((loc.index, loc.place, loc.x, loc.z) for loc in locations))
+    frame = propagate(circuit, locations)
     order = np.argsort(frame.owner, kind="stable")
     owner = frame.owner[order]
-    data = ctx.data(frame.x[order], frame.z[order])
+    data = ctx.data(frame.x[:, order], frame.z[:, order])
     bounds = np.searchsorted(owner, np.arange(len(locations) + 1))
 
     report = FaultReport(layout.descriptor, circuit.label, len(locations), len(owner))
@@ -405,10 +412,9 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
         for j in np.flatnonzero(np.bincount(owner[hi:][hit])):
             confirmed = _confirm_pair(ctx, circuit, locations[i], locations[j])
             if confirmed is not None:
-                report.failures.append(Failure((i, int(j)), confirmed[0], confirmed[1]))
-                report.min_uncorrectable_size = 2
+                report.failures.append(Failure((i, int(j)), *confirmed))
+                report.min_uncorrectable_size, report.witness_residual = 2, confirmed[1]
                 report.witness = (locations[i], locations[j])
-                report.witness_residual = confirmed[1]
                 return report
     report.min_uncorrectable_size = "none <= 2"
     return report
@@ -421,11 +427,8 @@ def _confirm_pair(ctx: DecodeContext, circuit: GadgetCircuit, a: FaultLocation,
     None when every branch decodes to I."""
     frame = propagate(circuit, ((0, a.place, a.x, a.z), (0, b.place, b.x, b.z)))
     residual = ctx.decode(frame.x, frame.z)
-    failing = [(*frame.branch(r), r) for r in np.flatnonzero(residual)]
-    if not failing:
-        return None
-    x, z, r = min(failing)
-    return (x, z), RESIDUAL[residual[r]]
+    least = min(((*frame.branch(r), r) for r in np.flatnonzero(residual)), default=None)
+    return None if least is None else (least[:2], RESIDUAL[residual[least[2]]])
 
 
 @dataclass
@@ -443,14 +446,12 @@ def effective_distance_report(layout: Layout, gadget_set: list[GadgetCircuit],
     1 = a single fault already fails (the construction is broken); None =
     no witness, with the statement naming any gadget whose pair search
     the budget refused."""
-    singles = []
-    refused = []
+    singles, refused = [], []
     for c in gadget_set:
-        rep = check_single_fault_ft(layout, c)
-        singles.append(rep)
-        if not rep.passed:
+        singles.append(check_single_fault_ft(layout, c))
+        if not singles[-1].passed:
             return EffectiveDistanceResult(
-                1, f"single fault uncorrectable in {c.label}", singles, rep)
+                1, f"single fault uncorrectable in {c.label}", singles, singles[-1])
     for c in gadget_set:
         try:
             rep = find_min_uncorrectable(layout, c, budget)
@@ -458,11 +459,8 @@ def effective_distance_report(layout: Layout, gadget_set: list[GadgetCircuit],
             refused.append(c.label)
             continue
         if rep.witness is not None:
-            return EffectiveDistanceResult(
-                3, f"2-fault witness in {c.label}", singles, rep)
+            return EffectiveDistanceResult(3, f"2-fault witness in {c.label}", singles, rep)
     if refused:
-        return EffectiveDistanceResult(
-            None, "single faults pass; pair search refused by the budget for "
-            + ", ".join(refused), singles, None)
-    return EffectiveDistanceResult(
-        None, ">= 3, no witness within gadget set", singles, None)
+        return EffectiveDistanceResult(None, "single faults pass; pair search refused by the "
+                                       "budget for " + ", ".join(refused), singles)
+    return EffectiveDistanceResult(None, ">= 3, no witness within gadget set", singles)

@@ -67,6 +67,11 @@ class Pauli:
         return Pauli(n, xb << qubit, zb << qubit, e)
 
     @staticmethod
+    def hermitian(n: int, x: int, z: int) -> "Pauli":
+        """The letters of (x, z) with displayed phase +."""
+        return Pauli(n, x, z, (x & z).bit_count())
+
+    @staticmethod
     def from_letters(n: int, letters: Mapping[int, str]) -> "Pauli":
         p = Pauli.identity(n)
         for q, letter in letters.items():

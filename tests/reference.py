@@ -62,6 +62,23 @@ def invert(c: GadgetCircuit) -> GadgetCircuit:
                          f"inv({c.label})", c.blocks)
 
 
+def reference_locations(circuit: GadgetCircuit):
+    """Register-input faults (X, Y, Z per qubit), then every nontrivial
+    Pauli on each gate's qubits, one location at a time."""
+    locs = []
+    for q in range(circuit.register_size):
+        for xb, zb in ((1, 0), (1, 1), (0, 1)):
+            locs.append(faults.FaultLocation(len(locs), -1, xb << q, zb << q))
+    for gi, g in enumerate(circuit.gates):
+        for pattern in range(1, 1 << (2 * len(g.qubits))):
+            x = z = 0
+            for i, q in enumerate(g.qubits):
+                x |= ((pattern >> (2 * i)) & 1) << q
+                z |= ((pattern >> (2 * i + 1)) & 1) << q
+            locs.append(faults.FaultLocation(len(locs), gi, x, z))
+    return locs
+
+
 def _extract(mask, qubits):
     return sum(((mask >> q) & 1) << i for i, q in enumerate(qubits))
 

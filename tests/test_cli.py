@@ -163,7 +163,7 @@ def test_replay_outputs_are_pinned(capsys, tmp_path):
         code, out, _ = run(capsys, "replay", "--layout", "code49", "--circuit", str(path),
                            *fault_args, "--format", "machine")
         digest.update(f"{code}\n{strip_timing(out)}".encode())
-    assert digest.hexdigest() == "5a2bd8382f7887fd1d93fd98de53864ca2ac25f62dfa91116ec813da3f1f6b62"
+    assert digest.hexdigest() == "9279c4092c0fdc14a6da9ac3e7914c03b40359e4939d565a6ae14dc9043090ec"
 
 
 def test_machine_output_deterministic(capsys):

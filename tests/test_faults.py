@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nuconcat import cli, faults, gates, library
@@ -15,7 +15,8 @@ from nuconcat.faults import (DecodeContext, check_single_fault_ft,
                              propagate)
 from nuconcat.gates import gate
 from nuconcat.pauli import Pauli
-from reference import _deposit, hierarchical_decode, reference_propagate
+from reference import (_deposit, hierarchical_decode, reference_locations,
+                       reference_propagate)
 
 
 def make_circuit(n, *gs):
@@ -112,6 +113,58 @@ def test_groups_walked_together_match_reference_alone(case):
         assert branches(frame, g) == reference_propagate(circuit, fault_list)
 
 
+@st.composite
+def faults_after_branching(draw):
+    """A circuit from ``circuits_with_faults`` with a non-Clifford diagonal
+    gate d, and 1-5 groups of faults after d.  The first group, and each
+    later one with even odds, also gets an X on a qubit of d just before
+    it, so d branches it before its later faults enter."""
+    circuit, _ = draw(circuits_with_faults())
+    diagonal = [p for p, g in enumerate(circuit.gates) if not g.is_clifford]
+    assume(diagonal)
+    d = draw(st.sampled_from(diagonal))
+    active = sorted({q for g in circuit.gates for q in g.qubits})
+
+    def pauli_on_active():
+        x, z = (draw(st.integers(0, (1 << len(active)) - 1)) for _ in range(2))
+        return _deposit(x, active), _deposit(z, active)
+
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        group = [(draw(st.integers(d, len(circuit.gates) - 1)), *pauli_on_active())
+                 for _ in range(draw(st.integers(1, 2)))]
+        if not groups or draw(st.booleans()):
+            x = 1 << draw(st.sampled_from(circuit.gates[d].qubits))
+            group.insert(0, (d - 1, x, draw(st.sampled_from([0, x]))))
+        groups.append(group)
+    return circuit, groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(faults_after_branching())
+def test_faults_after_branching_match_reference(case):
+    """A fault entering a group that a diagonal gate has branched reaches
+    every row the group owns, in the slots the expansion reused or
+    appended, while other groups take theirs in their own row."""
+    circuit, groups = case
+    frame = propagate(circuit, [(g, *f) for g, fault_list in enumerate(groups)
+                                for f in fault_list])
+    assert not frame.deterministic[0]
+    for g, fault_list in enumerate(groups):
+        assert branches(frame, g) == reference_propagate(circuit, fault_list)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits_with_faults())
+def test_locations_match_reference(case):
+    """The array-built locations equal the per-gate loop in index, place
+    and masks, on registers of one and of four words."""
+    circuit, _ = case
+    locs = enumerate_locations(circuit)
+    want = reference_locations(circuit)
+    assert [locs[i] for i in range(len(locs))] == want
+
+
 def test_location_counts():
     t = make_circuit(1, gate(gates.T, 0))
     assert len(enumerate_locations(t)) == 3 + 3
@@ -150,8 +203,8 @@ def test_x_branches_at_ccz_spray_z():
 
 def test_clifford_only_is_deterministic(lib, layouts):
     adm = lib.gadget(layouts[49], library.logical_gate(gates.CNOT))
-    locs = enumerate_locations(adm.circuit)[:60]
-    frame = propagate(adm.circuit, ((loc.index, loc.place, loc.x, loc.z) for loc in locs))
+    locs = enumerate_locations(adm.circuit)
+    frame = propagate(adm.circuit, locs)
     assert frame.deterministic.all()
     assert np.array_equal(np.bincount(frame.owner), np.ones(len(locs)))
 
@@ -366,6 +419,21 @@ def test_bare_steane_t_campaign_order(cat):
         ((0,), (1, 7), "Z"), ((1,), (1, 6), "Z")]
     keys = [(f.locations, f.branch) for f in report.failures]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name,kind,expected", [
+    ("code105", gates.CCZ, (4590, 11520, 0)),
+    ("code49", gates.CCZ, (4086, 11016, 0)),
+    ("code75", gates.CCZ, (4320, 11250, 0)),
+    ("code49", gates.T, (1092, 1422, 0)),
+    ("code47", gates.T, (1086, 1416, 0)),
+])
+def test_campaign_counts(cat, name, kind, expected):
+    """(locations, branches, failures) of the single-fault campaigns behind
+    the table's T and CCZ rows."""
+    layout, circuit = oracle_free_gadget(cat, name, kind)
+    report = check_single_fault_ft(layout, circuit)
+    assert (report.locations_checked, report.branches_checked, len(report.failures)) == expected
 
 
 @pytest.mark.parametrize("name,kind,expected", [

@@ -19,6 +19,13 @@ def test_multiply_xz_phase():
     assert (x * z).phase == -1j
 
 
+def test_hermitian_has_plus_phase():
+    """Letters from bit masks print without a phase, Y included."""
+    for x, z, text in ((0b011, 0b010, "+XYI"), (0, 0b100, "+IIZ"), (0b111, 0b111, "+YYY")):
+        p = Pauli.hermitian(3, x, z)
+        assert str(p) == text and p == Pauli.from_string(text)
+
+
 def test_self_inverse_and_group_inverse():
     zzz = Pauli.from_letters(7, {0: "Z", 1: "Z", 6: "Z"})
     assert (zzz * zzz).is_identity()
