@@ -3,8 +3,7 @@ gate gadgets, oracle verification, and exhaustive fault-tolerance checks."""
 
 from . import gates as _gates
 from .catalog import Catalog, default_catalog, dump_catalog, parse_catalog
-from .circuits import (GadgetCircuit, SynthesisError, circuit_from_text,
-                       circuit_to_text, staircase_gadget)
+from .circuits import GadgetCircuit, SynthesisError, circuit_from_text, circuit_to_text
 from .codes import (LookupDecoder, StabilizerCode, build_decoder, distance,
                     five_prime, five_qubit, min_weight_logical, reed_muller_15,
                     stabilizer_group, steane, syndrome, transform_code)

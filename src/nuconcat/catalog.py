@@ -130,7 +130,7 @@ def parse_catalog(text: str) -> Catalog:
             continue
         key, _, rest = line.partition(" ")
         if key == "code":
-            current = {"name": rest.strip(), "stabilizers": [], "rules": {},
+            current = {"name": rest.strip(), "stabilizers": [], "rules": {}, "lines": {},
                        "css": False, "derivation": ""}
         elif current is None:
             raise ValueError(f"directive outside code block: {line!r}")
@@ -164,10 +164,17 @@ def parse_catalog(text: str) -> Catalog:
                 raise ValueError(f"bad transversal declaration {line!r}; expected "
                                  f"'transversal KIND rep' or 'transversal KIND bitwise PHYS'")
             current["rules"][parts[0]] = rule
+            current["lines"][parts[0]] = line
         elif key == "end":
             missing = [d for d in ("n", "logical-x", "logical-z") if d not in current]
             if missing:
                 raise ValueError(f"code {current['name']!r} lacks {', '.join(missing)}")
+            for kind, rule in current["rules"].items():
+                for _, q in rule.fixups:
+                    if q >= current["n"]:
+                        raise ValueError(f"bad catalog line {current['lines'][kind]!r}: fixup "
+                                         f"qubit {q} outside the {current['n']} qubits of "
+                                         f"{current['name']!r}")
             code = StabilizerCode(current["name"], current["n"],
                                   tuple(current["stabilizers"]),
                                   current["logical-x"], current["logical-z"],

@@ -103,11 +103,6 @@ def normalization_gates(rep: Pauli) -> tuple[tuple[Gate, ...], Pauli]:
     return tuple(lc), transformed
 
 
-def staircase_gadget(code: StabilizerCode, k: int, theta: Fraction) -> GadgetCircuit:
-    """Logical C^kZ(theta) on k+1 blocks of ``code``, coupling d qubits each."""
-    return GadgetDispatcher({})._outer_staircase(bare_layout(code), k, theta)
-
-
 # -- transversal rules ----------------------------------------------------------
 
 @dataclass(frozen=True)

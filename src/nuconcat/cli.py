@@ -80,6 +80,8 @@ def _resolve_layout(cat: cataloglib.Catalog, descriptor: str) -> concat.Layout:
 def _parse_gate(text: str, theta_text: str | None, k: int | None) -> gates.Gate:
     kind = text.strip()
     theta = gates.parse_theta(theta_text) if theta_text else None
+    if k is not None and kind != gates.CKZ_THETA:
+        raise UsageError(f"--k applies only to {gates.CKZ_THETA}, not to {kind}")
     if kind in (gates.Z_THETA, gates.CKZ_THETA):
         if theta is None:
             raise UsageError(f"{kind} requires --theta")

@@ -43,10 +43,6 @@ class Layout:
     def offsets(self) -> tuple[int, ...]:
         return tuple(accumulate((inner.n for inner in self.assignment[:-1]), initial=0))
 
-    @property
-    def is_uniform(self) -> bool:
-        return len({inner.name for inner in self.assignment}) == 1
-
     def block(self, outer_q: int) -> tuple[int, StabilizerCode]:
         return self.offsets[outer_q], self.assignment[outer_q]
 

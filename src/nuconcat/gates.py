@@ -140,7 +140,7 @@ def diagonal_gate(qubits: tuple[int, ...], theta_over_pi: Fraction) -> Gate:
 
 # -- exact angle notation ------------------------------------------------
 
-_THETA_RE = re.compile(r"^(-?)(?:(\d+)/?)?pi(?:/(\d+))?$")
+_THETA_RE = re.compile(r"^(-?)(\d+)?pi(?:/(\d+))?$")
 
 
 def format_theta(t: Fraction) -> str:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import gates, simulate
 from .catalog import Catalog
-from .circuits import GadgetCircuit, GadgetDispatcher, expand_transversal, staircase_gadget
+from .circuits import GadgetCircuit, GadgetDispatcher, expand_transversal
 from .codes import StabilizerCode
 from .concat import Layout, flatten
 from .gates import Gate
@@ -26,24 +25,25 @@ class AdmissionError(RuntimeError):
     """A synthesized circuit failed oracle verification."""
 
 
-def _oracle_checks(operands: list[StabilizerCode], circuit: GadgetCircuit,
+def _oracle_checks(code: StabilizerCode, circuit: GadgetCircuit,
                    claimed: Gate) -> list[Callable[[], Certificate]]:
-    """Every oracle that applies, weakest first, as zero-argument checks.
+    """Every oracle that applies to ``circuit`` on copies of ``code``, one
+    per block, weakest first, as zero-argument checks.
 
     Coset-phase analysis for X/CNOT/diagonal circuits with a diagonal
     claim; Heisenberg conjugation for Clifford circuits of any size; dense
     simulation when the register fits.  Each oracle is looked up on
     :mod:`simulate` when it runs.
     """
-    total = sum(op.n for op in operands)
+    total = circuit.register_size
     checks = []
     if claimed.is_diagonal and all(g.is_permutation or g.is_diagonal for g in circuit.gates):
-        checks.append(lambda: simulate.verify_diagonal_action(operands, circuit, claimed))
+        checks.append(lambda: simulate.verify_diagonal_action(code, circuit, claimed))
     if circuit.is_clifford and claimed.is_clifford:
-        checks.append(lambda: simulate.verify_clifford_action(operands, circuit, claimed))
+        checks.append(lambda: simulate.verify_clifford_action(code, circuit, claimed))
     if total <= simulate.MAX_DENSE_QUBITS:
         checks.append(lambda: simulate.verify_logical_action(
-            operands, circuit, gates.gate_matrix(claimed)))
+            code, circuit, gates.gate_matrix(claimed)))
     if not checks:
         raise VerificationError(
             f"no oracle applies to {circuit.label} at {total} qubits "
@@ -51,10 +51,10 @@ def _oracle_checks(operands: list[StabilizerCode], circuit: GadgetCircuit,
     return checks
 
 
-def verify_gadget(operands: list[StabilizerCode], circuit: GadgetCircuit,
+def verify_gadget(code: StabilizerCode, circuit: GadgetCircuit,
                   claimed: Gate) -> Certificate:
-    """Run the strongest applicable oracle."""
-    return _oracle_checks(operands, circuit, claimed)[-1]()
+    """Run the strongest applicable oracle on copies of ``code``, one per block."""
+    return _oracle_checks(code, circuit, claimed)[-1]()
 
 
 def logical_gate(kind: str) -> Gate:
@@ -96,8 +96,7 @@ class GadgetLibrary:
         code = self.catalog.code(code_name)
         circuit = expand_transversal(code, kind, self.catalog.rules[code_name][kind])
         claimed = logical_gate(kind)
-        operands = [code] * len(circuit.blocks)
-        certs = [check() for check in _oracle_checks(operands, circuit, claimed)]
+        certs = [check() for check in _oracle_checks(code, circuit, claimed)]
         for cert in certs:
             if not cert.passed:
                 raise AdmissionError(
@@ -126,15 +125,18 @@ class GadgetLibrary:
 
     # -- gadgets --------------------------------------------------------------
 
-    def _admit(self, key: tuple, code: StabilizerCode, logical: Gate,
-               synthesise: Callable[[], GadgetCircuit]) -> AdmittedGadget:
-        """Cached gadget for ``key``, or synthesise one, verify it on copies
-        of ``code`` and cache it; a failed verification is a hard error."""
+    def gadget(self, layout: Layout, logical: Gate) -> AdmittedGadget:
+        """Cached gadget for ``logical`` on ``layout``, or synthesise one,
+        verify it on copies of the flattened layout and cache it; a failed
+        verification is a hard error."""
+        key = (layout.descriptor, logical.kind, logical.qubits, logical.theta_over_pi)
+        code = flatten(layout)
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
-        circuit = synthesise()
-        cert = verify_gadget([code] * len(circuit.blocks), circuit, logical)
+        self._require_codes(layout)
+        circuit = self.dispatcher.logical_gadget(layout, logical)
+        cert = verify_gadget(code, circuit, logical)
         if not cert.passed:
             raise AdmissionError(
                 f"gadget {circuit.label} on {code.name} failed its "
@@ -142,17 +144,3 @@ class GadgetLibrary:
         admitted = AdmittedGadget(circuit, cert, logical)
         with self._lock:
             return self._cache.setdefault(key, admitted)
-
-    def gadget(self, layout: Layout, logical: Gate) -> AdmittedGadget:
-        def synthesise() -> GadgetCircuit:
-            self._require_codes(layout)
-            return self.dispatcher.logical_gadget(layout, logical)
-
-        key = (layout.descriptor, logical.kind, logical.qubits, logical.theta_over_pi)
-        return self._admit(key, flatten(layout), logical, synthesise)
-
-    def base_staircase(self, code: StabilizerCode, k: int, theta: Fraction) -> AdmittedGadget:
-        """Theorem-level staircase on bare code blocks, dense-verified."""
-        logical = gates.diagonal_gate(tuple(range(k + 1)), theta)
-        key = ("staircase:" + code.name, logical.kind, logical.qubits, logical.theta_over_pi)
-        return self._admit(key, code, logical, lambda: staircase_gadget(code, k, theta))

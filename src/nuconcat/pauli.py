@@ -16,7 +16,7 @@ are cheap to multiply and compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -70,13 +70,6 @@ class Pauli:
     def hermitian(n: int, x: int, z: int) -> "Pauli":
         """The letters of (x, z) with displayed phase +."""
         return Pauli(n, x, z, (x & z).bit_count())
-
-    @staticmethod
-    def from_letters(n: int, letters: Mapping[int, str]) -> "Pauli":
-        p = Pauli.identity(n)
-        for q, letter in letters.items():
-            p = p * Pauli.single(n, q, letter)
-        return p
 
     @staticmethod
     def from_string(text: str) -> "Pauli":
@@ -153,14 +146,8 @@ class Pauli:
         mask = self.x | self.z
         return tuple(q for q in range(self.n) if (mask >> q) & 1)
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0 and self.phase_exp == 0
-
     def is_hermitian(self) -> bool:
         return self.display_phase_exp in (0, 2)
-
-    def equals_up_to_phase(self, other: "Pauli") -> bool:
-        return self.n == other.n and self.x == other.x and self.z == other.z
 
     # -- register plumbing ----------------------------------------------
 
@@ -176,19 +163,6 @@ class Pauli:
             x |= ((self.x >> q) & 1) << target
             z |= ((self.z >> q) & 1) << target
         return Pauli(n, x, z, self.phase_exp)
-
-    def restrict(self, qubits: Iterable[int]) -> "Pauli":
-        """Sub-operator on the listed qubits (in the listed order).
-
-        The phase of a restriction is not meaningful on its own; it is
-        kept as the raw internal exponent of the selected letters.
-        """
-        qubits = list(qubits)
-        x = z = 0
-        for i, q in enumerate(qubits):
-            x |= ((self.x >> q) & 1) << i
-            z |= ((self.z >> q) & 1) << i
-        return Pauli(len(qubits), x, z, 0)
 
     def negate(self) -> "Pauli":
         return Pauli(self.n, self.x, self.z, (self.phase_exp + 2) & 3)

@@ -14,9 +14,11 @@ the ones that apply:
   the claimed constant up to one global phase, coefficient by coefficient
   over Z_{2*den} (any size, any rational multiple of pi).
 
-Each logical operand is a :class:`~nuconcat.codes.StabilizerCode`: a
-base code, or a layout flattened by :func:`nuconcat.concat.flatten`.
-Certificates record which method ran and what it measured.
+Each oracle verifies a circuit on copies of one
+:class:`~nuconcat.codes.StabilizerCode` (a base code, or a layout flattened
+by :func:`nuconcat.concat.flatten`), one copy per entry of
+``circuit.blocks``.  Certificates record which method ran and what it
+measured.
 """
 
 from __future__ import annotations
@@ -53,15 +55,17 @@ class Certificate:
     details: str = ""
 
 
-def _operand_offsets(operands: list[StabilizerCode], circuit: GadgetCircuit,
-                     claim_fits: bool) -> list[int]:
-    """First qubit of each operand, once the operands are known to cover the
-    register and the claim (``claim_fits``) to act on exactly all of them."""
-    if sum(op.n for op in operands) != circuit.register_size:
-        raise VerificationError("operands do not cover the register")
+def _block_offsets(code: StabilizerCode, circuit: GadgetCircuit,
+                   claim_fits: bool) -> list[int]:
+    """First qubit of each block, once every block is known to be one copy
+    of ``code`` and the claim (``claim_fits``) to act on exactly all of them."""
+    for _, length in circuit.blocks:
+        if length != code.n:
+            raise VerificationError(f"a block of {length} qubits is not a copy of "
+                                    f"{code.name} ({code.n} qubits)")
     if not claim_fits:
-        raise VerificationError(f"claim does not act on exactly the {len(operands)} operands")
-    return [sum(op.n for op in operands[:b]) for b in range(len(operands))]
+        raise VerificationError(f"claim does not act on exactly the {len(circuit.blocks)} operands")
+    return [offset for offset, _ in circuit.blocks]
 
 
 # -- dense simulation ------------------------------------------------------------
@@ -152,27 +156,27 @@ def _logical_inputs(m: int) -> list[np.ndarray]:
     return inputs
 
 
-def verify_logical_action(operands: list[StabilizerCode], circuit: GadgetCircuit,
+def verify_logical_action(code: StabilizerCode, circuit: GadgetCircuit,
                           claimed: np.ndarray) -> Certificate:
     """Dense check that the circuit equals the claimed logical unitary
     (up to one consistent global phase) and preserves the code space.
 
     The 2^m logical basis states run through the circuit in one pass.
-    Contracting the output with each operand's conjugated codeword pair
-    gives U_L[i, j] = <b_i|C|b_j>, and the spanning inputs are checked
-    against U_L in 2^m dimensions.
+    Contracting the output with the conjugated codeword pair once per
+    block gives U_L[i, j] = <b_i|C|b_j>, and the spanning inputs are
+    checked against U_L in 2^m dimensions.
     """
-    m = len(operands)
-    _operand_offsets(operands, circuit, np.shape(claimed) == (1 << m, 1 << m))
+    m = len(circuit.blocks)
+    _block_offsets(code, circuit, np.shape(claimed) == (1 << m, 1 << m))
     if circuit.register_size > MAX_DENSE_QUBITS:
         raise VerificationError(f"{circuit.register_size} qubits exceeds the dense cap")
-    pairs = [codewords(op) for op in operands]
-    # row j: operand b in label (j >> b) & 1, operand 0 on the lowest qubits
+    pair = codewords(code)
+    # row j: block b in label (j >> b) & 1, block 0 on the lowest qubits
     states = np.ones((1, 1), dtype=complex)
-    for pair in pairs:
+    for _ in range(m):
         states = np.kron(pair, states)
     amps = apply_circuit(states, circuit)
-    for pair in reversed(pairs):  # the highest operand leads each row
+    for _ in range(m):  # the highest block leads each row
         amps = pair.conj() @ amps.reshape(-1, pair.shape[1], amps.shape[-1] // pair.shape[1])
     logical = amps.reshape(1 << m, 1 << m).T
 
@@ -200,23 +204,7 @@ def verify_logical_action(operands: list[StabilizerCode], circuit: GadgetCircuit
 
 # -- Heisenberg verification -------------------------------------------------------
 
-def _embed_at(p: Pauli, total: int, offset: int) -> Pauli:
-    return p.embed(total, range(offset, offset + p.n))
-
-
-def _lift_logical(operands: list[StabilizerCode], offsets: list[int], total: int,
-                  logical: Pauli) -> Pauli:
-    """Group-homomorphic lift of an m-qubit logical Pauli to physical reps."""
-    out = Pauli(total, 0, 0, logical.phase_exp)
-    for b in range(logical.n):
-        if (logical.x >> b) & 1:
-            out = out * _embed_at(operands[b].logical_x, total, offsets[b])
-        if (logical.z >> b) & 1:
-            out = out * _embed_at(operands[b].logical_z, total, offsets[b])
-    return out
-
-
-def verify_clifford_action(operands: list[StabilizerCode], circuit: GadgetCircuit,
+def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
                            claimed: Gate) -> Certificate:
     """Conjugate stabilizers and logicals through a Clifford circuit.
 
@@ -228,11 +216,27 @@ def verify_clifford_action(operands: list[StabilizerCode], circuit: GadgetCircui
         raise VerificationError("Heisenberg check requires a Clifford circuit")
     if not claimed.is_clifford:
         raise VerificationError("claimed gate is not Clifford")
-    m = len(operands)
-    offsets = _operand_offsets(operands, circuit, sorted(claimed.qubits) == list(range(m)))
+    m = len(circuit.blocks)
+    offsets = _block_offsets(code, circuit, sorted(claimed.qubits) == list(range(m)))
     total = circuit.register_size
-    all_gens = [_embed_at(g, total, offsets[b])
-                for b, op in enumerate(operands) for g in op.generators]
+
+    def embed(p: Pauli, offset: int) -> Pauli:
+        return p.embed(total, range(offset, offset + code.n))
+
+    all_gens = [embed(g, offset) for offset in offsets for g in code.generators]
+    logical_x = [embed(code.logical_x, offset) for offset in offsets]
+    logical_z = [embed(code.logical_z, offset) for offset in offsets]
+
+    def lift(logical: Pauli) -> Pauli:
+        """Group-homomorphic lift of an m-qubit logical Pauli to physical reps."""
+        out = Pauli(total, 0, 0, logical.phase_exp)
+        for b in range(m):
+            if (logical.x >> b) & 1:
+                out = out * logical_x[b]
+            if (logical.z >> b) & 1:
+                out = out * logical_z[b]
+        return out
+
     group = StabilizerGroup(all_gens, total)
     for g in all_gens:
         image = gates.conjugate_through(g, circuit.gates)
@@ -243,10 +247,8 @@ def verify_clifford_action(operands: list[StabilizerCode], circuit: GadgetCircui
         for letter in ("X", "Z"):
             source = Pauli.single(m, b, letter)
             source = Pauli(m, source.x, source.z, 0)
-            got = gates.conjugate_through(
-                _lift_logical(operands, offsets, total, source), circuit.gates)
-            want = _lift_logical(operands, offsets, total,
-                                 gates.conjugate_by_gate(source, claimed))
+            got = gates.conjugate_through(lift(source), circuit.gates)
+            want = lift(gates.conjugate_by_gate(source, claimed))
             if got * want.inverse() not in group:
                 return Certificate("heisenberg", False,
                                    details=f"logical {letter}_{b} image mismatch")
@@ -283,11 +285,12 @@ def _trace_permutation(circuit: GadgetCircuit) -> _AffineTrace:
     return _AffineTrace(rows, offs, terms)
 
 
-def _support_space(code: StabilizerCode) -> tuple[list[int], list[int], Pauli]:
-    """Constraint system of the codeword supports, on the operand's own bits.
+def _support_space(code: StabilizerCode) -> list[tuple[int, list[int]]]:
+    """Classical support ``seed xor span(basis)`` of each codeword, as
+    ``[(seed, basis) for label 0, 1]`` on the code's own bits.
 
-    Returns (constraint rows, target bits as a list, pure-Z logical element);
-    the label constraint is the last row, with target ``label xor sign``.
+    The pure-Z stabilizers fix the support's parities, and a pure-Z element
+    of the logical-Z coset, with target ``label xor sign``, fixes the label.
     """
     group = stabilizer_group(code)
     gens = group.generators
@@ -312,7 +315,14 @@ def _support_space(code: StabilizerCode) -> tuple[list[int], list[int], Pauli]:
     pure = lz * group.product(lz_combo)
     if pure.x or pure.display_phase_exp not in (0, 2):
         raise AssertionError("logical-Z purification failed")
-    return rows, targets, pure
+    sign = 1 if pure.display_phase_exp == 2 else 0
+    supports = []
+    for label in range(2):
+        support = solve_affine(rows + [pure.z], targets + [label ^ sign], code.n)
+        if support is None:
+            raise VerificationError("inconsistent support constraints")
+        supports.append(support)
+    return supports
 
 
 def _xor_polynomial(const: int, variables: list[int], modulus: int) -> dict[int, int]:
@@ -342,7 +352,7 @@ def _times(a: dict[int, int], b: dict[int, int], modulus: int) -> dict[int, int]
     return {mono: coef for mono, coef in out.items() if coef}
 
 
-def verify_diagonal_action(operands: list[StabilizerCode], circuit: GadgetCircuit,
+def verify_diagonal_action(code: StabilizerCode, circuit: GadgetCircuit,
                            claimed: Gate) -> Certificate:
     """Exact phase-polynomial check for X/CNOT/diagonal circuits on stabilizer codewords.
 
@@ -356,8 +366,8 @@ def verify_diagonal_action(operands: list[StabilizerCode], circuit: GadgetCircui
     labels (0, ..., 0) is the global phase; every other constant must equal
     it plus the claimed logical phase.
     """
-    m = len(operands)
-    offsets = _operand_offsets(operands, circuit, sorted(claimed.qubits) == list(range(m)))
+    m = len(circuit.blocks)
+    offsets = _block_offsets(code, circuit, sorted(claimed.qubits) == list(range(m)))
     if not claimed.is_diagonal:
         raise VerificationError("coset-phase method needs a diagonal claimed gate")
     trace = _trace_permutation(circuit)
@@ -370,20 +380,12 @@ def verify_diagonal_action(operands: list[StabilizerCode], circuit: GadgetCircui
         for row, _ in bits:
             touched |= row
 
-    spaces = [_support_space(op) for op in operands]
-
-    def solve_support(b: int, label: int):
-        rows, targets, pure = spaces[b]
-        sign = 1 if pure.display_phase_exp == 2 else 0
-        solution = solve_affine(rows + [pure.z], targets + [label ^ sign], operands[b].n)
-        if solution is None:
-            raise VerificationError("inconsistent support constraints")
-        seed, basis = solution
-        # quotient by qubits the circuit never reads: every phase-term row
-        # lies inside ``touched``, so only the projections are ever read
-        return seed << offsets[b], rref([(v << offsets[b]) & touched for v in basis])
-
-    supports = {(b, label): solve_support(b, label) for b in range(m) for label in range(2)}
+    # each label's support on every block, quotiented by qubits the circuit
+    # never reads: every phase-term row lies inside ``touched``, so only
+    # the projections are ever read
+    code_supports = _support_space(code)
+    supports = [[(seed << offset, rref([(v << offset) & touched for v in basis]))
+                 for seed, basis in code_supports] for offset in offsets]
     den = math.lcm(claimed.theta().denominator,
                    *(theta.denominator for theta, _ in trace.phase_terms))
     modulus = 2 * den
@@ -391,7 +393,7 @@ def verify_diagonal_action(operands: list[StabilizerCode], circuit: GadgetCircui
     for labels in itertools.product(range(2), repeat=m):
         seed, basis = 0, []
         for b in range(m):
-            part_seed, part_basis = supports[(b, labels[b])]
+            part_seed, part_basis = supports[b][labels[b]]
             seed ^= part_seed
             basis += part_basis
         poly: dict[int, int] = {}

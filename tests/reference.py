@@ -1,12 +1,51 @@
 """Pauli-level reference implementations that only tests use: each is the
 slow, obviously correct form of something the package does on arrays."""
 
+from fractions import Fraction
+from typing import Iterable, Mapping
+
 from nuconcat import faults, gates
-from nuconcat.circuits import GadgetCircuit
+from nuconcat.circuits import GadgetCircuit, GadgetDispatcher
 from nuconcat.codes import (LOGICAL_CLASSES, StabilizerCode, build_decoder, min_weight_logical,
                             normalizer_class, syndrome)
-from nuconcat.concat import DistanceResult, Layout, _min_weight_lift
+from nuconcat.concat import DistanceResult, Layout, _min_weight_lift, bare_layout
 from nuconcat.pauli import DimensionError, Pauli
+
+
+def from_letters(n: int, letters: Mapping[int, str]) -> Pauli:
+    """The product of ``letter`` on ``q`` for each entry, identity elsewhere."""
+    p = Pauli.identity(n)
+    for q, letter in letters.items():
+        p = p * Pauli.single(n, q, letter)
+    return p
+
+
+def restrict(p: Pauli, qubits: Iterable[int]) -> Pauli:
+    """Sub-operator on the listed qubits (in the listed order), without a phase."""
+    qubits = list(qubits)
+    x = z = 0
+    for i, q in enumerate(qubits):
+        x |= ((p.x >> q) & 1) << i
+        z |= ((p.z >> q) & 1) << i
+    return Pauli(len(qubits), x, z, 0)
+
+
+def is_identity(p: Pauli) -> bool:
+    return p.x == 0 and p.z == 0 and p.phase_exp == 0
+
+
+def equals_up_to_phase(p: Pauli, other: Pauli) -> bool:
+    return p.n == other.n and p.x == other.x and p.z == other.z
+
+
+def is_uniform(layout: Layout) -> bool:
+    """Every outer qubit carries the same inner code."""
+    return len({inner.name for inner in layout.assignment}) == 1
+
+
+def staircase_gadget(code: StabilizerCode, k: int, theta: Fraction) -> GadgetCircuit:
+    """Logical C^kZ(theta) on k+1 bare blocks of ``code``, coupling d qubits each."""
+    return GadgetDispatcher({})._outer_staircase(bare_layout(code), k, theta)
 
 
 def stabilizer_elements(code: StabilizerCode):
@@ -45,12 +84,12 @@ def hierarchical_decode(layout: Layout, error: Pauli) -> str:
     letters: dict[int, str] = {}
     for q in range(layout.outer.n):
         start, inner = layout.block(q)
-        block_err = error.restrict(range(start, start + inner.n))
+        block_err = restrict(error, range(start, start + inner.n))
         correction = build_decoder(inner).decode(syndrome(inner, block_err))
         letter = normalizer_class(inner, correction * block_err)
         if letter != "I":
             letters[q] = letter
-    outer_error = Pauli.from_letters(layout.outer.n, letters)
+    outer_error = from_letters(layout.outer.n, letters)
     outer_decoder = build_decoder(layout.outer)
     correction = outer_decoder.decode(syndrome(layout.outer, outer_error))
     return normalizer_class(layout.outer, correction * outer_error)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from nuconcat import catalog as cataloglib
 from nuconcat import cli, codes
-from nuconcat.circuits import circuit_to_text, staircase_gadget
+from nuconcat.circuits import circuit_to_text
 from nuconcat.codes import LookupDecoder
+from reference import staircase_gadget
 
 
 def run(capsys, *argv):
@@ -261,6 +262,17 @@ def test_gadget_ckz_with_zero_controls(capsys):
     assert err.startswith("usage error:") and "--k" in err
 
 
+@pytest.mark.parametrize("gate_args", [["--gate", "T", "--k", "3"],
+                                       ["--gate", "Z_THETA", "--theta", "pi/4", "--k", "2"]],
+                         ids=["T", "Z_THETA"])
+def test_gadget_k_needs_ckz_theta(capsys, gate_args):
+    """--k counts the controls of CKZ_THETA; on any other gate it is a
+    usage error, not silently dropped."""
+    code, out, err = run(capsys, "gadget", "--layout", "bare:steane", *gate_args)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "--k" in err
+
+
 def test_ftcheck_gate_names_are_validated(capsys):
     code, out, err = run(capsys, "ftcheck", "--layout", "code49", "--gates", "Z_THETA")
     assert code == 2
@@ -304,6 +316,9 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("catalog", CATALOG_TEXT.replace("n 7\n", "n seven\n", 1), "line 'n seven': expected 'n N'"),
     ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup Z@two", 1),
      "line 'transversal K bitwise K fixup Z@two': expected 'fixup KIND@QUBIT'"),
+    ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup Z@9", 1),
+     "line 'transversal K bitwise K fixup Z@9': fixup qubit 9 outside the 5 qubits of "
+     "'five_prime'"),
     ("circuit", CIRCUIT_TEXT.replace("register 7\n", "", 1),
      "line 'blocks 0:7': expected 'register N'"),
     ("circuit", CIRCUIT_TEXT.replace("register 7", "register seven", 1),
@@ -319,6 +334,7 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("fault", "-1:XQIIIII", "--fault '-1:XQIIIII': expected PLACE:PAULI"),
     ("fault", "3:XIIIIII:Z", "--fault '3:XIIIIII:Z': expected PLACE:PAULI"),
 ], ids=["no-style", "no-physical-gate", "no-size", "size-not-integer", "fixup-not-integer",
+        "fixup-outside-code",
         "no-register", "register-not-integer", "qubit-not-integer",
         "blocks-past-register", "blocks-overlap",
         "place-not-integer", "no-place", "bad-letter", "extra-field"])

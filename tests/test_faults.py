@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nuconcat import cli, faults, gates, library
-from nuconcat.circuits import GadgetCircuit, GadgetDispatcher, staircase_gadget
+from nuconcat.circuits import GadgetCircuit, GadgetDispatcher
 from nuconcat.concat import bare_layout, parse_layout
 from nuconcat.faults import (DecodeContext, check_single_fault_ft,
                              enumerate_locations, find_min_uncorrectable,
@@ -16,7 +16,7 @@ from nuconcat.faults import (DecodeContext, check_single_fault_ft,
 from nuconcat.gates import gate
 from nuconcat.pauli import Pauli
 from reference import (_deposit, hierarchical_decode, reference_locations,
-                       reference_propagate)
+                       reference_propagate, staircase_gadget)
 
 
 def make_circuit(n, *gs):
@@ -304,8 +304,7 @@ def test_negative_control_half_staircase(cat):
     assert not report.passed
     assert report.min_uncorrectable_size == 1
     from nuconcat.simulate import verify_logical_action
-    cert = verify_logical_action([code], half,
-                                 gates.gate_matrix(gate(gates.T, 0)))
+    cert = verify_logical_action(code, half, gates.gate_matrix(gate(gates.T, 0)))
     assert not cert.passed
 
 

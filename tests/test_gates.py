@@ -99,6 +99,6 @@ def test_theta_parse_format(text, value):
 
 
 def test_theta_parse_rejects_floats():
-    for bad in ("0.785", "pi/0", "2*pi", "pie"):
+    for bad in ("0.785", "pi/0", "2*pi", "pie", "1/pi", "3/pi/4"):
         with pytest.raises(ValueError):
             gates.parse_theta(bad)

@@ -1,6 +1,8 @@
-"""Every module-level function and class of the package has a user: a
-reference from package code outside its own definition.  An export from
-``__init__.py`` is not a use; code that only tests call lives in the tests."""
+"""Every module-level function and class of the package, and every method
+of a package class, has a user: a reference from package code outside its
+own definition.  An export from ``__init__.py`` is not a use; code that
+only tests call lives in the tests.  Dunder methods are called by Python
+itself and are not checked."""
 
 import ast
 from pathlib import Path
@@ -21,16 +23,28 @@ def referenced_names(node: ast.AST) -> set[str]:
 
 
 def test_every_definition_has_a_user():
-    definitions = []   # (module, name, defining statement)
-    statements = []    # every top-level statement of every module
+    definitions = []   # (qualified name, name, defining node)
+    units = []         # (nodes a unit lies inside, names it references)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
-            if path.name != "__init__.py":
-                statements.append(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((path.stem, stmt.name, stmt))
-    uses = [(stmt, referenced_names(stmt)) for stmt in statements]
-    unused = [f"{module}.{name}" for module, name, node in definitions
-              if not any(name in names for stmt, names in uses if stmt is not node)]
+                definitions.append((f"{path.stem}.{stmt.name}", stmt.name, stmt))
+            if path.name == "__init__.py":
+                continue
+            if not isinstance(stmt, ast.ClassDef):
+                units.append(({stmt}, referenced_names(stmt)))
+                continue
+            # a class is split into its members, so that a method's own body
+            # is not a use of it; bases and decorators form one more unit
+            header = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
+            units.append(({stmt}, set().union(*map(referenced_names, header))))
+            for member in stmt.body:
+                units.append(({stmt, member}, referenced_names(member)))
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (member.name.startswith("__") and member.name.endswith("__"))):
+                    definitions.append((f"{path.stem}.{stmt.name}.{member.name}",
+                                        member.name, member))
+    unused = [qualified for qualified, name, node in definitions
+              if not any(name in names for inside, names in units if node not in inside)]
     assert unused == []

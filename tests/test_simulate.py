@@ -7,22 +7,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nuconcat import gates, library, simulate
-from nuconcat.circuits import GadgetCircuit, expand_transversal, staircase_gadget
-from nuconcat.codes import BARE, StabilizerCode
+from nuconcat.circuits import GadgetCircuit, expand_transversal
+from nuconcat.codes import StabilizerCode
 from nuconcat.concat import flatten
 from nuconcat.gates import Gate, gate
 from nuconcat.pauli import Pauli
 from nuconcat.simulate import (VerificationError, apply_circuit, apply_pauli,
                                codewords, verify_clifford_action, verify_diagonal_action,
                                verify_logical_action)
-from reference import invert
+from reference import invert, staircase_gadget
 
 
 def test_state_cap(cat):
-    operands = [cat.code("steane")] * 3 + [BARE] * 2
-    blocks = tuple((7 * b, 7) for b in range(3)) + ((21, 1), (22, 1))
+    blocks = tuple((7 * b, 7) for b in range(4))
     with pytest.raises(VerificationError, match="dense cap"):
-        verify_logical_action(operands, GadgetCircuit(23, (), "id", blocks), np.eye(32))
+        verify_logical_action(cat.code("steane"), GadgetCircuit(28, (), "id", blocks), np.eye(16))
 
 
 def test_apply_pauli_bits_and_phase():
@@ -149,29 +148,25 @@ def test_identity_circuit_verifies_for_all_codes(cat):
     for name in ("steane", "five_qubit", "five_prime", "rm15"):
         code = cat.code(name)
         empty = GadgetCircuit(code.n, (), "id", ((0, code.n),))
-        cert = verify_logical_action([code], empty, np.eye(2))
+        cert = verify_logical_action(code, empty, np.eye(2))
         assert cert.passed and abs(cert.phase - 1) < 1e-9
 
 
 def test_dense_keeps_distinct_operands_in_order(cat):
-    """Operand 0 (Steane) on the lowest qubits and label bit 0, operand 1 (a
-    bare qubit) above it: CNOTs from the bare qubit onto the Steane logical
-    X support are a logical CNOT controlled by operand 1."""
+    """Block 0 on the lowest qubits and label bit 0, block 1 above it: the
+    transversal CNOT from block 1 onto block 0 is a logical CNOT controlled
+    by operand 1, not by operand 0."""
     code = cat.code("steane")
-    lx = code.logical_x
-    assert not lx.z
-    circuit = GadgetCircuit(8, tuple(gate(gates.CNOT, 7, q) for q in lx.support),
-                            "CNOT(1->0)", ((0, 7), (7, 1)))
-    operands = [code, BARE]
-    assert verify_logical_action(operands, circuit, np.eye(4)[[0, 1, 3, 2]]).passed
-    assert not verify_logical_action(operands, circuit, np.eye(4)[[0, 3, 2, 1]]).passed
+    circuit = GadgetCircuit(14, tuple(gate(gates.CNOT, 7 + q, q) for q in range(7)),
+                            "CNOT(1->0)", ((0, 7), (7, 7)))
+    assert verify_logical_action(code, circuit, np.eye(4)[[0, 1, 3, 2]]).passed
+    assert not verify_logical_action(code, circuit, np.eye(4)[[0, 3, 2, 1]]).passed
 
 
 def test_dense_catches_wrong_claim(cat):
     code = cat.code("steane")
     g = staircase_gadget(code, 0, Fraction(1, 4))
-    cert = verify_logical_action([code], g,
-                                 gates.gate_matrix(gate(gates.S, 0)))
+    cert = verify_logical_action(code, g, gates.gate_matrix(gate(gates.S, 0)))
     assert not cert.passed
 
 
@@ -179,47 +174,41 @@ def test_heisenberg_catches_wrong_claim(cat):
     code = cat.code("steane")
     rule = cat.rules["steane"][gates.H]
     circuit = expand_transversal(code, gates.H, rule)
-    assert verify_clifford_action([code], circuit,
-                                  gate(gates.H, 0)).passed
-    assert not verify_clifford_action([code], circuit,
-                                      gate(gates.S, 0)).passed
+    assert verify_clifford_action(code, circuit, gate(gates.H, 0)).passed
+    assert not verify_clifford_action(code, circuit, gate(gates.S, 0)).passed
 
 
 def test_css_coset_catches_wrong_claim(cat):
     code = cat.code("rm15")
     rule = cat.rules["rm15"][gates.T]
     circuit = expand_transversal(code, gates.T, rule)
-    assert verify_diagonal_action([code], circuit,
-                                  gate(gates.T, 0)).passed
-    wrong = verify_diagonal_action([code], circuit,
-                                   gate(gates.S, 0))
-    assert not wrong.passed
+    assert verify_diagonal_action(code, circuit, gate(gates.T, 0)).passed
+    assert not verify_diagonal_action(code, circuit, gate(gates.S, 0)).passed
     # plain T per qubit implements logical T_dagger, not T
     plain = GadgetCircuit(15, tuple(gate(gates.T, q) for q in range(15)), "t15", ((0, 15),))
-    assert not verify_diagonal_action([code], plain,
-                                      gate(gates.T, 0)).passed
-    assert verify_diagonal_action([code], plain,
-                                  gate(gates.T_DAG, 0)).passed
+    assert not verify_diagonal_action(code, plain, gate(gates.T, 0)).passed
+    assert verify_diagonal_action(code, plain, gate(gates.T_DAG, 0)).passed
 
 
 def test_css_coset_detects_leakage(cat):
     code = cat.code("rm15")
     # half a staircase leaves the permutation uncomputed
     half = GadgetCircuit(15, (gate(gates.CNOT, 0, 1),), "broken", ((0, 15),))
-    cert = verify_diagonal_action([code], half, gate(gates.Z, 0))
+    cert = verify_diagonal_action(code, half, gate(gates.Z, 0))
     assert not cert.passed and "permutation" in cert.details
 
 
-def test_every_oracle_refuses_operands_that_miss_the_register(cat):
-    """Steane's 7-qubit transversal H claimed on two Steane operands (14
-    qubits): each oracle refuses instead of judging the circuit."""
-    code = cat.code("steane")
-    circuit = expand_transversal(code, gates.H, cat.rules["steane"][gates.H])
+def test_every_oracle_refuses_blocks_that_are_not_copies_of_the_code(cat):
+    """Steane's 7-qubit transversal H checked against rm15 (15 qubits):
+    each oracle refuses instead of judging the circuit."""
+    steane = cat.code("steane")
+    circuit = expand_transversal(steane, gates.H, cat.rules["steane"][gates.H])
     h = gate(gates.H, 0)
-    for oracle, claimed in ((verify_logical_action, np.kron(np.eye(2), gates.gate_matrix(h))),
+    for oracle, claimed in ((verify_logical_action, gates.gate_matrix(h)),
                             (verify_clifford_action, h), (verify_diagonal_action, h)):
-        with pytest.raises(VerificationError, match="operands do not cover the register"):
-            oracle([code, code], circuit, claimed)
+        with pytest.raises(VerificationError,
+                           match=r"a block of 7 qubits is not a copy of rm15 \(15 qubits\)"):
+            oracle(cat.code("rm15"), circuit, claimed)
 
 
 def test_every_oracle_refuses_a_claim_of_the_wrong_arity(cat):
@@ -231,7 +220,7 @@ def test_every_oracle_refuses_a_claim_of_the_wrong_arity(cat):
     for oracle, claimed in ((verify_logical_action, gates.gate_matrix(cz)),
                             (verify_clifford_action, cz), (verify_diagonal_action, cz)):
         with pytest.raises(VerificationError, match="claim does not act on exactly the 1 operands"):
-            oracle([code], circuit, claimed)
+            oracle(code, circuit, claimed)
 
 
 def test_oracle_agreement_dense_vs_heisenberg(cat, lib):
@@ -248,17 +237,18 @@ def test_oracle_agreement_dense_vs_heisenberg(cat, lib):
                       kind, arity))
     assert cases
     for code, circuit, kind, arity in cases:
-        ops = [code] * arity
         claimed = Gate(kind, tuple(range(arity)))
-        dense = verify_logical_action(ops, circuit, gates.gate_matrix(claimed))
-        heis = verify_clifford_action(ops, circuit, claimed)
+        dense = verify_logical_action(code, circuit, gates.gate_matrix(claimed))
+        heis = verify_clifford_action(code, circuit, claimed)
         assert dense.passed == heis.passed == True
 
 
 def test_verify_gadget_router(cat, lib, layouts):
     # dense for small registers
-    adm = lib.base_staircase(cat.code("steane"), 0, Fraction(1, 4))
-    assert adm.certificate.method == "dense"
+    code = cat.code("steane")
+    claim = gates.diagonal_gate((0,), Fraction(1, 4))
+    cert = library.verify_gadget(code, staircase_gadget(code, 0, Fraction(1, 4)), claim)
+    assert cert.method == "dense"
     # heisenberg for large Clifford
     adm = lib.gadget(layouts[49], library.logical_gate(gates.CNOT))
     assert adm.certificate.method == "heisenberg"
@@ -297,13 +287,13 @@ def test_css_coset_certifies_98_qubit_conjugated_cz(lib, layouts):
     lay = layouts[49]
     t = lib.dispatcher.logical_gadget(lay, library.logical_gate(gates.T))
     cz = lib.dispatcher.logical_gadget(lay, library.logical_gate(gates.CZ))
-    operands = [flatten(lay)] * 2
+    code = flatten(lay)
     claim = library.logical_gate(gates.CZ)
     good = GadgetCircuit(98, t.gates + cz.gates + invert(t).gates, "T;CZ;T^-1", cz.blocks)
-    cert = verify_diagonal_action(operands, good, claim)
+    cert = verify_diagonal_action(code, good, claim)
     assert cert.passed and cert.method == "css-coset"
     broken = GadgetCircuit(98, t.gates + cz.gates, "T;CZ", cz.blocks)
-    assert not verify_diagonal_action(operands, broken, claim).passed
+    assert not verify_diagonal_action(code, broken, claim).passed
 
 
 DYADIC = st.builds(Fraction, st.integers(0, 15), st.sampled_from([1, 2, 4, 8]))
@@ -317,12 +307,10 @@ DYADIC = st.builds(Fraction, st.integers(0, 15), st.sampled_from([1, 2, 4, 8]))
 def test_staircase_css_coset_agrees_with_dense(cat, k, theta):
     code = cat.code("steane")
     circuit = staircase_gadget(code, k, theta)
-    operands = [code] * (k + 1)
     for claim_theta, expected in ((theta, True), (theta + Fraction(1, 4), False)):
         claim = gates.diagonal_gate(tuple(range(k + 1)), claim_theta)
-        assert verify_diagonal_action(operands, circuit, claim).passed == expected
-        assert verify_logical_action(operands, circuit,
-                                     gates.gate_matrix(claim)).passed == expected
+        assert verify_diagonal_action(code, circuit, claim).passed == expected
+        assert verify_logical_action(code, circuit, gates.gate_matrix(claim)).passed == expected
 
 
 def _draw_conjugated_diagonal(data, code, m: int) -> tuple[GadgetCircuit, Gate]:
@@ -345,7 +333,7 @@ def _draw_conjugated_diagonal(data, code, m: int) -> tuple[GadgetCircuit, Gate]:
                   st.lists(qubit, min_size=1, max_size=3, unique=True), quarter)),
         max_size=4))
     circuit = GadgetCircuit(n, (*perm, *(g for part in middle for g in part), *reversed(perm)),
-                            "random", ((0, n),))
+                            "random", tuple((b * code.n, code.n) for b in range(m)))
     return circuit, gates.diagonal_gate(tuple(range(m)), data.draw(quarter))
 
 
@@ -356,26 +344,24 @@ def test_random_diagonal_circuits_css_coset_vs_dense(cat, data):
     name, m = data.draw(st.sampled_from([("steane", 1), ("steane", 2), ("rm15", 1)]))
     code = cat.code(name)
     circuit, claim = _draw_conjugated_diagonal(data, code, m)
-    operands = [code] * m
-    coset = verify_diagonal_action(operands, circuit, claim)
-    dense = verify_logical_action(operands, circuit, gates.gate_matrix(claim))
+    coset = verify_diagonal_action(code, circuit, claim)
+    dense = verify_logical_action(code, circuit, gates.gate_matrix(claim))
     assert coset.passed == dense.passed
     if coset.passed:
         assert abs(coset.phase - dense.phase) < 1e-9
 
 
-def _enumerated_verdict(operands: list[StabilizerCode], circuit: GadgetCircuit,
-                        claimed: Gate) -> bool:
-    """Brute-force reference for CSS operands: run every word of every
-    codeword support through the circuit and sum the phases it picks up;
-    the first word, at labels (0, ..., 0), fixes the global phase."""
-    offsets = [sum(op.n for op in operands[:b]) for b in range(len(operands))]
+def _enumerated_verdict(code: StabilizerCode, circuit: GadgetCircuit, claimed: Gate) -> bool:
+    """Brute-force reference for a CSS code: run every word of every
+    codeword support, one copy of ``code`` per block, through the circuit
+    and sum the phases it picks up; the first word, at labels (0, ..., 0),
+    fixes the global phase."""
     global_phase = None
-    for labels in itertools.product(range(2), repeat=len(operands)):
+    for labels in itertools.product(range(2), repeat=len(circuit.blocks)):
         seed, span = 0, []
-        for op, off, label in zip(operands, offsets, labels):
-            seed ^= (op.logical_x.x << off) * label
-            span += [g.x << off for g in op.generators if g.x]
+        for (off, _), label in zip(circuit.blocks, labels):
+            seed ^= (code.logical_x.x << off) * label
+            span += [g.x << off for g in code.generators if g.x]
         want = claimed.theta() if all(labels) else 0
         for mask in range(1 << len(span)):
             word = seed
@@ -400,11 +386,10 @@ def _enumerated_verdict(operands: list[StabilizerCode], circuit: GadgetCircuit,
 def test_css_coset_matches_enumeration_beyond_dense_cap(cat):
     code = cat.code("rm15")
     circuit = expand_transversal(code, gates.CCZ, cat.rules["rm15"][gates.CCZ])
-    operands = [code] * 3
     for theta in (Fraction(1), Fraction(1, 2)):
         claim = gates.diagonal_gate((0, 1, 2), theta)
-        assert verify_diagonal_action(operands, circuit, claim).passed \
-            == _enumerated_verdict(operands, circuit, claim) == (theta == 1)
+        assert verify_diagonal_action(code, circuit, claim).passed \
+            == _enumerated_verdict(code, circuit, claim) == (theta == 1)
 
 
 def test_css_coset_accepts_a_global_phase(cat):
@@ -413,10 +398,9 @@ def test_css_coset_accepts_a_global_phase(cat):
     xs = tuple(gate(gates.X, q) for q in range(7))
     zs = tuple(gate(gates.Z, q) for q in range(7))
     circuit = GadgetCircuit(7, xs + zs + xs, "-Z", ((0, 7),))
-    operands = [code]
     claim = library.logical_gate(gates.Z)
-    for cert in (verify_diagonal_action(operands, circuit, claim),
-                 verify_logical_action(operands, circuit, gates.gate_matrix(claim))):
+    for cert in (verify_diagonal_action(code, circuit, claim),
+                 verify_logical_action(code, circuit, gates.gate_matrix(claim))):
         assert cert.passed and abs(cert.phase + 1) < 1e-9
 
 
@@ -426,11 +410,10 @@ def test_css_coset_accepts_a_global_phase_beyond_dense_cap(cat):
     cz = expand_transversal(code, gates.CZ, cat.rules["rm15"][gates.CZ])
     prefix = (gate(gates.X, 0), gate(gates.Z, 0)) * 2
     circuit = GadgetCircuit(30, prefix + cz.gates, "-CZ", cz.blocks)
-    operands = [code] * 2
     claim = library.logical_gate(gates.CZ)
-    cert = verify_diagonal_action(operands, circuit, claim)
+    cert = verify_diagonal_action(code, circuit, claim)
     assert cert.passed and abs(cert.phase + 1) < 1e-9
-    assert _enumerated_verdict(operands, circuit, claim)
+    assert _enumerated_verdict(code, circuit, claim)
 
 
 @settings(max_examples=40, deadline=None)
@@ -439,6 +422,5 @@ def test_random_diagonal_circuits_css_coset_vs_enumeration(cat, data):
     """Two rm15 operands: 30 qubits, past the dense cap."""
     code = cat.code("rm15")
     circuit, claim = _draw_conjugated_diagonal(data, code, 2)
-    operands = [code] * 2
-    assert verify_diagonal_action(operands, circuit, claim).passed \
-        == _enumerated_verdict(operands, circuit, claim)
+    assert verify_diagonal_action(code, circuit, claim).passed \
+        == _enumerated_verdict(code, circuit, claim)
