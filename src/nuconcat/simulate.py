@@ -4,15 +4,15 @@ Three independent methods; :mod:`nuconcat.library` routes each gadget to
 the ones that apply:
 
 * dense simulation of all logical basis states in one pass (exact
-  amplitudes, <= 22 qubits);
+  amplitudes, <= 22 qubits; codewords projected on the states they reach);
 * Heisenberg conjugation of stabilizers and logicals (Clifford circuits,
   any size, sign-exact group membership);
 * coset-phase analysis for circuits made of X/CNOT/diagonal gates: the
-  basis permutation must uncompute to the identity, and the accumulated
-  diagonal phase, a phase polynomial over the classical support of each
-  logical codeword tuple (Amy-Maslov-Mosca, arXiv:1303.2042), must equal
-  the claimed constant up to one global phase, coefficient by coefficient
-  over Z_{2*den} (any size, any rational multiple of pi).
+  basis permutation must uncompute to the identity, and the diagonal
+  phase, one phase polynomial (Amy-Maslov-Mosca, arXiv:1303.2042) over
+  the codeword supports' mask bits and one label bit per block, must be
+  the claimed phase on the label bits' product plus a global phase over
+  Z_{2*den}, coefficient by coefficient (any size, any angle in Q*pi).
 
 Each oracle verifies a circuit on copies of one
 :class:`~nuconcat.codes.StabilizerCode` (a base code, or a layout flattened
@@ -73,27 +73,40 @@ def _block_offsets(code: StabilizerCode, circuit: GadgetCircuit,
 # A batch of states is one complex rows x 2^n array, bit q of the column
 # index = qubit q.  Viewed as (rows, 2, ..., 2), qubit q is axis n - q.
 
-def apply_pauli(amps: np.ndarray, p: Pauli) -> np.ndarray:
-    """Exact Pauli action on a flat vector: i^e X^x Z^z |c> = i^e (-1)^(z.c) |c ^ x>."""
-    idx = np.arange(len(amps), dtype=np.int64)
+def apply_pauli(p: Pauli, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Pauli action on the amplitudes ``amps`` of the basis states
+    ``idx``: i^e X^x Z^z |c> = i^e (-1)^(z.c) |c ^ x>.  Returns the image as
+    (indices, amplitudes); a dense vector passes the full range."""
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z) & 1)
-    out = np.empty_like(amps)
-    out[idx ^ p.x] = (1j ** p.phase_exp) * signs * amps
-    return out
+    return idx ^ p.x, (1j ** p.phase_exp) * signs * amps
 
 
 def codewords(code: StabilizerCode) -> np.ndarray:
     """The (2, 2^n) pair |0-bar>, |1-bar>: |0> by projection onto the +1
-    eigenspaces of the generators and logical Z, |1> = logical X |0>."""
-    for seed in range(1 << code.n):
-        zero = np.zeros(1 << code.n, dtype=complex)
-        zero[seed] = 1.0
+    eigenspaces of the generators and logical Z, |1> = logical X |0>.
+
+    Each factor (v + g v)/2 runs only on the states v reaches, seed xor a
+    span of X parts (2^rank of them, not 2^n), which g's flip maps onto
+    itself or onto a disjoint copy; both rows are +0 off those states.
+    """
+    dim = 1 << code.n
+    for seed in range(dim):
+        idx, amps = np.array([seed]), np.ones(1, dtype=complex)
         for g in (*code.generators, code.logical_z):
-            zero = (zero + apply_pauli(zero, g)) / 2
-        nrm = np.linalg.norm(zero)
+            reach = idx if (idx[0] ^ g.x) in idx else np.sort(np.concatenate([idx, idx ^ g.x]))
+            state = np.zeros(len(reach), dtype=complex)
+            state[np.searchsorted(reach, idx)] = amps
+            image_idx, image = apply_pauli(g, reach, state)
+            flipped = np.empty_like(state)
+            flipped[np.searchsorted(reach, image_idx)] = image
+            idx, amps = reach, (state + flipped) / 2
+        nrm = np.linalg.norm(amps)
         if nrm > 1e-6:
-            zero /= nrm
-            return np.stack([zero, apply_pauli(zero, code.logical_x)])
+            pair = np.zeros((2, dim), dtype=complex)
+            pair[0, idx] = amps = amps / nrm
+            image_idx, image = apply_pauli(code.logical_x, idx, amps)
+            pair[1, image_idx] = image
+            return pair
     raise VerificationError("no computational seed projects onto the code space")
 
 
@@ -285,12 +298,13 @@ def _trace_permutation(circuit: GadgetCircuit) -> _AffineTrace:
     return _AffineTrace(rows, offs, terms)
 
 
-def _support_space(code: StabilizerCode) -> list[tuple[int, list[int]]]:
-    """Classical support ``seed xor span(basis)`` of each codeword, as
-    ``[(seed, basis) for label 0, 1]`` on the code's own bits.
+def _support_space(code: StabilizerCode) -> tuple[list[int], list[int]]:
+    """``(seeds, basis)``: the classical support of the codeword with each
+    label is ``seeds[label] xor span(basis)`` on the code's own bits.
 
     The pure-Z stabilizers fix the support's parities, and a pure-Z element
-    of the logical-Z coset, with target ``label xor sign``, fixes the label.
+    of the logical-Z coset, with target ``label xor sign``, fixes the label
+    (the same rows for both labels, hence one basis).
     """
     group = stabilizer_group(code)
     gens = group.generators
@@ -316,19 +330,17 @@ def _support_space(code: StabilizerCode) -> list[tuple[int, list[int]]]:
     if pure.x or pure.display_phase_exp not in (0, 2):
         raise AssertionError("logical-Z purification failed")
     sign = 1 if pure.display_phase_exp == 2 else 0
-    supports = []
-    for label in range(2):
-        support = solve_affine(rows + [pure.z], targets + [label ^ sign], code.n)
-        if support is None:
-            raise VerificationError("inconsistent support constraints")
-        supports.append(support)
-    return supports
+    supports = [solve_affine(rows + [pure.z], targets + [label ^ sign], code.n)
+                for label in range(2)]
+    if None in supports:
+        raise VerificationError("inconsistent support constraints")
+    return [seed for seed, _ in supports], supports[0][1]
 
 
 def _xor_polynomial(const: int, variables: list[int], modulus: int) -> dict[int, int]:
     """``const xor x_i xor x_j ...`` as a multilinear polynomial mod ``modulus``.
 
-    Monomials are bit-masks over the mask variables.  Each variable enters
+    Monomials are bit-masks over the variables.  Each variable enters
     by ``p xor x = p + x - 2px``, so coefficients are powers of -2 and a
     power-of-two modulus bounds the degree.
     """
@@ -356,15 +368,15 @@ def verify_diagonal_action(code: StabilizerCode, circuit: GadgetCircuit,
                            claimed: Gate) -> Certificate:
     """Exact phase-polynomial check for X/CNOT/diagonal circuits on stabilizer codewords.
 
-    The permutation part must uncompute to the identity.  On the classical
-    support ``seed xor span(basis)`` of each logical label tuple, every
-    factor of a diagonal gate is an affine GF(2) form in the mask bits, so
-    the phase, in units of pi/den with den the lcm of the angle
-    denominators, is a multilinear polynomial with integer coefficients
-    mod 2*den.  That form is unique: the phase is constant on the support
-    exactly when every non-constant coefficient vanishes.  The constant at
-    labels (0, ..., 0) is the global phase; every other constant must equal
-    it plus the claimed logical phase.
+    The permutation part must uncompute to the identity.  On block b, the
+    codeword with label l_b has support ``seed xor l_b * delta xor
+    span(basis)``, so each factor of a diagonal gate is an affine GF(2)
+    form in mask and label bits, all free path variables (sum-over-paths,
+    Amy, arXiv:1805.06908).  In units of pi/den, den the lcm of the angle
+    denominators, the phase is one multilinear polynomial P mod 2*den.  That
+    form is unique, so the claim holds exactly when P minus the claimed
+    phase times l_0 ... l_{m-1} is a constant: the global phase.  A refusal
+    names the first label tuple whose phase varies or is off the claim.
     """
     m = len(circuit.blocks)
     offsets = _block_offsets(code, circuit, sorted(claimed.qubits) == list(range(m)))
@@ -380,47 +392,49 @@ def verify_diagonal_action(code: StabilizerCode, circuit: GadgetCircuit,
         for row, _ in bits:
             touched |= row
 
-    # each label's support on every block, quotiented by qubits the circuit
-    # never reads: every phase-term row lies inside ``touched``, so only
-    # the projections are ever read
-    code_supports = _support_space(code)
-    supports = [[(seed << offset, rref([(v << offset) & touched for v in basis]))
-                 for seed, basis in code_supports] for offset in offsets]
+    # each block's basis quotiented by qubits no phase-term row reads, then
+    # one label variable per block
+    (seed0, seed1), code_basis = _support_space(code)
+    basis = [v for offset in offsets for v in rref([(v << offset) & touched for v in code_basis])]
+    variables = basis + [(seed0 ^ seed1) << offset for offset in offsets]
+    seed = sum(seed0 << offset for offset in offsets)
     den = math.lcm(claimed.theta().denominator,
                    *(theta.denominator for theta, _ in trace.phase_terms))
     modulus = 2 * den
-    global_phase = None
+    poly: dict[int, int] = {}
+    for theta, bits in trace.phase_terms:
+        term = {0: int(theta * den)}
+        for row, off in bits:
+            # every coefficient of ``term`` is a multiple of ``scale``, so
+            # the next factor only matters mod modulus // scale
+            scale = math.gcd(modulus, *term.values())
+            const = ((row & seed).bit_count() & 1) ^ off
+            hit = [i for i, v in enumerate(variables) if (row & v).bit_count() & 1]
+            term = _times(term, _xor_polynomial(const, hit, modulus // scale), modulus)
+        for mono, coef in term.items():
+            poly[mono] = (poly.get(mono, 0) + coef) % modulus
+    claim = int(claimed.theta() * den)
+    all_labels = ((1 << m) - 1) << len(basis)
+    poly[all_labels] = (poly.get(all_labels, 0) - claim) % modulus
+    global_phase = poly.pop(0, 0)
+    if not any(poly.values()):
+        return Certificate("css-coset", True,
+                           phase=complex(np.exp(1j * np.pi * global_phase / den)),
+                           details=f"phase polynomial constant on {1 << len(basis)} "
+                                   f"support words per label tuple")
+    masks = (1 << len(basis)) - 1
     for labels in itertools.product(range(2), repeat=m):
-        seed, basis = 0, []
-        for b in range(m):
-            part_seed, part_basis = supports[b][labels[b]]
-            seed ^= part_seed
-            basis += part_basis
-        poly: dict[int, int] = {}
-        for theta, bits in trace.phase_terms:
-            term = {0: int(theta * den)}
-            for row, off in bits:
-                # every coefficient of ``term`` is a multiple of ``scale``, so
-                # the next factor only matters mod modulus // scale
-                scale = math.gcd(modulus, *term.values())
-                const = ((row & seed).bit_count() & 1) ^ off
-                variables = [i for i, v in enumerate(basis) if (row & v).bit_count() & 1]
-                term = _times(term, _xor_polynomial(const, variables, modulus // scale), modulus)
-            for mono, coef in term.items():
-                poly[mono] = (poly.get(mono, 0) + coef) % modulus
-        constant = poly.pop(0, 0)
-        if any(poly.values()):
+        fixed = masks | sum(bit << (len(basis) + b) for b, bit in enumerate(labels))
+        rest: dict[int, int] = {}  # P at these labels, less the global and claimed phase
+        for mono, coef in poly.items():
+            if not mono & ~fixed:
+                rest[mono & masks] = (rest.get(mono & masks, 0) + coef) % modulus
+        want = (global_phase + (claim if all(labels) else 0)) % modulus
+        if any(coef for mono, coef in rest.items() if mono):
             return Certificate("css-coset", False,
                                details=f"phase varies over the support at labels {labels}")
-        if global_phase is None:  # labels (0, ..., 0) come first
-            global_phase = constant
-        want = (global_phase + (int(claimed.theta() * den) if all(labels) else 0)) % modulus
-        if constant != want:
-            return Certificate(
-                "css-coset", False,
-                details=f"phase {Fraction(constant, den)} != {Fraction(want, den)} "
-                        f"at labels {labels}")
-    return Certificate("css-coset", True,
-                       phase=complex(np.exp(1j * np.pi * global_phase / den)),
-                       details=f"phase polynomial constant on {1 << len(basis)} "
-                               f"support words per label tuple")
+        if rest.get(0):
+            return Certificate("css-coset", False,
+                               details=f"phase {Fraction((want + rest[0]) % modulus, den)} != "
+                                       f"{Fraction(want, den)} at labels {labels}")
+    raise AssertionError("a nonzero multilinear form vanishes at every point")

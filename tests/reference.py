@@ -4,12 +4,15 @@ slow, obviously correct form of something the package does on arrays."""
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from nuconcat import faults, gates
 from nuconcat.circuits import GadgetCircuit, GadgetDispatcher
 from nuconcat.codes import (LOGICAL_CLASSES, StabilizerCode, build_decoder, min_weight_logical,
                             normalizer_class, syndrome)
 from nuconcat.concat import DistanceResult, Layout, _min_weight_lift, bare_layout
 from nuconcat.pauli import DimensionError, Pauli
+from nuconcat.simulate import VerificationError, apply_pauli
 
 
 def from_letters(n: int, letters: Mapping[int, str]) -> Pauli:
@@ -36,6 +39,30 @@ def is_identity(p: Pauli) -> bool:
 
 def equals_up_to_phase(p: Pauli, other: Pauli) -> bool:
     return p.n == other.n and p.x == other.x and p.z == other.z
+
+
+def pauli_on_vector(amps: np.ndarray, p: Pauli) -> np.ndarray:
+    """``p`` applied to a dense vector: ``apply_pauli`` on the full range."""
+    out = np.empty_like(amps)
+    idx, image = apply_pauli(p, np.arange(len(amps)), amps)
+    out[idx] = image
+    return out
+
+
+def reference_codewords(code: StabilizerCode) -> np.ndarray:
+    """The (2, 2^n) codeword pair by dense projection: each seed basis
+    state in turn through (v + g v)/2 for every generator and logical Z,
+    on all 2^n amplitudes; the first that survives is |0>."""
+    for seed in range(1 << code.n):
+        zero = np.zeros(1 << code.n, dtype=complex)
+        zero[seed] = 1.0
+        for g in (*code.generators, code.logical_z):
+            zero = (zero + pauli_on_vector(zero, g)) / 2
+        nrm = np.linalg.norm(zero)
+        if nrm > 1e-6:
+            zero /= nrm
+            return np.stack([zero, pauli_on_vector(zero, code.logical_x)])
+    raise VerificationError("no computational seed projects onto the code space")
 
 
 def is_uniform(layout: Layout) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nuconcat import gates, library, simulate
+from nuconcat import codes, gates, library, simulate
 from nuconcat.circuits import GadgetCircuit, expand_transversal
 from nuconcat.codes import StabilizerCode
 from nuconcat.concat import flatten
@@ -15,7 +15,7 @@ from nuconcat.pauli import Pauli
 from nuconcat.simulate import (VerificationError, apply_circuit, apply_pauli,
                                codewords, verify_clifford_action, verify_diagonal_action,
                                verify_logical_action)
-from reference import invert, staircase_gadget
+from reference import invert, pauli_on_vector, reference_codewords, staircase_gadget
 
 
 def test_state_cap(cat):
@@ -26,10 +26,13 @@ def test_state_cap(cat):
 
 def test_apply_pauli_bits_and_phase():
     s = np.array([1, 0, 0, 0], dtype=complex)  # |00>
-    out = apply_pauli(s, Pauli.from_string("XI"))
+    out = pauli_on_vector(s, Pauli.from_string("XI"))
     assert abs(out[1] - 1) < 1e-12
-    out = apply_pauli(out, Pauli.from_string("ZI"))
+    out = pauli_on_vector(out, Pauli.from_string("ZI"))
     assert abs(out[1] + 1) < 1e-12  # Z on |1> flips the sign
+    # on listed amplitudes only: Y|1> = -i|0>, Y|0> = i|1>
+    idx, amps = apply_pauli(Pauli.from_string("YI"), np.array([1, 0]), np.array([1, 2j]))
+    assert idx.tolist() == [0, 1] and np.allclose(amps, [-1j, -2])
 
 
 def test_apply_gate_examples():
@@ -130,8 +133,8 @@ def test_encode_invariants(cat):
         for label, word in enumerate(pair):
             assert abs(np.vdot(word, word) - 1) < 1e-12
             for g in code.generators:
-                assert abs(np.vdot(word, apply_pauli(word, g)) - 1) < 1e-12
-            assert abs(np.vdot(word, apply_pauli(word, code.logical_z)) - (-1) ** label) < 1e-12
+                assert abs(np.vdot(word, pauli_on_vector(word, g)) - 1) < 1e-12
+            assert abs(np.vdot(word, pauli_on_vector(word, code.logical_z)) - (-1) ** label) < 1e-12
     zero = codewords(cat.code("rm15"))[0]
     nonzero = np.abs(zero) > 1e-12
     assert nonzero.sum() == 16
@@ -141,7 +144,15 @@ def test_encode_invariants(cat):
 def test_encode_one_is_logical_x_of_zero(cat):
     code = cat.code("steane")
     zero, one = codewords(code)
-    assert np.allclose(one, apply_pauli(zero, code.logical_x))
+    assert np.allclose(one, pauli_on_vector(zero, code.logical_x))
+
+
+def test_codewords_equal_the_dense_projection_exactly(cat):
+    """The projection on reached states runs the dense loop's float
+    operations on every reached entry.  The dense oracle's fidelities and
+    phases are pinned outputs, so the comparison is exact, not allclose."""
+    for code in (*cat.codes.values(), codes.BARE):
+        assert np.array_equal(codewords(code), reference_codewords(code)), code.name
 
 
 def test_identity_circuit_verifies_for_all_codes(cat):
@@ -188,6 +199,24 @@ def test_css_coset_catches_wrong_claim(cat):
     plain = GadgetCircuit(15, tuple(gate(gates.T, q) for q in range(15)), "t15", ((0, 15),))
     assert not verify_diagonal_action(code, plain, gate(gates.T, 0)).passed
     assert verify_diagonal_action(code, plain, gate(gates.T_DAG, 0)).passed
+
+
+def test_css_coset_names_the_first_failing_label_tuple(cat):
+    """A refusal reads the first failing label tuple, in product order,
+    off the one polynomial: a constant off the claim, or a phase that
+    varies over the support."""
+    code = cat.code("rm15")
+    ccz = expand_transversal(code, gates.CCZ, cat.rules["rm15"][gates.CCZ])
+    cert = verify_diagonal_action(code, ccz, gates.diagonal_gate((0, 1, 2), Fraction(1, 2)))
+    assert not cert.passed and cert.details == "phase 1 != 1/2 at labels (1, 1, 1)"
+    lone = GadgetCircuit(15, (gate(gates.T_DAG, 3),), "T_DAG@3", ((0, 15),))
+    cert = verify_diagonal_action(code, lone, gate(gates.Z, 0))
+    assert not cert.passed and cert.details == "phase varies over the support at labels (0,)"
+    # logical T on operand 1 only, claimed as CZ: labels (0, 1) fail before (1, 0)
+    t_on_1 = GadgetCircuit(30, tuple(gate(gates.T_DAG, 15 + q) for q in range(15)), "T@1",
+                           ((0, 15), (15, 15)))
+    cert = verify_diagonal_action(code, t_on_1, gate(gates.CZ, 0, 1))
+    assert not cert.passed and cert.details == "phase 1/4 != 0 at labels (0, 1)"
 
 
 def test_css_coset_detects_leakage(cat):
@@ -301,9 +330,13 @@ DYADIC = st.builds(Fraction, st.integers(0, 15), st.sampled_from([1, 2, 4, 8]))
 
 # k = 2 is one fixed example: one dense call on its 21 qubits takes about
 # 2 s and peaks at 420 MB RSS (2-core x86 VM, Python 3.11, numpy 2.4).
+# Z_THETA pi/3 and CKZ_THETA 2pi/3 have denominator 3: mod 2*den no power
+# of two vanishes, so the xor polynomials keep every degree.
 @settings(max_examples=20, deadline=None)
 @given(k=st.integers(0, 1), theta=DYADIC)
 @example(k=2, theta=Fraction(3, 8))
+@example(k=0, theta=Fraction(1, 3))
+@example(k=1, theta=Fraction(2, 3))
 def test_staircase_css_coset_agrees_with_dense(cat, k, theta):
     code = cat.code("steane")
     circuit = staircase_gadget(code, k, theta)
@@ -422,5 +455,22 @@ def test_random_diagonal_circuits_css_coset_vs_enumeration(cat, data):
     """Two rm15 operands: 30 qubits, past the dense cap."""
     code = cat.code("rm15")
     circuit, claim = _draw_conjugated_diagonal(data, code, 2)
+    assert verify_diagonal_action(code, circuit, claim).passed \
+        == _enumerated_verdict(code, circuit, claim)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), theta=DYADIC,
+       shift=st.one_of(st.just(Fraction(0)),
+                       st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1, 3)])))
+def test_three_steane_blocks_css_coset_vs_enumeration(cat, data, theta, shift):
+    """Three label variables on 21 qubits: a C^2Z(theta) staircase puts
+    theta on the degree-3 label monomial, a random conjugated diagonal
+    rides along, and the claim is off by ``shift``."""
+    code = cat.code("steane")
+    noise, _ = _draw_conjugated_diagonal(data, code, 3)
+    stair = staircase_gadget(code, 2, theta)
+    circuit = GadgetCircuit(21, stair.gates + noise.gates, "stair+noise", noise.blocks)
+    claim = gates.diagonal_gate((0, 1, 2), theta + shift)
     assert verify_diagonal_action(code, circuit, claim).passed \
         == _enumerated_verdict(code, circuit, claim)
