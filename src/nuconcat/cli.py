@@ -207,21 +207,21 @@ def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
         suites.append(entry)
     rep.results["single_fault"] = suites
     if args.pairs:
+        # as in effective_distance_report: a pair size is only backed up
+        # once every single fault is corrected
         pair_entries = []
         witness_found = False
-        for adm in admitted:
+        for adm in [] if failed else admitted:
             pair = faults.find_min_uncorrectable(layout, adm.circuit, args.budget)
             entry = {"gadget": adm.circuit.label, "result": str(pair.min_uncorrectable_size)}
+            pair_entries.append(entry)
             if pair.witness is not None:
                 witness_found = True
                 entry["witness"] = [loc.describe(adm.circuit) for loc in pair.witness]
                 entry["residual"] = pair.witness_residual
-                pair_entries.append(entry)
                 break
-            pair_entries.append(entry)
         rep.results["pair_search"] = pair_entries
-        rep.results["effective_distance"] = 3 if (witness_found and not failed) else (
-            1 if failed else None)
+        rep.results["effective_distance"] = 1 if failed else (3 if witness_found else None)
     rep.failed = failed
 
 

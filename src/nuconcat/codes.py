@@ -258,13 +258,6 @@ class LookupDecoder:
     code: StabilizerCode
     table: np.ndarray
 
-    def decode(self, s: int) -> Pauli:
-        if s >> (self.code.n - 1):
-            raise DimensionError(f"syndrome 0x{s:x} too wide for {self.code.name}")
-        n, key = self.code.n, int(self.table[s])
-        mask = (1 << n) - 1
-        return Pauli(n, key >> n & mask, key & mask, 0)
-
     @cached_property
     def residual_classes(self) -> np.ndarray:
         """Logical class left after correcting an error, indexed by the

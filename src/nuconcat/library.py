@@ -42,8 +42,7 @@ def _oracle_checks(code: StabilizerCode, circuit: GadgetCircuit,
     if circuit.is_clifford and claimed.is_clifford:
         checks.append(lambda: simulate.verify_clifford_action(code, circuit, claimed))
     if total <= simulate.MAX_DENSE_QUBITS:
-        checks.append(lambda: simulate.verify_logical_action(
-            code, circuit, gates.gate_matrix(claimed)))
+        checks.append(lambda: simulate.verify_logical_action(code, circuit, claimed))
     if not checks:
         raise VerificationError(
             f"no oracle applies to {circuit.label} at {total} qubits "
@@ -66,7 +65,6 @@ def logical_gate(kind: str) -> Gate:
 class AdmittedGadget:
     circuit: GadgetCircuit
     certificate: Certificate
-    claimed: Gate
 
 
 class GadgetLibrary:
@@ -141,6 +139,6 @@ class GadgetLibrary:
             raise AdmissionError(
                 f"gadget {circuit.label} on {code.name} failed its "
                 f"{cert.method} check: {cert.details}")
-        admitted = AdmittedGadget(circuit, cert, logical)
+        admitted = AdmittedGadget(circuit, cert)
         with self._lock:
             return self._cache.setdefault(key, admitted)

@@ -107,10 +107,6 @@ class Pauli:
         """Exponent of i in the rendered phase (Y letters absorb one i each)."""
         return (self.phase_exp - (self.x & self.z).bit_count()) & 3
 
-    @property
-    def phase(self) -> complex:
-        return 1j ** self.display_phase_exp
-
     def __str__(self) -> str:
         letters = "".join(self.letter(q) for q in range(self.n))
         return _PHASE_STR[self.display_phase_exp] + letters

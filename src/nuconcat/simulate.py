@@ -1,10 +1,12 @@
 """Ground-truth oracles for gadget verification.
 
-Three independent methods; :mod:`nuconcat.library` routes each gadget to
-the ones that apply:
+Three independent methods, each taking the claimed logical gate as a
+:class:`~nuconcat.gates.Gate` on operand indices; :mod:`nuconcat.library`
+routes each gadget to the ones that apply:
 
 * dense simulation of all logical basis states in one pass (exact
-  amplitudes, <= 22 qubits; codewords projected on the states they reach);
+  amplitudes, <= 22 qubits; codewords projected on the states they reach),
+  judging the logical matrix U_L whole: leakage, phase and fidelity;
 * Heisenberg conjugation of stabilizers and logicals (Clifford circuits,
   any size, sign-exact group membership);
 * coset-phase analysis for circuits made of X/CNOT/diagonal gates: the
@@ -55,15 +57,14 @@ class Certificate:
     details: str = ""
 
 
-def _block_offsets(code: StabilizerCode, circuit: GadgetCircuit,
-                   claim_fits: bool) -> list[int]:
+def _block_offsets(code: StabilizerCode, circuit: GadgetCircuit, claimed: Gate) -> list[int]:
     """First qubit of each block, once every block is known to be one copy
-    of ``code`` and the claim (``claim_fits``) to act on exactly all of them."""
+    of ``code`` and ``claimed`` to act on exactly all of them."""
     for _, length in circuit.blocks:
         if length != code.n:
             raise VerificationError(f"a block of {length} qubits is not a copy of "
                                     f"{code.name} ({code.n} qubits)")
-    if not claim_fits:
+    if sorted(claimed.qubits) != list(range(len(circuit.blocks))):
         raise VerificationError(f"claim does not act on exactly the {len(circuit.blocks)} operands")
     return [offset for offset, _ in circuit.blocks]
 
@@ -114,9 +115,10 @@ def apply_circuit(states: np.ndarray, circuit: GadgetCircuit) -> np.ndarray:
     """Run every row of ``states``, a C-contiguous complex rows x 2^n
     array, through the circuit in one pass, in place.
 
-    X and CNOT swap two half or quarter slices, a diagonal gate scales the
-    slice where all its qubits are 1, and any other one-qubit gate mixes
-    its qubit's two slices.  Every row must keep its norm.
+    X and CNOT swap two half or quarter slices (Y swaps and signs them), a
+    diagonal gate scales the slice where all its qubits are 1, and any
+    other one-qubit gate mixes its qubit's two slices.  Every row must keep
+    its norm.
     """
     n = circuit.register_size
     if states.shape[1:] != (1 << n,) or states.dtype != complex or not states.flags.c_contiguous:
@@ -132,12 +134,15 @@ def apply_circuit(states: np.ndarray, circuit: GadgetCircuit) -> np.ndarray:
 
     for g in circuit.gates:
         *ctrl, q = g.qubits
-        if g.is_permutation:  # X, or CNOT on its control = 1 slice
+        if g.is_permutation or g.kind == gates.Y:  # X, Y, or CNOT on its control = 1 slice
             on = dict.fromkeys(ctrl, 1)
             lo, hi = part({**on, q: 0}), part({**on, q: 1})
             swap = lo.copy()
             lo[...] = hi
             hi[...] = swap
+            if g.kind == gates.Y:  # Y|0> = i|1>, Y|1> = -i|0>
+                lo *= -1j
+                hi *= 1j
         elif g.is_diagonal:
             ones = part(dict.fromkeys(g.qubits, 1))
             ones *= np.exp(1j * np.pi * float(g.theta()))
@@ -157,32 +162,26 @@ def apply_circuit(states: np.ndarray, circuit: GadgetCircuit) -> np.ndarray:
 
 # -- dense logical-action verification -------------------------------------------
 
-def _logical_inputs(m: int) -> list[np.ndarray]:
-    """Spanning inputs: all basis states, one |+> per operand, global |+...+>."""
-    dim = 1 << m
-    inputs = list(np.eye(dim, dtype=complex))
-    for b in range(m):
-        v = np.zeros(dim, dtype=complex)
-        v[0] = v[1 << b] = 1 / np.sqrt(2)
-        inputs.append(v)
-    inputs.append(np.full(dim, 1 / np.sqrt(dim), dtype=complex))
-    return inputs
-
-
 def verify_logical_action(code: StabilizerCode, circuit: GadgetCircuit,
-                          claimed: np.ndarray) -> Certificate:
-    """Dense check that the circuit equals the claimed logical unitary
-    (up to one consistent global phase) and preserves the code space.
+                          claimed: Gate) -> Certificate:
+    """Dense check that the circuit acts on the code space as ``claimed``,
+    up to one global phase.
 
     The 2^m logical basis states run through the circuit in one pass.
     Contracting the output with the conjugated codeword pair once per
-    block gives U_L[i, j] = <b_i|C|b_j>, and the spanning inputs are
-    checked against U_L in 2^m dimensions.
+    block gives U_L[i, j] = <b_i|C|b_j>, judged whole: the leakage is
+    1 - lambda_min(U_L^dag U_L), the worst case over every logical input;
+    the phase is tr(claim^dag U_L) / |tr(claim^dag U_L)| (1 when the trace
+    vanishes), the fidelity |tr(claim^dag U_L)|^2 / 4^m, and U_L must
+    equal phase * claim in Frobenius norm.
     """
     m = len(circuit.blocks)
-    _block_offsets(code, circuit, np.shape(claimed) == (1 << m, 1 << m))
+    _block_offsets(code, circuit, claimed)
     if circuit.register_size > MAX_DENSE_QUBITS:
         raise VerificationError(f"{circuit.register_size} qubits exceeds the dense cap")
+    # gate_matrix's index bit i is operand claimed.qubits[i]; re-index so bit b is operand b
+    order = [sum(((j >> q) & 1) << i for i, q in enumerate(claimed.qubits)) for j in range(1 << m)]
+    claim = gates.gate_matrix(claimed)[np.ix_(order, order)]
     pair = codewords(code)
     # row j: block b in label (j >> b) & 1, block 0 on the lowest qubits
     states = np.ones((1, 1), dtype=complex)
@@ -193,26 +192,17 @@ def verify_logical_action(code: StabilizerCode, circuit: GadgetCircuit,
         amps = pair.conj() @ amps.reshape(-1, pair.shape[1], amps.shape[-1] // pair.shape[1])
     logical = amps.reshape(1 << m, 1 << m).T
 
-    phase = None
-    min_fidelity = 1.0
-    for v in _logical_inputs(m):
-        coeffs = logical @ v
-        leak = 1.0 - float(np.vdot(coeffs, coeffs).real)
-        if leak > FIDELITY_TOL:
-            return Certificate("dense", False, fidelity=1.0 - leak,
-                               details=f"left the code space (leakage {leak:.3e})")
-        expected = claimed @ v
-        if phase is None:
-            anchor = int(np.argmax(np.abs(expected)))
-            phase = coeffs[anchor] / expected[anchor]
-            phase /= abs(phase)
-        fid = abs(np.vdot(phase * expected, coeffs)) ** 2
-        min_fidelity = min(min_fidelity, float(fid))
-        if np.linalg.norm(coeffs - phase * expected) > 1e-8:
-            return Certificate("dense", False, fidelity=min_fidelity, phase=complex(phase),
-                               details="logical action mismatch")
-    return Certificate("dense", min_fidelity >= 1 - FIDELITY_TOL,
-                       fidelity=min_fidelity, phase=complex(phase))
+    leak = 1.0 - float(np.linalg.eigvalsh(logical.conj().T @ logical)[0])
+    if leak > FIDELITY_TOL:
+        return Certificate("dense", False, fidelity=1.0 - leak,
+                           details=f"left the code space (leakage {leak:.3e})")
+    overlap = np.vdot(claim, logical)  # tr(claim^dag U_L)
+    phase = complex(overlap / abs(overlap)) if abs(overlap) > NORM_TOL else 1 + 0j
+    fidelity = float(abs(overlap) ** 2 / 4 ** m)
+    if np.linalg.norm(logical - phase * claim) > 1e-8:
+        return Certificate("dense", False, fidelity=fidelity, phase=phase,
+                           details="logical action mismatch")
+    return Certificate("dense", fidelity >= 1 - FIDELITY_TOL, fidelity=fidelity, phase=phase)
 
 
 # -- Heisenberg verification -------------------------------------------------------
@@ -230,7 +220,7 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
     if not claimed.is_clifford:
         raise VerificationError("claimed gate is not Clifford")
     m = len(circuit.blocks)
-    offsets = _block_offsets(code, circuit, sorted(claimed.qubits) == list(range(m)))
+    offsets = _block_offsets(code, circuit, claimed)
     total = circuit.register_size
 
     def embed(p: Pauli, offset: int) -> Pauli:
@@ -270,16 +260,10 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
 
 # -- coset-phase verification --------------------------------------------------------
 
-@dataclass
-class _AffineTrace:
-    """Forward-tracked basis permutation plus recorded diagonal gates."""
-
-    rows: list[int]
-    offsets: int
-    phase_terms: list[tuple[Fraction, list[tuple[int, int]]]]  # (theta, [(row, off)])
-
-
-def _trace_permutation(circuit: GadgetCircuit) -> _AffineTrace:
+def _trace_permutation(circuit: GadgetCircuit) -> tuple[list[int], int, list]:
+    """Forward-tracked basis permutation, ``(rows, offsets, phase_terms)``:
+    qubit q holds the parity ``rows[q]`` of input bits xor bit q of
+    ``offsets``; each diagonal gate is recorded as (theta, [(row, off)])."""
     n = circuit.register_size
     rows = [1 << q for q in range(n)]
     offs = 0
@@ -295,7 +279,7 @@ def _trace_permutation(circuit: GadgetCircuit) -> _AffineTrace:
             terms.append((g.theta(), [(rows[q], (offs >> q) & 1) for q in g.qubits]))
         else:
             raise VerificationError(f"{g.kind} is outside the coset-phase gate set")
-    return _AffineTrace(rows, offs, terms)
+    return rows, offs, terms
 
 
 def _support_space(code: StabilizerCode) -> tuple[list[int], list[int]]:
@@ -379,16 +363,16 @@ def verify_diagonal_action(code: StabilizerCode, circuit: GadgetCircuit,
     names the first label tuple whose phase varies or is off the claim.
     """
     m = len(circuit.blocks)
-    offsets = _block_offsets(code, circuit, sorted(claimed.qubits) == list(range(m)))
+    offsets = _block_offsets(code, circuit, claimed)
     if not claimed.is_diagonal:
         raise VerificationError("coset-phase method needs a diagonal claimed gate")
-    trace = _trace_permutation(circuit)
-    if trace.offsets != 0 or trace.rows != [1 << q for q in range(circuit.register_size)]:
+    rows, offs, phase_terms = _trace_permutation(circuit)
+    if offs != 0 or rows != [1 << q for q in range(circuit.register_size)]:
         return Certificate("css-coset", False,
                            details="basis permutation does not uncompute to identity")
 
     touched = 0
-    for theta, bits in trace.phase_terms:
+    for theta, bits in phase_terms:
         for row, _ in bits:
             touched |= row
 
@@ -399,10 +383,10 @@ def verify_diagonal_action(code: StabilizerCode, circuit: GadgetCircuit,
     variables = basis + [(seed0 ^ seed1) << offset for offset in offsets]
     seed = sum(seed0 << offset for offset in offsets)
     den = math.lcm(claimed.theta().denominator,
-                   *(theta.denominator for theta, _ in trace.phase_terms))
+                   *(theta.denominator for theta, _ in phase_terms))
     modulus = 2 * den
     poly: dict[int, int] = {}
-    for theta, bits in trace.phase_terms:
+    for theta, bits in phase_terms:
         term = {0: int(theta * den)}
         for row, off in bits:
             # every coefficient of ``term`` is a multiple of ``scale``, so

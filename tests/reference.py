@@ -8,8 +8,8 @@ import numpy as np
 
 from nuconcat import faults, gates
 from nuconcat.circuits import GadgetCircuit, GadgetDispatcher
-from nuconcat.codes import (LOGICAL_CLASSES, StabilizerCode, build_decoder, min_weight_logical,
-                            normalizer_class, syndrome)
+from nuconcat.codes import (LOGICAL_CLASSES, LookupDecoder, StabilizerCode, build_decoder,
+                            min_weight_logical, normalizer_class, syndrome)
 from nuconcat.concat import DistanceResult, Layout, _min_weight_lift, bare_layout
 from nuconcat.pauli import DimensionError, Pauli
 from nuconcat.simulate import VerificationError, apply_pauli
@@ -31,6 +31,11 @@ def restrict(p: Pauli, qubits: Iterable[int]) -> Pauli:
         x |= ((p.x >> q) & 1) << i
         z |= ((p.z >> q) & 1) << i
     return Pauli(len(qubits), x, z, 0)
+
+
+def display_phase(p: Pauli) -> complex:
+    """The rendered phase of ``p`` as a complex number."""
+    return 1j ** p.display_phase_exp
 
 
 def is_identity(p: Pauli) -> bool:
@@ -104,6 +109,13 @@ def concatenated_distance(layout: Layout) -> DistanceResult:
     return DistanceResult(weight, _min_weight_lift(layout, elem), elem, cls)
 
 
+def lookup_correction(decoder: LookupDecoder, s: int) -> Pauli:
+    """The minimum-weight correction the decoder's table holds for syndrome ``s``."""
+    n, key = decoder.code.n, int(decoder.table[s])
+    mask = (1 << n) - 1
+    return Pauli(n, key >> n & mask, key & mask, 0)
+
+
 def hierarchical_decode(layout: Layout, error: Pauli) -> str:
     """Residual logical class after inner-then-outer lookup decoding."""
     if error.n != layout.total_n:
@@ -112,13 +124,13 @@ def hierarchical_decode(layout: Layout, error: Pauli) -> str:
     for q in range(layout.outer.n):
         start, inner = layout.block(q)
         block_err = restrict(error, range(start, start + inner.n))
-        correction = build_decoder(inner).decode(syndrome(inner, block_err))
+        correction = lookup_correction(build_decoder(inner), syndrome(inner, block_err))
         letter = normalizer_class(inner, correction * block_err)
         if letter != "I":
             letters[q] = letter
     outer_error = from_letters(layout.outer.n, letters)
     outer_decoder = build_decoder(layout.outer)
-    correction = outer_decoder.decode(syndrome(layout.outer, outer_error))
+    correction = lookup_correction(outer_decoder, syndrome(layout.outer, outer_error))
     return normalizer_class(layout.outer, correction * outer_error)
 
 

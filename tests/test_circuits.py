@@ -116,7 +116,7 @@ def test_encoder_refuses_non_css(cat):
 def test_block_logical_h_on_rm15(cat):
     code = cat.code("rm15")
     g = block_logical_gadget(code, gates.H)
-    assert simulate.verify_logical_action(code, g, gates.gate_matrix(gates.gate(gates.H, 0))).passed
+    assert simulate.verify_logical_action(code, g, gates.gate(gates.H, 0)).passed
     assert simulate.verify_clifford_action(code, g, gates.gate(gates.H, 0)).passed
 
 

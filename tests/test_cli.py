@@ -126,6 +126,17 @@ def test_ftcheck_single_fault(capsys):
     assert "single_fault_failures: 0" in out
 
 
+@pytest.mark.parametrize("layout", ["bare:steane", "bare:five_prime"])
+def test_ftcheck_skips_pairs_when_a_single_fault_fails(capsys, layout):
+    """A bare staircase T fails on single faults, so no pair size is
+    reported: a pair containing a failing single fault proves nothing."""
+    code, out, _ = run(capsys, "ftcheck", "--layout", layout, "--gates", "T", "--pairs",
+                       "--format", "machine")
+    assert code == 1
+    assert "single_fault_failures: 0" not in out
+    assert "pair_search: []" in out and "effective_distance: 1" in out
+
+
 def test_replay_witness(capsys, tmp_path):
     out_path = tmp_path / "t49.circuit"
     run(capsys, "gadget", "--layout", "code49", "--gate", "T",

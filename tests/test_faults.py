@@ -304,7 +304,7 @@ def test_negative_control_half_staircase(cat):
     assert not report.passed
     assert report.min_uncorrectable_size == 1
     from nuconcat.simulate import verify_logical_action
-    cert = verify_logical_action(code, half, gates.gate_matrix(gate(gates.T, 0)))
+    cert = verify_logical_action(code, half, gate(gates.T, 0))
     assert not cert.passed
 
 
