@@ -306,6 +306,66 @@ def test_oracle_agreement_dense_vs_heisenberg(cat, lib):
         assert dense.passed == heis.passed == True
 
 
+def _clifford_pools(cat, name: str, m: int) -> dict[str, list[tuple[Gate, ...]]]:
+    """Gate tuples on m copies of a code: its declared Clifford rules on
+    every ordered choice of blocks, and each block's stabilizer generators
+    and logical representatives written as X/Y/Z gates."""
+    code = cat.code(name)
+    n = code.n
+
+    def letters(p: Pauli, b: int) -> tuple[Gate, ...]:
+        return tuple(gate(p.letter(q), b * n + q) for q in p.support)
+
+    rules = []
+    for kind, rule in cat.rules[name].items():
+        circuit = expand_transversal(code, kind, rule)
+        if circuit.is_clifford and gates.ARITY[kind] <= m:
+            for blocks in itertools.permutations(range(m), gates.ARITY[kind]):
+                rules.append(tuple(Gate(g.kind, tuple(blocks[q // n] * n + q % n for q in g.qubits))
+                                   for g in circuit.gates))
+    return {"rule": rules,
+            "stabilizer": [letters(g, b) for b in range(m) for g in code.generators],
+            "logical": [letters(p, b) for b in range(m) for p in (code.logical_x, code.logical_z)]}
+
+
+@st.composite
+def clifford_cases(draw):
+    """(code, m, prefix, middle, claim): prefix gates as (kind, a, b), their
+    qubits taken mod the register; middle parts as (pool, index), the index
+    taken mod the pool; a Clifford claim on all m operands."""
+    name, m = draw(st.sampled_from([("steane", 1), ("steane", 2), ("five_prime", 1)]))
+    qubit = st.integers(0, 21)
+    prefix = draw(st.lists(st.tuples(st.sampled_from(sorted(gates.CLIFFORD_KINDS)), qubit, qubit),
+                           max_size=4))
+    middle = draw(st.lists(st.tuples(st.sampled_from(["rule", "stabilizer", "logical"]),
+                                     st.integers(0, 63)), max_size=3))
+    kind = draw(st.sampled_from([k for k in sorted(gates.CLIFFORD_KINDS) if gates.ARITY[k] == m]))
+    return name, m, prefix, middle, Gate(kind, tuple(draw(st.permutations(range(m)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=clifford_cases())
+# X_2, a stabilizer, logical X, X_2: a signed logical X, so both accept
+@example(case=("steane", 1, [("X", 2, 0)], [("stabilizer", 1), ("logical", 0)],
+               gate(gates.X, 0)))
+# H_2 turns one letter of logical X into Z: the code space leaks, both refuse
+@example(case=("steane", 1, [("H", 2, 0)], [("logical", 0)], gate(gates.X, 0)))
+def test_random_clifford_circuits_heisenberg_vs_dense(cat, case):
+    """P, a middle, then P^dagger, for a random Clifford prefix P: the
+    Heisenberg and dense oracles give the same verdict."""
+    name, m, prefix, middle, claim = case
+    code = cat.code(name)
+    n = code.n * m
+    p = tuple(gate(kind, a % n) if gates.ARITY[kind] == 1
+              else gate(kind, a % n, (a + 1 + b % (n - 1)) % n) for kind, a, b in prefix)
+    pools = _clifford_pools(cat, name, m)
+    body = tuple(g for pool, i in middle for g in pools[pool][i % len(pools[pool])])
+    circuit = GadgetCircuit(n, p + body + tuple(g.dagger() for g in reversed(p)), "random",
+                            tuple((b * code.n, code.n) for b in range(m)))
+    assert verify_clifford_action(code, circuit, claim).passed \
+        == verify_logical_action(code, circuit, claim).passed
+
+
 def test_verify_gadget_router(cat, lib, layouts):
     # dense for small registers
     code = cat.code("steane")
