@@ -12,7 +12,7 @@ from .concat import (Layout, bare_layout, concatenated_distance, flatten,
 from .faults import (FaultLocation, FaultReport, check_single_fault_ft,
                      effective_distance_report, enumerate_locations,
                      find_min_uncorrectable, propagate)
-from .gates import Gate, conjugate_by_gate, diagonal_gate, gate
+from .gates import Gate, diagonal_gate, gate
 from .library import AdmissionError, GadgetLibrary, logical_gate, verify_gadget
 from .pauli import Pauli
 from .simulate import (Certificate, apply_circuit, verify_clifford_action,

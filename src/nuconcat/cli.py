@@ -110,6 +110,8 @@ def cmd_codes(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
                          "d": distance(code), "css": code.css})
         rep.results["codes"] = rows
         return
+    if args.name is None:
+        raise UsageError(f"codes info needs a code name; catalog has {sorted(cat.codes)}")
     code = cat.code(args.name)
     info = {
         "name": code.name, "n": code.n, "k": code.k, "d": distance(code),
@@ -235,6 +237,8 @@ def _table_rows(cat: cataloglib.Catalog, lib: library.GadgetLibrary,
         admitted = _campaign_gadgets(lib, layout, None)
         eff = faults.effective_distance_report(
             layout, [a.circuit for a in admitted], budget)
+        if eff.refused:   # the distance is withheld for the budget, not the construction
+            raise faults.BudgetError(f"{shortcut} row: {eff.statement} (--budget {budget})")
         row = {
             "method": TABLE_METHODS[shortcut],
             "qubits": layout.total_n,
@@ -390,7 +394,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
     except (UsageError, concat.LayoutError, KeyError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key
+        text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"usage error: {text}", file=sys.stderr)
         return 2
     except OSError as exc:  # an input file not readable or an output file not writable
         print(f"usage error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)

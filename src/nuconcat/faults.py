@@ -13,8 +13,9 @@ faults of a batch of groups are walked once (a Pauli frame after Gidney's
 Stim, arXiv:2103.02202): each row is one branch of one group, in
 word-major uint64 x/z planes of shape (words, rows).  Group g starts as
 the zero row g, which no gate changes, so its faults XOR into row g until
-it branches.  A Clifford gate is a GF(2)-linear update of the phase-free
-bits; a diagonal gate expands the rows with X on its qubits over Z^S.
+it branches.  A Clifford gate updates the phase-free bits in place
+(``gates.conjugate_rows``); a diagonal gate expands the rows with X on its
+qubits over Z^S.
 A campaign walks every location as its own group; a pair confirmation
 and ``replay`` walk their faults as one group.
 
@@ -65,16 +66,6 @@ class FaultLocation:
 
 # -- locations -------------------------------------------------------------------
 
-def _pack(masks: Iterable[int], n_words: int) -> np.ndarray:
-    """Int bit-masks as the columns of ``n_words`` little-endian uint64 words."""
-    data = b"".join(m.to_bytes(8 * n_words, "little") for m in masks)
-    return np.ascontiguousarray(np.frombuffer(data, "<u8").reshape(-1, n_words).T, np.uint64)
-
-
-def _unpack(words: np.ndarray) -> int:
-    return int.from_bytes(words.astype("<u8").tobytes(), "little")
-
-
 @dataclass(frozen=True)
 class Locations:
     """Fault locations by index: ``place``, and Paulis as word-major x and
@@ -87,7 +78,7 @@ class Locations:
         return len(self.place)
 
     def __getitem__(self, i: int) -> FaultLocation:
-        return FaultLocation(int(i), int(self.place[i]), *(_unpack(p[:, i]) for p in self.xz))
+        return FaultLocation(int(i), int(self.place[i]), *(gates.unpack(p[:, i]) for p in self.xz))
 
 
 def enumerate_locations(circuit: GadgetCircuit) -> Locations:
@@ -118,17 +109,6 @@ def enumerate_locations(circuit: GadgetCircuit) -> Locations:
 
 # -- propagation -----------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _clifford_updates(kind: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Phase-free conjugation as GF(2) updates of the local bits (x of the
-    k qubits, then z): (bit j, the old bits whose XOR is added to it)."""
-    k, table = gates.ARITY[kind], gates._local_table(kind)
-    images = [table[u & ((1 << k) - 1), u >> k] for u in (1 << i for i in range(2 * k))]
-    flips = [1 << i ^ (im.x | im.z << k) for i, im in enumerate(images)]
-    return tuple((j, sources) for j in range(2 * k)
-                 if (sources := tuple(i for i in range(2 * k) if flips[i] >> j & 1)))
-
-
 class _Frame:
     """Row r is the Pauli (x[:, r], z[:, r]) of group owner[r].  Group g is
     the one row g while ``deterministic[g]``; the buffers hold spare rows."""
@@ -145,7 +125,7 @@ class _Frame:
 
     def branch(self, row: int) -> tuple[int, int]:
         """The (x, z) masks of one row."""
-        return _unpack(self._xz[0, :, row]), _unpack(self._xz[1, :, row])
+        return gates.unpack(self._xz[0, :, row]), gates.unpack(self._xz[1, :, row])
 
     def inject(self, groups: slice | np.ndarray, fxz: np.ndarray) -> None:
         """XOR fault columns into row g of each group g, or its rows once branched."""
@@ -161,25 +141,14 @@ class _Frame:
         self._xz[:, :, groups] ^= fxz
 
     def clifford(self, g: gates.Gate) -> None:
-        # (word of every row, bit) of the gate's x bits, then its z bits;
-        # every gain reads the bits before the gate
-        bits = [(plane[q >> 6], q & 63) for plane in (self.x, self.z) for q in g.qubits]
-        gains = []
-        for j, sources in _clifford_updates(g.kind):
-            row, b = bits[j]
-            gain = 0
-            for src, sb in (bits[i] for i in sources):
-                gain = gain ^ (src >> (sb - b) if sb >= b else src << (b - sb))
-            gains.append((row, gain & (1 << b)))
-        for row, gain in gains:
-            row ^= gain
+        gates.conjugate_rows(self.x, self.z, g)
 
     def diagonal(self, g: gates.Gate) -> None:
         """Expand rows with X on the gate's qubits over Z^S."""
         x, z, owner = self.x, self.z, self.owner
         w, n_sub = len(x), 1 << len(g.qubits)
-        subsets = _pack((sum(1 << q for i, q in enumerate(g.qubits) if (s >> i) & 1)
-                         for s in range(n_sub)), w)
+        subsets = gates.pack((sum(1 << q for i, q in enumerate(g.qubits) if (s >> i) & 1)
+                              for s in range(n_sub)), w)
         gmask = subsets[:, -1:]
         hit = np.flatnonzero((x & gmask).any(axis=0))
         if not len(hit):
@@ -230,8 +199,8 @@ def propagate(circuit: GadgetCircuit,
             merged[p, owner] = (px ^ x, pz ^ z)
         keys = sorted(merged)
         place, groups = (np.array([k[c] for k in keys], np.intp) for c in (0, 1))
-        fxz = np.array([_pack((merged[k][c] for k in keys), (circuit.register_size + 63) // 64)
-                        for c in (0, 1)])
+        n_words = (circuit.register_size + 63) // 64
+        fxz = np.array([gates.pack((merged[k][c] for k in keys), n_words) for c in (0, 1)])
     if not len(place):
         raise ValueError("no fault to propagate")
     outside = (place < -1) | (place >= n_gates)
@@ -437,6 +406,7 @@ class EffectiveDistanceResult:
     statement: str
     single_fault_reports: list[FaultReport]
     witness_report: FaultReport | None = None
+    refused: tuple[str, ...] = ()   # gadgets whose pair search the budget refused
 
 
 def effective_distance_report(layout: Layout, gadget_set: list[GadgetCircuit],
@@ -444,8 +414,8 @@ def effective_distance_report(layout: Layout, gadget_set: list[GadgetCircuit],
     """Single-fault suites over every gadget, then a pair search until a
     witness appears.  3 = all single faults pass and some pair fails;
     1 = a single fault already fails (the construction is broken); None =
-    no witness, with the statement naming any gadget whose pair search
-    the budget refused."""
+    no witness, with ``refused`` and the statement naming any gadget whose
+    pair search the budget refused."""
     singles, refused = [], []
     for c in gadget_set:
         singles.append(check_single_fault_ft(layout, c))
@@ -462,5 +432,6 @@ def effective_distance_report(layout: Layout, gadget_set: list[GadgetCircuit],
             return EffectiveDistanceResult(3, f"2-fault witness in {c.label}", singles, rep)
     if refused:
         return EffectiveDistanceResult(None, "single faults pass; pair search refused by the "
-                                       "budget for " + ", ".join(refused), singles)
+                                       "budget for " + ", ".join(refused), singles,
+                                       refused=tuple(refused))
     return EffectiveDistanceResult(None, ">= 3, no witness within gadget set", singles)

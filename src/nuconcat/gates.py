@@ -1,4 +1,5 @@
-"""Gate vocabulary, exact Clifford conjugation, and dense gate matrices.
+"""Gate vocabulary, exact Clifford conjugation of packed Pauli rows, and
+dense gate matrices.
 
 Angles of diagonal gates are exact rational multiples of pi, stored as
 ``Fraction`` values of theta/pi normalised into [0, 2).  The named
@@ -13,6 +14,7 @@ conjugation action cycles X -> Z -> Y -> X.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -170,80 +172,95 @@ def parse_theta(text: str) -> Fraction:
     return -value if sign else value
 
 
-# -- Heisenberg conjugation ----------------------------------------------
+# -- Clifford conjugation ------------------------------------------------
 #
-# Images of the single-qubit generators X_i / Z_i under g P g^dagger, as
-# exact Paulis on the gate's own qubits.  Everything else follows from
-# multiplicativity of conjugation in the X-then-Z normal form.
+# Images of the generators X_0 .. X_{k-1}, then Z_0 .. Z_{k-1}, of a gate's
+# own qubits under g P g^dagger, as exact Paulis.  Conjugation is
+# multiplicative, so each kind's rule follows from them: a GF(2) update of
+# the gate's 2k local bits and the sign flip of a Hermitian row, as in the
+# signed tableau of Aaronson and Gottesman (quant-ph/0406196).  Rows are
+# word-major: bit q of a row is bit q & 63 of word q >> 6 of its column.
 
 _GENERATOR_IMAGES = {
-    H: {"X": "+Z", "Z": "+X"},
-    S: {"X": "+Y", "Z": "+Z"},
-    S_DAG: {"X": "-Y", "Z": "+Z"},
-    K: {"X": "+Z", "Z": "+Y"},
-    K_DAG: {"X": "+Y", "Z": "+X"},
-    X: {"X": "+X", "Z": "-Z"},
-    Y: {"X": "-X", "Z": "-Z"},
-    Z: {"X": "-X", "Z": "+Z"},
-    CNOT: {"XI": "+XX", "IX": "+IX", "ZI": "+ZI", "IZ": "+ZZ"},
-    CZ: {"XI": "+XZ", "IX": "+ZX", "ZI": "+ZI", "IZ": "+IZ"},
+    H: ("+Z", "+X"),
+    S: ("+Y", "+Z"),
+    S_DAG: ("-Y", "+Z"),
+    K: ("+Z", "+Y"),
+    K_DAG: ("+Y", "+X"),
+    X: ("+X", "-Z"),
+    Y: ("-X", "-Z"),
+    Z: ("-X", "+Z"),
+    CNOT: ("+XX", "+IX", "+ZI", "+ZZ"),
+    CZ: ("+XZ", "+ZX", "+ZI", "+IZ"),
 }
 
 
+def pack(masks: Iterable[int], n_words: int) -> np.ndarray:
+    """Int bit-masks as the columns of ``n_words`` little-endian uint64
+    words, a new writable (words, masks) array."""
+    data = b"".join(m.to_bytes(8 * n_words, "little") for m in masks)
+    return np.array(np.frombuffer(data, "<u8").reshape(-1, n_words).T, np.uint64, order="C")
+
+
+def unpack(words: np.ndarray) -> int:
+    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
 @lru_cache(maxsize=None)
-def _local_table(kind: str) -> dict[tuple[int, int], Pauli]:
-    """Conjugation of every local Pauli (as (x, z) bit pair) by the gate."""
-    arity = ARITY[kind]
-    images = _GENERATOR_IMAGES[kind]
-    img_x = []
-    img_z = []
-    for q in range(arity):
-        x_str = "".join("X" if i == q else "I" for i in range(arity))
-        z_str = "".join("Z" if i == q else "I" for i in range(arity))
-        img_x.append(Pauli.from_string(images[x_str]))
-        img_z.append(Pauli.from_string(images[z_str]))
-    table = {}
-    for x in range(1 << arity):
-        for z in range(1 << arity):
-            # local operator X^x Z^z in per-qubit X-then-Z order
-            out = Pauli.identity(arity)
-            for q in range(arity):
-                if (x >> q) & 1:
-                    out = out * img_x[q]
-                if (z >> q) & 1:
-                    out = out * img_z[q]
-            table[(x, z)] = out
-    return table
+def _rule(kind: str) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], np.ndarray]:
+    """A Clifford kind on its local bits u (x of its k qubits, then z): the
+    GF(2) update as (bit j, the old bits whose XOR is added to it), and per
+    u whether the Hermitian Pauli of u changes sign."""
+    k = ARITY[kind]
+    images = [Pauli.from_string(text) for text in _GENERATOR_IMAGES[kind]]
+    signs = []
+    for u in range(1 << 2 * k):
+        image = Pauli(k, 0, 0, (u & u >> k).bit_count())   # i^(x.z) X^x Z^z, Hermitian
+        for i in range(2 * k):
+            if u >> i & 1:
+                image = image * images[i]
+        signs.append(image.display_phase_exp >> 1)
+    flips = [1 << i ^ (im.x | im.z << k) for i, im in enumerate(images)]
+    return (tuple((j, sources) for j in range(2 * k)
+                  if (sources := tuple(i for i in range(2 * k) if flips[i] >> j & 1))),
+            np.array(signs, bool))
 
 
-def conjugate_by_gate(p: Pauli, g: Gate) -> Pauli:
-    """Return ``g p g^dagger`` with exact phase; Clifford gates only."""
+def conjugate_rows(x: np.ndarray, z: np.ndarray, g: Gate, sign: np.ndarray | None = None) -> None:
+    """Conjugate every row of word-major uint64 x and z planes, (words,
+    rows), by a Clifford gate, in place.  ``sign``, one bool per row (set
+    when the row is minus its Hermitian Pauli), flips with them if given."""
     if not g.is_clifford:
         raise UnsupportedGateError(f"{g.kind} is not Clifford; cannot conjugate exactly")
-    for q in g.qubits:
-        if not 0 <= q < p.n:
-            raise UnsupportedGateError(f"gate qubit {q} outside register of {p.n}")
-    local_x = local_z = 0
-    for i, q in enumerate(g.qubits):
-        local_x |= ((p.x >> q) & 1) << i
-        local_z |= ((p.z >> q) & 1) << i
-    if local_x == 0 and local_z == 0:
-        return p
-    image = _local_table(g.kind)[(local_x, local_z)]
-    clear_x = p.x
-    clear_z = p.z
-    for q in g.qubits:
-        clear_x &= ~(1 << q)
-        clear_z &= ~(1 << q)
-    # p = i^e * (rest) * (local); conjugation replaces the local factor
-    rest = Pauli(p.n, clear_x, clear_z, p.phase_exp)
-    return rest * image.embed(p.n, g.qubits)
+    updates, flips = _rule(g.kind)
+    # (word of every row, bit) of the gate's x bits, then its z bits; the
+    # sign and every gain read the bits before the gate
+    bits = [(plane[q >> 6], q & 63) for plane in (x, z) for q in g.qubits]
+    if sign is not None:
+        sign ^= flips[sum((words >> b & 1) << i for i, (words, b) in enumerate(bits))]
+    gains = []
+    for j, sources in updates:
+        words, b = bits[j]
+        gain = 0
+        for src, sb in (bits[i] for i in sources):
+            gain = gain ^ (src >> (sb - b) if sb >= b else src << (b - sb))
+        gains.append((words, gain & (1 << b)))
+    for words, gain in gains:
+        words ^= gain
 
 
 def conjugate_through(p: Pauli, gates) -> Pauli:
+    """``U p U^dagger`` with exact phase, U the Clifford circuit applying
+    ``gates`` in order, on ``p`` packed as a one-row tableau."""
+    n_words = (p.n + 63) // 64
+    x, z = pack([p.x], n_words), pack([p.z], n_words)
+    sign = np.zeros(1, bool)
     for g in gates:
-        p = conjugate_by_gate(p, g)
-    return p
+        if not all(0 <= q < p.n for q in g.qubits):
+            raise UnsupportedGateError(f"gate {g} outside register of {p.n}")
+        conjugate_rows(x, z, g, sign)
+    image = Pauli.hermitian(p.n, unpack(x[:, 0]), unpack(z[:, 0]))
+    return Pauli(p.n, image.x, image.z, image.phase_exp + 2 * int(sign[0]) + p.display_phase_exp)
 
 
 # -- dense matrices --------------------------------------------------------
@@ -298,8 +315,8 @@ def self_check() -> None:
     """One-time consistency check of the symbolic tables vs dense matrices.
 
     Verifies Y = i X Z, K = S H, the named-diagonal angle aliases, and
-    that conjugation of every local Pauli by every Clifford kind matches
-    dense-matrix conjugation exactly.
+    that conjugation of every local Pauli by every Clifford kind, signs
+    included, matches dense-matrix conjugation exactly.
     """
     global _checked
     if _checked:
@@ -311,14 +328,16 @@ def self_check() -> None:
         if ARITY[kind] == 1:
             ref = np.diag([1, np.exp(1j * np.pi * float(frac))])
             assert np.allclose(_M1[kind], ref), kind
-    for kind in CLIFFORD_KINDS:
-        arity = ARITY[kind]
-        g = Gate(kind, tuple(range(arity)))
+    for kind in CLIFFORD_KINDS:   # every local Hermitian Pauli v as one row
+        k = ARITY[kind]
+        g, local = Gate(kind, tuple(range(k))), range(1 << 2 * k)
+        x, z = pack((v & (1 << k) - 1 for v in local), 1), pack((v >> k for v in local), 1)
+        sign = np.zeros(len(local), bool)
+        conjugate_rows(x, z, g, sign)
         u = gate_matrix(g)
-        for x in range(1 << arity):
-            for z in range(1 << arity):
-                p = Pauli(arity, x, z, 0)
-                got = conjugate_by_gate(p, g)
-                ref = u @ pauli_matrix(p) @ u.conj().T
-                assert np.allclose(pauli_matrix(got), ref), (kind, str(p))
+        want = [u @ pauli_matrix(Pauli.hermitian(k, v & (1 << k) - 1, v >> k)) @ u.conj().T
+                for v in local]
+        got = [(-1) ** sign[v] * pauli_matrix(Pauli.hermitian(k, unpack(x[:, v]), unpack(z[:, v])))
+               for v in local]
+        assert np.allclose(got, want), kind
     _checked = True

@@ -8,7 +8,6 @@ failed verification is a hard error.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -70,9 +69,7 @@ class AdmittedGadget:
 class GadgetLibrary:
     """Verified gadget store for one catalog.
 
-    The cache maps (layout descriptor, logical gate) to admitted gadgets;
-    inserts are idempotent and lock-protected so concurrent lookups never
-    observe a torn entry.
+    The cache maps (layout descriptor, logical gate) to admitted gadgets.
     """
 
     def __init__(self, catalog: Catalog):
@@ -80,7 +77,6 @@ class GadgetLibrary:
         self.dispatcher = GadgetDispatcher(catalog.rules)
         self._cache: dict[tuple, AdmittedGadget] = {}
         self._rule_certs: dict[tuple[str, str], Certificate] = {}
-        self._lock = threading.Lock()
 
     # -- transversal declarations ------------------------------------------
 
@@ -88,9 +84,8 @@ class GadgetLibrary:
         """Verify one declaration with every applicable oracle and merge;
         all that apply must pass."""
         key = (code_name, kind)
-        with self._lock:
-            if key in self._rule_certs:
-                return self._rule_certs[key]
+        if key in self._rule_certs:
+            return self._rule_certs[key]
         code = self.catalog.code(code_name)
         circuit = expand_transversal(code, kind, self.catalog.rules[code_name][kind])
         claimed = logical_gate(kind)
@@ -106,8 +101,7 @@ class GadgetLibrary:
             fidelity=min(fidelities) if fidelities else None,
             phase=next((c.phase for c in certs if c.phase is not None), None),
             details="; ".join(c.details for c in certs if c.details))
-        with self._lock:
-            self._rule_certs.setdefault(key, merged)
+        self._rule_certs[key] = merged
         return merged
 
     def verify_code_rules(self, code_name: str) -> dict[str, Certificate]:
@@ -129,9 +123,8 @@ class GadgetLibrary:
         verification is a hard error."""
         key = (layout.descriptor, logical.kind, logical.qubits, logical.theta_over_pi)
         code = flatten(layout)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
+        if key in self._cache:
+            return self._cache[key]
         self._require_codes(layout)
         circuit = self.dispatcher.logical_gadget(layout, logical)
         cert = verify_gadget(code, circuit, logical)
@@ -139,6 +132,5 @@ class GadgetLibrary:
             raise AdmissionError(
                 f"gadget {circuit.label} on {code.name} failed its "
                 f"{cert.method} check: {cert.details}")
-        admitted = AdmittedGadget(circuit, cert)
-        with self._lock:
-            return self._cache.setdefault(key, admitted)
+        self._cache[key] = AdmittedGadget(circuit, cert)
+        return self._cache[key]

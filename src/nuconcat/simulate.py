@@ -211,8 +211,10 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
                            claimed: Gate) -> Certificate:
     """Conjugate stabilizers and logicals through a Clifford circuit.
 
-    Passes when every stabilizer image is exactly a (signed) stabilizer and
-    every logical image equals the claimed image up to exact stabilizer
+    The stabilizer generators and logical X and Z of every block form one
+    signed tableau, walked through the gates in one pass.  Passes when
+    every stabilizer image is exactly a (signed) stabilizer and every
+    logical image equals the claimed image up to exact stabilizer
     multiplication; this pins the action up to global phase.
     """
     if not circuit.is_clifford:
@@ -227,34 +229,40 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
         return p.embed(total, range(offset, offset + code.n))
 
     all_gens = [embed(g, offset) for offset in offsets for g in code.generators]
-    logical_x = [embed(code.logical_x, offset) for offset in offsets]
-    logical_z = [embed(code.logical_z, offset) for offset in offsets]
+    # logical X of block b at 2b, its logical Z at 2b + 1
+    logicals = [embed(p, offset) for offset in offsets for p in (code.logical_x, code.logical_z)]
 
     def lift(logical: Pauli) -> Pauli:
         """Group-homomorphic lift of an m-qubit logical Pauli to physical reps."""
         out = Pauli(total, 0, 0, logical.phase_exp)
         for b in range(m):
             if (logical.x >> b) & 1:
-                out = out * logical_x[b]
+                out = out * logicals[2 * b]
             if (logical.z >> b) & 1:
-                out = out * logical_z[b]
+                out = out * logicals[2 * b + 1]
         return out
 
+    rows = all_gens + logicals
+    n_words = (total + 63) // 64
+    x, z = gates.pack((p.x for p in rows), n_words), gates.pack((p.z for p in rows), n_words)
+    sign = np.array([p.display_phase_exp == 2 for p in rows])
+    for g in circuit.gates:
+        gates.conjugate_rows(x, z, g, sign)
+    images = []
+    for r in range(len(rows)):
+        image = Pauli.hermitian(total, gates.unpack(x[:, r]), gates.unpack(z[:, r]))
+        images.append(image.negate() if sign[r] else image)
+
     group = StabilizerGroup(all_gens, total)
-    for g in all_gens:
-        image = gates.conjugate_through(g, circuit.gates)
+    for g, image in zip(all_gens, images):
         if image not in group:
             return Certificate("heisenberg", False,
                                details=f"stabilizer {g} maps outside the group")
-    for b in range(m):
-        for letter in ("X", "Z"):
-            source = Pauli.single(m, b, letter)
-            source = Pauli(m, source.x, source.z, 0)
-            got = gates.conjugate_through(lift(source), circuit.gates)
-            want = lift(gates.conjugate_by_gate(source, claimed))
-            if got * want.inverse() not in group:
-                return Certificate("heisenberg", False,
-                                   details=f"logical {letter}_{b} image mismatch")
+    for r, (b, letter) in enumerate(itertools.product(range(m), "XZ"), len(all_gens)):
+        want = lift(gates.conjugate_through(Pauli.single(m, b, letter), [claimed]))
+        if images[r] * want.inverse() not in group:
+            return Certificate("heisenberg", False,
+                               details=f"logical {letter}_{b} image mismatch")
     return Certificate("heisenberg", True, phase=None)
 
 

@@ -2,6 +2,7 @@
 slow, obviously correct form of something the package does on arrays."""
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -11,6 +12,7 @@ from nuconcat.circuits import GadgetCircuit, GadgetDispatcher
 from nuconcat.codes import (LOGICAL_CLASSES, LookupDecoder, StabilizerCode, build_decoder,
                             min_weight_logical, normalizer_class, syndrome)
 from nuconcat.concat import DistanceResult, Layout, _min_weight_lift, bare_layout
+from nuconcat.gates import Gate
 from nuconcat.pauli import DimensionError, Pauli
 from nuconcat.simulate import VerificationError, apply_pauli
 
@@ -165,6 +167,30 @@ def _deposit(local, qubits):
     return sum(((local >> i) & 1) << q for i, q in enumerate(qubits))
 
 
+@lru_cache(maxsize=None)
+def _dense_image(kind: str, x: int, z: int) -> Pauli:
+    """U X^x Z^z U^dagger for the Clifford gate ``kind`` on its own qubits,
+    read off the dense matrices: the one Pauli with nonzero overlap."""
+    k = gates.ARITY[kind]
+    u = gates.gate_matrix(Gate(kind, tuple(range(k))))
+    image = u @ gates.pauli_matrix(Pauli(k, x, z, 0)) @ u.conj().T
+    for qx in range(1 << k):
+        for qz in range(1 << k):
+            overlap = np.vdot(gates.pauli_matrix(Pauli(k, qx, qz, 0)), image) / (1 << k)
+            if abs(overlap) > 0.5:
+                return Pauli(k, qx, qz, round(np.angle(overlap) / (np.pi / 2)))
+    raise AssertionError(f"{kind} maps X^{x} Z^{z} outside the Pauli group")
+
+
+def reference_conjugate(p: Pauli, g: Gate) -> Pauli:
+    """``g p g^dagger`` for one Clifford gate: p = i^e (rest) (local), the
+    local factor on the gate's qubits replaced by its dense image."""
+    qs = g.qubits
+    mask = _deposit((1 << len(qs)) - 1, qs)
+    rest = Pauli(p.n, p.x & ~mask, p.z & ~mask, p.phase_exp)
+    return rest * _dense_image(g.kind, _extract(p.x, qs), _extract(p.z, qs)).embed(p.n, qs)
+
+
 def reference_propagate(circuit: GadgetCircuit, fault_list):
     """Gate-by-gate propagation of one fault group ``(place, x, z)``, with
     branches as a set of (x, z) ints: (set, deterministic), as
@@ -183,9 +209,8 @@ def reference_propagate(circuit: GadgetCircuit, fault_list):
         moved = set()
         for bx, bz in branches:
             if g.is_clifford:
-                image = gates._local_table(g.kind)[(_extract(bx, qs), _extract(bz, qs))]
-                moved.add(((bx & ~qmask) | _deposit(image.x, qs),
-                           (bz & ~qmask) | _deposit(image.z, qs)))
+                image = reference_conjugate(Pauli(circuit.register_size, bx, bz, 0), g)
+                moved.add((image.x, image.z))
             elif bx & qmask:
                 deterministic = False
                 moved.update((bx, bz ^ _deposit(sub, qs)) for sub in range(1 << len(qs)))

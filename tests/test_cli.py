@@ -74,6 +74,17 @@ def test_distance_command(capsys, layout, expected):
     assert f"overall_distance: {expected}" in out
 
 
+def test_codes_info_usage_messages(capsys):
+    """A missing NAME is named as such; a KeyError's message prints
+    without the quotes of its repr."""
+    code, out, err = run(capsys, "codes", "info")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: codes info needs a code name")
+    code, out, err = run(capsys, "codes", "info", "nope")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: unknown code 'nope'; catalog has")
+
+
 def test_distance_usage_error(capsys):
     code, _, err = run(capsys, "distance", "--layout", "nope:steane")
     assert code == 2
@@ -117,6 +128,14 @@ def test_ftcheck_budget_refusal(capsys):
                        "--pairs", "--budget", "10")
     assert code == 3
     assert "budget" in err
+
+
+def test_table1_budget_refusal(capsys):
+    """A budget too small for the pair searches withholds the effective
+    distance: exit 3 naming the row and its gadgets, not a discrepancy."""
+    code, out, err = run(capsys, "table1", "--budget", "1000")
+    assert code == 3 and out == ""
+    assert err.startswith("budget refusal: code105 row:") and "for T, CCZ" in err
 
 
 def test_ftcheck_single_fault(capsys):

@@ -215,8 +215,8 @@ DECODER_LAYOUTS = [*cli.LAYOUT_SHORTCUTS, "bare:steane", "bare:five_prime", "bar
 def rows(errors, n):
     """(x, z) int pairs as packed rows on an n-qubit register."""
     n_words = (n + 63) // 64
-    return (faults._pack((x for x, _ in errors), n_words),
-            faults._pack((z for _, z in errors), n_words))
+    return (gates.pack((x for x, _ in errors), n_words),
+            gates.pack((z for _, z in errors), n_words))
 
 
 def random_errors(rng, n, count):

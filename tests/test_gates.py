@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nuconcat import gates
 from nuconcat.gates import Gate, UnsupportedGateError, gate, pauli_matrix
 from nuconcat.pauli import Pauli
+from reference import _deposit, reference_conjugate
 
 
 def test_self_check_passes():
@@ -26,24 +29,24 @@ def test_conjugation_matches_dense(kind):
     for x in range(1 << arity):
         for z in range(1 << arity):
             p = Pauli(arity, x, z, 0)
-            got = pauli_matrix(gates.conjugate_by_gate(p, g))
+            got = pauli_matrix(gates.conjugate_through(p, [g]))
             ref = u @ pauli_matrix(p) @ u.conj().T
             assert np.allclose(got, ref), (kind, str(p))
 
 
 def test_k_conjugation_cycle():
     k = gate(gates.K, 0)
-    assert str(gates.conjugate_by_gate(Pauli.from_string("X"), k)) == "+Z"
-    assert str(gates.conjugate_by_gate(Pauli.from_string("Z"), k)) == "+Y"
-    assert str(gates.conjugate_by_gate(Pauli.from_string("Y"), k)) == "+X"
+    assert str(gates.conjugate_through(Pauli.from_string("X"), [k])) == "+Z"
+    assert str(gates.conjugate_through(Pauli.from_string("Z"), [k])) == "+Y"
+    assert str(gates.conjugate_through(Pauli.from_string("Y"), [k])) == "+X"
 
 
 def test_cnot_propagation():
     cnot = gate(gates.CNOT, 0, 1)
-    assert str(gates.conjugate_by_gate(Pauli.from_string("XI"), cnot)) == "+XX"
-    assert str(gates.conjugate_by_gate(Pauli.from_string("IZ"), cnot)) == "+ZZ"
-    assert str(gates.conjugate_by_gate(Pauli.from_string("IX"), cnot)) == "+IX"
-    assert str(gates.conjugate_by_gate(Pauli.from_string("ZI"), cnot)) == "+ZI"
+    assert str(gates.conjugate_through(Pauli.from_string("XI"), [cnot])) == "+XX"
+    assert str(gates.conjugate_through(Pauli.from_string("IZ"), [cnot])) == "+ZZ"
+    assert str(gates.conjugate_through(Pauli.from_string("IX"), [cnot])) == "+IX"
+    assert str(gates.conjugate_through(Pauli.from_string("ZI"), [cnot])) == "+ZI"
 
 
 def test_weight_change_bounds():
@@ -52,16 +55,37 @@ def test_weight_change_bounds():
         n = 4
         p = Pauli(n, int(rng.integers(0, 16)), int(rng.integers(0, 16)), 0)
         for kind in (gates.H, gates.S, gates.K, gates.X, gates.Y, gates.Z):
-            q = gates.conjugate_by_gate(p, gate(kind, int(rng.integers(0, n))))
+            q = gates.conjugate_through(p, [gate(kind, int(rng.integers(0, n)))])
             assert q.weight() == p.weight()
         a, b = rng.choice(n, size=2, replace=False)
-        q = gates.conjugate_by_gate(p, gate(gates.CNOT, int(a), int(b)))
+        q = gates.conjugate_through(p, [gate(gates.CNOT, int(a), int(b))])
         assert abs(q.weight() - p.weight()) <= 1
+
+
+# both sides of every word boundary of a 200-qubit register
+WORD_EDGES = (0, 1, 62, 63, 64, 65, 127, 128, 199)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(0, 2**200 - 1), z=st.integers(0, 2**200 - 1),
+       edges=st.tuples(st.integers(0, 511), st.integers(0, 511)), phase=st.integers(0, 3),
+       gate_list=st.lists(st.tuples(st.sampled_from(sorted(gates.CLIFFORD_KINDS)),
+                                    st.permutations(WORD_EDGES)), max_size=12))
+def test_conjugate_through_matches_dense_reference_across_words(x, z, edges, phase, gate_list):
+    """The packed walk, signs included, equals gate-by-gate conjugation by
+    images read off dense matrices, with gates on both sides of each word
+    boundary; ``edges`` draws the letters there apart from the rest."""
+    p = Pauli(200, x ^ _deposit(edges[0], WORD_EDGES), z ^ _deposit(edges[1], WORD_EDGES), phase)
+    circuit = [Gate(kind, qs[:gates.ARITY[kind]]) for kind, qs in gate_list]
+    want = p
+    for g in circuit:
+        want = reference_conjugate(want, g)
+    assert gates.conjugate_through(p, circuit) == want
 
 
 def test_non_clifford_conjugation_rejected():
     with pytest.raises(UnsupportedGateError):
-        gates.conjugate_by_gate(Pauli.from_string("X"), gate(gates.T, 0))
+        gates.conjugate_through(Pauli.from_string("X"), [gate(gates.T, 0)])
 
 
 def test_named_diagonal_identities():

@@ -1,8 +1,10 @@
-"""Every module-level function and class of the package, and every method
+"""AST checks of the package sources.
+
+Every module-level function and class of the package, and every method
 of a package class, has a user: a reference from package code outside its
 own definition.  An export from ``__init__.py`` is not a use; code that
 only tests call lives in the tests.  Dunder methods are called by Python
-itself and are not checked."""
+itself and are not checked.  No module reads another's private names."""
 
 import ast
 from pathlib import Path
@@ -48,3 +50,28 @@ def test_every_definition_has_a_user():
     unused = [qualified for qualified, name, node in definitions
               if not any(name in names for inside, names in units if node not in inside)]
     assert unused == []
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_private_names_of_another():
+    """``module._name`` and ``from .module import _name`` reach into
+    another package module's internals; each concept keeps one public
+    entry point in the module that owns it."""
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {}   # local name -> package module bound by ``from . import``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+                else:
+                    reads += [f"{path.stem}: {node.module}.{alias.name}"
+                              for alias in node.names if private(alias.name)]
+        reads += [f"{path.stem}: {modules[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and modules.get(node.value.id, path.stem) != path.stem and private(node.attr)]
+    assert reads == []
