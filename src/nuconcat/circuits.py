@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import gates
-from ._bitlin import reduce, rref
-from .codes import BARE, StabilizerCode, min_weight_candidates
+from ._bitlin import reduce
+from .codes import BARE, StabilizerCode, code_space, min_weight_candidates
 from .concat import Layout, bare_layout
 from .gates import Gate
 from .pauli import Pauli
@@ -134,18 +134,15 @@ def expand_transversal(code: StabilizerCode, logical_kind: str,
 def encoding_circuit(code: StabilizerCode) -> tuple[tuple[Gate, ...], int]:
     """CSS encoding circuit E with |b>|0...0> -> |b logical>.
 
-    Returns (gates, input qubit).  Built from the row-reduced X-generator
-    matrix: CNOT the input across the logical-X support, then H each pivot
-    and CNOT it across its row.  Exact for CSS codes with positive-sign
-    generators.
+    Returns (gates, input qubit).  Built from the X parts of the code
+    space's moves, for a CSS code the row-reduced X generators: CNOT the
+    input across the logical-X support, then H each pivot and CNOT it
+    across its row.  Exact for CSS codes with positive-sign generators.
     """
     if not code.css:
         raise SynthesisError(f"{code.name} is not CSS; no encoder synthesis available")
-    rows = [g.x for g in code.generators if g.x]
-    # fully reduced, so no pivot appears in another row
-    reduced = rref(rows)
-    if len(reduced) != len(rows):
-        raise AssertionError(f"{code.name}: dependent X generators")
+    # the moves' X parts: fully reduced, so no pivot appears in another row
+    reduced = [m.x for m in code_space(code)[1]]
     lx = reduce(reduced, code.logical_x.x)
     q_in = (lx & -lx).bit_length() - 1
     gate_list: list[Gate] = []

@@ -180,19 +180,30 @@ def _campaign_gadgets(lib: library.GadgetLibrary, layout: concat.Layout,
     return [lib.gadget(layout, g) for g in logicals]
 
 
+def _refuse_if_withheld(eff: faults.EffectiveDistanceResult, where: str, budget: int) -> None:
+    """A distance left open only by budget-refused pair searches is a
+    refusal (exit 3), not a verdict on the construction."""
+    if eff.value is None and any(pair is None for _, pair in eff.pair_reports):
+        raise faults.BudgetError(f"{where}: {eff.statement} (--budget {budget})")
+
+
 def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     layout = _resolve_layout(cat, args.layout)
     lib = library.GadgetLibrary(cat)
     logicals = [_parse_gate(name, None, None) for name in args.gates.split(",")] \
         if args.gates else None
     admitted = _campaign_gadgets(lib, layout, logicals)
+    circuits = [adm.circuit for adm in admitted]
+    if args.pairs:
+        eff = faults.effective_distance_report(layout, circuits, args.budget)
+        _refuse_if_withheld(eff, args.layout, args.budget)
+    singles = eff.single_fault_reports if args.pairs else [
+        faults.check_single_fault_ft(layout, c) for c in circuits]
     rep.results["layout"] = layout.descriptor
     rep.results["fault_model"] = ("Pauli faults at gate outputs and register inputs; "
                                   "idle locations excluded")
     suites = []
-    failed = False
-    for adm in admitted:
-        single = faults.check_single_fault_ft(layout, adm.circuit)
+    for adm, single in zip(admitted, singles):
         entry = {
             "gadget": adm.circuit.label,
             "locations": single.locations_checked,
@@ -201,7 +212,6 @@ def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
             "verified_by": adm.certificate.method,
         }
         if single.failures:
-            failed = True
             entry["first_failure"] = {
                 "location": single.witness[0].describe(adm.circuit),
                 "residual": single.witness_residual,
@@ -209,22 +219,17 @@ def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
         suites.append(entry)
     rep.results["single_fault"] = suites
     if args.pairs:
-        # as in effective_distance_report: a pair size is only backed up
-        # once every single fault is corrected
         pair_entries = []
-        witness_found = False
-        for adm in [] if failed else admitted:
-            pair = faults.find_min_uncorrectable(layout, adm.circuit, args.budget)
-            entry = {"gadget": adm.circuit.label, "result": str(pair.min_uncorrectable_size)}
-            pair_entries.append(entry)
-            if pair.witness is not None:
-                witness_found = True
+        for adm, (label, pair) in zip(admitted, eff.pair_reports):
+            result = "refused by the budget" if pair is None else str(pair.min_uncorrectable_size)
+            entry = {"gadget": label, "result": result}
+            if pair is not None and pair.witness is not None:
                 entry["witness"] = [loc.describe(adm.circuit) for loc in pair.witness]
                 entry["residual"] = pair.witness_residual
-                break
+            pair_entries.append(entry)
         rep.results["pair_search"] = pair_entries
-        rep.results["effective_distance"] = 1 if failed else (3 if witness_found else None)
-    rep.failed = failed
+        rep.results["effective_distance"] = eff.value
+    rep.failed = not all(single.passed for single in singles)
 
 
 def _table_rows(cat: cataloglib.Catalog, lib: library.GadgetLibrary,
@@ -237,8 +242,7 @@ def _table_rows(cat: cataloglib.Catalog, lib: library.GadgetLibrary,
         admitted = _campaign_gadgets(lib, layout, None)
         eff = faults.effective_distance_report(
             layout, [a.circuit for a in admitted], budget)
-        if eff.refused:   # the distance is withheld for the budget, not the construction
-            raise faults.BudgetError(f"{shortcut} row: {eff.statement} (--budget {budget})")
+        _refuse_if_withheld(eff, f"{shortcut} row", budget)
         row = {
             "method": TABLE_METHODS[shortcut],
             "qubits": layout.total_n,

@@ -1,4 +1,4 @@
-"""Base stabilizer codes: construction, syndromes, distance, lookup decoding.
+"""Stabilizer codes: construction, syndromes, distance, lookup decoding, code space.
 
 Generator conventions are fixed here (the catalog serialises them); all
 index-dependent facts downstream are derived from these conventions, not
@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gates
-from ._bitlin import rank, reduce, rref
+from ._bitlin import rank, reduce, rref, solve_affine
 from .pauli import DimensionError, Pauli
 
 LOGICAL_CLASSES = ("X", "Y", "Z")
@@ -339,3 +339,20 @@ class StabilizerGroup:
 @lru_cache(maxsize=None)
 def stabilizer_group(code: StabilizerCode) -> StabilizerGroup:
     return StabilizerGroup(code.generators, code.n)
+
+
+@lru_cache(maxsize=None)
+def code_space(code: StabilizerCode) -> tuple[int, tuple[Pauli, ...]]:
+    """``(seed, moves)``: up to normalisation, |0-bar> sums i^e (-1)^(z.seed)
+    |seed ^ x> over the products i^e X^x Z^z of subsets of ``moves``
+    (Dehaene-De Moor, quant-ph/0304125).  One tag-bit elimination of the
+    generators and logical Z splits their group into the moves, with
+    independent X parts, and pure-Z elements +-Z^w, whose signs fix the
+    parities w.c of the support words c; ``seed`` is the least of them."""
+    n = code.n
+    group = StabilizerGroup((*code.generators, code.logical_z), n)
+    elements = [group.product(row & ((1 << n) - 1)) for row in group._reduced]
+    moves = tuple(p for p in elements if p.x)
+    pure_z = [p for p in elements if not p.x]
+    seed, _ = solve_affine([p.z for p in pure_z], [p.phase_exp >> 1 for p in pure_z], n)
+    return reduce(rref([p.x for p in moves]), seed), moves

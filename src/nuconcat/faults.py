@@ -406,32 +406,32 @@ class EffectiveDistanceResult:
     statement: str
     single_fault_reports: list[FaultReport]
     witness_report: FaultReport | None = None
-    refused: tuple[str, ...] = ()   # gadgets whose pair search the budget refused
+    # (gadget label, its pair search or None if the budget refused it), up to the witness
+    pair_reports: list[tuple[str, FaultReport | None]] = field(default_factory=list)
 
 
 def effective_distance_report(layout: Layout, gadget_set: list[GadgetCircuit],
                               budget: int = 20_000_000) -> EffectiveDistanceResult:
-    """Single-fault suites over every gadget, then a pair search until a
-    witness appears.  3 = all single faults pass and some pair fails;
-    1 = a single fault already fails (the construction is broken); None =
-    no witness, with ``refused`` and the statement naming any gadget whose
-    pair search the budget refused."""
-    singles, refused = [], []
-    for c in gadget_set:
-        singles.append(check_single_fault_ft(layout, c))
-        if not singles[-1].passed:
-            return EffectiveDistanceResult(
-                1, f"single fault uncorrectable in {c.label}", singles, singles[-1])
+    """Every gadget's single-fault suite, then pair searches in gadget
+    order until a witness appears.  3 = all single faults pass and some
+    pair fails; 1 = a single fault already fails (the construction is
+    broken, and no pair is searched); None = no witness, the statement
+    naming any gadget whose pair search the budget refused."""
+    singles = [check_single_fault_ft(layout, c) for c in gadget_set]
+    for rep in singles:
+        if not rep.passed:
+            return EffectiveDistanceResult(1, f"single fault uncorrectable in {rep.gadget}",
+                                           singles, rep)
+    pairs = []
     for c in gadget_set:
         try:
             rep = find_min_uncorrectable(layout, c, budget)
         except BudgetError:
-            refused.append(c.label)
-            continue
-        if rep.witness is not None:
-            return EffectiveDistanceResult(3, f"2-fault witness in {c.label}", singles, rep)
-    if refused:
-        return EffectiveDistanceResult(None, "single faults pass; pair search refused by the "
-                                       "budget for " + ", ".join(refused), singles,
-                                       refused=tuple(refused))
-    return EffectiveDistanceResult(None, ">= 3, no witness within gadget set", singles)
+            rep = None
+        pairs.append((c.label, rep))
+        if rep is not None and rep.witness is not None:
+            return EffectiveDistanceResult(3, f"2-fault witness in {c.label}", singles, rep, pairs)
+    refused = [label for label, rep in pairs if rep is None]
+    statement = ("single faults pass; pair search refused by the budget for " + ", ".join(refused)
+                 if refused else ">= 3, no witness within gadget set")
+    return EffectiveDistanceResult(None, statement, singles, None, pairs)

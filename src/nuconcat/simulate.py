@@ -5,7 +5,7 @@ Three independent methods, each taking the claimed logical gate as a
 routes each gadget to the ones that apply:
 
 * dense simulation of all logical basis states in one pass (exact
-  amplitudes, <= 22 qubits; codewords projected on the states they reach),
+  amplitudes, <= 22 qubits; codewords from :func:`~nuconcat.codes.code_space`),
   judging the logical matrix U_L whole: leakage, phase and fidelity;
 * Heisenberg conjugation of stabilizers and logicals (Clifford circuits,
   any size, sign-exact group membership);
@@ -33,9 +33,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import gates
-from ._bitlin import rref, solve_affine
+from ._bitlin import reduce, rref
 from .circuits import GadgetCircuit
-from .codes import StabilizerCode, StabilizerGroup, stabilizer_group
+from .codes import StabilizerCode, StabilizerGroup, code_space
 from .gates import Gate
 from .pauli import Pauli
 
@@ -83,32 +83,21 @@ def apply_pauli(p: Pauli, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray
 
 
 def codewords(code: StabilizerCode) -> np.ndarray:
-    """The (2, 2^n) pair |0-bar>, |1-bar>: |0> by projection onto the +1
-    eigenspaces of the generators and logical Z, |1> = logical X |0>.
-
-    Each factor (v + g v)/2 runs only on the states v reaches, seed xor a
-    span of X parts (2^rank of them, not 2^n), which g's flip maps onto
-    itself or onto a disjoint copy; both rows are +0 off those states.
-    """
-    dim = 1 << code.n
-    for seed in range(dim):
-        idx, amps = np.array([seed]), np.ones(1, dtype=complex)
-        for g in (*code.generators, code.logical_z):
-            reach = idx if (idx[0] ^ g.x) in idx else np.sort(np.concatenate([idx, idx ^ g.x]))
-            state = np.zeros(len(reach), dtype=complex)
-            state[np.searchsorted(reach, idx)] = amps
-            image_idx, image = apply_pauli(g, reach, state)
-            flipped = np.empty_like(state)
-            flipped[np.searchsorted(reach, image_idx)] = image
-            idx, amps = reach, (state + flipped) / 2
-        nrm = np.linalg.norm(amps)
-        if nrm > 1e-6:
-            pair = np.zeros((2, dim), dtype=complex)
-            pair[0, idx] = amps = amps / nrm
-            image_idx, image = apply_pauli(code.logical_x, idx, amps)
-            pair[1, image_idx] = image
-            return pair
-    raise VerificationError("no computational seed projects onto the code space")
+    """The (2, 2^n) pair |0-bar>, |1-bar>, exact: the sum that
+    :func:`~nuconcat.codes.code_space` describes, one support word per
+    product of moves, normalised, and logical X times it; +0 elsewhere."""
+    seed, moves = code_space(code)
+    x = z = e = np.zeros(1, np.int64)
+    for m in moves:  # the products without m, then with m on the right
+        e = np.concatenate([e, e + m.phase_exp + 2 * np.bitwise_count(z & m.x)])
+        x, z = np.concatenate([x, x ^ m.x]), np.concatenate([z, z ^ m.z])
+    signs = 1.0 - 2.0 * (np.bitwise_count(z & seed) & 1)
+    amps = np.array([1, 1j, -1, -1j])[e & 3] * signs / np.sqrt(len(x))
+    pair = np.zeros((2, 1 << code.n), dtype=complex)
+    pair[0, seed ^ x] = amps
+    image_idx, image = apply_pauli(code.logical_x, seed ^ x, amps)
+    pair[1, image_idx] = image
+    return pair
 
 
 def apply_circuit(states: np.ndarray, circuit: GadgetCircuit) -> np.ndarray:
@@ -291,42 +280,16 @@ def _trace_permutation(circuit: GadgetCircuit) -> tuple[list[int], int, list]:
 
 
 def _support_space(code: StabilizerCode) -> tuple[list[int], list[int]]:
-    """``(seeds, basis)``: the classical support of the codeword with each
-    label is ``seeds[label] xor span(basis)`` on the code's own bits.
-
-    The pure-Z stabilizers fix the support's parities, and a pure-Z element
-    of the logical-Z coset, with target ``label xor sign``, fixes the label
-    (the same rows for both labels, hence one basis).
-    """
-    group = stabilizer_group(code)
-    gens = group.generators
-    # combinations whose x-parts give logical Z's x-part, and the kernel:
-    # combinations multiplying to pure-Z elements
-    x_columns = [sum(((g.x >> q) & 1) << i for i, g in enumerate(gens)) for q in range(code.n)]
-    lz = code.logical_z
-    solution = solve_affine(x_columns, [(lz.x >> q) & 1 for q in range(code.n)], len(gens))
-    if solution is None:
+    """``(seeds, basis)``: the support of the codeword with each label is
+    ``seeds[label] xor span(basis)`` on the code's own bits, the span of
+    the moves' X parts.  The labels share one support (logical X's X part
+    lies in the span) exactly when logical Z has no pure-Z coset form."""
+    seed, moves = code_space(code)
+    basis = rref([p.x for p in moves])
+    if not reduce(basis, code.logical_x.x):
         raise VerificationError("logical Z has no pure-Z coset form; "
                                 "coset-phase method inapplicable")
-    lz_combo, kernel = solution
-    rows: list[int] = []
-    targets: list[int] = []
-    for combo in kernel:
-        product = group.product(combo)
-        if product.x or product.display_phase_exp not in (0, 2):
-            raise AssertionError("pure-Z reduction failed")
-        rows.append(product.z)
-        targets.append(1 if product.display_phase_exp == 2 else 0)
-    # pure-Z element of the logical-Z coset
-    pure = lz * group.product(lz_combo)
-    if pure.x or pure.display_phase_exp not in (0, 2):
-        raise AssertionError("logical-Z purification failed")
-    sign = 1 if pure.display_phase_exp == 2 else 0
-    supports = [solve_affine(rows + [pure.z], targets + [label ^ sign], code.n)
-                for label in range(2)]
-    if None in supports:
-        raise VerificationError("inconsistent support constraints")
-    return [seed for seed, _ in supports], supports[0][1]
+    return [seed, seed ^ code.logical_x.x], basis
 
 
 def _xor_polynomial(const: int, variables: list[int], modulus: int) -> dict[int, int]:

@@ -138,6 +138,17 @@ def test_table1_budget_refusal(capsys):
     assert err.startswith("budget refusal: code105 row:") and "for T, CCZ" in err
 
 
+def test_ftcheck_pairs_skip_a_gadget_the_budget_refuses(capsys):
+    """``ftcheck --pairs`` renders the effective-distance report: CCZ's
+    8,345,655 pairs exceed the budget, so its search is listed as refused
+    and T's pair witness still gives effective distance 3."""
+    code, out, _ = run(capsys, "ftcheck", "--layout", "code49", "--gates", "CCZ,T",
+                       "--pairs", "--budget", "2000000", "--format", "machine")
+    assert code == 0
+    assert "- gadget: CCZ\n      result: refused by the budget\n    - gadget: T\n      result: 2" in out
+    assert "effective_distance: 3" in out
+
+
 def test_ftcheck_single_fault(capsys):
     code, out, _ = run(capsys, "ftcheck", "--layout", "code49", "--gates", "T",
                        "--format", "machine")

@@ -402,6 +402,19 @@ def test_effective_distance_broken_gadget(cat):
     assert result.value == 1
 
 
+def test_effective_distance_runs_every_single_fault_suite(cat):
+    """A broken gadget ahead of a bare staircase T: both suites are
+    reported, the first failing one is the witness and no pair is searched."""
+    code = cat.code("steane")
+    full = staircase_gadget(code, 0, Fraction(1, 4))
+    half = GadgetCircuit(7, full.gates[:3], "broken-T", ((0, 7),))
+    result = faults.effective_distance_report(bare_layout(code), [half, full])
+    assert result.value == 1 and result.statement == "single fault uncorrectable in broken-T"
+    assert [rep.gadget for rep in result.single_fault_reports] == ["broken-T", full.label]
+    assert result.witness_report is result.single_fault_reports[0]
+    assert result.pair_reports == []
+
+
 # -- ordered outputs: these depend on the scan order ---------------------------------
 
 def oracle_free_gadget(cat, name, kind):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nuconcat import catalog as cataloglib
 from nuconcat import codes, gates, library, simulate
 from nuconcat.circuits import GadgetCircuit, expand_transversal
 from nuconcat.codes import StabilizerCode
@@ -148,12 +149,67 @@ def test_encode_one_is_logical_x_of_zero(cat):
     assert np.allclose(one, pauli_on_vector(zero, code.logical_x))
 
 
-def test_codewords_equal_the_dense_projection_exactly(cat):
-    """The projection on reached states runs the dense loop's float
-    operations on every reached entry.  The dense oracle's fidelities and
-    phases are pinned outputs, so the comparison is exact, not allclose."""
-    for code in (*cat.codes.values(), codes.BARE):
-        assert np.array_equal(codewords(code), reference_codewords(code)), code.name
+CATALOG_CODES = (*cataloglib.default_catalog().codes.values(), codes.BARE)
+LOCAL_CLIFFORDS = [gates.H, gates.S, gates.S_DAG, gates.K, gates.K_DAG, gates.X, gates.Y, gates.Z]
+
+
+@st.composite
+def local_clifford_codes(draw):
+    """A small base code conjugated by a random layer of one-qubit
+    Cliffords, which adds signs and non-CSS phases."""
+    base = draw(st.sampled_from([codes.steane, codes.five_qubit, codes.five_prime]))()
+    layer = [gate(draw(st.sampled_from(LOCAL_CLIFFORDS)), q)
+             for q in range(base.n) if draw(st.booleans())]
+    return codes.transform_code(base, layer)
+
+
+def with_catalog_examples(test):
+    """``test`` with one explicit example per catalog code and ``BARE``."""
+    for code in CATALOG_CODES:
+        test = example(code=code)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(code=local_clifford_codes())
+@with_catalog_examples
+def test_codewords_equal_the_dense_projection_exactly(code):
+    """The exact sum over the code space equals the dense projection of
+    the least surviving seed, global phase included: |0-bar> is real and
+    positive on the least word of its support.  The dense oracle's
+    fidelities and phases are pinned outputs, so the comparison is exact,
+    not allclose."""
+    assert np.array_equal(codewords(code), reference_codewords(code)), code
+
+
+@settings(max_examples=150, deadline=None)
+@given(code=local_clifford_codes())
+@with_catalog_examples
+def test_support_space_matches_the_dense_codewords(code):
+    """``seeds[l] xor span(basis)`` is the support of the codeword with
+    label l.  The coset-phase method is refused exactly when the two
+    codewords share one support."""
+    supports = [set(np.flatnonzero(row).tolist()) for row in reference_codewords(code)]
+    try:
+        seeds, basis = simulate._support_space(code)
+    except VerificationError as exc:
+        assert "no pure-Z coset form" in str(exc)
+        assert supports[0] == supports[1]
+        return
+    span = [0]
+    for v in basis:
+        span += [s ^ v for s in span]
+    assert [{seed ^ s for s in span} for seed in seeds] == supports
+
+
+def test_coset_phase_refuses_a_logical_z_without_pure_z_form(cat):
+    """H on every qubit of Steane turns logical Z into X^7, and no
+    stabilizer cancels its X part."""
+    code = codes.transform_code(cat.code("steane"), [gate(gates.H, q) for q in range(7)])
+    empty = GadgetCircuit(7, (), "id", ((0, 7),))
+    with pytest.raises(VerificationError, match="logical Z has no pure-Z coset form; "
+                                                "coset-phase method inapplicable"):
+        verify_diagonal_action(code, empty, gate(gates.Z, 0))
 
 
 def test_identity_circuit_verifies_for_all_codes(cat):
