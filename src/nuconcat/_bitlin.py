@@ -1,10 +1,10 @@
 """GF(2) linear algebra on int bit-masks (rows as plain Python ints).
 
 ``rref`` is the one eliminator: it builds a fully reduced basis, and
-``reduce`` clears every pivot bit of a row against such a basis.  ``rank``,
-``nullspace`` and ``solve_affine`` read the basis.  To learn which input
-rows combine to a vector, tag each row with one low bit per row before
-reducing (as ``codes.StabilizerGroup`` does).
+``reduce`` clears every pivot bit of a row against such a basis.  ``rank``
+and ``solve_affine`` read the basis.  To learn which input rows combine to
+a vector, tag each row with one low bit per row before reducing (as
+``codes.StabilizerGroup`` does).
 """
 
 from __future__ import annotations
@@ -39,27 +39,9 @@ def rank(rows: list[int]) -> int:
     return len(rref(rows))
 
 
-def nullspace(rows: list[int], n_bits: int) -> list[int]:
-    """Basis of {v : row & v has even parity for every row}."""
-    reduced = rref(rows)
-    pivots = {r.bit_length() - 1 for r in reduced}
-    basis = []
-    for free in range(n_bits):
-        if free in pivots:
-            continue
-        vec = 1 << free
-        for r in reduced:
-            if (r >> free) & 1:
-                vec |= 1 << (r.bit_length() - 1)
-        basis.append(vec)
-    return basis
-
-
-def solve_affine(rows: list[int], targets: list[int], n_bits: int) -> tuple[int, list[int]] | None:
-    """Solve ``parity(rows[i] & v) == targets[i]`` for v.
-
-    Returns (particular solution, nullspace basis) or None when inconsistent.
-    """
+def solve_affine(rows: list[int], targets: list[int]) -> int | None:
+    """A solution v of ``parity(rows[i] & v) == targets[i]``, or None when
+    the system is inconsistent."""
     # The target is the lowest bit of each augmented row, so it is a pivot
     # only of the reduced row 1, which reads 0 = 1.
     reduced = rref([row << 1 | t for row, t in zip(rows, targets)])
@@ -68,4 +50,4 @@ def solve_affine(rows: list[int], targets: list[int], n_bits: int) -> tuple[int,
     solution = 0
     for r in reduced:
         solution |= (r & 1) << (r.bit_length() - 2)
-    return solution, nullspace([r >> 1 for r in reduced], n_bits)
+    return solution

@@ -354,11 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", required=True)
     p.add_argument("--gates", help="comma-separated gadget kinds (default: the layout's set)")
     p.add_argument("--pairs", action="store_true", help="also search fault pairs")
-    p.add_argument("--budget", type=int, default=20_000_000)
+    p.add_argument("--budget", type=int, default=faults.PAIR_BUDGET)
 
     p = add("table1", help="summary table of the code family")
     p.add_argument("--extended", action="store_true", help="include the 47/55/73-qubit rows")
-    p.add_argument("--budget", type=int, default=20_000_000)
+    p.add_argument("--budget", type=int, default=faults.PAIR_BUDGET)
 
     p = add("replay", help="re-run a recorded fault set against a circuit")
     p.add_argument("--layout", required=True)

@@ -259,12 +259,28 @@ class LookupDecoder:
     table: np.ndarray
 
     @cached_property
+    def word_tables(self) -> np.ndarray:
+        """The block word of an error is its syndrome s | anti_z << (n - 1) |
+        anti_x << n, where anti_z and anti_x say whether it anticommutes with
+        logical Z and logical X (at most 15 qubits, so 16 bits).  It is linear
+        in the symplectic error e = ex | ez << n: [b, v] is the word of
+        v << 8b, and a word is the XOR of the entries of its bytes."""
+        code = self.code
+        masks = [p.z | p.x << code.n for p in (*code.generators, code.logical_z, code.logical_x)]
+        values = np.arange(256, dtype=np.uint64)
+        tables = np.zeros(((2 * code.n + 7) // 8, 256), np.uint16)
+        for b, table in enumerate(tables):
+            for j, m in enumerate(masks):
+                table |= (np.bitwise_count(values & (m >> 8 * b)) & 1).astype(np.uint16) << j
+        tables.flags.writeable = False
+        return tables
+
+    @cached_property
     def residual_classes(self) -> np.ndarray:
-        """Logical class left after correcting an error, indexed by the
-        error's syndrome s | anti_z << (n - 1) | anti_x << n, where anti_z
-        and anti_x say whether it anticommutes with logical Z and logical
-        X.  Class bit 0 = anticommutes with logical Z, bit 1 = with logical
-        X (I = 0, X = 1, Z = 2, Y = 3).  Computed once per decoder."""
+        """Logical class left after correcting an error, indexed by its
+        block word (see ``word_tables``).  Class bit 0 = anticommutes with
+        logical Z, bit 1 = with logical X (I = 0, X = 1, Z = 2, Y = 3).
+        Computed once per decoder."""
         n, mask = self.code.n, (1 << self.code.n) - 1
         cx, cz = self.table >> n & mask, self.table & mask
         correction = np.zeros(len(self.table), np.uint8)
@@ -354,5 +370,5 @@ def code_space(code: StabilizerCode) -> tuple[int, tuple[Pauli, ...]]:
     elements = [group.product(row & ((1 << n) - 1)) for row in group._reduced]
     moves = tuple(p for p in elements if p.x)
     pure_z = [p for p in elements if not p.x]
-    seed, _ = solve_affine([p.z for p in pure_z], [p.phase_exp >> 1 for p in pure_z], n)
+    seed = solve_affine([p.z for p in pure_z], [p.phase_exp >> 1 for p in pure_z])
     return reduce(rref([p.x for p in moves]), seed), moves

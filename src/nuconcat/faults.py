@@ -21,28 +21,28 @@ and ``replay`` walk their faults as one group.
 
 ``DecodeContext.decode`` decodes the same rows: per operand block and
 outer qubit, the inner syndrome and logical parities form a block word,
-linear in the error, so it is the XOR of one table entry per byte of the
-error.  The lookup decoder's class array turns block words into outer
-letters, which are decoded the same way.  Pair search screens with the
-XOR of end-branch block words (a sound envelope) and confirms candidates
-by walking both faults as one group.
+linear in the error, so it is the XOR of one entry of the lookup decoder's
+word tables per byte of the error.  The decoder's class array turns block
+words into outer letters, which are decoded the same way.  Pair search
+screens with the XOR of end-branch block words (a sound envelope) and
+confirms candidates by walking both faults as one group.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import gates
 from .circuits import GadgetCircuit
-from .codes import StabilizerCode, build_decoder
+from .codes import build_decoder
 from .concat import Layout
 from .pauli import Pauli
 
 BRANCH_CAP = 1 << 16
+PAIR_BUDGET = 20_000_000   # default bound on the pairs one search may scan
 
 
 class BudgetError(RuntimeError):
@@ -225,21 +225,6 @@ def propagate(circuit: GadgetCircuit,
 RESIDUAL = "IXZY"   # class bits: 1 = anticommutes with logical Z, 2 = with logical X
 
 
-@lru_cache(maxsize=None)
-def _word_tables(code: StabilizerCode) -> np.ndarray:
-    """Block words by byte of a symplectic error e = ex | ez << n: [b, v]
-    is the word of v << 8b, bit j its anticommutation with generator j,
-    then logical Z and X (codes have at most 15 qubits, so 16 bits)."""
-    masks = [p.z | p.x << code.n for p in (*code.generators, code.logical_z, code.logical_x)]
-    values = np.arange(256, dtype=np.uint64)
-    tables = np.zeros(((2 * code.n + 7) // 8, 256), np.uint16)
-    for b, table in enumerate(tables):
-        for j, m in enumerate(masks):
-            table |= (np.bitwise_count(values & (m >> 8 * b)) & 1).astype(np.uint16) << j
-    tables.flags.writeable = False
-    return tables
-
-
 def _block_words(errors: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """Block word per symplectic error, one table entry per byte."""
     word = tables[0][errors & 255]
@@ -273,14 +258,15 @@ class DecodeContext:
                 raise ValueError("gadget blocks do not match the layout")
             for q in range(n):
                 start, code = layout.block(q)
-                self.columns.append((off + start, code.n, _word_tables(code)))
-                self.letters.append(build_decoder(code).residual_classes)
+                decoder = build_decoder(code)
+                self.columns.append((off + start, code.n, decoder.word_tables))
+                self.letters.append(decoder.residual_classes)
         self.n_operands = len(blocks)
         # outer letter on outer qubit q -> its bits of the outer error x | z << n
         self.spread = [np.array([0, 1 << q, 1 << (q + n), 1 << q | 1 << (q + n)], np.uint64)
                        for q in range(n)]
-        self.outer_words = _word_tables(layout.outer)
-        self.outer_letters = build_decoder(layout.outer).residual_classes
+        outer = build_decoder(layout.outer)
+        self.outer_words, self.outer_letters = outer.word_tables, outer.residual_classes
 
     def data(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Block words of word-major x and z planes, (rows, columns)."""
@@ -351,7 +337,7 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport
 
 
 def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
-                           budget: int = 20_000_000) -> FaultReport:
+                           budget: int = PAIR_BUDGET) -> FaultReport:
     """Deterministic lexicographic scan of fault pairs.
 
     For each i, screens every j > i at once with the XOR of the block
@@ -411,7 +397,7 @@ class EffectiveDistanceResult:
 
 
 def effective_distance_report(layout: Layout, gadget_set: list[GadgetCircuit],
-                              budget: int = 20_000_000) -> EffectiveDistanceResult:
+                              budget: int = PAIR_BUDGET) -> EffectiveDistanceResult:
     """Every gadget's single-fault suite, then pair searches in gadget
     order until a witness appears.  3 = all single faults pass and some
     pair fails; 1 = a single fault already fails (the construction is

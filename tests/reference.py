@@ -1,5 +1,6 @@
-"""Pauli-level reference implementations that only tests use: each is the
-slow, obviously correct form of something the package does on arrays."""
+"""Reference implementations that only tests use: each is the slow,
+obviously correct form of something the package does on arrays, or a
+helper the package no longer needs."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -8,6 +9,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from nuconcat import faults, gates
+from nuconcat._bitlin import rref
 from nuconcat.circuits import GadgetCircuit, GadgetDispatcher
 from nuconcat.codes import (LOGICAL_CLASSES, LookupDecoder, StabilizerCode, build_decoder,
                             min_weight_logical, normalizer_class, syndrome)
@@ -15,6 +17,22 @@ from nuconcat.concat import DistanceResult, Layout, _min_weight_lift, bare_layou
 from nuconcat.gates import Gate
 from nuconcat.pauli import DimensionError, Pauli
 from nuconcat.simulate import VerificationError, apply_pauli
+
+
+def nullspace(rows: list[int], n_bits: int) -> list[int]:
+    """Basis of {v : row & v has even parity for every row}."""
+    reduced = rref(rows)
+    pivots = {r.bit_length() - 1 for r in reduced}
+    basis = []
+    for free in range(n_bits):
+        if free in pivots:
+            continue
+        vec = 1 << free
+        for r in reduced:
+            if (r >> free) & 1:
+                vec |= 1 << (r.bit_length() - 1)
+        basis.append(vec)
+    return basis
 
 
 def from_letters(n: int, letters: Mapping[int, str]) -> Pauli:

@@ -57,6 +57,20 @@ def test_apply_gate_examples():
         apply_circuit(np.zeros((1, 4), dtype=complex), ccz)
 
 
+@pytest.mark.parametrize("scale", [2.0, 1 + 1e-9])
+def test_apply_circuit_refuses_a_drifting_norm(monkeypatch, scale):
+    """An H matrix scaled off unitarity, grossly or by 1e-9, changes the
+    norm of every row it mixes: the dense pass refuses the batch."""
+    gate_matrix = gates.gate_matrix
+    monkeypatch.setattr(gates, "gate_matrix",
+                        lambda g: scale * gate_matrix(g) if g.kind == gates.H else gate_matrix(g))
+    states = np.zeros((2, 4), dtype=complex)
+    states[0, 0] = states[1, 3] = 1
+    h = GadgetCircuit(2, (gate(gates.X, 1), gate(gates.H, 0)), "XH", ((0, 2),))
+    with pytest.raises(VerificationError, match="statevector norm drifted"):
+        apply_circuit(states, h)
+
+
 def _kron_reference(g: Gate, n: int) -> np.ndarray:
     """The gate as a 2^n x 2^n matrix: a Kronecker product of 2 x 2 blocks
     for one-qubit gates, entry by entry from the local matrix otherwise."""
@@ -279,6 +293,22 @@ def test_heisenberg_catches_wrong_claim(cat):
     circuit = expand_transversal(code, gates.H, rule)
     assert verify_clifford_action(code, circuit, gate(gates.H, 0)).passed
     assert not verify_clifford_action(code, circuit, gate(gates.S, 0)).passed
+
+
+def test_heisenberg_refusals_name_the_first_failing_row(cat):
+    """Every block's stabilizer rows are judged before the logical rows
+    X_0, Z_0, X_1, ...; a refusal names the first row that fails, a
+    stabilizer as placed on the register."""
+    code = cat.code("steane")
+    z_on_1 = GadgetCircuit(14, (gate(gates.Z, 7),), "Z@7", ((0, 7), (7, 7)))
+    cert = verify_clifford_action(code, z_on_1, gate(gates.CZ, 0, 1))
+    assert not cert.passed and cert.details == "stabilizer +IIIIIIIXIXIXIX maps outside the group"
+    h = expand_transversal(code, gates.H, cat.rules["steane"][gates.H])
+    cert = verify_clifford_action(code, h, gate(gates.S, 0))
+    assert not cert.passed and cert.details == "logical X_0 image mismatch"
+    y = expand_transversal(code, gates.Y, cat.rules["steane"][gates.Y])
+    cert = verify_clifford_action(code, y, gate(gates.Z, 0))
+    assert not cert.passed and cert.details == "logical Z_0 image mismatch"
 
 
 def test_css_coset_catches_wrong_claim(cat):
