@@ -322,6 +322,17 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
 
 # -- entry point --------------------------------------------------------------------
 
+def _budget(text: str) -> int:
+    """A pair budget: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nuconcat",
@@ -354,11 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", required=True)
     p.add_argument("--gates", help="comma-separated gadget kinds (default: the layout's set)")
     p.add_argument("--pairs", action="store_true", help="also search fault pairs")
-    p.add_argument("--budget", type=int, default=faults.PAIR_BUDGET)
+    p.add_argument("--budget", type=_budget, default=faults.PAIR_BUDGET)
 
     p = add("table1", help="summary table of the code family")
     p.add_argument("--extended", action="store_true", help="include the 47/55/73-qubit rows")
-    p.add_argument("--budget", type=int, default=faults.PAIR_BUDGET)
+    p.add_argument("--budget", type=_budget, default=faults.PAIR_BUDGET)
 
     p = add("replay", help="re-run a recorded fault set against a circuit")
     p.add_argument("--layout", required=True)

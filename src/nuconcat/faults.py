@@ -23,9 +23,15 @@ and ``replay`` walk their faults as one group.
 outer qubit, the inner syndrome and logical parities form a block word,
 linear in the error, so it is the XOR of one entry of the lookup decoder's
 word tables per byte of the error.  The decoder's class array turns block
-words into outer letters, which are decoded the same way.  Pair search
-screens with the XOR of end-branch block words (a sound envelope) and
-confirms candidates by walking both faults as one group.
+words into outer letters; outer block words are linear too, so a column's
+term is the outer word of its letter, and an operand's outer word is the
+XOR of its columns' terms, which the outer class array decodes.
+
+Pair search screens a block of first locations against every later one
+at once (a sound envelope).  The outer word of a product splits as
+W(a ^ b) = W(a) ^ W(b) ^ P: one 2-D XOR of per-row words, patched by P
+only on the row pairs that share a non-zero column.  Candidates are
+confirmed by walking both faults as one group.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .pauli import Pauli
 
 BRANCH_CAP = 1 << 16
 PAIR_BUDGET = 20_000_000   # default bound on the pairs one search may scan
+PAIR_BLOCK = 1 << 16       # row pairs one screen step holds (it takes at least one first row)
 
 
 class BudgetError(RuntimeError):
@@ -245,14 +252,22 @@ def _field(plane: np.ndarray, start: int, width: int) -> np.ndarray:
 class DecodeContext:
     """Inner-then-outer lookup decoding of every operand block, (offset,
     length) in ``blocks``, of word-major x/z planes.  ``data`` gives one
-    block word per (operand, outer qubit) column, linear in (x, z);
-    ``residuals`` maps them to the residual class: I only when every
-    operand decodes to I, else the class of the first that does not."""
+    block word per (operand, outer qubit) column, linear in (x, z).  Column
+    k's term f_k(d) is the outer block word of its inner residual letter on
+    its outer qubit, so an operand's outer word is the XOR of its columns'
+    terms; ``residuals`` maps the outer words to the residual class: I only
+    when every operand decodes to I, else the class of the first that does
+    not."""
 
     def __init__(self, layout: Layout, blocks: Sequence[tuple[int, int]]):
         n = layout.outer.n
+        outer = build_decoder(layout.outer)
+        # outer block word of each letter IXZY on outer qubit q
+        lifts = [_block_words(np.array([0, 1 << q, 1 << (q + n), 1 << q | 1 << (q + n)], np.uint64),
+                              outer.word_tables) for q in range(n)]
         self.columns = []   # (start, width, word tables) per block word
         self.letters = []   # residual class by block word, per block word
+        self.lifts = []     # outer block word by residual class, per block word
         for off, length in blocks:
             if length != layout.total_n:
                 raise ValueError("gadget blocks do not match the layout")
@@ -261,12 +276,9 @@ class DecodeContext:
                 decoder = build_decoder(code)
                 self.columns.append((off + start, code.n, decoder.word_tables))
                 self.letters.append(decoder.residual_classes)
+                self.lifts.append(lifts[q])
         self.n_operands = len(blocks)
-        # outer letter on outer qubit q -> its bits of the outer error x | z << n
-        self.spread = [np.array([0, 1 << q, 1 << (q + n), 1 << q | 1 << (q + n)], np.uint64)
-                       for q in range(n)]
-        outer = build_decoder(layout.outer)
-        self.outer_words, self.outer_letters = outer.word_tables, outer.residual_classes
+        self.outer_letters = outer.residual_classes
 
     def data(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Block words of word-major x and z planes, (rows, columns)."""
@@ -276,17 +288,36 @@ class DecodeContext:
             out[:, k] = _block_words(errors, words)
         return out
 
+    def term(self, k: int, block_words: np.ndarray) -> np.ndarray:
+        """Column k's term f_k of block words: the outer block word of their
+        residual letter on the column's outer qubit; f_k(0) = 0."""
+        return self.lifts[k][self.letters[k][block_words]]
+
+    def terms(self, data: np.ndarray) -> np.ndarray:
+        """Term of every column of rows of block words, (columns, rows)."""
+        out = np.empty((len(self.columns), len(data)), np.uint16)
+        for k in range(len(self.columns)):
+            out[k] = self.term(k, data[:, k])
+        return out
+
+    def words(self, data: np.ndarray) -> np.ndarray:
+        """Outer block word per operand and row of block words, (operands,
+        rows): the XOR of the operand's column terms."""
+        out = np.zeros((self.n_operands, len(data)), np.uint16)
+        n = len(self.columns) // self.n_operands
+        for k in range(len(self.columns)):
+            out[k // n] ^= self.term(k, data[:, k])
+        return out
+
+    def classes(self, words: np.ndarray) -> np.ndarray:
+        """Residual class of outer words (operands, ...): the first
+        operand's that is not I; 0 = I."""
+        letters = self.outer_letters[words]
+        return np.take_along_axis(letters, (letters != 0).argmax(axis=0)[None], 0)[0]
+
     def residuals(self, data: np.ndarray) -> np.ndarray:
         """Residual class per row of block words; 0 = I."""
-        n = len(self.spread)
-        out = np.zeros(len(data), np.uint8)
-        for op in range(self.n_operands):
-            outer = np.zeros(len(data), np.uint64)
-            for q, k in enumerate(range(op * n, op * n + n)):
-                outer |= self.spread[q][self.letters[k][data[:, k]]]
-            residual = self.outer_letters[_block_words(outer, self.outer_words)]
-            out = np.where(out != 0, out, residual)
-        return out
+        return self.classes(self.words(data))
 
     def decode(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Residual class per row of word-major x and z planes; 0 = I."""
@@ -336,15 +367,49 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport
     return report
 
 
+class PairScreen:
+    """Rows of block words with what the split screen needs: each row's
+    column terms and operand words, and each column's non-zero rows.  The
+    outer word of a product is W(a ^ b) = W(a) ^ W(b) ^ P, where P is the
+    XOR over the columns where both rows are non-zero of
+    f_k(a ^ b) ^ f_k(a) ^ f_k(b)."""
+
+    def __init__(self, ctx: DecodeContext, data: np.ndarray):
+        self.ctx, self.data = ctx, data
+        self.terms, self.words = ctx.terms(data), ctx.words(data)
+        self.nonzero = [np.flatnonzero(column) for column in data.T]
+
+    def pair_words(self, a: slice, b: slice) -> np.ndarray:
+        """Outer words, (operands, len(a), len(b)), of the product of every
+        row in ``a`` with every row in ``b`` (slices with start and stop)."""
+        ctx = self.ctx
+        out = self.words[:, a, None] ^ self.words[:, None, b]
+        n = len(ctx.columns) // ctx.n_operands
+        for k, rows in enumerate(self.nonzero):
+            a0, a1, b0, b1 = np.searchsorted(rows, (a.start, a.stop, b.start, b.stop))
+            if a0 == a1 or b0 == b1:
+                continue
+            ra, rb = rows[a0:a1], rows[b0:b1]
+            d, t = self.data[:, k], self.terms[k]
+            patch = ctx.term(k, d[ra, None] ^ d[rb]) ^ t[ra, None] ^ t[rb]
+            out[k // n, (ra - a.start)[:, None], rb - b.start] ^= patch
+        return out
+
+
 def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
                            budget: int = PAIR_BUDGET) -> FaultReport:
     """Deterministic lexicographic scan of fault pairs.
 
-    For each i, screens every j > i at once with the XOR of the block
-    words of their end branches (a sound envelope: conjugation is
-    multiplicative and the branch sets only widen), then confirms the
-    candidates in order of j with ``_confirm_pair``; the first confirmed
-    pair is the witness.
+    Screens a block of first locations against every later location at
+    once: the outer words of each pair of end branches come from the split
+    of ``PairScreen``, one 2-D XOR of per-row words patched where both rows
+    share a non-zero column, so no pair is decoded on its own.  The verdict
+    is a sound envelope: conjugation is multiplicative and the branch sets
+    only widen.  The first block is one location; each later block doubles,
+    up to ``PAIR_BLOCK`` row pairs, and a location with more rows is
+    screened in steps of that size.  Each first location's candidates are
+    then confirmed in order of j with ``_confirm_pair``; the first
+    confirmed pair is the witness.
     """
     locations = enumerate_locations(circuit)
     est = len(locations) * (len(locations) - 1) // 2
@@ -354,23 +419,33 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
     frame = propagate(circuit, locations)
     order = np.argsort(frame.owner, kind="stable")
     owner = frame.owner[order]
-    data = ctx.data(frame.x[:, order], frame.z[:, order])
+    screen = PairScreen(ctx, ctx.data(frame.x[:, order], frame.z[:, order]))
     bounds = np.searchsorted(owner, np.arange(len(locations) + 1))
 
     report = FaultReport(layout.descriptor, circuit.label, len(locations), len(owner))
-    for i in range(len(locations)):
-        lo, hi = bounds[i], bounds[i + 1]
-        later = data[hi:]
-        hit = np.zeros(len(later), bool)
-        for row in data[lo:hi]:
-            hit |= ctx.residuals(later ^ row) != 0
-        for j in np.flatnonzero(np.bincount(owner[hi:][hit])):
-            confirmed = _confirm_pair(ctx, circuit, locations[i], locations[j])
+    i, size = 0, 1
+    while i < len(locations):
+        later = bounds[i + 1]
+        step = max(PAIR_BLOCK // max(len(owner) - later, 1), 1)   # first rows per step
+        end = max(i + 1, min(i + size, np.searchsorted(bounds, bounds[i] + step, "right") - 1))
+        keys = []
+        for lo in range(bounds[i], bounds[end], step):
+            hi = min(lo + step, bounds[end])
+            words = screen.pair_words(slice(lo, hi), slice(later, len(owner)))
+            rows, cols = np.nonzero(ctx.outer_letters[words].any(axis=0))
+            first, second = owner[lo + rows], owner[later + cols]
+            keys.append((first * len(locations) + second)[second > first])
+        # candidate (first, j) pairs with j > first, in lexicographic order
+        keys = np.sort(np.concatenate(keys))
+        for key in keys[np.diff(keys, prepend=-1) != 0]:
+            a, b = (locations[int(k)] for k in divmod(key, len(locations)))
+            confirmed = _confirm_pair(ctx, circuit, a, b)
             if confirmed is not None:
-                report.failures.append(Failure((i, int(j)), *confirmed))
+                report.failures.append(Failure((a.index, b.index), *confirmed))
                 report.min_uncorrectable_size, report.witness_residual = 2, confirmed[1]
-                report.witness = (locations[i], locations[j])
+                report.witness = (a, b)
                 return report
+        i, size = end, 2 * (end - i)
     report.min_uncorrectable_size = "none <= 2"
     return report
 

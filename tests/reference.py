@@ -241,3 +241,25 @@ def reference_propagate(circuit: GadgetCircuit, fault_list):
         if len(branches) > faults.BRANCH_CAP:
             raise faults.BudgetError(f"branch set exceeded {faults.BRANCH_CAP}")
     return branches, deterministic
+
+
+def reference_pair_candidates(layout: Layout, circuit: GadgetCircuit) -> list[tuple[int, int]]:
+    """The pair screen one first location at a time: for each end row of
+    location i, decode its product with every end row of every later
+    location; the (i, j) candidates in order of i, then j."""
+    locations = faults.enumerate_locations(circuit)
+    ctx = faults.DecodeContext(layout, circuit.blocks)
+    frame = faults.propagate(circuit, locations)
+    order = np.argsort(frame.owner, kind="stable")
+    owner = frame.owner[order]
+    data = ctx.data(frame.x[:, order], frame.z[:, order])
+    bounds = np.searchsorted(owner, np.arange(len(locations) + 1))
+    out = []
+    for i in range(len(locations)):
+        lo, hi = bounds[i], bounds[i + 1]
+        later = data[hi:]
+        hit = np.zeros(len(later), bool)
+        for row in data[lo:hi]:
+            hit |= ctx.residuals(later ^ row) != 0
+        out.extend((i, int(j)) for j in np.flatnonzero(np.bincount(owner[hi:][hit])))
+    return out

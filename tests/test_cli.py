@@ -138,6 +138,18 @@ def test_table1_budget_refusal(capsys):
     assert err.startswith("budget refusal: code105 row:") and "for T, CCZ" in err
 
 
+@pytest.mark.parametrize("argv", [["table1"], ["ftcheck", "--layout", "code49", "--pairs"]],
+                         ids=["table1", "ftcheck"])
+def test_negative_budget_is_a_usage_error(capsys, argv):
+    """A negative --budget is refused by the parser (exit 2), not turned
+    into a budget refusal (exit 3)."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--budget", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --budget: must be a non-negative integer, got '-1'" in captured.err
+
+
 def test_ftcheck_pairs_skip_a_gadget_the_budget_refuses(capsys):
     """``ftcheck --pairs`` renders the effective-distance report: CCZ's
     8,345,655 pairs exceed the budget, so its search is listed as refused

@@ -16,7 +16,7 @@ from nuconcat.faults import (DecodeContext, check_single_fault_ft,
 from nuconcat.gates import gate
 from nuconcat.pauli import Pauli
 from reference import (_deposit, hierarchical_decode, reference_locations,
-                       reference_propagate, staircase_gadget)
+                       reference_pair_candidates, reference_propagate, staircase_gadget)
 
 
 def make_circuit(n, *gs):
@@ -271,6 +271,44 @@ def test_decoder_data_is_linear(cat, name):
         assert "IXZY"[r] == next((res for res in per_operand if res != "I"), "I")
 
 
+@st.composite
+def block_error_lists(draw, blocks):
+    """Two lists of 1-4 errors, each a product of 1-3 single-qubit Paulis
+    inside inner blocks ``(start, size)`` drawn from a few that both lists
+    share, so that factors often meet in one inner block."""
+    hot = draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=3))
+
+    def error():
+        x = z = 0
+        for _ in range(draw(st.integers(1, 3))):
+            start, size = draw(st.sampled_from(hot))
+            q, letter = start + draw(st.integers(0, size - 1)), draw(st.integers(1, 3))
+            x ^= (letter & 1) << q
+            z ^= (letter >> 1) << q
+        return x, z
+
+    return [[error() for _ in range(draw(st.integers(1, 4)))] for _ in range(2)]
+
+
+@pytest.mark.parametrize("name", ["code49", "code75", "bare:steane"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_split_outer_words_decode_like_the_product(cat, name, data):
+    """The split screen's outer words W(a) ^ W(b) ^ P give every product of
+    a first and a second error the class that decoding the product gives,
+    on both operands of a two-operand register."""
+    lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
+    n = lay.total_n
+    ctx = DecodeContext(lay, ((0, n), (n, n)))
+    blocks = [(off + start, code.n) for off in (0, n)
+              for start, code in map(lay.block, range(lay.outer.n))]
+    first, second = data.draw(block_error_lists(blocks))
+    screen = faults.PairScreen(ctx, ctx.data(*rows(first + second, 2 * n)))
+    words = screen.pair_words(slice(0, len(first)), slice(len(first), len(first) + len(second)))
+    product = [(x1 ^ x2, z1 ^ z2) for x1, z1 in first for x2, z2 in second]
+    assert np.array_equal(ctx.classes(words).ravel(), ctx.decode(*rows(product, 2 * n)))
+
+
 def test_single_fault_pass_examples(lib, layouts):
     adm = lib.gadget(layouts[49], library.logical_gate(gates.T))
     report = check_single_fault_ft(layouts[49], adm.circuit)
@@ -421,6 +459,29 @@ def oracle_free_gadget(cat, name, kind):
     layout = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
     circuit = GadgetDispatcher(cat.rules).logical_gadget(layout, library.logical_gate(kind))
     return layout, circuit
+
+
+@pytest.mark.parametrize("name,kind,count", [
+    ("bare:steane", gates.T, 2874),   # branched groups
+    ("code49", gates.CNOT, 2454),     # two operands, shared columns
+    ("code105", gates.S, 0),
+])
+def test_pair_candidates_follow_the_per_row_screen(cat, monkeypatch, name, kind, count):
+    """The block screen hands ``_confirm_pair`` the candidates of the
+    per-row reference screen in the same order, whatever the block size."""
+    layout, circuit = oracle_free_gadget(cat, name, kind)
+    want = reference_pair_candidates(layout, circuit)
+    assert len(want) == count
+    for cap in (faults.PAIR_BLOCK, 1, 3):
+        seen = []
+
+        def record(ctx, circuit, a, b):
+            seen.append((a.index, b.index))
+
+        monkeypatch.setattr(faults, "PAIR_BLOCK", cap)
+        monkeypatch.setattr(faults, "_confirm_pair", record)
+        assert find_min_uncorrectable(layout, circuit).witness is None
+        assert seen == want, cap
 
 
 def test_bare_steane_t_campaign_order(cat):
