@@ -4,9 +4,9 @@ Three independent methods, each taking the claimed logical gate as a
 :class:`~nuconcat.gates.Gate` on operand indices; :mod:`nuconcat.library`
 routes each gadget to the ones that apply:
 
-* dense simulation of all logical basis states in one pass (exact
-  amplitudes, <= 22 qubits; codewords from :func:`~nuconcat.codes.code_space`),
-  judging the logical matrix U_L whole: leakage, phase and fidelity;
+* dense simulation of all logical basis states in one pass, exact on the
+  basis states they reach (<= 22 qubits; codewords from
+  :func:`~nuconcat.codes.code_space`), judging U_L whole: leakage, phase, fidelity;
 * Heisenberg conjugation of stabilizers and logicals (Clifford circuits,
   any size, sign-exact group membership);
 * coset-phase analysis for circuits made of X/CNOT/diagonal gates: the
@@ -70,9 +70,12 @@ def _block_offsets(code: StabilizerCode, circuit: GadgetCircuit, claimed: Gate) 
 
 
 # -- dense simulation ------------------------------------------------------------
-#
-# A batch of states is one complex rows x 2^n array, bit q of the column
-# index = qubit q.  Viewed as (rows, 2, ..., 2), qubit q is axis n - q.
+
+def _distinct(idx: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries (np.unique would import numpy.ma, ~0.7 MB)."""
+    idx = np.sort(idx)
+    return idx[np.diff(idx, prepend=idx[:1] - 1) != 0]
+
 
 def apply_pauli(p: Pauli, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact Pauli action on the amplitudes ``amps`` of the basis states
@@ -82,10 +85,11 @@ def apply_pauli(p: Pauli, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray
     return idx ^ p.x, (1j ** p.phase_exp) * signs * amps
 
 
-def codewords(code: StabilizerCode) -> np.ndarray:
-    """The (2, 2^n) pair |0-bar>, |1-bar>, exact: the sum that
+def codewords(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
+    """The pair |0-bar>, |1-bar>, exact, as (indices, amplitudes): their
+    sorted joint support and a (2, len) array.  |0-bar> is the sum that
     :func:`~nuconcat.codes.code_space` describes, one support word per
-    product of moves, normalised, and logical X times it; +0 elsewhere."""
+    product of moves, normalised; |1-bar> is logical X times it."""
     seed, moves = code_space(code)
     x = z = e = np.zeros(1, np.int64)
     for m in moves:  # the products without m, then with m on the right
@@ -93,94 +97,90 @@ def codewords(code: StabilizerCode) -> np.ndarray:
         x, z = np.concatenate([x, x ^ m.x]), np.concatenate([z, z ^ m.z])
     signs = 1.0 - 2.0 * (np.bitwise_count(z & seed) & 1)
     amps = np.array([1, 1j, -1, -1j])[e & 3] * signs / np.sqrt(len(x))
-    pair = np.zeros((2, 1 << code.n), dtype=complex)
-    pair[0, seed ^ x] = amps
-    image_idx, image = apply_pauli(code.logical_x, seed ^ x, amps)
-    pair[1, image_idx] = image
-    return pair
+    one, image = apply_pauli(code.logical_x, seed ^ x, amps)
+    idx = _distinct(np.concatenate([seed ^ x, one]))
+    pair = np.zeros((2, len(idx)), dtype=complex)
+    pair[[[0], [1]], np.searchsorted(idx, [seed ^ x, one])] = amps, image
+    return idx, pair
 
 
-def apply_circuit(states: np.ndarray, circuit: GadgetCircuit) -> np.ndarray:
-    """Run every row of ``states``, a C-contiguous complex rows x 2^n
-    array, through the circuit in one pass, in place.
-
-    X and CNOT swap two half or quarter slices (Y swaps and signs them), a
-    diagonal gate scales the slice where all its qubits are 1, and any
-    other one-qubit gate mixes its qubit's two slices.  Every row must keep
-    its norm.
-    """
-    n = circuit.register_size
-    if states.shape[1:] != (1 << n,) or states.dtype != complex or not states.flags.c_contiguous:
-        raise VerificationError(f"states must be a contiguous complex rows x 2^{n} array")
-    flat = states.view(float)
-    norms = np.einsum("ij,ij->i", flat, flat)  # no BLAS call, so no thread pool
-    psi = states.reshape(len(states), *[2] * n)
-
-    def part(bits: dict[int, int]) -> np.ndarray:
-        index = [slice(None)] * (n + 1)
-        for q, bit in bits.items():
-            index[n - q] = bit
-        return psi[tuple(index)]
-
+def apply_circuit(idx: np.ndarray, amps: np.ndarray,
+                  circuit: GadgetCircuit) -> tuple[np.ndarray, np.ndarray]:
+    """Run a batch of states through the circuit in one pass: ``idx``
+    distinct basis states (bit q = qubit q), ``amps`` complex, rows x
+    len(idx), zero off ``idx`` (a dense batch passes the full range).
+    Returns new arrays on the support reached.  X and CNOT move the indices
+    whose controls are set (Y also multiplies in +-i), a diagonal gate
+    scales the columns where all its qubits are 1, and any other one-qubit
+    gate pairs the support with its flip on the qubit and mixes each pair,
+    a missing entry reading 0.  Every row must keep its norm."""
+    n, idx = circuit.register_size, np.asarray(idx)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or not ((0 <= idx) & (idx < 1 << n)).all():
+        raise VerificationError(f"indices must be a 1-D array of integers in [0, 2^{n})")
+    if len(_distinct(idx)) != len(idx):
+        raise VerificationError("indices must be distinct")
+    if amps.ndim != 2 or amps.shape[1] != len(idx) or amps.dtype != complex:
+        raise VerificationError(f"amplitudes must be a complex array of rows x {len(idx)} "
+                                f"indices, not {amps.dtype} {amps.shape}")
+    idx, amps = idx.astype(np.int64), amps.copy()
+    norms = np.einsum("ij,ij->i", *[amps.view(float)] * 2)  # no BLAS call, so no thread pool
     for g in circuit.gates:
         *ctrl, q = g.qubits
-        if g.is_permutation or g.kind == gates.Y:  # X, Y, or CNOT on its control = 1 slice
-            on = dict.fromkeys(ctrl, 1)
-            lo, hi = part({**on, q: 0}), part({**on, q: 1})
-            swap = lo.copy()
-            lo[...] = hi
-            hi[...] = swap
+        bit, on = 1 << q, sum(1 << c for c in ctrl)
+        if g.is_permutation or g.kind == gates.Y:  # X, Y, or CNOT where its control is 1
             if g.kind == gates.Y:  # Y|0> = i|1>, Y|1> = -i|0>
-                lo *= -1j
-                hi *= 1j
+                amps *= np.where(idx & bit, -1j, 1j)
+            idx = idx ^ bit * ((idx & on) == on)
         elif g.is_diagonal:
-            ones = part(dict.fromkeys(g.qubits, 1))
-            ones *= np.exp(1j * np.pi * float(g.theta()))
+            amps[:, (idx & (on | bit)) == on | bit] *= np.exp(1j * np.pi * float(g.theta()))
         elif not ctrl:
             u = gates.gate_matrix(g)
-            lo, hi = part({q: 0}), part({q: 1})
-            mixed = u[1, 0] * lo + u[1, 1] * hi
-            lo *= u[0, 0]
-            lo += u[0, 1] * hi
-            hi[...] = mixed
+            pairs = _distinct(idx & ~bit)
+            halves = np.zeros((2, len(amps), len(pairs)), dtype=complex)
+            halves[(idx >> q) & 1, :, np.searchsorted(pairs, idx & ~bit)] = amps.T
+            lo, hi = halves
+            idx = np.concatenate([pairs, pairs | bit])
+            amps = np.hstack([u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi])
         else:
             raise VerificationError(f"no dense rule for {g.kind}")
-    if (abs(np.einsum("ij,ij->i", flat, flat) - norms) > NORM_TOL).any():
+    if (abs(np.einsum("ij,ij->i", *[amps.view(float)] * 2) - norms) > NORM_TOL).any():
         raise VerificationError("statevector norm drifted")
-    return states
+    return idx, amps
 
-
-# -- dense logical-action verification -------------------------------------------
 
 def verify_logical_action(code: StabilizerCode, circuit: GadgetCircuit,
                           claimed: Gate) -> Certificate:
     """Dense check that the circuit acts on the code space as ``claimed``,
     up to one global phase.
 
-    The 2^m logical basis states run through the circuit in one pass.
-    Contracting the output with the conjugated codeword pair once per
-    block gives U_L[i, j] = <b_i|C|b_j>, judged whole: the leakage is
-    1 - lambda_min(U_L^dag U_L), the worst case over every logical input;
-    the phase is tr(claim^dag U_L) / |tr(claim^dag U_L)| (1 when the trace
-    vanishes), the fidelity |tr(claim^dag U_L)|^2 / 4^m, and U_L must
-    equal phase * claim in Frobenius norm.
+    The 2^m logical basis states, on the products of the blocks' codeword
+    supports, run through the circuit in one pass; each block's codeword
+    pair gathered at the reached support contracts them to U_L[i, j] =
+    <b_i|C|b_j>, judged whole: the leakage is 1 - lambda_min(U_L^dag U_L),
+    the worst case over every logical input; the phase is tr(claim^dag U_L)
+    / |tr(claim^dag U_L)| (1 when the trace vanishes), the fidelity
+    |tr(claim^dag U_L)|^2 / 4^m, and U_L must equal phase * claim in norm.
     """
     m = len(circuit.blocks)
-    _block_offsets(code, circuit, claimed)
+    offsets = _block_offsets(code, circuit, claimed)
     if circuit.register_size > MAX_DENSE_QUBITS:
         raise VerificationError(f"{circuit.register_size} qubits exceeds the dense cap")
     # gate_matrix's index bit i is operand claimed.qubits[i]; re-index so bit b is operand b
     order = [sum(((j >> q) & 1) << i for i, q in enumerate(claimed.qubits)) for j in range(1 << m)]
     claim = gates.gate_matrix(claimed)[np.ix_(order, order)]
-    pair = codewords(code)
-    # row j: block b in label (j >> b) & 1, block 0 on the lowest qubits
-    states = np.ones((1, 1), dtype=complex)
-    for _ in range(m):
-        states = np.kron(pair, states)
-    amps = apply_circuit(states, circuit)
-    for _ in range(m):  # the highest block leads each row
-        amps = pair.conj() @ amps.reshape(-1, pair.shape[1], amps.shape[-1] // pair.shape[1])
-    logical = amps.reshape(1 << m, 1 << m).T
+    words, pair = codewords(code)
+    # row j (and bra row i): block b in label (j >> b) & 1
+    idx, amps = np.zeros(1, np.int64), np.ones((1, 1), dtype=complex)
+    for offset in offsets:
+        idx = ((words[:, None] << offset) | idx).ravel()
+        amps = (pair[:, None, :, None] * amps[None, :, None, :]).reshape(-1, len(idx))
+    idx, amps = apply_circuit(idx, amps, circuit)
+    bra = np.ones((1, len(idx)), dtype=complex)
+    for offset in offsets:
+        word = (idx >> offset) & ((1 << code.n) - 1)
+        at = np.searchsorted(words, word) % len(words)  # a word off the support finds another
+        bra = ((pair[:, at].conj() * (words[at] == word))[:, None] * bra).reshape(-1, len(idx))
+    logical = np.einsum("ik,jk->ij", bra, amps)  # no BLAS call, so no thread pool
 
     leak = 1.0 - float(np.linalg.eigvalsh(logical.conj().T @ logical)[0])
     if leak > FIDELITY_TOL:

@@ -16,7 +16,8 @@ from nuconcat.codes import (LOGICAL_CLASSES, LookupDecoder, StabilizerCode, buil
 from nuconcat.concat import DistanceResult, Layout, _min_weight_lift, bare_layout
 from nuconcat.gates import Gate
 from nuconcat.pauli import DimensionError, Pauli
-from nuconcat.simulate import VerificationError, apply_pauli
+from nuconcat.simulate import (FIDELITY_TOL, NORM_TOL, Certificate, VerificationError,
+                               apply_pauli)
 
 
 def nullspace(rows: list[int], n_bits: int) -> list[int]:
@@ -88,6 +89,92 @@ def reference_codewords(code: StabilizerCode) -> np.ndarray:
             zero /= nrm
             return np.stack([zero, pauli_on_vector(zero, code.logical_x)])
     raise VerificationError("no computational seed projects onto the code space")
+
+
+def densify(idx: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
+    """The batch ``(idx, amps)`` as a rows x 2^n array, zero off ``idx``."""
+    assert len(set(idx.tolist())) == len(idx), "support indices repeat"
+    out = np.zeros((len(amps), 1 << n), dtype=complex)
+    out[:, idx] = amps
+    return out
+
+
+def reference_apply_circuit(states: np.ndarray, circuit: GadgetCircuit) -> np.ndarray:
+    """Every row of ``states``, a C-contiguous complex rows x 2^n array,
+    through the circuit in place, on all 2^n amplitudes: viewed as (rows,
+    2, ..., 2), qubit q is axis n - q.  X and CNOT swap two half or quarter
+    slices (Y swaps and signs them), a diagonal gate scales the slice where
+    all its qubits are 1, and any other one-qubit gate mixes its qubit's
+    two slices.  Every row must keep its norm."""
+    n = circuit.register_size
+    assert states.shape[1:] == (1 << n,) and states.dtype == complex
+    assert states.flags.c_contiguous
+    flat = states.view(float)
+    norms = np.einsum("ij,ij->i", flat, flat)
+    psi = states.reshape(len(states), *[2] * n)
+
+    def part(bits: dict[int, int]) -> np.ndarray:
+        index = [slice(None)] * (n + 1)
+        for q, bit in bits.items():
+            index[n - q] = bit
+        return psi[tuple(index)]
+
+    for g in circuit.gates:
+        *ctrl, q = g.qubits
+        if g.is_permutation or g.kind == gates.Y:  # X, Y, or CNOT on its control = 1 slice
+            on = dict.fromkeys(ctrl, 1)
+            lo, hi = part({**on, q: 0}), part({**on, q: 1})
+            swap = lo.copy()
+            lo[...] = hi
+            hi[...] = swap
+            if g.kind == gates.Y:  # Y|0> = i|1>, Y|1> = -i|0>
+                lo *= -1j
+                hi *= 1j
+        elif g.is_diagonal:
+            ones = part(dict.fromkeys(g.qubits, 1))
+            ones *= np.exp(1j * np.pi * float(g.theta()))
+        elif not ctrl:
+            u = gates.gate_matrix(g)
+            lo, hi = part({q: 0}), part({q: 1})
+            mixed = u[1, 0] * lo + u[1, 1] * hi
+            lo *= u[0, 0]
+            lo += u[0, 1] * hi
+            hi[...] = mixed
+        else:
+            raise VerificationError(f"no dense rule for {g.kind}")
+    if (abs(np.einsum("ij,ij->i", flat, flat) - norms) > NORM_TOL).any():
+        raise VerificationError("statevector norm drifted")
+    return states
+
+
+def reference_logical_action(code: StabilizerCode, circuit: GadgetCircuit,
+                             claimed: Gate) -> Certificate:
+    """The dense oracle on all 2^(mn) amplitudes: the logical basis states
+    as Kronecker products of the projected codeword pair, run through
+    ``reference_apply_circuit`` and contracted with the pair block by
+    block; U_L judged as ``verify_logical_action`` judges it."""
+    m = len(circuit.blocks)
+    order = [sum(((j >> q) & 1) << i for i, q in enumerate(claimed.qubits)) for j in range(1 << m)]
+    claim = gates.gate_matrix(claimed)[np.ix_(order, order)]
+    pair = reference_codewords(code)
+    states = np.ones((1, 1), dtype=complex)
+    for _ in range(m):  # row j: block b in label (j >> b) & 1, block 0 on the lowest qubits
+        states = np.kron(pair, states)
+    amps = reference_apply_circuit(states, circuit)
+    for _ in range(m):  # the highest block leads each row
+        amps = pair.conj() @ amps.reshape(-1, pair.shape[1], amps.shape[-1] // pair.shape[1])
+    logical = amps.reshape(1 << m, 1 << m).T
+    leak = 1.0 - float(np.linalg.eigvalsh(logical.conj().T @ logical)[0])
+    if leak > FIDELITY_TOL:
+        return Certificate("dense", False, fidelity=1.0 - leak,
+                           details=f"left the code space (leakage {leak:.3e})")
+    overlap = np.vdot(claim, logical)
+    phase = complex(overlap / abs(overlap)) if abs(overlap) > NORM_TOL else 1 + 0j
+    fidelity = float(abs(overlap) ** 2 / 4 ** m)
+    if np.linalg.norm(logical - phase * claim) > 1e-8:
+        return Certificate("dense", False, fidelity=fidelity, phase=phase,
+                           details="logical action mismatch")
+    return Certificate("dense", fidelity >= 1 - FIDELITY_TOL, fidelity=fidelity, phase=phase)
 
 
 def is_uniform(layout: Layout) -> bool:

@@ -1,11 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nuconcat
 from nuconcat import catalog as cataloglib
 from nuconcat import codes, gates, library, simulate
 from nuconcat.circuits import GadgetCircuit, expand_transversal
@@ -16,7 +21,8 @@ from nuconcat.pauli import Pauli
 from nuconcat.simulate import (VerificationError, apply_circuit, apply_pauli,
                                codewords, verify_clifford_action, verify_diagonal_action,
                                verify_logical_action)
-from reference import invert, pauli_on_vector, reference_codewords, staircase_gadget
+from reference import (densify, invert, pauli_on_vector, reference_apply_circuit,
+                       reference_codewords, reference_logical_action, staircase_gadget)
 
 
 def test_state_cap(cat):
@@ -38,23 +44,25 @@ def test_apply_pauli_bits_and_phase():
 
 
 def test_apply_gate_examples():
+    full = np.arange(8)
     s = np.zeros((1, 8), dtype=complex)
     s[0, 0] = 1
-    out = apply_circuit(s, GadgetCircuit(3, (gate(gates.X, 0), gate(gates.X, 1),
-                                             gate(gates.X, 2)), "x3", ((0, 3),)))
-    assert out is s  # in place
+    x3 = GadgetCircuit(3, (gate(gates.X, 0), gate(gates.X, 1), gate(gates.X, 2)), "x3", ((0, 3),))
+    s = densify(*apply_circuit(full, s, x3), 3)
     assert abs(s[0, 7] - 1) < 1e-12
     ccz = GadgetCircuit(3, (gate(gates.CCZ, 0, 1, 2),), "ccz", ((0, 3),))
-    apply_circuit(s, ccz)
+    s = densify(*apply_circuit(full, s, ccz), 3)
     assert abs(s[0, 7] + 1) < 1e-12
     before = s.copy()
     # X twice is the identity
     twice = GadgetCircuit(3, (gate(gates.X, 0), gate(gates.X, 0)), "xx", ((0, 3),))
-    assert np.allclose(apply_circuit(s, twice), before)
+    assert np.allclose(densify(*apply_circuit(full, s, twice), 3), before)
     # empty circuit
-    assert np.allclose(apply_circuit(s, GadgetCircuit(3, (), "id", ((0, 3),))), before)
+    assert np.allclose(densify(*apply_circuit(full, s, GadgetCircuit(3, (), "id", ((0, 3),))), 3),
+                       before)
+    assert np.array_equal(s, before)  # the inputs are left as they were
     with pytest.raises(VerificationError):  # rows of the wrong width
-        apply_circuit(np.zeros((1, 4), dtype=complex), ccz)
+        apply_circuit(full, np.zeros((1, 4), dtype=complex), ccz)
 
 
 @pytest.mark.parametrize("scale", [2.0, 1 + 1e-9])
@@ -68,7 +76,25 @@ def test_apply_circuit_refuses_a_drifting_norm(monkeypatch, scale):
     states[0, 0] = states[1, 3] = 1
     h = GadgetCircuit(2, (gate(gates.X, 1), gate(gates.H, 0)), "XH", ((0, 2),))
     with pytest.raises(VerificationError, match="statevector norm drifted"):
-        apply_circuit(states, h)
+        apply_circuit(np.arange(4), states, h)
+
+
+@pytest.mark.parametrize("idx, amps, match", [
+    ([0, 3, 1, 3], np.eye(1, 4, dtype=complex), "indices must be distinct"),
+    ([0, -1], np.eye(1, 2, dtype=complex), r"must be a 1-D array of integers in \[0, 2\^2\)"),
+    ([0, 4], np.eye(1, 2, dtype=complex), r"integers in \[0, 2\^2\)"),
+    ([0.0, 1.0], np.eye(1, 2, dtype=complex), r"integers in \[0, 2\^2\)"),
+    ([0, 1, 2], np.eye(1, 2, dtype=complex), r"rows x 3 indices, not complex128 \(1, 2\)"),
+    ([0, 1], np.eye(1, 2, dtype=complex)[0], r"rows x 2 indices, not complex128 \(2,\)"),
+    ([0, 1], np.eye(1, 2), r"must be a complex array .* not float64"),
+    ([0, 1], np.eye(1, 2, dtype=np.complex64), r"must be a complex array .* not complex64"),
+])
+def test_apply_circuit_refuses_malformed_batches(idx, amps, match):
+    """Repeated or out-of-range indices and amplitudes of the wrong shape
+    or dtype are refused before any gate runs."""
+    h = GadgetCircuit(2, (gate(gates.H, 0),), "H", ((0, 2),))
+    with pytest.raises(VerificationError, match=match):
+        apply_circuit(np.array(idx), amps, h)
 
 
 def _kron_reference(g: Gate, n: int) -> np.ndarray:
@@ -98,13 +124,15 @@ def _kron_reference(g: Gate, n: int) -> np.ndarray:
 
 ONE_QUBIT_KINDS = [k for k, arity in gates.ARITY.items() if arity == 1]
 EIGHTHS = st.integers(0, 15).map(lambda j: Fraction(j, 8))
+THIRDS = st.integers(0, 5).map(lambda j: Fraction(j, 3))
 
 
 @st.composite
-def random_circuits(draw):
-    """A circuit on 1-6 qubits drawing every gate kind, including Z_THETA
-    and CKZ_THETA, and CNOTs with the control above or below the target."""
-    n = draw(st.integers(1, 6))
+def random_circuits(draw, max_qubits=6, angles=EIGHTHS):
+    """A circuit on 1 to ``max_qubits`` qubits drawing every gate kind,
+    including Z_THETA and CKZ_THETA at ``angles``, and CNOTs with the
+    control above or below the target."""
+    n = draw(st.integers(1, max_qubits))
     kinds = ONE_QUBIT_KINDS + [gates.Z_THETA] + [
         k for k in (gates.CNOT, gates.CZ, gates.CCZ, gates.CKZ_THETA)
         if gates.ARITY.get(k, 2) <= n]
@@ -114,7 +142,7 @@ def random_circuits(draw):
             width, theta = gates.ARITY[kind], None
         else:
             width = 1 if kind == gates.Z_THETA else draw(st.integers(2, n))
-            theta = draw(EIGHTHS)
+            theta = draw(angles)
         gate_list.append(Gate(kind, tuple(draw(st.permutations(range(n)))[:width]), theta))
     return GadgetCircuit(n, tuple(gate_list), "random", ((0, n),))
 
@@ -135,8 +163,25 @@ def test_gate_application_matches_kron_oracle(circuit, rows, seed):
     for g in circuit.gates:
         u = _kron_reference(g, circuit.register_size) @ u
     want = states @ u.T
-    assert apply_circuit(states, circuit) is states
-    assert np.allclose(states, want)
+    idx, amps = apply_circuit(np.arange(dim), states, circuit)
+    assert np.allclose(densify(idx, amps, circuit.register_size), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit=random_circuits(8, st.one_of(EIGHTHS, THIRDS)), rows=st.integers(1, 4),
+       data=st.data())
+def test_sparse_simulation_matches_the_slicing_reference(circuit, rows, data):
+    """A batch on a random support, listed in random order, ends where
+    the view-slicing pass over all 2^n amplitudes ends: the reached support
+    holds each basis state once and every amplitude agrees to 1e-12."""
+    n = circuit.register_size
+    idx = np.array(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                                      max_size=1 << n, unique=True)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=(rows, len(idx))) + 1j * rng.normal(size=(rows, len(idx)))
+    want = reference_apply_circuit(densify(idx, amps, n), circuit)
+    got = densify(*apply_circuit(idx, amps, circuit), n)
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_encode_invariants(cat):
@@ -144,14 +189,15 @@ def test_encode_invariants(cat):
     reads +1 on |0> and -1 on |1>."""
     for name in ("steane", "five_qubit", "five_prime", "rm15"):
         code = cat.code(name)
-        pair = codewords(code)
-        assert pair.shape == (2, 1 << code.n)
+        idx, amps = codewords(code)
+        assert amps.shape == (2, len(idx)) and (idx < 1 << code.n).all()
+        pair = densify(idx, amps, code.n)
         for label, word in enumerate(pair):
             assert abs(np.vdot(word, word) - 1) < 1e-12
             for g in code.generators:
                 assert abs(np.vdot(word, pauli_on_vector(word, g)) - 1) < 1e-12
             assert abs(np.vdot(word, pauli_on_vector(word, code.logical_z)) - (-1) ** label) < 1e-12
-    zero = codewords(cat.code("rm15"))[0]
+    zero = densify(*codewords(cat.code("rm15")), 15)[0]
     nonzero = np.abs(zero) > 1e-12
     assert nonzero.sum() == 16
     assert np.allclose(np.abs(zero[nonzero]), 0.25)
@@ -159,7 +205,7 @@ def test_encode_invariants(cat):
 
 def test_encode_one_is_logical_x_of_zero(cat):
     code = cat.code("steane")
-    zero, one = codewords(code)
+    zero, one = densify(*codewords(code), code.n)
     assert np.allclose(one, pauli_on_vector(zero, code.logical_x))
 
 
@@ -192,8 +238,11 @@ def test_codewords_equal_the_dense_projection_exactly(code):
     the least surviving seed, global phase included: |0-bar> is real and
     positive on the least word of its support.  The dense oracle's
     fidelities and phases are pinned outputs, so the comparison is exact,
-    not allclose."""
-    assert np.array_equal(codewords(code), reference_codewords(code)), code
+    not allclose.  The support is sorted and holds no word off both codewords."""
+    idx, pair = codewords(code)
+    dense = reference_codewords(code)
+    assert np.array_equal(densify(idx, pair, code.n), dense), code
+    assert idx.tolist() == np.flatnonzero(dense.any(axis=0)).tolist(), code
 
 
 @settings(max_examples=150, deadline=None)
@@ -490,6 +539,39 @@ def test_rule_certificate_methods(cat, lib):
     assert got == RULE_METHODS
 
 
+WRONG_CLAIM = {gates.X: gates.Z, gates.Y: gates.X, gates.Z: gates.X, gates.H: gates.S,
+               gates.S: gates.S_DAG, gates.T: gates.T_DAG, gates.K: gates.K_DAG,
+               gates.CNOT: gates.CZ, gates.CZ: gates.CNOT}
+
+
+def test_dense_verdicts_match_the_kron_reference(cat):
+    """Every catalog rule within the dense cap, claimed as itself and as a
+    wrong gate, and its first gate alone, which leaves the code space: the
+    support-sparse oracle and the dense Kronecker reference agree on the
+    verdict and its details, and on fidelity and phase to 1e-12."""
+    checked = set()
+    for name, rules in cat.rules.items():
+        code = cat.code(name)
+        for kind, rule in rules.items():
+            circuit = expand_transversal(code, kind, rule)
+            if circuit.register_size > simulate.MAX_DENSE_QUBITS:
+                continue
+            checked.add((name, kind))
+            first = GadgetCircuit(circuit.register_size, circuit.gates[:1], "first", circuit.blocks)
+            for body, claim_kind in ((circuit, kind), (circuit, WRONG_CLAIM[kind]), (first, kind)):
+                claim = Gate(claim_kind, tuple(range(gates.ARITY[kind])))
+                got = verify_logical_action(code, body, claim)
+                want = reference_logical_action(code, body, claim)
+                case = (name, kind, body.label, claim_kind)
+                assert (got.method, got.passed, got.details) == \
+                    (want.method, want.passed, want.details), case
+                assert abs(got.fidelity - want.fidelity) < 1e-12, case
+                if want.phase is not None:
+                    assert abs(got.phase - want.phase) < 1e-12, case
+                assert got.passed == (body is circuit and claim_kind == kind), case
+    assert checked == {rule for rule, method in RULE_METHODS.items() if "dense" in method}
+
+
 def test_css_coset_certifies_98_qubit_conjugated_cz(lib, layouts):
     """T ; CZ ; T^-1 on two code49 operands acts as CZ: a 98-qubit register
     with phases finer than pi on a support far too large to enumerate."""
@@ -654,3 +736,18 @@ def test_three_steane_blocks_css_coset_vs_enumeration(cat, data, theta, shift):
     claim = gates.diagonal_gate((0, 1, 2), theta + shift)
     assert verify_diagonal_action(code, circuit, claim).passed \
         == _enumerated_verdict(code, circuit, claim)
+
+
+def test_table1_extended_never_imports_numpy_ma():
+    """``table1 --extended`` runs every dense rule check, support merges
+    included, without importing numpy.ma: np.unique would pull it in, at
+    about 0.7 MB of resident memory."""
+    src = str(Path(nuconcat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys\nfrom nuconcat import cli\n"
+              "assert cli.main(['table1', '--extended']) == 0\n"
+              "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
