@@ -1,7 +1,6 @@
 """Non-uniform concatenated stabilizer codes: constructions, staircase
 gate gadgets, oracle verification, and exhaustive fault-tolerance checks."""
 
-from . import gates as _gates
 from .catalog import Catalog, default_catalog, dump_catalog, parse_catalog
 from .circuits import GadgetCircuit, SynthesisError, circuit_from_text, circuit_to_text
 from .codes import (LookupDecoder, StabilizerCode, build_decoder, distance,
@@ -17,7 +16,5 @@ from .library import AdmissionError, GadgetLibrary, logical_gate, verify_gadget
 from .pauli import Pauli
 from .simulate import (Certificate, apply_circuit, verify_clifford_action,
                        verify_diagonal_action, verify_logical_action)
-
-_gates.self_check()
 
 __version__ = "0.1.0"

@@ -9,7 +9,6 @@ unverified gadgets.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
 
 from . import codes as codelib
@@ -57,7 +56,6 @@ def default_catalog() -> Catalog:
     logical T is the bitwise T_dagger (the X-coset weights are 0 and 8 mod
     16, so bitwise phase gates act with the opposite sign on the odd coset).
     """
-    gates.self_check()
     cat = Catalog()
     cat.add(codelib.steane(), {
         **_PAULI_RULES,
@@ -111,12 +109,6 @@ def dump_catalog(cat: Catalog) -> str:
     return "\n".join(lines)
 
 
-def _integer(token: str, line: str, expected: str) -> int:
-    if not re.fullmatch(r"[0-9]+", token):
-        raise ValueError(f"bad catalog line {line!r}: expected {expected}")
-    return int(token)
-
-
 def parse_catalog(text: str) -> Catalog:
     cat = Catalog()
     lines = iter(text.splitlines())
@@ -135,7 +127,7 @@ def parse_catalog(text: str) -> Catalog:
         elif current is None:
             raise ValueError(f"directive outside code block: {line!r}")
         elif key == "n":
-            current["n"] = _integer(rest.strip(), line, "'n N'")
+            current["n"] = gates.parse_index(rest.strip(), "catalog", line, "'n N'")
         elif key == "css":
             if rest.strip() not in ("true", "false"):
                 raise ValueError(f"bad catalog line {line!r}: expected 'css true' or 'css false'")
@@ -158,7 +150,8 @@ def parse_catalog(text: str) -> Catalog:
                     if tok == "fixup":
                         continue
                     fk, _, fq = tok.partition("@")
-                    fixups.append((fk, _integer(fq, line, "'fixup KIND@QUBIT'")))
+                    qubit = gates.parse_index(fq, "catalog", line, "'fixup KIND@QUBIT'")
+                    fixups.append((fk, qubit))
                 rule = TransversalRule("bitwise", parts[2], tuple(fixups))
             else:
                 raise ValueError(f"bad transversal declaration {line!r}; expected "

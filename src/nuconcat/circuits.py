@@ -319,8 +319,6 @@ class GadgetDispatcher:
             raise SynthesisError(
                 f"staircase CNOT couples outer qubits {ctrl} and {targ} with "
                 f"mismatched encodings ({ci.name} vs {ti.name})")
-        if ci != BARE and _rule_for(self.rules.get(ci.name, {}), gates.CNOT) is None:
-            raise SynthesisError(f"{ci.name} has no transversal CNOT")
         return self._on_blocks(ci, (cs, ts), gates.CNOT)
 
 
@@ -341,19 +339,14 @@ def circuit_to_text(c: GadgetCircuit) -> str:
 _BLOCK_RE = re.compile(r"^(\d+):(\d+)$")
 
 
-def _index(token: str, line: str, expected: str) -> int:
-    if not re.fullmatch(r"[0-9]+", token):
-        raise ValueError(f"bad circuit line {line!r}: expected {expected}")
-    return int(token)
-
-
 def circuit_from_text(text: str) -> GadgetCircuit:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
     if len(lines) < 3 or not lines[0].startswith("circuit "):
         raise ValueError("bad circuit file header")
     label = lines[0].removeprefix("circuit ").strip()
-    register = _index(lines[1].removeprefix("register "), lines[1], "'register N'")
+    register = gates.parse_index(lines[1].removeprefix("register "), "circuit", lines[1],
+                                 "'register N'")
     blocks = []
     for token in lines[2].removeprefix("blocks ").split():
         m = _BLOCK_RE.match(token)
@@ -370,6 +363,7 @@ def circuit_from_text(text: str) -> GadgetCircuit:
             if tok.startswith("theta="):
                 theta = gates.parse_theta(tok.removeprefix("theta="))
             else:
-                qubits.append(_index(tok, line, "'KIND QUBIT ... [theta=ANGLE]'"))
+                qubits.append(gates.parse_index(tok, "circuit", line,
+                                                "'KIND QUBIT ... [theta=ANGLE]'"))
         gate_list.append(Gate(kind, tuple(qubits), theta))
     return GadgetCircuit(register, tuple(gate_list), label, tuple(blocks))

@@ -18,7 +18,7 @@ from . import catalog as cataloglib
 from . import concat, faults, gates, library, report, simulate
 from .circuits import SynthesisError, circuit_from_text, circuit_to_text
 from .codes import distance, min_weight_logical
-from .pauli import Pauli
+from .pauli import LETTERS, Pauli
 
 LAYOUT_SHORTCUTS = {
     "code105": "uniform:steane:rm15",
@@ -306,7 +306,7 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     residual = faults.DecodeContext(layout, circuit.blocks).decode(frame.x, frame.z)
     outcomes = []
     failed = False
-    for bx, bz, res in sorted((*frame.branch(r), faults.RESIDUAL[c])
+    for bx, bz, res in sorted((*frame.branch(r), LETTERS[c])
                               for r, c in enumerate(residual)):
         outcomes.append({"branch": str(Pauli.hermitian(circuit.register_size, bx, bz)),
                          "residual": res})

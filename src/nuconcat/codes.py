@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gates
 from ._bitlin import rank, reduce, rref, solve_affine
-from .pauli import DimensionError, Pauli
+from .pauli import LETTERS, DimensionError, Pauli
 
 LOGICAL_CLASSES = ("X", "Y", "Z")
 
@@ -186,8 +186,8 @@ def _coset_order(code: StabilizerCode, cls: str,
     """Sorted keys (cost << 2n | x << n | z) of the ``cls`` logical coset
     elements ``logical_rep(cls) * product(combo)`` and their combos.
 
-    Qubit q's letter costs ``costs[q][x_q | z_q << 1]`` (I, X, Z, Y); the
-    default unit rows make the cost the weight."""
+    Qubit q's letter costs ``costs[q][x_q | z_q << 1]``, indexed as
+    ``LETTERS``; the default unit rows make the cost the weight."""
     n = code.n
     if n > 20:
         raise CodeConstructionError(f"{code.name}: full coset enumeration refused at n={n}")
@@ -278,8 +278,7 @@ class LookupDecoder:
     @cached_property
     def residual_classes(self) -> np.ndarray:
         """Logical class left after correcting an error, indexed by its
-        block word (see ``word_tables``).  Class bit 0 = anticommutes with
-        logical Z, bit 1 = with logical X (I = 0, X = 1, Z = 2, Y = 3).
+        block word (see ``word_tables``), as an index into ``LETTERS``.
         Computed once per decoder."""
         n, mask = self.code.n, (1 << self.code.n) - 1
         cx, cz = self.table >> n & mask, self.table & mask
@@ -317,10 +316,7 @@ def build_decoder(code: StabilizerCode) -> LookupDecoder:
 
 def normalizer_class(code: StabilizerCode, p: Pauli) -> str:
     """Logical class of a normalizer element by commutation with the reps."""
-    anti_z = not p.commutes(code.logical_z)  # X-like component flips Z
-    anti_x = not p.commutes(code.logical_x)
-    return {(False, False): "I", (True, False): "X",
-            (True, True): "Y", (False, True): "Z"}[(anti_z, anti_x)]
+    return LETTERS[(not p.commutes(code.logical_z)) | (not p.commutes(code.logical_x)) << 1]
 
 
 class StabilizerGroup:

@@ -11,12 +11,12 @@ stabilizer code in its own right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .codes import (BARE, LOGICAL_CLASSES, StabilizerCode, coset_minimum, min_weight_logical,
                     normalizer_class, staircase_support, syndrome)
-from .pauli import DimensionError, Pauli
+from .pauli import LETTERS, DimensionError, Pauli
 
 
 class LayoutError(ValueError):
@@ -27,13 +27,16 @@ class LayoutError(ValueError):
 class Layout:
     outer: StabilizerCode
     assignment: tuple[StabilizerCode, ...]
-    descriptor: str = ""
 
     def __post_init__(self):
         if len(self.assignment) != self.outer.n:
             raise LayoutError("assignment must cover every outer qubit")
-        if not self.descriptor:
-            object.__setattr__(self, "descriptor", format_layout(self))
+
+    @cached_property
+    def descriptor(self) -> str:
+        """The explicit form that :func:`parse_layout` reads back."""
+        return f"outer={self.outer.name};assign=" + ",".join(
+            inner.name for inner in self.assignment)
 
     @property
     def total_n(self) -> int:
@@ -66,11 +69,6 @@ def non_uniform_layout(outer: StabilizerCode, inner: StabilizerCode,
 
 # -- descriptors -------------------------------------------------------------
 
-def format_layout(layout: Layout) -> str:
-    return f"outer={layout.outer.name};assign=" + ",".join(
-        inner.name for inner in layout.assignment)
-
-
 def parse_layout(text: str, code_by_name) -> Layout:
     """Parse ``uniform:steane:rm15`` style or explicit per-qubit descriptors.
 
@@ -80,28 +78,30 @@ def parse_layout(text: str, code_by_name) -> Layout:
         uniform:OUTER:INNER
         nonuniform:OUTER:INNER          (coupled set from the outer staircase)
         b2:OUTER:INNER:B2INNER
-        outer=OUTER;assign=a,b,...      (explicit; 'bare' or a code name each)
+        outer=OUTER;assign=a,b,...      (explicit)
+
+    Each INNER, B2INNER and assigned name is ``bare`` or a code name; an
+    OUTER is always a code name.
     """
+    def inner(name: str) -> StabilizerCode:
+        return BARE if name == BARE.name else code_by_name(name)
+
     text = text.strip()
     if text.startswith("outer="):
         head, _, tail = text.partition(";")
         outer = code_by_name(head.removeprefix("outer="))
         if not tail.startswith("assign="):
             raise LayoutError(f"bad layout descriptor {text!r}")
-        names = tail.removeprefix("assign=").split(",")
-        assignment = tuple(BARE if nm == "bare" else code_by_name(nm) for nm in names)
-        return Layout(outer, assignment)
-    parts = text.split(":")
-    form = parts[0]
-    if form == "bare" and len(parts) == 2:
-        return bare_layout(code_by_name(parts[1]))
-    if form == "uniform" and len(parts) == 3:
-        return uniform_layout(code_by_name(parts[1]), code_by_name(parts[2]))
-    if form == "nonuniform" and len(parts) == 3:
-        return non_uniform_layout(code_by_name(parts[1]), code_by_name(parts[2]))
-    if form == "b2" and len(parts) == 4:
-        return non_uniform_layout(code_by_name(parts[1]), code_by_name(parts[2]),
-                                  b2_inner=code_by_name(parts[3]))
+        return Layout(outer, tuple(map(inner, tail.removeprefix("assign=").split(","))))
+    form, *names = text.split(":")
+    if form == "bare" and len(names) == 1:
+        return bare_layout(code_by_name(names[0]))
+    if form == "uniform" and len(names) == 2:
+        return uniform_layout(code_by_name(names[0]), inner(names[1]))
+    if form == "nonuniform" and len(names) == 2:
+        return non_uniform_layout(code_by_name(names[0]), inner(names[1]))
+    if form == "b2" and len(names) == 3:
+        return non_uniform_layout(code_by_name(names[0]), inner(names[1]), inner(names[2]))
     raise LayoutError(f"bad layout descriptor {text!r}")
 
 
@@ -167,7 +167,7 @@ def concatenated_distance(layout: Layout) -> DistanceResult:
     the argmin and re-verified against the flattened generators.
     """
     outer = layout.outer
-    costs = tuple((0, *(min_weight_logical(inner, cls).weight() for cls in "XZY"))
+    costs = tuple((0, *(min_weight_logical(inner, cls).weight() for cls in LETTERS[1:]))
                   for inner in layout.assignment)
     minima = {cls: coset_minimum(outer, cls, costs) for cls in LOGICAL_CLASSES}
     cls = min(minima, key=lambda c: minima[c][0])

@@ -45,7 +45,7 @@ from . import gates
 from .circuits import GadgetCircuit
 from .codes import build_decoder
 from .concat import Layout
-from .pauli import Pauli
+from .pauli import LETTERS, Pauli
 
 BRANCH_CAP = 1 << 16
 PAIR_BUDGET = 20_000_000   # default bound on the pairs one search may scan
@@ -229,9 +229,6 @@ def propagate(circuit: GadgetCircuit,
 
 # -- table-driven hierarchical decoding ------------------------------------------------
 
-RESIDUAL = "IXZY"   # class bits: 1 = anticommutes with logical Z, 2 = with logical X
-
-
 def _block_words(errors: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """Block word per symplectic error, one table entry per byte."""
     word = tables[0][errors & 255]
@@ -262,7 +259,7 @@ class DecodeContext:
     def __init__(self, layout: Layout, blocks: Sequence[tuple[int, int]]):
         n = layout.outer.n
         outer = build_decoder(layout.outer)
-        # outer block word of each letter IXZY on outer qubit q
+        # outer block word of each letter, in LETTERS order, on outer qubit q
         lifts = [_block_words(np.array([0, 1 << q, 1 << (q + n), 1 << q | 1 << (q + n)], np.uint64),
                               outer.word_tables) for q in range(n)]
         self.columns = []   # (start, width, word tables) per block word
@@ -358,7 +355,7 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport
     report = FaultReport(layout.descriptor, circuit.label, len(locations), frame.rows)
     residual = ctx.decode(frame.x, frame.z)
     report.failures = [Failure((i,), (x, z), res) for i, x, z, res in sorted(
-        (int(frame.owner[r]), *frame.branch(r), RESIDUAL[residual[r]])
+        (int(frame.owner[r]), *frame.branch(r), LETTERS[residual[r]])
         for r in np.flatnonzero(residual))]
     if report.failures:
         first = report.failures[0]
@@ -458,7 +455,7 @@ def _confirm_pair(ctx: DecodeContext, circuit: GadgetCircuit, a: FaultLocation,
     frame = propagate(circuit, ((0, a.place, a.x, a.z), (0, b.place, b.x, b.z)))
     residual = ctx.decode(frame.x, frame.z)
     least = min(((*frame.branch(r), r) for r in np.flatnonzero(residual)), default=None)
-    return None if least is None else (least[:2], RESIDUAL[residual[least[2]]])
+    return None if least is None else (least[:2], LETTERS[residual[least[2]]])
 
 
 @dataclass

@@ -4,8 +4,8 @@ dense gate matrices.
 Angles of diagonal gates are exact rational multiples of pi, stored as
 ``Fraction`` values of theta/pi normalised into [0, 2).  The named
 diagonal kinds are aliases: ``T = Z_THETA(pi/4)``, ``S = Z_THETA(pi/2)``,
-``CZ = CKZ_THETA(1, pi)``, ``CCZ = CKZ_THETA(2, pi)``; the identities are
-asserted against dense matrices by :func:`self_check`.
+``CZ = CKZ_THETA(1, pi)``, ``CCZ = CKZ_THETA(2, pi)``.  The tests check
+these identities, and every conjugation rule, against the dense matrices.
 
 ``K = S @ H`` (H applied first) so that ``H = S_dagger K`` holds; its
 conjugation action cycles X -> Z -> Y -> X.
@@ -172,6 +172,14 @@ def parse_theta(text: str) -> Fraction:
     return -value if sign else value
 
 
+def parse_index(token: str, source: str, line: str, expected: str) -> int:
+    """A non-negative decimal integer token of one line of a ``source``
+    file (catalog, circuit); anything else is a ValueError naming the line."""
+    if not re.fullmatch(r"[0-9]+", token):
+        raise ValueError(f"bad {source} line {line!r}: expected {expected}")
+    return int(token)
+
+
 # -- Clifford conjugation ------------------------------------------------
 #
 # Images of the generators X_0 .. X_{k-1}, then Z_0 .. Z_{k-1}, of a gate's
@@ -266,11 +274,10 @@ def conjugate_through(p: Pauli, gates) -> Pauli:
 # -- dense matrices --------------------------------------------------------
 
 _M1 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    X: np.array([[0, 1], [1, 0]], dtype=complex),
+    Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_M1[Y] = 1j * _M1[X] @ _M1[Z]
 _M1[H] = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _M1[S] = np.diag([1, 1j]).astype(complex)
 _M1[S_DAG] = _M1[S].conj().T
@@ -298,46 +305,3 @@ def gate_matrix(g: Gate) -> np.ndarray:
         u[3, 1] = u[1, 3] = 1  # control 1 flips target
         return u
     raise UnsupportedGateError(f"no dense matrix for {g.kind}")
-
-
-def pauli_matrix(p: Pauli) -> np.ndarray:
-    """Dense matrix of a Pauli, basis index bit q = qubit q."""
-    m = np.eye(1, dtype=complex)
-    for q in range(p.n):
-        m = np.kron(_M1[p.letter(q)], m)
-    return 1j ** p.display_phase_exp * m
-
-
-_checked = False
-
-
-def self_check() -> None:
-    """One-time consistency check of the symbolic tables vs dense matrices.
-
-    Verifies Y = i X Z, K = S H, the named-diagonal angle aliases, and
-    that conjugation of every local Pauli by every Clifford kind, signs
-    included, matches dense-matrix conjugation exactly.
-    """
-    global _checked
-    if _checked:
-        return
-    assert np.allclose(_M1["Y"], 1j * _M1["X"] @ _M1["Z"])
-    assert np.allclose(_M1[K], _M1[S] @ _M1[H])
-    assert np.allclose(_M1[H], _M1[S_DAG] @ _M1[K])
-    for kind, frac in _NAMED_THETA.items():
-        if ARITY[kind] == 1:
-            ref = np.diag([1, np.exp(1j * np.pi * float(frac))])
-            assert np.allclose(_M1[kind], ref), kind
-    for kind in CLIFFORD_KINDS:   # every local Hermitian Pauli v as one row
-        k = ARITY[kind]
-        g, local = Gate(kind, tuple(range(k))), range(1 << 2 * k)
-        x, z = pack((v & (1 << k) - 1 for v in local), 1), pack((v >> k for v in local), 1)
-        sign = np.zeros(len(local), bool)
-        conjugate_rows(x, z, g, sign)
-        u = gate_matrix(g)
-        want = [u @ pauli_matrix(Pauli.hermitian(k, v & (1 << k) - 1, v >> k)) @ u.conj().T
-                for v in local]
-        got = [(-1) ** sign[v] * pauli_matrix(Pauli.hermitian(k, unpack(x[:, v]), unpack(z[:, v])))
-               for v in local]
-        assert np.allclose(got, want), kind
-    _checked = True

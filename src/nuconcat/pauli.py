@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
+# The letter of a qubit's bits x | z << 1.  The same two bits name a
+# logical class: bit 0 = anticommutes with logical Z, bit 1 = with logical X.
+LETTERS = "IXZY"
+_BITS = {letter: bits for bits, letter in enumerate(LETTERS)}
 
 # Rendered phase prefix for i^k, k = display exponent mod 4.
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
@@ -61,10 +63,10 @@ class Pauli:
         """One non-identity letter on ``qubit``, identity elsewhere."""
         if not 0 <= qubit < n:
             raise DimensionError(f"qubit {qubit} outside register of {n}")
-        xb, zb = _LETTER_TO_BITS[letter]
+        bits = _BITS[letter]
         # letter Y carries an internal factor of i (Y = i X Z)
         e = 1 if letter == "Y" else 0
-        return Pauli(n, xb << qubit, zb << qubit, e)
+        return Pauli(n, (bits & 1) << qubit, (bits >> 1) << qubit, e)
 
     @staticmethod
     def hermitian(n: int, x: int, z: int) -> "Pauli":
@@ -89,18 +91,18 @@ class Pauli:
         x = z = 0
         n_y = 0
         for q, letter in enumerate(body):
-            if letter not in _LETTER_TO_BITS:
+            if letter not in _BITS:
                 raise ValueError(f"bad Pauli letter {letter!r} in {text!r}")
-            xb, zb = _LETTER_TO_BITS[letter]
-            x |= xb << q
-            z |= zb << q
+            bits = _BITS[letter]
+            x |= (bits & 1) << q
+            z |= (bits >> 1) << q
             n_y += letter == "Y"
         return Pauli(n, x, z, (_STR_PHASE[prefix] + n_y) & 3)
 
     # -- rendering ------------------------------------------------------
 
     def letter(self, qubit: int) -> str:
-        return _BITS_TO_LETTER[((self.x >> qubit) & 1, (self.z >> qubit) & 1)]
+        return LETTERS[(self.x >> qubit & 1) | (self.z >> qubit & 1) << 1]
 
     @property
     def display_phase_exp(self) -> int:

@@ -59,6 +59,15 @@ def display_phase(p: Pauli) -> complex:
     return 1j ** p.display_phase_exp
 
 
+def pauli_matrix(p: Pauli) -> np.ndarray:
+    """Dense matrix of a Pauli, basis index bit q = qubit q."""
+    m = np.eye(1, dtype=complex)
+    for q in range(p.n):
+        letter = p.letter(q)
+        m = np.kron(np.eye(2) if letter == "I" else gates.gate_matrix(gates.gate(letter, 0)), m)
+    return display_phase(p) * m
+
+
 def is_identity(p: Pauli) -> bool:
     return p.x == 0 and p.z == 0 and p.phase_exp == 0
 
@@ -278,10 +287,10 @@ def _dense_image(kind: str, x: int, z: int) -> Pauli:
     read off the dense matrices: the one Pauli with nonzero overlap."""
     k = gates.ARITY[kind]
     u = gates.gate_matrix(Gate(kind, tuple(range(k))))
-    image = u @ gates.pauli_matrix(Pauli(k, x, z, 0)) @ u.conj().T
+    image = u @ pauli_matrix(Pauli(k, x, z, 0)) @ u.conj().T
     for qx in range(1 << k):
         for qz in range(1 << k):
-            overlap = np.vdot(gates.pauli_matrix(Pauli(k, qx, qz, 0)), image) / (1 << k)
+            overlap = np.vdot(pauli_matrix(Pauli(k, qx, qz, 0)), image) / (1 << k)
             if abs(overlap) > 0.5:
                 return Pauli(k, qx, qz, round(np.angle(overlap) / (np.pi / 2)))
     raise AssertionError(f"{kind} maps X^{x} Z^{z} outside the Pauli group")

@@ -229,4 +229,4 @@ def test_dispatcher_outputs_are_pinned(cat):
     digest = hashlib.sha256()
     for line in dispatcher_outcomes(cat):
         digest.update(line.encode() + b"\n")
-    assert digest.hexdigest() == "4d38f0762b4f50a57ae7f50fd875f6637e2ae5f3805998a0ff12efcf0e521f0d"
+    assert digest.hexdigest() == "b2b43746c33f8ca4cf199f6e3e9c1c7141e5e9807f63b96eead9e52b2aa50092"

@@ -91,6 +91,15 @@ def test_distance_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("descriptor", ["bare:bare", "uniform:bare:steane",
+                                        "outer=bare;assign=bare"])
+def test_bare_is_not_an_outer_code(capsys, descriptor):
+    """``bare`` names an inner code only; as an outer code it is unknown."""
+    code, out, err = run(capsys, "distance", "--layout", descriptor)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: unknown code 'bare'; catalog has")
+
+
 def test_gadget_command_writes_circuit(capsys, tmp_path):
     out_path = tmp_path / "t49.circuit"
     code, out, _ = run(capsys, "gadget", "--layout", "code49", "--gate", "T",
@@ -407,6 +416,40 @@ def test_catalog_css_must_be_true_or_false(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("usage error:")
     assert "line 'css yes': expected 'css true' or 'css false'" in err
+
+
+def test_wrong_declared_s_fails_verification(tmp_path, capsys):
+    """Bitwise S, not S_DAG, on the Steane code is refused wherever the
+    declaration is first verified."""
+    path = tmp_path / "catalog.txt"
+    path.write_text(CATALOG_TEXT.replace("transversal S bitwise S_DAG",
+                                         "transversal S bitwise S", 1))
+    for argv in (["codes", "info", "steane"], ["gadget", "--layout", "code49", "--gate", "T"]):
+        code, out, err = run(capsys, *argv, "--catalog", str(path))
+        assert code == 1 and out == ""
+        assert err == ("verification failure: declared transversal S on steane failed its "
+                       "css-coset check: phase 3/2 != 1/2 at labels (1,)\n")
+
+
+def test_fixup_on_a_multi_operand_rule_is_refused(tmp_path, capsys):
+    path = tmp_path / "catalog.txt"
+    path.write_text(CATALOG_TEXT.replace("transversal CNOT bitwise CNOT",
+                                         "transversal CNOT bitwise CNOT fixup Z@0", 1))
+    code, out, err = run(capsys, "codes", "info", "steane", "--catalog", str(path))
+    assert code == 1 and out == ""
+    assert err == "refused: fixups unsupported on multi-operand rules\n"
+
+
+def test_table1_reports_a_reference_discrepancy(capsys, monkeypatch):
+    monkeypatch.setitem(cli.REFERENCE_TABLE, "code49",
+                        {"qubits": 49, "overall_distance": 5, "effective_distance": 4})
+    code, out, _ = run(capsys, "table1", "--format", "machine")
+    assert code == 1
+    assert "status: fail" in out
+    row = out[out.index("qubits: 49"):out.index("qubits: 75")]
+    assert "reference_effective_distance: 4" in row and "matches_reference: false" in row
+    assert "discrepancy: computed (49, 5, 3) != reference (49, 5, 4)" in row
+    assert out.count("matches_reference: true") == 2
 
 
 @st.composite

@@ -45,6 +45,17 @@ def test_descriptor_round_trip(layouts, cat):
         parse_layout("nope:steane", cat.code)
 
 
+@pytest.mark.parametrize("with_bare,without", [
+    ("b2:steane:rm15:bare", "nonuniform:steane:rm15"),
+    ("uniform:steane:bare", "bare:steane"),
+    ("nonuniform:steane:bare", "bare:steane"),
+])
+def test_bare_is_accepted_in_every_inner_position(cat, with_bare, without):
+    got, want = parse_layout(with_bare, cat.code), parse_layout(without, cat.code)
+    assert got.descriptor == want.descriptor
+    assert flatten(got) == flatten(want)
+
+
 @pytest.mark.parametrize("total,n_gens", [(105, 104), (49, 48), (75, 74),
                                           (47, 46), (73, 72), (55, 54)])
 def test_flatten_counts(layouts, total, n_gens):

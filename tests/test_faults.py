@@ -14,9 +14,10 @@ from nuconcat.faults import (DecodeContext, check_single_fault_ft,
                              enumerate_locations, find_min_uncorrectable,
                              propagate)
 from nuconcat.gates import gate
-from nuconcat.pauli import Pauli
-from reference import (_deposit, hierarchical_decode, reference_locations,
-                       reference_pair_candidates, reference_propagate, staircase_gadget)
+from nuconcat.pauli import LETTERS, Pauli
+from reference import (_deposit, hierarchical_decode, pauli_matrix, reference_apply_circuit,
+                       reference_locations, reference_pair_candidates, reference_propagate,
+                       staircase_gadget)
 
 
 def make_circuit(n, *gs):
@@ -111,6 +112,70 @@ def test_groups_walked_together_match_reference_alone(case):
                                 for f in fault_list])
     for g, fault_list in enumerate(groups):
         assert branches(frame, g) == reference_propagate(circuit, fault_list)
+
+
+# dyadic angles and angles of denominator 3, as theta/pi
+DENSE_ANGLES = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1),
+                Fraction(7, 4), Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)]
+
+
+@st.composite
+def dense_circuits_with_faults(draw):
+    """A random Clifford+diagonal circuit on 1-8 qubits and one fault
+    group per place: group p + 1 is one random Pauli after gate p."""
+    n = draw(st.integers(1, 8))
+    kinds = ONE_QUBIT + [k for k in MULTI_QUBIT if n >= (3 if k == gates.CCZ else 2)]
+    gate_list = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        theta = draw(st.sampled_from(DENSE_ANGLES))
+        if kind == gates.CKZ_THETA:
+            arity = draw(st.integers(2, n))
+        else:
+            arity, theta = gates.ARITY.get(kind, 1), theta if kind == gates.Z_THETA else None
+        gate_list.append(gates.Gate(kind, tuple(draw(st.permutations(range(n)))[:arity]), theta))
+    paulis = st.integers(0, (1 << n) - 1)
+    return (GadgetCircuit(n, tuple(gate_list), "random", ((0, n),)),
+            [(p + 1, p, draw(paulis), draw(paulis)) for p in range(-1, len(gate_list))])
+
+
+def walsh_hadamard(rows: np.ndarray) -> np.ndarray:
+    """out[:, z] = sum over i of (-1)^(z.i) rows[:, i], by butterflies."""
+    out = rows.copy()
+    h = 1
+    while h < out.shape[1]:
+        lo, hi = out.reshape(len(out), -1, 2, h).transpose(2, 0, 1, 3)
+        lo[...], hi[...] = lo + hi, lo - hi
+        h *= 2
+    return out
+
+
+def dense_pauli_support(f: np.ndarray) -> set[tuple[int, int]]:
+    """The (x, z) of every Pauli with a nonzero coefficient in the dense
+    operator f: row x holds f[i ^ x, i], whose transform is 2^n times the
+    coefficients of X^x Z^z for every z."""
+    i = np.arange(len(f))
+    coefficients = walsh_hadamard(f[i[:, None] ^ i, i]) / len(f)
+    return {(int(x), int(z)) for x, z in zip(*np.nonzero(abs(coefficients) > 1e-9))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_circuits_with_faults())
+def test_propagate_covers_the_dense_pauli_support(case):
+    """A fault E after gate p ends as F = U_{>p} E U_{>p}^dagger.  Every
+    Pauli in F's expansion is an end row of its group, and a deterministic
+    group's one row is all of F."""
+    circuit, group_faults = case
+    n = circuit.register_size
+    frame = propagate(circuit, group_faults)
+    for group, place, x, z in group_faults:
+        rest = GadgetCircuit(n, circuit.gates[place + 1:], "rest", ((0, n),))
+        u = reference_apply_circuit(np.eye(1 << n, dtype=complex), rest).T
+        support = dense_pauli_support(u @ pauli_matrix(Pauli(n, x, z, 0)) @ u.conj().T)
+        rows, deterministic = branches(frame, group)
+        assert support <= rows
+        if deterministic:
+            assert rows == support and len(rows) == 1
 
 
 @st.composite
@@ -243,7 +308,7 @@ def test_fast_decoder_matches_reference(cat):
         n = lay.total_n
         errors = random_errors(random.Random(17), n, 200)
         ctx = DecodeContext(lay, ((0, n),))
-        got = [faults.RESIDUAL[r] for r in ctx.decode(*rows(errors, n))]
+        got = [LETTERS[r] for r in ctx.decode(*rows(errors, n))]
         want = [hierarchical_decode(lay, Pauli(n, x, z, 0)) for x, z in errors]
         assert got == want, name
         assert "I" in want and len(set(want)) == 4, name
@@ -268,7 +333,7 @@ def test_decoder_data_is_linear(cat, name):
         per_operand = [hierarchical_decode(lay, Pauli(n, (x >> off) & ((1 << n) - 1),
                                                       (z >> off) & ((1 << n) - 1), 0))
                        for off in (0, n)]
-        assert "IXZY"[r] == next((res for res in per_operand if res != "I"), "I")
+        assert LETTERS[r] == next((res for res in per_operand if res != "I"), "I")
 
 
 @st.composite

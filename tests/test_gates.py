@@ -6,14 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuconcat import gates
-from nuconcat.gates import Gate, UnsupportedGateError, gate, pauli_matrix
+from nuconcat.gates import Gate, UnsupportedGateError, gate
 from nuconcat.pauli import Pauli
-from reference import _deposit, reference_conjugate
+from reference import _deposit, pauli_matrix, reference_conjugate
 
 
-def test_self_check_passes():
-    gates._checked = False
-    gates.self_check()
+def test_y_equals_i_x_z():
+    x, y, z = (gates.gate_matrix(gate(kind, 0)) for kind in (gates.X, gates.Y, gates.Z))
+    assert np.allclose(y, [[0, -1j], [1j, 0]])
+    assert np.allclose(y, 1j * x @ z)
+
+
+def test_named_one_qubit_diagonals_match_their_angles():
+    kinds = sorted(k for k in gates.DIAGONAL_KINDS if gates.ARITY.get(k) == 1)
+    assert kinds == sorted([gates.Z, gates.S, gates.S_DAG, gates.T, gates.T_DAG])
+    for kind in kinds:
+        g = gate(kind, 0)
+        want = np.diag([1, np.exp(1j * np.pi * float(g.theta()))])
+        assert np.allclose(gates.gate_matrix(g), want), kind
 
 
 def test_k_equals_s_times_h():

@@ -4,7 +4,8 @@ Every module-level function and class of the package, and every method
 of a package class, has a user: a reference from package code outside its
 own definition.  An export from ``__init__.py`` is not a use; code that
 only tests call lives in the tests.  Dunder methods are called by Python
-itself and are not checked.  No module reads another's private names."""
+itself and are not checked.  No module reads another's private names, and
+no package code uses ``assert``."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,12 @@ def test_no_module_reads_private_names_of_another():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and modules.get(node.value.id, path.stem) != path.stem and private(node.attr)]
     assert reads == []
+
+
+def test_no_assert_in_package_code():
+    """``python -O`` strips ``assert`` statements, so a run-time check in
+    the package raises an exception instead."""
+    asserts = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from nuconcat.gates import pauli_matrix
 from nuconcat.pauli import DimensionError, Pauli
-from reference import display_phase, from_letters, is_identity, restrict
+from reference import display_phase, from_letters, is_identity, pauli_matrix, restrict
 
 
 def test_single_qubit_letters():

@@ -515,6 +515,17 @@ def test_verify_gadget_router(cat, lib, layouts):
     assert adm.certificate.method == "css-coset"
 
 
+def test_gadget_for_the_wrong_gate_is_not_admitted(cat, layouts, monkeypatch):
+    """A dispatcher that hands back the T_DAG gadget for T is caught by
+    the oracle, not cached."""
+    lib = library.GadgetLibrary(cat)
+    real = lib.dispatcher.logical_gadget
+    monkeypatch.setattr(lib.dispatcher, "logical_gadget",
+                        lambda layout, logical: real(layout, library.logical_gate(gates.T_DAG)))
+    with pytest.raises(library.AdmissionError, match="failed its css-coset check"):
+        lib.gadget(layouts[49], library.logical_gate(gates.T))
+
+
 # Method strings of every catalog declaration, frozen from the two-path
 # css-coset oracle this check replaced; oracle routing must keep them.
 RULE_METHODS = {
