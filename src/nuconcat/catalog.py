@@ -109,6 +109,14 @@ def dump_catalog(cat: Catalog) -> str:
     return "\n".join(lines)
 
 
+def _gate_kind(kind: str, line: str) -> str:
+    """``kind``, if a catalog line can name it: a gate kind with no free angle."""
+    if kind not in gates.ARITY:
+        raise ValueError(f"bad catalog line {line!r}: {kind!r} is not one of "
+                         f"{', '.join(gates.ARITY)}")
+    return kind
+
+
 def parse_catalog(text: str) -> Catalog:
     cat = Catalog()
     lines = iter(text.splitlines())
@@ -122,7 +130,10 @@ def parse_catalog(text: str) -> Catalog:
             continue
         key, _, rest = line.partition(" ")
         if key == "code":
-            current = {"name": rest.strip(), "stabilizers": [], "rules": {}, "lines": {},
+            name = rest.strip()
+            if name in cat.codes:
+                raise ValueError(f"bad catalog line {line!r}: code {name!r} already read")
+            current = {"name": name, "stabilizers": [], "rules": {}, "lines": {},
                        "css": False, "derivation": ""}
         elif current is None:
             raise ValueError(f"directive outside code block: {line!r}")
@@ -151,12 +162,12 @@ def parse_catalog(text: str) -> Catalog:
                         continue
                     fk, _, fq = tok.partition("@")
                     qubit = gates.parse_index(fq, "catalog", line, "'fixup KIND@QUBIT'")
-                    fixups.append((fk, qubit))
-                rule = TransversalRule("bitwise", parts[2], tuple(fixups))
+                    fixups.append((_gate_kind(fk, line), qubit))
+                rule = TransversalRule("bitwise", _gate_kind(parts[2], line), tuple(fixups))
             else:
                 raise ValueError(f"bad transversal declaration {line!r}; expected "
                                  f"'transversal KIND rep' or 'transversal KIND bitwise PHYS'")
-            current["rules"][parts[0]] = rule
+            current["rules"][_gate_kind(parts[0], line)] = rule
             current["lines"][parts[0]] = line
         elif key == "end":
             missing = [d for d in ("n", "logical-x", "logical-z") if d not in current]

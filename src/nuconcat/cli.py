@@ -375,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", required=True)
     p.add_argument("--circuit", required=True)
     p.add_argument("--fault", action="append", required=True,
-                   help="PLACE:PAULI, place -1 for a register input fault")
+                   help="PLACE:PAULI, place -1 for a register input fault, written "
+                        "--fault=-1:PAULI so that it is not read as an option")
     return parser
 
 

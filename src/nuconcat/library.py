@@ -3,12 +3,13 @@
 Every circuit handed out by :class:`GadgetLibrary` carries a verification
 certificate.  Transversal declarations from the catalog are re-verified
 (once, memoised) before any gadget that relies on the code is released; a
-failed verification is a hard error.
+failed verification is a hard error.  Oracles refuse what they cannot
+judge; the router asks them strongest first and, if all refuse, lists why.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import gates, simulate
@@ -24,35 +25,27 @@ class AdmissionError(RuntimeError):
     """A synthesized circuit failed oracle verification."""
 
 
-def _oracle_checks(code: StabilizerCode, circuit: GadgetCircuit,
-                   claimed: Gate) -> list[Callable[[], Certificate]]:
-    """Every oracle that applies to ``circuit`` on copies of ``code``, one
-    per block, weakest first, as zero-argument checks.
-
-    Coset-phase analysis for X/CNOT/diagonal circuits with a diagonal
-    claim; Heisenberg conjugation for Clifford circuits of any size; dense
-    simulation when the register fits.  Each oracle is looked up on
-    :mod:`simulate` when it runs.
-    """
-    total = circuit.register_size
-    checks = []
-    if claimed.is_diagonal and all(g.is_permutation or g.is_diagonal for g in circuit.gates):
-        checks.append(lambda: simulate.verify_diagonal_action(code, circuit, claimed))
-    if circuit.is_clifford and claimed.is_clifford:
-        checks.append(lambda: simulate.verify_clifford_action(code, circuit, claimed))
-    if total <= simulate.MAX_DENSE_QUBITS:
-        checks.append(lambda: simulate.verify_logical_action(code, circuit, claimed))
-    if not checks:
-        raise VerificationError(
-            f"no oracle applies to {circuit.label} at {total} qubits "
-            f"(non-Clifford, non-diagonal structure)")
-    return checks
+def _certificates(code: StabilizerCode, circuit: GadgetCircuit,
+                  claimed: Gate) -> Iterator[Certificate]:
+    """Certificates by every oracle, strongest first, that does not raise
+    ``NotApplicable``; each is looked up on :mod:`simulate` when it runs."""
+    oracles = (simulate.verify_logical_action, simulate.verify_clifford_action,
+               simulate.verify_diagonal_action)
+    reasons = []
+    for oracle in oracles:
+        try:
+            yield oracle(code, circuit, claimed)
+        except simulate.NotApplicable as exc:
+            reasons.append(str(exc))
+    if len(reasons) == len(oracles):
+        raise VerificationError(f"no oracle applies to {circuit.label} at "
+                                f"{circuit.register_size} qubits: " + "; ".join(reasons))
 
 
 def verify_gadget(code: StabilizerCode, circuit: GadgetCircuit,
                   claimed: Gate) -> Certificate:
     """Run the strongest applicable oracle on copies of ``code``, one per block."""
-    return _oracle_checks(code, circuit, claimed)[-1]()
+    return next(_certificates(code, circuit, claimed))
 
 
 def logical_gate(kind: str) -> Gate:
@@ -81,15 +74,15 @@ class GadgetLibrary:
     # -- transversal declarations ------------------------------------------
 
     def rule_certificate(self, code_name: str, kind: str) -> Certificate:
-        """Verify one declaration with every applicable oracle and merge;
-        all that apply must pass."""
+        """Verify one declaration with every applicable oracle and merge,
+        weakest first; all that apply must pass."""
         key = (code_name, kind)
         if key in self._rule_certs:
             return self._rule_certs[key]
         code = self.catalog.code(code_name)
         circuit = expand_transversal(code, kind, self.catalog.rules[code_name][kind])
         claimed = logical_gate(kind)
-        certs = [check() for check in _oracle_checks(code, circuit, claimed)]
+        certs = list(_certificates(code, circuit, claimed))[::-1]
         for cert in certs:
             if not cert.passed:
                 raise AdmissionError(

@@ -1,16 +1,18 @@
 """Ground-truth oracles for gadget verification.
 
 Three independent methods, each taking the claimed logical gate as a
-:class:`~nuconcat.gates.Gate` on operand indices; :mod:`nuconcat.library`
-routes each gadget to the ones that apply:
+:class:`~nuconcat.gates.Gate` on operand indices and raising
+:class:`NotApplicable` on what it cannot judge; :mod:`nuconcat.library`
+asks them strongest first and, if all of them refuse, lists each reason:
 
 * dense simulation of all logical basis states in one pass, exact on the
   basis states they reach (<= 22 qubits; codewords from
   :func:`~nuconcat.codes.code_space`), judging U_L whole: leakage, phase, fidelity;
 * Heisenberg conjugation of stabilizers and logicals (Clifford circuits,
   any size, sign-exact group membership);
-* coset-phase analysis for circuits made of X/CNOT/diagonal gates: the
-  basis permutation must uncompute to the identity, and the diagonal
+* coset-phase analysis for X/CNOT/diagonal circuits on a code whose
+  logical Z has a pure-Z coset form (Dehaene-De Moor, quant-ph/0304125):
+  the basis permutation must uncompute to the identity, and the diagonal
   phase, one phase polynomial (Amy-Maslov-Mosca, arXiv:1303.2042) over
   the codeword supports' mask bits and one label bit per block, must be
   the claimed phase on the label bits' product plus a global phase over
@@ -46,6 +48,10 @@ NORM_TOL = 1e-12
 
 class VerificationError(ValueError):
     pass
+
+
+class NotApplicable(VerificationError):
+    """The oracle cannot judge this circuit or claim; raised before any work."""
 
 
 @dataclass(frozen=True)
@@ -164,7 +170,7 @@ def verify_logical_action(code: StabilizerCode, circuit: GadgetCircuit,
     m = len(circuit.blocks)
     offsets = _block_offsets(code, circuit, claimed)
     if circuit.register_size > MAX_DENSE_QUBITS:
-        raise VerificationError(f"{circuit.register_size} qubits exceeds the dense cap")
+        raise NotApplicable(f"{circuit.register_size} qubits exceeds the dense cap")
     # gate_matrix's index bit i is operand claimed.qubits[i]; re-index so bit b is operand b
     order = [sum(((j >> q) & 1) << i for i, q in enumerate(claimed.qubits)) for j in range(1 << m)]
     claim = gates.gate_matrix(claimed)[np.ix_(order, order)]
@@ -207,12 +213,12 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
     lift of the claim's image for logical X_b or Z_b, must lie exactly in
     the signed stabilizer group, which pins the action up to global phase.
     """
-    if not circuit.is_clifford:
-        raise VerificationError("Heisenberg check requires a Clifford circuit")
-    if not claimed.is_clifford:
-        raise VerificationError("claimed gate is not Clifford")
     m = len(circuit.blocks)
     offsets = _block_offsets(code, circuit, claimed)
+    if not circuit.is_clifford:
+        raise NotApplicable("Heisenberg check requires a Clifford circuit")
+    if not claimed.is_clifford:
+        raise NotApplicable("claimed gate is not Clifford")
     total = circuit.register_size
     # per block: its generators, then logical X and Z, shifted to the block
     placed = [[Pauli(total, p.x << offset, p.z << offset, p.phase_exp)
@@ -245,7 +251,7 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
 # -- coset-phase verification --------------------------------------------------------
 
 def _trace_permutation(circuit: GadgetCircuit) -> tuple[list[int], int, list]:
-    """Forward-tracked basis permutation, ``(rows, offsets, phase_terms)``:
+    """Basis permutation of X/CNOT gates, ``(rows, offsets, phase_terms)``:
     qubit q holds the parity ``rows[q]`` of input bits xor bit q of
     ``offsets``; each diagonal gate is recorded as (theta, [(row, off)])."""
     n = circuit.register_size
@@ -259,10 +265,8 @@ def _trace_permutation(circuit: GadgetCircuit) -> tuple[list[int], int, list]:
             c, t = g.qubits
             rows[t] ^= rows[c]
             offs ^= ((offs >> c) & 1) << t
-        elif g.is_diagonal:
+        else:  # diagonal
             terms.append((g.theta(), [(rows[q], (offs >> q) & 1) for q in g.qubits]))
-        else:
-            raise VerificationError(f"{g.kind} is outside the coset-phase gate set")
     return rows, offs, terms
 
 
@@ -274,8 +278,8 @@ def _support_space(code: StabilizerCode) -> tuple[list[int], list[int]]:
     seed, moves = code_space(code)
     basis = rref([p.x for p in moves])
     if not reduce(basis, code.logical_x.x):
-        raise VerificationError("logical Z has no pure-Z coset form; "
-                                "coset-phase method inapplicable")
+        raise NotApplicable("logical Z has no pure-Z coset form; "
+                            "coset-phase method inapplicable")
     return [seed, seed ^ code.logical_x.x], basis
 
 
@@ -323,7 +327,11 @@ def verify_diagonal_action(code: StabilizerCode, circuit: GadgetCircuit,
     m = len(circuit.blocks)
     offsets = _block_offsets(code, circuit, claimed)
     if not claimed.is_diagonal:
-        raise VerificationError("coset-phase method needs a diagonal claimed gate")
+        raise NotApplicable("coset-phase method needs a diagonal claimed gate")
+    for g in circuit.gates:
+        if not (g.is_permutation or g.is_diagonal):
+            raise NotApplicable(f"{g.kind} is outside the coset-phase gate set")
+    (seed0, seed1), code_basis = _support_space(code)
     rows, offs, phase_terms = _trace_permutation(circuit)
     if offs != 0 or rows != [1 << q for q in range(circuit.register_size)]:
         return Certificate("css-coset", False,
@@ -336,7 +344,6 @@ def verify_diagonal_action(code: StabilizerCode, circuit: GadgetCircuit,
 
     # each block's basis quotiented by qubits no phase-term row reads, then
     # one label variable per block
-    (seed0, seed1), code_basis = _support_space(code)
     basis = [v for offset in offsets for v in rref([(v << offset) & touched for v in code_basis])]
     variables = basis + [(seed0 ^ seed1) << offset for offset in offsets]
     seed = sum(seed0 << offset for offset in offsets)

@@ -119,10 +119,16 @@ def test_gadget_refusal_exit_code(capsys):
 
 
 def test_gadget_without_oracle_is_refused(capsys):
-    code, _, err = run(capsys, "gadget", "--layout", "bare:five_qubit", "--gate",
-                       "CKZ_THETA", "--theta", "pi/2", "--k", "4")
-    assert code == 1
-    assert err.startswith("refused:") and "no oracle applies" in err
+    """Both gadgets mix H into a CNOT/diagonal circuit above the dense cap;
+    the refusal gives each oracle's reason."""
+    for argv in (["--layout", "bare:five_qubit", "--gate", "CKZ_THETA", "--theta", "pi/2",
+                  "--k", "4"], ["--layout", "uniform:rm15:steane", "--gate", "T"]):
+        code, _, err = run(capsys, "gadget", *argv)
+        assert code == 1
+        assert err.startswith("refused: no oracle applies to")
+        for reason in ("exceeds the dense cap", "Heisenberg check requires a Clifford circuit",
+                       "H is outside the coset-phase gate set"):
+            assert reason in err, (argv, reason)
 
 
 def test_gadget_z_theta(capsys):
@@ -347,6 +353,13 @@ CIRCUIT_TEXT = circuit_to_text(staircase_gadget(cataloglib.default_catalog().cod
                                                 0, Fraction(1, 4)))
 SHORT_TRANSVERSAL = [CATALOG_TEXT.replace("transversal H bitwise H", line, 1)
                      for line in ("transversal H", "transversal H bitwise")]
+# one catalog line naming a gate kind a catalog cannot hold, per position
+BAD_KIND = [CATALOG_TEXT.replace(old, new, 1) for old, new in (
+    ("transversal H bitwise H", "transversal FOO bitwise H"),
+    ("transversal T bitwise T_DAG", "transversal Z_THETA bitwise T_DAG"),
+    ("transversal CCZ bitwise CCZ", "transversal CKZ_THETA bitwise CCZ"),
+    ("transversal H bitwise H", "transversal H bitwise FOO"),
+    ("fixup Z@2", "fixup FOO@2"))]
 
 
 PARSED_INPUTS = {
@@ -381,6 +394,13 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup Z@9", 1),
      "line 'transversal K bitwise K fixup Z@9': fixup qubit 9 outside the 5 qubits of "
      "'five_prime'"),
+    ("catalog", BAD_KIND[0], "line 'transversal FOO bitwise H': 'FOO' is not one of H, S,"),
+    ("catalog", BAD_KIND[1], "line 'transversal Z_THETA bitwise T_DAG': 'Z_THETA' is not one"),
+    ("catalog", BAD_KIND[2], "line 'transversal CKZ_THETA bitwise CCZ': 'CKZ_THETA' is not"),
+    ("catalog", BAD_KIND[3], "line 'transversal H bitwise FOO': 'FOO' is not one of"),
+    ("catalog", BAD_KIND[4], "line 'transversal K bitwise K fixup FOO@2': 'FOO' is not one of"),
+    ("catalog", CATALOG_TEXT + CATALOG_TEXT.split("\n\n")[1],
+     "line 'code steane': code 'steane' already read"),
     ("circuit", CIRCUIT_TEXT.replace("register 7\n", "", 1),
      "line 'blocks 0:7': expected 'register N'"),
     ("circuit", CIRCUIT_TEXT.replace("register 7", "register seven", 1),
@@ -396,7 +416,8 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("fault", "-1:XQIIIII", "--fault '-1:XQIIIII': expected PLACE:PAULI"),
     ("fault", "3:XIIIIII:Z", "--fault '3:XIIIIII:Z': expected PLACE:PAULI"),
 ], ids=["no-style", "no-physical-gate", "no-size", "size-not-integer", "fixup-not-integer",
-        "fixup-outside-code",
+        "fixup-outside-code", "unknown-kind", "z-theta-kind", "ckz-theta-kind",
+        "unknown-physical-kind", "unknown-fixup-kind", "duplicate-code",
         "no-register", "register-not-integer", "qubit-not-integer",
         "blocks-past-register", "blocks-overlap",
         "place-not-integer", "no-place", "bad-letter", "extra-field"])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import nuconcat
 from nuconcat import catalog as cataloglib
 from nuconcat import codes, gates, library, simulate
-from nuconcat.circuits import GadgetCircuit, expand_transversal
+from nuconcat.circuits import GadgetCircuit, TransversalRule, expand_transversal
 from nuconcat.codes import StabilizerCode
 from nuconcat.concat import flatten
 from nuconcat.gates import Gate, gate
@@ -27,7 +27,7 @@ from reference import (densify, invert, pauli_on_vector, reference_apply_circuit
 
 def test_state_cap(cat):
     blocks = tuple((7 * b, 7) for b in range(4))
-    with pytest.raises(VerificationError, match="dense cap"):
+    with pytest.raises(simulate.NotApplicable, match="dense cap"):
         verify_logical_action(cat.code("steane"), GadgetCircuit(28, (), "id", blocks),
                               gates.diagonal_gate((0, 1, 2, 3), 0))
 
@@ -270,8 +270,8 @@ def test_coset_phase_refuses_a_logical_z_without_pure_z_form(cat):
     stabilizer cancels its X part."""
     code = codes.transform_code(cat.code("steane"), [gate(gates.H, q) for q in range(7)])
     empty = GadgetCircuit(7, (), "id", ((0, 7),))
-    with pytest.raises(VerificationError, match="logical Z has no pure-Z coset form; "
-                                                "coset-phase method inapplicable"):
+    with pytest.raises(simulate.NotApplicable, match="logical Z has no pure-Z coset form; "
+                                                     "coset-phase method inapplicable"):
         verify_diagonal_action(code, empty, gate(gates.Z, 0))
 
 
@@ -513,6 +513,25 @@ def test_verify_gadget_router(cat, lib, layouts):
     # coset phases for large diagonal
     adm = lib.gadget(layouts[49], library.logical_gate(gates.T))
     assert adm.certificate.method == "css-coset"
+
+
+def test_router_skips_an_oracle_that_cannot_judge_the_code(cat):
+    """Steane conjugated by H on every qubit has logical Z = X^7, so
+    coset-phase analysis cannot judge its rules: the Pauli rules certify
+    by the other two oracles, and bitwise S_DAG, which is not its logical
+    S, is refused by Heisenberg's verdict."""
+    code = codes.transform_code(cat.code("steane"), [gate(gates.H, q) for q in range(7)],
+                                name="steane_h")
+    catalog = cataloglib.Catalog()
+    catalog.add(code, {gates.X: TransversalRule("rep"), gates.Y: TransversalRule("rep"),
+                       gates.Z: TransversalRule("rep"),
+                       gates.S: TransversalRule("bitwise", gates.S_DAG)})
+    lib = library.GadgetLibrary(catalog)
+    for kind in (gates.X, gates.Y, gates.Z):
+        cert = lib.rule_certificate("steane_h", kind)
+        assert cert.passed and cert.method == "heisenberg+dense", kind
+    with pytest.raises(library.AdmissionError, match="failed its heisenberg check"):
+        lib.rule_certificate("steane_h", gates.S)
 
 
 def test_gadget_for_the_wrong_gate_is_not_admitted(cat, layouts, monkeypatch):
