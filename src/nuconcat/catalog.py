@@ -131,6 +131,9 @@ def parse_catalog(text: str) -> Catalog:
         key, _, rest = line.partition(" ")
         if key == "code":
             name = rest.strip()
+            if current is not None:
+                raise ValueError(f"bad catalog line {line!r}: code {current['name']!r} "
+                                 f"lacks its 'end' line")
             if name in cat.codes:
                 raise ValueError(f"bad catalog line {line!r}: code {name!r} already read")
             current = {"name": name, "stabilizers": [], "rules": {}, "lines": {},
@@ -154,6 +157,9 @@ def parse_catalog(text: str) -> Catalog:
         elif key == "transversal":
             parts = rest.split()
             if len(parts) == 2 and parts[1] == "rep":
+                if parts[0] not in codelib.LOGICAL_CLASSES:
+                    raise ValueError(f"bad catalog line {line!r}: expected 'transversal KIND "
+                                     f"rep' with KIND one of {', '.join(codelib.LOGICAL_CLASSES)}")
                 rule = TransversalRule("rep")
             elif len(parts) >= 3 and parts[1] == "bitwise":
                 fixups = []

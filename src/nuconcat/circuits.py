@@ -121,13 +121,6 @@ class TransversalRule:
     fixups: tuple[tuple[str, int], ...] = ()
 
 
-def expand_transversal(code: StabilizerCode, logical_kind: str,
-                       rule: TransversalRule) -> GadgetCircuit:
-    """The declared rule on bare blocks of ``code``, one per operand."""
-    dispatcher = GadgetDispatcher({code.name: {logical_kind: rule}})
-    return dispatcher._outer_transversal(bare_layout(code), logical_kind)
-
-
 # -- block-local logical Cliffords (CSS encoder conjugation) --------------------
 
 @lru_cache(maxsize=None)

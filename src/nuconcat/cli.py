@@ -20,31 +20,21 @@ from .circuits import SynthesisError, circuit_from_text, circuit_to_text
 from .codes import distance, min_weight_logical
 from .pauli import LETTERS, Pauli
 
-LAYOUT_SHORTCUTS = {
-    "code105": "uniform:steane:rm15",
-    "code49": "nonuniform:steane:rm15",
-    "code75": "uniform:five_prime:rm15",
-    "code47": "nonuniform:five_prime:rm15",
-    "code73": "b2:steane:rm15:steane",
-    "code55": "b2:five_prime:rm15:five_prime",
-}
-
-# Reference values the family is expected to reproduce; every run
+# The constructed code family, per layout shortcut: its descriptor, its
+# table1 method, and the reference (qubits, overall distance, effective
+# distance) it is expected to reproduce, where there is one; every run
 # recomputes them and reports any discrepancy as a failure.
-REFERENCE_TABLE = {
-    "code105": {"qubits": 105, "overall_distance": 9, "effective_distance": 3},
-    "code49": {"qubits": 49, "overall_distance": 5, "effective_distance": 3},
-    "code75": {"qubits": 75, "overall_distance": 9, "effective_distance": 3},
+FAMILY = {
+    "code105": ("uniform:steane:rm15", "uniform", (105, 9, 3)),
+    "code49": ("nonuniform:steane:rm15", "non-uniform", (49, 5, 3)),
+    "code75": ("uniform:five_prime:rm15",
+               "uniform (grouped with the non-uniform family in the reference labeling)",
+               (75, 9, 3)),
+    "code47": ("nonuniform:five_prime:rm15", "non-uniform", None),
+    "code73": ("b2:steane:rm15:steane", "non-uniform, b2 re-encoded", None),
+    "code55": ("b2:five_prime:rm15:five_prime", "non-uniform, b2 re-encoded", None),
 }
-
-TABLE_METHODS = {
-    "code105": "uniform",
-    "code49": "non-uniform",
-    "code75": "uniform (grouped with the non-uniform family in the reference labeling)",
-    "code47": "non-uniform",
-    "code73": "non-uniform, b2 re-encoded",
-    "code55": "non-uniform, b2 re-encoded",
-}
+LAYOUT_SHORTCUTS = {shortcut: descriptor for shortcut, (descriptor, _, _) in FAMILY.items()}
 
 # Staircase-realised diagonal family per outer code; these are the
 # non-transversal gadgets whose error propagation sets the effective
@@ -243,28 +233,22 @@ def _table_rows(cat: cataloglib.Catalog, lib: library.GadgetLibrary,
         eff = faults.effective_distance_report(
             layout, [a.circuit for a in admitted], budget)
         _refuse_if_withheld(eff, f"{shortcut} row", budget)
+        _, method, reference = FAMILY[shortcut]
         row = {
-            "method": TABLE_METHODS[shortcut],
+            "method": method,
             "qubits": layout.total_n,
             "overall_distance": dist.distance,
             "effective_distance": eff.value,
             "gadgets_checked": ",".join(a.circuit.label for a in admitted),
             "witness": eff.statement,
         }
-        reference = REFERENCE_TABLE.get(shortcut)
         if reference is not None:
-            row["reference_overall_distance"] = reference["overall_distance"]
-            row["reference_effective_distance"] = reference["effective_distance"]
-            row["matches_reference"] = (
-                reference["overall_distance"] == dist.distance
-                and reference["effective_distance"] == eff.value
-                and reference["qubits"] == layout.total_n)
-            if not row["matches_reference"]:
+            computed = (layout.total_n, dist.distance, eff.value)
+            row["reference_overall_distance"], row["reference_effective_distance"] = reference[1:]
+            row["matches_reference"] = computed == reference
+            if computed != reference:
                 any_fail = True
-                row["discrepancy"] = (
-                    f"computed ({layout.total_n}, {dist.distance}, {eff.value}) "
-                    f"!= reference ({reference['qubits']}, "
-                    f"{reference['overall_distance']}, {reference['effective_distance']})")
+                row["discrepancy"] = f"computed {computed} != reference {reference}"
         rows.append(row)
     return rows, any_fail
 

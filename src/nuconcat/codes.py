@@ -358,13 +358,14 @@ def code_space(code: StabilizerCode) -> tuple[int, tuple[Pauli, ...]]:
     """``(seed, moves)``: up to normalisation, |0-bar> sums i^e (-1)^(z.seed)
     |seed ^ x> over the products i^e X^x Z^z of subsets of ``moves``
     (Dehaene-De Moor, quant-ph/0304125).  One tag-bit elimination of the
-    generators and logical Z splits their group into the moves, with
-    independent X parts, and pure-Z elements +-Z^w, whose signs fix the
-    parities w.c of the support words c; ``seed`` is the least of them."""
+    generators and logical Z splits their group into the moves, whose X
+    parts are a fully reduced basis, and pure-Z elements +-Z^w, whose
+    signs fix the parities w.c of the support words c; ``seed`` is the
+    least of them."""
     n = code.n
     group = StabilizerGroup((*code.generators, code.logical_z), n)
     elements = [group.product(row & ((1 << n) - 1)) for row in group._reduced]
     moves = tuple(p for p in elements if p.x)
     pure_z = [p for p in elements if not p.x]
     seed = solve_affine([p.z for p in pure_z], [p.phase_exp >> 1 for p in pure_z])
-    return reduce(rref([p.x for p in moves]), seed), moves
+    return reduce([p.x for p in moves], seed), moves

@@ -107,11 +107,12 @@ def parse_layout(text: str, code_by_name) -> Layout:
 
 # -- flattening ---------------------------------------------------------------
 
-def lift(layout: Layout, outer_op: Pauli) -> Pauli:
+def lift(layout: Layout, outer_op: Pauli, rep=StabilizerCode.logical_rep) -> Pauli:
     """Lift an outer-level Pauli to the physical register.
 
-    Letters become the inner logical representatives, with their exact
-    signs; on a bare qubit that is the letter itself.
+    Each letter becomes ``rep(inner, letter)``, by default the inner
+    logical representative, with its exact sign; on a bare qubit that is
+    the letter itself.
     """
     if outer_op.n != layout.outer.n:
         raise DimensionError("outer operator size mismatch")
@@ -122,9 +123,9 @@ def lift(layout: Layout, outer_op: Pauli) -> Pauli:
         if letter == "I":
             continue
         start, inner = layout.block(q)
-        rep = inner.logical_rep(letter)
+        image = rep(inner, letter)
         # the i of a Y letter is already in outer_op.phase_exp
-        factor = Pauli(rep.n, rep.x, rep.z, rep.phase_exp - (letter == "Y"))
+        factor = Pauli(image.n, image.x, image.z, image.phase_exp - (letter == "Y"))
         out = out * factor.embed(total, range(start, start + inner.n))
     return out
 
@@ -173,22 +174,9 @@ def concatenated_distance(layout: Layout) -> DistanceResult:
     cls = min(minima, key=lambda c: minima[c][0])
     key, element = minima[cls]
     weight = key >> 2 * outer.n
-    witness = _min_weight_lift(layout, element)
+    witness = lift(layout, Pauli.hermitian(outer.n, element.x, element.z), min_weight_logical)
     _verify_witness(flatten(layout), witness, weight)
     return DistanceResult(weight, witness, element, cls)
-
-
-def _min_weight_lift(layout: Layout, outer_op: Pauli) -> Pauli:
-    """Lift choosing the minimum-weight inner coset element per block."""
-    total = layout.total_n
-    out = Pauli.identity(total)
-    for q in range(outer_op.n):
-        letter = outer_op.letter(q)
-        if letter == "I":
-            continue
-        start, inner = layout.block(q)
-        out = out * min_weight_logical(inner, letter).embed(total, range(start, start + inner.n))
-    return out
 
 
 def _verify_witness(flat: StabilizerCode, witness: Pauli, claimed_weight: int) -> None:

@@ -47,18 +47,14 @@ ARITY = {
 
 CLIFFORD_KINDS = frozenset({H, S, S_DAG, K, K_DAG, X, Y, Z, CNOT, CZ})
 
-# theta/pi for the named diagonal kinds
-_NAMED_THETA = {
-    T: Fraction(1, 4), S: Fraction(1, 2), Z: Fraction(1),
-    T_DAG: Fraction(7, 4), S_DAG: Fraction(3, 2),
-    CZ: Fraction(1), CCZ: Fraction(1),
+# (arity, theta/pi) -> the named diagonal kind with that angle
+_NAMED_DIAGONAL = {
+    (1, Fraction(1, 4)): T, (1, Fraction(1, 2)): S, (1, Fraction(1)): Z,
+    (1, Fraction(7, 4)): T_DAG, (1, Fraction(3, 2)): S_DAG,
+    (2, Fraction(1)): CZ, (3, Fraction(1)): CCZ,
 }
+_NAMED_THETA = {kind: theta for (_, theta), kind in _NAMED_DIAGONAL.items()}
 DIAGONAL_KINDS = frozenset(_NAMED_THETA) | {Z_THETA, CKZ_THETA}
-
-_DAGGER = {
-    H: H, X: X, Y: Y, Z: Z, CNOT: CNOT, CZ: CZ, CCZ: CCZ,
-    S: S_DAG, S_DAG: S, T: T_DAG, T_DAG: T, K: K_DAG, K_DAG: K,
-}
 
 
 class UnsupportedGateError(ValueError):
@@ -110,9 +106,11 @@ class Gate:
         raise UnsupportedGateError(f"{self.kind} is not diagonal")
 
     def dagger(self) -> "Gate":
-        if self.kind in _DAGGER:
-            return Gate(_DAGGER[self.kind], self.qubits)
-        return Gate(self.kind, self.qubits, (-self.theta_over_pi) % 2)
+        if self.kind in (Z_THETA, CKZ_THETA):
+            return Gate(self.kind, self.qubits, (-self.theta_over_pi) % 2)
+        if self.kind in _NAMED_THETA:
+            return diagonal_gate(self.qubits, -self.theta())
+        return Gate({K: K_DAG, K_DAG: K}.get(self.kind, self.kind), self.qubits)
 
     def __str__(self) -> str:
         parts = [self.kind] + [str(q) for q in self.qubits]
@@ -128,16 +126,10 @@ def gate(kind: str, *qubits: int, theta: Fraction | None = None) -> Gate:
 def diagonal_gate(qubits: tuple[int, ...], theta_over_pi: Fraction) -> Gate:
     """C^kZ(theta) on k+1 qubits, folded onto a named kind when one exists."""
     t = Fraction(theta_over_pi) % 2
-    if len(qubits) == 1:
-        named = {v: k for k, v in _NAMED_THETA.items() if ARITY.get(k) == 1}
-        if t in named:
-            return Gate(named[t], qubits)
-        return Gate(Z_THETA, qubits, t)
-    if t == 1 and len(qubits) == 2:
-        return Gate(CZ, qubits)
-    if t == 1 and len(qubits) == 3:
-        return Gate(CCZ, qubits)
-    return Gate(CKZ_THETA, qubits, t)
+    named = _NAMED_DIAGONAL.get((len(qubits), t))
+    if named is not None:
+        return Gate(named, qubits)
+    return Gate(Z_THETA if len(qubits) == 1 else CKZ_THETA, qubits, t)
 
 
 # -- exact angle notation ------------------------------------------------

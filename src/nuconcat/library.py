@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from . import gates, simulate
 from .catalog import Catalog
-from .circuits import GadgetCircuit, GadgetDispatcher, expand_transversal
+from .circuits import GadgetCircuit, GadgetDispatcher
 from .codes import StabilizerCode
-from .concat import Layout, flatten
+from .concat import Layout, bare_layout, flatten
 from .gates import Gate
 from .simulate import Certificate, VerificationError
 
@@ -80,8 +80,10 @@ class GadgetLibrary:
         if key in self._rule_certs:
             return self._rule_certs[key]
         code = self.catalog.code(code_name)
-        circuit = expand_transversal(code, kind, self.catalog.rules[code_name][kind])
+        if kind not in self.catalog.rules[code_name]:
+            raise KeyError(f"{code_name} declares no transversal {kind}")
         claimed = logical_gate(kind)
+        circuit = self.dispatcher.logical_gadget(bare_layout(code), claimed)
         certs = list(_certificates(code, circuit, claimed))[::-1]
         for cert in certs:
             if not cert.passed:

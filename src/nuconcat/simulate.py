@@ -276,7 +276,7 @@ def _support_space(code: StabilizerCode) -> tuple[list[int], list[int]]:
     the moves' X parts.  The labels share one support (logical X's X part
     lies in the span) exactly when logical Z has no pure-Z coset form."""
     seed, moves = code_space(code)
-    basis = rref([p.x for p in moves])
+    basis = [p.x for p in moves]
     if not reduce(basis, code.logical_x.x):
         raise NotApplicable("logical Z has no pure-Z coset form; "
                             "coset-phase method inapplicable")

@@ -10,10 +10,10 @@ import numpy as np
 
 from nuconcat import faults, gates
 from nuconcat._bitlin import rref
-from nuconcat.circuits import GadgetCircuit, GadgetDispatcher
+from nuconcat.circuits import GadgetCircuit, GadgetDispatcher, TransversalRule
 from nuconcat.codes import (LOGICAL_CLASSES, LookupDecoder, StabilizerCode, build_decoder,
                             min_weight_logical, normalizer_class, syndrome)
-from nuconcat.concat import DistanceResult, Layout, _min_weight_lift, bare_layout
+from nuconcat.concat import DistanceResult, Layout, bare_layout, lift
 from nuconcat.gates import Gate
 from nuconcat.pauli import DimensionError, Pauli
 from nuconcat.simulate import (FIDELITY_TOL, NORM_TOL, Certificate, VerificationError,
@@ -196,6 +196,13 @@ def staircase_gadget(code: StabilizerCode, k: int, theta: Fraction) -> GadgetCir
     return GadgetDispatcher({})._outer_staircase(bare_layout(code), k, theta)
 
 
+def expand_transversal(code: StabilizerCode, kind: str, rule: TransversalRule) -> GadgetCircuit:
+    """The rule ``rule`` for ``kind`` on bare blocks of ``code``, one per
+    operand, expanded by a dispatcher that knows only that rule."""
+    logical = Gate(kind, tuple(range(gates.ARITY[kind])))
+    return GadgetDispatcher({code.name: {kind: rule}}).logical_gadget(bare_layout(code), logical)
+
+
 def stabilizer_elements(code: StabilizerCode):
     """All 2^(n-1) group elements with exact signs (Gray-code walk)."""
     current = Pauli.identity(code.n)
@@ -222,7 +229,8 @@ def concatenated_distance(layout: Layout) -> DistanceResult:
             if best is None or key < best[0]:
                 best = key, elem, cls
     (weight, _, _), elem, cls = best
-    return DistanceResult(weight, _min_weight_lift(layout, elem), elem, cls)
+    witness = lift(layout, Pauli.hermitian(elem.n, elem.x, elem.z), min_weight_logical)
+    return DistanceResult(weight, witness, elem, cls)
 
 
 def lookup_correction(decoder: LookupDecoder, s: int) -> Pauli:

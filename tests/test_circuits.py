@@ -9,13 +9,12 @@ from nuconcat import catalog as cataloglib
 from nuconcat import cli, gates, library, simulate
 from nuconcat.circuits import (GadgetCircuit, GadgetDispatcher, SynthesisError,
                                TransversalRule, block_logical_gadget, circuit_from_text,
-                               circuit_to_text, encoding_circuit, expand_transversal,
-                               normalization_gates)
+                               circuit_to_text, encoding_circuit, normalization_gates)
 from nuconcat.codes import distance
 from nuconcat.concat import non_uniform_layout, parse_layout, uniform_layout
 from nuconcat.pauli import Pauli
 from nuconcat.simulate import apply_circuit, codewords
-from reference import densify, invert, staircase_gadget
+from reference import densify, expand_transversal, invert, staircase_gadget
 
 
 def test_steane_t_staircase_structure(cat):

@@ -401,6 +401,10 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("catalog", BAD_KIND[4], "line 'transversal K bitwise K fixup FOO@2': 'FOO' is not one of"),
     ("catalog", CATALOG_TEXT + CATALOG_TEXT.split("\n\n")[1],
      "line 'code steane': code 'steane' already read"),
+    ("catalog", CATALOG_TEXT.replace("end\n", "", 1),
+     "line 'code rm15': code 'steane' lacks its 'end' line"),
+    ("catalog", CATALOG_TEXT.replace("transversal X rep", "transversal H rep", 1),
+     "line 'transversal H rep': expected 'transversal KIND rep' with KIND one of X, Y, Z"),
     ("circuit", CIRCUIT_TEXT.replace("register 7\n", "", 1),
      "line 'blocks 0:7': expected 'register N'"),
     ("circuit", CIRCUIT_TEXT.replace("register 7", "register seven", 1),
@@ -417,7 +421,8 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("fault", "3:XIIIIII:Z", "--fault '3:XIIIIII:Z': expected PLACE:PAULI"),
 ], ids=["no-style", "no-physical-gate", "no-size", "size-not-integer", "fixup-not-integer",
         "fixup-outside-code", "unknown-kind", "z-theta-kind", "ckz-theta-kind",
-        "unknown-physical-kind", "unknown-fixup-kind", "duplicate-code",
+        "unknown-physical-kind", "unknown-fixup-kind", "duplicate-code", "unterminated-code",
+        "rep-rule-not-pauli",
         "no-register", "register-not-integer", "qubit-not-integer",
         "blocks-past-register", "blocks-overlap",
         "place-not-integer", "no-place", "bad-letter", "extra-field"])
@@ -462,8 +467,7 @@ def test_fixup_on_a_multi_operand_rule_is_refused(tmp_path, capsys):
 
 
 def test_table1_reports_a_reference_discrepancy(capsys, monkeypatch):
-    monkeypatch.setitem(cli.REFERENCE_TABLE, "code49",
-                        {"qubits": 49, "overall_distance": 5, "effective_distance": 4})
+    monkeypatch.setitem(cli.FAMILY, "code49", (*cli.FAMILY["code49"][:2], (49, 5, 4)))
     code, out, _ = run(capsys, "table1", "--format", "machine")
     assert code == 1
     assert "status: fail" in out

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuconcat import gates
-from nuconcat.codes import (StabilizerCode, build_decoder, distance, five_prime,
+from nuconcat import cli, gates
+from nuconcat._bitlin import rref
+from nuconcat.codes import (StabilizerCode, build_decoder, code_space, distance, five_prime,
                             five_qubit, min_weight_candidates, min_weight_logical,
                             normalizer_class, reed_muller_15, stabilizer_group,
                             staircase_support, steane, syndrome, transform_code)
+from nuconcat.concat import flatten, parse_layout
 from nuconcat.pauli import Pauli
 from reference import (equals_up_to_phase, from_letters, is_identity, lookup_correction,
                        stabilizer_elements)
@@ -337,3 +339,14 @@ def test_rm15_coset_scans_match_reference():
     code = reed_muller_15()
     check_coset_scans(code)
     assert [len(min_weight_candidates(code, cls)) for cls in "XYZ"] == [120, 120, 35]
+
+
+def test_code_space_moves_have_a_fully_reduced_x_basis(cat):
+    """The X parts of ``code_space``'s moves are already a fully reduced
+    basis, which the encoder and the coset-phase support read as is: on
+    every catalog code and every flattened layout shortcut, ``rref``
+    returns them unchanged."""
+    shortcuts = [flatten(parse_layout(d, cat.code)) for d in cli.LAYOUT_SHORTCUTS.values()]
+    for code in [*cat.codes.values(), *shortcuts]:
+        xs = [move.x for move in code_space(code)[1]]
+        assert rref(xs) == xs, code.name

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import nuconcat
 from nuconcat import catalog as cataloglib
 from nuconcat import codes, gates, library, simulate
-from nuconcat.circuits import GadgetCircuit, TransversalRule, expand_transversal
+from nuconcat.circuits import GadgetCircuit, TransversalRule
 from nuconcat.codes import StabilizerCode
 from nuconcat.concat import flatten
 from nuconcat.gates import Gate, gate
@@ -21,8 +21,9 @@ from nuconcat.pauli import Pauli
 from nuconcat.simulate import (VerificationError, apply_circuit, apply_pauli,
                                codewords, verify_clifford_action, verify_diagonal_action,
                                verify_logical_action)
-from reference import (densify, invert, pauli_on_vector, reference_apply_circuit,
-                       reference_codewords, reference_logical_action, staircase_gadget)
+from reference import (densify, expand_transversal, invert, pauli_on_vector,
+                       reference_apply_circuit, reference_codewords, reference_logical_action,
+                       staircase_gadget)
 
 
 def test_state_cap(cat):
@@ -538,6 +539,9 @@ def test_gadget_for_the_wrong_gate_is_not_admitted(cat, layouts, monkeypatch):
     """A dispatcher that hands back the T_DAG gadget for T is caught by
     the oracle, not cached."""
     lib = library.GadgetLibrary(cat)
+    # rule certificates expand through the dispatcher too: admit them first
+    lib.verify_code_rules("steane")
+    lib.verify_code_rules("rm15")
     real = lib.dispatcher.logical_gadget
     monkeypatch.setattr(lib.dispatcher, "logical_gadget",
                         lambda layout, logical: real(layout, library.logical_gate(gates.T_DAG)))
