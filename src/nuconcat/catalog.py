@@ -28,7 +28,7 @@ class Catalog:
         try:
             return self.codes[name]
         except KeyError:
-            raise KeyError(f"unknown code {name!r}; catalog has {sorted(self.codes)}") from None
+            raise ValueError(f"unknown code {name!r}; catalog has {sorted(self.codes)}") from None
 
     def add(self, code: StabilizerCode, rules: dict[str, TransversalRule],
             derivation: str = "") -> None:
@@ -148,12 +148,15 @@ def parse_catalog(text: str) -> Catalog:
             current["css"] = rest.strip() == "true"
         elif key == "derivation":
             current["derivation"] = rest.strip()
-        elif key == "stabilizer":
-            current["stabilizers"].append(Pauli.from_string(rest.strip()))
-        elif key == "logical-x":
-            current["logical-x"] = Pauli.from_string(rest.strip())
-        elif key == "logical-z":
-            current["logical-z"] = Pauli.from_string(rest.strip())
+        elif key in ("stabilizer", "logical-x", "logical-z"):
+            try:
+                p = Pauli.from_string(rest.strip())
+            except ValueError as exc:
+                raise ValueError(f"bad catalog line {line!r}: {exc}") from None
+            if key == "stabilizer":
+                current["stabilizers"].append(p)
+            else:
+                current[key] = p
         elif key == "transversal":
             parts = rest.split()
             if len(parts) == 2 and parts[1] == "rep":

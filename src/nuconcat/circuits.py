@@ -58,9 +58,6 @@ class GadgetCircuit:
             raise ValueError(f"blocks {_blocks_text(self.blocks)} do not tile the "
                              f"register of {self.register_size} in order")
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
     @property
     def is_clifford(self) -> bool:
         return all(g.is_clifford for g in self.gates)
@@ -92,7 +89,7 @@ def normalization_gates(rep: Pauli) -> tuple[tuple[Gate, ...], Pauli]:
         letter = rep.letter(q)
         if letter in _NORMALIZER_GATE:
             lc.append(gates.gate(_NORMALIZER_GATE[letter], q))
-    transformed = gates.conjugate_through(rep, lc)
+    (transformed,) = gates.conjugate_through([rep], lc)
     if transformed.x:
         raise AssertionError(f"normalization left X components in {transformed}")
     if transformed.display_phase_exp == 2:
@@ -237,9 +234,8 @@ class GadgetDispatcher:
         total = layout.total_n
         blocks = tuple((b * total, total) for b in range(arity))
         if rule.style == "rep":
-            target = Gate(kind, tuple(range(arity))).dagger().kind if daggered else kind
-            rep = layout.outer.logical_rep(target)
-            steps = [(q, rep.letter(q), f" (lifting outer logical {target})")
+            rep = layout.outer.logical_rep(kind)  # X, Y and Z are their own daggers
+            steps = [(q, rep.letter(q), f" (lifting outer logical {kind})")
                      for q in rep.support]
         else:
             phys = rule.phys_kind
@@ -348,15 +344,13 @@ def circuit_from_text(text: str) -> GadgetCircuit:
         blocks.append((int(m.group(1)), int(m.group(2))))
     gate_list = []
     for line in lines[3:]:
-        parts = line.split()
-        kind = parts[0]
-        theta = None
-        qubits = []
-        for tok in parts[1:]:
-            if tok.startswith("theta="):
-                theta = gates.parse_theta(tok.removeprefix("theta="))
-            else:
-                qubits.append(gates.parse_index(tok, "circuit", line,
-                                                "'KIND QUBIT ... [theta=ANGLE]'"))
-        gate_list.append(Gate(kind, tuple(qubits), theta))
+        kind, *tokens = line.split()
+        qubits = tuple(gates.parse_index(tok, "circuit", line, "'KIND QUBIT ... [theta=ANGLE]'")
+                       for tok in tokens if not tok.startswith("theta="))
+        try:
+            thetas = [gates.parse_theta(tok.removeprefix("theta="))
+                      for tok in tokens if tok.startswith("theta=")]
+            gate_list.append(Gate(kind, qubits, thetas[-1] if thetas else None))
+        except ValueError as exc:
+            raise ValueError(f"bad circuit line {line!r}: {exc}") from None
     return GadgetCircuit(register, tuple(gate_list), label, tuple(blocks))

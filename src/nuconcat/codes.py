@@ -87,21 +87,15 @@ def _css_code(name: str, n: int, x_rows: list[int], z_rows: list[int],
     return StabilizerCode(name, n, tuple(gens), Pauli(n, lx, 0, 0), Pauli(n, 0, lz, 0), css=True)
 
 
-def _hamming_rows() -> list[int]:
-    # rows j = positions v in 1..7 whose binary digit j is set; qubit q = v - 1
-    rows = []
-    for j in range(3):
-        mask = 0
-        for v in range(1, 8):
-            if (v >> j) & 1:
-                mask |= 1 << (v - 1)
-        rows.append(mask)
-    return rows
+def _coordinate_rows(m: int) -> list[int]:
+    """Row j: the qubits q whose label v = q + 1, in 1 .. 2^m - 1, has
+    binary digit j set, as a bit-mask."""
+    return [sum(1 << v - 1 for v in range(1, 1 << m) if v >> j & 1) for j in range(m)]
 
 
 def steane() -> StabilizerCode:
     """[[7,1,3]] CSS code on the [7,4,3] Hamming code."""
-    rows = _hamming_rows()
+    rows = _coordinate_rows(3)
     all7 = (1 << 7) - 1
     return _css_code("steane", 7, rows, rows, all7, all7)
 
@@ -114,17 +108,8 @@ def reed_muller_15() -> StabilizerCode:
     six weight-4 pairwise products.  This orientation (4 X-type, 10 Z-type)
     is the one with a transversal T-type gate.
     """
-    def mask(predicate):
-        m = 0
-        for v in range(1, 16):
-            if predicate(v):
-                m |= 1 << (v - 1)
-        return m
-
-    x_rows = [mask(lambda v, j=j: (v >> j) & 1) for j in range(4)]
-    z_rows = list(x_rows)
-    for j, l in itertools.combinations(range(4), 2):
-        z_rows.append(mask(lambda v: (v >> j) & 1 and (v >> l) & 1))
+    x_rows = _coordinate_rows(4)
+    z_rows = x_rows + [a & b for a, b in itertools.combinations(x_rows, 2)]
     all15 = (1 << 15) - 1
     return _css_code("rm15", 15, x_rows, z_rows, all15, all15)
 
@@ -145,17 +130,10 @@ def transform_code(code: StabilizerCode, gate_list, name: str | None = None) -> 
         if len(g.qubits) != 1:
             raise gates.UnsupportedGateError(f"{g.kind} is not a local Clifford gate")
 
-    def conj(p: Pauli) -> Pauli:
-        return gates.conjugate_through(p, gate_list)
-
-    return StabilizerCode(
-        name or code.name,
-        code.n,
-        tuple(conj(g) for g in code.generators),
-        conj(code.logical_x),
-        conj(code.logical_z),
-        css=False if gate_list else code.css,
-    )
+    *generators, logical_x, logical_z = gates.conjugate_through(
+        [*code.generators, code.logical_x, code.logical_z], gate_list)
+    return StabilizerCode(name or code.name, code.n, tuple(generators), logical_x, logical_z,
+                          css=False if gate_list else code.css)
 
 
 def five_prime() -> StabilizerCode:

@@ -373,7 +373,9 @@ class PairScreen:
 
     def __init__(self, ctx: DecodeContext, data: np.ndarray):
         self.ctx, self.data = ctx, data
-        self.terms, self.words = ctx.terms(data), ctx.words(data)
+        self.terms = ctx.terms(data)
+        n = len(ctx.columns) // ctx.n_operands
+        self.words = np.bitwise_xor.reduce(self.terms.reshape(ctx.n_operands, n, -1), axis=1)
         self.nonzero = [np.flatnonzero(column) for column in data.T]
 
     def pair_words(self, a: slice, b: slice) -> np.ndarray:

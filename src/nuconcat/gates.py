@@ -14,14 +14,14 @@ conjugation action cycles X -> Z -> Y -> X.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .pauli import Pauli
+from .pauli import DimensionError, Pauli
 
 H = "H"
 S = "S"
@@ -249,18 +249,28 @@ def conjugate_rows(x: np.ndarray, z: np.ndarray, g: Gate, sign: np.ndarray | Non
         words ^= gain
 
 
-def conjugate_through(p: Pauli, gates) -> Pauli:
-    """``U p U^dagger`` with exact phase, U the Clifford circuit applying
-    ``gates`` in order, on ``p`` packed as a one-row tableau."""
-    n_words = (p.n + 63) // 64
-    x, z = pack([p.x], n_words), pack([p.z], n_words)
-    sign = np.zeros(1, bool)
+def conjugate_through(paulis: Sequence[Pauli], gates) -> list[Pauli]:
+    """``U p U^dagger`` with exact phase for every ``p`` of ``paulis``, U the
+    Clifford circuit applying ``gates`` in order.  The Paulis, all on one
+    register, are the rows of one signed tableau walked once; a row's sign
+    is its displayed -1, and a displayed i rides along unchanged."""
+    sizes = {p.n for p in paulis}
+    if len(sizes) != 1:
+        raise DimensionError(f"one register expected, got Paulis on {sorted(sizes)} qubits")
+    (n,) = sizes
+    n_words = (n + 63) // 64
+    x, z = pack((p.x for p in paulis), n_words), pack((p.z for p in paulis), n_words)
+    sign = np.array([p.display_phase_exp >> 1 for p in paulis], bool)
     for g in gates:
-        if not all(0 <= q < p.n for q in g.qubits):
-            raise UnsupportedGateError(f"gate {g} outside register of {p.n}")
+        if not all(0 <= q < n for q in g.qubits):
+            raise UnsupportedGateError(f"gate {g} outside register of {n}")
         conjugate_rows(x, z, g, sign)
-    image = Pauli.hermitian(p.n, unpack(x[:, 0]), unpack(z[:, 0]))
-    return Pauli(p.n, image.x, image.z, image.phase_exp + 2 * int(sign[0]) + p.display_phase_exp)
+    images = []
+    for r, p in enumerate(paulis):
+        image = Pauli.hermitian(n, unpack(x[:, r]), unpack(z[:, r]))
+        images.append(Pauli(n, image.x, image.z,
+                            image.phase_exp + 2 * int(sign[r]) + (p.display_phase_exp & 1)))
+    return images
 
 
 # -- dense matrices --------------------------------------------------------

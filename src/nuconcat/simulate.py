@@ -207,8 +207,8 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
                            claimed: Gate) -> Certificate:
     """Conjugate stabilizers and logicals through a Clifford circuit.
 
-    The stabilizer generators and logical X and Z of every block form one
-    signed tableau, walked through the gates in one pass.  Each row's image
+    The stabilizer generators and logical X and Z of every block are
+    conjugated as one batch by ``gates.conjugate_through``.  Each image
     times the inverse of its expected image, I for a stabilizer and the
     lift of the claim's image for logical X_b or Z_b, must lie exactly in
     the signed stabilizer group, which pins the action up to global phase.
@@ -225,23 +225,19 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
                for p in (*code.generators, code.logical_x, code.logical_z)] for offset in offsets]
     stabilizers = [p for block in placed for p in block[:-2]]
     rows = stabilizers + [p for block in placed for p in block[-2:]]
-    n_words = (total + 63) // 64
-    x, z = gates.pack((p.x for p in rows), n_words), gates.pack((p.z for p in rows), n_words)
-    sign = np.array([p.display_phase_exp == 2 for p in rows])
-    for g in circuit.gates:
-        gates.conjugate_rows(x, z, g, sign)
+    logicals = list(itertools.product(range(m), "XZ"))
+    wants = [Pauli.identity(total)] * len(stabilizers)
+    # the claim's image i^e X^x Z^z of each X_b or Z_b, lifted block by block
+    for image in gates.conjugate_through([Pauli.single(m, *lg) for lg in logicals], [claimed]):
+        want = Pauli(total, 0, 0, image.phase_exp)
+        for c, (bits, rep) in itertools.product(range(m), ((image.x, -2), (image.z, -1))):
+            want = want * placed[c][rep] if (bits >> c) & 1 else want
+        wants.append(want)
 
     group = StabilizerGroup(stabilizers, total)
-    logicals = [None] * len(stabilizers) + list(itertools.product(range(m), "XZ"))
-    for r, (row, logical) in enumerate(zip(rows, logicals)):
-        want = Pauli.identity(total)
-        if logical:  # the claim's image i^e X^x Z^z of X_b or Z_b, lifted block by block
-            image = gates.conjugate_through(Pauli.single(m, *logical), [claimed])
-            want = Pauli(total, 0, 0, image.phase_exp)
-            for c, (bits, rep) in itertools.product(range(m), ((image.x, -2), (image.z, -1))):
-                want = want * placed[c][rep] if (bits >> c) & 1 else want
-        image = Pauli.hermitian(total, gates.unpack(x[:, r]), gates.unpack(z[:, r]))
-        if (image.negate() if sign[r] else image) * want.inverse() not in group:
+    images = gates.conjugate_through(rows, circuit.gates)
+    for row, image, want, logical in zip(rows, images, wants, [None] * len(stabilizers) + logicals):
+        if image * want.inverse() not in group:
             return Certificate("heisenberg", False, details=(
                 f"logical {logical[1]}_{logical[0]} image mismatch" if logical
                 else f"stabilizer {row} maps outside the group"))

@@ -85,6 +85,16 @@ def test_codes_info_usage_messages(capsys):
     assert err.startswith("usage error: unknown code 'nope'; catalog has")
 
 
+def test_a_key_error_is_not_a_usage_error(monkeypatch):
+    """Usage errors are ValueErrors; a KeyError is a fault of the program
+    and propagates instead of exiting 2."""
+    def broken(args, cat, rep):
+        raise KeyError("missing")
+    monkeypatch.setattr(cli, "cmd_distance", broken)
+    with pytest.raises(KeyError):
+        cli.main(["distance", "--layout", "code49"])
+
+
 def test_distance_usage_error(capsys):
     code, _, err = run(capsys, "distance", "--layout", "nope:steane")
     assert code == 2
@@ -405,12 +415,26 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
      "line 'code rm15': code 'steane' lacks its 'end' line"),
     ("catalog", CATALOG_TEXT.replace("transversal X rep", "transversal H rep", 1),
      "line 'transversal H rep': expected 'transversal KIND rep' with KIND one of X, Y, Z"),
+    ("catalog", CATALOG_TEXT.replace("stabilizer +IIIXXXX", "stabilizer +IIIXQXX", 1),
+     "bad catalog line 'stabilizer +IIIXQXX': bad Pauli letter 'Q' in '+IIIXQXX'"),
+    ("catalog", CATALOG_TEXT.replace("logical-x +XXXXXXX", "logical-x +XXXXXX-", 1),
+     "bad catalog line 'logical-x +XXXXXX-': bad Pauli letter '-' in '+XXXXXX-'"),
+    ("catalog", CATALOG_TEXT.replace("logical-z +ZZZZZZZ", "logical-z i-ZZZZZZZ", 1),
+     "bad catalog line 'logical-z i-ZZZZZZZ': bad phase prefix 'i-' in 'i-ZZZZZZZ'"),
     ("circuit", CIRCUIT_TEXT.replace("register 7\n", "", 1),
      "line 'blocks 0:7': expected 'register N'"),
     ("circuit", CIRCUIT_TEXT.replace("register 7", "register seven", 1),
      "line 'register seven': expected 'register N'"),
     ("circuit", CIRCUIT_TEXT.replace("CNOT 0 1", "CNOT 0 one", 1),
      "line 'CNOT 0 one': expected 'KIND QUBIT ... [theta=ANGLE]'"),
+    ("circuit", CIRCUIT_TEXT.replace("CNOT 0 1", "FOO 0", 1),
+     "bad circuit line 'FOO 0': unknown gate kind 'FOO'"),
+    ("circuit", CIRCUIT_TEXT.replace("CNOT 0 1", "CNOT 0", 1),
+     "bad circuit line 'CNOT 0': CNOT takes 2 qubits, got (0,)"),
+    ("circuit", CIRCUIT_TEXT.replace("T 2", "T 2 theta=pi/4", 1),
+     "bad circuit line 'T 2 theta=pi/4': T carries no free angle"),
+    ("circuit", CIRCUIT_TEXT.replace("T 2", "Z_THETA 2 theta=pi/0", 1),
+     "bad circuit line 'Z_THETA 2 theta=pi/0': bad angle 'pi/0': zero denominator"),
     ("circuit", CIRCUIT_TEXT.replace("blocks 0:7", "blocks 3:7", 1),
      "blocks 3:7 do not tile the register of 7"),
     ("circuit", CIRCUIT_TEXT.replace("blocks 0:7", "blocks 0:7 0:7", 1),
@@ -422,8 +446,10 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
 ], ids=["no-style", "no-physical-gate", "no-size", "size-not-integer", "fixup-not-integer",
         "fixup-outside-code", "unknown-kind", "z-theta-kind", "ckz-theta-kind",
         "unknown-physical-kind", "unknown-fixup-kind", "duplicate-code", "unterminated-code",
-        "rep-rule-not-pauli",
-        "no-register", "register-not-integer", "qubit-not-integer",
+        "rep-rule-not-pauli", "bad-stabilizer-letter", "bad-logical-x-letter",
+        "bad-logical-z-phase",
+        "no-register", "register-not-integer", "qubit-not-integer", "unknown-gate-kind",
+        "too-few-qubits", "angle-on-named-kind", "bad-angle",
         "blocks-past-register", "blocks-overlap",
         "place-not-integer", "no-place", "bad-letter", "extra-field"])
 def test_malformed_catalog_lines_are_usage_errors(tmp_path, kind, text, named):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nuconcat import gates
 from nuconcat.gates import Gate, UnsupportedGateError, gate
-from nuconcat.pauli import Pauli
+from nuconcat.pauli import DimensionError, Pauli
 from reference import _deposit, pauli_matrix, reference_conjugate
 
 
@@ -39,24 +39,25 @@ def test_conjugation_matches_dense(kind):
     for x in range(1 << arity):
         for z in range(1 << arity):
             p = Pauli(arity, x, z, 0)
-            got = pauli_matrix(gates.conjugate_through(p, [g]))
+            (image,) = gates.conjugate_through([p], [g])
+            got = pauli_matrix(image)
             ref = u @ pauli_matrix(p) @ u.conj().T
             assert np.allclose(got, ref), (kind, str(p))
 
 
 def test_k_conjugation_cycle():
     k = gate(gates.K, 0)
-    assert str(gates.conjugate_through(Pauli.from_string("X"), [k])) == "+Z"
-    assert str(gates.conjugate_through(Pauli.from_string("Z"), [k])) == "+Y"
-    assert str(gates.conjugate_through(Pauli.from_string("Y"), [k])) == "+X"
+    assert str(gates.conjugate_through([Pauli.from_string("X")], [k])[0]) == "+Z"
+    assert str(gates.conjugate_through([Pauli.from_string("Z")], [k])[0]) == "+Y"
+    assert str(gates.conjugate_through([Pauli.from_string("Y")], [k])[0]) == "+X"
 
 
 def test_cnot_propagation():
     cnot = gate(gates.CNOT, 0, 1)
-    assert str(gates.conjugate_through(Pauli.from_string("XI"), [cnot])) == "+XX"
-    assert str(gates.conjugate_through(Pauli.from_string("IZ"), [cnot])) == "+ZZ"
-    assert str(gates.conjugate_through(Pauli.from_string("IX"), [cnot])) == "+IX"
-    assert str(gates.conjugate_through(Pauli.from_string("ZI"), [cnot])) == "+ZI"
+    assert str(gates.conjugate_through([Pauli.from_string("XI")], [cnot])[0]) == "+XX"
+    assert str(gates.conjugate_through([Pauli.from_string("IZ")], [cnot])[0]) == "+ZZ"
+    assert str(gates.conjugate_through([Pauli.from_string("IX")], [cnot])[0]) == "+IX"
+    assert str(gates.conjugate_through([Pauli.from_string("ZI")], [cnot])[0]) == "+ZI"
 
 
 def test_weight_change_bounds():
@@ -65,10 +66,10 @@ def test_weight_change_bounds():
         n = 4
         p = Pauli(n, int(rng.integers(0, 16)), int(rng.integers(0, 16)), 0)
         for kind in (gates.H, gates.S, gates.K, gates.X, gates.Y, gates.Z):
-            q = gates.conjugate_through(p, [gate(kind, int(rng.integers(0, n)))])
+            (q,) = gates.conjugate_through([p], [gate(kind, int(rng.integers(0, n)))])
             assert q.weight() == p.weight()
         a, b = rng.choice(n, size=2, replace=False)
-        q = gates.conjugate_through(p, [gate(gates.CNOT, int(a), int(b))])
+        (q,) = gates.conjugate_through([p], [gate(gates.CNOT, int(a), int(b))])
         assert abs(q.weight() - p.weight()) <= 1
 
 
@@ -77,25 +78,33 @@ WORD_EDGES = (0, 1, 62, 63, 64, 65, 127, 128, 199)
 
 
 @settings(max_examples=100, deadline=None)
-@given(x=st.integers(0, 2**200 - 1), z=st.integers(0, 2**200 - 1),
-       edges=st.tuples(st.integers(0, 511), st.integers(0, 511)), phase=st.integers(0, 3),
+@given(rows=st.lists(st.tuples(st.integers(0, 2**200 - 1), st.integers(0, 2**200 - 1),
+                               st.tuples(st.integers(0, 511), st.integers(0, 511)),
+                               st.integers(0, 3)), min_size=1, max_size=4),
        gate_list=st.lists(st.tuples(st.sampled_from(sorted(gates.CLIFFORD_KINDS)),
                                     st.permutations(WORD_EDGES)), max_size=12))
-def test_conjugate_through_matches_dense_reference_across_words(x, z, edges, phase, gate_list):
-    """The packed walk, signs included, equals gate-by-gate conjugation by
-    images read off dense matrices, with gates on both sides of each word
-    boundary; ``edges`` draws the letters there apart from the rest."""
-    p = Pauli(200, x ^ _deposit(edges[0], WORD_EDGES), z ^ _deposit(edges[1], WORD_EDGES), phase)
+def test_conjugate_through_matches_dense_reference_across_words(rows, gate_list):
+    """The packed walk of a batch of 1-4 Paulis on one register equals,
+    row by row and sign included, gate-by-gate conjugation by images read
+    off dense matrices, with gates on both sides of each word boundary;
+    ``edges`` draws the letters there apart from the rest."""
+    batch = [Pauli(200, x ^ _deposit(edges[0], WORD_EDGES), z ^ _deposit(edges[1], WORD_EDGES),
+                   phase) for x, z, edges, phase in rows]
     circuit = [Gate(kind, qs[:gates.ARITY[kind]]) for kind, qs in gate_list]
-    want = p
+    want = list(batch)
     for g in circuit:
-        want = reference_conjugate(want, g)
-    assert gates.conjugate_through(p, circuit) == want
+        want = [reference_conjugate(p, g) for p in want]
+    assert gates.conjugate_through(batch, circuit) == want
+
+
+def test_conjugate_through_takes_one_register():
+    with pytest.raises(DimensionError):
+        gates.conjugate_through([Pauli.from_string("X"), Pauli.from_string("XX")], [])
 
 
 def test_non_clifford_conjugation_rejected():
     with pytest.raises(UnsupportedGateError):
-        gates.conjugate_through(Pauli.from_string("X"), [gate(gates.T, 0)])
+        gates.conjugate_through([Pauli.from_string("X")], [gate(gates.T, 0)])
 
 
 def test_named_diagonal_identities():

@@ -4,8 +4,8 @@ Every module-level function and class of the package, and every method
 of a package class, has a user: a reference from package code outside its
 own definition.  An export from ``__init__.py`` is not a use; code that
 only tests call lives in the tests.  Dunder methods are called by Python
-itself and are not checked.  No module reads another's private names, and
-no package code uses ``assert``."""
+itself and are not checked.  No module reads another's private names, no
+package code uses ``assert``, and only the two tableaus touch packed rows."""
 
 import ast
 from pathlib import Path
@@ -85,3 +85,16 @@ def test_no_assert_in_package_code():
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_only_the_two_tableaus_touch_packed_rows():
+    """``gates.conjugate_through`` is the one Pauli-level entry to the
+    signed tableau, and the fault frame in ``faults.py`` the one other
+    tableau: no other module calls ``pack``, ``unpack`` or
+    ``conjugate_rows``."""
+    primitives = {"pack", "unpack", "conjugate_rows"}
+    callers = {path.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None)) in primitives}
+    assert callers == {"faults.py", "gates.py"}
