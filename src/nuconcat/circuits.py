@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import gates
 from ._bitlin import reduce
@@ -61,6 +61,8 @@ class GadgetCircuit:
     @property
     def is_clifford(self) -> bool:
         return all(g.is_clifford for g in self.gates)
+
+    layers = cached_property(lambda self: gates.layers(self.gates))
 
     def touched_qubits(self) -> frozenset[int]:
         return frozenset(q for g in self.gates for q in g.qubits)
@@ -350,7 +352,9 @@ def circuit_from_text(text: str) -> GadgetCircuit:
         try:
             thetas = [gates.parse_theta(tok.removeprefix("theta="))
                       for tok in tokens if tok.startswith("theta=")]
-            gate_list.append(Gate(kind, qubits, thetas[-1] if thetas else None))
+            if len(thetas) > 1:
+                raise ValueError("more than one angle")
+            gate_list.append(Gate(kind, qubits, *thetas))
         except ValueError as exc:
             raise ValueError(f"bad circuit line {line!r}: {exc}") from None
     return GadgetCircuit(register, tuple(gate_list), label, tuple(blocks))

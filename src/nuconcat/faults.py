@@ -9,15 +9,16 @@ gates branch a passing X-component into the set {P * Z^S} over subsets S
 of the gate's qubits, a sound superset of the exact conjugation support.
 
 Locations are arrays built from one pattern table per gate arity.  The
-faults of a batch of groups are walked once (a Pauli frame after Gidney's
-Stim, arXiv:2103.02202): each row is one branch of one group, in
-word-major uint64 x/z planes of shape (words, rows).  Group g starts as
-the zero row g, which no gate changes, so its faults XOR into row g until
-it branches.  A Clifford gate updates the phase-free bits in place
-(``gates.conjugate_rows``); a diagonal gate expands the rows with X on its
-qubits over Z^S.
-A campaign walks every location as its own group; a pair confirmation
-and ``replay`` walk their faults as one group.
+faults of a batch of groups are walked once, layer by layer (a Pauli frame
+after Gidney's Stim, arXiv:2103.02202): each row is one branch of one
+group, in word-major uint64 x/z planes of shape (words, rows).  Group g
+starts as the zero row g, which no gate changes, so its faults XOR into
+row g until it branches.  A Clifford layer updates the phase-free bits in
+place (``gates.conjugate_rows``); a diagonal layer expands, gate by gate,
+the rows with X on the gate's qubits over Z^S.  A campaign walks every
+location as its own group, entering after its gate's layer, with which it
+commutes; a pair confirmation and ``replay`` walk their faults as one
+group, the layers cut where they enter.
 
 ``DecodeContext.decode`` decodes the same rows: per operand block and
 outer qubit, the inner syndrome and logical parities form a block word,
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -147,54 +149,58 @@ class _Frame:
             groups, fxz = groups[~branched], fxz[:, :, ~branched]
         self._xz[:, :, groups] ^= fxz
 
-    def clifford(self, g: gates.Gate) -> None:
-        gates.conjugate_rows(self.x, self.z, g)
+    def clifford(self, layer: Sequence[gates.Gate]) -> None:
+        gates.conjugate_rows(self.x, self.z, layer)
 
-    def diagonal(self, g: gates.Gate) -> None:
-        """Expand rows with X on the gate's qubits over Z^S."""
-        x, z, owner = self.x, self.z, self.owner
-        w, n_sub = len(x), 1 << len(g.qubits)
-        subsets = gates.pack((sum(1 << q for i, q in enumerate(g.qubits) if (s >> i) & 1)
-                              for s in range(n_sub)), w)
-        gmask = subsets[:, -1:]
-        hit = np.flatnonzero((x & gmask).any(axis=0))
-        if not len(hit):
-            return
-        self.deterministic[owner[hit]] = False
-        # Rows of one group that differ only in the gate's z bits expand alike:
-        # merge them by sorting (np.unique would import numpy.ma, ~0.7 MB).
-        keys = np.vstack([x[:, hit], z[:, hit] & ~gmask, owner[hit].astype(np.uint64)])
-        keys = keys[:, np.lexsort(keys)]
-        keys = keys[:, np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)])]
-        # A key merges at most n_sub rows, so its rows fill the hit slots.
-        end = self.rows + keys.shape[1] * n_sub - len(hit)
-        if end > len(self._owner):   # double the buffers
-            extra = max(end, 2 * len(self._owner)) - len(self._owner)
-            self._xz = np.pad(self._xz, ((0, 0), (0, 0), (0, extra)))
-            self._owner = np.pad(self._owner, (0, extra))
-        slots = np.concatenate([hit, np.arange(self.rows, end)])
-        self._xz[0][:, slots] = np.repeat(keys[:w], n_sub, axis=1)
-        self._xz[1][:, slots] = (keys[w:2 * w, :, None] | subsets[:, None, :]).reshape(w, -1)
-        self._owner[slots] = np.repeat(keys[2 * w].astype(np.intp), n_sub)
-        self.rows = end
-        if np.bincount(self.owner).max() > BRANCH_CAP:
-            raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
+    def diagonal(self, layer: Sequence[gates.Gate]) -> None:
+        """Expand rows with X on each gate's qubits over Z^S, gate by gate."""
+        for g in layer:
+            x, z, owner = self.x, self.z, self.owner
+            w, n_sub = len(x), 1 << len(g.qubits)
+            subsets = gates.pack((sum(1 << q for i, q in enumerate(g.qubits) if (s >> i) & 1)
+                                  for s in range(n_sub)), w)
+            gmask = subsets[:, -1:]
+            hit = np.flatnonzero((x & gmask).any(axis=0))
+            if not len(hit):
+                continue
+            self.deterministic[owner[hit]] = False
+            # Rows of one group that differ only in the gate's z bits expand alike:
+            # merge them by sorting (np.unique would import numpy.ma, ~0.7 MB).
+            keys = np.vstack([x[:, hit], z[:, hit] & ~gmask, owner[hit].astype(np.uint64)])
+            keys = keys[:, np.lexsort(keys)]
+            keys = keys[:, np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)])]
+            # A key merges at most n_sub rows, so its rows fill the hit slots.
+            end = self.rows + keys.shape[1] * n_sub - len(hit)
+            if end > len(self._owner):   # double the buffers
+                extra = max(end, 2 * len(self._owner)) - len(self._owner)
+                self._xz = np.pad(self._xz, ((0, 0), (0, 0), (0, extra)))
+                self._owner = np.pad(self._owner, (0, extra))
+            slots = np.concatenate([hit, np.arange(self.rows, end)])
+            self._xz[0][:, slots] = np.repeat(keys[:w], n_sub, axis=1)
+            self._xz[1][:, slots] = (keys[w:2 * w, :, None] | subsets[:, None, :]).reshape(w, -1)
+            self._owner[slots] = np.repeat(keys[2 * w].astype(np.intp), n_sub)
+            self.rows = end
+            if np.bincount(self.owner).max() > BRANCH_CAP:
+                raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
 
 
 def propagate(circuit: GadgetCircuit,
               faults: Locations | Iterable[tuple[int, int, int, int]]) -> _Frame:
     """Push faults ``(group, place, x, z)``, groups numbered from 0, or
     ``Locations`` (location i is group i) to the end of the gadget, the
-    faults of each group jointly, in one pass over the gates.
+    faults of each group jointly, in one pass over the gadget's layers.
 
     A fault at place p enters just after gate p (-1 = register input);
-    faults of one group at one place are multiplied.  Every place must lie
-    in [-1, len(gates)) and every fault on the register.  Returns the
-    frame: end rows ``x`` and ``z`` (word-major), the group of each row in
+    faults of one group at one place are multiplied.  ``Locations`` act
+    on their gate's own qubits, so they commute with the rest of its layer
+    and enter after the layer; other faults may act anywhere, so the layer
+    is cut after each of their places.  Every place must lie in [-1,
+    len(gates)) and every fault on the register.  Returns the frame:
+    end rows ``x`` and ``z`` (word-major), the group of each row in
     ``owner``, and per group whether propagation stayed ``deterministic``;
     ``BRANCH_CAP`` bounds each group's branches after each diagonal gate.
     """
-    n_gates = len(circuit.gates)
+    n_gates, cuts = len(circuit.gates), set()
     if isinstance(faults, Locations):
         groups, place, fxz = None, faults.place, faults.xz
     else:
@@ -208,20 +214,20 @@ def propagate(circuit: GadgetCircuit,
         place, groups = (np.array([k[c] for k in keys], np.intp) for c in (0, 1))
         n_words = (circuit.register_size + 63) // 64
         fxz = np.array([gates.pack((merged[k][c] for k in keys), n_words) for c in (0, 1)])
+        cuts = {p + 1 for p, _ in merged}
     if not len(place):
         raise ValueError("no fault to propagate")
     outside = (place < -1) | (place >= n_gates)
     if outside.any():
         raise ValueError(f"fault place {place[outside][0]} outside [-1, {n_gates})")
     frame = _Frame(fxz.shape[1], len(place) if groups is None else int(groups.max()) + 1)
-    bounds = np.searchsorted(place, np.arange(-1, n_gates + 1))
-    for p in range(int(place[0]), n_gates):
-        if p >= 0:
-            g = circuit.gates[p]
-            if not (g.is_clifford or g.is_diagonal):
-                raise ValueError(f"cannot propagate through {g.kind}")
-            (frame.clifford if g.is_clifford else frame.diagonal)(g)
-        lo, hi = bounds[p + 1], bounds[p + 2]
+    # windows [-1, 0), then the layers, cut as above; faults placed in a window enter after it
+    bounds = sorted({-1, *accumulate(map(len, circuit.layers), initial=0), *cuts})
+    entered = np.searchsorted(place, bounds)
+    for start, stop, lo, hi in zip(bounds, bounds[1:], entered, entered[1:]):
+        if lo:   # rows are still zero before the first fault
+            layer = circuit.gates[start:stop]
+            (frame.clifford if layer[0].is_clifford else frame.diagonal)(layer)
         if lo < hi:
             frame.inject(slice(lo, hi) if groups is None else groups[lo:hi], fxz[:, :, lo:hi])
     return frame
@@ -289,13 +295,6 @@ class DecodeContext:
         """Column k's term f_k of block words: the outer block word of their
         residual letter on the column's outer qubit; f_k(0) = 0."""
         return self.lifts[k][self.letters[k][block_words]]
-
-    def terms(self, data: np.ndarray) -> np.ndarray:
-        """Term of every column of rows of block words, (columns, rows)."""
-        out = np.empty((len(self.columns), len(data)), np.uint16)
-        for k in range(len(self.columns)):
-            out[k] = self.term(k, data[:, k])
-        return out
 
     def words(self, data: np.ndarray) -> np.ndarray:
         """Outer block word per operand and row of block words, (operands,
@@ -373,7 +372,7 @@ class PairScreen:
 
     def __init__(self, ctx: DecodeContext, data: np.ndarray):
         self.ctx, self.data = ctx, data
-        self.terms = ctx.terms(data)
+        self.terms = np.array([ctx.term(k, column) for k, column in enumerate(data.T)])
         n = len(ctx.columns) // ctx.n_operands
         self.words = np.bitwise_xor.reduce(self.terms.reshape(ctx.n_operands, n, -1), axis=1)
         self.nonzero = [np.flatnonzero(column) for column in data.T]

@@ -17,7 +17,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -180,6 +180,10 @@ def parse_index(token: str, source: str, line: str, expected: str) -> int:
 # the gate's 2k local bits and the sign flip of a Hermitian row, as in the
 # signed tableau of Aaronson and Gottesman (quant-ph/0406196).  Rows are
 # word-major: bit q of a row is bit q & 63 of word q >> 6 of its column.
+# A layer, gates of one kind on disjoint qubits, takes the rule at once, as
+# a moment of Stim's frame (arXiv:2103.02202): a local bit is a mask, moved
+# by one shift per distinct offset, and the sign flip is the parity of the
+# masked monomials of its algebraic normal form.
 
 _GENERATOR_IMAGES = {
     H: ("+Z", "+X"),
@@ -206,47 +210,79 @@ def unpack(words: np.ndarray) -> int:
     return int.from_bytes(words.astype("<u8").tobytes(), "little")
 
 
+def layers(gate_seq: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
+    """Maximal runs of consecutive gates of one kind on disjoint qubits."""
+    out: list[tuple[Gate, ...]] = []
+    for g in gate_seq:
+        if out and g.kind == out[-1][0].kind and used.isdisjoint(g.qubits):
+            out[-1] += (g,)
+        else:
+            out.append((g,))
+            used: set[int] = set()
+        used.update(g.qubits)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
-def _rule(kind: str) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], np.ndarray]:
-    """A Clifford kind on its local bits u (x of its k qubits, then z): the
-    GF(2) update as (bit j, the old bits whose XOR is added to it), and per
-    u whether the Hermitian Pauli of u changes sign."""
+def _rule(kind: str) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """A Clifford kind on its local bits u (x of its k qubits, then z): its
+    GF(2) update as (bit j, an old bit added to it), and the monomials of
+    the algebraic normal form of the sign flip of u's Hermitian Pauli."""
     k = ARITY[kind]
     images = [Pauli.from_string(text) for text in _GENERATOR_IMAGES[kind]]
-    signs = []
-    for u in range(1 << 2 * k):
-        image = Pauli(k, 0, 0, (u & u >> k).bit_count())   # i^(x.z) X^x Z^z, Hermitian
-        for i in range(2 * k):
-            if u >> i & 1:
-                image = image * images[i]
-        signs.append(image.display_phase_exp >> 1)
+    # per u, whether the image of its Hermitian Pauli i^(x.z) X^x Z^z is negated
+    signs = [reduce(Pauli.__mul__, (images[i] for i in range(2 * k) if u >> i & 1),
+                    Pauli(k, 0, 0, (u & u >> k).bit_count())).display_phase_exp >> 1
+             for u in range(1 << 2 * k)]
     flips = [1 << i ^ (im.x | im.z << k) for i, im in enumerate(images)]
-    return (tuple((j, sources) for j in range(2 * k)
-                  if (sources := tuple(i for i in range(2 * k) if flips[i] >> j & 1))),
-            np.array(signs, bool))
+    # monomial m's coefficient is the XOR of the signs of the u inside m
+    return (tuple((j, i) for j in range(2 * k) for i in range(2 * k) if flips[i] >> j & 1),
+            tuple(tuple(i for i in range(2 * k) if m >> i & 1) for m in range(1 << 2 * k)
+                  if sum(signs[u] for u in range(m + 1) if not u & ~m) & 1))
 
 
-def conjugate_rows(x: np.ndarray, z: np.ndarray, g: Gate, sign: np.ndarray | None = None) -> None:
+def _moved(plane: np.ndarray, mask: int, d: int) -> dict[int, np.ndarray]:
+    """The bits of ``mask`` of every row of a word-major plane moved from
+    qubit q to q + d, as {word: that word of every row} where they land."""
+    a, b = divmod(d, 64)
+    out: dict[int, np.ndarray] = {}
+    for w in range(len(plane)):
+        if m := mask >> 64 * w & (1 << 64) - 1:
+            part = plane[w] & np.uint64(m)
+            pieces = [(w + a + 1, part >> np.uint64(64 - b))] if b and m >> 64 - b else []
+            if m & (1 << 64 - b) - 1:
+                part <<= np.uint64(b)
+                pieces.append((w + a, part))
+            for t, piece in pieces:
+                out[t] = out[t] ^ piece if t in out else piece
+    return out
+
+
+def conjugate_rows(x: np.ndarray, z: np.ndarray, layer: Sequence[Gate],
+                   sign: np.ndarray | None = None) -> None:
     """Conjugate every row of word-major uint64 x and z planes, (words,
-    rows), by a Clifford gate, in place.  ``sign``, one bool per row (set
-    when the row is minus its Hermitian Pauli), flips with them if given."""
-    if not g.is_clifford:
-        raise UnsupportedGateError(f"{g.kind} is not Clifford; cannot conjugate exactly")
-    updates, flips = _rule(g.kind)
-    # (word of every row, bit) of the gate's x bits, then its z bits; the
-    # sign and every gain read the bits before the gate
-    bits = [(plane[q >> 6], q & 63) for plane in (x, z) for q in g.qubits]
-    if sign is not None:
-        sign ^= flips[sum((words >> b & 1) << i for i, (words, b) in enumerate(bits))]
-    gains = []
-    for j, sources in updates:
-        words, b = bits[j]
-        gain = 0
-        for src, sb in (bits[i] for i in sources):
-            gain = gain ^ (src >> (sb - b) if sb >= b else src << (b - sb))
-        gains.append((words, gain & (1 << b)))
-    for words, gain in gains:
-        words ^= gain
+    rows), by a layer of Clifford gates of one kind on disjoint qubits, in
+    place.  ``sign``, one bool per row (set when the row is minus its
+    Hermitian Pauli), flips with them if given."""
+    kind, planes = layer[0].kind, (x, z)
+    if kind not in CLIFFORD_KINDS:
+        raise UnsupportedGateError(f"{kind} is not Clifford; cannot conjugate exactly")
+    (moves, monomials), k = _rule(kind), ARITY[kind]
+    slots: dict[tuple[int, ...], list[int]] = {}   # offsets of a gate's qubits -> qubits per slot
+    for g in layer:
+        masks = slots.setdefault(tuple(q - g.qubits[0] for q in g.qubits), [0] * k)
+        masks[:] = [m | 1 << q for m, q in zip(masks, g.qubits)]
+    gains = []   # read before any row changes, as the sign is
+    for offsets, masks in slots.items():
+        for mono in monomials if sign is not None else ():
+            aligned = [_moved(planes[i // k], masks[i % k], -offsets[i % k]) for i in mono]
+            for w in set(aligned[0]).intersection(*aligned[1:]):
+                sign ^= np.bitwise_count(reduce(np.bitwise_and, (al[w] for al in aligned))) & 1 == 1
+        gains += [(j, w, piece) for j, i in moves for w, piece in
+                  _moved(planes[i // k], masks[i % k], offsets[j % k] - offsets[i % k]).items()]
+    for j, w, piece in gains:
+        plane = planes[j // k][w]
+        plane ^= piece
 
 
 def conjugate_through(paulis: Sequence[Pauli], gates) -> list[Pauli]:
@@ -261,10 +297,10 @@ def conjugate_through(paulis: Sequence[Pauli], gates) -> list[Pauli]:
     n_words = (n + 63) // 64
     x, z = pack((p.x for p in paulis), n_words), pack((p.z for p in paulis), n_words)
     sign = np.array([p.display_phase_exp >> 1 for p in paulis], bool)
-    for g in gates:
-        if not all(0 <= q < n for q in g.qubits):
-            raise UnsupportedGateError(f"gate {g} outside register of {n}")
-        conjugate_rows(x, z, g, sign)
+    if outside := [g for g in gates if not all(0 <= q < n for q in g.qubits)]:
+        raise UnsupportedGateError(f"gate {outside[0]} outside register of {n}")
+    for layer in layers(gates):
+        conjugate_rows(x, z, layer, sign)
     images = []
     for r, p in enumerate(paulis):
         image = Pauli.hermitian(n, unpack(x[:, r]), unpack(z[:, r]))

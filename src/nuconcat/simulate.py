@@ -117,9 +117,10 @@ def apply_circuit(idx: np.ndarray, amps: np.ndarray,
     len(idx), zero off ``idx`` (a dense batch passes the full range).
     Returns new arrays on the support reached.  X and CNOT move the indices
     whose controls are set (Y also multiplies in +-i), a diagonal gate
-    scales the columns where all its qubits are 1, and any other one-qubit
-    gate pairs the support with its flip on the qubit and mixes each pair,
-    a missing entry reading 0.  Every row must keep its norm."""
+    scales the columns where all its qubits are 1, and a layer of H, K or
+    K_DAG gates (``circuit.layers``) joins the support with its flips on
+    all the layer's qubits in one merge and mixes qubit by qubit, a missing
+    entry reading 0.  Every row must keep its norm."""
     n, idx = circuit.register_size, np.asarray(idx)
     if idx.ndim != 1 or idx.dtype.kind not in "iu" or not ((0 <= idx) & (idx < 1 << n)).all():
         raise VerificationError(f"indices must be a 1-D array of integers in [0, 2^{n})")
@@ -130,25 +131,30 @@ def apply_circuit(idx: np.ndarray, amps: np.ndarray,
                                 f"indices, not {amps.dtype} {amps.shape}")
     idx, amps = idx.astype(np.int64), amps.copy()
     norms = np.einsum("ij,ij->i", *[amps.view(float)] * 2)  # no BLAS call, so no thread pool
-    for g in circuit.gates:
-        *ctrl, q = g.qubits
-        bit, on = 1 << q, sum(1 << c for c in ctrl)
-        if g.is_permutation or g.kind == gates.Y:  # X, Y, or CNOT where its control is 1
-            if g.kind == gates.Y:  # Y|0> = i|1>, Y|1> = -i|0>
-                amps *= np.where(idx & bit, -1j, 1j)
-            idx = idx ^ bit * ((idx & on) == on)
-        elif g.is_diagonal:
-            amps[:, (idx & (on | bit)) == on | bit] *= np.exp(1j * np.pi * float(g.theta()))
-        elif not ctrl:
-            u = gates.gate_matrix(g)
-            pairs = _distinct(idx & ~bit)
-            halves = np.zeros((2, len(amps), len(pairs)), dtype=complex)
-            halves[(idx >> q) & 1, :, np.searchsorted(pairs, idx & ~bit)] = amps.T
-            lo, hi = halves
-            idx = np.concatenate([pairs, pairs | bit])
-            amps = np.hstack([u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi])
-        else:
-            raise VerificationError(f"no dense rule for {g.kind}")
+    for layer in circuit.layers:
+        if layer[0].is_permutation or layer[0].is_diagonal or layer[0].kind == gates.Y:
+            for g in layer:
+                *ctrl, q = g.qubits
+                bit, on = 1 << q, sum(1 << c for c in ctrl)
+                if g.is_diagonal:
+                    amps[:, (idx & (on | bit)) == on | bit] *= np.exp(1j * np.pi * float(g.theta()))
+                else:  # X, Y, or CNOT where its control is 1
+                    if g.kind == gates.Y:  # Y|0> = i|1>, Y|1> = -i|0>
+                        amps *= np.where(idx & bit, -1j, 1j)
+                    idx = idx ^ bit * ((idx & on) == on)
+        else:  # H, K or K_DAG: one merge with the flips on all the layer's qubits,
+            # bit i of a flip for qubit qs[i], then a mix per qubit
+            qs, u = [g.qubits[0] for g in layer], gates.gate_matrix(layer[0])
+            mask, flips = sum(1 << q for q in qs), np.arange(1 << len(layer))
+            base = _distinct(idx & ~mask)
+            mixed = np.zeros((len(flips), len(amps), len(base)), dtype=complex)
+            mixed[sum(((idx >> q) & 1) << i for i, q in enumerate(qs)), :,
+                  np.searchsorted(base, idx & ~mask)] = amps.T
+            for i in range(len(qs)):
+                lo, hi = mixed.reshape(-1, 2, mixed[0].size << i).transpose(1, 0, 2)
+                lo[...], hi[...] = u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi
+            idx = (sum(((flips >> i) & 1) << q for i, q in enumerate(qs))[:, None] | base).ravel()
+            amps = np.ascontiguousarray(mixed.transpose(1, 0, 2).reshape(len(amps), -1))
     if (abs(np.einsum("ij,ij->i", *[amps.view(float)] * 2) - norms) > NORM_TOL).any():
         raise VerificationError("statevector norm drifted")
     return idx, amps

@@ -435,6 +435,8 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
      "bad circuit line 'T 2 theta=pi/4': T carries no free angle"),
     ("circuit", CIRCUIT_TEXT.replace("T 2", "Z_THETA 2 theta=pi/0", 1),
      "bad circuit line 'Z_THETA 2 theta=pi/0': bad angle 'pi/0': zero denominator"),
+    ("circuit", CIRCUIT_TEXT.replace("T 2", "Z_THETA 2 theta=pi/4 theta=pi/2", 1),
+     "bad circuit line 'Z_THETA 2 theta=pi/4 theta=pi/2': more than one angle"),
     ("circuit", CIRCUIT_TEXT.replace("blocks 0:7", "blocks 3:7", 1),
      "blocks 3:7 do not tile the register of 7"),
     ("circuit", CIRCUIT_TEXT.replace("blocks 0:7", "blocks 0:7 0:7", 1),
@@ -449,7 +451,7 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
         "rep-rule-not-pauli", "bad-stabilizer-letter", "bad-logical-x-letter",
         "bad-logical-z-phase",
         "no-register", "register-not-integer", "qubit-not-integer", "unknown-gate-kind",
-        "too-few-qubits", "angle-on-named-kind", "bad-angle",
+        "too-few-qubits", "angle-on-named-kind", "bad-angle", "second-angle",
         "blocks-past-register", "blocks-overlap",
         "place-not-integer", "no-place", "bad-letter", "extra-field"])
 def test_malformed_catalog_lines_are_usage_errors(tmp_path, kind, text, named):

@@ -119,6 +119,91 @@ DENSE_ANGLES = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 
                 Fraction(7, 4), Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)]
 
 
+# both sides of the word boundaries of a 130-qubit register
+LAYER_SPOTS = (0, 1, 61, 62, 63, 64, 65, 66, 127, 128, 129)
+ONE_QUBIT_CLIFFORD = [k for k in ONE_QUBIT if k in gates.CLIFFORD_KINDS]
+
+
+@st.composite
+def layered_circuits_with_faults(draw):
+    """Runs of gates of one kind on disjoint qubits of a 130-qubit register,
+    on 4-7 active qubits that include both sides of the boundary at 64:
+    CNOT runs whose first two copies move bits by a positive and a negative
+    shift, one-qubit Clifford runs, and diagonal runs with dyadic and
+    denominator-3 angles.  Then 1-4 groups of one or two faults, each after
+    a gate drawn anywhere, so often mid-run, on that gate's qubits or, at
+    even odds, on any active qubit."""
+    rest = [q for q in LAYER_SPOTS if q not in (63, 64)]
+    active = [63, 64] + draw(st.lists(st.sampled_from(rest), min_size=2, max_size=5, unique=True))
+    gate_list = []
+    for _ in range(draw(st.integers(1, 5))):
+        spots = draw(st.permutations(active))
+        shape = draw(st.sampled_from(["cnot", "one-qubit", "diagonal"]))
+        if shape == "cnot":
+            pairs = [sorted(spots[:2]), sorted(spots[2:4], reverse=True), spots[4:6]]
+            gate_list += [gate(gates.CNOT, *p) for p in pairs if len(p) == 2]
+            continue
+        kind = draw(st.sampled_from(ONE_QUBIT_CLIFFORD if shape == "one-qubit" else
+                                    [gates.T, gates.Z_THETA, gates.CZ, gates.CCZ, gates.CKZ_THETA]))
+        while spots:
+            arity = draw(st.integers(2, 3)) if kind == gates.CKZ_THETA else gates.ARITY.get(kind, 1)
+            theta = draw(st.sampled_from(DENSE_ANGLES)) if kind in (gates.Z_THETA, gates.CKZ_THETA) else None
+            if len(spots) < arity or (gate_list and draw(st.integers(0, 3)) == 0):
+                break
+            gate_list.append(gates.Gate(kind, tuple(spots[:arity]), theta))
+            spots = spots[arity:]
+    circuit = GadgetCircuit(130, tuple(gate_list), "layered", ((0, 130),))
+    assume(circuit.gates)
+
+    def fault():
+        place = draw(st.integers(-1, len(gate_list) - 1))
+        qubits = active if place < 0 or draw(st.booleans()) else circuit.gates[place].qubits
+        x, z = (draw(st.integers(0, (1 << len(qubits)) - 1)) for _ in range(2))
+        return place, _deposit(x, qubits), _deposit(z, qubits)
+
+    return circuit, [[fault() for _ in range(draw(st.integers(1, 2)))]
+                     for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(layered_circuits_with_faults())
+def test_layered_walk_matches_reference(case):
+    """Walking layers ends every group as the gate-by-gate reference does,
+    and so does every location at the last group's places, walked as a
+    campaign, where each enters after its gate's layer."""
+    circuit, groups = case
+    frame = propagate(circuit, [(g, *f) for g, fault_list in enumerate(groups)
+                                for f in fault_list])
+    for g, fault_list in enumerate(groups):
+        assert branches(frame, g) == reference_propagate(circuit, fault_list)
+    locations = enumerate_locations(circuit)
+    frame = propagate(circuit, locations)
+    for i in np.flatnonzero(np.isin(locations.place, [f[0] for f in groups[-1]])):
+        loc = locations[i]
+        assert branches(frame, i) == reference_propagate(circuit, [(loc.place, loc.x, loc.z)])
+
+
+@pytest.mark.parametrize("cap", [8, 255, 256])
+def test_branch_cap_refusal_on_a_layered_diagonal_run(cap):
+    """X on all eight qubits of one layer of T gates across the word
+    boundary doubles the group at each gate, to 256 branches: the layered
+    walk refuses exactly when the gate-by-gate reference does."""
+    qubits = range(60, 68)
+    circuit = GadgetCircuit(130, tuple(gate(gates.T, q) for q in qubits), "t-layer", ((0, 130),))
+    assert len(circuit.layers) == 1
+    fault = (-1, sum(1 << q for q in qubits), 0)
+    with mock.patch.object(faults, "BRANCH_CAP", cap):
+        if cap < 256:
+            for walk in (lambda: propagate(circuit, [(0, *fault)]),
+                         lambda: reference_propagate(circuit, [fault])):
+                with pytest.raises(faults.BudgetError):
+                    walk()
+        else:
+            rows, deterministic = branches(propagate(circuit, [(0, *fault)]))
+            assert len(rows) == 256
+            assert (rows, deterministic) == reference_propagate(circuit, [fault])
+
+
 @st.composite
 def dense_circuits_with_faults(draw):
     """A random Clifford+diagonal circuit on 1-8 qubits and one fault

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuconcat import gates
+from nuconcat.circuits import GadgetCircuit
 from nuconcat.gates import Gate, UnsupportedGateError, gate
 from nuconcat.pauli import DimensionError, Pauli
-from reference import _deposit, pauli_matrix, reference_conjugate
+from reference import _deposit, pauli_matrix, reference_apply_circuit, reference_conjugate
 
 
 def test_y_equals_i_x_z():
@@ -31,18 +32,27 @@ def test_k_equals_s_times_h():
     assert np.allclose(gates._M1[gates.H], gates._M1[gates.S_DAG] @ gates._M1[gates.K])
 
 
+# disjoint copies of a gate; two-qubit copies move a bit by +1, -1 and +1
+COPY_QUBITS = {1: [(0,), (2,), (1,)], 2: [(0, 1), (3, 2), (4, 5)]}
+
+
 @pytest.mark.parametrize("kind", sorted(gates.CLIFFORD_KINDS))
 def test_conjugation_matches_dense(kind):
-    arity = gates.ARITY[kind]
-    g = Gate(kind, tuple(range(arity)))
-    u = gates.gate_matrix(g)
-    for x in range(1 << arity):
-        for z in range(1 << arity):
-            p = Pauli(arity, x, z, 0)
-            (image,) = gates.conjugate_through([p], [g])
-            got = pauli_matrix(image)
-            ref = u @ pauli_matrix(p) @ u.conj().T
-            assert np.allclose(got, ref), (kind, str(p))
+    """A gate, and layers of two and three disjoint copies of it, map each
+    Pauli on their qubits, sign included, as their dense matrices do: every
+    Pauli on up to four qubits, and 300 random ones on six."""
+    for copies in (1, 2, 3):
+        layer = [Gate(kind, qs) for qs in COPY_QUBITS[gates.ARITY[kind]][:copies]]
+        assert len(gates.layers(layer)) == 1
+        n = 1 + max(q for g in layer for q in g.qubits)
+        u = reference_apply_circuit(np.eye(1 << n, dtype=complex),
+                                    GadgetCircuit(n, tuple(layer), "layer", ((0, n),))).T
+        everything = range(1 << 2 * n)
+        picks = everything if n <= 4 else np.random.default_rng(7).choice(everything, 300, False)
+        paulis = [Pauli(n, int(xz) & (1 << n) - 1, int(xz) >> n, 0) for xz in picks]
+        for p, image in zip(paulis, gates.conjugate_through(paulis, layer)):
+            want = u @ pauli_matrix(p) @ u.conj().T
+            assert np.allclose(pauli_matrix(image), want), (kind, copies, str(p))
 
 
 def test_k_conjugation_cycle():
@@ -81,16 +91,19 @@ WORD_EDGES = (0, 1, 62, 63, 64, 65, 127, 128, 199)
 @given(rows=st.lists(st.tuples(st.integers(0, 2**200 - 1), st.integers(0, 2**200 - 1),
                                st.tuples(st.integers(0, 511), st.integers(0, 511)),
                                st.integers(0, 3)), min_size=1, max_size=4),
-       gate_list=st.lists(st.tuples(st.sampled_from(sorted(gates.CLIFFORD_KINDS)),
-                                    st.permutations(WORD_EDGES)), max_size=12))
-def test_conjugate_through_matches_dense_reference_across_words(rows, gate_list):
+       runs=st.lists(st.tuples(st.sampled_from(sorted(gates.CLIFFORD_KINDS)),
+                               st.permutations(WORD_EDGES), st.integers(1, 4)), max_size=8))
+def test_conjugate_through_matches_dense_reference_across_words(rows, runs):
     """The packed walk of a batch of 1-4 Paulis on one register equals,
     row by row and sign included, gate-by-gate conjugation by images read
-    off dense matrices, with gates on both sides of each word boundary;
-    ``edges`` draws the letters there apart from the rest."""
+    off dense matrices.  Each run is 1-4 gates of one kind on disjoint
+    qubits, one layer, on both sides of each word boundary, so two-qubit
+    copies move bits by mixed shifts across words; ``edges`` draws the
+    letters there apart from the rest."""
     batch = [Pauli(200, x ^ _deposit(edges[0], WORD_EDGES), z ^ _deposit(edges[1], WORD_EDGES),
                    phase) for x, z, edges, phase in rows]
-    circuit = [Gate(kind, qs[:gates.ARITY[kind]]) for kind, qs in gate_list]
+    circuit = [Gate(kind, qs[a * c:a * c + a]) for kind, qs, copies in runs
+               for a in [gates.ARITY[kind]] for c in range(min(copies, len(qs) // a))]
     want = list(batch)
     for g in circuit:
         want = [reference_conjugate(p, g) for p in want]
