@@ -20,13 +20,13 @@ location as its own group, entering after its gate's layer, with which it
 commutes; a pair confirmation and ``replay`` walk their faults as one
 group, the layers cut where they enter.
 
-``DecodeContext.decode`` decodes the same rows: per operand block and
-outer qubit, the inner syndrome and logical parities form a block word,
-linear in the error, so it is the XOR of one entry of the lookup decoder's
-word tables per byte of the error.  The decoder's class array turns block
-words into outer letters; outer block words are linear too, so a column's
-term is the outer word of its letter, and an operand's outer word is the
-XOR of its columns' terms, which the outer class array decodes.
+``DecodeContext.decode`` decodes the same rows.  Per operand block and
+outer qubit (a column), the inner syndrome and logical parities form a
+block word, linear in the error: one word-table entry per byte of it.  A
+column keeps only its rows with a non-zero word (about 4 of 21 columns on
+a CCZ end row).  Block words give inner letters; outer block words are
+linear too, so a column's term is the outer word of its letter, and the
+XOR of an operand's terms is its outer word, which the outer decoder reads.
 
 Pair search screens a block of first locations against every later one
 at once (a sound envelope).  The outer word of a product splits as
@@ -37,7 +37,7 @@ confirmed by walking both faults as one group.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -154,12 +154,17 @@ class _Frame:
 
     def diagonal(self, layer: Sequence[gates.Gate]) -> None:
         """Expand rows with X on each gate's qubits over Z^S, gate by gate."""
-        for g in layer:
-            x, z, owner = self.x, self.z, self.owner
-            w, n_sub = len(x), 1 << len(g.qubits)
-            subsets = gates.pack((sum(1 << q for i, q in enumerate(g.qubits) if (s >> i) & 1)
-                                  for s in range(n_sub)), w)
-            gmask = subsets[:, -1:]
+        w, k = len(self._xz[0]), max(len(g.qubits) for g in layer)
+        # Z^S masks, (gates, words, 2^k): bit i of s puts qubit i in S.  Padding
+        # a gate of arity j is inert: it reads the first 2^j, whose bit j is 0.
+        qubits = np.array([g.qubits + g.qubits[:1] * (k - len(g.qubits)) for g in layer])
+        masks = np.zeros((len(layer), w, 1 << k), np.uint64)
+        s, gis = np.arange(1 << k, dtype=np.uint64), np.arange(len(layer))
+        for i, q in enumerate(qubits.T):
+            masks[gis, q >> 6] |= (s >> i & 1) << (q[:, None] & 63).astype(np.uint64)
+        for g, subsets in zip(layer, masks):
+            x, z, owner, n_sub = self.x, self.z, self.owner, 1 << len(g.qubits)
+            subsets, gmask = subsets[:, :n_sub], subsets[:, n_sub - 1:n_sub]
             hit = np.flatnonzero((x & gmask).any(axis=0))
             if not len(hit):
                 continue
@@ -254,13 +259,13 @@ def _field(plane: np.ndarray, start: int, width: int) -> np.ndarray:
 
 class DecodeContext:
     """Inner-then-outer lookup decoding of every operand block, (offset,
-    length) in ``blocks``, of word-major x/z planes.  ``data`` gives one
-    block word per (operand, outer qubit) column, linear in (x, z).  Column
+    length) in ``blocks``, of word-major x/z planes.  Each (operand, outer
+    qubit) column has a block word per row, linear in (x, z), that ``data``
+    keeps sparse: the rows where it is non-zero, and those words.  Column
     k's term f_k(d) is the outer block word of its inner residual letter on
-    its outer qubit, so an operand's outer word is the XOR of its columns'
-    terms; ``residuals`` maps the outer words to the residual class: I only
-    when every operand decodes to I, else the class of the first that does
-    not."""
+    its outer qubit; an operand's outer word is the XOR of its columns'
+    terms on their rows.  ``classes`` gives I when every operand decodes to
+    I, else the class of the first operand that does not."""
 
     def __init__(self, layout: Layout, blocks: Sequence[tuple[int, int]]):
         n = layout.outer.n
@@ -280,29 +285,31 @@ class DecodeContext:
                 self.columns.append((off + start, code.n, decoder.word_tables))
                 self.letters.append(decoder.residual_classes)
                 self.lifts.append(lifts[q])
-        self.n_operands = len(blocks)
+        self.n_operands, self.n_outer = len(blocks), n
         self.outer_letters = outer.residual_classes
 
-    def data(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Block words of word-major x and z planes, (rows, columns)."""
-        out = np.empty((x.shape[1], len(self.columns)), np.uint16)
-        for k, (start, width, words) in enumerate(self.columns):
+    def data(self, x: np.ndarray, z: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Sparse block words of word-major x and z planes, yielded a column
+        at a time: the ascending int32 rows whose word is non-zero, and those
+        words.  Only the rows with an error in the block are looked up."""
+        for start, width, tables in self.columns:
             errors = _field(x, start, width) | _field(z, start, width) << width
-            out[:, k] = _block_words(errors, words)
-        return out
+            rows = np.flatnonzero(errors).astype(np.int32)   # half the bytes of intp
+            words = _block_words(errors[rows], tables)
+            kept = words != 0
+            yield rows[kept], words[kept]
 
     def term(self, k: int, block_words: np.ndarray) -> np.ndarray:
         """Column k's term f_k of block words: the outer block word of their
         residual letter on the column's outer qubit; f_k(0) = 0."""
         return self.lifts[k][self.letters[k][block_words]]
 
-    def words(self, data: np.ndarray) -> np.ndarray:
-        """Outer block word per operand and row of block words, (operands,
-        rows): the XOR of the operand's column terms."""
-        out = np.zeros((self.n_operands, len(data)), np.uint16)
-        n = len(self.columns) // self.n_operands
-        for k in range(len(self.columns)):
-            out[k // n] ^= self.term(k, data[:, k])
+    def words(self, data: Iterable[tuple[np.ndarray, np.ndarray]], size: int) -> np.ndarray:
+        """Outer block word per operand and row of ``size`` rows of sparse
+        block words, (operands, size): the XOR of the operand's column terms."""
+        out = np.zeros((self.n_operands, size), np.uint16)
+        for k, (rows, block_words) in enumerate(data):
+            out[k // self.n_outer, rows] ^= self.term(k, block_words)
         return out
 
     def classes(self, words: np.ndarray) -> np.ndarray:
@@ -311,13 +318,9 @@ class DecodeContext:
         letters = self.outer_letters[words]
         return np.take_along_axis(letters, (letters != 0).argmax(axis=0)[None], 0)[0]
 
-    def residuals(self, data: np.ndarray) -> np.ndarray:
-        """Residual class per row of block words; 0 = I."""
-        return self.classes(self.words(data))
-
     def decode(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Residual class per row of word-major x and z planes; 0 = I."""
-        return self.residuals(self.data(x, z))
+        return self.classes(self.words(self.data(x, z), x.shape[1]))
 
 
 # -- reports --------------------------------------------------------------------
@@ -364,33 +367,30 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport
 
 
 class PairScreen:
-    """Rows of block words with what the split screen needs: each row's
-    column terms and operand words, and each column's non-zero rows.  The
-    outer word of a product is W(a ^ b) = W(a) ^ W(b) ^ P, where P is the
-    XOR over the columns where both rows are non-zero of
-    f_k(a ^ b) ^ f_k(a) ^ f_k(b)."""
+    """Sparse block words of ``size`` rows (``DecodeContext.data``) with
+    what the split screen needs: each column's terms beside its words, and
+    each row's operand words.  The outer word of a product is W(a ^ b) =
+    W(a) ^ W(b) ^ P, where P is the XOR over the columns that hold both
+    rows of f_k(a ^ b) ^ f_k(a) ^ f_k(b)."""
 
-    def __init__(self, ctx: DecodeContext, data: np.ndarray):
-        self.ctx, self.data = ctx, data
-        self.terms = np.array([ctx.term(k, column) for k, column in enumerate(data.T)])
-        n = len(ctx.columns) // ctx.n_operands
-        self.words = np.bitwise_xor.reduce(self.terms.reshape(ctx.n_operands, n, -1), axis=1)
-        self.nonzero = [np.flatnonzero(column) for column in data.T]
+    def __init__(self, ctx: DecodeContext, data: Iterable[tuple[np.ndarray, np.ndarray]],
+                 size: int):
+        # intp rows: the screen indexes with them at every step, int32 ones are cast each time
+        self.ctx, self.data = ctx, [(rows.astype(np.intp), words) for rows, words in data]
+        self.terms = [ctx.term(k, block_words) for k, (_, block_words) in enumerate(self.data)]
+        self.words = ctx.words(self.data, size)
 
     def pair_words(self, a: slice, b: slice) -> np.ndarray:
         """Outer words, (operands, len(a), len(b)), of the product of every
         row in ``a`` with every row in ``b`` (slices with start and stop)."""
         ctx = self.ctx
         out = self.words[:, a, None] ^ self.words[:, None, b]
-        n = len(ctx.columns) // ctx.n_operands
-        for k, rows in enumerate(self.nonzero):
+        for k, ((rows, d), t) in enumerate(zip(self.data, self.terms)):
             a0, a1, b0, b1 = np.searchsorted(rows, (a.start, a.stop, b.start, b.stop))
             if a0 == a1 or b0 == b1:
                 continue
-            ra, rb = rows[a0:a1], rows[b0:b1]
-            d, t = self.data[:, k], self.terms[k]
-            patch = ctx.term(k, d[ra, None] ^ d[rb]) ^ t[ra, None] ^ t[rb]
-            out[k // n, (ra - a.start)[:, None], rb - b.start] ^= patch
+            patch = ctx.term(k, d[a0:a1, None] ^ d[b0:b1]) ^ t[a0:a1, None] ^ t[b0:b1]
+            out[k // ctx.n_outer, (rows[a0:a1] - a.start)[:, None], rows[b0:b1] - b.start] ^= patch
         return out
 
 
@@ -417,7 +417,7 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
     frame = propagate(circuit, locations)
     order = np.argsort(frame.owner, kind="stable")
     owner = frame.owner[order]
-    screen = PairScreen(ctx, ctx.data(frame.x[:, order], frame.z[:, order]))
+    screen = PairScreen(ctx, ctx.data(frame.x[:, order], frame.z[:, order]), len(owner))
     bounds = np.searchsorted(owner, np.arange(len(locations) + 1))
 
     report = FaultReport(layout.descriptor, circuit.label, len(locations), len(owner))

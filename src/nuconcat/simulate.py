@@ -31,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,10 +92,11 @@ def apply_pauli(p: Pauli, idx: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray
     return idx ^ p.x, (1j ** p.phase_exp) * signs * amps
 
 
+@lru_cache(maxsize=None)
 def codewords(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
-    """The pair |0-bar>, |1-bar>, exact, as (indices, amplitudes): their
-    sorted joint support and a (2, len) array.  |0-bar> is the sum that
-    :func:`~nuconcat.codes.code_space` describes, one support word per
+    """The pair |0-bar>, |1-bar>, exact, as read-only (indices, amplitudes):
+    their sorted joint support and a (2, len) array.  |0-bar> is the sum
+    that :func:`~nuconcat.codes.code_space` describes, one support word per
     product of moves, normalised; |1-bar> is logical X times it."""
     seed, moves = code_space(code)
     x = z = e = np.zeros(1, np.int64)
@@ -107,6 +109,7 @@ def codewords(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     idx = _distinct(np.concatenate([seed ^ x, one]))
     pair = np.zeros((2, len(idx)), dtype=complex)
     pair[[[0], [1]], np.searchsorted(idx, [seed ^ x, one])] = amps, image
+    idx.flags.writeable = pair.flags.writeable = False
     return idx, pair
 
 

@@ -347,16 +347,48 @@ def reference_propagate(circuit: GadgetCircuit, fault_list):
     return branches, deterministic
 
 
+def reference_block_words(ctx: faults.DecodeContext, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Dense block words of word-major x and z planes, (rows, columns):
+    every column's word looked up on every row."""
+    out = np.empty((x.shape[1], len(ctx.columns)), np.uint16)
+    for k, (start, width, tables) in enumerate(ctx.columns):
+        errors = faults._field(x, start, width) | faults._field(z, start, width) << width
+        out[:, k] = faults._block_words(errors, tables)
+    return out
+
+
+def reference_residuals(ctx: faults.DecodeContext, data: np.ndarray) -> np.ndarray:
+    """Residual class per row of dense block words, (rows, columns); 0 = I:
+    each operand's outer word XORs the terms of all its columns."""
+    words = np.zeros((ctx.n_operands, len(data)), np.uint16)
+    for k in range(len(ctx.columns)):
+        words[k // ctx.n_outer] ^= ctx.term(k, data[:, k])
+    return ctx.classes(words)
+
+
+def densify_block_words(data, size: int) -> np.ndarray:
+    """Sparse block words (``DecodeContext.data``) of ``size`` rows as the
+    dense (rows, columns) array, after checking that every column's rows
+    ascend and hold non-zero words."""
+    data = list(data)
+    out = np.zeros((size, len(data)), np.uint16)
+    for k, (rows, words) in enumerate(data):
+        assert (np.diff(rows) > 0).all() and words.all()
+        out[rows, k] = words
+    return out
+
+
 def reference_pair_candidates(layout: Layout, circuit: GadgetCircuit) -> list[tuple[int, int]]:
     """The pair screen one first location at a time: for each end row of
     location i, decode its product with every end row of every later
-    location; the (i, j) candidates in order of i, then j."""
+    location, on dense block words; the (i, j) candidates in order of i,
+    then j."""
     locations = faults.enumerate_locations(circuit)
     ctx = faults.DecodeContext(layout, circuit.blocks)
     frame = faults.propagate(circuit, locations)
     order = np.argsort(frame.owner, kind="stable")
     owner = frame.owner[order]
-    data = ctx.data(frame.x[:, order], frame.z[:, order])
+    data = reference_block_words(ctx, frame.x[:, order], frame.z[:, order])
     bounds = np.searchsorted(owner, np.arange(len(locations) + 1))
     out = []
     for i in range(len(locations)):
@@ -364,6 +396,6 @@ def reference_pair_candidates(layout: Layout, circuit: GadgetCircuit) -> list[tu
         later = data[hi:]
         hit = np.zeros(len(later), bool)
         for row in data[lo:hi]:
-            hit |= ctx.residuals(later ^ row) != 0
+            hit |= reference_residuals(ctx, later ^ row) != 0
         out.extend((i, int(j)) for j in np.flatnonzero(np.bincount(owner[hi:][hit])))
     return out

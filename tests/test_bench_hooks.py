@@ -1,11 +1,15 @@
 """The benchmark's ``--trace 1`` wraps package functions by name: installing
-its instrumentation must find every one of them, so a rename fails here
-rather than only in a traced benchmark run."""
+its instrumentation must find every one of them, and every case of the
+measured workloads must hold its expected values through the runner's own
+set-up and check, so a rename, a changed signature or a changed value fails
+here rather than only in a benchmark run."""
 
 import importlib.util
 import os
 import sys
 from pathlib import Path
+
+import pytest
 
 from nuconcat import faults
 
@@ -39,3 +43,13 @@ def test_trace_instrumentation_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert (faults.propagate, faults._confirm_pair, faults.DecodeContext.decode) == original
+
+
+@pytest.mark.parametrize("workload", ["table-row", "single-fault", "pair-scan"])
+def test_benchmark_cases_hold_their_expected_values(monkeypatch, workload):
+    """Each case once, untraced, as a ``--trace 0`` round runs it."""
+    runner = load_runner(monkeypatch)
+    spec = runner.WORKLOADS[workload]
+    mods = runner.import_package()
+    cat, prepared = runner.build(mods, spec)
+    assert all([runner.check_case(mods, cat, item, spec.kind) for item in prepared])

@@ -15,8 +15,9 @@ from nuconcat.faults import (DecodeContext, check_single_fault_ft,
                              propagate)
 from nuconcat.gates import gate
 from nuconcat.pauli import LETTERS, Pauli
-from reference import (_deposit, hierarchical_decode, pauli_matrix, reference_apply_circuit,
-                       reference_locations, reference_pair_candidates, reference_propagate,
+from reference import (_deposit, densify_block_words, hierarchical_decode, pauli_matrix,
+                       reference_apply_circuit, reference_block_words, reference_locations,
+                       reference_pair_candidates, reference_propagate, reference_residuals,
                        staircase_gadget)
 
 
@@ -410,15 +411,68 @@ def test_decoder_data_is_linear(cat, name):
     first = random_errors(rng, 2 * n, 100)
     second = random_errors(rng, 2 * n, 100)
     product = [(x1 ^ x2, z1 ^ z2) for (x1, z1), (x2, z2) in zip(first, second)]
-    xored = ctx.data(*rows(first, 2 * n)) ^ ctx.data(*rows(second, 2 * n))
-    assert np.array_equal(xored, ctx.data(*rows(product, 2 * n)))
+    first_data, second_data, product_data = (
+        densify_block_words(ctx.data(*rows(errors, 2 * n)), len(errors))
+        for errors in (first, second, product))
+    xored = first_data ^ second_data
+    assert np.array_equal(xored, product_data)
     decoded = ctx.decode(*rows(product, 2 * n))
-    assert np.array_equal(ctx.residuals(xored), decoded)
+    assert np.array_equal(reference_residuals(ctx, xored), decoded)
     for (x, z), r in zip(product, decoded):
         per_operand = [hierarchical_decode(lay, Pauli(n, (x >> off) & ((1 << n) - 1),
                                                       (z >> off) & ((1 << n) - 1), 0))
                        for off in (0, n)]
         assert LETTERS[r] == next((res for res in per_operand if res != "I"), "I")
+
+
+@st.composite
+def stabilizer_laden_errors(draw, lay, operands):
+    """An error on ``operands`` copies of a layout's register: the product
+    of 0-3 factors, each an inner block's stabilizer (a random product of
+    its generators, so often a non-zero error with block word 0) or a
+    single-qubit Pauli inside a block."""
+    x = z = 0
+    for _ in range(draw(st.integers(0, 3))):
+        start, code = lay.block(draw(st.integers(0, lay.outer.n - 1)))
+        off = start + lay.total_n * draw(st.integers(0, operands - 1))
+        if draw(st.booleans()):
+            for g in code.generators:
+                if draw(st.booleans()):
+                    x, z = x ^ g.x << off, z ^ g.z << off
+        else:
+            q, letter = off + draw(st.integers(0, code.n - 1)), draw(st.integers(1, 3))
+            x, z = x ^ (letter & 1) << q, z ^ (letter >> 1) << q
+    return x, z
+
+
+@pytest.mark.parametrize("name", ["code49", "code75", "bare:steane"])
+@pytest.mark.parametrize("operands", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sparse_block_words_match_the_dense_reference(cat, name, operands, data):
+    """The sparse block words densify to the dense reference array, with
+    no entry on an all-zero row or on an inner stabilizer, and ``decode``
+    agrees with the Pauli-level decoder on every operand."""
+    lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
+    n = lay.total_n
+    ctx = DecodeContext(lay, tuple((off, n) for off in range(0, operands * n, n)))
+    drawn = data.draw(st.lists(stabilizer_laden_errors(lay, operands), max_size=8))
+    # rows without an entry: all-zero, and one inner generator on each block that has one
+    errors = drawn + [(0, 0)] + [(g.x << start, g.z << start) for start, code in
+                                 map(lay.block, range(lay.outer.n)) for g in code.generators[:1]]
+    planes = rows(errors, operands * n)
+    sparse = list(ctx.data(*planes))
+    assert np.array_equal(densify_block_words(sparse, len(errors)),
+                          reference_block_words(ctx, *planes))
+    assert all((kept < len(drawn)).all() for kept, _ in sparse)
+    mask = (1 << n) - 1
+
+    def expected(x, z):
+        per_operand = (hierarchical_decode(lay, Pauli(n, x >> off & mask, z >> off & mask, 0))
+                       for off in range(0, operands * n, n))
+        return next((res for res in per_operand if res != "I"), "I")
+
+    assert [LETTERS[r] for r in ctx.decode(*planes)] == [expected(x, z) for x, z in errors]
 
 
 @st.composite
@@ -453,7 +507,7 @@ def test_split_outer_words_decode_like_the_product(cat, name, data):
     blocks = [(off + start, code.n) for off in (0, n)
               for start, code in map(lay.block, range(lay.outer.n))]
     first, second = data.draw(block_error_lists(blocks))
-    screen = faults.PairScreen(ctx, ctx.data(*rows(first + second, 2 * n)))
+    screen = faults.PairScreen(ctx, ctx.data(*rows(first + second, 2 * n)), len(first + second))
     words = screen.pair_words(slice(0, len(first)), slice(len(first), len(first) + len(second)))
     product = [(x1 ^ x2, z1 ^ z2) for x1, z1 in first for x2, z2 in second]
     assert np.array_equal(ctx.classes(words).ravel(), ctx.decode(*rows(product, 2 * n)))
