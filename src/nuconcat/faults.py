@@ -8,37 +8,20 @@ so results read "under the gate-fault model".  Non-Clifford diagonal
 gates branch a passing X-component into the set {P * Z^S} over subsets S
 of the gate's qubits, a sound superset of the exact conjugation support.
 
-Locations are arrays built from one pattern table per gate arity.  The
-faults of a batch of groups are walked once, layer by layer (a Pauli frame
-after Gidney's Stim, arXiv:2103.02202): each row is one branch of one
-group, in word-major uint64 x/z planes of shape (words, rows).  Group g
-starts as the zero row g, which no gate changes, so its faults XOR into
-row g until it branches.  A Clifford layer updates the phase-free bits in
-place (``gates.conjugate_rows``); a diagonal layer expands, gate by gate,
-the rows with X on the gate's qubits over Z^S.  A campaign walks every
-location as its own group, entering after its gate's layer, with which it
-commutes; a pair confirmation and ``replay`` walk their faults as one
-group, the layers cut where they enter.
-
-``DecodeContext.decode`` decodes the same rows.  Per operand block and
-outer qubit (a column), the inner syndrome and logical parities form a
-block word, linear in the error: one word-table entry per byte of it.  A
-column keeps only its rows with a non-zero word (about 4 of 21 columns on
-a CCZ end row).  Block words give inner letters; outer block words are
-linear too, so a column's term is the outer word of its letter, and the
-XOR of an operand's terms is its outer word, which the outer decoder reads.
-
-Pair search screens a block of first locations against every later one
-at once (a sound envelope).  The outer word of a product splits as
-W(a ^ b) = W(a) ^ W(b) ^ P: one 2-D XOR of per-row words, patched by P
-only on the row pairs that share a non-zero column.  Candidates are
-confirmed by walking both faults as one group.
+One ``Campaign`` per gadget walks every location as its own group
+(``_Frame``) and decodes its end rows (``DecodeContext``) for both suites.
+A diagonal gate is hit by a group when one of its rows has X on the
+gate's qubits as it passes.  Unless a gate is hit by both a and b, their
+joint walk's rows are exactly the products of their end rows, as sets (a
+gate only a hits expands r_a * r_b as it expands r_a), so pair verdicts
+are exact by product; only pairs that share a hit gate are walked.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -119,13 +102,14 @@ def enumerate_locations(circuit: GadgetCircuit) -> Locations:
 # -- propagation -----------------------------------------------------------------
 
 class _Frame:
-    """Row r is the Pauli (x[:, r], z[:, r]) of group owner[r].  Group g is
-    the one row g while ``deterministic[g]``; the buffers hold spare rows."""
+    """A Pauli frame after Stim (arXiv:2103.02202).  Row r is the Pauli
+    (x[:, r], z[:, r]) of group owner[r]; group g is the one row g while
+    ``deterministic[g]``.  ``hits``: per gate that hit rows, their owners."""
 
     def __init__(self, n_words: int, n_groups: int):
         self._xz = np.zeros((2, n_words, n_groups), np.uint64)
         self._owner = np.arange(n_groups)
-        self.rows = n_groups
+        self.rows, self.hits = n_groups, []
         self.deterministic = np.ones(n_groups, bool)
 
     x = property(lambda self: self._xz[0, :, :self.rows])
@@ -153,7 +137,8 @@ class _Frame:
         gates.conjugate_rows(self.x, self.z, layer)
 
     def diagonal(self, layer: Sequence[gates.Gate]) -> None:
-        """Expand rows with X on each gate's qubits over Z^S, gate by gate."""
+        """Expand rows with X on each gate's qubits over Z^S, gate by gate,
+        merging a group's rows that differ only in the gate's z bits."""
         w, k = len(self._xz[0]), max(len(g.qubits) for g in layer)
         # Z^S masks, (gates, words, 2^k): bit i of s puts qubit i in S.  Padding
         # a gate of arity j is inert: it reads the first 2^j, whose bit j is 0.
@@ -168,18 +153,18 @@ class _Frame:
             hit = np.flatnonzero((x & gmask).any(axis=0))
             if not len(hit):
                 continue
-            self.deterministic[owner[hit]] = False
-            # Rows of one group that differ only in the gate's z bits expand alike:
-            # merge them by sorting (np.unique would import numpy.ma, ~0.7 MB).
-            keys = np.vstack([x[:, hit], z[:, hit] & ~gmask, owner[hit].astype(np.uint64)])
-            keys = keys[:, np.lexsort(keys)]
+            self.hits.append(owners := owner[hit])
+            self.deterministic[owners] = False
+            keys = np.vstack([x[:, hit], z[:, hit] & ~gmask, owners.astype(np.uint64)])
+            keys = keys[:, np.lexsort(keys)]   # not np.unique: it imports numpy.ma (~0.7 MB)
             keys = keys[:, np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)])]
             # A key merges at most n_sub rows, so its rows fill the hit slots.
             end = self.rows + keys.shape[1] * n_sub - len(hit)
-            if end > len(self._owner):   # double the buffers
-                extra = max(end, 2 * len(self._owner)) - len(self._owner)
-                self._xz = np.pad(self._xz, ((0, 0), (0, 0), (0, extra)))
-                self._owner = np.pad(self._owner, (0, extra))
+            if end > len(self._owner):   # double the buffers; spare rows are written before use
+                cap = max(end, 2 * len(self._owner))
+                xz, own = np.empty((2, w, cap), np.uint64), np.empty(cap, np.intp)
+                xz[:, :, :self.rows], own[:self.rows] = self._xz[:, :, :self.rows], self.owner
+                self._xz, self._owner = xz, own
             slots = np.concatenate([hit, np.arange(self.rows, end)])
             self._xz[0][:, slots] = np.repeat(keys[:w], n_sub, axis=1)
             self._xz[1][:, slots] = (keys[w:2 * w, :, None] | subsets[:, None, :]).reshape(w, -1)
@@ -192,19 +177,11 @@ class _Frame:
 def propagate(circuit: GadgetCircuit,
               faults: Locations | Iterable[tuple[int, int, int, int]]) -> _Frame:
     """Push faults ``(group, place, x, z)``, groups numbered from 0, or
-    ``Locations`` (location i is group i) to the end of the gadget, the
-    faults of each group jointly, in one pass over the gadget's layers.
-
-    A fault at place p enters just after gate p (-1 = register input);
-    faults of one group at one place are multiplied.  ``Locations`` act
-    on their gate's own qubits, so they commute with the rest of its layer
-    and enter after the layer; other faults may act anywhere, so the layer
-    is cut after each of their places.  Every place must lie in [-1,
-    len(gates)) and every fault on the register.  Returns the frame:
-    end rows ``x`` and ``z`` (word-major), the group of each row in
-    ``owner``, and per group whether propagation stayed ``deterministic``;
-    ``BRANCH_CAP`` bounds each group's branches after each diagonal gate.
-    """
+    ``Locations`` (location i is group i) through the gadget's layers, each
+    group's faults jointly.  A fault at place p in [-1, len(gates)) enters
+    after gate p (-1 = input); ``Locations`` commute with the rest of their
+    gate's layer and enter after it, other faults cut the layer.  Faults of
+    one group and place multiply; ``BRANCH_CAP`` bounds branches per gate."""
     n_gates, cuts = len(circuit.gates), set()
     if isinstance(faults, Locations):
         groups, place, fxz = None, faults.place, faults.xz
@@ -258,14 +235,11 @@ def _field(plane: np.ndarray, start: int, width: int) -> np.ndarray:
 
 
 class DecodeContext:
-    """Inner-then-outer lookup decoding of every operand block, (offset,
-    length) in ``blocks``, of word-major x/z planes.  Each (operand, outer
-    qubit) column has a block word per row, linear in (x, z), that ``data``
-    keeps sparse: the rows where it is non-zero, and those words.  Column
-    k's term f_k(d) is the outer block word of its inner residual letter on
-    its outer qubit; an operand's outer word is the XOR of its columns'
-    terms on their rows.  ``classes`` gives I when every operand decodes to
-    I, else the class of the first operand that does not."""
+    """Inner-then-outer lookup decoding of operand blocks, (offset, length)
+    in ``blocks``, of word-major x/z planes.  Each (operand, outer qubit)
+    column has a block word per row, linear in (x, z), kept sparse by
+    ``data``.  Column k's term f_k(d) is the outer block word of its inner
+    residual letter; an operand's outer word is the XOR of its terms."""
 
     def __init__(self, layout: Layout, blocks: Sequence[tuple[int, int]]):
         n = layout.outer.n
@@ -289,9 +263,8 @@ class DecodeContext:
         self.outer_letters = outer.residual_classes
 
     def data(self, x: np.ndarray, z: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Sparse block words of word-major x and z planes, yielded a column
-        at a time: the ascending int32 rows whose word is non-zero, and those
-        words.  Only the rows with an error in the block are looked up."""
+        """Sparse block words, a column at a time: the ascending int32 rows whose
+        word is non-zero, and those words, looked up on rows with an error."""
         for start, width, tables in self.columns:
             errors = _field(x, start, width) | _field(z, start, width) << width
             rows = np.flatnonzero(errors).astype(np.int32)   # half the bytes of intp
@@ -305,16 +278,14 @@ class DecodeContext:
         return self.lifts[k][self.letters[k][block_words]]
 
     def words(self, data: Iterable[tuple[np.ndarray, np.ndarray]], size: int) -> np.ndarray:
-        """Outer block word per operand and row of ``size`` rows of sparse
-        block words, (operands, size): the XOR of the operand's column terms."""
+        """Outer block words, (operands, size), of ``size`` rows of sparse block words."""
         out = np.zeros((self.n_operands, size), np.uint16)
         for k, (rows, block_words) in enumerate(data):
             out[k // self.n_outer, rows] ^= self.term(k, block_words)
         return out
 
     def classes(self, words: np.ndarray) -> np.ndarray:
-        """Residual class of outer words (operands, ...): the first
-        operand's that is not I; 0 = I."""
+        """Residual class of outer words (operands, ...): the first operand's not I."""
         letters = self.outer_letters[words]
         return np.take_along_axis(letters, (letters != 0).argmax(axis=0)[None], 0)[0]
 
@@ -348,13 +319,53 @@ class FaultReport:
         return not self.failures
 
 
-def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport:
+@dataclass
+class Campaign:
+    """One gadget's fault campaign for both suites: decode context, locations
+    and their walk, then the pair screen and hit gates, each made on first use."""
+
+    layout: Layout
+    circuit: GadgetCircuit
+    ctx = cached_property(lambda self: DecodeContext(self.layout, self.circuit.blocks))
+    locations = cached_property(lambda self: enumerate_locations(self.circuit))
+    frame = cached_property(lambda self: propagate(self.circuit, self.locations))
+
+    @cached_property
+    def hits(self) -> np.ndarray:
+        """Per location, the diagonal gates its rows hit, as bit sets (locations, words)."""
+        sets = np.zeros((len(self.locations), len(self.frame.hits) // 64 + 1), np.uint64)
+        for g, owners in enumerate(self.frame.hits):
+            sets[owners, g >> 6] |= np.uint64(1 << (g & 63))
+        return sets
+
+    @cached_property
+    def screen(self) -> tuple[PairScreen, np.ndarray, np.ndarray, np.ndarray]:
+        """Pair screen, x and z of the end rows sorted by location, and row bounds."""
+        ctx, frame = self.ctx, self.frame
+        order = np.argsort(frame.owner, kind="stable")
+        x, z = frame.x[:, order], frame.z[:, order]
+        bounds = np.searchsorted(frame.owner[order], np.arange(len(self.locations) + 1))
+        return PairScreen(ctx, ctx.data(x, z), len(order)), x, z, bounds
+
+    def verdict(self, a: int, b: int) -> tuple[tuple[int, int], str] | None:
+        """``_least_failing`` of the products of a's and b's end rows, or, if a
+        diagonal gate is hit by both, of their joint walk (``_confirm_pair``)."""
+        if (self.hits[a] & self.hits[b]).any():
+            return _confirm_pair(self.ctx, self.circuit, self.locations[a], self.locations[b])
+        screen, x, z, bounds = self.screen
+        ra, rb = slice(*bounds[a:a + 2]), slice(*bounds[b:b + 2])
+        x, z = ((p[:, ra, None] ^ p[:, None, rb]).reshape(len(p), -1) for p in (x, z))
+        return _least_failing(x, z, self.ctx.classes(screen.pair_words(ra, rb)).ravel())
+
+
+def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit, *,
+                          campaign: Campaign | None = None) -> FaultReport:
     """Exhaustive single-fault campaign; every branch must decode to I.
-    Failures are ordered by location, then by branch (x, z)."""
-    ctx = DecodeContext(layout, circuit.blocks)
-    locations = enumerate_locations(circuit)
-    frame = propagate(circuit, locations)
-    report = FaultReport(layout.descriptor, circuit.label, len(locations), frame.rows)
+    Failures are ordered by location, then branch (x, z).  A given
+    ``campaign`` lends its walk."""
+    campaign = campaign or Campaign(layout, circuit)
+    ctx, frame = campaign.ctx, campaign.frame
+    report = FaultReport(layout.descriptor, circuit.label, len(campaign.locations), frame.rows)
     residual = ctx.decode(frame.x, frame.z)
     report.failures = [Failure((i,), (x, z), res) for i, x, z, res in sorted(
         (int(frame.owner[r]), *frame.branch(r), LETTERS[residual[r]])
@@ -362,20 +373,17 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit) -> FaultReport
     if report.failures:
         first = report.failures[0]
         report.min_uncorrectable_size, report.witness_residual = 1, first.residual
-        report.witness = (locations[first.locations[0]],)
+        report.witness = (campaign.locations[first.locations[0]],)
     return report
 
 
 class PairScreen:
-    """Sparse block words of ``size`` rows (``DecodeContext.data``) with
-    what the split screen needs: each column's terms beside its words, and
-    each row's operand words.  The outer word of a product is W(a ^ b) =
-    W(a) ^ W(b) ^ P, where P is the XOR over the columns that hold both
-    rows of f_k(a ^ b) ^ f_k(a) ^ f_k(b)."""
+    """Sparse block words of ``size`` rows (``DecodeContext.data``, intp rows),
+    their terms and each row's operand words.  A product's outer word is W(a ^ b)
+    = W(a) ^ W(b) ^ P, P the XOR of f_k(a ^ b) ^ f_k(a) ^ f_k(b) over shared columns."""
 
     def __init__(self, ctx: DecodeContext, data: Iterable[tuple[np.ndarray, np.ndarray]],
                  size: int):
-        # intp rows: the screen indexes with them at every step, int32 ones are cast each time
         self.ctx, self.data = ctx, [(rows.astype(np.intp), words) for rows, words in data]
         self.terms = [ctx.term(k, block_words) for k, (_, block_words) in enumerate(self.data)]
         self.words = ctx.words(self.data, size)
@@ -393,70 +401,61 @@ class PairScreen:
             out[k // ctx.n_outer, (rows[a0:a1] - a.start)[:, None], rows[b0:b1] - b.start] ^= patch
         return out
 
+    def candidates(self, bounds: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Pairs (i, j), j > i, of row groups bounds[g]:bounds[g + 1] with a failing product
+        row, in order; first groups in blocks of 1, 2, 4, ... up to ``PAIR_BLOCK`` row pairs."""
+        n, rows, i, size = len(bounds) - 1, bounds[-1], 0, 1
+        owner = np.repeat(np.arange(n), np.diff(bounds))
+        while i < n:
+            later = bounds[i + 1]
+            step = max(PAIR_BLOCK // max(rows - later, 1), 1)   # first rows per step
+            end = max(i + 1, min(i + size, np.searchsorted(bounds, bounds[i] + step, "right") - 1))
+            keys = []
+            for lo in range(bounds[i], bounds[end], step):
+                hi = min(lo + step, bounds[end])
+                words = self.pair_words(slice(lo, hi), slice(later, rows))
+                r, c = np.nonzero(self.ctx.outer_letters[words].any(axis=0))
+                first, second = owner[lo + r], owner[later + c]
+                keys.append((first * n + second)[second > first])
+            keys = np.sort(np.concatenate(keys))
+            yield np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+            i, size = end, 2 * (end - i)
 
-def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit,
-                           budget: int = PAIR_BUDGET) -> FaultReport:
-    """Deterministic lexicographic scan of fault pairs.
 
-    Screens a block of first locations against every later location at
-    once: the outer words of each pair of end branches come from the split
-    of ``PairScreen``, one 2-D XOR of per-row words patched where both rows
-    share a non-zero column, so no pair is decoded on its own.  The verdict
-    is a sound envelope: conjugation is multiplicative and the branch sets
-    only widen.  The first block is one location; each later block doubles,
-    up to ``PAIR_BLOCK`` row pairs, and a location with more rows is
-    screened in steps of that size.  Each first location's candidates are
-    then confirmed in order of j with ``_confirm_pair``; the first
-    confirmed pair is the witness.
-    """
-    locations = enumerate_locations(circuit)
-    est = len(locations) * (len(locations) - 1) // 2
-    if est > budget:
-        raise BudgetError(f"pair search needs {est} pairs, budget is {budget}")
-    ctx = DecodeContext(layout, circuit.blocks)
-    frame = propagate(circuit, locations)
-    order = np.argsort(frame.owner, kind="stable")
-    owner = frame.owner[order]
-    screen = PairScreen(ctx, ctx.data(frame.x[:, order], frame.z[:, order]), len(owner))
-    bounds = np.searchsorted(owner, np.arange(len(locations) + 1))
-
-    report = FaultReport(layout.descriptor, circuit.label, len(locations), len(owner))
-    i, size = 0, 1
-    while i < len(locations):
-        later = bounds[i + 1]
-        step = max(PAIR_BLOCK // max(len(owner) - later, 1), 1)   # first rows per step
-        end = max(i + 1, min(i + size, np.searchsorted(bounds, bounds[i] + step, "right") - 1))
-        keys = []
-        for lo in range(bounds[i], bounds[end], step):
-            hi = min(lo + step, bounds[end])
-            words = screen.pair_words(slice(lo, hi), slice(later, len(owner)))
-            rows, cols = np.nonzero(ctx.outer_letters[words].any(axis=0))
-            first, second = owner[lo + rows], owner[later + cols]
-            keys.append((first * len(locations) + second)[second > first])
-        # candidate (first, j) pairs with j > first, in lexicographic order
-        keys = np.sort(np.concatenate(keys))
-        for key in keys[np.diff(keys, prepend=-1) != 0]:
-            a, b = (locations[int(k)] for k in divmod(key, len(locations)))
-            confirmed = _confirm_pair(ctx, circuit, a, b)
-            if confirmed is not None:
-                report.failures.append(Failure((a.index, b.index), *confirmed))
-                report.min_uncorrectable_size, report.witness_residual = 2, confirmed[1]
-                report.witness = (a, b)
+def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit, budget: int = PAIR_BUDGET, *,
+                           campaign: Campaign | None = None) -> FaultReport:
+    """Lexicographic scan of fault pairs, in the branch envelope: the first
+    screen candidate that fails is the witness (``Campaign.verdict``; only
+    pairs that share a hit gate are walked).  ``campaign`` lends its walk."""
+    campaign = campaign or Campaign(layout, circuit)
+    n = len(campaign.locations)
+    if n * (n - 1) // 2 > budget:
+        raise BudgetError(f"pair search needs {n * (n - 1) // 2} pairs, budget is {budget}")
+    screen, _, _, bounds = campaign.screen
+    report = FaultReport(layout.descriptor, circuit.label, n, campaign.frame.rows)
+    for first, second in screen.candidates(bounds):
+        for a, b in zip(first.tolist(), second.tolist()):
+            if (failure := campaign.verdict(a, b)) is not None:
+                report.failures.append(Failure((a, b), *failure))
+                report.min_uncorrectable_size, report.witness_residual = 2, failure[1]
+                report.witness = (campaign.locations[a], campaign.locations[b])
                 return report
-        i, size = end, 2 * (end - i)
     report.min_uncorrectable_size = "none <= 2"
     return report
 
 
 def _confirm_pair(ctx: DecodeContext, circuit: GadgetCircuit, a: FaultLocation,
                   b: FaultLocation) -> tuple[tuple[int, int], str] | None:
-    """Walk a candidate pair as one group through the branch envelope and
-    decode its rows; the least failing (x, z) branch and its residual, or
-    None when every branch decodes to I."""
+    """``_least_failing`` of a pair walked as one group and decoded."""
     frame = propagate(circuit, ((0, a.place, a.x, a.z), (0, b.place, b.x, b.z)))
-    residual = ctx.decode(frame.x, frame.z)
-    least = min(((*frame.branch(r), r) for r in np.flatnonzero(residual)), default=None)
-    return None if least is None else (least[:2], LETTERS[residual[least[2]]])
+    return _least_failing(frame.x, frame.z, ctx.decode(frame.x, frame.z))
+
+
+def _least_failing(x: np.ndarray, z: np.ndarray,
+                   residual: np.ndarray) -> tuple[tuple[int, int], str] | None:
+    """The least (x, z) row whose residual is not I, and that residual, or None."""
+    rows = sorted((gates.unpack(x[:, r]), gates.unpack(z[:, r]), r) for r in np.flatnonzero(residual))
+    return (rows[0][:2], LETTERS[residual[rows[0][2]]]) if rows else None
 
 
 @dataclass
@@ -471,25 +470,26 @@ class EffectiveDistanceResult:
 
 def effective_distance_report(layout: Layout, gadget_set: list[GadgetCircuit],
                               budget: int = PAIR_BUDGET) -> EffectiveDistanceResult:
-    """Every gadget's single-fault suite, then pair searches in gadget
-    order until a witness appears.  3 = all single faults pass and some
-    pair fails; 1 = a single fault already fails (the construction is
-    broken, and no pair is searched); None = no witness, the statement
-    naming any gadget whose pair search the budget refused."""
-    singles = [check_single_fault_ft(layout, c) for c in gadget_set]
-    for rep in singles:
-        if not rep.passed:
-            return EffectiveDistanceResult(1, f"single fault uncorrectable in {rep.gadget}",
-                                           singles, rep)
-    pairs = []
-    for c in gadget_set:
-        try:
-            rep = find_min_uncorrectable(layout, c, budget)
-        except BudgetError:
-            rep = None
-        pairs.append((c.label, rep))
-        if rep is not None and rep.witness is not None:
-            return EffectiveDistanceResult(3, f"2-fault witness in {c.label}", singles, rep, pairs)
+    """Per gadget, on one ``Campaign`` dropped before the next: its single-fault
+    suite, then its pair search while all suites pass and no witness is known.
+    3 = single faults pass and some pair fails; 1 = a single fault fails (the
+    construction is broken; pair searches made are dropped); None = neither."""
+    singles, pairs, found = [], [], None
+    for circuit in gadget_set:
+        campaign = Campaign(layout, circuit)
+        singles.append(check_single_fault_ft(layout, circuit, campaign=campaign))
+        if found is None and all(rep.passed for rep in singles):
+            try:
+                rep = find_min_uncorrectable(layout, circuit, budget, campaign=campaign)
+            except BudgetError:
+                rep = None
+            pairs.append((circuit.label, rep))
+            found = rep if rep is not None and rep.witness is not None else None
+    if broken := [rep for rep in singles if not rep.passed]:
+        return EffectiveDistanceResult(1, f"single fault uncorrectable in {broken[0].gadget}",
+                                       singles, broken[0])
+    if found is not None:
+        return EffectiveDistanceResult(3, f"2-fault witness in {found.gadget}", singles, found, pairs)
     refused = [label for label, rep in pairs if rep is None]
     statement = ("single faults pass; pair search refused by the budget for " + ", ".join(refused)
                  if refused else ">= 3, no witness within gadget set")

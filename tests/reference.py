@@ -15,7 +15,7 @@ from nuconcat.codes import (LOGICAL_CLASSES, LookupDecoder, StabilizerCode, buil
                             min_weight_logical, normalizer_class, syndrome)
 from nuconcat.concat import DistanceResult, Layout, bare_layout, lift
 from nuconcat.gates import Gate
-from nuconcat.pauli import DimensionError, Pauli
+from nuconcat.pauli import LETTERS, DimensionError, Pauli
 from nuconcat.simulate import (FIDELITY_TOL, NORM_TOL, Certificate, VerificationError,
                                apply_pauli)
 
@@ -399,3 +399,47 @@ def reference_pair_candidates(layout: Layout, circuit: GadgetCircuit) -> list[tu
             hit |= reference_residuals(ctx, later ^ row) != 0
         out.extend((i, int(j)) for j in np.flatnonzero(np.bincount(owner[hi:][hit])))
     return out
+
+
+def reference_find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit) -> faults.FaultReport:
+    """The pair search that confirms every candidate: the block screen
+    (``faults.PairScreen`` in ``faults.PAIR_BLOCK`` steps), then each
+    candidate, in order, walked with its partner as one group and decoded;
+    the first pair with a failing row is the witness, its least failing
+    (x, z) row the branch."""
+    locations = faults.enumerate_locations(circuit)
+    ctx = faults.DecodeContext(layout, circuit.blocks)
+    frame = faults.propagate(circuit, locations)
+    order = np.argsort(frame.owner, kind="stable")
+    owner = frame.owner[order]
+    screen = faults.PairScreen(ctx, ctx.data(frame.x[:, order], frame.z[:, order]), len(owner))
+    bounds = np.searchsorted(owner, np.arange(len(locations) + 1))
+    report = faults.FaultReport(layout.descriptor, circuit.label, len(locations), len(owner))
+    i, size = 0, 1
+    while i < len(locations):
+        later = bounds[i + 1]
+        step = max(faults.PAIR_BLOCK // max(len(owner) - later, 1), 1)
+        end = max(i + 1, min(i + size, np.searchsorted(bounds, bounds[i] + step, "right") - 1))
+        keys = []
+        for lo in range(bounds[i], bounds[end], step):
+            hi = min(lo + step, bounds[end])
+            words = screen.pair_words(slice(lo, hi), slice(later, len(owner)))
+            rows, cols = np.nonzero(ctx.outer_letters[words].any(axis=0))
+            first, second = owner[lo + rows], owner[later + cols]
+            keys.append((first * len(locations) + second)[second > first])
+        keys = np.sort(np.concatenate(keys))
+        for key in keys[np.diff(keys, prepend=-1) != 0]:
+            a, b = (locations[int(k)] for k in divmod(key, len(locations)))
+            joint = faults.propagate(circuit, ((0, a.place, a.x, a.z), (0, b.place, b.x, b.z)))
+            residual = ctx.decode(joint.x, joint.z)
+            failing = sorted((*joint.branch(r), r) for r in np.flatnonzero(residual))
+            if failing:
+                x, z, r = failing[0]
+                letter = LETTERS[residual[r]]
+                report.failures.append(faults.Failure((a.index, b.index), (x, z), letter))
+                report.min_uncorrectable_size, report.witness_residual = 2, letter
+                report.witness = (a, b)
+                return report
+        i, size = end, 2 * (end - i)
+    report.min_uncorrectable_size = "none <= 2"
+    return report

@@ -16,7 +16,8 @@ from nuconcat.faults import (DecodeContext, check_single_fault_ft,
 from nuconcat.gates import gate
 from nuconcat.pauli import LETTERS, Pauli
 from reference import (_deposit, densify_block_words, hierarchical_decode, pauli_matrix,
-                       reference_apply_circuit, reference_block_words, reference_locations,
+                       reference_apply_circuit, reference_block_words,
+                       reference_find_min_uncorrectable, reference_locations,
                        reference_pair_candidates, reference_propagate, reference_residuals,
                        staircase_gadget)
 
@@ -657,6 +658,78 @@ def test_effective_distance_runs_every_single_fault_suite(cat):
     assert result.pair_reports == []
 
 
+@st.composite
+def circuits_with_diagonal_layers(draw):
+    """Clifford+diagonal circuits on the seven qubits of a bare Steane
+    block: two or three layers of non-Clifford diagonal gates on disjoint
+    qubits, a layer of H on some qubits between each two, and random
+    Clifford gates before, between and after them."""
+    n, gate_list = 7, []
+
+    def cliffords():
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from([gates.H, gates.S, gates.CNOT, gates.CZ]))
+            qubits = draw(st.permutations(range(n)))[:gates.ARITY.get(kind, 1)]
+            gate_list.append(gates.Gate(kind, tuple(qubits)))
+
+    cliffords()
+    for layer in range(draw(st.integers(2, 3))):
+        if layer:
+            spots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+            gate_list += [gate(gates.H, q) for q in spots]
+            cliffords()
+        kind = draw(st.sampled_from([gates.T, gates.Z_THETA, gates.CCZ, gates.CKZ_THETA]))
+        theta = Fraction(1, 4) if kind in (gates.Z_THETA, gates.CKZ_THETA) else None
+        spots = draw(st.permutations(range(n)))
+        for _ in range(draw(st.integers(1, 2))):
+            arity = draw(st.integers(2, 3)) if kind == gates.CKZ_THETA else gates.ARITY.get(kind, 1)
+            if len(spots) >= arity:
+                gate_list.append(gates.Gate(kind, tuple(spots[:arity]), theta))
+                spots = spots[arity:]
+    cliffords()
+    return GadgetCircuit(n, tuple(gate_list), "diagonal-layers", ((0, n),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits_with_diagonal_layers(), st.data())
+def test_pair_verdicts_are_exact_by_product(cat, circuit, data):
+    """Two locations that share no hit gate end, walked as one group, with
+    exactly the products of their own end rows.  Every pair's verdict,
+    walked or read off the products, is the gate-by-gate reference walk's
+    least failing row and its class."""
+    layout = bare_layout(cat.code("steane"))
+    campaign = faults.Campaign(layout, circuit)
+    hitting = np.flatnonzero(campaign.hits.any(axis=1)).tolist()
+    everyone = range(len(campaign.locations))
+    for _ in range(6):
+        pool = hitting if len(hitting) > 1 and data.draw(st.booleans()) else everyone
+        a, b = sorted(data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2,
+                                         unique=True)))
+        joint = [(loc.place, loc.x, loc.z) for loc in map(campaign.locations.__getitem__, (a, b))]
+        ends, _ = reference_propagate(circuit, joint)
+        ends = sorted(ends)
+        residual = campaign.ctx.decode(*rows(ends, 7))
+        failing = [(xz, LETTERS[r]) for xz, r in zip(ends, residual) if r]
+        assert campaign.verdict(a, b) == (failing[0] if failing else None)
+        if not (campaign.hits[a] & campaign.hits[b]).any():
+            own = [branches(campaign.frame, g)[0] for g in (a, b)]
+            products = {(xa ^ xb, za ^ zb) for xa, za in own[0] for xb, zb in own[1]}
+            assert branches(propagate(circuit, [(0, *f) for f in joint]))[0] == products
+
+
+def test_effective_distance_drops_pair_searches_before_a_broken_gadget(cat):
+    """A sound transversal H ahead of a broken gadget: H's pair search runs
+    on its campaign before the broken suite, and the report drops it."""
+    layout = bare_layout(cat.code("steane"))
+    h = GadgetDispatcher(cat.rules).logical_gadget(layout, library.logical_gate(gates.H))
+    half = GadgetCircuit(7, staircase_gadget(cat.code("steane"), 0, Fraction(1, 4)).gates[:3],
+                         "broken-T", ((0, 7),))
+    assert find_min_uncorrectable(layout, h).witness is not None
+    result = faults.effective_distance_report(layout, [h, half])
+    assert result.value == 1 and result.statement == "single fault uncorrectable in broken-T"
+    assert result.witness_report is result.single_fault_reports[1] and result.pair_reports == []
+
+
 # -- ordered outputs: these depend on the scan order ---------------------------------
 
 def oracle_free_gadget(cat, name, kind):
@@ -671,21 +744,85 @@ def oracle_free_gadget(cat, name, kind):
     ("code105", gates.S, 0),
 ])
 def test_pair_candidates_follow_the_per_row_screen(cat, monkeypatch, name, kind, count):
-    """The block screen hands ``_confirm_pair`` the candidates of the
-    per-row reference screen in the same order, whatever the block size."""
+    """The block screen yields the candidates of the per-row reference
+    screen in the same order, whatever the block size."""
     layout, circuit = oracle_free_gadget(cat, name, kind)
     want = reference_pair_candidates(layout, circuit)
     assert len(want) == count
+    for cap in (faults.PAIR_BLOCK, 1, 3):
+        monkeypatch.setattr(faults, "PAIR_BLOCK", cap)
+        screen, _, _, bounds = faults.Campaign(layout, circuit).screen
+        seen = [pair for first, second in screen.candidates(bounds)
+                for pair in zip(first.tolist(), second.tolist())]
+        assert seen == want, cap
+
+
+@pytest.mark.parametrize("name,kind,walked", [
+    ("bare:steane", gates.T, [(0, 1)]),   # one T gate: every pair that meets it shares it
+    ("code49", gates.CNOT, []),
+    ("code105", gates.S, []),
+    ("code49", gates.T, []),              # the witness (0, 3) hits two different T gates
+])
+def test_only_pairs_that_share_a_hit_gate_are_walked(cat, monkeypatch, name, kind, walked):
+    """``_confirm_pair`` sees only candidates that share a hit gate, in
+    order, whatever the block size; on bare:steane T the walk clears the
+    first one, which the product rows alone would fail."""
+    layout, circuit = oracle_free_gadget(cat, name, kind)
+    confirm = faults._confirm_pair
     for cap in (faults.PAIR_BLOCK, 1, 3):
         seen = []
 
         def record(ctx, circuit, a, b):
             seen.append((a.index, b.index))
+            return confirm(ctx, circuit, a, b)
 
         monkeypatch.setattr(faults, "PAIR_BLOCK", cap)
         monkeypatch.setattr(faults, "_confirm_pair", record)
-        assert find_min_uncorrectable(layout, circuit).witness is None
-        assert seen == want, cap
+        campaign = faults.Campaign(layout, circuit)
+        find_min_uncorrectable(layout, circuit, campaign=campaign)
+        assert seen == walked, cap
+        assert all((campaign.hits[a] & campaign.hits[b]).any() for a, b in seen)
+    if walked:
+        screen, _, _, bounds = campaign.screen
+        (a, b), = walked
+        assert confirm(campaign.ctx, circuit, campaign.locations[a], campaign.locations[b]) is None
+        products = screen.pair_words(slice(*bounds[a:a + 2]), slice(*bounds[b:b + 2]))
+        assert campaign.ctx.classes(products).any()
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("code49", gates.T), ("code47", gates.T), ("code49", gates.CNOT), ("code105", gates.S),
+    ("bare:steane", gates.T),   # branched groups
+])
+def test_pair_search_matches_the_confirming_oracle(cat, monkeypatch, name, kind):
+    """Witness, ``Failure.branch`` and residual equal those of the scan
+    that walks every candidate, whatever the block size."""
+    layout, circuit = oracle_free_gadget(cat, name, kind)
+    for cap in (faults.PAIR_BLOCK, 1, 3):
+        monkeypatch.setattr(faults, "PAIR_BLOCK", cap)
+        assert find_min_uncorrectable(layout, circuit) == reference_find_min_uncorrectable(
+            layout, circuit), cap
+
+
+def test_effective_distance_matches_the_confirming_oracle(cat, monkeypatch):
+    """The code49 report, on one campaign per gadget, equals standalone
+    single-fault suites and the confirming scan in gadget order."""
+    layout = parse_layout(cli.LAYOUT_SHORTCUTS["code49"], cat.code)
+    dispatcher = GadgetDispatcher(cat.rules)
+    circuits = [dispatcher.logical_gadget(layout, library.logical_gate(k))
+                for k in cli.CAMPAIGN_GATES[layout.outer.name]]
+    singles = [check_single_fault_ft(layout, c) for c in circuits]
+    for cap in (faults.PAIR_BLOCK, 1, 3):
+        monkeypatch.setattr(faults, "PAIR_BLOCK", cap)
+        pairs = []
+        for c in circuits:
+            pairs.append((c.label, reference_find_min_uncorrectable(layout, c)))
+            if pairs[-1][1].witness:
+                break
+        result = faults.effective_distance_report(layout, circuits)
+        assert (result.value, result.statement) == (3, "2-fault witness in T")
+        assert result.single_fault_reports == singles
+        assert result.pair_reports == pairs and result.witness_report == pairs[-1][1], cap
 
 
 def test_bare_steane_t_campaign_order(cat):
