@@ -1,6 +1,8 @@
 """Non-uniform concatenated stabilizer codes: constructions, staircase
 gate gadgets, oracle verification, and exhaustive fault-tolerance checks."""
 
+__version__ = "0.1.0"   # set before the imports: report.py reads it
+
 from .catalog import Catalog, default_catalog, dump_catalog, parse_catalog
 from .circuits import GadgetCircuit, SynthesisError, circuit_from_text, circuit_to_text
 from .codes import (LookupDecoder, StabilizerCode, build_decoder, distance,
@@ -16,5 +18,3 @@ from .library import AdmissionError, GadgetLibrary, logical_gate, verify_gadget
 from .pauli import Pauli
 from .simulate import (Certificate, apply_circuit, verify_clifford_action,
                        verify_diagonal_action, verify_logical_action)
-
-__version__ = "0.1.0"

@@ -42,9 +42,9 @@ class Catalog:
 
 
 _PAULI_RULES = {
-    "X": TransversalRule("rep"),
-    "Y": TransversalRule("rep"),
-    "Z": TransversalRule("rep"),
+    "X": TransversalRule(),
+    "Y": TransversalRule(),
+    "Z": TransversalRule(),
 }
 
 
@@ -59,23 +59,23 @@ def default_catalog() -> Catalog:
     cat = Catalog()
     cat.add(codelib.steane(), {
         **_PAULI_RULES,
-        gates.H: TransversalRule("bitwise", gates.H),
-        gates.S: TransversalRule("bitwise", gates.S_DAG),
-        gates.CNOT: TransversalRule("bitwise", gates.CNOT),
-        gates.CZ: TransversalRule("bitwise", gates.CZ),
+        gates.H: TransversalRule(gates.H),
+        gates.S: TransversalRule(gates.S_DAG),
+        gates.CNOT: TransversalRule(gates.CNOT),
+        gates.CZ: TransversalRule(gates.CZ),
     })
     cat.add(codelib.reed_muller_15(), {
         **_PAULI_RULES,
-        gates.T: TransversalRule("bitwise", gates.T_DAG),
-        gates.S: TransversalRule("bitwise", gates.S_DAG),
-        gates.CNOT: TransversalRule("bitwise", gates.CNOT),
-        gates.CZ: TransversalRule("bitwise", gates.CZ),
-        gates.CCZ: TransversalRule("bitwise", gates.CCZ),
+        gates.T: TransversalRule(gates.T_DAG),
+        gates.S: TransversalRule(gates.S_DAG),
+        gates.CNOT: TransversalRule(gates.CNOT),
+        gates.CZ: TransversalRule(gates.CZ),
+        gates.CCZ: TransversalRule(gates.CCZ),
     })
     cat.add(codelib.five_qubit(), dict(_PAULI_RULES))
     cat.add(codelib.five_prime(), {
         **_PAULI_RULES,
-        gates.K: TransversalRule("bitwise", gates.K, fixups=((gates.Z, 2),)),
+        gates.K: TransversalRule(gates.K, fixups=((gates.Z, 2),)),
     }, derivation="five_qubit + " + " ".join(
         f"{g.kind}@{g.qubits[0]}" for g in codelib.FIVE_PRIME_TRANSFORM))
     return cat
@@ -97,7 +97,7 @@ def dump_catalog(cat: Catalog) -> str:
         lines.append(f"logical-x {code.logical_x}")
         lines.append(f"logical-z {code.logical_z}")
         for kind, rule in cat.rules.get(name, {}).items():
-            if rule.style == "rep":
+            if rule.phys_kind is None:
                 lines.append(f"transversal {kind} rep")
             else:
                 entry = f"transversal {kind} bitwise {rule.phys_kind}"
@@ -137,7 +137,7 @@ def parse_catalog(text: str) -> Catalog:
             if name in cat.codes:
                 raise ValueError(f"bad catalog line {line!r}: code {name!r} already read")
             current = {"name": name, "stabilizers": [], "rules": {}, "lines": {},
-                       "css": False, "derivation": ""}
+                       "css": (None, ""), "derivation": ""}
         elif current is None:
             raise ValueError(f"directive outside code block: {line!r}")
         elif key == "n":
@@ -145,7 +145,7 @@ def parse_catalog(text: str) -> Catalog:
         elif key == "css":
             if rest.strip() not in ("true", "false"):
                 raise ValueError(f"bad catalog line {line!r}: expected 'css true' or 'css false'")
-            current["css"] = rest.strip() == "true"
+            current["css"] = (rest.strip() == "true", line)
         elif key == "derivation":
             current["derivation"] = rest.strip()
         elif key in ("stabilizer", "logical-x", "logical-z"):
@@ -163,7 +163,7 @@ def parse_catalog(text: str) -> Catalog:
                 if parts[0] not in codelib.LOGICAL_CLASSES:
                     raise ValueError(f"bad catalog line {line!r}: expected 'transversal KIND "
                                      f"rep' with KIND one of {', '.join(codelib.LOGICAL_CLASSES)}")
-                rule = TransversalRule("rep")
+                rule = TransversalRule()
             elif len(parts) >= 3 and parts[1] == "bitwise":
                 fixups = []
                 for tok in parts[3:]:
@@ -172,7 +172,7 @@ def parse_catalog(text: str) -> Catalog:
                     fk, _, fq = tok.partition("@")
                     qubit = gates.parse_index(fq, "catalog", line, "'fixup KIND@QUBIT'")
                     fixups.append((_gate_kind(fk, line), qubit))
-                rule = TransversalRule("bitwise", _gate_kind(parts[2], line), tuple(fixups))
+                rule = TransversalRule(_gate_kind(parts[2], line), tuple(fixups))
             else:
                 raise ValueError(f"bad transversal declaration {line!r}; expected "
                                  f"'transversal KIND rep' or 'transversal KIND bitwise PHYS'")
@@ -188,10 +188,12 @@ def parse_catalog(text: str) -> Catalog:
                         raise ValueError(f"bad catalog line {current['lines'][kind]!r}: fixup "
                                          f"qubit {q} outside the {current['n']} qubits of "
                                          f"{current['name']!r}")
-            code = StabilizerCode(current["name"], current["n"],
-                                  tuple(current["stabilizers"]),
-                                  current["logical-x"], current["logical-z"],
-                                  css=current["css"])
+            code = StabilizerCode(current["name"], current["n"], tuple(current["stabilizers"]),
+                                  current["logical-x"], current["logical-z"])
+            declared, css_line = current["css"]
+            if declared not in (None, code.css):
+                raise ValueError(f"bad catalog line {css_line!r}: the operators of "
+                                 f"{code.name!r} make it {'' if code.css else 'not '}CSS")
             cat.add(code, current["rules"], current["derivation"])
             current = None
         else:

@@ -108,14 +108,13 @@ def normalization_gates(rep: Pauli) -> tuple[tuple[Gate, ...], Pauli]:
 class TransversalRule:
     """Declared bitwise realisation of a logical gate on one code.
 
-    ``style`` is ``bitwise`` (physical ``phys_kind`` on every qubit of each
-    operand, or on every aligned tuple for multi-qubit gates) or ``rep``
-    (apply the letters of the code's logical representative; used for the
-    logical Paulis).  ``fixups`` are extra single-qubit gates appended
-    after the bitwise layer.
+    A rule is ``bitwise`` (physical ``phys_kind`` on every qubit of each
+    operand, or on every aligned tuple for multi-qubit gates), or ``rep``
+    when it names no physical kind (apply the letters of the code's
+    logical representative; used for the logical Paulis).  ``fixups`` are
+    extra single-qubit gates appended after the bitwise layer.
     """
 
-    style: str
     phys_kind: str | None = None
     fixups: tuple[tuple[str, int], ...] = ()
 
@@ -235,7 +234,7 @@ class GadgetDispatcher:
         rule, daggered = _rule_for(self.rules[layout.outer.name], kind)
         total = layout.total_n
         blocks = tuple((b * total, total) for b in range(arity))
-        if rule.style == "rep":
+        if rule.phys_kind is None:
             rep = layout.outer.logical_rep(kind)  # X, Y and Z are their own daggers
             steps = [(q, rep.letter(q), f" (lifting outer logical {kind})")
                      for q in rep.support]

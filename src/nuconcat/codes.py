@@ -40,7 +40,6 @@ class StabilizerCode:
     generators: tuple[Pauli, ...]
     logical_x: Pauli
     logical_z: Pauli
-    css: bool = False
     k: int = field(default=1, init=False)
 
     def __post_init__(self):
@@ -62,10 +61,12 @@ class StabilizerCode:
                 raise CodeConstructionError(f"{self.name}: logical rep anticommutes with {g}")
         if self.logical_x.commutes(self.logical_z):
             raise CodeConstructionError(f"{self.name}: logical X and Z must anticommute")
-        if self.css:
-            for g in self.generators:
-                if g.x and g.z:
-                    raise CodeConstructionError(f"{self.name}: mixed generator {g} in CSS code")
+
+    @cached_property
+    def css(self) -> bool:
+        """Every generator X-type or Z-type, logical X X-type and logical Z Z-type."""
+        return not (self.logical_x.z or self.logical_z.x
+                    or any(g.x and g.z for g in self.generators))
 
     def logical_rep(self, cls: str) -> Pauli:
         if cls == "X":
@@ -84,7 +85,7 @@ class StabilizerCode:
 def _css_code(name: str, n: int, x_rows: list[int], z_rows: list[int],
               lx: int, lz: int) -> StabilizerCode:
     gens = [Pauli(n, row, 0, 0) for row in x_rows] + [Pauli(n, 0, row, 0) for row in z_rows]
-    return StabilizerCode(name, n, tuple(gens), Pauli(n, lx, 0, 0), Pauli(n, 0, lz, 0), css=True)
+    return StabilizerCode(name, n, tuple(gens), Pauli(n, lx, 0, 0), Pauli(n, 0, lz, 0))
 
 
 def _coordinate_rows(m: int) -> list[int]:
@@ -132,8 +133,7 @@ def transform_code(code: StabilizerCode, gate_list, name: str | None = None) -> 
 
     *generators, logical_x, logical_z = gates.conjugate_through(
         [*code.generators, code.logical_x, code.logical_z], gate_list)
-    return StabilizerCode(name or code.name, code.n, tuple(generators), logical_x, logical_z,
-                          css=False if gate_list else code.css)
+    return StabilizerCode(name or code.name, code.n, tuple(generators), logical_x, logical_z)
 
 
 def five_prime() -> StabilizerCode:
@@ -143,7 +143,7 @@ def five_prime() -> StabilizerCode:
 
 # The trivial [[1,1,1]] code: a layout leaves an outer qubit bare by
 # assigning it this code.
-BARE = StabilizerCode("bare", 1, (), Pauli(1, 1, 0), Pauli(1, 0, 1), css=True)
+BARE = StabilizerCode("bare", 1, (), Pauli(1, 1, 0), Pauli(1, 0, 1))
 
 
 # -- syndromes and cosets ---------------------------------------------------

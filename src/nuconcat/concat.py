@@ -143,10 +143,9 @@ def flatten(layout: Layout) -> StabilizerCode:
     gens = [g.embed(total, range(start, start + inner.n))
             for start, inner in zip(layout.offsets, layout.assignment) for g in inner.generators]
     gens += [lift(layout, g) for g in layout.outer.generators]
-    css = layout.outer.css and all(inner.css for inner in layout.assignment)
     return StabilizerCode(layout.descriptor, total, tuple(gens),
                           lift(layout, layout.outer.logical_x),
-                          lift(layout, layout.outer.logical_z), css=css)
+                          lift(layout, layout.outer.logical_z))
 
 
 # -- exact distance -------------------------------------------------------------

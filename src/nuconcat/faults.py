@@ -362,8 +362,10 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit, *,
                           campaign: Campaign | None = None) -> FaultReport:
     """Exhaustive single-fault campaign; every branch must decode to I.
     Failures are ordered by location, then branch (x, z).  A given
-    ``campaign`` lends its walk."""
+    ``campaign`` lends its walk; it must be this gadget's."""
     campaign = campaign or Campaign(layout, circuit)
+    if (campaign.layout, campaign.circuit) != (layout, circuit):
+        raise ValueError(f"campaign walks another gadget, not {circuit.label} on {layout.descriptor}")
     ctx, frame = campaign.ctx, campaign.frame
     report = FaultReport(layout.descriptor, circuit.label, len(campaign.locations), frame.rows)
     residual = ctx.decode(frame.x, frame.z)
@@ -426,8 +428,11 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit, budget: int =
                            campaign: Campaign | None = None) -> FaultReport:
     """Lexicographic scan of fault pairs, in the branch envelope: the first
     screen candidate that fails is the witness (``Campaign.verdict``; only
-    pairs that share a hit gate are walked).  ``campaign`` lends its walk."""
+    pairs that share a hit gate are walked).  A given ``campaign`` lends its
+    walk; it must be this gadget's."""
     campaign = campaign or Campaign(layout, circuit)
+    if (campaign.layout, campaign.circuit) != (layout, circuit):
+        raise ValueError(f"campaign walks another gadget, not {circuit.label} on {layout.descriptor}")
     n = len(campaign.locations)
     if n * (n - 1) // 2 > budget:
         raise BudgetError(f"pair search needs {n * (n - 1) // 2} pairs, budget is {budget}")

@@ -119,8 +119,8 @@ class Gate:
         return " ".join(parts)
 
 
-def gate(kind: str, *qubits: int, theta: Fraction | None = None) -> Gate:
-    return Gate(kind, tuple(qubits), theta)
+def gate(kind: str, *qubits: int) -> Gate:
+    return Gate(kind, tuple(qubits))
 
 
 def diagonal_gate(qubits: tuple[int, ...], theta_over_pi: Fraction) -> Gate:

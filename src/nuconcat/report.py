@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-TOOL_VERSION = "0.1.0"
+from . import __version__
 
 
 @dataclass
@@ -26,7 +26,7 @@ class Report:
     def to_machine(self) -> str:
         doc = {
             "command": self.command,
-            "tool_version": TOOL_VERSION,
+            "tool_version": __version__,
             "catalog_fingerprint": self.catalog_fingerprint,
             "status": "fail" if self.failed else "pass",
             "results": self.results,

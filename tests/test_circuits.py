@@ -158,7 +158,7 @@ def test_dispatch_refuses_rule_arity_mismatch(cat):
     on bare blocks and on a concatenated layout alike, not expanded on
     operand 0 only."""
     steane = cat.code("steane")
-    bogus = TransversalRule("bitwise", gates.H)
+    bogus = TransversalRule(gates.H)
     with pytest.raises(SynthesisError, match="arity does not match"):
         expand_transversal(steane, gates.CZ, bogus)
     rules = {**cat.rules, "steane": {**cat.rules["steane"], gates.CZ: bogus}}

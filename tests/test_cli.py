@@ -472,6 +472,34 @@ def test_catalog_css_must_be_true_or_false(tmp_path, capsys):
     assert "line 'css yes': expected 'css true' or 'css false'" in err
 
 
+def test_catalog_css_line_must_match_the_operators(tmp_path, capsys):
+    """rm15 declared ``css false`` exits 2 naming the line; it is not
+    loaded to refuse code47's block-local K as if rm15 had no encoder."""
+    path = tmp_path / "catalog.txt"
+    path.write_text(CATALOG_TEXT.replace("code rm15\nn 15\ncss true", "code rm15\nn 15\ncss false"))
+    for argv in (("codes", "info", "rm15"), ("gadget", "--layout", "code47", "--gate", "K")):
+        code, out, err = run(capsys, *argv, "--catalog", str(path))
+        assert code == 2 and out == ""
+        assert err == "usage error: bad catalog line 'css false': the operators of 'rm15' make it CSS\n"
+    path.write_text(CATALOG_TEXT.replace("code five_qubit\nn 5\ncss false", "code five_qubit\nn 5\ncss true"))
+    code, _, err = run(capsys, "codes", "list", "--catalog", str(path))
+    assert code == 2 and "line 'css true': the operators of 'five_qubit' make it not CSS" in err
+
+
+def test_catalog_block_without_css_line_takes_the_computed_value(tmp_path, capsys):
+    """A block with no ``css`` line is CSS exactly when its operators are,
+    so the catalog dumps back to the default one and code47's K passes."""
+    text = re.sub(r"^css \w+\n", "", CATALOG_TEXT, flags=re.M)
+    assert "css" not in text
+    parsed = cataloglib.parse_catalog(text)
+    assert cataloglib.dump_catalog(parsed) == CATALOG_TEXT
+    assert [code.css for code in parsed.codes.values()] == [True, True, False, False]
+    path = tmp_path / "catalog.txt"
+    path.write_text(text)
+    code, out, _ = run(capsys, "gadget", "--layout", "code47", "--gate", "K", "--catalog", str(path))
+    assert code == 0 and "passed: true" in out
+
+
 def test_wrong_declared_s_fails_verification(tmp_path, capsys):
     """Bitwise S, not S_DAG, on the Steane code is refused wherever the
     declaration is first verified."""

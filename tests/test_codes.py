@@ -111,6 +111,38 @@ def test_transform_identity_is_noop():
     assert same.generators == fq.generators and same.css == fq.css
 
 
+def test_css_is_computed_from_the_operators():
+    """A transform that returns Steane's exact operators leaves it CSS;
+    one that swaps its logical X and Z does not; ``css`` is not a
+    constructor argument and cannot be set."""
+    code = steane()
+    twice = transform_code(code, [gates.gate(gates.H, 0), gates.gate(gates.H, 0)])
+    assert twice.generators == code.generators and twice.css
+    assert not transform_code(code, [gates.gate(gates.H, q) for q in range(7)]).css
+    with pytest.raises(TypeError):
+        StabilizerCode("steane", 7, code.generators, code.logical_x, code.logical_z, css=True)
+    with pytest.raises(AttributeError):
+        code.css = False
+
+
+def test_css_codes_and_layouts_are_pinned(cat):
+    """Of the four catalog codes and the 42 flattened layouts that the
+    dispatcher outputs are pinned on (the shortcuts, then bare, uniform
+    and non-uniform over the four codes), exactly the layouts built from
+    Steane and RM15 alone are CSS."""
+    names = ("steane", "rm15", "five_qubit", "five_prime")
+    descriptors = [*cli.LAYOUT_SHORTCUTS.values(), *(f"bare:{o}" for o in names),
+                   *(f"{form}:{o}:{i}" for form in ("uniform", "nonuniform")
+                     for o in names for i in names)]
+    values = [(name, cat.code(name).css) for name in names]
+    values += [(d, flatten(parse_layout(d, cat.code)).css) for d in descriptors]
+    assert len(values) == 46 and sum(css for _, css in values) == 15
+    assert {name for name, css in values if css} == {
+        "steane", "rm15", "bare:steane", "bare:rm15", "b2:steane:rm15:steane",
+        *(f"{form}:{o}:{i}" for form in ("uniform", "nonuniform")
+          for o in ("steane", "rm15") for i in ("steane", "rm15"))}
+
+
 def test_transform_rejects_multi_qubit_gates():
     with pytest.raises(gates.UnsupportedGateError):
         transform_code(five_qubit(), [gates.gate(gates.CNOT, 0, 1)])

@@ -863,3 +863,25 @@ def test_first_pair_witness(cat, name, kind, expected):
     else:
         assert report.min_uncorrectable_size == 2
         assert tuple(loc.index for loc in report.witness) == expected
+
+
+def test_a_campaign_of_another_gadget_is_refused(cat):
+    """Both suites refuse a campaign walked for another circuit or layout,
+    instead of reporting its walk under their own gadget's name; the
+    gadget's own campaign, or an equal one, is taken."""
+    layout, t_circuit = oracle_free_gadget(cat, "code49", gates.T)
+    _, ccz_circuit = oracle_free_gadget(cat, "code49", gates.CCZ)
+    bare, bare_t = oracle_free_gadget(cat, "bare:steane", gates.T)
+    ccz = faults.Campaign(layout, ccz_circuit)
+    with pytest.raises(ValueError, match="campaign walks another gadget, not T on"):
+        check_single_fault_ft(layout, t_circuit, campaign=ccz)
+    with pytest.raises(ValueError, match="campaign walks another gadget, not T on"):
+        find_min_uncorrectable(layout, t_circuit, campaign=ccz)
+    t = faults.Campaign(layout, t_circuit)
+    with pytest.raises(ValueError, match="not T on outer=steane;assign=bare"):
+        find_min_uncorrectable(bare, bare_t, campaign=t)
+    with pytest.raises(ValueError, match="not T on outer=steane;assign=bare"):
+        check_single_fault_ft(bare, t_circuit, campaign=t)
+    twin = faults.Campaign(*oracle_free_gadget(cat, "code49", gates.T))
+    report = check_single_fault_ft(layout, t_circuit, campaign=twin)
+    assert (report.locations_checked, report.branches_checked) == (1092, 1422)

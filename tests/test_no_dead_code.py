@@ -8,6 +8,7 @@ itself and are not checked.  No module reads another's private names, no
 package code uses ``assert``, and only the two tableaus touch packed rows."""
 
 import ast
+import math
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nuconcat"
@@ -98,3 +99,37 @@ def test_only_the_two_tableaus_touch_packed_rows():
                if isinstance(node, ast.Call)
                and getattr(node.func, "attr", getattr(node.func, "id", None)) in primitives}
     assert callers == {"faults.py", "gates.py"}
+
+
+def test_every_default_has_a_user():
+    """A defaulted parameter of a package function is passed, by keyword or
+    by position, by some package call of a function of that name (of its
+    class, for ``__init__``); a default nobody overrides is a constant.
+    ``cli.main``'s ``argv`` is the entry point's and is exempt."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    calls = {}   # called name -> per call (positional count, keywords); inf for *, None for **
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(getattr(node.func, "attr", getattr(node.func, "id", None)), []).append(
+                (math.inf if starred else len(node.args), None if None in keywords else keywords))
+    unused = []
+    for stem, tree in trees.items():
+        # a method called on an instance or class is passed its first argument
+        methods = {id(member): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for member in cls.body if isinstance(member, ast.FunctionDef)
+                   and "staticmethod" not in (getattr(d, "id", "") for d in member.decorator_list)}
+        for fn in (fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)):
+            positional = [*fn.args.posonlyargs, *fn.args.args][id(fn) in methods:]
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(math.inf, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            name = methods[id(fn)] if fn.name == "__init__" else fn.name
+            unused += [f"{stem}.{fn.name}({arg})" for index, arg in defaulted
+                       if f"{stem}.{fn.name}({arg})" != "cli.main(argv)"
+                       and not any(count > index or keywords is None or arg in keywords
+                                   for count, keywords in calls.get(name, []))]
+    assert unused == []

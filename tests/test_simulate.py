@@ -524,9 +524,8 @@ def test_router_skips_an_oracle_that_cannot_judge_the_code(cat):
     code = codes.transform_code(cat.code("steane"), [gate(gates.H, q) for q in range(7)],
                                 name="steane_h")
     catalog = cataloglib.Catalog()
-    catalog.add(code, {gates.X: TransversalRule("rep"), gates.Y: TransversalRule("rep"),
-                       gates.Z: TransversalRule("rep"),
-                       gates.S: TransversalRule("bitwise", gates.S_DAG)})
+    catalog.add(code, {gates.X: TransversalRule(), gates.Y: TransversalRule(),
+                       gates.Z: TransversalRule(), gates.S: TransversalRule(gates.S_DAG)})
     lib = library.GadgetLibrary(catalog)
     for kind in (gates.X, gates.Y, gates.Z):
         cert = lib.rule_certificate("steane_h", kind)
