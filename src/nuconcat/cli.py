@@ -181,6 +181,9 @@ def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     lib = library.GadgetLibrary(cat)
     logicals = [_parse_gate(name, None, None) for name in args.gates.split(",")] \
         if args.gates else None
+    for i, logical in enumerate(logicals or []):
+        if logical in logicals[:i]:
+            raise UsageError(f"--gates lists {logical.kind} twice")
     admitted = _campaign_gadgets(lib, layout, logicals)
     circuits = [adm.circuit for adm in admitted]
     if args.pairs:

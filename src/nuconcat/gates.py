@@ -210,6 +210,14 @@ def unpack(words: np.ndarray) -> int:
     return int.from_bytes(words.astype("<u8").tobytes(), "little")
 
 
+def parities(rows: list[int], cols: list[int]) -> np.ndarray:
+    """The GF(2) inner products of int bit-masks, popcount(r & c) mod 2 for
+    each r in ``rows`` and c in ``cols``, as a 0/1 uint8 rows x cols array."""
+    words = pack(rows + cols, max(m.bit_length() for m in rows + cols) // 64 + 1)
+    both = np.bitwise_count(words[:, :len(rows), None] & words[:, None, len(rows):])
+    return np.bitwise_xor.reduce(both, axis=0) & 1
+
+
 def layers(gate_seq: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
     """Maximal runs of consecutive gates of one kind on disjoint qubits."""
     out: list[tuple[Gate, ...]] = []

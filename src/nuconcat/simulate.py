@@ -13,10 +13,10 @@ asks them strongest first and, if all of them refuse, lists each reason:
 * coset-phase analysis for X/CNOT/diagonal circuits on a code whose
   logical Z has a pure-Z coset form (Dehaene-De Moor, quant-ph/0304125):
   the basis permutation must uncompute to the identity, and the diagonal
-  phase, one phase polynomial (Amy-Maslov-Mosca, arXiv:1303.2042) over
-  the codeword supports' mask bits and one label bit per block, must be
-  the claimed phase on the label bits' product plus a global phase over
-  Z_{2*den}, coefficient by coefficient (any size, any angle in Q*pi).
+  phase less the claimed one, as weighted parities (Amy-Maslov-Mosca,
+  arXiv:1303.2042) of the codeword supports' mask bits and one label bit
+  per block, must be constant; mod 2^t, once divided by the gcd of its
+  weights, only degrees <= t can survive (any size, any angle in Q*pi).
 
 Each oracle verifies a circuit on copies of one
 :class:`~nuconcat.codes.StabilizerCode` (a base code, or a layout flattened
@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce as fold
 
 import numpy as np
 
@@ -256,9 +256,9 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
 # -- coset-phase verification --------------------------------------------------------
 
 def _trace_permutation(circuit: GadgetCircuit) -> tuple[list[int], int, list]:
-    """Basis permutation of X/CNOT gates, ``(rows, offsets, phase_terms)``:
-    qubit q holds the parity ``rows[q]`` of input bits xor bit q of
-    ``offsets``; each diagonal gate is recorded as (theta, [(row, off)])."""
+    """Basis permutation of X/CNOT gates, ``(rows, offsets, phase_terms)``: qubit q
+    holds the parity ``rows[q]`` of input bits xor bit q of ``offsets``; each diagonal
+    gate is recorded as (theta, [(row, off)]), and any other is ``NotApplicable``."""
     n = circuit.register_size
     rows = [1 << q for q in range(n)]
     offs = 0
@@ -270,8 +270,10 @@ def _trace_permutation(circuit: GadgetCircuit) -> tuple[list[int], int, list]:
             c, t = g.qubits
             rows[t] ^= rows[c]
             offs ^= ((offs >> c) & 1) << t
-        else:  # diagonal
+        elif g.is_diagonal:
             terms.append((g.theta(), [(rows[q], (offs >> q) & 1) for q in g.qubits]))
+        else:
+            raise NotApplicable(f"{g.kind} is outside the coset-phase gate set")
     return rows, offs, terms
 
 
@@ -288,105 +290,103 @@ def _support_space(code: StabilizerCode) -> tuple[list[int], list[int]]:
     return [seed, seed ^ code.logical_x.x], basis
 
 
-def _xor_polynomial(const: int, variables: list[int], modulus: int) -> dict[int, int]:
-    """``const xor x_i xor x_j ...`` as a multilinear polynomial mod ``modulus``.
-
-    Monomials are bit-masks over the variables.  Each variable enters
-    by ``p xor x = p + x - 2px``, so coefficients are powers of -2 and a
-    power-of-two modulus bounds the degree.
-    """
-    poly = {0: const}
-    for i in variables:
-        bit = 1 << i
-        grown = dict(poly)
-        grown[bit] = 1
-        for mono, coef in poly.items():
-            grown[mono | bit] = grown.get(mono | bit, 0) - 2 * coef
-        poly = {mono: coef % modulus for mono, coef in grown.items() if coef % modulus}
-    return poly
+@lru_cache(maxsize=None)
+def _subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
+    subsets = (np.arange(1, 1 << k)[:, None] >> np.arange(k) & 1).astype(np.uint8)
+    return subsets, 1 - 2 * ((subsets.sum(axis=1, dtype=np.int64) - 1) & 1)  # T != {}, (-1)^{|T|-1}
 
 
-def _times(a: dict[int, int], b: dict[int, int], modulus: int) -> dict[int, int]:
-    """Product of multilinear polynomials mod ``modulus`` (x^2 = x)."""
-    out: dict[int, int] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            out[ma | mb] = (out.get(ma | mb, 0) + ca * cb) % modulus
-    return {mono: coef for mono, coef in out.items() if coef}
+def _varies(rows: np.ndarray, weights: np.ndarray, modulus: int) -> bool:
+    """Whether sum_j w_j (rows_j . x) mod ``modulus`` depends on x: x^S has the coefficient
+    (-2)^{|S|-1} sum_{j: S in L_j} w_j.  Over the gcd the modulus is 2^t times an odd q: mod q each
+    distinct row's weights must cancel, mod 2^t only |S| <= t survive (Bravyi-Haah, 1209.2426)."""
+    g = math.gcd(modulus, int(np.gcd.reduce(weights)))
+    modulus, w = modulus // g, weights // g
+    two, merged = modulus & -modulus, {}
+    for row, wj in zip(rows, w.tolist()) if modulus > two else ():
+        merged[row.tobytes()] = merged.get(row.tobytes(), 0) + wj * int(row.any())
+    w %= two  # what is left is mod 2^t; degree 1 is w . L
+    if any(wj % (modulus // two) for wj in merged.values()) or (w @ rows & two - 1).any():
+        return True
+    if two > 2:  # rows on each pair a < b and each {a, b, c}, mod 2^(t-1) and 2^(t-2)
+        n, top = rows.shape[1], two.bit_length() - 3  # bit t-2 of w counts only for pairs
+        block = 8192 // (n + 1) + 1  # pairs at a time: 64 KB of words, under malloc's mmap threshold
+        a, b = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+        bits = np.zeros((n, -(-len(rows) // 64) * 64), np.uint8)
+        pairs, triples = 0, np.zeros((len(a), n) if top else 0, np.uint8 if top < 9 else np.uint32)
+        for i in range(top, -1, -1):  # a bit of w at a time, in packed columns, the top bit first:
+            bits[:, :len(rows)] = rows.T * (w >> i & 1).astype(np.uint8)  # each doubling weighs
+            cols = np.ascontiguousarray(np.packbits(bits, axis=1).view(np.uint64).T)  # words, columns
+            both = cols[:, a] & cols[:, b]
+            pairs = (pairs << 1) + np.bitwise_count(both).sum(axis=0, dtype=np.int64)
+            if i < top:
+                triples <<= 1
+                for lo, (pair, col) in itertools.product(range(0, len(a), block), zip(both, cols)):
+                    triples[lo:lo + block] += np.bitwise_count(pair[lo:lo + block, None] & col)
+        if (pairs & (two >> 1) - 1).any() or (triples & (two >> 2) - 1).any():
+            return True  # at c = a or b, triples repeat pairs, 0 by then
+    coefs: dict[tuple, int] = {}
+    for row, r in zip(rows, w.tolist()) if two > 8 else ():
+        reach = two.bit_length() - (r & -r).bit_length() if r else 0  # (-2)^(s-1) r != 0 up to s
+        for s in range(4, reach + 1):
+            for mono in itertools.combinations(np.flatnonzero(row).tolist(), s):
+                coefs[mono] = coefs.get(mono, 0) + (-2) ** (s - 1) * r
+    return any(coef % two for coef in coefs.values())
 
 
 def verify_diagonal_action(code: StabilizerCode, circuit: GadgetCircuit,
                            claimed: Gate) -> Certificate:
     """Exact phase-polynomial check for X/CNOT/diagonal circuits on stabilizer codewords.
 
-    The permutation part must uncompute to the identity.  On block b, the
-    codeword with label l_b has support ``seed xor l_b * delta xor
-    span(basis)``, so each factor of a diagonal gate is an affine GF(2)
-    form in mask and label bits, all free path variables (sum-over-paths,
-    Amy, arXiv:1805.06908).  In units of pi/den, den the lcm of the angle
-    denominators, the phase is one multilinear polynomial P mod 2*den.  That
-    form is unique, so the claim holds exactly when P minus the claimed
-    phase times l_0 ... l_{m-1} is a constant: the global phase.  A refusal
-    names the first label tuple whose phase varies or is off the claim.
+    The permutation part must uncompute to the identity.  On block b the codeword with label
+    l_b has support ``seed xor l_b * delta xor span(basis)``, so every gate factor is an affine
+    GF(2) form in mask and label bits (Amy, arXiv:1805.06908).  With the claim's inverse on the
+    labels and theta a_1...a_k = theta 2^{1-k} sum_{T != {}} (-1)^{|T|-1} xor_{i in T} a_i
+    (Amy-Maslov-Mosca, arXiv:1303.2042), 2^{kmax-1} times the phase in units of pi/den is the
+    global phase plus sum_j w_j (L_j . x) mod den 2^kmax, which must be constant; a refusal
+    names the first label tuple, in product order, whose phase varies or is off the claim.
     """
-    m = len(circuit.blocks)
+    m, n = len(circuit.blocks), circuit.register_size
     offsets = _block_offsets(code, circuit, claimed)
     if not claimed.is_diagonal:
         raise NotApplicable("coset-phase method needs a diagonal claimed gate")
-    for g in circuit.gates:
-        if not (g.is_permutation or g.is_diagonal):
-            raise NotApplicable(f"{g.kind} is outside the coset-phase gate set")
-    (seed0, seed1), code_basis = _support_space(code)
     rows, offs, phase_terms = _trace_permutation(circuit)
-    if offs != 0 or rows != [1 << q for q in range(circuit.register_size)]:
+    (seed0, seed1), code_basis = _support_space(code)
+    if offs != 0 or rows != [1 << q for q in range(n)]:
         return Certificate("css-coset", False,
                            details="basis permutation does not uncompute to identity")
-
-    touched = 0
-    for theta, bits in phase_terms:
-        for row, _ in bits:
-            touched |= row
-
-    # each block's basis quotiented by qubits no phase-term row reads, then
-    # one label variable per block
+    touched = fold(int.__or__, (row for _, bits in phase_terms for row, _ in bits), 0)
     basis = [v for offset in offsets for v in rref([(v << offset) & touched for v in code_basis])]
-    variables = basis + [(seed0 ^ seed1) << offset for offset in offsets]
-    seed = sum(seed0 << offset for offset in offsets)
-    den = math.lcm(claimed.theta().denominator,
-                   *(theta.denominator for theta, _ in phase_terms))
-    modulus = 2 * den
-    poly: dict[int, int] = {}
-    for theta, bits in phase_terms:
-        term = {0: int(theta * den)}
-        for row, off in bits:
-            # every coefficient of ``term`` is a multiple of ``scale``, so
-            # the next factor only matters mod modulus // scale
-            scale = math.gcd(modulus, *term.values())
-            const = ((row & seed).bit_count() & 1) ^ off
-            hit = [i for i, v in enumerate(variables) if (row & v).bit_count() & 1]
-            term = _times(term, _xor_polynomial(const, hit, modulus // scale), modulus)
-        for mono, coef in term.items():
-            poly[mono] = (poly.get(mono, 0) + coef) % modulus
-    claim = int(claimed.theta() * den)
-    all_labels = ((1 << m) - 1) << len(basis)
-    poly[all_labels] = (poly.get(all_labels, 0) - claim) % modulus
-    global_phase = poly.pop(0, 0)
-    poly = {mono: coef for mono, coef in poly.items() if coef}
-    masks = (1 << len(basis)) - 1
+    # the blocks' bases on the qubits read, then label bits, also on qubits n + b for the claim
+    variables = basis + [(seed0 ^ seed1) << off | 1 << (n + b) for b, off in enumerate(offsets)]
+    one = 1 << (n + m)  # one more qubit, set in the seed, carries each factor's affine constant
+    seed = sum(seed0 << offset for offset in offsets) | one
+    terms = [*phase_terms, (-claimed.theta(), [(1 << (n + b), 0) for b in range(m)])]
+    kmax, den = max(len(bits) for _, bits in terms), math.lcm(*(t.denominator for t, _ in terms))
+    if (modulus := den << kmax) >= 1 << 32:
+        raise NotApplicable(f"angle denominator {den} is too fine for the coset-phase method")
+    # kmax factors per term, padded by the constant 1, each over the variables and the seed
+    factors = [row | off * one for _, bits in terms
+               for row, off in [*bits, *[(0, 1)] * (kmax - len(bits))]]
+    table = gates.parities(factors, variables + [seed])
+    subsets, signs = _subsets(kmax)
+    parities = (subsets @ table.reshape(len(terms), kmax, -1)) & 1
+    weights = np.outer([t.numerator * (den // t.denominator) for t, _ in terms], signs).ravel()
+    rows, consts = parities[..., :-1].reshape(len(weights), -1), parities[..., -1].ravel()
+    global_phase = int(weights @ consts) % modulus >> (kmax - 1)
+    weights -= 2 * consts * weights  # an affine constant 1 negates its weight
+    if not _varies(rows, weights, modulus):
+        return Certificate("css-coset", True, phase=complex(np.exp(1j * np.pi * global_phase / den)),
+                           details=f"phase polynomial constant on {1 << len(basis)} "
+                                   f"support words per label tuple")
     for labels in itertools.product(range(2), repeat=m):
-        fixed = masks | sum(bit << (len(basis) + b) for b, bit in enumerate(labels))
-        rest: dict[int, int] = {}  # P at these labels, less the global and claimed phase
-        for mono, coef in poly.items():
-            if not mono & ~fixed:
-                rest[mono & masks] = (rest.get(mono & masks, 0) + coef) % modulus
-        if any(coef for mono, coef in rest.items() if mono):
+        flip = rows[:, len(basis):] @ labels & 1
+        if _varies(rows[:, :len(basis)], weights * (1 - 2 * flip), modulus):
             return Certificate("css-coset", False,
                                details=f"phase varies over the support at labels {labels}")
-        if rest.get(0):
-            want = (global_phase + (claim if all(labels) else 0)) % modulus
+        if shift := int(weights @ flip) % modulus >> (kmax - 1):
+            want = (global_phase + int(claimed.theta() * den) * all(labels)) % (2 * den)
             return Certificate("css-coset", False,
-                               details=f"phase {Fraction((want + rest[0]) % modulus, den)} != "
+                               details=f"phase {Fraction((want + shift) % (2 * den), den)} != "
                                        f"{Fraction(want, den)} at labels {labels}")
-    return Certificate("css-coset", True, phase=complex(np.exp(1j * np.pi * global_phase / den)),
-                       details=f"phase polynomial constant on {1 << len(basis)} "
-                               f"support words per label tuple")
+    raise AssertionError("a phase sum that is not constant varies at some label tuple")

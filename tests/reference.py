@@ -2,6 +2,8 @@
 obviously correct form of something the package does on arrays, or a
 helper the package no longer needs."""
 
+import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -16,8 +18,9 @@ from nuconcat.codes import (LOGICAL_CLASSES, LookupDecoder, StabilizerCode, buil
 from nuconcat.concat import DistanceResult, Layout, bare_layout, lift
 from nuconcat.gates import Gate
 from nuconcat.pauli import LETTERS, DimensionError, Pauli
-from nuconcat.simulate import (FIDELITY_TOL, NORM_TOL, Certificate, VerificationError,
-                               apply_pauli)
+from nuconcat.simulate import (FIDELITY_TOL, NORM_TOL, Certificate, NotApplicable,
+                               VerificationError, _block_offsets, _support_space,
+                               _trace_permutation, apply_pauli)
 
 
 def nullspace(rows: list[int], n_bits: int) -> list[int]:
@@ -443,3 +446,97 @@ def reference_find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit) -> 
         i, size = end, 2 * (end - i)
     report.min_uncorrectable_size = "none <= 2"
     return report
+
+
+def _xor_polynomial(const: int, variables: list[int], modulus: int) -> dict[int, int]:
+    """``const xor x_i xor x_j ...`` as a multilinear polynomial mod ``modulus``.
+
+    Monomials are bit-masks over the variables.  Each variable enters
+    by ``p xor x = p + x - 2px``, so coefficients are powers of -2 and a
+    power-of-two modulus bounds the degree.
+    """
+    poly = {0: const}
+    for i in variables:
+        bit = 1 << i
+        grown = dict(poly)
+        grown[bit] = 1
+        for mono, coef in poly.items():
+            grown[mono | bit] = grown.get(mono | bit, 0) - 2 * coef
+        poly = {mono: coef % modulus for mono, coef in grown.items() if coef % modulus}
+    return poly
+
+
+def _times(a: dict[int, int], b: dict[int, int], modulus: int) -> dict[int, int]:
+    """Product of multilinear polynomials mod ``modulus`` (x^2 = x)."""
+    out: dict[int, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            out[ma | mb] = (out.get(ma | mb, 0) + ca * cb) % modulus
+    return {mono: coef for mono, coef in out.items() if coef}
+
+
+def reference_diagonal_action(code: StabilizerCode, circuit: GadgetCircuit,
+                              claimed: Gate) -> Certificate:
+    """The css-coset check by dict polynomials: every diagonal gate's
+    factors are multiplied out term by term into one multilinear polynomial
+    P mod 2*den over the mask and label bits, and one pass over the label
+    tuples, in product order, restricts P less the claimed phase on the
+    labels' product to each; the first restriction that varies over the
+    support or has a non-zero constant is the refusal."""
+    m = len(circuit.blocks)
+    offsets = _block_offsets(code, circuit, claimed)
+    if not claimed.is_diagonal:
+        raise NotApplicable("coset-phase method needs a diagonal claimed gate")
+    for g in circuit.gates:
+        if not (g.is_permutation or g.is_diagonal):
+            raise NotApplicable(f"{g.kind} is outside the coset-phase gate set")
+    (seed0, seed1), code_basis = _support_space(code)
+    rows, offs, phase_terms = _trace_permutation(circuit)
+    if offs != 0 or rows != [1 << q for q in range(circuit.register_size)]:
+        return Certificate("css-coset", False,
+                           details="basis permutation does not uncompute to identity")
+    touched = 0
+    for theta, bits in phase_terms:
+        for row, _ in bits:
+            touched |= row
+    basis = [v for offset in offsets for v in rref([(v << offset) & touched for v in code_basis])]
+    variables = basis + [(seed0 ^ seed1) << offset for offset in offsets]
+    seed = sum(seed0 << offset for offset in offsets)
+    den = math.lcm(claimed.theta().denominator,
+                   *(theta.denominator for theta, _ in phase_terms))
+    modulus = 2 * den
+    poly: dict[int, int] = {}
+    for theta, bits in phase_terms:
+        term = {0: int(theta * den)}
+        for row, off in bits:
+            # every coefficient of ``term`` is a multiple of ``scale``, so
+            # the next factor only matters mod modulus // scale
+            scale = math.gcd(modulus, *term.values())
+            const = ((row & seed).bit_count() & 1) ^ off
+            hit = [i for i, v in enumerate(variables) if (row & v).bit_count() & 1]
+            term = _times(term, _xor_polynomial(const, hit, modulus // scale), modulus)
+        for mono, coef in term.items():
+            poly[mono] = (poly.get(mono, 0) + coef) % modulus
+    claim = int(claimed.theta() * den)
+    all_labels = ((1 << m) - 1) << len(basis)
+    poly[all_labels] = (poly.get(all_labels, 0) - claim) % modulus
+    global_phase = poly.pop(0, 0)
+    poly = {mono: coef for mono, coef in poly.items() if coef}
+    masks = (1 << len(basis)) - 1
+    for labels in itertools.product(range(2), repeat=m):
+        fixed = masks | sum(bit << (len(basis) + b) for b, bit in enumerate(labels))
+        rest: dict[int, int] = {}  # P at these labels, less the global and claimed phase
+        for mono, coef in poly.items():
+            if not mono & ~fixed:
+                rest[mono & masks] = (rest.get(mono & masks, 0) + coef) % modulus
+        if any(coef for mono, coef in rest.items() if mono):
+            return Certificate("css-coset", False,
+                               details=f"phase varies over the support at labels {labels}")
+        if rest.get(0):
+            want = (global_phase + (claim if all(labels) else 0)) % modulus
+            return Certificate("css-coset", False,
+                               details=f"phase {Fraction((want + rest[0]) % modulus, den)} != "
+                                       f"{Fraction(want, den)} at labels {labels}")
+    return Certificate("css-coset", True, phase=complex(np.exp(1j * np.pi * global_phase / den)),
+                       details=f"phase polynomial constant on {1 << len(basis)} "
+                               f"support words per label tuple")

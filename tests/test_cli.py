@@ -357,6 +357,13 @@ def test_ftcheck_gate_names_are_validated(capsys):
     assert err.startswith("usage error:") and "Z_THETA" in err and out == ""
 
 
+def test_ftcheck_refuses_a_repeated_gate_kind(capsys):
+    """A kind listed twice would be admitted, walked and reported twice; like
+    a catalog block read twice, it is a usage error that names the kind."""
+    code, out, err = run(capsys, "ftcheck", "--layout", "code49", "--gates", "T,CCZ,T")
+    assert (code, out, err) == (2, "", "usage error: --gates lists T twice\n")
+
+
 CATALOG_TEXT = cataloglib.dump_catalog(cataloglib.default_catalog())
 # the bare:steane T gadget
 CIRCUIT_TEXT = circuit_to_text(staircase_gadget(cataloglib.default_catalog().code("steane"),

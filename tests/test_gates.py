@@ -115,6 +115,16 @@ def test_conjugate_through_takes_one_register():
         gates.conjugate_through([Pauli.from_string("X"), Pauli.from_string("XX")], [])
 
 
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.integers(0, (1 << 200) - 1), min_size=1, max_size=6),
+       cols=st.lists(st.integers(0, (1 << 200) - 1), min_size=1, max_size=6))
+def test_parities_are_the_gf2_inner_products(rows, cols):
+    """Masks of up to 200 bits, over several words, the 0 mask included."""
+    want = [[(r & c).bit_count() & 1 for c in cols] for r in rows]
+    got = gates.parities(rows, cols)
+    assert got.dtype == np.uint8 and got.tolist() == want
+
+
 def test_non_clifford_conjugation_rejected():
     with pytest.raises(UnsupportedGateError):
         gates.conjugate_through([Pauli.from_string("X")], [gate(gates.T, 0)])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import nuconcat
 from nuconcat import catalog as cataloglib
 from nuconcat import codes, gates, library, simulate
-from nuconcat.circuits import GadgetCircuit, TransversalRule
+from nuconcat.circuits import GadgetCircuit, SynthesisError, TransversalRule
 from nuconcat.codes import StabilizerCode
 from nuconcat.concat import flatten
 from nuconcat.gates import Gate, gate
@@ -22,8 +22,8 @@ from nuconcat.simulate import (VerificationError, apply_circuit, apply_pauli,
                                codewords, verify_clifford_action, verify_diagonal_action,
                                verify_logical_action)
 from reference import (densify, expand_transversal, invert, pauli_on_vector,
-                       reference_apply_circuit, reference_codewords, reference_logical_action,
-                       staircase_gadget)
+                       reference_apply_circuit, reference_codewords, reference_diagonal_action,
+                       reference_logical_action, staircase_gadget)
 
 
 def test_state_cap(cat):
@@ -389,6 +389,16 @@ def test_css_coset_names_the_first_failing_label_tuple(cat):
                            ((0, 15), (15, 15)))
     cert = verify_diagonal_action(code, t_on_1, gate(gates.CZ, 0, 1))
     assert not cert.passed and cert.details == "phase 1/4 != 0 at labels (0, 1)"
+
+
+def test_css_coset_refuses_angles_past_its_integer_range(cat):
+    """den * 2^kmax must stay below 2^32, where every count it keeps is exact."""
+    code = cat.code("steane")
+    fine = GadgetCircuit(7, (gates.diagonal_gate((0,), Fraction(1, 1 << 31)),), "fine", ((0, 7),))
+    with pytest.raises(simulate.NotApplicable, match="too fine for the coset-phase method"):
+        verify_diagonal_action(code, fine, gate(gates.Z, 0))
+    coarse = GadgetCircuit(7, (gates.diagonal_gate((0,), Fraction(1, 1 << 30)),), "coarse", ((0, 7),))
+    assert not verify_diagonal_action(code, coarse, gate(gates.Z, 0)).passed
 
 
 def test_css_coset_detects_leakage(cat):
@@ -769,6 +779,89 @@ def test_three_steane_blocks_css_coset_vs_enumeration(cat, data, theta, shift):
     claim = gates.diagonal_gate((0, 1, 2), theta + shift)
     assert verify_diagonal_action(code, circuit, claim).passed \
         == _enumerated_verdict(code, circuit, claim)
+
+
+def _coset_outcome(oracle, code: StabilizerCode, circuit: GadgetCircuit, claim: Gate) -> str:
+    """The certificate's repr, or the refusal's type and message."""
+    try:
+        return repr(oracle(code, circuit, claim))
+    except VerificationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_css_coset_certificates_match_the_dict_polynomial_reference(cat, lib, layouts):
+    """The parity form and the dict-polynomial expansion give byte-identical
+    certificates and refusals: every catalog rule against every diagonal
+    claim kind, the T, CCZ, S and CZ gadgets of the six table layouts with
+    the right claim and claims off by pi/4 and pi/2, and bare staircases with
+    angles over 3, 6, 8 and 12."""
+    claims = [Gate(kind, tuple(range(gates.ARITY[kind])))
+              for kind in (gates.Z, gates.S, gates.S_DAG, gates.T, gates.T_DAG, gates.CZ, gates.CCZ)]
+    cases = [(cat.code(name), expand_transversal(cat.code(name), kind, rule), claim)
+             for name, rules in cat.rules.items() for kind, rule in rules.items()
+             for claim in [*claims, gates.diagonal_gate((0,), Fraction(1, 3))]]
+    for lay, kind in itertools.product(layouts.values(), (gates.T, gates.CCZ, gates.S, gates.CZ)):
+        try:
+            circuit = lib.dispatcher.logical_gadget(lay, library.logical_gate(kind))
+        except SynthesisError:
+            continue
+        theta, qubits = library.logical_gate(kind).theta(), tuple(range(gates.ARITY[kind]))
+        cases += [(flatten(lay), circuit, gates.diagonal_gate(qubits, theta + shift))
+                  for shift in (0, Fraction(1, 4), Fraction(1, 2))]
+    stairs = [*itertools.product(("steane", "rm15"), (0, 1, 2),
+                                 (Fraction(1, 3), Fraction(5, 6), Fraction(7, 12))),
+              ("steane", 3, Fraction(1, 8)), ("steane", 3, Fraction(1, 3))]
+    for name, k, theta in stairs:  # k = 3 reaches the degree-4 label monomial
+        circuit = staircase_gadget(cat.code(name), k, theta)
+        cases += [(cat.code(name), circuit, gates.diagonal_gate(tuple(range(k + 1)), theta + shift))
+                  for shift in (0, Fraction(1, 4), Fraction(1, 3))]
+    passed = set()
+    for code, circuit, claim in cases:
+        got = _coset_outcome(verify_diagonal_action, code, circuit, claim)
+        assert got == _coset_outcome(reference_diagonal_action, code, circuit, claim), \
+            (code.name, circuit.label, claim)
+        passed.add("passed=True" in got)
+    assert passed == {True, False}
+
+
+ANGLE = st.builds(Fraction, st.integers(0, 23), st.sampled_from([3, 4, 8]))
+
+
+def _draw_mixed_diagonal(data, code, m: int) -> tuple[GadgetCircuit, Gate]:
+    """Random X/CNOT prefix, a middle of Z_THETA, CZ, CCZ and CKZ_THETA on
+    up to 4 qubits with angles over 3, 4 and 8, and the inverse prefix, on
+    m copies of ``code``; when drawn, a logical C^(m-1)Z staircase goes
+    first, and the claim is its angle, if any, plus 0 or a drawn angle."""
+    n = code.n * m
+    qubit = st.integers(0, n - 1)
+    perm = data.draw(st.lists(st.one_of(
+        qubit.map(lambda q: gate(gates.X, q)),
+        st.lists(qubit, min_size=2, max_size=2, unique=True).map(
+            lambda ab: gate(gates.CNOT, *ab))), max_size=3))
+    middle = data.draw(st.lists(st.one_of(
+        st.builds(lambda qs, t: gates.diagonal_gate(tuple(qs), t),
+                  st.lists(qubit, min_size=1, max_size=4, unique=True), ANGLE),
+        st.lists(qubit, min_size=2, max_size=3, unique=True).map(
+            lambda qs: gate(gates.CZ if len(qs) == 2 else gates.CCZ, *qs))), max_size=4))
+    stair = data.draw(st.one_of(st.none(), ANGLE))
+    body = (*(staircase_gadget(code, m - 1, stair).gates if stair is not None else ()),
+            *perm, *middle, *reversed(perm))
+    theta = (stair or 0) + data.draw(st.one_of(st.just(Fraction(0)), ANGLE))
+    blocks = tuple((b * code.n, code.n) for b in range(m))
+    return GadgetCircuit(n, body, "mixed", blocks), gates.diagonal_gate(tuple(range(m)), theta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_mixed_diagonal_circuits_match_the_dict_polynomial_reference(cat, data):
+    """Verdict, details and global phase of the parity form equal those of
+    the dict-polynomial expansion, with angles over 3, 4 and 8 and up to
+    4-qubit CKZ_THETA, so the padding to kmax factors, the gcd, an odd
+    modulus and degrees past 3 all run."""
+    code = cat.code("steane")
+    circuit, claim = _draw_mixed_diagonal(data, code, data.draw(st.integers(1, 2)))
+    assert _coset_outcome(verify_diagonal_action, code, circuit, claim) == \
+        _coset_outcome(reference_diagonal_action, code, circuit, claim)
 
 
 def test_table1_extended_never_imports_numpy_ma():
