@@ -303,7 +303,9 @@ class StabilizerGroup:
     Membership is exact including the sign: ``p in group`` holds only when
     ``p`` equals a product of generators.  The symplectic rows are reduced
     with one low tag bit per generator, so reducing ``p`` to no symplectic
-    bits leaves the combination of generators in the tag bits.
+    bits leaves the combination c of generators in the tag bits.  Their
+    product in index order has the phase form sum_{i in c} e_i + 2 |c & u_i|,
+    with u_i the j > i where z_i & x_j is odd (quant-ph/0406196).
     """
 
     def __init__(self, generators, n: int):
@@ -311,19 +313,29 @@ class StabilizerGroup:
         self.n = n
         k = len(self.generators)
         self._reduced = rref([(g.x << n | g.z) << k | 1 << i for i, g in enumerate(self.generators)])
+        self._form = [(g.phase_exp, sum(1 << j for j, h in enumerate(self.generators)
+                                        if j > i and (g.z & h.x).bit_count() & 1))
+                      for i, g in enumerate(self.generators)]
+
+    def phase(self, x: int, z: int) -> int | None:
+        """Phase exponent e of the element i^e X^x Z^z, or None off the span."""
+        k = len(self.generators)
+        combo = reduce(self._reduced, (x << self.n | z) << k)
+        return None if combo >> k else sum(e + 2 * (combo & upper).bit_count() for i, (e, upper)
+                                           in enumerate(self._form) if combo >> i & 1) & 3
 
     def product(self, combo: int) -> Pauli:
         """Product of the generators whose bits are set in ``combo``, in index order."""
-        out = Pauli.identity(self.n)
+        x = z = 0
         for i, g in enumerate(self.generators):
-            if (combo >> i) & 1:
-                out = out * g
-        return out
+            if combo >> i & 1:
+                x, z = x ^ g.x, z ^ g.z
+        return Pauli(self.n, x, z, self.phase(x, z))
 
     def __contains__(self, p: Pauli) -> bool:
-        k = len(self.generators)
-        combo = reduce(self._reduced, (p.x << self.n | p.z) << k)
-        return combo >> k == 0 and self.product(combo) == p
+        if p.n != self.n:
+            raise DimensionError(f"{p.n}-qubit operator vs a group on {self.n} qubits")
+        return self.phase(p.x, p.z) == p.phase_exp
 
 
 @lru_cache(maxsize=None)

@@ -154,10 +154,14 @@ class _Frame:
             if not len(hit):
                 continue
             self.hits.append(owners := owner[hit])
+            fresh = int(self.deterministic[owners].sum())   # hit groups of one row, one key each
             self.deterministic[owners] = False
             keys = np.vstack([x[:, hit], z[:, hit] & ~gmask, owners.astype(np.uint64)])
             keys = keys[:, np.lexsort(keys)]   # not np.unique: it imports numpy.ma (~0.7 MB)
             keys = keys[:, np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)])]
+            # a fresh group ends the gate with n_sub rows; rows never shrink, so
+            # a branched group can pass the cap only if it grew
+            grew = n_sub * (keys.shape[1] - fresh) > len(hit) - fresh
             # A key merges at most n_sub rows, so its rows fill the hit slots.
             end = self.rows + keys.shape[1] * n_sub - len(hit)
             if end > len(self._owner):   # double the buffers; spare rows are written before use
@@ -170,7 +174,7 @@ class _Frame:
             self._xz[1][:, slots] = (keys[w:2 * w, :, None] | subsets[:, None, :]).reshape(w, -1)
             self._owner[slots] = np.repeat(keys[2 * w].astype(np.intp), n_sub)
             self.rows = end
-            if np.bincount(self.owner).max() > BRANCH_CAP:
+            if fresh and n_sub > BRANCH_CAP or grew and np.bincount(self.owner).max() > BRANCH_CAP:
                 raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
 
 

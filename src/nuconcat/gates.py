@@ -309,11 +309,11 @@ def conjugate_through(paulis: Sequence[Pauli], gates) -> list[Pauli]:
         raise UnsupportedGateError(f"gate {outside[0]} outside register of {n}")
     for layer in layers(gates):
         conjugate_rows(x, z, layer, sign)
-    images = []
-    for r, p in enumerate(paulis):
-        image = Pauli.hermitian(n, unpack(x[:, r]), unpack(z[:, r]))
-        images.append(Pauli(n, image.x, image.z,
-                            image.phase_exp + 2 * int(sign[r]) + (p.display_phase_exp & 1)))
+    xs, zs = (plane.T.astype("<u8").tobytes() for plane in (x, z))   # row by row
+    step, images = 8 * n_words, []
+    for r, (p, flip) in enumerate(zip(paulis, sign.tolist())):
+        px, pz = (int.from_bytes(b[step * r:step * (r + 1)], "little") for b in (xs, zs))
+        images.append(Pauli(n, px, pz, (px & pz).bit_count() + 2 * flip + (p.display_phase_exp & 1)))
     return images
 
 

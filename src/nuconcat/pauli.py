@@ -55,10 +55,6 @@ class Pauli:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def identity(n: int) -> "Pauli":
-        return Pauli(n, 0, 0, 0)
-
-    @staticmethod
     def single(n: int, qubit: int, letter: str) -> "Pauli":
         """One non-identity letter on ``qubit``, identity elsewhere."""
         if not 0 <= qubit < n:

@@ -9,7 +9,7 @@ asks them strongest first and, if all of them refuse, lists each reason:
   basis states they reach (<= 22 qubits; codewords from
   :func:`~nuconcat.codes.code_space`), judging U_L whole: leakage, phase, fidelity;
 * Heisenberg conjugation of stabilizers and logicals (Clifford circuits,
-  any size, sign-exact group membership);
+  any size, sign-exact membership block by block in the code's group);
 * coset-phase analysis for X/CNOT/diagonal circuits on a code whose
   logical Z has a pure-Z coset form (Dehaene-De Moor, quant-ph/0304125):
   the basis permutation must uncompute to the identity, and the diagonal
@@ -38,7 +38,7 @@ import numpy as np
 from . import gates
 from ._bitlin import reduce, rref
 from .circuits import GadgetCircuit
-from .codes import StabilizerCode, StabilizerGroup, code_space
+from .codes import StabilizerCode, code_space, stabilizer_group
 from .gates import Gate
 from .pauli import Pauli
 
@@ -216,11 +216,11 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
                            claimed: Gate) -> Certificate:
     """Conjugate stabilizers and logicals through a Clifford circuit.
 
-    The stabilizer generators and logical X and Z of every block are
-    conjugated as one batch by ``gates.conjugate_through``.  Each image
-    times the inverse of its expected image, I for a stabilizer and the
-    lift of the claim's image for logical X_b or Z_b, must lie exactly in
-    the signed stabilizer group, which pins the action up to global phase.
+    All blocks' generators and logicals go through ``gates.conjugate_through``
+    as one batch.  Each stabilizer image, and each logical image times the
+    inverse of the claim's lifted image, must lie in the signed group, which
+    pins the action up to global phase; the blocks tile the register, so each
+    block's slice must lie in the code's group, phases summing to the image's.
     """
     m = len(circuit.blocks)
     offsets = _block_offsets(code, circuit, claimed)
@@ -228,25 +228,25 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
         raise NotApplicable("Heisenberg check requires a Clifford circuit")
     if not claimed.is_clifford:
         raise NotApplicable("claimed gate is not Clifford")
-    total = circuit.register_size
+    total, group, mask = circuit.register_size, stabilizer_group(code), (1 << code.n) - 1
     # per block: its generators, then logical X and Z, shifted to the block
     placed = [[Pauli(total, p.x << offset, p.z << offset, p.phase_exp)
                for p in (*code.generators, code.logical_x, code.logical_z)] for offset in offsets]
     stabilizers = [p for block in placed for p in block[:-2]]
     rows = stabilizers + [p for block in placed for p in block[-2:]]
     logicals = list(itertools.product(range(m), "XZ"))
-    wants = [Pauli.identity(total)] * len(stabilizers)
+    wants = [None] * len(stabilizers)
     # the claim's image i^e X^x Z^z of each X_b or Z_b, lifted block by block
     for image in gates.conjugate_through([Pauli.single(m, *lg) for lg in logicals], [claimed]):
         want = Pauli(total, 0, 0, image.phase_exp)
         for c, (bits, rep) in itertools.product(range(m), ((image.x, -2), (image.z, -1))):
             want = want * placed[c][rep] if (bits >> c) & 1 else want
-        wants.append(want)
-
-    group = StabilizerGroup(stabilizers, total)
+        wants.append(want.inverse())
     images = gates.conjugate_through(rows, circuit.gates)
     for row, image, want, logical in zip(rows, images, wants, [None] * len(stabilizers) + logicals):
-        if image * want.inverse() not in group:
+        p = image * want if want else image
+        phases = [group.phase(p.x >> offset & mask, p.z >> offset & mask) for offset in offsets]
+        if None in phases or (sum(phases) - p.phase_exp) & 3:
             return Certificate("heisenberg", False, details=(
                 f"logical {logical[1]}_{logical[0]} image mismatch" if logical
                 else f"stabilizer {row} maps outside the group"))

@@ -11,7 +11,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from nuconcat import faults, gates
-from nuconcat._bitlin import rref
+from nuconcat._bitlin import reduce, rref
 from nuconcat.circuits import GadgetCircuit, GadgetDispatcher, TransversalRule
 from nuconcat.codes import (LOGICAL_CLASSES, LookupDecoder, StabilizerCode, build_decoder,
                             min_weight_logical, normalizer_class, syndrome)
@@ -41,7 +41,7 @@ def nullspace(rows: list[int], n_bits: int) -> list[int]:
 
 def from_letters(n: int, letters: Mapping[int, str]) -> Pauli:
     """The product of ``letter`` on ``q`` for each entry, identity elsewhere."""
-    p = Pauli.identity(n)
+    p = Pauli(n, 0, 0)
     for q, letter in letters.items():
         p = p * Pauli.single(n, q, letter)
     return p
@@ -189,6 +189,63 @@ def reference_logical_action(code: StabilizerCode, circuit: GadgetCircuit,
     return Certificate("dense", fidelity >= 1 - FIDELITY_TOL, fidelity=fidelity, phase=phase)
 
 
+def signed_product(generators, combo: int, n: int) -> Pauli:
+    """The product of the generators whose bits are set in ``combo``, in
+    index order, multiplied one ``Pauli`` at a time."""
+    out = Pauli(n, 0, 0)
+    for i, g in enumerate(generators):
+        if combo >> i & 1:
+            out = out * g
+    return out
+
+
+def signed_membership(generators, n: int):
+    """A test of whether a Pauli is a signed product of the independent
+    ``generators``: a tag-bit elimination finds the combination and
+    ``signed_product`` its sign."""
+    k = len(generators)
+    reduced = rref([(g.x << n | g.z) << k | 1 << i for i, g in enumerate(generators)])
+
+    def member(p: Pauli) -> bool:
+        combo = reduce(reduced, (p.x << n | p.z) << k)
+        return combo >> k == 0 and signed_product(generators, combo, n) == p
+    return member
+
+
+def reference_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
+                              claimed: Gate) -> Certificate:
+    """The Heisenberg oracle on the whole register: each stabilizer and
+    logical image times the inverse of its expected image (I for a
+    stabilizer) must be a signed product of all blocks' generators, found
+    by ``signed_membership``; refusals as ``verify_clifford_action`` words them."""
+    m = len(circuit.blocks)
+    offsets = _block_offsets(code, circuit, claimed)
+    if not circuit.is_clifford:
+        raise NotApplicable("Heisenberg check requires a Clifford circuit")
+    if not claimed.is_clifford:
+        raise NotApplicable("claimed gate is not Clifford")
+    total = circuit.register_size
+    placed = [[Pauli(total, p.x << offset, p.z << offset, p.phase_exp)
+               for p in (*code.generators, code.logical_x, code.logical_z)] for offset in offsets]
+    stabilizers = [p for block in placed for p in block[:-2]]
+    rows = stabilizers + [p for block in placed for p in block[-2:]]
+    logicals = list(itertools.product(range(m), "XZ"))
+    wants = [Pauli(total, 0, 0)] * len(stabilizers)
+    for image in gates.conjugate_through([Pauli.single(m, *lg) for lg in logicals], [claimed]):
+        want = Pauli(total, 0, 0, image.phase_exp)
+        for c, (bits, rep) in itertools.product(range(m), ((image.x, -2), (image.z, -1))):
+            want = want * placed[c][rep] if (bits >> c) & 1 else want
+        wants.append(want)
+    member = signed_membership(stabilizers, total)
+    images = gates.conjugate_through(rows, circuit.gates)
+    for row, image, want, logical in zip(rows, images, wants, [None] * len(stabilizers) + logicals):
+        if not member(image * want.inverse()):
+            return Certificate("heisenberg", False, details=(
+                f"logical {logical[1]}_{logical[0]} image mismatch" if logical
+                else f"stabilizer {row} maps outside the group"))
+    return Certificate("heisenberg", True, phase=None)
+
+
 def is_uniform(layout: Layout) -> bool:
     """Every outer qubit carries the same inner code."""
     return len({inner.name for inner in layout.assignment}) == 1
@@ -208,7 +265,7 @@ def expand_transversal(code: StabilizerCode, kind: str, rule: TransversalRule) -
 
 def stabilizer_elements(code: StabilizerCode):
     """All 2^(n-1) group elements with exact signs (Gray-code walk)."""
-    current = Pauli.identity(code.n)
+    current = Pauli(code.n, 0, 0)
     yield current
     prev_code = 0
     for i in range(1, 1 << len(code.generators)):

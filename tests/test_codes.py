@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from nuconcat import cli, gates
 from nuconcat._bitlin import rref
-from nuconcat.codes import (StabilizerCode, build_decoder, code_space, distance, five_prime,
+from nuconcat.codes import (BARE, StabilizerCode, build_decoder, code_space, distance, five_prime,
                             five_qubit, min_weight_candidates, min_weight_logical,
                             normalizer_class, reed_muller_15, stabilizer_group,
                             staircase_support, steane, syndrome, transform_code)
-from nuconcat.concat import flatten, parse_layout
-from nuconcat.pauli import Pauli
+from nuconcat.concat import flatten, non_uniform_layout, parse_layout
+from nuconcat.pauli import DimensionError, Pauli
 from reference import (equals_up_to_phase, from_letters, is_identity, lookup_correction,
-                       stabilizer_elements)
+                       signed_membership, signed_product, stabilizer_elements)
 
 ALL_CODES = [steane, five_qubit, five_prime, reed_muller_15]
 
@@ -156,7 +156,7 @@ def test_staircase_support_sizes():
 
 def test_syndrome_basics():
     code = steane()
-    assert syndrome(code, Pauli.identity(7)) == 0
+    assert syndrome(code, Pauli(7, 0, 0)) == 0
     for g in code.generators:
         assert syndrome(code, g) == 0
     # X errors trigger only Z-type generator bits, and the pattern matches
@@ -243,6 +243,43 @@ def test_group_membership_is_sign_exact():
     g = code.generators[0]
     assert g in stabilizer_group(code)
     assert g.negate() not in stabilizer_group(code)
+
+
+def test_group_membership_refuses_another_register_size():
+    """An 8-qubit copy of a Steane generator is no member of a 7-qubit
+    group and no non-member either: the sizes do not match."""
+    g = steane().generators[0]
+    with pytest.raises(DimensionError, match="8-qubit operator vs a group on 7 qubits"):
+        Pauli(8, g.x, g.z, g.phase_exp) in stabilizer_group(steane())
+
+
+GROUP_CODES = {"steane": steane, "rm15": reed_muller_15, "five_prime": five_prime,
+               "bare": lambda: BARE,
+               "code49": lambda: flatten(non_uniform_layout(steane(), reed_muller_15()))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(GROUP_CODES)), st.data())
+def test_phase_form_matches_pauli_products(name, data):
+    """The phase form gives a random product of generators the sign that
+    multiplying them one ``Pauli`` at a time gives, and membership holds at
+    that phase only.  A logical times the product is off the span, and a
+    random Pauli is judged as the tag-bit reference judges it."""
+    code = GROUP_CODES[name]()
+    group, n, k = stabilizer_group(code), code.n, len(code.generators)
+    combo = data.draw(st.integers(0, (1 << k) - 1))
+    p = signed_product(code.generators, combo, n)
+    assert group.phase(p.x, p.z) == p.phase_exp and group.product(combo) == p
+    shift = data.draw(st.integers(0, 3))
+    assert (Pauli(n, p.x, p.z, p.phase_exp + shift) in group) == (shift == 0)
+    for q in (p * code.logical_x, p * code.logical_z):
+        assert group.phase(q.x, q.z) is None and q not in group
+    word = st.integers(0, (1 << n) - 1)
+    q = Pauli(n, data.draw(word), data.draw(word), data.draw(st.integers(0, 3)))
+    member = signed_membership(code.generators, n)
+    signs = [e for e in range(4) if member(Pauli(n, q.x, q.z, e))]
+    assert group.phase(q.x, q.z) == (signs[0] if signs else None)
+    assert (q in group) == (q.phase_exp in signs)
 
 
 @pytest.mark.parametrize("ctor", [steane, reed_muller_15])

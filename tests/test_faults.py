@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from unittest import mock
@@ -204,6 +205,35 @@ def test_branch_cap_refusal_on_a_layered_diagonal_run(cap):
             rows, deterministic = branches(propagate(circuit, [(0, *fault)]))
             assert len(rows) == 256
             assert (rows, deterministic) == reference_propagate(circuit, [fault])
+
+
+@pytest.mark.parametrize("n_groups, cap", [(2, 7), (2, 8), (3, 8), (3, 16)])
+def test_one_diagonal_gate_on_fresh_and_branched_groups_matches_reference(n_groups, cap):
+    """The T layer on qubits 0 and 3 branches groups 0 (X on 0, two rows)
+    and 2 (X on 0 and 3, four rows), so the CCZ on qubits 0-2 hits them
+    together with group 1 (X on 1), still one row.  The CCZ leaves groups 0
+    and 1 eight rows each and group 2 sixteen: the walk refuses exactly
+    when the reference does, else every group's rows and ``deterministic``,
+    and per diagonal gate the owners of the rows it hits, match it."""
+    circuit = make_circuit(4, gate(gates.T, 0), gate(gates.T, 3), gate(gates.CCZ, 0, 1, 2))
+    groups = [[(-1, 0b0001, 0)], [(-1, 0b0010, 0)], [(-1, 0b1001, 0)]][:n_groups]
+    walk = [(g, *f) for g, fault_list in enumerate(groups) for f in fault_list]
+    with mock.patch.object(faults, "BRANCH_CAP", cap):
+        try:
+            expected = [reference_propagate(circuit, fault_list) for fault_list in groups]
+        except faults.BudgetError:
+            with pytest.raises(faults.BudgetError):
+                propagate(circuit, walk)
+            return
+        frame = propagate(circuit, walk)
+    assert [branches(frame, g) for g in range(n_groups)] == expected
+    hits = []   # per gate that hits a row, the owner of each reference row with X on its qubits
+    for j, g in enumerate(circuit.gates):
+        before = GadgetCircuit(4, circuit.gates[:j], "prefix", ((0, 4),))
+        hits.append(sorted(owner for owner, fault_list in enumerate(groups)
+                           for x, _ in reference_propagate(before, fault_list)[0]
+                           if x & _deposit(7, g.qubits)))
+    assert [sorted(h.tolist()) for h in frame.hits] == [h for h in hits if h]
 
 
 @st.composite
@@ -848,6 +878,19 @@ def test_campaign_counts(cat, name, kind, expected):
     layout, circuit = oracle_free_gadget(cat, name, kind)
     report = check_single_fault_ft(layout, circuit)
     assert (report.locations_checked, report.branches_checked, len(report.failures)) == expected
+
+
+@pytest.mark.parametrize("kind,digest", [(gates.CCZ, "f1a7078db16f88fe"),
+                                          (gates.T, "22444a7b4211135a")])
+def test_campaign_frames_are_pinned(cat, kind, digest):
+    """The code49 walk's rows, owners and hits, in frame order, are pinned:
+    after each diagonal gate the hit groups' merged keys fill the hit slots,
+    then the appended rows, in the lexsort order of (owner, z, x) words."""
+    _, circuit = oracle_free_gadget(cat, "code49", kind)
+    frame = propagate(circuit, enumerate_locations(circuit))
+    arrays = (frame.x, frame.z, frame.owner, *frame.hits)
+    assert hashlib.sha256(b"".join(a.astype("<i8").tobytes() for a in arrays)).hexdigest()[:16] \
+        == digest
 
 
 @pytest.mark.parametrize("name,kind,expected", [

@@ -38,7 +38,7 @@ def test_self_inverse_and_group_inverse():
 
 
 def test_weight():
-    assert Pauli.identity(7).weight() == 0
+    assert Pauli(7, 0, 0).weight() == 0
     assert from_letters(7, {0: "Z", 1: "Z", 6: "Z"}).weight() == 3
     assert Pauli.from_string("Y" * 15).weight() == 15
 
@@ -47,7 +47,7 @@ def test_commutes():
     assert Pauli.from_string("XX").commutes(Pauli.from_string("ZZ"))
     assert not Pauli.from_string("XI").commutes(Pauli.from_string("ZI"))
     p = Pauli.from_string("-iXYZ")
-    assert p.commutes(Pauli.identity(3))
+    assert p.commutes(Pauli(3, 0, 0))
 
 
 def test_dimension_errors():

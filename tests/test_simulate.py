@@ -22,8 +22,8 @@ from nuconcat.simulate import (VerificationError, apply_circuit, apply_pauli,
                                codewords, verify_clifford_action, verify_diagonal_action,
                                verify_logical_action)
 from reference import (densify, expand_transversal, invert, pauli_on_vector,
-                       reference_apply_circuit, reference_codewords, reference_diagonal_action,
-                       reference_logical_action, staircase_gadget)
+                       reference_apply_circuit, reference_clifford_action, reference_codewords,
+                       reference_diagonal_action, reference_logical_action, staircase_gadget)
 
 
 def test_state_cap(cat):
@@ -781,7 +781,7 @@ def test_three_steane_blocks_css_coset_vs_enumeration(cat, data, theta, shift):
         == _enumerated_verdict(code, circuit, claim)
 
 
-def _coset_outcome(oracle, code: StabilizerCode, circuit: GadgetCircuit, claim: Gate) -> str:
+def _oracle_outcome(oracle, code: StabilizerCode, circuit: GadgetCircuit, claim: Gate) -> str:
     """The certificate's repr, or the refusal's type and message."""
     try:
         return repr(oracle(code, circuit, claim))
@@ -817,12 +817,41 @@ def test_css_coset_certificates_match_the_dict_polynomial_reference(cat, lib, la
                   for shift in (0, Fraction(1, 4), Fraction(1, 3))]
     passed = set()
     for code, circuit, claim in cases:
-        got = _coset_outcome(verify_diagonal_action, code, circuit, claim)
-        assert got == _coset_outcome(reference_diagonal_action, code, circuit, claim), \
+        got = _oracle_outcome(verify_diagonal_action, code, circuit, claim)
+        assert got == _oracle_outcome(reference_diagonal_action, code, circuit, claim), \
             (code.name, circuit.label, claim)
         passed.add("passed=True" in got)
     assert passed == {True, False}
 
+
+def test_heisenberg_certificates_match_the_whole_register_reference(cat, lib, layouts):
+    """Block-by-block membership by the phase form and whole-register
+    membership by Pauli products give byte-identical certificates and
+    refusals: every catalog rule against every claim kind of its arity, and
+    the S, CZ, CNOT and H gadgets of code105, code49 and code47 with the
+    right claim, a wrong one, and the right one with the last gate cut."""
+    cases = [(cat.code(name), expand_transversal(cat.code(name), kind, rule),
+              Gate(claim, tuple(range(gates.ARITY[kind]))))
+             for name, rules in cat.rules.items() for kind, rule in rules.items()
+             for claim in sorted(gates.ARITY) if gates.ARITY[claim] == gates.ARITY[kind]]
+    wrong = {gates.S: gates.Z, gates.CZ: gates.CNOT, gates.CNOT: gates.CZ, gates.H: gates.S}
+    for size, (kind, other) in itertools.product((105, 49, 47), wrong.items()):
+        try:
+            c = lib.gadget(layouts[size], library.logical_gate(kind)).circuit
+        except SynthesisError:
+            continue
+        cut = GadgetCircuit(c.register_size, c.gates[:-1], c.label, c.blocks)
+        cases += [(flatten(layouts[size]), circuit, library.logical_gate(claim))
+                  for circuit, claim in ((c, kind), (c, other), (cut, kind))]
+    outcomes = []
+    for code, circuit, claim in cases:
+        outcomes.append(_oracle_outcome(verify_clifford_action, code, circuit, claim))
+        assert outcomes[-1] == _oracle_outcome(reference_clifford_action, code, circuit, claim), \
+            (code.name, circuit.label, claim)
+    assert len(outcomes) == 209 and sum("passed=True" in o for o in outcomes) == 30
+    for refusal in ("NotApplicable: Heisenberg check requires", "NotApplicable: claimed gate",
+                    "image mismatch", "maps outside the group"):
+        assert any(refusal in o for o in outcomes), refusal
 
 ANGLE = st.builds(Fraction, st.integers(0, 23), st.sampled_from([3, 4, 8]))
 
@@ -860,8 +889,8 @@ def test_random_mixed_diagonal_circuits_match_the_dict_polynomial_reference(cat,
     modulus and degrees past 3 all run."""
     code = cat.code("steane")
     circuit, claim = _draw_mixed_diagonal(data, code, data.draw(st.integers(1, 2)))
-    assert _coset_outcome(verify_diagonal_action, code, circuit, claim) == \
-        _coset_outcome(reference_diagonal_action, code, circuit, claim)
+    assert _oracle_outcome(verify_diagonal_action, code, circuit, claim) == \
+        _oracle_outcome(reference_diagonal_action, code, circuit, claim)
 
 
 def test_table1_extended_never_imports_numpy_ma():
