@@ -129,6 +129,12 @@ def parse_catalog(text: str) -> Catalog:
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
+        if current is not None and key not in ("code", "stabilizer", "end"):
+            once = " ".join([key, *rest.split()[:1]]) if key == "transversal" else key
+            if once in current["lines"]:
+                raise ValueError(f"bad catalog line {line!r}: repeats "
+                                 f"{current['lines'][once]!r}")
+            current["lines"][once] = line
         if key == "code":
             name = rest.strip()
             if current is not None:
@@ -137,7 +143,7 @@ def parse_catalog(text: str) -> Catalog:
             if name in cat.codes:
                 raise ValueError(f"bad catalog line {line!r}: code {name!r} already read")
             current = {"name": name, "stabilizers": [], "rules": {}, "lines": {},
-                       "css": (None, ""), "derivation": ""}
+                       "derivation": ""}
         elif current is None:
             raise ValueError(f"directive outside code block: {line!r}")
         elif key == "n":
@@ -145,7 +151,7 @@ def parse_catalog(text: str) -> Catalog:
         elif key == "css":
             if rest.strip() not in ("true", "false"):
                 raise ValueError(f"bad catalog line {line!r}: expected 'css true' or 'css false'")
-            current["css"] = (rest.strip() == "true", line)
+            current["css"] = rest.strip() == "true"
         elif key == "derivation":
             current["derivation"] = rest.strip()
         elif key in ("stabilizer", "logical-x", "logical-z"):
@@ -177,7 +183,6 @@ def parse_catalog(text: str) -> Catalog:
                 raise ValueError(f"bad transversal declaration {line!r}; expected "
                                  f"'transversal KIND rep' or 'transversal KIND bitwise PHYS'")
             current["rules"][_gate_kind(parts[0], line)] = rule
-            current["lines"][parts[0]] = line
         elif key == "end":
             missing = [d for d in ("n", "logical-x", "logical-z") if d not in current]
             if missing:
@@ -185,14 +190,14 @@ def parse_catalog(text: str) -> Catalog:
             for kind, rule in current["rules"].items():
                 for _, q in rule.fixups:
                     if q >= current["n"]:
-                        raise ValueError(f"bad catalog line {current['lines'][kind]!r}: fixup "
+                        raise ValueError(f"bad catalog line "
+                                         f"{current['lines']['transversal ' + kind]!r}: fixup "
                                          f"qubit {q} outside the {current['n']} qubits of "
                                          f"{current['name']!r}")
             code = StabilizerCode(current["name"], current["n"], tuple(current["stabilizers"]),
                                   current["logical-x"], current["logical-z"])
-            declared, css_line = current["css"]
-            if declared not in (None, code.css):
-                raise ValueError(f"bad catalog line {css_line!r}: the operators of "
+            if current.get("css", code.css) != code.css:
+                raise ValueError(f"bad catalog line {current['lines']['css']!r}: the operators of "
                                  f"{code.name!r} make it {'' if code.css else 'not '}CSS")
             cat.add(code, current["rules"], current["derivation"])
             current = None

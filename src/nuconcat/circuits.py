@@ -15,7 +15,6 @@ declared rule (expanded on bare blocks of that code), re-indexed.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -34,29 +33,30 @@ class SynthesisError(ValueError):
 
 @dataclass(frozen=True)
 class GadgetCircuit:
-    """Located gate sequence realising one logical gate.
-
-    ``blocks`` lists (offset, length) per logical operand, tiling the
-    register in order; fault locations are the gate indices
+    """Located gate sequence realising one logical gate on ``operands``
+    equal blocks that tile the register in order; ``blocks`` gives each
+    block's (offset, length).  Fault locations are the gate indices
     0..len(gates)-1 plus per-qubit input faults.
     """
 
     register_size: int
     gates: tuple[Gate, ...]
     label: str
-    blocks: tuple[tuple[int, int], ...]
+    operands: int
 
     def __post_init__(self):
         for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < self.register_size:
                     raise ValueError(f"gate {g} outside register of {self.register_size}")
-        end = 0
-        for off, length in self.blocks:
-            end = off + length if off == end and length > 0 else None
-        if end != self.register_size:
-            raise ValueError(f"blocks {_blocks_text(self.blocks)} do not tile the "
-                             f"register of {self.register_size} in order")
+        if not 1 <= self.operands <= self.register_size or self.register_size % self.operands:
+            raise ValueError(f"{self.operands} operands do not tile the register of "
+                             f"{self.register_size}")
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        size = self.register_size // self.operands
+        return tuple((b * size, size) for b in range(self.operands))
 
     @property
     def is_clifford(self) -> bool:
@@ -160,7 +160,7 @@ def block_logical_gadget(code: StabilizerCode, kind: str) -> GadgetCircuit:
     """
     enc, q_in = encoding_circuit(code)
     gate_list = _inverted_gates(enc) + (gates.gate(kind, q_in),) + enc
-    return GadgetCircuit(code.n, gate_list, f"{kind}[block:{code.name}]", ((0, code.n),))
+    return GadgetCircuit(code.n, gate_list, f"{kind}[block:{code.name}]", 1)
 
 
 # -- layout-level dispatch --------------------------------------------------------
@@ -233,7 +233,6 @@ class GadgetDispatcher:
         arity = gates.ARITY[kind]
         rule, daggered = _rule_for(self.rules[layout.outer.name], kind)
         total = layout.total_n
-        blocks = tuple((b * total, total) for b in range(arity))
         if rule.phys_kind is None:
             rep = layout.outer.logical_rep(kind)  # X, Y and Z are their own daggers
             steps = [(q, rep.letter(q), f" (lifting outer logical {kind})")
@@ -253,7 +252,7 @@ class GadgetDispatcher:
             seq += self._on_blocks(inner, tuple(b * total + start for b in range(arity)),
                                    step_kind, block_local=True, context=context)
         return GadgetCircuit(arity * total, _inverted_gates(seq) if daggered else tuple(seq),
-                             kind, blocks)
+                             kind, arity)
 
     def _outer_staircase(self, layout: Layout, k: int, theta: Fraction) -> GadgetCircuit:
         """Outer-code staircase with every outer-level gate realised on the layout."""
@@ -274,7 +273,6 @@ class GadgetDispatcher:
         lc, _ = normalization_gates(rep)
         support = rep.support
         total = layout.total_n
-        blocks = tuple((b * total, total) for b in range(k + 1))
 
         def shift(gs, off):
             return [Gate(g.kind, tuple(q + off for q in g.qubits), g.theta_over_pi) for g in gs]
@@ -301,7 +299,7 @@ class GadgetDispatcher:
         label = collector.kind
         if label in (gates.Z_THETA, gates.CKZ_THETA):
             label += f"({gates.format_theta(theta)})"
-        return GadgetCircuit((k + 1) * total, gate_list, label, blocks)
+        return GadgetCircuit((k + 1) * total, gate_list, label, k + 1)
 
     def _layout_cnot(self, layout: Layout, ctrl: int, targ: int) -> list[Gate]:
         (cs, ci), (ts, ti) = layout.block(ctrl), layout.block(targ)
@@ -314,19 +312,12 @@ class GadgetDispatcher:
 
 # -- circuit text ------------------------------------------------------------------
 
-def _blocks_text(blocks: tuple[tuple[int, int], ...]) -> str:
-    return " ".join(f"{off}:{ln}" for off, ln in blocks)
-
-
 def circuit_to_text(c: GadgetCircuit) -> str:
     lines = [f"circuit {c.label}",
              f"register {c.register_size}",
-             "blocks " + _blocks_text(c.blocks)]
+             "blocks " + " ".join(f"{off}:{length}" for off, length in c.blocks)]
     lines.extend(str(g) for g in c.gates)
     return "\n".join(lines) + "\n"
-
-
-_BLOCK_RE = re.compile(r"^(\d+):(\d+)$")
 
 
 def circuit_from_text(text: str) -> GadgetCircuit:
@@ -337,12 +328,12 @@ def circuit_from_text(text: str) -> GadgetCircuit:
     label = lines[0].removeprefix("circuit ").strip()
     register = gates.parse_index(lines[1].removeprefix("register "), "circuit", lines[1],
                                  "'register N'")
-    blocks = []
-    for token in lines[2].removeprefix("blocks ").split():
-        m = _BLOCK_RE.match(token)
-        if not m:
-            raise ValueError(f"bad block token {token!r}")
-        blocks.append((int(m.group(1)), int(m.group(2))))
+    blocks = lines[2].removeprefix("blocks ").split()
+    size = register // max(len(blocks), 1)
+    tiling = [f"{b * size}:{size}" for b in range(len(blocks))]
+    if size * len(blocks) != register or blocks != tiling:
+        raise ValueError(f"blocks {' '.join(blocks)} do not tile the register of {register} "
+                         f"in order")
     gate_list = []
     for line in lines[3:]:
         kind, *tokens = line.split()
@@ -356,4 +347,4 @@ def circuit_from_text(text: str) -> GadgetCircuit:
             gate_list.append(Gate(kind, qubits, *thetas))
         except ValueError as exc:
             raise ValueError(f"bad circuit line {line!r}: {exc}") from None
-    return GadgetCircuit(register, tuple(gate_list), label, tuple(blocks))
+    return GadgetCircuit(register, tuple(gate_list), label, len(blocks))

@@ -289,7 +289,7 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
         injections.append((int(match[1]), pauli))
     injections.sort(key=lambda pf: pf[0])
     frame = faults.propagate(circuit, [(0, place, p.x, p.z) for place, p in injections])
-    residual = faults.DecodeContext(layout, circuit.blocks).decode(frame.x, frame.z)
+    residual = faults.DecodeContext(layout, circuit).decode(frame.x, frame.z)
     outcomes = []
     failed = False
     for bx, bz, res in sorted((*frame.branch(r), LETTERS[c])

@@ -321,8 +321,12 @@ class StabilizerGroup:
         """Phase exponent e of the element i^e X^x Z^z, or None off the span."""
         k = len(self.generators)
         combo = reduce(self._reduced, (x << self.n | z) << k)
-        return None if combo >> k else sum(e + 2 * (combo & upper).bit_count() for i, (e, upper)
-                                           in enumerate(self._form) if combo >> i & 1) & 3
+        return None if combo >> k else self._combo_phase(combo)
+
+    def _combo_phase(self, combo: int) -> int:
+        """Phase exponent of the product of the generators in ``combo``, read off the form."""
+        return sum(e + 2 * (combo & upper).bit_count()
+                   for i, (e, upper) in enumerate(self._form) if combo >> i & 1) & 3
 
     def product(self, combo: int) -> Pauli:
         """Product of the generators whose bits are set in ``combo``, in index order."""
@@ -330,7 +334,7 @@ class StabilizerGroup:
         for i, g in enumerate(self.generators):
             if combo >> i & 1:
                 x, z = x ^ g.x, z ^ g.z
-        return Pauli(self.n, x, z, self.phase(x, z))
+        return Pauli(self.n, x, z, self._combo_phase(combo))
 
     def __contains__(self, p: Pauli) -> bool:
         if p.n != self.n:

@@ -239,13 +239,15 @@ def _field(plane: np.ndarray, start: int, width: int) -> np.ndarray:
 
 
 class DecodeContext:
-    """Inner-then-outer lookup decoding of operand blocks, (offset, length)
-    in ``blocks``, of word-major x/z planes.  Each (operand, outer qubit)
+    """Inner-then-outer lookup decoding of a circuit's operand blocks, each
+    one copy of ``layout``, in word-major x/z planes.  Each (operand, outer qubit)
     column has a block word per row, linear in (x, z), kept sparse by
     ``data``.  Column k's term f_k(d) is the outer block word of its inner
     residual letter; an operand's outer word is the XOR of its terms."""
 
-    def __init__(self, layout: Layout, blocks: Sequence[tuple[int, int]]):
+    def __init__(self, layout: Layout, circuit: GadgetCircuit):
+        if circuit.register_size != circuit.operands * layout.total_n:
+            raise ValueError("gadget blocks do not match the layout")
         n = layout.outer.n
         outer = build_decoder(layout.outer)
         # outer block word of each letter, in LETTERS order, on outer qubit q
@@ -254,16 +256,14 @@ class DecodeContext:
         self.columns = []   # (start, width, word tables) per block word
         self.letters = []   # residual class by block word, per block word
         self.lifts = []     # outer block word by residual class, per block word
-        for off, length in blocks:
-            if length != layout.total_n:
-                raise ValueError("gadget blocks do not match the layout")
+        for off, _ in circuit.blocks:
             for q in range(n):
                 start, code = layout.block(q)
                 decoder = build_decoder(code)
                 self.columns.append((off + start, code.n, decoder.word_tables))
                 self.letters.append(decoder.residual_classes)
                 self.lifts.append(lifts[q])
-        self.n_operands, self.n_outer = len(blocks), n
+        self.n_operands, self.n_outer = circuit.operands, n
         self.outer_letters = outer.residual_classes
 
     def data(self, x: np.ndarray, z: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -330,7 +330,7 @@ class Campaign:
 
     layout: Layout
     circuit: GadgetCircuit
-    ctx = cached_property(lambda self: DecodeContext(self.layout, self.circuit.blocks))
+    ctx = cached_property(lambda self: DecodeContext(self.layout, self.circuit))
     locations = cached_property(lambda self: enumerate_locations(self.circuit))
     frame = cached_property(lambda self: propagate(self.circuit, self.locations))
 

@@ -20,9 +20,9 @@ asks them strongest first and, if all of them refuse, lists each reason:
 
 Each oracle verifies a circuit on copies of one
 :class:`~nuconcat.codes.StabilizerCode` (a base code, or a layout flattened
-by :func:`nuconcat.concat.flatten`), one copy per entry of
-``circuit.blocks``.  Certificates record which method ran and what it
-measured.
+by :func:`nuconcat.concat.flatten`), one copy per operand: the
+``circuit.operands`` equal blocks of ``circuit.blocks``.  Certificates
+record which method ran and what it measured.
 """
 
 from __future__ import annotations
@@ -67,12 +67,11 @@ class Certificate:
 def _block_offsets(code: StabilizerCode, circuit: GadgetCircuit, claimed: Gate) -> list[int]:
     """First qubit of each block, once every block is known to be one copy
     of ``code`` and ``claimed`` to act on exactly all of them."""
-    for _, length in circuit.blocks:
-        if length != code.n:
-            raise VerificationError(f"a block of {length} qubits is not a copy of "
-                                    f"{code.name} ({code.n} qubits)")
-    if sorted(claimed.qubits) != list(range(len(circuit.blocks))):
-        raise VerificationError(f"claim does not act on exactly the {len(circuit.blocks)} operands")
+    if circuit.register_size != circuit.operands * code.n:
+        raise VerificationError(f"a block of {circuit.register_size // circuit.operands} qubits "
+                                f"is not a copy of {code.name} ({code.n} qubits)")
+    if sorted(claimed.qubits) != list(range(circuit.operands)):
+        raise VerificationError(f"claim does not act on exactly the {circuit.operands} operands")
     return [offset for offset, _ in circuit.blocks]
 
 
@@ -176,7 +175,7 @@ def verify_logical_action(code: StabilizerCode, circuit: GadgetCircuit,
     / |tr(claim^dag U_L)| (1 when the trace vanishes), the fidelity
     |tr(claim^dag U_L)|^2 / 4^m, and U_L must equal phase * claim in norm.
     """
-    m = len(circuit.blocks)
+    m = circuit.operands
     offsets = _block_offsets(code, circuit, claimed)
     if circuit.register_size > MAX_DENSE_QUBITS:
         raise NotApplicable(f"{circuit.register_size} qubits exceeds the dense cap")
@@ -222,7 +221,7 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
     pins the action up to global phase; the blocks tile the register, so each
     block's slice must lie in the code's group, phases summing to the image's.
     """
-    m = len(circuit.blocks)
+    m = circuit.operands
     offsets = _block_offsets(code, circuit, claimed)
     if not circuit.is_clifford:
         raise NotApplicable("Heisenberg check requires a Clifford circuit")
@@ -346,7 +345,7 @@ def verify_diagonal_action(code: StabilizerCode, circuit: GadgetCircuit,
     global phase plus sum_j w_j (L_j . x) mod den 2^kmax, which must be constant; a refusal
     names the first label tuple, in product order, whose phase varies or is off the claim.
     """
-    m, n = len(circuit.blocks), circuit.register_size
+    m, n = circuit.operands, circuit.register_size
     offsets = _block_offsets(code, circuit, claimed)
     if not claimed.is_diagonal:
         raise NotApplicable("coset-phase method needs a diagonal claimed gate")

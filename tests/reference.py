@@ -321,7 +321,7 @@ def hierarchical_decode(layout: Layout, error: Pauli) -> str:
 def invert(c: GadgetCircuit) -> GadgetCircuit:
     """The inverse circuit: every gate daggered, in reverse order."""
     return GadgetCircuit(c.register_size, tuple(g.dagger() for g in reversed(c.gates)),
-                         f"inv({c.label})", c.blocks)
+                         f"inv({c.label})", c.operands)
 
 
 def reference_locations(circuit: GadgetCircuit):
@@ -444,7 +444,7 @@ def reference_pair_candidates(layout: Layout, circuit: GadgetCircuit) -> list[tu
     location, on dense block words; the (i, j) candidates in order of i,
     then j."""
     locations = faults.enumerate_locations(circuit)
-    ctx = faults.DecodeContext(layout, circuit.blocks)
+    ctx = faults.DecodeContext(layout, circuit)
     frame = faults.propagate(circuit, locations)
     order = np.argsort(frame.owner, kind="stable")
     owner = frame.owner[order]
@@ -468,7 +468,7 @@ def reference_find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit) -> 
     the first pair with a failing row is the witness, its least failing
     (x, z) row the branch."""
     locations = faults.enumerate_locations(circuit)
-    ctx = faults.DecodeContext(layout, circuit.blocks)
+    ctx = faults.DecodeContext(layout, circuit)
     frame = faults.propagate(circuit, locations)
     order = np.argsort(frame.owner, kind="stable")
     owner = frame.owner[order]

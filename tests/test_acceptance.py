@@ -166,7 +166,7 @@ def test_criterion_8_negative_controls(cat, lib):
         message = str(exc)
     ok = refused and "K_DAG" in message and "rm15" in message
     full = staircase_gadget(cat.code("steane"), 0, Fraction(1, 4))
-    half = GadgetCircuit(7, full.gates[:3], "broken-T", ((0, 7),))
+    half = GadgetCircuit(7, full.gates[:3], "broken-T", 1)
     broken = faults.check_single_fault_ft(bare_layout(cat.code("steane")), half)
     ok = ok and not broken.passed
     _line(8, ok, f"refusal cites K_DAG; half-staircase fails {len(broken.failures)} branches")

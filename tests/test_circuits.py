@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nuconcat import catalog as cataloglib
 from nuconcat import cli, gates, library, simulate
@@ -63,9 +65,9 @@ def test_normalization_fixes_sign():
 def test_invert_involution(cat):
     g = staircase_gadget(cat.code("five_prime"), 1, Fraction(1))
     assert invert(invert(g)).gates == g.gates
-    assert invert(GadgetCircuit(2, (), "noop", ((0, 2),))).gates == ()
+    assert invert(GadgetCircuit(2, (), "noop", 1)).gates == ()
     two = GadgetCircuit(2, (gates.gate(gates.CNOT, 0, 1), gates.gate(gates.T, 0)),
-                        "demo", ((0, 2),))
+                        "demo", 1)
     inv = invert(two)
     assert [x.kind for x in inv.gates] == [gates.T_DAG, gates.CNOT]
 
@@ -86,11 +88,47 @@ def test_circuit_text_round_trip(cat):
     assert back.gates == g.gates
     assert back.register_size == g.register_size
     assert back.blocks == g.blocks
+    assert back.operands == g.operands == 3
     assert circuit_to_text(back) == text
 
 
+@st.composite
+def equal_block_circuits(draw):
+    """A circuit on 1-4 equal blocks of 1-5 qubits: named gates and
+    diagonal gates with angles over 1 to 8, on distinct drawn qubits."""
+    operands, size = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    n = operands * size
+    gate_list = []
+    for kind in draw(st.lists(st.sampled_from([*gates.ARITY, gates.Z_THETA]), max_size=8)):
+        arity = min(gates.ARITY.get(kind, draw(st.integers(1, 3))), n)
+        qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity,
+                                     unique=True)))
+        if kind in gates.ARITY and len(qubits) == gates.ARITY[kind]:
+            gate_list.append(gates.gate(kind, *qubits))
+        else:
+            angle = Fraction(draw(st.integers(0, 15)), draw(st.integers(1, 8)))
+            gate_list.append(gates.diagonal_gate(qubits, angle))
+    label = draw(st.text("abcXYZ019[]():;^-_", min_size=1, max_size=12))
+    return GadgetCircuit(n, tuple(gate_list), label, operands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=equal_block_circuits())
+def test_random_circuits_round_trip_through_text(circuit):
+    """Reading a written circuit gives the circuit back, operands included."""
+    assert circuit_from_text(circuit_to_text(circuit)) == circuit
+
+
+@pytest.mark.parametrize("register,operands", [(7, 0), (7, 2), (0, 1), (2, 3)])
+def test_operands_must_tile_the_register(register, operands):
+    """The operand count is at least 1 and divides the register."""
+    with pytest.raises(ValueError, match=f"{operands} operands do not tile the register "
+                                         f"of {register}"):
+        GadgetCircuit(register, (), "id", operands)
+
+
 def test_circuit_text_with_exotic_angle():
-    g = GadgetCircuit(1, (gates.Gate(gates.Z_THETA, (0,), Fraction(2, 3)),), "z23", ((0, 1),))
+    g = GadgetCircuit(1, (gates.Gate(gates.Z_THETA, (0,), Fraction(2, 3)),), "z23", 1)
     back = circuit_from_text(circuit_to_text(g))
     assert back.gates[0].theta_over_pi == Fraction(2, 3)
 
@@ -101,7 +139,7 @@ def test_encoder_builds_codewords(cat):
         enc, q_in = encoding_circuit(code)
         starts = np.zeros((2, 1 << code.n), dtype=complex)
         starts[0, 0] = starts[1, 1 << q_in] = 1  # |0...0> and X on the input qubit
-        enc_circuit = GadgetCircuit(code.n, enc, "enc", ((0, code.n),))
+        enc_circuit = GadgetCircuit(code.n, enc, "enc", 1)
         got = densify(*apply_circuit(np.arange(1 << code.n), starts, enc_circuit), code.n)
         want = densify(*codewords(code), code.n)
         for b in range(2):

@@ -428,6 +428,20 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
      "bad catalog line 'logical-x +XXXXXX-': bad Pauli letter '-' in '+XXXXXX-'"),
     ("catalog", CATALOG_TEXT.replace("logical-z +ZZZZZZZ", "logical-z i-ZZZZZZZ", 1),
      "bad catalog line 'logical-z i-ZZZZZZZ': bad phase prefix 'i-' in 'i-ZZZZZZZ'"),
+    ("catalog", CATALOG_TEXT.replace("n 7\n", "n 7\nn 7\n", 1), "line 'n 7': repeats 'n 7'"),
+    ("catalog", CATALOG_TEXT.replace("css true\n", "css true\ncss false\n", 1),
+     "line 'css false': repeats 'css true'"),
+    ("catalog", CATALOG_TEXT.replace("derivation ", "derivation five_qubit\nderivation ", 1),
+     "': repeats 'derivation five_qubit'"),
+    ("catalog", CATALOG_TEXT.replace("logical-x +XXXXXXX", "logical-x +XXXXXXX\nlogical-x -XXXXXXX",
+                                     1),
+     "line 'logical-x -XXXXXXX': repeats 'logical-x +XXXXXXX'"),
+    ("catalog", CATALOG_TEXT.replace("logical-z +ZZZZZZZ", "logical-z +ZZZZZZZ\nlogical-z +ZZZZZZZ",
+                                     1),
+     "line 'logical-z +ZZZZZZZ': repeats 'logical-z +ZZZZZZZ'"),
+    ("catalog", CATALOG_TEXT.replace("transversal H bitwise H",
+                                     "transversal H bitwise H\ntransversal H bitwise S", 1),
+     "line 'transversal H bitwise S': repeats 'transversal H bitwise H'"),
     ("circuit", CIRCUIT_TEXT.replace("register 7\n", "", 1),
      "line 'blocks 0:7': expected 'register N'"),
     ("circuit", CIRCUIT_TEXT.replace("register 7", "register seven", 1),
@@ -448,6 +462,10 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
      "blocks 3:7 do not tile the register of 7"),
     ("circuit", CIRCUIT_TEXT.replace("blocks 0:7", "blocks 0:7 0:7", 1),
      "blocks 0:7 0:7 do not tile the register of 7"),
+    ("circuit", CIRCUIT_TEXT.replace("blocks 0:7", "blocks 0:3 3:4", 1),
+     "blocks 0:3 3:4 do not tile the register of 7"),
+    ("circuit", CIRCUIT_TEXT.replace("blocks 0:7", "blocks 0:3 3:3", 1),
+     "blocks 0:3 3:3 do not tile the register of 7"),
     ("fault", "one:XIIIIII", "--fault 'one:XIIIIII': expected PLACE:PAULI"),
     ("fault", "XIIIIII", "--fault 'XIIIIII': expected PLACE:PAULI"),
     ("fault", "-1:XQIIIII", "--fault '-1:XQIIIII': expected PLACE:PAULI"),
@@ -456,10 +474,11 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
         "fixup-outside-code", "unknown-kind", "z-theta-kind", "ckz-theta-kind",
         "unknown-physical-kind", "unknown-fixup-kind", "duplicate-code", "unterminated-code",
         "rep-rule-not-pauli", "bad-stabilizer-letter", "bad-logical-x-letter",
-        "bad-logical-z-phase",
+        "bad-logical-z-phase", "repeated-n", "repeated-css", "repeated-derivation",
+        "repeated-logical-x", "repeated-logical-z", "repeated-transversal",
         "no-register", "register-not-integer", "qubit-not-integer", "unknown-gate-kind",
         "too-few-qubits", "angle-on-named-kind", "bad-angle", "second-angle",
-        "blocks-past-register", "blocks-overlap",
+        "blocks-past-register", "blocks-overlap", "unequal-blocks", "blocks-short-of-register",
         "place-not-integer", "no-place", "bad-letter", "extra-field"])
 def test_malformed_catalog_lines_are_usage_errors(tmp_path, kind, text, named):
     """A malformed catalog line, circuit line or replay fault exits 2 with

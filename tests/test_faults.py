@@ -24,7 +24,7 @@ from reference import (_deposit, densify_block_words, hierarchical_decode, pauli
 
 
 def make_circuit(n, *gs):
-    return GadgetCircuit(n, tuple(gs), "demo", ((0, n),))
+    return GadgetCircuit(n, tuple(gs), "demo", 1)
 
 
 def branches(frame, group=0):
@@ -78,7 +78,7 @@ def circuits_with_faults(draw, max_groups=1):
             group.append((second, *pauli_on_active()))
         return group
 
-    circuit = GadgetCircuit(register, tuple(gate_list), "random", ((0, register),))
+    circuit = GadgetCircuit(register, tuple(gate_list), "random", 1)
     return circuit, [fault_list() for _ in range(draw(st.integers(1, max_groups)))]
 
 
@@ -155,7 +155,7 @@ def layered_circuits_with_faults(draw):
                 break
             gate_list.append(gates.Gate(kind, tuple(spots[:arity]), theta))
             spots = spots[arity:]
-    circuit = GadgetCircuit(130, tuple(gate_list), "layered", ((0, 130),))
+    circuit = GadgetCircuit(130, tuple(gate_list), "layered", 1)
     assume(circuit.gates)
 
     def fault():
@@ -192,7 +192,7 @@ def test_branch_cap_refusal_on_a_layered_diagonal_run(cap):
     boundary doubles the group at each gate, to 256 branches: the layered
     walk refuses exactly when the gate-by-gate reference does."""
     qubits = range(60, 68)
-    circuit = GadgetCircuit(130, tuple(gate(gates.T, q) for q in qubits), "t-layer", ((0, 130),))
+    circuit = GadgetCircuit(130, tuple(gate(gates.T, q) for q in qubits), "t-layer", 1)
     assert len(circuit.layers) == 1
     fault = (-1, sum(1 << q for q in qubits), 0)
     with mock.patch.object(faults, "BRANCH_CAP", cap):
@@ -229,7 +229,7 @@ def test_one_diagonal_gate_on_fresh_and_branched_groups_matches_reference(n_grou
     assert [branches(frame, g) for g in range(n_groups)] == expected
     hits = []   # per gate that hits a row, the owner of each reference row with X on its qubits
     for j, g in enumerate(circuit.gates):
-        before = GadgetCircuit(4, circuit.gates[:j], "prefix", ((0, 4),))
+        before = GadgetCircuit(4, circuit.gates[:j], "prefix", 1)
         hits.append(sorted(owner for owner, fault_list in enumerate(groups)
                            for x, _ in reference_propagate(before, fault_list)[0]
                            if x & _deposit(7, g.qubits)))
@@ -252,7 +252,7 @@ def dense_circuits_with_faults(draw):
             arity, theta = gates.ARITY.get(kind, 1), theta if kind == gates.Z_THETA else None
         gate_list.append(gates.Gate(kind, tuple(draw(st.permutations(range(n)))[:arity]), theta))
     paulis = st.integers(0, (1 << n) - 1)
-    return (GadgetCircuit(n, tuple(gate_list), "random", ((0, n),)),
+    return (GadgetCircuit(n, tuple(gate_list), "random", 1),
             [(p + 1, p, draw(paulis), draw(paulis)) for p in range(-1, len(gate_list))])
 
 
@@ -286,7 +286,7 @@ def test_propagate_covers_the_dense_pauli_support(case):
     n = circuit.register_size
     frame = propagate(circuit, group_faults)
     for group, place, x, z in group_faults:
-        rest = GadgetCircuit(n, circuit.gates[place + 1:], "rest", ((0, n),))
+        rest = GadgetCircuit(n, circuit.gates[place + 1:], "rest", 1)
         u = reference_apply_circuit(np.eye(1 << n, dtype=complex), rest).T
         support = dense_pauli_support(u @ pauli_matrix(Pauli(n, x, z, 0)) @ u.conj().T)
         rows, deterministic = branches(frame, group)
@@ -424,7 +424,7 @@ def test_fast_decoder_matches_reference(cat):
         lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
         n = lay.total_n
         errors = random_errors(random.Random(17), n, 200)
-        ctx = DecodeContext(lay, ((0, n),))
+        ctx = DecodeContext(lay, GadgetCircuit(n, (), "id", 1))
         got = [LETTERS[r] for r in ctx.decode(*rows(errors, n))]
         want = [hierarchical_decode(lay, Pauli(n, x, z, 0)) for x, z in errors]
         assert got == want, name
@@ -437,7 +437,7 @@ def test_decoder_data_is_linear(cat, name):
     every operand of a two-operand register."""
     lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
     n = lay.total_n
-    ctx = DecodeContext(lay, ((0, n), (n, n)))
+    ctx = DecodeContext(lay, GadgetCircuit(2 * n, (), "id", 2))
     rng = random.Random(5)
     first = random_errors(rng, 2 * n, 100)
     second = random_errors(rng, 2 * n, 100)
@@ -486,7 +486,7 @@ def test_sparse_block_words_match_the_dense_reference(cat, name, operands, data)
     agrees with the Pauli-level decoder on every operand."""
     lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
     n = lay.total_n
-    ctx = DecodeContext(lay, tuple((off, n) for off in range(0, operands * n, n)))
+    ctx = DecodeContext(lay, GadgetCircuit(operands * n, (), "id", operands))
     drawn = data.draw(st.lists(stabilizer_laden_errors(lay, operands), max_size=8))
     # rows without an entry: all-zero, and one inner generator on each block that has one
     errors = drawn + [(0, 0)] + [(g.x << start, g.z << start) for start, code in
@@ -534,7 +534,7 @@ def test_split_outer_words_decode_like_the_product(cat, name, data):
     on both operands of a two-operand register."""
     lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
     n = lay.total_n
-    ctx = DecodeContext(lay, ((0, n), (n, n)))
+    ctx = DecodeContext(lay, GadgetCircuit(2 * n, (), "id", 2))
     blocks = [(off + start, code.n) for off in (0, n)
               for start, code in map(lay.block, range(lay.outer.n))]
     first, second = data.draw(block_error_lists(blocks))
@@ -571,7 +571,7 @@ def test_negative_control_half_staircase(cat):
     the mutilated gadget no longer verifies as a logical gate."""
     code = cat.code("steane")
     full = staircase_gadget(code, 0, Fraction(1, 4))
-    half = GadgetCircuit(7, full.gates[:3], "broken-T", ((0, 7),))
+    half = GadgetCircuit(7, full.gates[:3], "broken-T", 1)
     lay = bare_layout(code)
     report = check_single_fault_ft(lay, half)
     assert not report.passed
@@ -608,7 +608,7 @@ def test_pair_witness_replay_consistency(lib, layouts):
     report = find_min_uncorrectable(lay, adm.circuit)
     a, b = report.witness
     frame = propagate(adm.circuit, [(0, a.place, a.x, a.z), (0, b.place, b.x, b.z)])
-    assert DecodeContext(lay, adm.circuit.blocks).decode(frame.x, frame.z).any()
+    assert DecodeContext(lay, adm.circuit).decode(frame.x, frame.z).any()
 
 
 def test_bare_transversal_pairs_fail_without_spreading(cat, lib):
@@ -670,7 +670,7 @@ def test_effective_distance_names_budget_refusals(lib, layouts):
 def test_effective_distance_broken_gadget(cat):
     code = cat.code("steane")
     full = staircase_gadget(code, 0, Fraction(1, 4))
-    half = GadgetCircuit(7, full.gates[:3], "broken-T", ((0, 7),))
+    half = GadgetCircuit(7, full.gates[:3], "broken-T", 1)
     result = faults.effective_distance_report(bare_layout(code), [half])
     assert result.value == 1
 
@@ -680,7 +680,7 @@ def test_effective_distance_runs_every_single_fault_suite(cat):
     reported, the first failing one is the witness and no pair is searched."""
     code = cat.code("steane")
     full = staircase_gadget(code, 0, Fraction(1, 4))
-    half = GadgetCircuit(7, full.gates[:3], "broken-T", ((0, 7),))
+    half = GadgetCircuit(7, full.gates[:3], "broken-T", 1)
     result = faults.effective_distance_report(bare_layout(code), [half, full])
     assert result.value == 1 and result.statement == "single fault uncorrectable in broken-T"
     assert [rep.gadget for rep in result.single_fault_reports] == ["broken-T", full.label]
@@ -717,7 +717,7 @@ def circuits_with_diagonal_layers(draw):
                 gate_list.append(gates.Gate(kind, tuple(spots[:arity]), theta))
                 spots = spots[arity:]
     cliffords()
-    return GadgetCircuit(n, tuple(gate_list), "diagonal-layers", ((0, n),))
+    return GadgetCircuit(n, tuple(gate_list), "diagonal-layers", 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -753,7 +753,7 @@ def test_effective_distance_drops_pair_searches_before_a_broken_gadget(cat):
     layout = bare_layout(cat.code("steane"))
     h = GadgetDispatcher(cat.rules).logical_gadget(layout, library.logical_gate(gates.H))
     half = GadgetCircuit(7, staircase_gadget(cat.code("steane"), 0, Fraction(1, 4)).gates[:3],
-                         "broken-T", ((0, 7),))
+                         "broken-T", 1)
     assert find_min_uncorrectable(layout, h).witness is not None
     result = faults.effective_distance_report(layout, [h, half])
     assert result.value == 1 and result.statement == "single fault uncorrectable in broken-T"

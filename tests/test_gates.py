@@ -46,7 +46,7 @@ def test_conjugation_matches_dense(kind):
         assert len(gates.layers(layer)) == 1
         n = 1 + max(q for g in layer for q in g.qubits)
         u = reference_apply_circuit(np.eye(1 << n, dtype=complex),
-                                    GadgetCircuit(n, tuple(layer), "layer", ((0, n),))).T
+                                    GadgetCircuit(n, tuple(layer), "layer", 1)).T
         everything = range(1 << 2 * n)
         picks = everything if n <= 4 else np.random.default_rng(7).choice(everything, 300, False)
         paulis = [Pauli(n, int(xz) & (1 << n) - 1, int(xz) >> n, 0) for xz in picks]

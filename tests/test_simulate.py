@@ -27,9 +27,8 @@ from reference import (densify, expand_transversal, invert, pauli_on_vector,
 
 
 def test_state_cap(cat):
-    blocks = tuple((7 * b, 7) for b in range(4))
     with pytest.raises(simulate.NotApplicable, match="dense cap"):
-        verify_logical_action(cat.code("steane"), GadgetCircuit(28, (), "id", blocks),
+        verify_logical_action(cat.code("steane"), GadgetCircuit(28, (), "id", 4),
                               gates.diagonal_gate((0, 1, 2, 3), 0))
 
 
@@ -48,18 +47,18 @@ def test_apply_gate_examples():
     full = np.arange(8)
     s = np.zeros((1, 8), dtype=complex)
     s[0, 0] = 1
-    x3 = GadgetCircuit(3, (gate(gates.X, 0), gate(gates.X, 1), gate(gates.X, 2)), "x3", ((0, 3),))
+    x3 = GadgetCircuit(3, (gate(gates.X, 0), gate(gates.X, 1), gate(gates.X, 2)), "x3", 1)
     s = densify(*apply_circuit(full, s, x3), 3)
     assert abs(s[0, 7] - 1) < 1e-12
-    ccz = GadgetCircuit(3, (gate(gates.CCZ, 0, 1, 2),), "ccz", ((0, 3),))
+    ccz = GadgetCircuit(3, (gate(gates.CCZ, 0, 1, 2),), "ccz", 1)
     s = densify(*apply_circuit(full, s, ccz), 3)
     assert abs(s[0, 7] + 1) < 1e-12
     before = s.copy()
     # X twice is the identity
-    twice = GadgetCircuit(3, (gate(gates.X, 0), gate(gates.X, 0)), "xx", ((0, 3),))
+    twice = GadgetCircuit(3, (gate(gates.X, 0), gate(gates.X, 0)), "xx", 1)
     assert np.allclose(densify(*apply_circuit(full, s, twice), 3), before)
     # empty circuit
-    assert np.allclose(densify(*apply_circuit(full, s, GadgetCircuit(3, (), "id", ((0, 3),))), 3),
+    assert np.allclose(densify(*apply_circuit(full, s, GadgetCircuit(3, (), "id", 1)), 3),
                        before)
     assert np.array_equal(s, before)  # the inputs are left as they were
     with pytest.raises(VerificationError):  # rows of the wrong width
@@ -75,7 +74,7 @@ def test_apply_circuit_refuses_a_drifting_norm(monkeypatch, scale):
                         lambda g: scale * gate_matrix(g) if g.kind == gates.H else gate_matrix(g))
     states = np.zeros((2, 4), dtype=complex)
     states[0, 0] = states[1, 3] = 1
-    h = GadgetCircuit(2, (gate(gates.X, 1), gate(gates.H, 0)), "XH", ((0, 2),))
+    h = GadgetCircuit(2, (gate(gates.X, 1), gate(gates.H, 0)), "XH", 1)
     with pytest.raises(VerificationError, match="statevector norm drifted"):
         apply_circuit(np.arange(4), states, h)
 
@@ -93,7 +92,7 @@ def test_apply_circuit_refuses_a_drifting_norm(monkeypatch, scale):
 def test_apply_circuit_refuses_malformed_batches(idx, amps, match):
     """Repeated or out-of-range indices and amplitudes of the wrong shape
     or dtype are refused before any gate runs."""
-    h = GadgetCircuit(2, (gate(gates.H, 0),), "H", ((0, 2),))
+    h = GadgetCircuit(2, (gate(gates.H, 0),), "H", 1)
     with pytest.raises(VerificationError, match=match):
         apply_circuit(np.array(idx), amps, h)
 
@@ -145,7 +144,7 @@ def random_circuits(draw, max_qubits=6, angles=EIGHTHS):
             width = 1 if kind == gates.Z_THETA else draw(st.integers(2, n))
             theta = draw(angles)
         gate_list.append(Gate(kind, tuple(draw(st.permutations(range(n)))[:width]), theta))
-    return GadgetCircuit(n, tuple(gate_list), "random", ((0, n),))
+    return GadgetCircuit(n, tuple(gate_list), "random", 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -153,7 +152,7 @@ def random_circuits(draw, max_qubits=6, angles=EIGHTHS):
 @example(circuit=GadgetCircuit(3, (gate(gates.CNOT, 2, 0), gate(gates.H, 1),
                                    gate(gates.CNOT, 0, 2), gate(gates.Y, 2),
                                    gate(gates.K_DAG, 0), gate(gates.S_DAG, 1)),
-                               "both-cnots", ((0, 3),)), rows=2, seed=11)
+                               "both-cnots", 1), rows=2, seed=11)
 def test_gate_application_matches_kron_oracle(circuit, rows, seed):
     """One in-place pass over a batch of rows equals the product of the
     per-gate Kronecker matrices applied to each row."""
@@ -270,7 +269,7 @@ def test_coset_phase_refuses_a_logical_z_without_pure_z_form(cat):
     """H on every qubit of Steane turns logical Z into X^7, and no
     stabilizer cancels its X part."""
     code = codes.transform_code(cat.code("steane"), [gate(gates.H, q) for q in range(7)])
-    empty = GadgetCircuit(7, (), "id", ((0, 7),))
+    empty = GadgetCircuit(7, (), "id", 1)
     with pytest.raises(simulate.NotApplicable, match="logical Z has no pure-Z coset form; "
                                                      "coset-phase method inapplicable"):
         verify_diagonal_action(code, empty, gate(gates.Z, 0))
@@ -279,7 +278,7 @@ def test_coset_phase_refuses_a_logical_z_without_pure_z_form(cat):
 def test_identity_circuit_verifies_for_all_codes(cat):
     for name in ("steane", "five_qubit", "five_prime", "rm15"):
         code = cat.code(name)
-        empty = GadgetCircuit(code.n, (), "id", ((0, code.n),))
+        empty = GadgetCircuit(code.n, (), "id", 1)
         cert = verify_logical_action(code, empty, gates.diagonal_gate((0,), 0))
         assert cert.passed and abs(cert.phase - 1) < 1e-9
 
@@ -290,7 +289,7 @@ def test_dense_keeps_distinct_operands_in_order(cat):
     by operand 1, not by operand 0."""
     code = cat.code("steane")
     circuit = GadgetCircuit(14, tuple(gate(gates.CNOT, 7 + q, q) for q in range(7)),
-                            "CNOT(1->0)", ((0, 7), (7, 7)))
+                            "CNOT(1->0)", 2)
     assert verify_logical_action(code, circuit, gate(gates.CNOT, 1, 0)).passed
     assert not verify_logical_action(code, circuit, gate(gates.CNOT, 0, 1)).passed
 
@@ -307,11 +306,11 @@ def test_dense_refuses_a_claim_orthogonal_to_the_action(cat):
     claimed as X: the phase falls back to 1 and the claim is refused, by
     the dense oracle and by the router, which picks dense at these sizes."""
     steane = cat.code("steane")
-    z7 = GadgetCircuit(7, tuple(gate(gates.Z, q) for q in range(7)), "Z7", ((0, 7),))
+    z7 = GadgetCircuit(7, tuple(gate(gates.Z, q) for q in range(7)), "Z7", 1)
     cases = [(steane, z7, gates.X), (steane, z7, gates.Y)]
     for name in ("steane", "rm15"):
         code = cat.code(name)
-        cases.append((code, GadgetCircuit(code.n, (), "id", ((0, code.n),)), gates.X))
+        cases.append((code, GadgetCircuit(code.n, (), "id", 1), gates.X))
     for code, circuit, kind in cases:
         claimed = gate(kind, 0)
         for cert in (verify_logical_action(code, circuit, claimed),
@@ -331,7 +330,7 @@ def test_dense_reports_the_worst_case_leakage(cat):
         u = np.kron(np.eye(1 << 6), gates.gate_matrix(gate(kind, 0)))  # qubit 0 = lowest bit
         logical = pair.conj() @ u @ pair.T
         leak = 1 - np.linalg.eigvalsh(logical.conj().T @ logical)[0]
-        circuit = GadgetCircuit(7, (gate(kind, 0),), f"{kind}@0", ((0, 7),))
+        circuit = GadgetCircuit(7, (gate(kind, 0),), f"{kind}@0", 1)
         cert = verify_logical_action(code, circuit, gate(kind, 0))
         assert not cert.passed and cert.details == f"left the code space (leakage {leak:.3e})"
         assert abs(cert.fidelity - (1 - leak)) < 1e-12
@@ -350,7 +349,7 @@ def test_heisenberg_refusals_name_the_first_failing_row(cat):
     X_0, Z_0, X_1, ...; a refusal names the first row that fails, a
     stabilizer as placed on the register."""
     code = cat.code("steane")
-    z_on_1 = GadgetCircuit(14, (gate(gates.Z, 7),), "Z@7", ((0, 7), (7, 7)))
+    z_on_1 = GadgetCircuit(14, (gate(gates.Z, 7),), "Z@7", 2)
     cert = verify_clifford_action(code, z_on_1, gate(gates.CZ, 0, 1))
     assert not cert.passed and cert.details == "stabilizer +IIIIIIIXIXIXIX maps outside the group"
     h = expand_transversal(code, gates.H, cat.rules["steane"][gates.H])
@@ -368,7 +367,7 @@ def test_css_coset_catches_wrong_claim(cat):
     assert verify_diagonal_action(code, circuit, gate(gates.T, 0)).passed
     assert not verify_diagonal_action(code, circuit, gate(gates.S, 0)).passed
     # plain T per qubit implements logical T_dagger, not T
-    plain = GadgetCircuit(15, tuple(gate(gates.T, q) for q in range(15)), "t15", ((0, 15),))
+    plain = GadgetCircuit(15, tuple(gate(gates.T, q) for q in range(15)), "t15", 1)
     assert not verify_diagonal_action(code, plain, gate(gates.T, 0)).passed
     assert verify_diagonal_action(code, plain, gate(gates.T_DAG, 0)).passed
 
@@ -381,12 +380,12 @@ def test_css_coset_names_the_first_failing_label_tuple(cat):
     ccz = expand_transversal(code, gates.CCZ, cat.rules["rm15"][gates.CCZ])
     cert = verify_diagonal_action(code, ccz, gates.diagonal_gate((0, 1, 2), Fraction(1, 2)))
     assert not cert.passed and cert.details == "phase 1 != 1/2 at labels (1, 1, 1)"
-    lone = GadgetCircuit(15, (gate(gates.T_DAG, 3),), "T_DAG@3", ((0, 15),))
+    lone = GadgetCircuit(15, (gate(gates.T_DAG, 3),), "T_DAG@3", 1)
     cert = verify_diagonal_action(code, lone, gate(gates.Z, 0))
     assert not cert.passed and cert.details == "phase varies over the support at labels (0,)"
     # logical T on operand 1 only, claimed as CZ: labels (0, 1) fail before (1, 0)
     t_on_1 = GadgetCircuit(30, tuple(gate(gates.T_DAG, 15 + q) for q in range(15)), "T@1",
-                           ((0, 15), (15, 15)))
+                           2)
     cert = verify_diagonal_action(code, t_on_1, gate(gates.CZ, 0, 1))
     assert not cert.passed and cert.details == "phase 1/4 != 0 at labels (0, 1)"
 
@@ -394,17 +393,17 @@ def test_css_coset_names_the_first_failing_label_tuple(cat):
 def test_css_coset_refuses_angles_past_its_integer_range(cat):
     """den * 2^kmax must stay below 2^32, where every count it keeps is exact."""
     code = cat.code("steane")
-    fine = GadgetCircuit(7, (gates.diagonal_gate((0,), Fraction(1, 1 << 31)),), "fine", ((0, 7),))
+    fine = GadgetCircuit(7, (gates.diagonal_gate((0,), Fraction(1, 1 << 31)),), "fine", 1)
     with pytest.raises(simulate.NotApplicable, match="too fine for the coset-phase method"):
         verify_diagonal_action(code, fine, gate(gates.Z, 0))
-    coarse = GadgetCircuit(7, (gates.diagonal_gate((0,), Fraction(1, 1 << 30)),), "coarse", ((0, 7),))
+    coarse = GadgetCircuit(7, (gates.diagonal_gate((0,), Fraction(1, 1 << 30)),), "coarse", 1)
     assert not verify_diagonal_action(code, coarse, gate(gates.Z, 0)).passed
 
 
 def test_css_coset_detects_leakage(cat):
     code = cat.code("rm15")
     # half a staircase leaves the permutation uncomputed
-    half = GadgetCircuit(15, (gate(gates.CNOT, 0, 1),), "broken", ((0, 15),))
+    half = GadgetCircuit(15, (gate(gates.CNOT, 0, 1),), "broken", 1)
     cert = verify_diagonal_action(code, half, gate(gates.Z, 0))
     assert not cert.passed and "permutation" in cert.details
 
@@ -507,7 +506,7 @@ def test_random_clifford_circuits_heisenberg_vs_dense(cat, case):
     pools = _clifford_pools(cat, name, m)
     body = tuple(g for pool, i in middle for g in pools[pool][i % len(pools[pool])])
     circuit = GadgetCircuit(n, p + body + tuple(g.dagger() for g in reversed(p)), "random",
-                            tuple((b * code.n, code.n) for b in range(m)))
+                            m)
     assert verify_clifford_action(code, circuit, claim).passed \
         == verify_logical_action(code, circuit, claim).passed
 
@@ -600,7 +599,7 @@ def test_dense_verdicts_match_the_kron_reference(cat):
             if circuit.register_size > simulate.MAX_DENSE_QUBITS:
                 continue
             checked.add((name, kind))
-            first = GadgetCircuit(circuit.register_size, circuit.gates[:1], "first", circuit.blocks)
+            first = GadgetCircuit(circuit.register_size, circuit.gates[:1], "first", circuit.operands)
             for body, claim_kind in ((circuit, kind), (circuit, WRONG_CLAIM[kind]), (first, kind)):
                 claim = Gate(claim_kind, tuple(range(gates.ARITY[kind])))
                 got = verify_logical_action(code, body, claim)
@@ -623,10 +622,10 @@ def test_css_coset_certifies_98_qubit_conjugated_cz(lib, layouts):
     cz = lib.dispatcher.logical_gadget(lay, library.logical_gate(gates.CZ))
     code = flatten(lay)
     claim = library.logical_gate(gates.CZ)
-    good = GadgetCircuit(98, t.gates + cz.gates + invert(t).gates, "T;CZ;T^-1", cz.blocks)
+    good = GadgetCircuit(98, t.gates + cz.gates + invert(t).gates, "T;CZ;T^-1", cz.operands)
     cert = verify_diagonal_action(code, good, claim)
     assert cert.passed and cert.method == "css-coset"
-    broken = GadgetCircuit(98, t.gates + cz.gates, "T;CZ", cz.blocks)
+    broken = GadgetCircuit(98, t.gates + cz.gates, "T;CZ", cz.operands)
     assert not verify_diagonal_action(code, broken, claim).passed
 
 
@@ -671,7 +670,7 @@ def _draw_conjugated_diagonal(data, code, m: int) -> tuple[GadgetCircuit, Gate]:
                   st.lists(qubit, min_size=1, max_size=3, unique=True), quarter)),
         max_size=4))
     circuit = GadgetCircuit(n, (*perm, *(g for part in middle for g in part), *reversed(perm)),
-                            "random", tuple((b * code.n, code.n) for b in range(m)))
+                            "random", m)
     return circuit, gates.diagonal_gate(tuple(range(m)), data.draw(quarter))
 
 
@@ -735,7 +734,7 @@ def test_css_coset_accepts_a_global_phase(cat):
     code = cat.code("steane")
     xs = tuple(gate(gates.X, q) for q in range(7))
     zs = tuple(gate(gates.Z, q) for q in range(7))
-    circuit = GadgetCircuit(7, xs + zs + xs, "-Z", ((0, 7),))
+    circuit = GadgetCircuit(7, xs + zs + xs, "-Z", 1)
     claim = library.logical_gate(gates.Z)
     for cert in (verify_diagonal_action(code, circuit, claim),
                  verify_logical_action(code, circuit, claim)):
@@ -747,7 +746,7 @@ def test_css_coset_accepts_a_global_phase_beyond_dense_cap(cat):
     code = cat.code("rm15")
     cz = expand_transversal(code, gates.CZ, cat.rules["rm15"][gates.CZ])
     prefix = (gate(gates.X, 0), gate(gates.Z, 0)) * 2
-    circuit = GadgetCircuit(30, prefix + cz.gates, "-CZ", cz.blocks)
+    circuit = GadgetCircuit(30, prefix + cz.gates, "-CZ", cz.operands)
     claim = library.logical_gate(gates.CZ)
     cert = verify_diagonal_action(code, circuit, claim)
     assert cert.passed and abs(cert.phase + 1) < 1e-9
@@ -775,7 +774,7 @@ def test_three_steane_blocks_css_coset_vs_enumeration(cat, data, theta, shift):
     code = cat.code("steane")
     noise, _ = _draw_conjugated_diagonal(data, code, 3)
     stair = staircase_gadget(code, 2, theta)
-    circuit = GadgetCircuit(21, stair.gates + noise.gates, "stair+noise", noise.blocks)
+    circuit = GadgetCircuit(21, stair.gates + noise.gates, "stair+noise", noise.operands)
     claim = gates.diagonal_gate((0, 1, 2), theta + shift)
     assert verify_diagonal_action(code, circuit, claim).passed \
         == _enumerated_verdict(code, circuit, claim)
@@ -840,7 +839,7 @@ def test_heisenberg_certificates_match_the_whole_register_reference(cat, lib, la
             c = lib.gadget(layouts[size], library.logical_gate(kind)).circuit
         except SynthesisError:
             continue
-        cut = GadgetCircuit(c.register_size, c.gates[:-1], c.label, c.blocks)
+        cut = GadgetCircuit(c.register_size, c.gates[:-1], c.label, c.operands)
         cases += [(flatten(layouts[size]), circuit, library.logical_gate(claim))
                   for circuit, claim in ((c, kind), (c, other), (cut, kind))]
     outcomes = []
@@ -876,8 +875,7 @@ def _draw_mixed_diagonal(data, code, m: int) -> tuple[GadgetCircuit, Gate]:
     body = (*(staircase_gadget(code, m - 1, stair).gates if stair is not None else ()),
             *perm, *middle, *reversed(perm))
     theta = (stair or 0) + data.draw(st.one_of(st.just(Fraction(0)), ANGLE))
-    blocks = tuple((b * code.n, code.n) for b in range(m))
-    return GadgetCircuit(n, body, "mixed", blocks), gates.diagonal_gate(tuple(range(m)), theta)
+    return GadgetCircuit(n, body, "mixed", m), gates.diagonal_gate(tuple(range(m)), theta)
 
 
 @settings(max_examples=40, deadline=None)
