@@ -274,6 +274,9 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     layout = _resolve_layout(cat, args.layout)
     with open(args.circuit) as fh:
         circuit = circuit_from_text(fh.read())
+    if (block := circuit.register_size // circuit.operands) != layout.total_n:
+        raise UsageError(f"circuit blocks of {block} qubits do not match layout {args.layout} "
+                         f"({layout.total_n} qubits)")
     injections = []
     for entry in args.fault:
         match = re.fullmatch(r"(-?[0-9]+):(.*)", entry)

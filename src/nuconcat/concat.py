@@ -38,11 +38,11 @@ class Layout:
         return f"outer={self.outer.name};assign=" + ",".join(
             inner.name for inner in self.assignment)
 
-    @property
+    @cached_property
     def total_n(self) -> int:
         return sum(inner.n for inner in self.assignment)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         return tuple(accumulate((inner.n for inner in self.assignment[:-1]), initial=0))
 

@@ -231,6 +231,17 @@ def layers(gate_seq: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
     return tuple(out)
 
 
+def slots(layer: Iterable[Gate]) -> dict[tuple[tuple[int, ...], Fraction | None], list[int]]:
+    """A layer's gates by the offsets of their qubits from their first and by
+    free angle, a group as one mask per slot, i holding each gate's i-th qubit."""
+    groups: dict[tuple[tuple[int, ...], Fraction | None], list[tuple[int, ...]]] = {}
+    for g in layer:
+        qs = g.qubits
+        key = tuple([q - qs[0] for q in qs]) if len(qs) > 1 else (0,), g.theta_over_pi
+        groups.setdefault(key, []).append(qs)
+    return {key: [sum([1 << q for q in col]) for col in zip(*qss)] for key, qss in groups.items()}
+
+
 @lru_cache(maxsize=None)
 def _rule(kind: str) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
     """A Clifford kind on its local bits u (x of its k qubits, then z): its
@@ -259,8 +270,7 @@ def _moved(plane: np.ndarray, mask: int, d: int) -> dict[int, np.ndarray]:
             part = plane[w] & np.uint64(m)
             pieces = [(w + a + 1, part >> np.uint64(64 - b))] if b and m >> 64 - b else []
             if m & (1 << 64 - b) - 1:
-                part <<= np.uint64(b)
-                pieces.append((w + a, part))
+                pieces.append((w + a, part << np.uint64(b) if b else part))
             for t, piece in pieces:
                 out[t] = out[t] ^ piece if t in out else piece
     return out
@@ -276,45 +286,51 @@ def conjugate_rows(x: np.ndarray, z: np.ndarray, layer: Sequence[Gate],
     if kind not in CLIFFORD_KINDS:
         raise UnsupportedGateError(f"{kind} is not Clifford; cannot conjugate exactly")
     (moves, monomials), k = _rule(kind), ARITY[kind]
-    slots: dict[tuple[int, ...], list[int]] = {}   # offsets of a gate's qubits -> qubits per slot
-    for g in layer:
-        masks = slots.setdefault(tuple(q - g.qubits[0] for q in g.qubits), [0] * k)
-        masks[:] = [m | 1 << q for m, q in zip(masks, g.qubits)]
-    gains = []   # read before any row changes, as the sign is
-    for offsets, masks in slots.items():
+    gains, flips = [], 0   # read before any row changes; the sign flips by the parity of flips
+    for (offsets, _), masks in slots(layer).items():
         for mono in monomials if sign is not None else ():
             aligned = [_moved(planes[i // k], masks[i % k], -offsets[i % k]) for i in mono]
             for w in set(aligned[0]).intersection(*aligned[1:]):
-                sign ^= np.bitwise_count(reduce(np.bitwise_and, (al[w] for al in aligned))) & 1 == 1
+                flips ^= reduce(np.bitwise_and, (al[w] for al in aligned))
         gains += [(j, w, piece) for j, i in moves for w, piece in
                   _moved(planes[i // k], masks[i % k], offsets[j % k] - offsets[i % k]).items()]
+    if sign is not None:
+        sign ^= np.bitwise_count(flips) & 1 == 1
     for j, w, piece in gains:
         plane = planes[j // k][w]
         plane ^= piece
 
 
+def conjugate_masks(n: int, xs: Sequence[int], zs: Sequence[int], signs: Sequence[int],
+                    gate_seq: Sequence[Gate]) -> tuple[list[int], list[int], list[bool]]:
+    """The int-level entry to the signed tableau: row r, the Hermitian Pauli of
+    the masks ``xs[r]`` and ``zs[r]`` on an ``n``-qubit register, negated when
+    ``signs[r]`` is set, through the Clifford circuit applying ``gate_seq`` in
+    order, all rows in one walk of its layers.  Returns the images' masks and signs."""
+    if outside := [g for g in gate_seq if not 0 <= min(g.qubits) <= max(g.qubits) < n]:
+        raise UnsupportedGateError(f"gate {outside[0]} outside register of {n}")
+    step = 8 * ((n + 63) // 64)
+    x, z, sign = pack(xs, step // 8), pack(zs, step // 8), np.array(signs, bool)
+    for layer in layers(gate_seq):
+        conjugate_rows(x, z, layer, sign)
+    xs, zs = ([int.from_bytes(b[i:i + step], "little") for i in range(0, len(b), step)]
+              for b in (plane.T.astype("<u8").tobytes() for plane in (x, z)))   # row by row
+    return xs, zs, sign.tolist()
+
+
 def conjugate_through(paulis: Sequence[Pauli], gates) -> list[Pauli]:
     """``U p U^dagger`` with exact phase for every ``p`` of ``paulis``, U the
-    Clifford circuit applying ``gates`` in order.  The Paulis, all on one
-    register, are the rows of one signed tableau walked once; a row's sign
+    Clifford circuit applying ``gates`` in order: the Paulis, all on one
+    register, are the rows of one :func:`conjugate_masks` walk; a row's sign
     is its displayed -1, and a displayed i rides along unchanged."""
     sizes = {p.n for p in paulis}
     if len(sizes) != 1:
         raise DimensionError(f"one register expected, got Paulis on {sorted(sizes)} qubits")
     (n,) = sizes
-    n_words = (n + 63) // 64
-    x, z = pack((p.x for p in paulis), n_words), pack((p.z for p in paulis), n_words)
-    sign = np.array([p.display_phase_exp >> 1 for p in paulis], bool)
-    if outside := [g for g in gates if not all(0 <= q < n for q in g.qubits)]:
-        raise UnsupportedGateError(f"gate {outside[0]} outside register of {n}")
-    for layer in layers(gates):
-        conjugate_rows(x, z, layer, sign)
-    xs, zs = (plane.T.astype("<u8").tobytes() for plane in (x, z))   # row by row
-    step, images = 8 * n_words, []
-    for r, (p, flip) in enumerate(zip(paulis, sign.tolist())):
-        px, pz = (int.from_bytes(b[step * r:step * (r + 1)], "little") for b in (xs, zs))
-        images.append(Pauli(n, px, pz, (px & pz).bit_count() + 2 * flip + (p.display_phase_exp & 1)))
-    return images
+    xs, zs, signs = conjugate_masks(n, [p.x for p in paulis], [p.z for p in paulis],
+                                    [p.display_phase_exp >> 1 for p in paulis], gates)
+    return [Pauli(n, x, z, (x & z).bit_count() + 2 * s + (p.display_phase_exp & 1))
+            for p, x, z, s in zip(paulis, xs, zs, signs)]
 
 
 # -- dense matrices --------------------------------------------------------

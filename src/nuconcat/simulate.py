@@ -8,8 +8,8 @@ asks them strongest first and, if all of them refuse, lists each reason:
 * dense simulation of all logical basis states in one pass, exact on the
   basis states they reach (<= 22 qubits; codewords from
   :func:`~nuconcat.codes.code_space`), judging U_L whole: leakage, phase, fidelity;
-* Heisenberg conjugation of stabilizers and logicals (Clifford circuits,
-  any size, sign-exact membership block by block in the code's group);
+* Heisenberg conjugation of stabilizers and logicals, the claim's on extra
+  qubits, in one signed walk (Clifford, any size, sign-exact block by block);
 * coset-phase analysis for X/CNOT/diagonal circuits on a code whose
   logical Z has a pure-Z coset form (Dehaene-De Moor, quant-ph/0304125):
   the basis permutation must uncompute to the identity, and the diagonal
@@ -112,17 +112,21 @@ def codewords(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     return idx, pair
 
 
+def _shifted(a: np.ndarray, d: int) -> np.ndarray:
+    return a << d if d >= 0 else a >> -d
+
+
 def apply_circuit(idx: np.ndarray, amps: np.ndarray,
                   circuit: GadgetCircuit) -> tuple[np.ndarray, np.ndarray]:
     """Run a batch of states through the circuit in one pass: ``idx``
     distinct basis states (bit q = qubit q), ``amps`` complex, rows x
     len(idx), zero off ``idx`` (a dense batch passes the full range).
-    Returns new arrays on the support reached.  X and CNOT move the indices
-    whose controls are set (Y also multiplies in +-i), a diagonal gate
-    scales the columns where all its qubits are 1, and a layer of H, K or
-    K_DAG gates (``circuit.layers``) joins the support with its flips on
-    all the layer's qubits in one merge and mixes qubit by qubit, a missing
-    entry reading 0.  Every row must keep its norm."""
+    Returns new arrays on the support reached.  Each of ``circuit.layers``
+    acts at once: an X, Y, CNOT or diagonal layer makes one index flip or
+    phase per group of ``gates.slots``, read off its input indices, and an
+    H, K or K_DAG layer joins the support with its flips on all the layer's
+    qubits in one merge and mixes qubit by qubit, a missing entry reading
+    0.  Every row must keep its norm."""
     n, idx = circuit.register_size, np.asarray(idx)
     if idx.ndim != 1 or idx.dtype.kind not in "iu" or not ((0 <= idx) & (idx < 1 << n)).all():
         raise VerificationError(f"indices must be a 1-D array of integers in [0, 2^{n})")
@@ -135,15 +139,17 @@ def apply_circuit(idx: np.ndarray, amps: np.ndarray,
     norms = np.einsum("ij,ij->i", *[amps.view(float)] * 2)  # no BLAS call, so no thread pool
     for layer in circuit.layers:
         if layer[0].is_permutation or layer[0].is_diagonal or layer[0].kind == gates.Y:
-            for g in layer:
-                *ctrl, q = g.qubits
-                bit, on = 1 << q, sum(1 << c for c in ctrl)
-                if g.is_diagonal:
-                    amps[:, (idx & (on | bit)) == on | bit] *= np.exp(1j * np.pi * float(g.theta()))
-                else:  # X, Y, or CNOT where its control is 1
-                    if g.kind == gates.Y:  # Y|0> = i|1>, Y|1> = -i|0>
-                        amps *= np.where(idx & bit, -1j, 1j)
-                    idx = idx ^ bit * ((idx & on) == on)
+            flips = 0   # one update per group of gates.slots, all read off the input indices
+            for (offsets, angle), masks in gates.slots(layer).items():
+                if layer[0].is_diagonal:  # e^(i pi theta) per gate whose qubits are all 1
+                    on = fold(np.bitwise_and, [_shifted(idx & m, -d) for m, d in zip(masks, offsets)])
+                    theta = float(layer[0].theta() if angle is None else angle % 2)
+                    amps *= np.exp(1j * np.pi * theta * np.bitwise_count(on))
+                else:  # X, Y (Y|0> = i|1>, Y|1> = -i|0>), or CNOT: the control's bit to the target
+                    if layer[0].kind == gates.Y:
+                        amps *= 1j ** len(layer) * (1.0 - 2.0 * (np.bitwise_count(idx & masks[0]) & 1))
+                    flips ^= _shifted(idx & masks[0], offsets[1]) if len(masks) > 1 else masks[0]
+            idx = idx ^ flips
         else:  # H, K or K_DAG: one merge with the flips on all the layer's qubits,
             # bit i of a flip for qubit qs[i], then a mix per qubit
             qs, u = [g.qubits[0] for g in layer], gates.gate_matrix(layer[0])
@@ -215,11 +221,11 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
                            claimed: Gate) -> Certificate:
     """Conjugate stabilizers and logicals through a Clifford circuit.
 
-    All blocks' generators and logicals go through ``gates.conjugate_through``
-    as one batch.  Each stabilizer image, and each logical image times the
-    inverse of the claim's lifted image, must lie in the signed group, which
-    pins the action up to global phase; the blocks tile the register, so each
-    block's slice must lie in the code's group, phases summing to the image's.
+    One ``gates.conjugate_masks`` walk takes each block's generators and
+    logicals through the circuit, and each operand b's X and Z on an extra
+    qubit total + b through the claim moved there.  Each stabilizer image,
+    and each logical image times the inverse of its lifted claim image, must
+    lie in the signed group: each block's slice in the code's, phases summing.
     """
     m = circuit.operands
     offsets = _block_offsets(code, circuit, claimed)
@@ -228,27 +234,32 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
     if not claimed.is_clifford:
         raise NotApplicable("claimed gate is not Clifford")
     total, group, mask = circuit.register_size, stabilizer_group(code), (1 << code.n) - 1
-    # per block: its generators, then logical X and Z, shifted to the block
-    placed = [[Pauli(total, p.x << offset, p.z << offset, p.phase_exp)
-               for p in (*code.generators, code.logical_x, code.logical_z)] for offset in offsets]
-    stabilizers = [p for block in placed for p in block[:-2]]
-    rows = stabilizers + [p for block in placed for p in block[-2:]]
-    logicals = list(itertools.product(range(m), "XZ"))
-    wants = [None] * len(stabilizers)
-    # the claim's image i^e X^x Z^z of each X_b or Z_b, lifted block by block
-    for image in gates.conjugate_through([Pauli.single(m, *lg) for lg in logicals], [claimed]):
-        want = Pauli(total, 0, 0, image.phase_exp)
-        for c, (bits, rep) in itertools.product(range(m), ((image.x, -2), (image.z, -1))):
-            want = want * placed[c][rep] if (bits >> c) & 1 else want
-        wants.append(want.inverse())
-    images = gates.conjugate_through(rows, circuit.gates)
-    for row, image, want, logical in zip(rows, images, wants, [None] * len(stabilizers) + logicals):
-        p = image * want if want else image
-        phases = [group.phase(p.x >> offset & mask, p.z >> offset & mask) for offset in offsets]
-        if None in phases or (sum(phases) - p.phase_exp) & 3:
-            return Certificate("heisenberg", False, details=(
-                f"logical {logical[1]}_{logical[0]} image mismatch" if logical
-                else f"stabilizer {row} maps outside the group"))
+    # rows (x, z, sign), the Hermitian Pauli of x and z, negated if sign: the generators,
+    # then X_0, Z_0, X_1, ... of the blocks, then of the operands on the extra qubits
+    rows = [(p.x << offset, p.z << offset, p.display_phase_exp >> 1) for ps in
+            (code.generators, (code.logical_x, code.logical_z)) for offset in offsets for p in ps]
+    rows += [bits for b in range(m) for bits in ((1 << total + b, 0, 0), (0, 1 << total + b, 0))]
+    moved = Gate(claimed.kind, tuple(total + q for q in claimed.qubits))
+    images = list(zip(*gates.conjugate_masks(total + m, *zip(*rows), (*circuit.gates, moved))))
+
+    def signed(x: int, z: int, sign: int) -> Pauli:
+        return Pauli(total, x, z, (x & z).bit_count() + 2 * sign)
+
+    k = len(rows) - 4 * m   # stabilizer rows
+    for r, (x, z, sign) in enumerate(images[:-2 * m]):
+        e = (x & z).bit_count() + 2 * sign
+        if r >= k:   # times the inverse of the claim's image i^e X^x Z^z, lifted block by block
+            cx, cz, cs = images[r + 2 * m]
+            want = Pauli(total, 0, 0, (cx & cz).bit_count() + 2 * cs)
+            for c, j in itertools.product(range(m), range(2)):
+                want = want * signed(*rows[k + 2 * c + j]) if (cx, cz)[j] >> total + c & 1 else want
+            image = signed(x, z, sign) * want.inverse()
+            x, z, e = image.x, image.z, image.phase_exp
+        phases = [group.phase(x >> offset & mask, z >> offset & mask) for offset in offsets]
+        if None in phases or (sum(phases) - e) & 3:
+            b, j = divmod(r - k, 2)
+            return Certificate("heisenberg", False, details=f"logical {'XZ'[j]}_{b} image mismatch"
+                               if b >= 0 else f"stabilizer {signed(*rows[r])} maps outside the group")
     return Certificate("heisenberg", True, phase=None)
 
 

@@ -294,6 +294,17 @@ def test_mutation_guard(capsys, monkeypatch):
     assert "single_fault_failures: 0" not in bad_out
 
 
+def test_replay_names_both_sizes_on_a_layout_mismatch(capsys, tmp_path):
+    """A circuit replayed on a layout of another size is refused before any
+    propagation, naming the circuit's block size and the layout's."""
+    path = tmp_path / "t49.circuit"
+    run(capsys, "gadget", "--layout", "code49", "--gate", "T", "--circuit-out", str(path))
+    code, out, err = run(capsys, "replay", "--layout", "code47", "--circuit", str(path),
+                         "--fault=-1:" + "X" + "I" * 48)
+    assert code == 2 and out == ""
+    assert err == "usage error: circuit blocks of 49 qubits do not match layout code47 (47 qubits)\n"
+
+
 @pytest.fixture
 def steane_t_circuit(capsys, tmp_path):
     path = tmp_path / "t7.circuit"

@@ -153,9 +153,26 @@ def random_circuits(draw, max_qubits=6, angles=EIGHTHS):
                                    gate(gates.CNOT, 0, 2), gate(gates.Y, 2),
                                    gate(gates.K_DAG, 0), gate(gates.S_DAG, 1)),
                                "both-cnots", 1), rows=2, seed=11)
+@example(circuit=GadgetCircuit(5, (gate(gates.CNOT, 0, 2), gate(gates.CNOT, 4, 1),
+                                   gate(gates.CNOT, 3, 0)), "cnot-layer-both-ways", 1),
+         rows=2, seed=12)
+@example(circuit=GadgetCircuit(6, (gate(gates.CZ, 1, 0), gate(gates.CZ, 2, 4),
+                                   gate(gates.CCZ, 4, 1, 0), gate(gates.CCZ, 5, 3, 2)),
+                               "high-first", 1), rows=1, seed=13)
+@example(circuit=GadgetCircuit(4, (Gate(gates.Z_THETA, (0,), Fraction(1, 8)),
+                                   Gate(gates.Z_THETA, (2,), Fraction(3, 4)),
+                                   Gate(gates.Z_THETA, (3,), Fraction(1, 8)),
+                                   gate(gates.Y, 1), gate(gates.Y, 3), gate(gates.Y, 0)),
+                               "two-angles-then-ys", 1), rows=2, seed=14)
+@example(circuit=GadgetCircuit(5, (Gate(gates.CKZ_THETA, (3, 0), Fraction(1, 4)),
+                                   Gate(gates.CKZ_THETA, (1, 4, 2), Fraction(3, 8))),
+                               "two-arities", 1), rows=1, seed=15)
 def test_gate_application_matches_kron_oracle(circuit, rows, seed):
     """One in-place pass over a batch of rows equals the product of the
-    per-gate Kronecker matrices applied to each row."""
+    per-gate Kronecker matrices applied to each row.  The examples put in
+    one layer CNOTs moving control to target by offsets of both signs, CZ
+    and CCZ gates listed high qubit first, Z_THETA gates at two angles,
+    three Ys and CKZ_THETA gates of two arities."""
     rng = np.random.default_rng(seed)
     dim = 1 << circuit.register_size
     states = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
@@ -358,6 +375,27 @@ def test_heisenberg_refusals_name_the_first_failing_row(cat):
     y = expand_transversal(code, gates.Y, cat.rules["steane"][gates.Y])
     cert = verify_clifford_action(code, y, gate(gates.Z, 0))
     assert not cert.passed and cert.details == "logical Z_0 image mismatch"
+
+
+def test_heisenberg_walks_the_tableau_once_per_call(cat, monkeypatch):
+    """The circuit and the claim, moved onto one extra qubit per operand,
+    are one walk of every row: one ``gates.conjugate_masks`` call, on the
+    register and the extra qubits, for a one-operand and a two-operand rule,
+    and none for the three-operand CCZ, which is refused before any work."""
+    walks = []
+    monkeypatch.setattr(gates, "conjugate_masks",
+                        lambda *args, real=gates.conjugate_masks: walks.append(args) or real(*args))
+    for name, kind in (("steane", gates.H), ("rm15", gates.CNOT), ("rm15", gates.CCZ)):
+        code, claim = cat.code(name), Gate(kind, tuple(range(gates.ARITY[kind])))
+        circuit = expand_transversal(code, kind, cat.rules[name][kind])
+        walks.clear()
+        if circuit.is_clifford:
+            assert verify_clifford_action(code, circuit, claim).passed
+            assert [w[0] for w in walks] == [circuit.register_size + circuit.operands]
+        else:
+            with pytest.raises(simulate.NotApplicable):
+                verify_clifford_action(code, circuit, claim)
+            assert walks == []
 
 
 def test_css_coset_catches_wrong_claim(cat):
