@@ -64,7 +64,7 @@ def _resolve_layout(cat: cataloglib.Catalog, descriptor: str) -> concat.Layout:
             descriptor = fh.read().strip()
     except OSError:
         pass
-    return concat.parse_layout(descriptor, cat.code)
+    return concat.parse_layout(LAYOUT_SHORTCUTS.get(descriptor, descriptor), cat.code)
 
 
 def _parse_gate(text: str, theta_text: str | None, k: int | None) -> gates.Gate:
@@ -292,7 +292,7 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
         injections.append((int(match[1]), pauli))
     injections.sort(key=lambda pf: pf[0])
     frame = faults.propagate(circuit, [(0, place, p.x, p.z) for place, p in injections])
-    residual = faults.DecodeContext(layout, circuit).decode(frame.x, frame.z)
+    residual = faults.DecodeContext(layout, circuit.operands).decode(frame.x, frame.z)
     outcomes = []
     failed = False
     for bx, bz, res in sorted((*frame.branch(r), LETTERS[c])

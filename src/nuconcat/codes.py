@@ -226,7 +226,8 @@ def staircase_support(code: StabilizerCode) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LookupDecoder:
-    """Full syndrome table of minimum-weight corrections.
+    """Full syndrome table of minimum-weight corrections, and the one
+    reader of the block-word format (``words``).
 
     ``table[s]`` is the key ``weight << 2n | x << n | z`` of syndrome s's
     correction.  Tie-break among same-syndrome, same-weight corrections is
@@ -236,8 +237,16 @@ class LookupDecoder:
     code: StabilizerCode
     table: np.ndarray
 
+    def words(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Block words of the errors X^x Z^z, x and z uint64 masks of the code's qubits."""
+        errors, tables = x | z << self.code.n, self._word_tables
+        word = tables[0][errors & 255]
+        for b in range(1, len(tables)):
+            word ^= tables[b][(errors >> 8 * b) & 255]
+        return word
+
     @cached_property
-    def word_tables(self) -> np.ndarray:
+    def _word_tables(self) -> np.ndarray:
         """The block word of an error is its syndrome s | anti_z << (n - 1) |
         anti_x << n, where anti_z and anti_x say whether it anticommutes with
         logical Z and logical X (at most 15 qubits, so 16 bits).  It is linear
@@ -256,7 +265,7 @@ class LookupDecoder:
     @cached_property
     def residual_classes(self) -> np.ndarray:
         """Logical class left after correcting an error, indexed by its
-        block word (see ``word_tables``), as an index into ``LETTERS``.
+        block word (see ``words``), as an index into ``LETTERS``.
         Computed once per decoder."""
         n, mask = self.code.n, (1 << self.code.n) - 1
         cx, cz = self.table >> n & mask, self.table & mask
@@ -319,6 +328,8 @@ class StabilizerGroup:
 
     def phase(self, x: int, z: int) -> int | None:
         """Phase exponent e of the element i^e X^x Z^z, or None off the span."""
+        if not x | z:
+            return 0
         k = len(self.generators)
         combo = reduce(self._reduced, (x << self.n | z) << k)
         return None if combo >> k else self._combo_phase(combo)

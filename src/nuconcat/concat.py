@@ -125,8 +125,7 @@ def lift(layout: Layout, outer_op: Pauli, rep=StabilizerCode.logical_rep) -> Pau
         start, inner = layout.block(q)
         image = rep(inner, letter)
         # the i of a Y letter is already in outer_op.phase_exp
-        factor = Pauli(image.n, image.x, image.z, image.phase_exp - (letter == "Y"))
-        out = out * factor.embed(total, range(start, start + inner.n))
+        out = out * Pauli(total, image.x << start, image.z << start, image.phase_exp - (letter == "Y"))
     return out
 
 
@@ -140,7 +139,7 @@ def flatten(layout: Layout) -> StabilizerCode:
     lifting conventions.
     """
     total = layout.total_n
-    gens = [g.embed(total, range(start, start + inner.n))
+    gens = [Pauli(total, g.x << start, g.z << start, g.phase_exp)
             for start, inner in zip(layout.offsets, layout.assignment) for g in inner.generators]
     gens += [lift(layout, g) for g in layout.outer.generators]
     return StabilizerCode(layout.descriptor, total, tuple(gens),

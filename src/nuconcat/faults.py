@@ -221,12 +221,7 @@ def propagate(circuit: GadgetCircuit,
 
 # -- table-driven hierarchical decoding ------------------------------------------------
 
-def _block_words(errors: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Block word per symplectic error, one table entry per byte."""
-    word = tables[0][errors & 255]
-    for b in range(1, len(tables)):
-        word ^= tables[b][(errors >> 8 * b) & 255]
-    return word
+Sparse = tuple[np.ndarray, np.ndarray, np.ndarray]   # a column's rows, block words, terms
 
 
 def _field(plane: np.ndarray, start: int, width: int) -> np.ndarray:
@@ -239,53 +234,46 @@ def _field(plane: np.ndarray, start: int, width: int) -> np.ndarray:
 
 
 class DecodeContext:
-    """Inner-then-outer lookup decoding of a circuit's operand blocks, each
-    one copy of ``layout``, in word-major x/z planes.  Each (operand, outer qubit)
-    column has a block word per row, linear in (x, z), kept sparse by
-    ``data``.  Column k's term f_k(d) is the outer block word of its inner
-    residual letter; an operand's outer word is the XOR of its terms."""
+    """Inner-then-outer lookup decoding of ``operands`` copies of ``layout`` in
+    word-major x/z planes, composed of the blocks' ``LookupDecoder``s.  Each (operand,
+    outer qubit) column has a block word per row, linear in (x, z), kept sparse by
+    ``data``.  Column k's term f_k(d) is the outer block word of its inner residual
+    letter; an operand's outer word is the XOR of its terms."""
 
-    def __init__(self, layout: Layout, circuit: GadgetCircuit):
-        if circuit.register_size != circuit.operands * layout.total_n:
-            raise ValueError("gadget blocks do not match the layout")
+    def __init__(self, layout: Layout, operands: int):
         n = layout.outer.n
         outer = build_decoder(layout.outer)
         # outer block word of each letter, in LETTERS order, on outer qubit q
-        lifts = [_block_words(np.array([0, 1 << q, 1 << (q + n), 1 << q | 1 << (q + n)], np.uint64),
-                              outer.word_tables) for q in range(n)]
-        self.columns = []   # (start, width, word tables) per block word
-        self.letters = []   # residual class by block word, per block word
-        self.lifts = []     # outer block word by residual class, per block word
-        for off, _ in circuit.blocks:
-            for q in range(n):
-                start, code = layout.block(q)
-                decoder = build_decoder(code)
-                self.columns.append((off + start, code.n, decoder.word_tables))
-                self.letters.append(decoder.residual_classes)
-                self.lifts.append(lifts[q])
-        self.n_operands, self.n_outer = circuit.operands, n
+        x, z = np.array([[0, 1, 0, 1], [0, 0, 1, 1]], np.uint64)
+        lifts = [outer.words(x << q, z << q) for q in range(n)]
+        self.columns = [(off + start, build_decoder(code), lifts[q])   # per block word
+                        for off in range(0, operands * layout.total_n, layout.total_n)
+                        for q, (start, code) in enumerate(map(layout.block, range(n)))]
+        self.n_operands, self.n_outer = operands, n
         self.outer_letters = outer.residual_classes
 
-    def data(self, x: np.ndarray, z: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Sparse block words, a column at a time: the ascending int32 rows whose
-        word is non-zero, and those words, looked up on rows with an error."""
-        for start, width, tables in self.columns:
-            errors = _field(x, start, width) | _field(z, start, width) << width
-            rows = np.flatnonzero(errors).astype(np.int32)   # half the bytes of intp
-            words = _block_words(errors[rows], tables)
+    def data(self, x: np.ndarray, z: np.ndarray) -> Iterator[Sparse]:
+        """Sparse block words, a column at a time: the ascending rows whose word
+        is non-zero, those words, looked up on rows with an error, and their terms."""
+        for k, (start, decoder, _) in enumerate(self.columns):
+            bx, bz = _field(x, start, decoder.code.n), _field(z, start, decoder.code.n)
+            rows = np.flatnonzero(bx | bz)
+            words = decoder.words(bx[rows], bz[rows])
             kept = words != 0
-            yield rows[kept], words[kept]
+            rows, words = rows[kept], words[kept]
+            yield rows, words, self.term(k, words)
 
     def term(self, k: int, block_words: np.ndarray) -> np.ndarray:
         """Column k's term f_k of block words: the outer block word of their
         residual letter on the column's outer qubit; f_k(0) = 0."""
-        return self.lifts[k][self.letters[k][block_words]]
+        _, decoder, lift = self.columns[k]
+        return lift[decoder.residual_classes[block_words]]
 
-    def words(self, data: Iterable[tuple[np.ndarray, np.ndarray]], size: int) -> np.ndarray:
-        """Outer block words, (operands, size), of ``size`` rows of sparse block words."""
+    def words(self, data: Iterable[Sparse], size: int) -> np.ndarray:
+        """Outer block words, (operands, size), of ``size`` rows of ``data``."""
         out = np.zeros((self.n_operands, size), np.uint16)
-        for k, (rows, block_words) in enumerate(data):
-            out[k // self.n_outer, rows] ^= self.term(k, block_words)
+        for k, (rows, _, terms) in enumerate(data):
+            out[k // self.n_outer, rows] ^= terms
         return out
 
     def classes(self, words: np.ndarray) -> np.ndarray:
@@ -325,14 +313,18 @@ class FaultReport:
 
 @dataclass
 class Campaign:
-    """One gadget's fault campaign for both suites: decode context, locations
-    and their walk, then the pair screen and hit gates, each made on first use."""
+    """One gadget's fault campaign for both suites, on copies of the layout: decode
+    context, locations and their walk, then the pair screen and hit gates, each made on first use."""
 
     layout: Layout
     circuit: GadgetCircuit
-    ctx = cached_property(lambda self: DecodeContext(self.layout, self.circuit))
+    ctx = cached_property(lambda self: DecodeContext(self.layout, self.circuit.operands))
     locations = cached_property(lambda self: enumerate_locations(self.circuit))
     frame = cached_property(lambda self: propagate(self.circuit, self.locations))
+
+    def __post_init__(self):
+        if self.circuit.register_size != self.circuit.operands * self.layout.total_n:
+            raise ValueError("gadget blocks do not match the layout")
 
     @cached_property
     def hits(self) -> np.ndarray:
@@ -384,14 +376,13 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit, *,
 
 
 class PairScreen:
-    """Sparse block words of ``size`` rows (``DecodeContext.data``, intp rows),
-    their terms and each row's operand words.  A product's outer word is W(a ^ b)
-    = W(a) ^ W(b) ^ P, P the XOR of f_k(a ^ b) ^ f_k(a) ^ f_k(b) over shared columns."""
+    """Sparse block words of ``size`` rows with their terms, as
+    ``DecodeContext.data`` computed them, and each row's operand words.  A
+    product's outer word is W(a ^ b) = W(a) ^ W(b) ^ P, P the XOR of
+    f_k(a ^ b) ^ f_k(a) ^ f_k(b) over shared columns."""
 
-    def __init__(self, ctx: DecodeContext, data: Iterable[tuple[np.ndarray, np.ndarray]],
-                 size: int):
-        self.ctx, self.data = ctx, [(rows.astype(np.intp), words) for rows, words in data]
-        self.terms = [ctx.term(k, block_words) for k, (_, block_words) in enumerate(self.data)]
+    def __init__(self, ctx: DecodeContext, data: Iterable[Sparse], size: int):
+        self.ctx, self.data = ctx, list(data)
         self.words = ctx.words(self.data, size)
 
     def pair_words(self, a: slice, b: slice) -> np.ndarray:
@@ -399,7 +390,7 @@ class PairScreen:
         row in ``a`` with every row in ``b`` (slices with start and stop)."""
         ctx = self.ctx
         out = self.words[:, a, None] ^ self.words[:, None, b]
-        for k, ((rows, d), t) in enumerate(zip(self.data, self.terms)):
+        for k, (rows, d, t) in enumerate(self.data):
             a0, a1, b0, b1 = np.searchsorted(rows, (a.start, a.stop, b.start, b.stop))
             if a0 == a1 or b0 == b1:
                 continue

@@ -16,7 +16,6 @@ are cheap to multiply and compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 # The letter of a qubit's bits x | z << 1.  The same two bits name a
 # logical class: bit 0 = anticommutes with logical Z, bit 1 = with logical X.
@@ -142,21 +141,6 @@ class Pauli:
 
     def is_hermitian(self) -> bool:
         return self.display_phase_exp in (0, 2)
-
-    # -- register plumbing ----------------------------------------------
-
-    def embed(self, n: int, offsets: Iterable[int]) -> "Pauli":
-        """Embed into an ``n``-qubit register, qubit ``q`` -> ``offsets[q]``."""
-        offsets = list(offsets)
-        if len(offsets) != self.n:
-            raise DimensionError("offsets must list one target per source qubit")
-        x = z = 0
-        for q, target in enumerate(offsets):
-            if not 0 <= target < n:
-                raise DimensionError(f"target qubit {target} outside register of {n}")
-            x |= ((self.x >> q) & 1) << target
-            z |= ((self.z >> q) & 1) << target
-        return Pauli(n, x, z, self.phase_exp)
 
     def negate(self) -> "Pauli":
         return Pauli(self.n, self.x, self.z, (self.phase_exp + 2) & 3)

@@ -370,7 +370,8 @@ def reference_conjugate(p: Pauli, g: Gate) -> Pauli:
     qs = g.qubits
     mask = _deposit((1 << len(qs)) - 1, qs)
     rest = Pauli(p.n, p.x & ~mask, p.z & ~mask, p.phase_exp)
-    return rest * _dense_image(g.kind, _extract(p.x, qs), _extract(p.z, qs)).embed(p.n, qs)
+    image = _dense_image(g.kind, _extract(p.x, qs), _extract(p.z, qs))
+    return rest * Pauli(p.n, _deposit(image.x, qs), _deposit(image.z, qs), image.phase_exp)
 
 
 def reference_propagate(circuit: GadgetCircuit, fault_list):
@@ -411,9 +412,9 @@ def reference_block_words(ctx: faults.DecodeContext, x: np.ndarray, z: np.ndarra
     """Dense block words of word-major x and z planes, (rows, columns):
     every column's word looked up on every row."""
     out = np.empty((x.shape[1], len(ctx.columns)), np.uint16)
-    for k, (start, width, tables) in enumerate(ctx.columns):
-        errors = faults._field(x, start, width) | faults._field(z, start, width) << width
-        out[:, k] = faults._block_words(errors, tables)
+    for k, (start, decoder, _) in enumerate(ctx.columns):
+        n = decoder.code.n
+        out[:, k] = decoder.words(faults._field(x, start, n), faults._field(z, start, n))
     return out
 
 
@@ -432,7 +433,7 @@ def densify_block_words(data, size: int) -> np.ndarray:
     ascend and hold non-zero words."""
     data = list(data)
     out = np.zeros((size, len(data)), np.uint16)
-    for k, (rows, words) in enumerate(data):
+    for k, (rows, words, _) in enumerate(data):
         assert (np.diff(rows) > 0).all() and words.all()
         out[rows, k] = words
     return out
@@ -444,7 +445,7 @@ def reference_pair_candidates(layout: Layout, circuit: GadgetCircuit) -> list[tu
     location, on dense block words; the (i, j) candidates in order of i,
     then j."""
     locations = faults.enumerate_locations(circuit)
-    ctx = faults.DecodeContext(layout, circuit)
+    ctx = faults.DecodeContext(layout, circuit.operands)
     frame = faults.propagate(circuit, locations)
     order = np.argsort(frame.owner, kind="stable")
     owner = frame.owner[order]
@@ -468,7 +469,7 @@ def reference_find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit) -> 
     the first pair with a failing row is the witness, its least failing
     (x, z) row the branch."""
     locations = faults.enumerate_locations(circuit)
-    ctx = faults.DecodeContext(layout, circuit)
+    ctx = faults.DecodeContext(layout, circuit.operands)
     frame = faults.propagate(circuit, locations)
     order = np.argsort(frame.owner, kind="stable")
     owner = frame.owner[order]

@@ -74,6 +74,18 @@ def test_distance_command(capsys, layout, expected):
     assert f"overall_distance: {expected}" in out
 
 
+@pytest.mark.parametrize("content", ["nonuniform:steane:rm15", "code49"])
+def test_layout_file_reads_like_its_content_on_the_command_line(capsys, tmp_path, content):
+    """A layout file holding a descriptor or a shortcut gives the output
+    that ``--layout code49`` gives, timing removed."""
+    path = tmp_path / "layout.txt"
+    path.write_text(content + "\n")
+    code, out, err = run(capsys, "distance", "--layout", str(path), "--format", "machine")
+    assert (code, err) == (0, "")
+    _, want, _ = run(capsys, "distance", "--layout", "code49", "--format", "machine")
+    assert strip_timing(out) == strip_timing(want)
+
+
 def test_codes_info_usage_messages(capsys):
     """A missing NAME is named as such; a KeyError's message prints
     without the quotes of its repr."""

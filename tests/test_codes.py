@@ -3,7 +3,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nuconcat import cli, gates
@@ -258,24 +258,30 @@ GROUP_CODES = {"steane": steane, "rm15": reed_muller_15, "five_prime": five_prim
                "code49": lambda: flatten(non_uniform_layout(steane(), reed_muller_15()))}
 
 
+BITS = st.integers(0, (1 << 64) - 1)   # masked to a code's generators or qubits, at most 49 of each
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(sorted(GROUP_CODES)), st.data())
-def test_phase_form_matches_pauli_products(name, data):
+@given(name=st.sampled_from(sorted(GROUP_CODES)), combo=BITS, shift=st.integers(0, 3),
+       x=BITS, z=BITS, phase_exp=st.integers(0, 3))
+@example(name="steane", combo=0, shift=2, x=0, z=0, phase_exp=1)
+@example(name="code49", combo=0, shift=0, x=0, z=0, phase_exp=0)
+@example(name="bare", combo=0, shift=1, x=0, z=0, phase_exp=2)
+def test_phase_form_matches_pauli_products(name, combo, shift, x, z, phase_exp):
     """The phase form gives a random product of generators the sign that
     multiplying them one ``Pauli`` at a time gives, and membership holds at
     that phase only.  A logical times the product is off the span, and a
-    random Pauli is judged as the tag-bit reference judges it."""
+    random Pauli is judged as the tag-bit reference judges it.  Combo 0 and
+    x = z = 0 are the identity, which ``phase`` answers without elimination."""
     code = GROUP_CODES[name]()
     group, n, k = stabilizer_group(code), code.n, len(code.generators)
-    combo = data.draw(st.integers(0, (1 << k) - 1))
+    combo &= (1 << k) - 1
     p = signed_product(code.generators, combo, n)
     assert group.phase(p.x, p.z) == p.phase_exp and group.product(combo) == p
-    shift = data.draw(st.integers(0, 3))
     assert (Pauli(n, p.x, p.z, p.phase_exp + shift) in group) == (shift == 0)
     for q in (p * code.logical_x, p * code.logical_z):
         assert group.phase(q.x, q.z) is None and q not in group
-    word = st.integers(0, (1 << n) - 1)
-    q = Pauli(n, data.draw(word), data.draw(word), data.draw(st.integers(0, 3)))
+    q = Pauli(n, x & (1 << n) - 1, z & (1 << n) - 1, phase_exp)
     member = signed_membership(code.generators, n)
     signs = [e for e in range(4) if member(Pauli(n, q.x, q.z, e))]
     assert group.phase(q.x, q.z) == (signs[0] if signs else None)

@@ -100,7 +100,8 @@ def test_weight_one_errors_all_corrected(layouts, total):
 def test_hierarchical_decode_examples(layouts, cat):
     lay = layouts[49]
     rm = cat.code("rm15")
-    inner_z = min_weight_logical(rm, "Z").embed(49, range(15))
+    inner_z = min_weight_logical(rm, "Z")
+    inner_z = Pauli(49, inner_z.x, inner_z.z, inner_z.phase_exp)
     assert hierarchical_decode(lay, inner_z) == "I"
     outer_z = lift(lay, cat.code("steane").logical_z)
     assert hierarchical_decode(lay, outer_z) == "Z"

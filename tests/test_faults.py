@@ -424,7 +424,7 @@ def test_fast_decoder_matches_reference(cat):
         lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
         n = lay.total_n
         errors = random_errors(random.Random(17), n, 200)
-        ctx = DecodeContext(lay, GadgetCircuit(n, (), "id", 1))
+        ctx = DecodeContext(lay, 1)
         got = [LETTERS[r] for r in ctx.decode(*rows(errors, n))]
         want = [hierarchical_decode(lay, Pauli(n, x, z, 0)) for x, z in errors]
         assert got == want, name
@@ -437,7 +437,7 @@ def test_decoder_data_is_linear(cat, name):
     every operand of a two-operand register."""
     lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
     n = lay.total_n
-    ctx = DecodeContext(lay, GadgetCircuit(2 * n, (), "id", 2))
+    ctx = DecodeContext(lay, 2)
     rng = random.Random(5)
     first = random_errors(rng, 2 * n, 100)
     second = random_errors(rng, 2 * n, 100)
@@ -486,7 +486,7 @@ def test_sparse_block_words_match_the_dense_reference(cat, name, operands, data)
     agrees with the Pauli-level decoder on every operand."""
     lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
     n = lay.total_n
-    ctx = DecodeContext(lay, GadgetCircuit(operands * n, (), "id", operands))
+    ctx = DecodeContext(lay, operands)
     drawn = data.draw(st.lists(stabilizer_laden_errors(lay, operands), max_size=8))
     # rows without an entry: all-zero, and one inner generator on each block that has one
     errors = drawn + [(0, 0)] + [(g.x << start, g.z << start) for start, code in
@@ -495,7 +495,7 @@ def test_sparse_block_words_match_the_dense_reference(cat, name, operands, data)
     sparse = list(ctx.data(*planes))
     assert np.array_equal(densify_block_words(sparse, len(errors)),
                           reference_block_words(ctx, *planes))
-    assert all((kept < len(drawn)).all() for kept, _ in sparse)
+    assert all((kept < len(drawn)).all() for kept, _, _ in sparse)
     mask = (1 << n) - 1
 
     def expected(x, z):
@@ -534,7 +534,7 @@ def test_split_outer_words_decode_like_the_product(cat, name, data):
     on both operands of a two-operand register."""
     lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
     n = lay.total_n
-    ctx = DecodeContext(lay, GadgetCircuit(2 * n, (), "id", 2))
+    ctx = DecodeContext(lay, 2)
     blocks = [(off + start, code.n) for off in (0, n)
               for start, code in map(lay.block, range(lay.outer.n))]
     first, second = data.draw(block_error_lists(blocks))
@@ -608,7 +608,7 @@ def test_pair_witness_replay_consistency(lib, layouts):
     report = find_min_uncorrectable(lay, adm.circuit)
     a, b = report.witness
     frame = propagate(adm.circuit, [(0, a.place, a.x, a.z), (0, b.place, b.x, b.z)])
-    assert DecodeContext(lay, adm.circuit).decode(frame.x, frame.z).any()
+    assert DecodeContext(lay, adm.circuit.operands).decode(frame.x, frame.z).any()
 
 
 def test_bare_transversal_pairs_fail_without_spreading(cat, lib):
@@ -906,6 +906,16 @@ def test_first_pair_witness(cat, name, kind, expected):
     else:
         assert report.min_uncorrectable_size == 2
         assert tuple(loc.index for loc in report.witness) == expected
+
+
+def test_a_layout_of_another_size_is_refused(cat):
+    """Both suites refuse a circuit whose operand blocks are not copies of
+    the layout: the code49 T gadget on the 47-qubit code47 layout."""
+    _, circuit = oracle_free_gadget(cat, "code49", gates.T)
+    code47 = parse_layout(cli.LAYOUT_SHORTCUTS["code47"], cat.code)
+    for suite in (check_single_fault_ft, find_min_uncorrectable):
+        with pytest.raises(ValueError, match="gadget blocks do not match the layout"):
+            suite(code47, circuit)
 
 
 def test_a_campaign_of_another_gadget_is_refused(cat):
