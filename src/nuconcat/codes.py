@@ -238,11 +238,12 @@ class LookupDecoder:
     table: np.ndarray
 
     def words(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Block words of the errors X^x Z^z, x and z uint64 masks of the code's qubits."""
-        errors, tables = x | z << self.code.n, self._word_tables
-        word = tables[0][errors & 255]
+        """Block words of the errors X^x Z^z, x and z uint64 masks of the code's qubits.
+        Bytes are intp and read with ``take``: a uint64 index makes numpy cast it element by element."""
+        errors, tables = (x | z << self.code.n).view(np.intp), self._word_tables
+        word = tables[0].take(errors & 255)
         for b in range(1, len(tables)):
-            word ^= tables[b][(errors >> 8 * b) & 255]
+            word ^= tables[b].take(errors >> 8 * b & 255)
         return word
 
     @cached_property

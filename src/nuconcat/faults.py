@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -225,7 +225,7 @@ Sparse = tuple[np.ndarray, np.ndarray, np.ndarray]   # a column's rows, block wo
 
 
 def _field(plane: np.ndarray, start: int, width: int) -> np.ndarray:
-    """Bits start .. start + width - 1 (< 64) of every row of a plane."""
+    """Bits start .. start + width - 1 (width <= 64) of every row of a plane."""
     w, b = start >> 6, start & 63
     out = plane[w] >> b
     if b + width > 64:
@@ -249,25 +249,33 @@ class DecodeContext:
         self.columns = [(off + start, build_decoder(code), lifts[q])   # per block word
                         for off in range(0, operands * layout.total_n, layout.total_n)
                         for q, (start, code) in enumerate(map(layout.block, range(n)))]
-        self.n_operands, self.n_outer = operands, n
-        self.outer_letters = outer.residual_classes
+        self.n_operands, self.n_outer, self.outer_letters = operands, n, outer.residual_classes
+        self.runs = []   # adjacent columns of one size, 64 // size at a time: one scan for errors
+        for size, run in groupby(range(len(self.columns)), lambda k: self.columns[k][1].code.n):
+            run = list(run)
+            self.runs += [run[i:i + 64 // size] for i in range(0, len(run), 64 // size)]
 
     def data(self, x: np.ndarray, z: np.ndarray) -> Iterator[Sparse]:
-        """Sparse block words, a column at a time: the ascending rows whose word
-        is non-zero, those words, looked up on rows with an error, and their terms."""
-        for k, (start, decoder, _) in enumerate(self.columns):
-            bx, bz = _field(x, start, decoder.code.n), _field(z, start, decoder.code.n)
-            rows = np.flatnonzero(bx | bz)
-            words = decoder.words(bx[rows], bz[rows])
-            kept = words != 0
-            rows, words = rows[kept], words[kept]
-            yield rows, words, self.term(k, words)
+        """Sparse block words, a column at a time: the ascending rows whose word is non-zero,
+        those words and their terms.  A run of columns scans its rows for errors at once."""
+        for run in self.runs:
+            lo, width = self.columns[run[0]][0], len(run) * self.columns[run[0]][1].code.n
+            rx, rz = _field(x, lo, width), _field(z, lo, width)
+            hot = np.flatnonzero(rx | rz)
+            rx, rz = rx[hot], rz[hot]
+            for k in run:
+                start, decoder, _ = self.columns[k]
+                bx, bz = (_field(r[None], start - lo, decoder.code.n) for r in (rx, rz))
+                some = np.flatnonzero(bx | bz)   # rows with an error, whose words are looked up
+                kept = np.flatnonzero(words := decoder.words(bx[some], bz[some]))
+                rows, words = hot[some[kept]], words[kept]
+                yield rows, words, self.term(k, words)
 
     def term(self, k: int, block_words: np.ndarray) -> np.ndarray:
         """Column k's term f_k of block words: the outer block word of their
         residual letter on the column's outer qubit; f_k(0) = 0."""
         _, decoder, lift = self.columns[k]
-        return lift[decoder.residual_classes[block_words]]
+        return lift.take(decoder.residual_classes.take(block_words))
 
     def words(self, data: Iterable[Sparse], size: int) -> np.ndarray:
         """Outer block words, (operands, size), of ``size`` rows of ``data``."""
@@ -278,7 +286,7 @@ class DecodeContext:
 
     def classes(self, words: np.ndarray) -> np.ndarray:
         """Residual class of outer words (operands, ...): the first operand's not I."""
-        letters = self.outer_letters[words]
+        letters = self.outer_letters.take(words)
         return np.take_along_axis(letters, (letters != 0).argmax(axis=0)[None], 0)[0]
 
     def decode(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -376,31 +384,38 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit, *,
 
 
 class PairScreen:
-    """Sparse block words of ``size`` rows with their terms, as
-    ``DecodeContext.data`` computed them, and each row's operand words.  A
-    product's outer word is W(a ^ b) = W(a) ^ W(b) ^ P, P the XOR of
-    f_k(a ^ b) ^ f_k(a) ^ f_k(b) over shared columns."""
+    """Sparse block words of ``size`` rows with their terms, as ``DecodeContext.data``
+    computed them, in one array each, and each row's operand words; ``keys`` are the rows,
+    column k's raised by k * size, so one search cuts every column.  A product's outer word
+    is W(a ^ b) = W(a) ^ W(b) ^ P, P the XOR of f_k(a ^ b) ^ f_k(a) ^ f_k(b) over shared columns."""
 
     def __init__(self, ctx: DecodeContext, data: Iterable[Sparse], size: int):
-        self.ctx, self.data = ctx, list(data)
-        self.words = ctx.words(self.data, size)
+        data = list(data)
+        self.ctx, self.words = ctx, ctx.words(data, size)
+        self.floor = np.arange(len(data)) * size
+        raised = [(rows + f, d, t) for (rows, d, t), f in zip(data, self.floor)]
+        self.keys, self.d, self.t = map(np.concatenate, zip(*raised))
 
     def pair_words(self, a: slice, b: slice) -> np.ndarray:
-        """Outer words, (operands, len(a), len(b)), of the product of every
-        row in ``a`` with every row in ``b`` (slices with start and stop)."""
-        ctx = self.ctx
+        """Outer words, (operands, len(a), len(b)), of the product of every row in ``a``
+        with every row in ``b`` (slices with start and stop).  Patches go in by flat intp
+        indices: numpy takes a slow path for a broadcast 2-D index, 2-3 times slower."""
+        ctx, keys, d, t, width = self.ctx, self.keys, self.d, self.t, b.stop - b.start
         out = self.words[:, a, None] ^ self.words[:, None, b]
-        for k, (rows, d, t) in enumerate(self.data):
-            a0, a1, b0, b1 = np.searchsorted(rows, (a.start, a.stop, b.start, b.stop))
-            if a0 == a1 or b0 == b1:
-                continue
+        cuts = np.searchsorted(keys, self.floor[:, None] + (a.start, a.stop, b.start, b.stop))
+        for k in np.flatnonzero((cuts[:, 0] < cuts[:, 1]) & (cuts[:, 2] < cuts[:, 3])):
+            (a0, a1, b0, b1), floor = cuts[k], self.floor[k]
             patch = ctx.term(k, d[a0:a1, None] ^ d[b0:b1]) ^ t[a0:a1, None] ^ t[b0:b1]
-            out[k // ctx.n_outer, (rows[a0:a1] - a.start)[:, None], rows[b0:b1] - b.start] ^= patch
+            flat = out[k // ctx.n_outer].reshape(-1)   # a view: out is C-contiguous
+            at = ((keys[a0:a1] - floor - a.start) * width)[:, None] + (keys[b0:b1] - floor - b.start)
+            flat[at] = flat.take(at) ^ patch
         return out
 
     def candidates(self, bounds: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Pairs (i, j), j > i, of row groups bounds[g]:bounds[g + 1] with a failing product
-        row, in order; first groups in blocks of 1, 2, 4, ... up to ``PAIR_BLOCK`` row pairs."""
+        row, in order; first groups in blocks of 1, 2, 4, ... up to ``PAIR_BLOCK`` row pairs.
+        ``flatnonzero`` finds failing cells 40 times faster than a 2-D ``nonzero``; the class
+        lookup indexes by uint16 words, cast in small buffers, as ``take`` would copy them to intp."""
         n, rows, i, size = len(bounds) - 1, bounds[-1], 0, 1
         owner = np.repeat(np.arange(n), np.diff(bounds))
         while i < n:
@@ -409,9 +424,8 @@ class PairScreen:
             end = max(i + 1, min(i + size, np.searchsorted(bounds, bounds[i] + step, "right") - 1))
             keys = []
             for lo in range(bounds[i], bounds[end], step):
-                hi = min(lo + step, bounds[end])
-                words = self.pair_words(slice(lo, hi), slice(later, rows))
-                r, c = np.nonzero(self.ctx.outer_letters[words].any(axis=0))
+                words = self.pair_words(slice(lo, min(lo + step, bounds[end])), slice(later, rows))
+                r, c = np.divmod(np.flatnonzero(self.ctx.outer_letters[words].any(0)), rows - later)
                 first, second = owner[lo + r], owner[later + c]
                 keys.append((first * n + second)[second > first])
             keys = np.sort(np.concatenate(keys))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -507,9 +508,9 @@ def test_sparse_block_words_match_the_dense_reference(cat, name, operands, data)
 
 
 @st.composite
-def block_error_lists(draw, blocks):
-    """Two lists of 1-4 errors, each a product of 1-3 single-qubit Paulis
-    inside inner blocks ``(start, size)`` drawn from a few that both lists
+def block_error_lists(draw, blocks, lists=2):
+    """``lists`` lists of 1-4 errors, each a product of 1-3 single-qubit Paulis
+    inside inner blocks ``(start, size)`` drawn from a few that all lists
     share, so that factors often meet in one inner block."""
     hot = draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=3))
 
@@ -522,7 +523,7 @@ def block_error_lists(draw, blocks):
             z ^= (letter >> 1) << q
         return x, z
 
-    return [[error() for _ in range(draw(st.integers(1, 4)))] for _ in range(2)]
+    return [[error() for _ in range(draw(st.integers(1, 4)))] for _ in range(lists)]
 
 
 @pytest.mark.parametrize("name", ["code49", "code75", "bare:steane"])
@@ -542,6 +543,30 @@ def test_split_outer_words_decode_like_the_product(cat, name, data):
     words = screen.pair_words(slice(0, len(first)), slice(len(first), len(first) + len(second)))
     product = [(x1 ^ x2, z1 ^ z2) for x1, z1 in first for x2, z2 in second]
     assert np.array_equal(ctx.classes(words).ravel(), ctx.decode(*rows(product, 2 * n)))
+
+
+@pytest.mark.parametrize("name", ["code49", "code75", "bare:steane"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_split_outer_words_decode_like_the_product_on_offset_slices(cat, name, data):
+    """Slices inside a larger set of rows: filler rows come before the first
+    slice, between the two and after the second, in the same inner blocks.
+    Every product still gets the outer words and the class that decoding it gives."""
+    lay = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
+    n = lay.total_n
+    ctx = DecodeContext(lay, 2)
+    blocks = [(off + start, code.n) for off in (0, n)
+              for start, code in map(lay.block, range(lay.outer.n))]
+    before, first, between, second, after = data.draw(block_error_lists(blocks, 5))
+    errors = before + first + between + second + after
+    screen = faults.PairScreen(ctx, ctx.data(*rows(errors, 2 * n)), len(errors))
+    a = slice(len(before), len(before) + len(first))
+    b = slice(a.stop + len(between), a.stop + len(between) + len(second))
+    words = screen.pair_words(a, b)
+    assert words.shape == (2, len(first), len(second))
+    product = rows([(x1 ^ x2, z1 ^ z2) for x1, z1 in first for x2, z2 in second], 2 * n)
+    assert np.array_equal(words.reshape(2, -1), ctx.words(ctx.data(*product), product[0].shape[1]))
+    assert np.array_equal(ctx.classes(words).ravel(), ctx.decode(*product))
 
 
 def test_single_fault_pass_examples(lib, layouts):
@@ -785,6 +810,23 @@ def test_pair_candidates_follow_the_per_row_screen(cat, monkeypatch, name, kind,
         seen = [pair for first, second in screen.candidates(bounds)
                 for pair in zip(first.tolist(), second.tolist())]
         assert seen == want, cap
+
+
+@pytest.mark.parametrize("name,kind", [("code105", gates.S), ("code49", gates.CNOT)])
+def test_pair_screen_allocates_at_most_9_bytes_per_row_pair(cat, name, kind):
+    """The traced peak of one full ``candidates`` run stays within 9 bytes per
+    row pair of a ``PAIR_BLOCK`` step per operand: the screen holds one step's
+    words, letters and cells, with no block-sized intp copy."""
+    layout, circuit = oracle_free_gadget(cat, name, kind)
+    screen, _, _, bounds = faults.Campaign(layout, circuit).screen
+    tracemalloc.start()
+    try:
+        for _ in screen.candidates(bounds):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * faults.PAIR_BLOCK * circuit.operands, peak
 
 
 @pytest.mark.parametrize("name,kind,walked", [
