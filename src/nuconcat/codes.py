@@ -236,32 +236,30 @@ class LookupDecoder:
 
     code: StabilizerCode
     table: np.ndarray
+    _planes: np.ndarray = field(init=False, repr=False)
 
-    def words(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Block words of the errors X^x Z^z, x and z uint64 masks of the code's qubits.
-        Bytes are intp and read with ``take``: a uint64 index makes numpy cast it element by element."""
-        errors, tables = (x | z << self.code.n).view(np.intp), self._word_tables
-        word = tables[0].take(errors & 255)
-        for b in range(1, len(tables)):
-            word ^= tables[b].take(errors >> 8 * b & 255)
-        return word
-
-    @cached_property
-    def _word_tables(self) -> np.ndarray:
+    def __post_init__(self):
         """The block word of an error is its syndrome s | anti_z << (n - 1) |
         anti_x << n, where anti_z and anti_x say whether it anticommutes with
         logical Z and logical X (at most 15 qubits, so 16 bits).  It is linear
-        in the symplectic error e = ex | ez << n: [b, v] is the word of
-        v << 8b, and a word is the XOR of the entries of its bytes."""
-        code = self.code
-        masks = [p.z | p.x << code.n for p in (*code.generators, code.logical_z, code.logical_x)]
-        values = np.arange(256, dtype=np.uint64)
-        tables = np.zeros(((2 * code.n + 7) // 8, 256), np.uint16)
-        for b, table in enumerate(tables):
-            for j, m in enumerate(masks):
-                table |= (np.bitwise_count(values & (m >> 8 * b)) & 1).astype(np.uint16) << j
-        tables.flags.writeable = False
-        return tables
+        in the error: ``_planes[0][v]`` is the word of X^v and ``_planes[1][v]``
+        that of Z^v, built by doubling (entries 2^q .. 2^(q+1) - 1 are the lower
+        half XOR the word of one error on qubit q), and read-only."""
+        code, n = self.code, self.code.n
+        ops = (*code.generators, code.logical_z, code.logical_x)
+        planes = np.zeros((2, 1 << n), np.uint16)
+        for q in range(n):   # X on q anticommutes where an operator's z has q, Z where its x has
+            for plane, part in zip(planes, ("z", "x")):
+                word = sum((getattr(p, part) >> q & 1) << j for j, p in enumerate(ops))
+                np.bitwise_xor(plane[:1 << q], word, out=plane[1 << q:2 << q])
+        planes.flags.writeable = False
+        object.__setattr__(self, "_planes", planes)
+
+    def words(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Block words of the errors X^x Z^z, x and z uint64 masks of the code's qubits:
+        one plane lookup each, on masks viewed as intp (``take`` casts a uint64 index
+        element by element)."""
+        return self._planes[0].take(x.view(np.intp)) ^ self._planes[1].take(z.view(np.intp))
 
     @cached_property
     def residual_classes(self) -> np.ndarray:

@@ -83,19 +83,19 @@ def enumerate_locations(circuit: GadgetCircuit) -> Locations:
     start = np.concatenate([[0], np.cumsum(sizes)])
     place = np.repeat(np.arange(-1, len(qubits)), np.concatenate([[3 * n], sizes[n:]]))
     xz = np.zeros((2, (n + 63) // 64, start[-1]), np.uint64)
-    x, z = xz
     # (qubits, first location, patterns); pattern bit 2i = x, 2i + 1 = z of qubit i
     blocks = [(np.arange(n)[:, None], start[:n], np.array([1, 3, 2], np.uint64))]
     for k in np.flatnonzero(np.bincount(arity)):
         gis = np.flatnonzero(arity == k)
         blocks.append((np.array([qubits[gi] for gi in gis]), start[n + gis],
                        np.arange(1, 1 << 2 * k, dtype=np.uint64)))
-    for qs, first, patterns in blocks:
+    for qs, first, patterns in blocks:   # flat indices word * locations + row beat a 2-D index
         rows = first[:, None] + np.arange(len(patterns))
         for i in range(qs.shape[1]):
-            word, bit = qs[:, i, None] >> 6, (qs[:, i, None] & 63).astype(np.uint64)
-            x[word, rows] |= ((patterns >> 2 * i) & 1) << bit
-            z[word, rows] |= ((patterns >> 2 * i + 1) & 1) << bit
+            at = (qs[:, i, None] >> 6) * len(place) + rows
+            bit = (qs[:, i, None] & 63).astype(np.uint64)
+            for c, plane in enumerate(xz.reshape(2, -1)):
+                plane[at] |= ((patterns >> 2 * i + c) & 1) << bit
     return Locations(place, xz)
 
 
@@ -280,14 +280,18 @@ class DecodeContext:
     def words(self, data: Iterable[Sparse], size: int) -> np.ndarray:
         """Outer block words, (operands, size), of ``size`` rows of ``data``."""
         out = np.zeros((self.n_operands, size), np.uint16)
-        for k, (rows, _, terms) in enumerate(data):
-            out[k // self.n_outer, rows] ^= terms
+        for k, (rows, _, terms) in enumerate(data):   # take, XOR, assign beat a 2-D ^= on out
+            row = out[k // self.n_outer]
+            row[rows] = row.take(rows) ^ terms
         return out
 
     def classes(self, words: np.ndarray) -> np.ndarray:
         """Residual class of outer words (operands, ...): the first operand's not I."""
         letters = self.outer_letters.take(words)
-        return np.take_along_axis(letters, (letters != 0).argmax(axis=0)[None], 0)[0]
+        out = letters[-1]
+        for first in letters[-2::-1]:
+            np.copyto(out, first, where=first != 0)
+        return out
 
     def decode(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Residual class per row of word-major x and z planes; 0 = I."""

@@ -408,23 +408,39 @@ def reference_propagate(circuit: GadgetCircuit, fault_list):
     return branches, deterministic
 
 
+def reference_block_word(code: StabilizerCode, x: int, z: int) -> int:
+    """Block word of the error X^x Z^z from its definition: the syndrome bits
+    (``codes.syndrome``), then whether the error anticommutes with logical Z
+    (bit n - 1) and with logical X (bit n)."""
+    error = Pauli(code.n, x, z, 0)
+    return (syndrome(code, error) | (not error.commutes(code.logical_z)) << code.n - 1
+            | (not error.commutes(code.logical_x)) << code.n)
+
+
 def reference_block_words(ctx: faults.DecodeContext, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Dense block words of word-major x and z planes, (rows, columns):
-    every column's word looked up on every row."""
-    out = np.empty((x.shape[1], len(ctx.columns)), np.uint16)
+    """Dense block words of word-major x and z planes, (rows, columns): every
+    column's word of every row, from its definition (``reference_block_word``)."""
+    errors = [(gates.unpack(x[:, r]), gates.unpack(z[:, r])) for r in range(x.shape[1])]
+    out = np.empty((len(errors), len(ctx.columns)), np.uint16)
     for k, (start, decoder, _) in enumerate(ctx.columns):
-        n = decoder.code.n
-        out[:, k] = decoder.words(faults._field(x, start, n), faults._field(z, start, n))
+        code, mask, seen = decoder.code, (1 << decoder.code.n) - 1, {}
+        for r, (ex, ez) in enumerate(errors):
+            block = ex >> start & mask, ez >> start & mask
+            if block not in seen:
+                seen[block] = reference_block_word(code, *block)
+            out[r, k] = seen[block]
     return out
 
 
 def reference_residuals(ctx: faults.DecodeContext, data: np.ndarray) -> np.ndarray:
     """Residual class per row of dense block words, (rows, columns); 0 = I:
-    each operand's outer word XORs the terms of all its columns."""
+    each operand's outer word XORs the terms of all its columns, and a row's
+    class is that of its first operand whose letter is not I."""
     words = np.zeros((ctx.n_operands, len(data)), np.uint16)
     for k in range(len(ctx.columns)):
         words[k // ctx.n_outer] ^= ctx.term(k, data[:, k])
-    return ctx.classes(words)
+    letters = ctx.outer_letters[words]
+    return letters[(letters != 0).argmax(axis=0), np.arange(len(data))]
 
 
 def densify_block_words(data, size: int) -> np.ndarray:

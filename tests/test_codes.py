@@ -2,6 +2,7 @@ import hashlib
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from nuconcat.codes import (BARE, StabilizerCode, build_decoder, code_space, dis
 from nuconcat.concat import flatten, non_uniform_layout, parse_layout
 from nuconcat.pauli import DimensionError, Pauli
 from reference import (equals_up_to_phase, from_letters, is_identity, lookup_correction,
+                       reference_block_word,
                        signed_membership, signed_product, stabilizer_elements)
 
 ALL_CODES = [steane, five_qubit, five_prime, reed_muller_15]
@@ -188,6 +190,31 @@ def test_decoder_corrects_all_weight_one(ctor):
 
 def test_steane_decoder_table_size():
     assert len(build_decoder(steane()).table) == 64
+
+
+@pytest.mark.parametrize("code", [*(ctor() for ctor in ALL_CODES), BARE], ids=lambda c: c.name)
+def test_build_decoder_returns_built_read_only_plane_tables(code):
+    """The block-word plane tables are a field that ``build_decoder`` fills:
+    (2, 2^n) uint16, read-only, so no campaign pays a lazy build."""
+    planes = vars(build_decoder.__wrapped__(code))["_planes"]
+    assert planes.shape == (2, 1 << code.n) and planes.dtype == np.uint16
+    assert not planes.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_words_follow_their_definition(cat, data):
+    """``LookupDecoder.words`` equals the definition (syndrome bits, then
+    anticommutation with logical Z and logical X) on every catalog code with
+    at most 15 qubits: all 2n single-qubit errors and random X^x Z^z."""
+    for code in (c for c in cat.codes.values() if c.n <= 15):
+        n = code.n
+        masks = st.integers(0, (1 << n) - 1)
+        errors = ([(1 << q, 0) for q in range(n)] + [(0, 1 << q) for q in range(n)]
+                  + data.draw(st.lists(st.tuples(masks, masks), max_size=16)))
+        x, z = (np.array([e[c] for e in errors], np.uint64) for c in (0, 1))
+        assert build_decoder(code).words(x, z).tolist() == [
+            reference_block_word(code, ex, ez) for ex, ez in errors], code.name
 
 
 def test_rm15_weight_two_errors():
