@@ -46,22 +46,32 @@ CAMPAIGN_GATES = {
 }
 
 
+INPUT_CAP = 1 << 20   # bytes read at most from a --layout, --catalog or --circuit file
+
+
 class UsageError(ValueError):
     pass
+
+
+def _read_input(path: str, flag: str) -> str:
+    """The text of an input file, refused past ``INPUT_CAP`` bytes: an endless one is not read whole."""
+    with open(path, "rb") as fh:
+        data = fh.read(INPUT_CAP + 1)
+    if len(data) > INPUT_CAP:
+        raise UsageError(f"{flag} {path}: longer than the input cap of {INPUT_CAP >> 20} MiB")
+    return data.decode()
 
 
 def _load_catalog(path: str | None) -> cataloglib.Catalog:
     if path is None:
         return cataloglib.default_catalog()
-    with open(path) as fh:
-        return cataloglib.parse_catalog(fh.read())
+    return cataloglib.parse_catalog(_read_input(path, "--catalog"))
 
 
 def _resolve_layout(cat: cataloglib.Catalog, descriptor: str) -> concat.Layout:
     descriptor = LAYOUT_SHORTCUTS.get(descriptor, descriptor)
     try:
-        with open(descriptor) as fh:
-            descriptor = fh.read().strip()
+        descriptor = _read_input(descriptor, "--layout").strip()
     except OSError:
         pass
     return concat.parse_layout(LAYOUT_SHORTCUTS.get(descriptor, descriptor), cat.code)
@@ -272,8 +282,7 @@ def cmd_table1(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
 
 def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     layout = _resolve_layout(cat, args.layout)
-    with open(args.circuit) as fh:
-        circuit = circuit_from_text(fh.read())
+    circuit = circuit_from_text(_read_input(args.circuit, "--circuit"))
     if (block := circuit.register_size // circuit.operands) != layout.total_n:
         raise UsageError(f"circuit blocks of {block} qubits do not match layout {args.layout} "
                          f"({layout.total_n} qubits)")

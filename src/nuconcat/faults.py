@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 import numpy as np
 
@@ -250,26 +250,15 @@ class DecodeContext:
                         for off in range(0, operands * layout.total_n, layout.total_n)
                         for q, (start, code) in enumerate(map(layout.block, range(n)))]
         self.n_operands, self.n_outer, self.outer_letters = operands, n, outer.residual_classes
-        self.runs = []   # adjacent columns of one size, 64 // size at a time: one scan for errors
-        for size, run in groupby(range(len(self.columns)), lambda k: self.columns[k][1].code.n):
-            run = list(run)
-            self.runs += [run[i:i + 64 // size] for i in range(0, len(run), 64 // size)]
 
     def data(self, x: np.ndarray, z: np.ndarray) -> Iterator[Sparse]:
-        """Sparse block words, a column at a time: the ascending rows whose word is non-zero,
-        those words and their terms.  A run of columns scans its rows for errors at once."""
-        for run in self.runs:
-            lo, width = self.columns[run[0]][0], len(run) * self.columns[run[0]][1].code.n
-            rx, rz = _field(x, lo, width), _field(z, lo, width)
-            hot = np.flatnonzero(rx | rz)
-            rx, rz = rx[hot], rz[hot]
-            for k in run:
-                start, decoder, _ = self.columns[k]
-                bx, bz = (_field(r[None], start - lo, decoder.code.n) for r in (rx, rz))
-                some = np.flatnonzero(bx | bz)   # rows with an error, whose words are looked up
-                kept = np.flatnonzero(words := decoder.words(bx[some], bz[some]))
-                rows, words = hot[some[kept]], words[kept]
-                yield rows, words, self.term(k, words)
+        """Sparse block words, a column at a time: every row's word is looked up, and the
+        ascending rows whose word is non-zero are kept with those words and their terms."""
+        for k, (start, decoder, _) in enumerate(self.columns):
+            words = decoder.words(_field(x, start, decoder.code.n), _field(z, start, decoder.code.n))
+            rows = np.flatnonzero(words)
+            words = words[rows]
+            yield rows, words, self.term(k, words)
 
     def term(self, k: int, block_words: np.ndarray) -> np.ndarray:
         """Column k's term f_k of block words: the outer block word of their

@@ -1,7 +1,11 @@
 import contextlib
 import hashlib
 import io
+import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -349,6 +353,34 @@ def test_unreadable_files_are_usage_errors(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("usage error:") and str(missing) in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--layout", ["distance"]),
+    ("--catalog", ["codes", "list"]),
+    ("--circuit", ["replay", "--layout", "bare:steane", "--fault=-1:XIIIIII"]),
+])
+def test_an_input_file_over_the_cap_is_a_usage_error(capsys, tmp_path, flag, argv):
+    """A file one byte over ``INPUT_CAP`` is refused with exit 2, naming its flag and the cap."""
+    path = tmp_path / "big"
+    path.write_bytes(b"#" * (cli.INPUT_CAP + 1))
+    code, out, err = run(capsys, *argv, flag, str(path))
+    assert code == 2 and out == ""
+    assert err == f"usage error: {flag} {path}: longer than the input cap of 1 MiB\n"
+
+
+def test_an_endless_input_file_is_a_usage_error():
+    """``--layout /dev/zero`` reads at most ``INPUT_CAP`` bytes: under an 800 MB address
+    limit it exits 2 with a usage error, where a whole read would end in a MemoryError."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
+
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "nuconcat.cli", "distance", "--layout", "/dev/zero"],
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "usage error: --layout /dev/zero: longer than the input cap of 1 MiB\n"
 
 
 def test_gadget_ckz_with_zero_controls(capsys):

@@ -477,7 +477,7 @@ def stabilizer_laden_errors(draw, lay, operands):
     return x, z
 
 
-@pytest.mark.parametrize("name", ["code49", "code75", "bare:steane"])
+@pytest.mark.parametrize("name", ["code49", "code75", "bare:steane", "code105"])
 @pytest.mark.parametrize("operands", [1, 2, 3])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -830,6 +830,24 @@ def test_pair_screen_allocates_at_most_9_bytes_per_row_pair(cat, name, kind):
     finally:
         tracemalloc.stop()
     assert peak <= 9 * faults.PAIR_BLOCK * circuit.operands, peak
+
+
+@pytest.mark.parametrize("name", ["code105", "code49", "code75"])
+def test_decode_allocates_at_most_48_bytes_per_row(cat, name):
+    """The traced peak of one ``decode`` of a CCZ campaign frame, after a warm-up
+    call, stays within 48 bytes per row: a column holds its every-row lookup and
+    its non-zero words, and no gathered run of columns."""
+    layout, circuit = oracle_free_gadget(cat, name, gates.CCZ)
+    campaign = faults.Campaign(layout, circuit)
+    ctx, frame = campaign.ctx, campaign.frame
+    ctx.decode(frame.x, frame.z)
+    tracemalloc.start()
+    try:
+        ctx.decode(frame.x, frame.z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * frame.rows, peak
 
 
 @pytest.mark.parametrize("name,kind,walked", [
