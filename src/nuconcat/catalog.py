@@ -170,11 +170,10 @@ def parse_catalog(text: str) -> Catalog:
                     raise ValueError(f"bad catalog line {line!r}: expected 'transversal KIND "
                                      f"rep' with KIND one of {', '.join(codelib.LOGICAL_CLASSES)}")
                 rule = TransversalRule()
-            elif len(parts) >= 3 and parts[1] == "bitwise":
+            elif len(parts) % 2 and parts[1:2] == ["bitwise"] and set(parts[3::2]) <= {"fixup"}:
+                # KIND bitwise PHYS, then 'fixup KIND@QUBIT' pairs
                 fixups = []
-                for tok in parts[3:]:
-                    if tok == "fixup":
-                        continue
+                for tok in parts[4::2]:
                     fk, _, fq = tok.partition("@")
                     qubit = gates.parse_index(fq, "catalog", line, "'fixup KIND@QUBIT'")
                     fixups.append((_gate_kind(fk, line), qubit))

@@ -10,7 +10,7 @@ qubits per block are ever coupled.
 
 On a layout every outer-level gate of a gadget takes one path: on bare
 qubits it is the gate itself, on an encoded block the inner code's
-declared rule (expanded on bare blocks of that code), re-indexed.
+declared rule, expanded at the block's own qubits.
 """
 
 from __future__ import annotations
@@ -193,22 +193,20 @@ class GadgetDispatcher:
         ``starts[b]``.
 
         Bare blocks get the gate itself.  An encoded block gets its code's
-        declared rule, expanded and re-indexed; a one-qubit kind without
-        one falls back to the block-local gadget when ``block_local``
-        allows it.  ``context`` ends the refusal message.
+        declared rule, expanded at the block's own qubits; a one-qubit kind
+        without one falls back to the block-local gadget when
+        ``block_local`` allows it.  ``context`` ends the refusal message.
         """
         if inner == BARE:
             return [Gate(kind, starts, theta)]
         if theta is None and _rule_for(self.rules.get(inner.name, {}), kind) is not None:
-            local = self._outer_transversal(bare_layout(inner), kind)
-        elif block_local and len(starts) == 1 and inner.css:
-            local = block_logical_gadget(inner, kind)
-        else:
-            angle = "" if theta is None else f"({gates.format_theta(theta)})"
-            raise SynthesisError(
-                f"{inner.name} has no transversal realisation of {kind}{angle}{context}")
-        return [Gate(g.kind, tuple(starts[q // inner.n] + q % inner.n for q in g.qubits),
-                     g.theta_over_pi) for g in local.gates]
+            return self._transversal(bare_layout(inner), kind, starts)
+        if block_local and len(starts) == 1 and inner.css:
+            return [Gate(g.kind, tuple(q + starts[0] for q in g.qubits), g.theta_over_pi)
+                    for g in block_logical_gadget(inner, kind).gates]
+        angle = "" if theta is None else f"({gates.format_theta(theta)})"
+        raise SynthesisError(
+            f"{inner.name} has no transversal realisation of {kind}{angle}{context}")
 
     def logical_gadget(self, layout: Layout, logical: Gate) -> GadgetCircuit:
         """Gadget for one logical gate on ``layout`` (or across copies of it).
@@ -221,38 +219,37 @@ class GadgetDispatcher:
             folded = gates.diagonal_gate(logical.qubits, logical.theta())
             if folded.kind != kind:
                 return self.logical_gadget(layout, folded)
-        outer_rules = self.rules.get(layout.outer.name, {})
-        if _rule_for(outer_rules, kind) is not None:
-            return self._outer_transversal(layout, kind)
+        if _rule_for(self.rules.get(layout.outer.name, {}), kind) is not None:
+            arity, total = gates.ARITY[kind], layout.total_n
+            seq = self._transversal(layout, kind, tuple(b * total for b in range(arity)))
+            return GadgetCircuit(arity * total, tuple(seq), kind, arity)
         if logical.is_diagonal:
             return self._outer_staircase(layout, len(logical.qubits) - 1, logical.theta())
         raise SynthesisError(
             f"{layout.outer.name} has no transversal {kind} and {kind} is not diagonal")
 
-    def _outer_transversal(self, layout: Layout, kind: str) -> GadgetCircuit:
-        arity = gates.ARITY[kind]
+    def _transversal(self, layout: Layout, kind: str, starts: tuple[int, ...]) -> list[Gate]:
+        """The outer code's rule for ``kind`` with operand b's copy of
+        ``layout`` at ``starts[b]``; multi-operand gates align the copies."""
         rule, daggered = _rule_for(self.rules[layout.outer.name], kind)
-        total = layout.total_n
         if rule.phys_kind is None:
             rep = layout.outer.logical_rep(kind)  # X, Y and Z are their own daggers
             steps = [(q, rep.letter(q), f" (lifting outer logical {kind})")
                      for q in rep.support]
         else:
             phys = rule.phys_kind
-            if gates.ARITY.get(phys, 1) != arity:
+            if gates.ARITY.get(phys, 1) != gates.ARITY[kind]:
                 raise SynthesisError(f"{phys} arity does not match {kind}")
-            if rule.fixups and arity > 1:
+            if rule.fixups and len(starts) > 1:
                 raise SynthesisError("fixups unsupported on multi-operand rules")
-            # multi-operand gates (CNOT/CZ/CCZ) align the layout copies
             steps = [(q, phys, f" (outer-transversal {kind})") for q in range(layout.outer.n)]
             steps += [(fq, fk, f" (fixup of outer-transversal {kind})") for fk, fq in rule.fixups]
         seq: list[Gate] = []
         for q, step_kind, context in steps:
             start, inner = layout.block(q)
-            seq += self._on_blocks(inner, tuple(b * total + start for b in range(arity)),
-                                   step_kind, block_local=True, context=context)
-        return GadgetCircuit(arity * total, _inverted_gates(seq) if daggered else tuple(seq),
-                             kind, arity)
+            seq += self._on_blocks(inner, tuple(s + start for s in starts), step_kind,
+                                   block_local=True, context=context)
+        return list(_inverted_gates(seq)) if daggered else seq
 
     def _outer_staircase(self, layout: Layout, k: int, theta: Fraction) -> GadgetCircuit:
         """Outer-code staircase with every outer-level gate realised on the layout."""
@@ -273,17 +270,20 @@ class GadgetDispatcher:
         lc, _ = normalization_gates(rep)
         support = rep.support
         total = layout.total_n
-
-        def shift(gs, off):
-            return [Gate(g.kind, tuple(q + off for q in g.qubits), g.theta_over_pi) for g in gs]
-
-        half: list[Gate] = []
-        for g in lc:
-            start, inner = layout.block(g.qubits[0])
-            half += self._on_blocks(inner, (start,), g.kind, context=(
-                " (staircase normalisation inside the coupling region must stay transversal)"))
-        for a, b in zip(support, support[1:]):
-            half.extend(self._layout_cnot(layout, a, b))
+        # operand by operand: normalise the representative, chain its parity
+        compute: list[Gate] = []
+        for off in range(0, (k + 1) * total, total):
+            for g in lc:
+                start, inner = layout.block(g.qubits[0])
+                compute += self._on_blocks(inner, (off + start,), g.kind, context=(
+                    " (staircase normalisation inside the coupling region must stay transversal)"))
+            for ctrl, targ in zip(support, support[1:]):
+                (cs, ci), (ts, ti) = layout.block(ctrl), layout.block(targ)
+                if ci.name != ti.name:
+                    raise SynthesisError(
+                        f"staircase CNOT couples outer qubits {ctrl} and {targ} with "
+                        f"mismatched encodings ({ci.name} vs {ti.name})")
+                compute += self._on_blocks(ci, (off + cs, off + ts), gates.CNOT)
 
         # one physical C^kZ(theta) across the collector qubit of each
         # operand; on encoded collectors, the inner code's logical one
@@ -292,22 +292,12 @@ class GadgetDispatcher:
         collector_gates = self._on_blocks(
             inner, tuple(b * total + start for b in range(k + 1)), collector.kind,
             collector.theta_over_pi, context=" (collector of the staircase)")
-
-        compute = tuple(g for b in range(k + 1) for g in shift(half, b * total))
-        gate_list = compute + tuple(collector_gates) + _inverted_gates(compute)
+        gate_list = (*compute, *collector_gates, *_inverted_gates(compute))
 
         label = collector.kind
         if label in (gates.Z_THETA, gates.CKZ_THETA):
             label += f"({gates.format_theta(theta)})"
         return GadgetCircuit((k + 1) * total, gate_list, label, k + 1)
-
-    def _layout_cnot(self, layout: Layout, ctrl: int, targ: int) -> list[Gate]:
-        (cs, ci), (ts, ti) = layout.block(ctrl), layout.block(targ)
-        if ci.name != ti.name:
-            raise SynthesisError(
-                f"staircase CNOT couples outer qubits {ctrl} and {targ} with "
-                f"mismatched encodings ({ci.name} vs {ti.name})")
-        return self._on_blocks(ci, (cs, ts), gates.CNOT)
 
 
 # -- circuit text ------------------------------------------------------------------

@@ -59,7 +59,10 @@ def _read_input(path: str, flag: str) -> str:
         data = fh.read(INPUT_CAP + 1)
     if len(data) > INPUT_CAP:
         raise UsageError(f"{flag} {path}: longer than the input cap of {INPUT_CAP >> 20} MiB")
-    return data.decode()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{flag} {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_catalog(path: str | None) -> cataloglib.Catalog:

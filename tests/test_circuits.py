@@ -267,3 +267,33 @@ def test_dispatcher_outputs_are_pinned(cat):
     for line in dispatcher_outcomes(cat):
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == "b2b43746c33f8ca4cf199f6e3e9c1c7141e5e9807f63b96eead9e52b2aa50092"
+
+
+SYNTHESIS_DIGESTS = {
+    "code105": "5c7a61ac6bc32ea82792db3d9faee51d51240f1df0788d7d68d92a3a60953c3a",
+    "code49": "d2e2ec255899d71c552ab479c8189af70105ed810eb824ac7e5ff5354eeac7b1",
+    "code75": "2c2bad9cd3274d106803a1303f5823d01e8c2cfe6da2acff68f4df913c8db7b9",
+    "code47": "c8c235eaff8cf3a82ac07069b794bdc35efb40ab160111261a7a9ebd09ccb0cd",
+    "code73": "1df31fe92a4f43710876891532915925eb36cff66cfcd6fb706b96caddaf02d3",
+    "code55": "ba178e96a6e5fa404d9ecce47e6899e8ec1d54f3afc0b8d5b3c658dc804c8bdc",
+    "bare:steane": "24908a710680bea50752028dad59b41f0ce25dc25d042a7795a0f3a7718726ea",
+    "bare:rm15": "d117a772b31fc6e2e950999e735c7c1f243cf8ab7f31502b5fae1b931366496a",
+    "bare:five_prime": "ae647974d9142a045477d3e8ba29d4d25973c7bbba239e338e1d63383e1da95f",
+    "uniform:rm15:steane": "6c29e78810d2bf4625a41fae8fe83c7439ca69a19c3460cddd7ed7f6d8fc7699",
+}
+
+
+@pytest.mark.parametrize("name", SYNTHESIS_DIGESTS)
+def test_synthesis_is_pinned_per_layout(cat, name):
+    """The circuit text of every named kind's gadget on ``name``, or its
+    refusal message, hashed together in ``gates.ARITY`` order."""
+    dispatcher = GadgetDispatcher(cat.rules)
+    layout = parse_layout(cli.LAYOUT_SHORTCUTS.get(name, name), cat.code)
+    digest = hashlib.sha256()
+    for kind in gates.ARITY:
+        try:
+            text = circuit_to_text(dispatcher.logical_gadget(layout, library.logical_gate(kind)))
+        except SynthesisError as exc:
+            text = f"refused: {exc}\n"
+        digest.update(text.encode())
+    assert digest.hexdigest() == SYNTHESIS_DIGESTS[name]

@@ -355,18 +355,27 @@ def test_unreadable_files_are_usage_errors(capsys, tmp_path, argv):
     assert "Traceback" not in err and out == ""
 
 
-@pytest.mark.parametrize("flag,argv", [
+INPUT_FLAGS = [
     ("--layout", ["distance"]),
     ("--catalog", ["codes", "list"]),
     ("--circuit", ["replay", "--layout", "bare:steane", "--fault=-1:XIIIIII"]),
+]
+
+
+@pytest.mark.parametrize("flag,argv,data,refusal", [
+    *(pytest.param(flag, argv, b"#" * (cli.INPUT_CAP + 1), "longer than the input cap of 1 MiB",
+                   id=f"{flag}-argv{i}") for i, (flag, argv) in enumerate(INPUT_FLAGS)),
+    *(pytest.param(flag, argv, b"\xff\xfe", "not UTF-8 (invalid start byte at byte 0)",
+                   id=f"{flag}-not-utf8") for flag, argv in INPUT_FLAGS),
 ])
-def test_an_input_file_over_the_cap_is_a_usage_error(capsys, tmp_path, flag, argv):
-    """A file one byte over ``INPUT_CAP`` is refused with exit 2, naming its flag and the cap."""
-    path = tmp_path / "big"
-    path.write_bytes(b"#" * (cli.INPUT_CAP + 1))
+def test_an_input_file_over_the_cap_is_a_usage_error(capsys, tmp_path, flag, argv, data, refusal):
+    """A file one byte over ``INPUT_CAP``, or one that is not UTF-8, is refused
+    with exit 2, naming its flag and path."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
     code, out, err = run(capsys, *argv, flag, str(path))
     assert code == 2 and out == ""
-    assert err == f"usage error: {flag} {path}: longer than the input cap of 1 MiB\n"
+    assert err == f"usage error: {flag} {path}: {refusal}\n"
 
 
 def test_an_endless_input_file_is_a_usage_error():
@@ -525,6 +534,12 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("fault", "XIIIIII", "--fault 'XIIIIII': expected PLACE:PAULI"),
     ("fault", "-1:XQIIIII", "--fault '-1:XQIIIII': expected PLACE:PAULI"),
     ("fault", "3:XIIIIII:Z", "--fault '3:XIIIIII:Z': expected PLACE:PAULI"),
+    ("catalog", CATALOG_TEXT.replace("fixup Z@2", "Z@2", 1),
+     "bad transversal declaration 'transversal K bitwise K Z@2'"),
+    ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup fixup Z@2", 1),
+     "bad transversal declaration 'transversal K bitwise K fixup fixup Z@2'"),
+    ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup", 1),
+     "bad transversal declaration 'transversal K bitwise K fixup'"),
 ], ids=["no-style", "no-physical-gate", "no-size", "size-not-integer", "fixup-not-integer",
         "fixup-outside-code", "unknown-kind", "z-theta-kind", "ckz-theta-kind",
         "unknown-physical-kind", "unknown-fixup-kind", "duplicate-code", "unterminated-code",
@@ -534,7 +549,8 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
         "no-register", "register-not-integer", "qubit-not-integer", "unknown-gate-kind",
         "too-few-qubits", "angle-on-named-kind", "bad-angle", "second-angle",
         "blocks-past-register", "blocks-overlap", "unequal-blocks", "blocks-short-of-register",
-        "place-not-integer", "no-place", "bad-letter", "extra-field"])
+        "place-not-integer", "no-place", "bad-letter", "extra-field", "fixup-without-keyword",
+        "fixup-keyword-twice", "fixup-keyword-dangling"])
 def test_malformed_catalog_lines_are_usage_errors(tmp_path, kind, text, named):
     """A malformed catalog line, circuit line or replay fault exits 2 with
     a message naming it and, where one applies, the expected form."""
