@@ -180,7 +180,7 @@ def parse_catalog(text: str) -> Catalog:
                 rule = TransversalRule(_gate_kind(parts[2], line), tuple(fixups))
             else:
                 raise ValueError(f"bad transversal declaration {line!r}; expected "
-                                 f"'transversal KIND rep' or 'transversal KIND bitwise PHYS'")
+                                 f"'transversal KIND rep' or 'transversal KIND bitwise PHYS [fixup KIND@QUBIT ...]'")
             current["rules"][_gate_kind(parts[0], line)] = rule
         elif key == "end":
             missing = [d for d in ("n", "logical-x", "logical-z") if d not in current]

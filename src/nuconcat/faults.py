@@ -11,10 +11,12 @@ of the gate's qubits, a sound superset of the exact conjugation support.
 One ``Campaign`` per gadget walks every location as its own group
 (``_Frame``) and decodes its end rows (``DecodeContext``) for both suites.
 A diagonal gate is hit by a group when one of its rows has X on the
-gate's qubits as it passes.  Unless a gate is hit by both a and b, their
-joint walk's rows are exactly the products of their end rows, as sets (a
-gate only a hits expands r_a * r_b as it expands r_a), so pair verdicts
-are exact by product; only pairs that share a hit gate are walked.
+gate's qubits as it passes; the row walks on as one key for its span of
+Z^S, written out once, at the end.  Unless a gate is hit by both a
+and b, their joint walk's rows are exactly the products of their end
+rows, as sets (a gate only a hits expands r_a * r_b as it expands r_a),
+so pair verdicts are exact by product; only pairs that share a hit gate
+are walked.
 """
 
 from __future__ import annotations
@@ -104,78 +106,101 @@ def enumerate_locations(circuit: GadgetCircuit) -> Locations:
 class _Frame:
     """A Pauli frame after Stim (arXiv:2103.02202).  Row r is the Pauli
     (x[:, r], z[:, r]) of group owner[r]; group g is the one row g while
-    ``deterministic[g]``.  ``hits``: per gate that hit rows, their owners."""
+    ``deterministic[g]``.  A row that a diagonal layer hits stays in its slot as
+    a key for its span: itself XOR any sum of its directions, which Clifford
+    layers walk in front of the rows until ``expand`` writes the spans after
+    them.  ``hits``: per gate that hit rows, their owners, once per row it meets."""
 
     def __init__(self, n_words: int, n_groups: int):
-        self._xz = np.zeros((2, n_words, n_groups), np.uint64)
-        self._owner = np.arange(n_groups)
-        self.rows, self.hits = n_groups, []
+        self._xz = np.zeros((2, n_words, n_groups), np.uint64)   # directions, rows, room
+        self._key = np.empty(0, np.intp)   # per direction, its key's row
+        self.owner, self.rows, self.hits = np.arange(n_groups), n_groups, []
         self.deterministic = np.ones(n_groups, bool)
 
-    x = property(lambda self: self._xz[0, :, :self.rows])
-    z = property(lambda self: self._xz[1, :, :self.rows])
-    owner = property(lambda self: self._owner[:self.rows])
+    _rows = property(lambda self: self._xz[:, :, len(self._key):len(self._key) + self.rows])
+    x = property(lambda self: self._rows[0])
+    z = property(lambda self: self._rows[1])
 
     def branch(self, row: int) -> tuple[int, int]:
         """The (x, z) masks of one row."""
-        return gates.unpack(self._xz[0, :, row]), gates.unpack(self._xz[1, :, row])
+        return gates.unpack(self.x[:, row]), gates.unpack(self.z[:, row])
 
     def inject(self, groups: slice | np.ndarray, fxz: np.ndarray) -> None:
         """XOR fault columns into row g of each group g, or its rows once branched."""
-        branched = ~self.deterministic[groups]
+        xz, branched = self._rows, ~self.deterministic[groups]
         if branched.any():
             groups = np.arange(len(self.deterministic))[groups]
             lookup = np.full(len(self.deterministic), -1)
             lookup[groups[branched]] = np.flatnonzero(branched)
             fault = lookup[self.owner]
             rows = np.flatnonzero(fault >= 0)
-            self._xz[:, :, rows] ^= fxz[:, :, fault[rows]]
+            xz[:, :, rows] ^= fxz[:, :, fault[rows]]
             groups, fxz = groups[~branched], fxz[:, :, ~branched]
-        self._xz[:, :, groups] ^= fxz
+        xz[:, :, groups] ^= fxz
 
     def clifford(self, layer: Sequence[gates.Gate]) -> None:
-        gates.conjugate_rows(self.x, self.z, layer)
+        gates.conjugate_rows(*self._xz[:, :, :len(self._key) + self.rows], layer)
+
+    def expand(self) -> None:
+        """Write every span into the room after the rows, by dimension, then subset s =
+        1 .. 2^dim - 1, a row per key: the key XOR its directions i with bit i of s set.
+        Exact, as conjugation and ``inject`` are XOR-linear."""
+        n, first = len(self._key), np.flatnonzero(np.diff(self._key, prepend=-1))
+        keys, dims = self._key[first], np.diff(first, append=n)   # a key's directions sit together
+        dirs, self._xz, self._key = self._xz[:, :, :n], self._xz[:, :, n:], self._key[:0]
+        for d in np.flatnonzero(np.bincount(dims)):
+            of, lead, m = keys[dims == d], first[dims == d], (1 << d) - 1
+            span = self._xz[:, :, self.rows:self.rows + len(of) * m].reshape(2, -1, m, len(of))
+            for i in range(d):   # subset 2^i + t: subset t (0: the key) XOR direction i
+                span[:, :, (1 << i) - 1] = self._xz[:, :, of] ^ dirs[:, :, lead + i]
+                span[:, :, 1 << i:(2 << i) - 1] = span[:, :, :(1 << i) - 1] ^ dirs[:, :, None, lead + i]
+            self.owner = np.concatenate([self.owner, np.tile(self.owner[of], m)])
+            self.rows += span[0, 0].size
 
     def diagonal(self, layer: Sequence[gates.Gate]) -> None:
-        """Expand rows with X on each gate's qubits over Z^S, gate by gate,
-        merging a group's rows that differ only in the gate's z bits."""
-        w, k = len(self._xz[0]), max(len(g.qubits) for g in layer)
-        # Z^S masks, (gates, words, 2^k): bit i of s puts qubit i in S.  Padding
-        # a gate of arity j is inert: it reads the first 2^j, whose bit j is 0.
-        qubits = np.array([g.qubits + g.qubits[:1] * (k - len(g.qubits)) for g in layer])
-        masks = np.zeros((len(layer), w, 1 << k), np.uint64)
-        s, gis = np.arange(1 << k, dtype=np.uint64), np.arange(len(layer))
-        for i, q in enumerate(qubits.T):
-            masks[gis, q >> 6] |= (s >> i & 1) << (q[:, None] & 63).astype(np.uint64)
-        for g, subsets in zip(layer, masks):
-            x, z, owner, n_sub = self.x, self.z, self.owner, 1 << len(g.qubits)
-            subsets, gmask = subsets[:, :n_sub], subsets[:, n_sub - 1:n_sub]
-            hit = np.flatnonzero((x & gmask).any(axis=0))
-            if not len(hit):
-                continue
-            self.hits.append(owners := owner[hit])
-            fresh = int(self.deterministic[owners].sum())   # hit groups of one row, one key each
-            self.deterministic[owners] = False
-            keys = np.vstack([x[:, hit], z[:, hit] & ~gmask, owners.astype(np.uint64)])
-            keys = keys[:, np.lexsort(keys)]   # not np.unique: it imports numpy.ma (~0.7 MB)
-            keys = keys[:, np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)])]
-            # a fresh group ends the gate with n_sub rows; rows never shrink, so
-            # a branched group can pass the cap only if it grew
-            grew = n_sub * (keys.shape[1] - fresh) > len(hit) - fresh
-            # A key merges at most n_sub rows, so its rows fill the hit slots.
-            end = self.rows + keys.shape[1] * n_sub - len(hit)
-            if end > len(self._owner):   # double the buffers; spare rows are written before use
-                cap = max(end, 2 * len(self._owner))
-                xz, own = np.empty((2, w, cap), np.uint64), np.empty(cap, np.intp)
-                xz[:, :, :self.rows], own[:self.rows] = self._xz[:, :, :self.rows], self.owner
-                self._xz, self._owner = xz, own
-            slots = np.concatenate([hit, np.arange(self.rows, end)])
-            self._xz[0][:, slots] = np.repeat(keys[:w], n_sub, axis=1)
-            self._xz[1][:, slots] = (keys[w:2 * w, :, None] | subsets[:, None, :]).reshape(w, -1)
-            self._owner[slots] = np.repeat(keys[2 * w].astype(np.intp), n_sub)
-            self.rows = end
-            if fresh and n_sub > BRANCH_CAP or grew and np.bincount(self.owner).max() > BRANCH_CAP:
-                raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
+        """After writing the pending spans, mark the rows with X on the layer's gates
+        in one pass: each clears its z bits on its hit gates' qubits and becomes a key
+        with a direction Z_q per such qubit q, after a group's hit rows that agree off
+        them merge.  ``BRANCH_CAP`` bounds a group's rows before the layer writes."""
+        self.expand()
+        w, arity = len(self._xz[0]), np.array([len(g.qubits) for g in layer])
+        qubits = np.array([g.qubits + g.qubits[:1] * (arity.max() - len(g.qubits)) for g in layer])
+        gmask = gates.pack((sum(1 << q for q in g.qubits) for g in layer), w).T
+        hit = np.flatnonzero((self.x & np.bitwise_or.reduce(gmask)[:, None]).any(0))
+        owners, met = self.owner[hit], np.zeros((len(hit), len(layer)), bool)
+        for i in np.flatnonzero(gmask.any(0)):   # word by word: small buffers
+            met |= (self.x[i, hit, None] & gmask[:, i]) != 0
+        r, g = np.nonzero(met)   # (hit row, gate) pairs, row by row
+        lead, last = np.flatnonzero(np.diff(r, prepend=-1)), np.flatnonzero(np.diff(r, append=len(hit)))
+        before = np.cumsum(gmask[g], axis=0) - gmask[g]   # disjoint bits: sums are ORs
+        before -= np.repeat(before[lead], np.diff(lead, append=len(r)), axis=0)   # from the row's first
+        full = before[last] | gmask[g[last]]   # per hit row, the qubits of all the gates it meets
+        times = 1 << np.bitwise_count(before).sum(1, dtype=np.intp)   # rows its gate meets in turn
+        keep = np.ones(len(hit), bool)
+        if (shared := np.bincount(owners)[owners] > 1).any():
+            # a group's rows that agree off the qubits met before gate j meet it as one; off all, merge
+            p, s = np.flatnonzero(shared[r]), np.flatnonzero(shared)
+            at, gate = hit[np.append(r[p], s)], np.append(g[p], np.full(len(s), len(layer)))
+            cls = np.vstack([self.z[:, at] & ~np.vstack([before[p], full[s]]).T, self.x[:, at],
+                             (self.owner[at] * (len(layer) + 1) + gate).astype(np.uint64)])
+            cls = cls[:, order := np.lexsort(cls)]   # stable: the lowest slot comes first
+            again = order[np.concatenate([[False], (cls[:, 1:] == cls[:, :-1]).all(0)])]
+            keep[s[again[again >= len(p)] - len(p)]] = False
+            times[p[again[again < len(p)]]] = 0
+        gone, kept = hit[~keep], keep[r]
+        keys = np.repeat((hit - np.cumsum(~keep))[r[kept]], arity[g[kept]])   # slots after merging
+        owner, dims = np.delete(self.owner, gone), np.bincount(keys, minlength=self.rows - len(gone))
+        if np.bincount(owner, np.ldexp(1.0, dims)).max() > BRANCH_CAP:
+            raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
+        self.hits += [np.repeat(owners[r[g == j]], times[g == j]) for j in sorted(set(g.tolist()))]
+        self.deterministic[owners] = False
+        self.z[:, hit] &= ~full.T
+        q = qubits[g[kept]][np.arange(qubits.shape[1]) < arity[g[kept], None]]
+        xz = np.empty((2, w, len(q) + len(owner) + int(((1 << dims) - 1).sum())), np.uint64)
+        rest = np.delete(self._rows, gone, axis=2) if len(gone) else self._rows   # delete copies slowly
+        xz[:, :, :len(q)], xz[:, :, len(q):len(q) + len(owner)] = 0, rest
+        xz[1, q >> 6, np.arange(len(q))] = np.uint64(1) << (q & 63).astype(np.uint64)
+        self._xz, self._key, self.owner, self.rows = xz, keys, owner, len(owner)
 
 
 def propagate(circuit: GadgetCircuit,
@@ -185,7 +210,9 @@ def propagate(circuit: GadgetCircuit,
     group's faults jointly.  A fault at place p in [-1, len(gates)) enters
     after gate p (-1 = input); ``Locations`` commute with the rest of their
     gate's layer and enter after it, other faults cut the layer.  Faults of
-    one group and place multiply; ``BRANCH_CAP`` bounds branches per gate."""
+    one group and place multiply; ``BRANCH_CAP`` bounds each group's rows at
+    each diagonal layer, before it writes.  Rows end in slot order, then the
+    spans in the order ``_Frame.expand`` writes them."""
     n_gates, cuts = len(circuit.gates), set()
     if isinstance(faults, Locations):
         groups, place, fxz = None, faults.place, faults.xz
@@ -216,6 +243,7 @@ def propagate(circuit: GadgetCircuit,
             (frame.clifford if layer[0].is_clifford else frame.diagonal)(layer)
         if lo < hi:
             frame.inject(slice(lo, hi) if groups is None else groups[lo:hi], fxz[:, :, lo:hi])
+    frame.expand()
     return frame
 
 

@@ -535,11 +535,14 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("fault", "-1:XQIIIII", "--fault '-1:XQIIIII': expected PLACE:PAULI"),
     ("fault", "3:XIIIIII:Z", "--fault '3:XIIIIII:Z': expected PLACE:PAULI"),
     ("catalog", CATALOG_TEXT.replace("fixup Z@2", "Z@2", 1),
-     "bad transversal declaration 'transversal K bitwise K Z@2'"),
+     "bad transversal declaration 'transversal K bitwise K Z@2'; expected 'transversal KIND rep' or "
+     "'transversal KIND bitwise PHYS [fixup KIND@QUBIT ...]'"),
     ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup fixup Z@2", 1),
-     "bad transversal declaration 'transversal K bitwise K fixup fixup Z@2'"),
+     "bad transversal declaration 'transversal K bitwise K fixup fixup Z@2'; expected "
+     "'transversal KIND rep' or 'transversal KIND bitwise PHYS [fixup KIND@QUBIT ...]'"),
     ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup", 1),
-     "bad transversal declaration 'transversal K bitwise K fixup'"),
+     "bad transversal declaration 'transversal K bitwise K fixup'; expected 'transversal KIND rep' or "
+     "'transversal KIND bitwise PHYS [fixup KIND@QUBIT ...]'"),
 ], ids=["no-style", "no-physical-gate", "no-size", "size-not-integer", "fixup-not-integer",
         "fixup-outside-code", "unknown-kind", "z-theta-kind", "ckz-theta-kind",
         "unknown-physical-kind", "unknown-fixup-kind", "duplicate-code", "unterminated-code",

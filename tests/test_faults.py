@@ -237,6 +237,101 @@ def test_one_diagonal_gate_on_fresh_and_branched_groups_matches_reference(n_grou
     assert [sorted(h.tolist()) for h in frame.hits] == [h for h in hits if h]
 
 
+def reference_hits(circuit, groups):
+    """Per diagonal gate that meets a row, the owner of each row of the gate-by-gate
+    reference walk with X on the gate's qubits as it reaches the gate, sorted."""
+    hits = []
+    for j, g in enumerate(circuit.gates):
+        before = GadgetCircuit(circuit.register_size, circuit.gates[:j], "prefix", 1)
+        entered = [[f for f in fault_list if f[0] < j] for fault_list in groups]
+        hits.append(sorted(owner for owner, fault_list in enumerate(entered) if fault_list
+                           for x, _ in reference_propagate(before, fault_list)[0]
+                           if not g.is_clifford and x & _deposit((1 << len(g.qubits)) - 1, g.qubits)))
+    return [h for h in hits if h]
+
+
+@st.composite
+def spans_turned_by_cliffords(draw):
+    """Two diagonal layers on a 130-qubit register, with Cliffords between them
+    that carry the first layer's pending spans onto the second: H or K on qubits
+    of the first layer, which turn its Z directions into X, and/or a chain of
+    CNOTs from such a qubit, which copies X onward.  Group 0 has X on a qubit
+    of the first layer, so it is branched there, and one more fault enters
+    after that layer; up to two more groups have one input fault each."""
+    spots = list(draw(st.permutations(LAYER_SPOTS)))
+
+    def diagonal_layer(qubits):
+        kind = draw(st.sampled_from([gates.T, gates.Z_THETA, gates.CZ, gates.CCZ, gates.CKZ_THETA]))
+        layer = []
+        while True:
+            arity = draw(st.integers(2, 3)) if kind == gates.CKZ_THETA else gates.ARITY.get(kind, 1)
+            if len(qubits) < arity:
+                return layer
+            theta = draw(st.sampled_from(DENSE_ANGLES)) if kind in (gates.Z_THETA, gates.CKZ_THETA) else None
+            layer.append(gates.Gate(kind, tuple(qubits[:arity]), theta))
+            qubits = qubits[arity:]
+
+    first = diagonal_layer(spots[:draw(st.integers(3, 6))])
+    assume(first)
+    met = [q for g in first for q in g.qubits]
+    turned, middle = [], []
+    if draw(st.booleans()):
+        turned = draw(st.lists(st.sampled_from(met), min_size=1, max_size=3, unique=True))
+        middle += [gate(draw(st.sampled_from([gates.H, gates.K])), q) for q in turned]
+    if not turned or draw(st.booleans()):
+        chain = [draw(st.sampled_from(met))] + draw(st.lists(st.sampled_from(spots), min_size=1,
+                                                               max_size=3, unique=True))
+        assume(len(set(chain)) == len(chain))
+        middle += [gate(gates.CNOT, a, b) for a, b in zip(chain, chain[1:])]
+        turned = list(dict.fromkeys(turned + chain[1:]))
+    rest = [q for q in draw(st.permutations(spots)) if q not in turned]
+    second = diagonal_layer(turned + rest[:draw(st.integers(0, 3))])
+    assume(second)
+    circuit = GadgetCircuit(130, (*first, *middle, *second), "spans", 1)
+    assume(sum(not layer[0].is_clifford for layer in circuit.layers) == 2)
+
+    def pauli():
+        x, z = (draw(st.integers(0, (1 << len(spots)) - 1)) for _ in range(2))
+        return _deposit(x, spots), _deposit(z, spots)
+
+    x, z = pauli()
+    groups = [[(-1, x | 1 << draw(st.sampled_from(met)), z), (len(first) - 1, *pauli())]]
+    groups += [[(-1, *pauli())] for _ in range(draw(st.integers(0, 2)))]
+    return circuit, groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(spans_turned_by_cliffords())
+def test_pending_spans_carried_onto_a_second_diagonal_layer_match_reference(case):
+    """A span the first layer left pending reaches the second layer through
+    its directions or its key: every group's rows and ``deterministic``, and
+    per diagonal gate the owners of the rows it meets, with their gate-by-gate
+    multiplicity, match the reference walk."""
+    circuit, groups = case
+    frame = propagate(circuit, [(g, *f) for g, fault_list in enumerate(groups) for f in fault_list])
+    assert not frame.deterministic[0]
+    for g, fault_list in enumerate(groups):
+        assert branches(frame, g) == reference_propagate(circuit, fault_list)
+    assert [sorted(h.tolist()) for h in frame.hits] == reference_hits(circuit, groups)
+
+
+def test_branch_cap_refuses_a_layer_before_writing_its_rows():
+    """X on 17 qubits under one layer of 17 T gates across the word boundary
+    at 64 would branch one group into 2^17 rows, over the default cap: the
+    walk refuses before it writes them, within 1 MB traced."""
+    qubits = range(56, 73)
+    circuit = GadgetCircuit(130, tuple(gate(gates.T, q) for q in qubits), "t-layer", 1)
+    assert len(circuit.layers) == 1 and faults.BRANCH_CAP < 1 << 17
+    tracemalloc.start()
+    try:
+        with pytest.raises(faults.BudgetError):
+            propagate(circuit, [(0, -1, sum(1 << q for q in qubits), 0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 @st.composite
 def dense_circuits_with_faults(draw):
     """A random Clifford+diagonal circuit on 1-8 qubits and one fault
@@ -850,6 +945,23 @@ def test_decode_allocates_at_most_48_bytes_per_row(cat, name):
     assert peak <= 48 * frame.rows, peak
 
 
+@pytest.mark.parametrize("name", ["code105", "code49", "code75"])
+def test_walk_peak_is_at_most_two_and_a_half_times_its_end_rows(cat, name):
+    """The traced peak of one warm walk of a CCZ campaign stays within 2.5
+    times the bytes of its end rows' x and z planes: the walk carries one key
+    per hit row and writes the spans once, into room made for them."""
+    _, circuit = oracle_free_gadget(cat, name, gates.CCZ)
+    locations = enumerate_locations(circuit)
+    propagate(circuit, locations)
+    tracemalloc.start()
+    try:
+        frame = propagate(circuit, locations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (frame.x.nbytes + frame.z.nbytes), peak
+
+
 @pytest.mark.parametrize("name,kind,walked", [
     ("bare:steane", gates.T, [(0, 1)]),   # one T gate: every pair that meets it shares it
     ("code49", gates.CNOT, []),
@@ -943,12 +1055,13 @@ def test_campaign_counts(cat, name, kind, expected):
     assert (report.locations_checked, report.branches_checked, len(report.failures)) == expected
 
 
-@pytest.mark.parametrize("kind,digest", [(gates.CCZ, "f1a7078db16f88fe"),
-                                          (gates.T, "22444a7b4211135a")])
+@pytest.mark.parametrize("kind,digest", [(gates.CCZ, "4f073d0bd5edb991"),
+                                          (gates.T, "339b111ef9ddb402")])
 def test_campaign_frames_are_pinned(cat, kind, digest):
-    """The code49 walk's rows, owners and hits, in frame order, are pinned:
-    after each diagonal gate the hit groups' merged keys fill the hit slots,
-    then the appended rows, in the lexsort order of (owner, z, x) words."""
+    """The code49 walk's rows, owners and hits, in frame order, are pinned: each
+    location's row stays in its slot, as the key of its span once the diagonal
+    layer hits it; the spans follow, by dimension, then subset by subset, one
+    row per key in slot order.  Hits list a gate's rows in slot order."""
     _, circuit = oracle_free_gadget(cat, "code49", kind)
     frame = propagate(circuit, enumerate_locations(circuit))
     arrays = (frame.x, frame.z, frame.owner, *frame.hits)
