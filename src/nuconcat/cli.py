@@ -4,7 +4,8 @@ the constructed code family.
 
 Exit codes: 0 all checks passed; 1 a verification or fault-tolerance
 check failed (data-level); 2 usage or parse error; 3 search budget
-refused (raise it with --budget).
+refused: the pair budget, which --budget raises, or the fixed branch cap
+of a walk (``faults.BRANCH_CAP``), which it does not.
 """
 
 from __future__ import annotations
@@ -192,8 +193,10 @@ def _refuse_if_withheld(eff: faults.EffectiveDistanceResult, where: str, budget:
 def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     layout = _resolve_layout(cat, args.layout)
     lib = library.GadgetLibrary(cat)
+    if args.gates == "":
+        raise UsageError("--gates names no gate kind")
     logicals = [_parse_gate(name, None, None) for name in args.gates.split(",")] \
-        if args.gates else None
+        if args.gates is not None else None
     for i, logical in enumerate(logicals or []):
         if logical in logicals[:i]:
             raise UsageError(f"--gates lists {logical.kind} twice")

@@ -109,7 +109,7 @@ class _Frame:
     ``deterministic[g]``.  A row that a diagonal layer hits stays in its slot as
     a key for its span: itself XOR any sum of its directions, which Clifford
     layers walk in front of the rows until ``expand`` writes the spans after
-    them.  ``hits``: per gate that hit rows, their owners, once per row it meets."""
+    them.  ``hits``: per gate that hit rows, each hit row's owner, in slot order."""
 
     def __init__(self, n_words: int, n_groups: int):
         self._xz = np.zeros((2, n_words, n_groups), np.uint64)   # directions, rows, room
@@ -161,7 +161,8 @@ class _Frame:
         """After writing the pending spans, mark the rows with X on the layer's gates
         in one pass: each clears its z bits on its hit gates' qubits and becomes a key
         with a direction Z_q per such qubit q, after a group's hit rows that agree off
-        them merge.  ``BRANCH_CAP`` bounds a group's rows before the layer writes."""
+        them merge; ``hits`` gains, per gate, the owner of each row it hits, merged or
+        not.  ``BRANCH_CAP`` bounds a group's rows before the layer writes."""
         self.expand()
         w, arity = len(self._xz[0]), np.array([len(g.qubits) for g in layer])
         qubits = np.array([g.qubits + g.qubits[:1] * (arity.max() - len(g.qubits)) for g in layer])
@@ -171,28 +172,20 @@ class _Frame:
         for i in np.flatnonzero(gmask.any(0)):   # word by word: small buffers
             met |= (self.x[i, hit, None] & gmask[:, i]) != 0
         r, g = np.nonzero(met)   # (hit row, gate) pairs, row by row
-        lead, last = np.flatnonzero(np.diff(r, prepend=-1)), np.flatnonzero(np.diff(r, append=len(hit)))
-        before = np.cumsum(gmask[g], axis=0) - gmask[g]   # disjoint bits: sums are ORs
-        before -= np.repeat(before[lead], np.diff(lead, append=len(r)), axis=0)   # from the row's first
-        full = before[last] | gmask[g[last]]   # per hit row, the qubits of all the gates it meets
-        times = 1 << np.bitwise_count(before).sum(1, dtype=np.intp)   # rows its gate meets in turn
+        full = np.bitwise_or.reduceat(gmask[g], np.searchsorted(r, np.arange(len(hit))))   # qubits met
         keep = np.ones(len(hit), bool)
         if (shared := np.bincount(owners)[owners] > 1).any():
-            # a group's rows that agree off the qubits met before gate j meet it as one; off all, merge
-            p, s = np.flatnonzero(shared[r]), np.flatnonzero(shared)
-            at, gate = hit[np.append(r[p], s)], np.append(g[p], np.full(len(s), len(layer)))
-            cls = np.vstack([self.z[:, at] & ~np.vstack([before[p], full[s]]).T, self.x[:, at],
-                             (self.owner[at] * (len(layer) + 1) + gate).astype(np.uint64)])
+            s = np.flatnonzero(shared)   # a group's hit rows that agree off their gates' qubits merge
+            cls = np.vstack([self.z[:, hit[s]] & ~full[s].T, self.x[:, hit[s]], owners[s].astype(np.uint64)])
             cls = cls[:, order := np.lexsort(cls)]   # stable: the lowest slot comes first
-            again = order[np.concatenate([[False], (cls[:, 1:] == cls[:, :-1]).all(0)])]
-            keep[s[again[again >= len(p)] - len(p)]] = False
-            times[p[again[again < len(p)]]] = 0
+            keep[s[order[1:][(cls[:, 1:] == cls[:, :-1]).all(0)]]] = False
         gone, kept = hit[~keep], keep[r]
         keys = np.repeat((hit - np.cumsum(~keep))[r[kept]], arity[g[kept]])   # slots after merging
         owner, dims = np.delete(self.owner, gone), np.bincount(keys, minlength=self.rows - len(gone))
-        if np.bincount(owner, np.ldexp(1.0, dims)).max() > BRANCH_CAP:
-            raise BudgetError(f"branch set exceeded {BRANCH_CAP}")
-        self.hits += [np.repeat(owners[r[g == j]], times[g == j]) for j in sorted(set(g.tolist()))]
+        if (need := np.bincount(owner, np.ldexp(1.0, dims))).max() > BRANCH_CAP:
+            raise BudgetError(f"group {need.argmax()} would branch into {need.max():.0f} rows at a "
+                              f"diagonal layer, over the fixed branch cap of {BRANCH_CAP}")
+        self.hits += [owners[met[:, j]] for j in np.flatnonzero(met.any(0))]
         self.deterministic[owners] = False
         self.z[:, hit] &= ~full.T
         q = qubits[g[kept]][np.arange(qubits.shape[1]) < arity[g[kept], None]]

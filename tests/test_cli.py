@@ -421,6 +421,25 @@ def test_ftcheck_gate_names_are_validated(capsys):
     assert err.startswith("usage error:") and "Z_THETA" in err and out == ""
 
 
+def test_ftcheck_refuses_an_empty_gate_list(capsys):
+    """``--gates ''`` lists no kind: a usage error naming the flag, not a
+    quiet run of the layout's default set."""
+    code, out, err = run(capsys, "ftcheck", "--layout", "code49", "--gates", "")
+    assert (code, out, err) == (2, "", "usage error: --gates names no gate kind\n")
+
+
+def test_replay_branch_cap_refusal_names_the_cap(capsys, tmp_path):
+    """X on 17 qubits under 17 T gates would branch into 2^17 rows: exit 3,
+    naming the rows and the fixed cap, which --budget does not move."""
+    path = tmp_path / "many-t.circuit"
+    path.write_text("circuit many-T\nregister 49\nblocks 0:49\n"
+                    + "".join(f"T {q}\n" for q in range(17)))
+    code, out, err = run(capsys, "replay", "--layout", "uniform:steane:steane",
+                         "--circuit", str(path), "--fault=-1:" + "X" * 17 + "I" * 32)
+    assert code == 3 and out == ""
+    assert err.startswith("budget refusal:") and "65536" in err and "131072" in err
+
+
 def test_ftcheck_refuses_a_repeated_gate_kind(capsys):
     """A kind listed twice would be admitted, walked and reported twice; like
     a catalog block read twice, it is a usage error that names the kind."""

@@ -215,7 +215,7 @@ def test_one_diagonal_gate_on_fresh_and_branched_groups_matches_reference(n_grou
     together with group 1 (X on 1), still one row.  The CCZ leaves groups 0
     and 1 eight rows each and group 2 sixteen: the walk refuses exactly
     when the reference does, else every group's rows and ``deterministic``,
-    and per diagonal gate the owners of the rows it hits, match it."""
+    and per diagonal gate the groups whose rows it hits, match it."""
     circuit = make_circuit(4, gate(gates.T, 0), gate(gates.T, 3), gate(gates.CCZ, 0, 1, 2))
     groups = [[(-1, 0b0001, 0)], [(-1, 0b0010, 0)], [(-1, 0b1001, 0)]][:n_groups]
     walk = [(g, *f) for g, fault_list in enumerate(groups) for f in fault_list]
@@ -234,7 +234,7 @@ def test_one_diagonal_gate_on_fresh_and_branched_groups_matches_reference(n_grou
         hits.append(sorted(owner for owner, fault_list in enumerate(groups)
                            for x, _ in reference_propagate(before, fault_list)[0]
                            if x & _deposit(7, g.qubits)))
-    assert [sorted(h.tolist()) for h in frame.hits] == [h for h in hits if h]
+    assert [set(h.tolist()) for h in frame.hits] == [set(h) for h in hits if h]
 
 
 def reference_hits(circuit, groups):
@@ -305,14 +305,23 @@ def spans_turned_by_cliffords(draw):
 def test_pending_spans_carried_onto_a_second_diagonal_layer_match_reference(case):
     """A span the first layer left pending reaches the second layer through
     its directions or its key: every group's rows and ``deterministic``, and
-    per diagonal gate the owners of the rows it meets, with their gate-by-gate
-    multiplicity, match the reference walk."""
+    per diagonal gate the groups whose rows it meets, match the reference walk."""
     circuit, groups = case
     frame = propagate(circuit, [(g, *f) for g, fault_list in enumerate(groups) for f in fault_list])
     assert not frame.deterministic[0]
     for g, fault_list in enumerate(groups):
         assert branches(frame, g) == reference_propagate(circuit, fault_list)
-    assert [sorted(h.tolist()) for h in frame.hits] == reference_hits(circuit, groups)
+    assert [set(h.tolist()) for h in frame.hits] == [set(h) for h in reference_hits(circuit, groups)]
+
+
+def test_hits_record_each_hit_row_once():
+    """Group 0 (X on 0 and 1) meets both T gates of the layer and group 1 (X on 1)
+    the second: each gate lists the owner of each row it hits once, not once per
+    row a gate-by-gate walk would have made of it by then."""
+    circuit = make_circuit(3, gate(gates.T, 0), gate(gates.T, 1), gate(gates.CZ, 0, 2))
+    frame = propagate(circuit, [(0, -1, 0b011, 0), (1, -1, 0b010, 0)])
+    assert [h.tolist() for h in frame.hits] == [[0], [0, 1]]
+    assert frame.rows == 6
 
 
 def test_branch_cap_refuses_a_layer_before_writing_its_rows():
@@ -1055,14 +1064,16 @@ def test_campaign_counts(cat, name, kind, expected):
     assert (report.locations_checked, report.branches_checked, len(report.failures)) == expected
 
 
-@pytest.mark.parametrize("kind,digest", [(gates.CCZ, "4f073d0bd5edb991"),
-                                          (gates.T, "339b111ef9ddb402")])
-def test_campaign_frames_are_pinned(cat, kind, digest):
-    """The code49 walk's rows, owners and hits, in frame order, are pinned: each
+@pytest.mark.parametrize("name,kind,digest", [("code49", gates.CCZ, "4f073d0bd5edb991"),
+                                               ("code49", gates.T, "339b111ef9ddb402"),
+                                               ("code105", gates.CCZ, "3c7bee9c564b51ad"),
+                                               ("code75", gates.CCZ, "a42bb1bf6e99a3ef")])
+def test_campaign_frames_are_pinned(cat, name, kind, digest):
+    """A walk's rows, owners and hits, in frame order, are pinned: each
     location's row stays in its slot, as the key of its span once the diagonal
     layer hits it; the spans follow, by dimension, then subset by subset, one
     row per key in slot order.  Hits list a gate's rows in slot order."""
-    _, circuit = oracle_free_gadget(cat, "code49", kind)
+    _, circuit = oracle_free_gadget(cat, name, kind)
     frame = propagate(circuit, enumerate_locations(circuit))
     arrays = (frame.x, frame.z, frame.owner, *frame.hits)
     assert hashlib.sha256(b"".join(a.astype("<i8").tobytes() for a in arrays)).hexdigest()[:16] \
