@@ -186,15 +186,18 @@ def parse_catalog(text: str) -> Catalog:
             missing = [d for d in ("n", "logical-x", "logical-z") if d not in current]
             if missing:
                 raise ValueError(f"code {current['name']!r} lacks {', '.join(missing)}")
+            code = StabilizerCode(current["name"], tuple(current["stabilizers"]),
+                                  current["logical-x"], current["logical-z"])
+            if current["n"] != code.n:
+                raise ValueError(f"bad catalog line {current['lines']['n']!r}: the operators of "
+                                 f"{code.name!r} act on {code.n} qubits")
             for kind, rule in current["rules"].items():
                 for _, q in rule.fixups:
-                    if q >= current["n"]:
+                    if q >= code.n:
                         raise ValueError(f"bad catalog line "
                                          f"{current['lines']['transversal ' + kind]!r}: fixup "
-                                         f"qubit {q} outside the {current['n']} qubits of "
-                                         f"{current['name']!r}")
-            code = StabilizerCode(current["name"], current["n"], tuple(current["stabilizers"]),
-                                  current["logical-x"], current["logical-z"])
+                                         f"qubit {q} outside the {code.n} qubits of "
+                                         f"{code.name!r}")
             if current.get("css", code.css) != code.css:
                 raise ValueError(f"bad catalog line {current['lines']['css']!r}: the operators of "
                                  f"{code.name!r} make it {'' if code.css else 'not '}CSS")

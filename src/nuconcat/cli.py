@@ -193,10 +193,11 @@ def _refuse_if_withheld(eff: faults.EffectiveDistanceResult, where: str, budget:
 def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     layout = _resolve_layout(cat, args.layout)
     lib = library.GadgetLibrary(cat)
-    if args.gates == "":
-        raise UsageError("--gates names no gate kind")
-    logicals = [_parse_gate(name, None, None) for name in args.gates.split(",")] \
-        if args.gates is not None else None
+    names = None if args.gates is None else [name.strip() for name in args.gates.split(",")]
+    if "" in (names or ()):   # '' lists no kind at all; 'T,,CCZ' has an empty entry
+        at = f" (entry {names.index('') + 1} of {args.gates!r})" if args.gates else ""
+        raise UsageError(f"--gates names no gate kind{at}")
+    logicals = names and [_parse_gate(name, None, None) for name in names]
     for i, logical in enumerate(logicals or []):
         if logical in logicals[:i]:
             raise UsageError(f"--gates lists {logical.kind} twice")

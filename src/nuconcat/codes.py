@@ -33,24 +33,27 @@ class CodeConstructionError(ValueError):
 
 @dataclass(frozen=True)
 class StabilizerCode:
-    """[[n, 1, d]] stabilizer code with signed generators and logical reps."""
+    """[[n, 1, d]] stabilizer code with signed generators and logical reps; n is their size."""
 
     name: str
-    n: int
+    n: int = field(init=False)
     generators: tuple[Pauli, ...]
     logical_x: Pauli
     logical_z: Pauli
     k: int = field(default=1, init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", self.logical_x.n)
+        for i, p in enumerate((*self.generators, self.logical_x, self.logical_z)):
+            if p.n != self.n:
+                role = "stabilizer" if i < len(self.generators) else "logical Z"
+                raise CodeConstructionError(
+                    f"{self.name}: {role} {p} acts on {p.n} qubits, logical X on {self.n}")
+            if not p.is_hermitian():
+                raise CodeConstructionError(f"{self.name}: non-Hermitian operator {p}")
         if len(self.generators) != self.n - 1:
             raise CodeConstructionError(
                 f"{self.name}: need {self.n - 1} generators, got {len(self.generators)}")
-        for p in (*self.generators, self.logical_x, self.logical_z):
-            if p.n != self.n:
-                raise CodeConstructionError(f"{self.name}: operator size mismatch")
-            if not p.is_hermitian():
-                raise CodeConstructionError(f"{self.name}: non-Hermitian operator {p}")
         for a, b in itertools.combinations(self.generators, 2):
             if not a.commutes(b):
                 raise CodeConstructionError(f"{self.name}: generators {a} and {b} anticommute")
@@ -85,7 +88,7 @@ class StabilizerCode:
 def _css_code(name: str, n: int, x_rows: list[int], z_rows: list[int],
               lx: int, lz: int) -> StabilizerCode:
     gens = [Pauli(n, row, 0, 0) for row in x_rows] + [Pauli(n, 0, row, 0) for row in z_rows]
-    return StabilizerCode(name, n, tuple(gens), Pauli(n, lx, 0, 0), Pauli(n, 0, lz, 0))
+    return StabilizerCode(name, tuple(gens), Pauli(n, lx, 0, 0), Pauli(n, 0, lz, 0))
 
 
 def _coordinate_rows(m: int) -> list[int]:
@@ -118,7 +121,7 @@ def reed_muller_15() -> StabilizerCode:
 def five_qubit() -> StabilizerCode:
     """[[5,1,3]] code with the cyclic generators XZZXI, IXZZX, XIXZZ, ZXIXZ."""
     gens = tuple(Pauli.from_string(s) for s in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"))
-    return StabilizerCode("five_qubit", 5, gens,
+    return StabilizerCode("five_qubit", gens,
                           Pauli.from_string("XXXXX"), Pauli.from_string("ZZZZZ"))
 
 
@@ -133,7 +136,7 @@ def transform_code(code: StabilizerCode, gate_list, name: str | None = None) -> 
 
     *generators, logical_x, logical_z = gates.conjugate_through(
         [*code.generators, code.logical_x, code.logical_z], gate_list)
-    return StabilizerCode(name or code.name, code.n, tuple(generators), logical_x, logical_z)
+    return StabilizerCode(name or code.name, tuple(generators), logical_x, logical_z)
 
 
 def five_prime() -> StabilizerCode:
@@ -143,7 +146,7 @@ def five_prime() -> StabilizerCode:
 
 # The trivial [[1,1,1]] code: a layout leaves an outer qubit bare by
 # assigning it this code.
-BARE = StabilizerCode("bare", 1, (), Pauli(1, 1, 0), Pauli(1, 0, 1))
+BARE = StabilizerCode("bare", (), Pauli(1, 1, 0), Pauli(1, 0, 1))
 
 
 # -- syndromes and cosets ---------------------------------------------------

@@ -142,7 +142,7 @@ def flatten(layout: Layout) -> StabilizerCode:
     gens = [Pauli(total, g.x << start, g.z << start, g.phase_exp)
             for start, inner in zip(layout.offsets, layout.assignment) for g in inner.generators]
     gens += [lift(layout, g) for g in layout.outer.generators]
-    return StabilizerCode(layout.descriptor, total, tuple(gens),
+    return StabilizerCode(layout.descriptor, tuple(gens),
                           lift(layout, layout.outer.logical_x),
                           lift(layout, layout.outer.logical_z))
 

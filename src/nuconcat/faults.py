@@ -40,7 +40,7 @@ PAIR_BLOCK = 1 << 16       # row pairs one screen step holds (it takes at least 
 
 
 class BudgetError(RuntimeError):
-    """Search-space estimate exceeds the configured budget."""
+    """A refused search: pairs over the pair budget, or a group's rows over the fixed ``BRANCH_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -104,39 +104,37 @@ def enumerate_locations(circuit: GadgetCircuit) -> Locations:
 # -- propagation -----------------------------------------------------------------
 
 class _Frame:
-    """A Pauli frame after Stim (arXiv:2103.02202).  Row r is the Pauli
-    (x[:, r], z[:, r]) of group owner[r]; group g is the one row g while
-    ``deterministic[g]``.  A row that a diagonal layer hits stays in its slot as
-    a key for its span: itself XOR any sum of its directions, which Clifford
-    layers walk in front of the rows until ``expand`` writes the spans after
-    them.  ``hits``: per gate that hit rows, each hit row's owner, in slot order."""
+    """A Pauli frame after Stim (arXiv:2103.02202).  Row r is the Pauli (x[:, r], z[:, r]) of
+    group owner[r]; row g < ``n_groups`` is group g's slot, its lowest row.  A row that a
+    diagonal layer hits stays in its slot as a key for its span: itself XOR any sum of its
+    directions, which Clifford layers walk in front of the rows until ``expand`` writes the
+    spans after the slots.  Once expanded, a group is ``deterministic``, one row, exactly when
+    no gate hit it.  ``hits``: per gate that hit rows, each hit row's owner, in slot order."""
 
     def __init__(self, n_words: int, n_groups: int):
         self._xz = np.zeros((2, n_words, n_groups), np.uint64)   # directions, rows, room
         self._key = np.empty(0, np.intp)   # per direction, its key's row
-        self.owner, self.rows, self.hits = np.arange(n_groups), n_groups, []
-        self.deterministic = np.ones(n_groups, bool)
+        self.owner, self.n_groups, self.hits = np.arange(n_groups), n_groups, []
 
+    rows = property(lambda self: len(self.owner))
     _rows = property(lambda self: self._xz[:, :, len(self._key):len(self._key) + self.rows])
     x = property(lambda self: self._rows[0])
     z = property(lambda self: self._rows[1])
+    deterministic = property(lambda self: np.bincount(self.owner, minlength=self.n_groups) == 1)
 
     def branch(self, row: int) -> tuple[int, int]:
         """The (x, z) masks of one row."""
         return gates.unpack(self.x[:, row]), gates.unpack(self.z[:, row])
 
     def inject(self, groups: slice | np.ndarray, fxz: np.ndarray) -> None:
-        """XOR fault columns into row g of each group g, or its rows once branched."""
-        xz, branched = self._rows, ~self.deterministic[groups]
-        if branched.any():
-            groups = np.arange(len(self.deterministic))[groups]
-            lookup = np.full(len(self.deterministic), -1)
-            lookup[groups[branched]] = np.flatnonzero(branched)
-            fault = lookup[self.owner]
+        """XOR fault column i into group groups[i]'s slot and any rows ``expand`` wrote for it."""
+        self._rows[:, :, groups] ^= fxz
+        if self.rows > self.n_groups:
+            lookup = np.full(self.n_groups, -1)
+            lookup[groups] = np.arange(fxz.shape[2])
+            fault = lookup[self.owner[self.n_groups:]]
             rows = np.flatnonzero(fault >= 0)
-            xz[:, :, rows] ^= fxz[:, :, fault[rows]]
-            groups, fxz = groups[~branched], fxz[:, :, ~branched]
-        xz[:, :, groups] ^= fxz
+            self._rows[:, :, self.n_groups + rows] ^= fxz[:, :, fault[rows]]
 
     def clifford(self, layer: Sequence[gates.Gate]) -> None:
         gates.conjugate_rows(*self._xz[:, :, :len(self._key) + self.rows], layer)
@@ -155,7 +153,6 @@ class _Frame:
                 span[:, :, (1 << i) - 1] = self._xz[:, :, of] ^ dirs[:, :, lead + i]
                 span[:, :, 1 << i:(2 << i) - 1] = span[:, :, :(1 << i) - 1] ^ dirs[:, :, None, lead + i]
             self.owner = np.concatenate([self.owner, np.tile(self.owner[of], m)])
-            self.rows += span[0, 0].size
 
     def diagonal(self, layer: Sequence[gates.Gate]) -> None:
         """After writing the pending spans, mark the rows with X on the layer's gates
@@ -186,14 +183,13 @@ class _Frame:
             raise BudgetError(f"group {need.argmax()} would branch into {need.max():.0f} rows at a "
                               f"diagonal layer, over the fixed branch cap of {BRANCH_CAP}")
         self.hits += [owners[met[:, j]] for j in np.flatnonzero(met.any(0))]
-        self.deterministic[owners] = False
         self.z[:, hit] &= ~full.T
         q = qubits[g[kept]][np.arange(qubits.shape[1]) < arity[g[kept], None]]
         xz = np.empty((2, w, len(q) + len(owner) + int(((1 << dims) - 1).sum())), np.uint64)
         rest = np.delete(self._rows, gone, axis=2) if len(gone) else self._rows   # delete copies slowly
         xz[:, :, :len(q)], xz[:, :, len(q):len(q) + len(owner)] = 0, rest
         xz[1, q >> 6, np.arange(len(q))] = np.uint64(1) << (q & 63).astype(np.uint64)
-        self._xz, self._key, self.owner, self.rows = xz, keys, owner, len(owner)
+        self._xz, self._key, self.owner = xz, keys, owner
 
 
 def propagate(circuit: GadgetCircuit,
@@ -319,14 +315,18 @@ class Failure:
 
 @dataclass
 class FaultReport:
+    """A suite's failures, the witness first; ``searched``: the largest fault set size it tried."""
+
     layout: str
     gadget: str
     locations_checked: int
     branches_checked: int
     failures: list[Failure] = field(default_factory=list)
-    min_uncorrectable_size: int | str = "none <= 1"
+    searched: int = 1
     witness: tuple[FaultLocation, ...] | None = None
-    witness_residual: str = ""
+    min_uncorrectable_size = property(lambda self: len(self.failures[0].locations) if self.failures
+                                      else f"none <= {self.searched}")
+    witness_residual = property(lambda self: self.failures[0].residual if self.failures else "")
 
     @property
     def passed(self) -> bool:
@@ -391,9 +391,7 @@ def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit, *,
         (int(frame.owner[r]), *frame.branch(r), LETTERS[residual[r]])
         for r in np.flatnonzero(residual))]
     if report.failures:
-        first = report.failures[0]
-        report.min_uncorrectable_size, report.witness_residual = 1, first.residual
-        report.witness = (campaign.locations[first.locations[0]],)
+        report.witness = (campaign.locations[report.failures[0].locations[0]],)
     return report
 
 
@@ -460,15 +458,13 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit, budget: int =
     if n * (n - 1) // 2 > budget:
         raise BudgetError(f"pair search needs {n * (n - 1) // 2} pairs, budget is {budget}")
     screen, _, _, bounds = campaign.screen
-    report = FaultReport(layout.descriptor, circuit.label, n, campaign.frame.rows)
+    report = FaultReport(layout.descriptor, circuit.label, n, campaign.frame.rows, searched=2)
     for first, second in screen.candidates(bounds):
         for a, b in zip(first.tolist(), second.tolist()):
             if (failure := campaign.verdict(a, b)) is not None:
                 report.failures.append(Failure((a, b), *failure))
-                report.min_uncorrectable_size, report.witness_residual = 2, failure[1]
                 report.witness = (campaign.locations[a], campaign.locations[b])
                 return report
-    report.min_uncorrectable_size = "none <= 2"
     return report
 
 

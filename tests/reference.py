@@ -491,7 +491,8 @@ def reference_find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit) -> 
     owner = frame.owner[order]
     screen = faults.PairScreen(ctx, ctx.data(frame.x[:, order], frame.z[:, order]), len(owner))
     bounds = np.searchsorted(owner, np.arange(len(locations) + 1))
-    report = faults.FaultReport(layout.descriptor, circuit.label, len(locations), len(owner))
+    report = faults.FaultReport(layout.descriptor, circuit.label, len(locations), len(owner),
+                                searched=2)
     i, size = 0, 1
     while i < len(locations):
         later = bounds[i + 1]
@@ -514,11 +515,9 @@ def reference_find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit) -> 
                 x, z, r = failing[0]
                 letter = LETTERS[residual[r]]
                 report.failures.append(faults.Failure((a.index, b.index), (x, z), letter))
-                report.min_uncorrectable_size, report.witness_residual = 2, letter
                 report.witness = (a, b)
                 return report
         i, size = end, 2 * (end - i)
-    report.min_uncorrectable_size = "none <= 2"
     return report
 
 

@@ -428,6 +428,16 @@ def test_ftcheck_refuses_an_empty_gate_list(capsys):
     assert (code, out, err) == (2, "", "usage error: --gates names no gate kind\n")
 
 
+@pytest.mark.parametrize("gate_list, entry", [("T,,CCZ", 2), (",", 1), (" ", 1)],
+                         ids=["inner", "comma-only", "blank"])
+def test_ftcheck_names_an_empty_gate_entry(capsys, gate_list, entry):
+    """An empty entry of ``--gates`` is a usage error naming the flag and the
+    entry, not an unknown gate kind ''."""
+    code, out, err = run(capsys, "ftcheck", "--layout", "code49", "--gates", gate_list)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --gates names no gate kind (entry {entry} of {gate_list!r})\n"
+
+
 def test_replay_branch_cap_refusal_names_the_cap(capsys, tmp_path):
     """X on 17 qubits under 17 T gates would branch into 2^17 rows: exit 3,
     naming the rows and the fixed cap, which --budget does not move."""
@@ -489,6 +499,12 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("catalog", SHORT_TRANSVERSAL[1], "'transversal H bitwise'"),
     ("catalog", CATALOG_TEXT.replace("n 7\n", "", 1), "'steane' lacks n"),
     ("catalog", CATALOG_TEXT.replace("n 7\n", "n seven\n", 1), "line 'n seven': expected 'n N'"),
+    ("catalog", CATALOG_TEXT.replace("n 7\n", "n 8\n", 1),
+     "bad catalog line 'n 8': the operators of 'steane' act on 7 qubits"),
+    ("catalog", CATALOG_TEXT.replace("n 7\n", "n 0\n", 1),
+     "bad catalog line 'n 0': the operators of 'steane' act on 7 qubits"),
+    ("catalog", CATALOG_TEXT.replace("stabilizer +XIXIXIX\n", "stabilizer +XIXIXI\n", 1),
+     "steane: stabilizer +XIXIXI acts on 6 qubits, logical X on 7"),
     ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup Z@two", 1),
      "line 'transversal K bitwise K fixup Z@two': expected 'fixup KIND@QUBIT'"),
     ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup Z@9", 1),
@@ -562,7 +578,8 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup", 1),
      "bad transversal declaration 'transversal K bitwise K fixup'; expected 'transversal KIND rep' or "
      "'transversal KIND bitwise PHYS [fixup KIND@QUBIT ...]'"),
-], ids=["no-style", "no-physical-gate", "no-size", "size-not-integer", "fixup-not-integer",
+], ids=["no-style", "no-physical-gate", "no-size", "size-not-integer", "n-too-large", "n-zero",
+        "stabilizer-short", "fixup-not-integer",
         "fixup-outside-code", "unknown-kind", "z-theta-kind", "ckz-theta-kind",
         "unknown-physical-kind", "unknown-fixup-kind", "duplicate-code", "unterminated-code",
         "rep-rule-not-pauli", "bad-stabilizer-letter", "bad-logical-x-letter",

@@ -122,7 +122,9 @@ def test_css_is_computed_from_the_operators():
     assert twice.generators == code.generators and twice.css
     assert not transform_code(code, [gates.gate(gates.H, q) for q in range(7)]).css
     with pytest.raises(TypeError):
-        StabilizerCode("steane", 7, code.generators, code.logical_x, code.logical_z, css=True)
+        StabilizerCode("steane", code.generators, code.logical_x, code.logical_z, css=True)
+    with pytest.raises(TypeError):   # the size is read off the operators, not passed
+        StabilizerCode("steane", 7, code.generators, code.logical_x, code.logical_z)
     with pytest.raises(AttributeError):
         code.css = False
 
@@ -380,7 +382,7 @@ def derived_codes(draw):
     for _ in range(draw(st.integers(0, 8))):
         i, j = draw(st.permutations(range(len(gens))))[:2]
         gens[i] = gens[i] * gens[j]
-    return StabilizerCode("derived", code.n, tuple(gens), code.logical_x, code.logical_z)
+    return StabilizerCode("derived", tuple(gens), code.logical_x, code.logical_z)
 
 
 @settings(max_examples=60, deadline=None)

@@ -432,13 +432,15 @@ def faults_after_branching(draw):
 def test_faults_after_branching_match_reference(case):
     """A fault entering a group that a diagonal gate has branched reaches
     every row the group owns, in the slots the expansion reused or
-    appended, while other groups take theirs in their own row."""
+    appended, while other groups take theirs in their own row.  Row g
+    stays group g's slot through every merge and expansion."""
     circuit, groups = case
     frame = propagate(circuit, [(g, *f) for g, fault_list in enumerate(groups)
                                 for f in fault_list])
     assert not frame.deterministic[0]
     for g, fault_list in enumerate(groups):
         assert branches(frame, g) == reference_propagate(circuit, fault_list)
+    assert np.array_equal(frame.owner[:len(groups)], np.arange(len(groups)))
 
 
 @settings(max_examples=100, deadline=None)
