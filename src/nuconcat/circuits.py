@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import gates
-from ._bitlin import reduce
 from .codes import BARE, StabilizerCode, code_space, min_weight_candidates
 from .concat import Layout, bare_layout
 from .gates import Gate
@@ -125,22 +124,17 @@ class TransversalRule:
 def encoding_circuit(code: StabilizerCode) -> tuple[tuple[Gate, ...], int]:
     """CSS encoding circuit E with |b>|0...0> -> |b logical>.
 
-    Returns (gates, input qubit).  Built from the X parts of the code
-    space's moves, for a CSS code the row-reduced X generators: CNOT the
-    input across the logical-X support, then H each pivot and CNOT it
+    Returns (gates, input qubit).  Built from ``code_space``: CNOT the input
+    across ``flip``, logical X's X part reduced against the moves' X parts (for
+    a CSS code the row-reduced X generators), then H each pivot and CNOT it
     across its row.  Exact for CSS codes with positive-sign generators.
     """
     if not code.css:
         raise SynthesisError(f"{code.name} is not CSS; no encoder synthesis available")
-    # the moves' X parts: fully reduced, so no pivot appears in another row
-    reduced = [m.x for m in code_space(code)[1]]
-    lx = reduce(reduced, code.logical_x.x)
-    q_in = (lx & -lx).bit_length() - 1
-    gate_list: list[Gate] = []
-    for q in range(code.n):
-        if q != q_in and (lx >> q) & 1:
-            gate_list.append(gates.gate(gates.CNOT, q_in, q))
-    for row in reduced:
+    _, moves, flip = code_space(code)
+    q_in = (flip & -flip).bit_length() - 1
+    gate_list = [gates.gate(gates.CNOT, q_in, q) for q in range(code.n) if q != q_in and flip >> q & 1]
+    for row in (m.x for m in moves):  # fully reduced, so no pivot appears in another row
         pivot = row.bit_length() - 1
         gate_list.append(gates.gate(gates.H, pivot))
         for q in range(code.n):

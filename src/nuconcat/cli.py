@@ -108,11 +108,8 @@ def cmd_codes(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
         rep.raw_text = cataloglib.dump_catalog(cat)
         return
     if args.action == "list":
-        rows = []
-        for name, code in cat.codes.items():
-            rows.append({"name": name, "n": code.n, "k": code.k,
-                         "d": distance(code), "css": code.css})
-        rep.results["codes"] = rows
+        rep.results["codes"] = [{"name": name, "n": code.n, "k": code.k, "d": distance(code),
+                                 "css": code.css} for name, code in cat.codes.items()]
         return
     if args.name is None:
         raise UsageError(f"codes info needs a code name; catalog has {sorted(cat.codes)}")
@@ -197,6 +194,9 @@ def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     if "" in (names or ()):   # '' lists no kind at all; 'T,,CCZ' has an empty entry
         at = f" (entry {names.index('') + 1} of {args.gates!r})" if args.gates else ""
         raise UsageError(f"--gates names no gate kind{at}")
+    if free := [name for name in names or () if name in (gates.Z_THETA, gates.CKZ_THETA)]:
+        raise UsageError(f"ftcheck campaigns take fixed-angle kinds only, not {free[0]}; "
+                         f"gadget --theta builds a free-angle gadget")
     logicals = names and [_parse_gate(name, None, None) for name in names]
     for i, logical in enumerate(logicals or []):
         if logical in logicals[:i]:
@@ -211,6 +211,8 @@ def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     rep.results["layout"] = layout.descriptor
     rep.results["fault_model"] = ("Pauli faults at gate outputs and register inputs; "
                                   "idle locations excluded")
+    if names is None and layout.outer.name not in CAMPAIGN_GATES:
+        rep.results["campaign_fallback"] = {"outer": layout.outer.name, "kinds": [c.label for c in circuits]}
     suites = []
     for adm, single in zip(admitted, singles):
         entry = {
@@ -309,13 +311,10 @@ def cmd_replay(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     injections.sort(key=lambda pf: pf[0])
     frame = faults.propagate(circuit, [(0, place, p.x, p.z) for place, p in injections])
     residual = faults.DecodeContext(layout, circuit.operands).decode(frame.x, frame.z)
-    outcomes = []
-    failed = False
-    for bx, bz, res in sorted((*frame.branch(r), LETTERS[c])
-                              for r, c in enumerate(residual)):
-        outcomes.append({"branch": str(Pauli.hermitian(circuit.register_size, bx, bz)),
-                         "residual": res})
-        failed = failed or res != "I"
+    outcomes = [{"branch": str(Pauli.hermitian(circuit.register_size, bx, bz)), "residual": res}
+                for bx, bz, res in sorted((*frame.branch(r), LETTERS[c])
+                                          for r, c in enumerate(residual))]
+    failed = any(outcome["residual"] != "I" for outcome in outcomes)
     rep.results["layout"] = layout.descriptor
     rep.results["gadget"] = circuit.label
     rep.results["faults"] = [f"{p}@{place}" for place, p in injections]

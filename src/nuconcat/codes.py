@@ -44,25 +44,27 @@ class StabilizerCode:
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.logical_x.n)
-        for i, p in enumerate((*self.generators, self.logical_x, self.logical_z)):
+        ops, k = (*self.generators, self.logical_x, self.logical_z), len(self.generators)
+        for i, p in enumerate(ops):
             if p.n != self.n:
-                role = "stabilizer" if i < len(self.generators) else "logical Z"
+                role = "stabilizer" if i < k else "logical Z"
                 raise CodeConstructionError(
                     f"{self.name}: {role} {p} acts on {p.n} qubits, logical X on {self.n}")
             if not p.is_hermitian():
                 raise CodeConstructionError(f"{self.name}: non-Hermitian operator {p}")
-        if len(self.generators) != self.n - 1:
-            raise CodeConstructionError(
-                f"{self.name}: need {self.n - 1} generators, got {len(self.generators)}")
-        for a, b in itertools.combinations(self.generators, 2):
-            if not a.commutes(b):
-                raise CodeConstructionError(f"{self.name}: generators {a} and {b} anticommute")
-        if rank([g.x << self.n | g.z for g in self.generators]) != self.n - 1:
+        if k != self.n - 1:
+            raise CodeConstructionError(f"{self.name}: need {self.n - 1} generators, got {k}")
+        # anti[i, j]: whether ops i and j anticommute, their symplectic rows against swapped ones
+        rows = [p.x << self.n | p.z for p in ops]
+        anti = gates.parities(rows, [p.z << self.n | p.x for p in ops])
+        if (pairs := np.argwhere(np.triu(anti[:k, :k]))).size:  # the diagonal is 0
+            a, b = pairs[0]
+            raise CodeConstructionError(f"{self.name}: generators {ops[a]} and {ops[b]} anticommute")
+        if rank(rows[:k]) != self.n - 1:
             raise CodeConstructionError(f"{self.name}: generators not independent")
-        for g in self.generators:
-            if not (self.logical_x.commutes(g) and self.logical_z.commutes(g)):
-                raise CodeConstructionError(f"{self.name}: logical rep anticommutes with {g}")
-        if self.logical_x.commutes(self.logical_z):
+        if (bad := np.flatnonzero(anti[k:, :k].any(0))).size:
+            raise CodeConstructionError(f"{self.name}: logical rep anticommutes with {ops[bad[0]]}")
+        if not anti[k, k + 1]:
             raise CodeConstructionError(f"{self.name}: logical X and Z must anticommute")
 
     @cached_property
@@ -165,7 +167,8 @@ UNIT_COST = (0, 1, 1, 1)
 def _coset_order(code: StabilizerCode, cls: str,
                  costs: tuple[tuple[int, ...], ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sorted keys (cost << 2n | x << n | z) of the ``cls`` logical coset
-    elements ``logical_rep(cls) * product(combo)`` and their combos.
+    elements i^e X^x Z^z, ``logical_rep(cls)`` times each product of generators
+    in index order, doubled as ``simulate.codewords`` doubles, and the e as uint8.
 
     Qubit q's letter costs ``costs[q][x_q | z_q << 1]``, indexed as
     ``LETTERS``; the default unit rows make the cost the weight."""
@@ -174,24 +177,31 @@ def _coset_order(code: StabilizerCode, cls: str,
         raise CodeConstructionError(f"{code.name}: full coset enumeration refused at n={n}")
     rep = code.logical_rep(cls)
     xs, zs = np.array([rep.x], np.int64), np.array([rep.z], np.int64)
-    for g in code.generators:  # doubling keeps index == combo
+    es = np.array([rep.phase_exp], np.uint8)
+    for g in code.generators:  # the elements without g, then with g on the right
+        es = np.concatenate([es, (es + g.phase_exp + 2 * np.bitwise_count(zs & g.x)) & 3])
         xs, zs = np.concatenate([xs, xs ^ g.x]), np.concatenate([zs, zs ^ g.z])
     cost = np.zeros(len(xs), np.int64)
     for q, row in enumerate(costs or (UNIT_COST,) * n):
         cost += np.asarray(row, np.int64)[xs >> q & 1 | (zs >> q & 1) << 1]
     keys = cost << 2 * n | xs << n | zs
     order = np.argsort(keys)
-    keys = keys[order]
-    keys.flags.writeable = order.flags.writeable = False
-    return keys, order
+    keys, es = keys[order], es[order]
+    keys.flags.writeable = es.flags.writeable = False
+    return keys, es
+
+
+def _scanned(code: StabilizerCode, key: int, e: int) -> Pauli:
+    """The signed element i^e X^x Z^z of a coset scan key."""
+    return Pauli(code.n, key >> code.n & (1 << code.n) - 1, key & (1 << code.n) - 1, e)
 
 
 def coset_minimum(code: StabilizerCode, cls: str,
                   costs: tuple[tuple[int, ...], ...] | None = None) -> tuple[int, Pauli]:
     """Least key (cost << 2n | x << n | z) of the ``cls`` logical coset and
     its signed element; ``costs`` as in the coset scan."""
-    keys, combos = _coset_order(code, cls, costs)
-    return int(keys[0]), code.logical_rep(cls) * stabilizer_group(code).product(int(combos[0]))
+    keys, es = _coset_order(code, cls, costs)
+    return int(keys[0]), _scanned(code, int(keys[0]), int(es[0]))
 
 
 def min_weight_logical(code: StabilizerCode, cls: str) -> Pauli:
@@ -205,10 +215,9 @@ def min_weight_logical(code: StabilizerCode, cls: str) -> Pauli:
 
 def min_weight_candidates(code: StabilizerCode, cls: str) -> tuple[Pauli, ...]:
     """All minimum-weight elements of the logical coset, in key order."""
-    keys, combos = _coset_order(code, cls)
-    weights = keys >> 2 * code.n
-    rep, group = code.logical_rep(cls), stabilizer_group(code)
-    return tuple(rep * group.product(int(c)) for c in combos[weights == weights[0]])
+    keys, es = _coset_order(code, cls)
+    least = keys >> 2 * code.n == keys[0] >> 2 * code.n
+    return tuple(_scanned(code, key, e) for key, e in zip(keys[least].tolist(), es[least].tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -316,17 +325,18 @@ class StabilizerGroup:
     with one low tag bit per generator, so reducing ``p`` to no symplectic
     bits leaves the combination c of generators in the tag bits.  Their
     product in index order has the phase form sum_{i in c} e_i + 2 |c & u_i|,
-    with u_i the j > i where z_i & x_j is odd (quant-ph/0406196).
+    with u_i the j > i where z_i & x_j is odd (quant-ph/0406196), read off
+    one ``gates.parities`` Gram matrix.
     """
 
     def __init__(self, generators, n: int):
-        self.generators = tuple(generators)
-        self.n = n
-        k = len(self.generators)
-        self._reduced = rref([(g.x << n | g.z) << k | 1 << i for i, g in enumerate(self.generators)])
-        self._form = [(g.phase_exp, sum(1 << j for j, h in enumerate(self.generators)
-                                        if j > i and (g.z & h.x).bit_count() & 1))
-                      for i, g in enumerate(self.generators)]
+        self.generators = generators = tuple(generators)
+        self.n, k = n, len(generators)
+        self._reduced = rref([(g.x << n | g.z) << k | 1 << i for i, g in enumerate(generators)])
+        # u_i: row i, right of the diagonal, of the Gram matrix of z parts against x parts
+        upper = np.triu(gates.parities([g.z for g in generators], [g.x for g in generators]), 1)
+        self._form = [(g.phase_exp, int.from_bytes(np.packbits(row, bitorder="little"), "little"))
+                      for g, row in zip(generators, upper)]
 
     def phase(self, x: int, z: int) -> int | None:
         """Phase exponent e of the element i^e X^x Z^z, or None off the span."""
@@ -341,14 +351,6 @@ class StabilizerGroup:
         return sum(e + 2 * (combo & upper).bit_count()
                    for i, (e, upper) in enumerate(self._form) if combo >> i & 1) & 3
 
-    def product(self, combo: int) -> Pauli:
-        """Product of the generators whose bits are set in ``combo``, in index order."""
-        x = z = 0
-        for i, g in enumerate(self.generators):
-            if combo >> i & 1:
-                x, z = x ^ g.x, z ^ g.z
-        return Pauli(self.n, x, z, self._combo_phase(combo))
-
     def __contains__(self, p: Pauli) -> bool:
         if p.n != self.n:
             raise DimensionError(f"{p.n}-qubit operator vs a group on {self.n} qubits")
@@ -361,18 +363,22 @@ def stabilizer_group(code: StabilizerCode) -> StabilizerGroup:
 
 
 @lru_cache(maxsize=None)
-def code_space(code: StabilizerCode) -> tuple[int, tuple[Pauli, ...]]:
-    """``(seed, moves)``: up to normalisation, |0-bar> sums i^e (-1)^(z.seed)
+def code_space(code: StabilizerCode) -> tuple[int, tuple[Pauli, ...], int]:
+    """``(seed, moves, flip)``: up to normalisation, |0-bar> sums i^e (-1)^(z.seed)
     |seed ^ x> over the products i^e X^x Z^z of subsets of ``moves``
     (Dehaene-De Moor, quant-ph/0304125).  One tag-bit elimination of the
     generators and logical Z splits their group into the moves, whose X
     parts are a fully reduced basis, and pure-Z elements +-Z^w, whose
     signs fix the parities w.c of the support words c; ``seed`` is the
-    least of them."""
-    n = code.n
+    least of them.  Each is read off its reduced row, x, z, then n tag bits
+    (one per generator and logical Z), its sign off the tags.  ``flip`` is
+    logical X's X part reduced against the moves'."""
+    n, mask = code.n, (1 << code.n) - 1
     group = StabilizerGroup((*code.generators, code.logical_z), n)
-    elements = [group.product(row & ((1 << n) - 1)) for row in group._reduced]
+    elements = [Pauli(n, row >> 2 * n, row >> n & mask, group._combo_phase(row & mask))
+                for row in group._reduced]
     moves = tuple(p for p in elements if p.x)
     pure_z = [p for p in elements if not p.x]
     seed = solve_affine([p.z for p in pure_z], [p.phase_exp >> 1 for p in pure_z])
-    return reduce([p.x for p in moves], seed), moves
+    basis = [p.x for p in moves]
+    return reduce(basis, seed), moves, reduce(basis, code.logical_x.x)

@@ -376,14 +376,19 @@ class Campaign:
         return _least_failing(x, z, self.ctx.classes(screen.pair_words(ra, rb)).ravel())
 
 
+def _lent(layout: Layout, circuit: GadgetCircuit, campaign: Campaign | None) -> Campaign:
+    """``campaign``, which must walk this gadget, or a new one for it."""
+    if campaign and (campaign.layout, campaign.circuit) != (layout, circuit):
+        raise ValueError(f"campaign walks another gadget, not {circuit.label} on {layout.descriptor}")
+    return campaign or Campaign(layout, circuit)
+
+
 def check_single_fault_ft(layout: Layout, circuit: GadgetCircuit, *,
                           campaign: Campaign | None = None) -> FaultReport:
     """Exhaustive single-fault campaign; every branch must decode to I.
     Failures are ordered by location, then branch (x, z).  A given
     ``campaign`` lends its walk; it must be this gadget's."""
-    campaign = campaign or Campaign(layout, circuit)
-    if (campaign.layout, campaign.circuit) != (layout, circuit):
-        raise ValueError(f"campaign walks another gadget, not {circuit.label} on {layout.descriptor}")
+    campaign = _lent(layout, circuit, campaign)
     ctx, frame = campaign.ctx, campaign.frame
     report = FaultReport(layout.descriptor, circuit.label, len(campaign.locations), frame.rows)
     residual = ctx.decode(frame.x, frame.z)
@@ -451,9 +456,7 @@ def find_min_uncorrectable(layout: Layout, circuit: GadgetCircuit, budget: int =
     screen candidate that fails is the witness (``Campaign.verdict``; only
     pairs that share a hit gate are walked).  A given ``campaign`` lends its
     walk; it must be this gadget's."""
-    campaign = campaign or Campaign(layout, circuit)
-    if (campaign.layout, campaign.circuit) != (layout, circuit):
-        raise ValueError(f"campaign walks another gadget, not {circuit.label} on {layout.descriptor}")
+    campaign = _lent(layout, circuit, campaign)
     n = len(campaign.locations)
     if n * (n - 1) // 2 > budget:
         raise BudgetError(f"pair search needs {n * (n - 1) // 2} pairs, budget is {budget}")

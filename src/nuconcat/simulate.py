@@ -36,7 +36,7 @@ from functools import lru_cache, reduce as fold
 import numpy as np
 
 from . import gates
-from ._bitlin import reduce, rref
+from ._bitlin import rref
 from .circuits import GadgetCircuit
 from .codes import StabilizerCode, code_space, stabilizer_group
 from .gates import Gate
@@ -97,7 +97,7 @@ def codewords(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     their sorted joint support and a (2, len) array.  |0-bar> is the sum
     that :func:`~nuconcat.codes.code_space` describes, one support word per
     product of moves, normalised; |1-bar> is logical X times it."""
-    seed, moves = code_space(code)
+    seed, moves, _ = code_space(code)
     x = z = e = np.zeros(1, np.int64)
     for m in moves:  # the products without m, then with m on the right
         e = np.concatenate([e, e + m.phase_exp + 2 * np.bitwise_count(z & m.x)])
@@ -292,12 +292,10 @@ def _support_space(code: StabilizerCode) -> tuple[list[int], list[int]]:
     ``seeds[label] xor span(basis)`` on the code's own bits, the span of
     the moves' X parts.  The labels share one support (logical X's X part
     lies in the span) exactly when logical Z has no pure-Z coset form."""
-    seed, moves = code_space(code)
-    basis = [p.x for p in moves]
-    if not reduce(basis, code.logical_x.x):
-        raise NotApplicable("logical Z has no pure-Z coset form; "
-                            "coset-phase method inapplicable")
-    return [seed, seed ^ code.logical_x.x], basis
+    seed, moves, flip = code_space(code)
+    if not flip:
+        raise NotApplicable("logical Z has no pure-Z coset form; coset-phase method inapplicable")
+    return [seed, seed ^ code.logical_x.x], [p.x for p in moves]
 
 
 @lru_cache(maxsize=None)

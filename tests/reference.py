@@ -199,6 +199,33 @@ def signed_product(generators, combo: int, n: int) -> Pauli:
     return out
 
 
+def reference_construction_error(name: str, generators, logical_x: Pauli,
+                                 logical_z: Pauli) -> str | None:
+    """The message ``StabilizerCode`` refuses these operators with, by
+    pairwise ``Pauli.commutes`` checks in the constructor's order, or None
+    when they form a code."""
+    n, ops = logical_x.n, (*generators, logical_x, logical_z)
+    for i, p in enumerate(ops):
+        if p.n != n:
+            role = "stabilizer" if i < len(generators) else "logical Z"
+            return f"{name}: {role} {p} acts on {p.n} qubits, logical X on {n}"
+        if not p.is_hermitian():
+            return f"{name}: non-Hermitian operator {p}"
+    if len(generators) != n - 1:
+        return f"{name}: need {n - 1} generators, got {len(generators)}"
+    for a, b in itertools.combinations(generators, 2):
+        if not a.commutes(b):
+            return f"{name}: generators {a} and {b} anticommute"
+    if len(rref([g.x << n | g.z for g in generators])) != n - 1:
+        return f"{name}: generators not independent"
+    for g in generators:
+        if not (logical_x.commutes(g) and logical_z.commutes(g)):
+            return f"{name}: logical rep anticommutes with {g}"
+    if logical_x.commutes(logical_z):
+        return f"{name}: logical X and Z must anticommute"
+    return None
+
+
 def signed_membership(generators, n: int):
     """A test of whether a Pauli is a signed product of the independent
     ``generators``: a tag-bit elimination finds the combination and

@@ -421,6 +421,34 @@ def test_ftcheck_gate_names_are_validated(capsys):
     assert err.startswith("usage error:") and "Z_THETA" in err and out == ""
 
 
+@pytest.mark.parametrize("kind", ["Z_THETA", "CKZ_THETA"])
+def test_ftcheck_refuses_free_angle_kinds(capsys, kind):
+    """ftcheck has no --theta, so a free-angle kind is refused with a pointer
+    to ``gadget --theta``, not with a request for a flag ftcheck lacks."""
+    code, out, err = run(capsys, "ftcheck", "--layout", "code49", "--gates", f"T,{kind}")
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: ftcheck campaigns take fixed-angle kinds only, not {kind}; "
+                   "gadget --theta builds a free-angle gadget\n")
+
+
+def test_ftcheck_names_the_campaign_fallback(capsys, tmp_path):
+    """An outer code with no campaign set gets T alone, and the results say
+    so: with steane renamed to hamming in the catalog, the fallback names
+    the outer code and the kinds run.  Under the name steane there is a
+    campaign set, and no fallback entry."""
+    path = tmp_path / "catalog.txt"
+    path.write_text(CATALOG_TEXT.replace("steane", "hamming"))
+    code, out, _ = run(capsys, "ftcheck", "--catalog", str(path), "--layout",
+                       "nonuniform:hamming:rm15", "--format", "machine")
+    assert code == 0
+    assert "  campaign_fallback:\n    outer: hamming\n    kinds:\n      - T\n" in out
+    code, out, _ = run(capsys, "ftcheck", "--layout", "code49", "--format", "machine")
+    assert code == 0 and "campaign_fallback" not in out and "gadget: CCZ" in out
+    code, out, _ = run(capsys, "ftcheck", "--catalog", str(path), "--layout",
+                       "nonuniform:hamming:rm15", "--gates", "T", "--format", "machine")
+    assert code == 0 and "campaign_fallback" not in out
+
+
 def test_ftcheck_refuses_an_empty_gate_list(capsys):
     """``--gates ''`` lists no kind: a usage error naming the flag, not a
     quiet run of the layout's default set."""

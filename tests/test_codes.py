@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from nuconcat import cli, gates
 from nuconcat._bitlin import rref
-from nuconcat.codes import (BARE, StabilizerCode, build_decoder, code_space, distance, five_prime,
+from nuconcat.codes import (BARE, CodeConstructionError, StabilizerCode, _coset_order,
+                            build_decoder, code_space, distance, five_prime,
                             five_qubit, min_weight_candidates, min_weight_logical,
                             normalizer_class, reed_muller_15, stabilizer_group,
                             staircase_support, steane, syndrome, transform_code)
 from nuconcat.concat import flatten, non_uniform_layout, parse_layout
 from nuconcat.pauli import DimensionError, Pauli
 from reference import (equals_up_to_phase, from_letters, is_identity, lookup_correction,
-                       reference_block_word,
+                       reference_block_word, reference_construction_error,
                        signed_membership, signed_product, stabilizer_elements)
 
 ALL_CODES = [steane, five_qubit, five_prime, reed_muller_15]
@@ -290,23 +291,32 @@ GROUP_CODES = {"steane": steane, "rm15": reed_muller_15, "five_prime": five_prim
 BITS = st.integers(0, (1 << 64) - 1)   # masked to a code's generators or qubits, at most 49 of each
 
 
+COSTS = st.lists(st.tuples(st.just(0), *[st.integers(0, 9)] * 3), min_size=15, max_size=15)
+
+
 @settings(max_examples=80, deadline=None)
 @given(name=st.sampled_from(sorted(GROUP_CODES)), combo=BITS, shift=st.integers(0, 3),
-       x=BITS, z=BITS, phase_exp=st.integers(0, 3))
-@example(name="steane", combo=0, shift=2, x=0, z=0, phase_exp=1)
-@example(name="code49", combo=0, shift=0, x=0, z=0, phase_exp=0)
-@example(name="bare", combo=0, shift=1, x=0, z=0, phase_exp=2)
-def test_phase_form_matches_pauli_products(name, combo, shift, x, z, phase_exp):
+       x=BITS, z=BITS, phase_exp=st.integers(0, 3), costs=COSTS)
+@example(name="steane", combo=0, shift=2, x=0, z=0, phase_exp=1, costs=[(0, 1, 1, 1)] * 15)
+@example(name="code49", combo=0, shift=0, x=0, z=0, phase_exp=0, costs=[(0, 1, 1, 1)] * 15)
+@example(name="bare", combo=0, shift=1, x=0, z=0, phase_exp=2, costs=[(0, 1, 1, 1)] * 15)
+def test_phase_form_matches_pauli_products(name, combo, shift, x, z, phase_exp, costs):
     """The phase form gives a random product of generators the sign that
     multiplying them one ``Pauli`` at a time gives, and membership holds at
-    that phase only.  A logical times the product is off the span, and a
-    random Pauli is judged as the tag-bit reference judges it.  Combo 0 and
-    x = z = 0 are the identity, which ``phase`` answers without elimination."""
+    that phase only; so does the coset scan, unit or random costs, to each
+    logical times that product (the scan refuses code49).  A logical times
+    the product is off the span, and a random Pauli is judged as the tag-bit
+    reference judges it.  Combo 0 and x = z = 0 are the identity, which
+    ``phase`` answers without elimination."""
     code = GROUP_CODES[name]()
     group, n, k = stabilizer_group(code), code.n, len(code.generators)
     combo &= (1 << k) - 1
     p = signed_product(code.generators, combo, n)
-    assert group.phase(p.x, p.z) == p.phase_exp and group.product(combo) == p
+    assert group.phase(p.x, p.z) == p.phase_exp
+    for cls, scan_costs in itertools.product("XYZ" if n <= 20 else "", (None, tuple(costs[:n]))):
+        q = code.logical_rep(cls) * p
+        keys, es = _coset_order(code, cls, scan_costs)
+        assert es[keys & (1 << 2 * n) - 1 == q.x << n | q.z].tolist() == [q.phase_exp]
     assert (Pauli(n, p.x, p.z, p.phase_exp + shift) in group) == (shift == 0)
     for q in (p * code.logical_x, p * code.logical_z):
         assert group.phase(q.x, q.z) is None and q not in group
@@ -383,6 +393,47 @@ def derived_codes(draw):
         i, j = draw(st.permutations(range(len(gens))))[:2]
         gens[i] = gens[i] * gens[j]
     return StabilizerCode("derived", tuple(gens), code.logical_x, code.logical_z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(derived_codes(), st.sampled_from(["random", "random several", "dependent", "anticommuting",
+                                         "commuting"]), st.data())
+def test_malformed_codes_are_refused_as_the_reference_refuses_them(code, case, data):
+    """A code broken one way is refused with the message of the pairwise
+    reference checks, naming the same first offending operators: one or
+    more generators replaced by random signed Hermitian Paulis (which may
+    happen to fit, and then build a code), one by a signed product of the others, a
+    logical times a random single-qubit Pauli, or logical Z replaced by
+    logical X times a random stabilizer."""
+    n, gens, lx, lz = code.n, list(code.generators), code.logical_x, code.logical_z
+    i, word = data.draw(st.integers(0, n - 2)), st.integers(0, (1 << n) - 1)
+    sign = data.draw(st.sampled_from([0, 2]))
+    if case.startswith("random"):
+        several = st.sets(st.integers(0, n - 2), min_size=2)
+        for j in data.draw(several) if case == "random several" else {i}:
+            x, z = data.draw(word), data.draw(word)
+            gens[j] = Pauli(n, x, z, (x & z).bit_count() + sign)
+    elif case == "dependent":
+        others = data.draw(st.integers(1, (1 << n - 1) - 1).filter(lambda c: c & ~(1 << i)))
+        p = signed_product(gens, others & ~(1 << i), n)
+        gens[i] = Pauli(n, p.x, p.z, p.phase_exp + sign)
+    elif case == "anticommuting":
+        e = Pauli.single(n, data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from("XYZ")))
+        if data.draw(st.booleans()):
+            lx = Pauli.hermitian(n, lx.x ^ e.x, lx.z ^ e.z)
+        else:
+            lz = Pauli.hermitian(n, lz.x ^ e.x, lz.z ^ e.z)
+    else:
+        p = lx * signed_product(gens, data.draw(st.integers(0, (1 << n - 1) - 1)), n)
+        lz = Pauli.hermitian(n, p.x, p.z)
+    expected = reference_construction_error("broken", tuple(gens), lx, lz)
+    assert expected is not None or case.startswith("random")
+    if expected is None:
+        StabilizerCode("broken", tuple(gens), lx, lz)
+        return
+    with pytest.raises(CodeConstructionError) as refusal:
+        StabilizerCode("broken", tuple(gens), lx, lz)
+    assert str(refusal.value) == expected
 
 
 @settings(max_examples=60, deadline=None)
