@@ -103,6 +103,8 @@ def _parse_gate(text: str, theta_text: str | None, k: int | None) -> gates.Gate:
 # -- commands ---------------------------------------------------------------------
 
 def cmd_codes(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
+    if args.action != "info" and args.name is not None:
+        raise UsageError(f"codes {args.action} takes no code name, got {args.name!r}")
     lib = library.GadgetLibrary(cat)
     if args.action == "dump":
         rep.raw_text = cataloglib.dump_catalog(cat)
@@ -188,6 +190,9 @@ def _refuse_if_withheld(eff: faults.EffectiveDistanceResult, where: str, budget:
 
 
 def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
+    if args.budget is not None and not args.pairs:
+        raise UsageError(f"--budget {args.budget} bounds the pair search, which only --pairs runs")
+    budget = faults.PAIR_BUDGET if args.budget is None else args.budget
     layout = _resolve_layout(cat, args.layout)
     lib = library.GadgetLibrary(cat)
     names = None if args.gates is None else [name.strip() for name in args.gates.split(",")]
@@ -204,8 +209,8 @@ def cmd_ftcheck(args, cat: cataloglib.Catalog, rep: report.Report) -> None:
     admitted = _campaign_gadgets(lib, layout, logicals)
     circuits = [adm.circuit for adm in admitted]
     if args.pairs:
-        eff = faults.effective_distance_report(layout, circuits, args.budget)
-        _refuse_if_withheld(eff, args.layout, args.budget)
+        eff = faults.effective_distance_report(layout, circuits, budget)
+        _refuse_if_withheld(eff, args.layout, budget)
     singles = eff.single_fault_reports if args.pairs else [
         faults.check_single_fault_ft(layout, c) for c in circuits]
     rep.results["layout"] = layout.descriptor
@@ -369,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", required=True)
     p.add_argument("--gates", help="comma-separated gadget kinds (default: the layout's set)")
     p.add_argument("--pairs", action="store_true", help="also search fault pairs")
-    p.add_argument("--budget", type=_budget, default=faults.PAIR_BUDGET)
+    p.add_argument("--budget", type=_budget, help="pair budget, with --pairs")
 
     p = add("table1", help="summary table of the code family")
     p.add_argument("--extended", action="store_true", help="include the 47/55/73-qubit rows")

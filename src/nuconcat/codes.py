@@ -1,4 +1,4 @@
-"""Stabilizer codes: construction, syndromes, distance, lookup decoding, code space.
+"""Stabilizer codes: construction, commutation, distance, lookup decoding, code space.
 
 Generator conventions are fixed here (the catalog serialises them); all
 index-dependent facts downstream are derived from these conventions, not
@@ -22,13 +22,22 @@ import numpy as np
 
 from . import gates
 from ._bitlin import rank, reduce, rref, solve_affine
-from .pauli import LETTERS, DimensionError, Pauli
+from .pauli import DimensionError, Pauli
 
 LOGICAL_CLASSES = ("X", "Y", "Z")
 
 
 class CodeConstructionError(ValueError):
     pass
+
+
+def anticommutation(ops, xs, zs) -> np.ndarray:
+    """Row i, column j: whether X^xs[i] Z^zs[i] anticommutes with ``ops[j]`` (one
+    register), as 0/1 uint8: one ``gates.parities`` of symplectic rows against the
+    operators' swapped rows.  Against a code's ``checks`` a row is an error's
+    syndrome bits, then its logical class as two bits, indexed as ``LETTERS``."""
+    n = ops[0].n
+    return gates.parities([x << n | z for x, z in zip(xs, zs)], [p.z << n | p.x for p in ops])
 
 
 @dataclass(frozen=True)
@@ -54,18 +63,20 @@ class StabilizerCode:
                 raise CodeConstructionError(f"{self.name}: non-Hermitian operator {p}")
         if k != self.n - 1:
             raise CodeConstructionError(f"{self.name}: need {self.n - 1} generators, got {k}")
-        # anti[i, j]: whether ops i and j anticommute, their symplectic rows against swapped ones
-        rows = [p.x << self.n | p.z for p in ops]
-        anti = gates.parities(rows, [p.z << self.n | p.x for p in ops])
+        anti = anticommutation(ops, [p.x for p in ops], [p.z for p in ops])
         if (pairs := np.argwhere(np.triu(anti[:k, :k]))).size:  # the diagonal is 0
             a, b = pairs[0]
             raise CodeConstructionError(f"{self.name}: generators {ops[a]} and {ops[b]} anticommute")
-        if rank(rows[:k]) != self.n - 1:
+        if rank([g.x << self.n | g.z for g in self.generators]) != self.n - 1:
             raise CodeConstructionError(f"{self.name}: generators not independent")
         if (bad := np.flatnonzero(anti[k:, :k].any(0))).size:
             raise CodeConstructionError(f"{self.name}: logical rep anticommutes with {ops[bad[0]]}")
         if not anti[k, k + 1]:
             raise CodeConstructionError(f"{self.name}: logical X and Z must anticommute")
+
+    @property
+    def checks(self) -> tuple[Pauli, ...]:  # the order of a block word's bits (``LookupDecoder``)
+        return (*self.generators, self.logical_z, self.logical_x)
 
     @cached_property
     def css(self) -> bool:
@@ -151,13 +162,17 @@ def five_prime() -> StabilizerCode:
 BARE = StabilizerCode("bare", (), Pauli(1, 1, 0), Pauli(1, 0, 1))
 
 
-# -- syndromes and cosets ---------------------------------------------------
+# -- cosets ----------------------------------------------------------------
 
-def syndrome(code: StabilizerCode, error: Pauli) -> int:
-    """Bit i set iff the error anticommutes with generator i."""
-    if error.n != code.n:
-        raise DimensionError(f"error on {error.n} qubits vs code on {code.n}")
-    return sum(1 << i for i, g in enumerate(code.generators) if not error.commutes(g))
+def signed_products(first: Pauli, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The elements i^e X^x Z^z that are ``first`` times a product of ``factors`` in index
+    order, as x, z (int64) and e (uint8): those without a factor, then with it on the right."""
+    xs, zs = np.array([first.x], np.int64), np.array([first.z], np.int64)
+    es = np.array([first.phase_exp], np.uint8)
+    for f in factors:
+        es = np.concatenate([es, (es + f.phase_exp + 2 * np.bitwise_count(zs & f.x)) & 3])
+        xs, zs = np.concatenate([xs, xs ^ f.x]), np.concatenate([zs, zs ^ f.z])
+    return xs, zs, es
 
 
 UNIT_COST = (0, 1, 1, 1)
@@ -167,20 +182,15 @@ UNIT_COST = (0, 1, 1, 1)
 def _coset_order(code: StabilizerCode, cls: str,
                  costs: tuple[tuple[int, ...], ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sorted keys (cost << 2n | x << n | z) of the ``cls`` logical coset
-    elements i^e X^x Z^z, ``logical_rep(cls)`` times each product of generators
-    in index order, doubled as ``simulate.codewords`` doubles, and the e as uint8.
+    elements i^e X^x Z^z, ``signed_products`` of ``logical_rep(cls)`` and the
+    generators, and the e as uint8.
 
     Qubit q's letter costs ``costs[q][x_q | z_q << 1]``, indexed as
     ``LETTERS``; the default unit rows make the cost the weight."""
     n = code.n
     if n > 20:
         raise CodeConstructionError(f"{code.name}: full coset enumeration refused at n={n}")
-    rep = code.logical_rep(cls)
-    xs, zs = np.array([rep.x], np.int64), np.array([rep.z], np.int64)
-    es = np.array([rep.phase_exp], np.uint8)
-    for g in code.generators:  # the elements without g, then with g on the right
-        es = np.concatenate([es, (es + g.phase_exp + 2 * np.bitwise_count(zs & g.x)) & 3])
-        xs, zs = np.concatenate([xs, xs ^ g.x]), np.concatenate([zs, zs ^ g.z])
+    xs, zs, es = signed_products(code.logical_rep(cls), code.generators)
     cost = np.zeros(len(xs), np.int64)
     for q, row in enumerate(costs or (UNIT_COST,) * n):
         cost += np.asarray(row, np.int64)[xs >> q & 1 | (zs >> q & 1) << 1]
@@ -257,12 +267,9 @@ class LookupDecoder:
         in the error: ``_planes[0][v]`` is the word of X^v and ``_planes[1][v]``
         that of Z^v, built by doubling (entries 2^q .. 2^(q+1) - 1 are the lower
         half XOR the word of one error on qubit q), and read-only."""
-        code, n = self.code, self.code.n
-        ops = (*code.generators, code.logical_z, code.logical_x)
-        planes = np.zeros((2, 1 << n), np.uint16)
-        for q in range(n):   # X on q anticommutes where an operator's z has q, Z where its x has
-            for plane, part in zip(planes, ("z", "x")):
-                word = sum((getattr(p, part) >> q & 1) << j for j, p in enumerate(ops))
+        planes = np.zeros((2, 1 << self.code.n), np.uint16)
+        for q, words in enumerate(_unit_words(self.code).T.tolist()):
+            for plane, word in zip(planes, words):
                 np.bitwise_xor(plane[:1 << q], word, out=plane[1 << q:2 << q])
         planes.flags.writeable = False
         object.__setattr__(self, "_planes", planes)
@@ -279,14 +286,18 @@ class LookupDecoder:
         block word (see ``words``), as an index into ``LETTERS``.
         Computed once per decoder."""
         n, mask = self.code.n, (1 << self.code.n) - 1
-        cx, cz = self.table >> n & mask, self.table & mask
-        correction = np.zeros(len(self.table), np.uint8)
-        for bit, rep in enumerate((self.code.logical_z, self.code.logical_x)):
-            correction |= (np.bitwise_count((cx & rep.z) ^ (cz & rep.x)) & 1) << bit
+        correction = (self.words(self.table >> n & mask, self.table & mask) >> n - 1).astype(np.uint8)
         # commutation parities add: class(correction * error) = XOR of the two
         out = np.concatenate([correction ^ parities for parities in range(4)])
         out.flags.writeable = False
         return out
+
+
+def _unit_words(code: StabilizerCode) -> np.ndarray:
+    """Block words (see ``LookupDecoder``) of X on each qubit, then of Z on each, as (2, n) int64."""
+    units, none = [1 << q for q in range(code.n)], [0] * code.n
+    anti = anticommutation(code.checks, units + none, none + units)
+    return (anti @ (1 << np.arange(code.n + 1))).reshape(2, code.n)
 
 
 @lru_cache(maxsize=None)
@@ -302,19 +313,13 @@ def build_decoder(code: StabilizerCode) -> LookupDecoder:
     best = np.full(n_syndromes, 1 << 62, np.int64)  # 1 << 62 = not reached yet
     best[0] = 0
     index = np.arange(n_syndromes)
-    for q in range(n):
-        step = best
-        for letter in "XYZ":
-            p = Pauli.single(n, q, letter)
-            step = np.minimum(step, best[index ^ syndrome(code, p)] + (1 << 2 * n | p.x << n | p.z))
+    for q, (sx, sz) in enumerate((_unit_words(code).T & n_syndromes - 1).tolist()):
+        step = best   # X, Y = X times Z, then Z on qubit q
+        for s, x, z in ((sx, 1, 0), (sx ^ sz, 1, 1), (sz, 0, 1)):
+            step = np.minimum(step, best[index ^ s] + (1 << 2 * n | x << q + n | z << q))
         best = step
     best.flags.writeable = False
     return LookupDecoder(code, best)
-
-
-def normalizer_class(code: StabilizerCode, p: Pauli) -> str:
-    """Logical class of a normalizer element by commutation with the reps."""
-    return LETTERS[(not p.commutes(code.logical_z)) | (not p.commutes(code.logical_x)) << 1]
 
 
 class StabilizerGroup:

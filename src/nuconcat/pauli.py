@@ -54,16 +54,6 @@ class Pauli:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def single(n: int, qubit: int, letter: str) -> "Pauli":
-        """One non-identity letter on ``qubit``, identity elsewhere."""
-        if not 0 <= qubit < n:
-            raise DimensionError(f"qubit {qubit} outside register of {n}")
-        bits = _BITS[letter]
-        # letter Y carries an internal factor of i (Y = i X Z)
-        e = 1 if letter == "Y" else 0
-        return Pauli(n, (bits & 1) << qubit, (bits >> 1) << qubit, e)
-
-    @staticmethod
     def hermitian(n: int, x: int, z: int) -> "Pauli":
         """The letters of (x, z) with displayed phase +."""
         return Pauli(n, x, z, (x & z).bit_count())
@@ -124,11 +114,6 @@ class Pauli:
         # (i^e X^x Z^z)^-1 = i^-e Z^z X^x = i^-e (-1)^(x&z) X^x Z^z
         e = -self.phase_exp + 2 * (self.x & self.z).bit_count()
         return Pauli(self.n, self.x, self.z, e & 3)
-
-    def commutes(self, other: "Pauli") -> bool:
-        if self.n != other.n:
-            raise DimensionError(f"{self.n}-qubit vs {other.n}-qubit operator")
-        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
     def weight(self) -> int:
         """Number of qubits carrying a non-identity letter."""

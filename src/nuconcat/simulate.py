@@ -38,7 +38,7 @@ import numpy as np
 from . import gates
 from ._bitlin import rref
 from .circuits import GadgetCircuit
-from .codes import StabilizerCode, code_space, stabilizer_group
+from .codes import StabilizerCode, code_space, signed_products, stabilizer_group
 from .gates import Gate
 from .pauli import Pauli
 
@@ -98,12 +98,9 @@ def codewords(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     that :func:`~nuconcat.codes.code_space` describes, one support word per
     product of moves, normalised; |1-bar> is logical X times it."""
     seed, moves, _ = code_space(code)
-    x = z = e = np.zeros(1, np.int64)
-    for m in moves:  # the products without m, then with m on the right
-        e = np.concatenate([e, e + m.phase_exp + 2 * np.bitwise_count(z & m.x)])
-        x, z = np.concatenate([x, x ^ m.x]), np.concatenate([z, z ^ m.z])
+    x, z, e = signed_products(Pauli(code.n, 0, 0), moves)
     signs = 1.0 - 2.0 * (np.bitwise_count(z & seed) & 1)
-    amps = np.array([1, 1j, -1, -1j])[e & 3] * signs / np.sqrt(len(x))
+    amps = np.array([1, 1j, -1, -1j])[e] * signs / np.sqrt(len(x))
     one, image = apply_pauli(code.logical_x, seed ^ x, amps)
     idx = _distinct(np.concatenate([seed ^ x, one]))
     pair = np.zeros((2, len(idx)), dtype=complex)

@@ -1,6 +1,9 @@
 """Reference implementations that only tests use: each is the slow,
 obviously correct form of something the package does on arrays, or a
-helper the package no longer needs."""
+helper the package no longer needs.  The pairwise commutation references
+(``commutes``, ``syndrome``, ``normalizer_class``, with ``single`` to build
+one-letter errors) are what ``codes.anticommutation``, the package's one
+commutation path, is checked against."""
 
 import itertools
 import math
@@ -14,7 +17,7 @@ from nuconcat import faults, gates
 from nuconcat._bitlin import reduce, rref
 from nuconcat.circuits import GadgetCircuit, GadgetDispatcher, TransversalRule
 from nuconcat.codes import (LOGICAL_CLASSES, LookupDecoder, StabilizerCode, build_decoder,
-                            min_weight_logical, normalizer_class, syndrome)
+                            min_weight_logical)
 from nuconcat.concat import DistanceResult, Layout, bare_layout, lift
 from nuconcat.gates import Gate
 from nuconcat.pauli import LETTERS, DimensionError, Pauli
@@ -39,11 +42,39 @@ def nullspace(rows: list[int], n_bits: int) -> list[int]:
     return basis
 
 
+def single(n: int, qubit: int, letter: str) -> Pauli:
+    """One non-identity letter on ``qubit``, identity elsewhere; Y carries
+    its internal factor of i (Y = i X Z)."""
+    if not 0 <= qubit < n:
+        raise DimensionError(f"qubit {qubit} outside register of {n}")
+    bits = LETTERS.index(letter)
+    return Pauli(n, (bits & 1) << qubit, (bits >> 1) << qubit, 1 if letter == "Y" else 0)
+
+
+def commutes(p: Pauli, q: Pauli) -> bool:
+    """Whether two Paulis commute, by counting the qubits where they anticommute."""
+    if p.n != q.n:
+        raise DimensionError(f"{p.n}-qubit vs {q.n}-qubit operator")
+    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
+
+
+def syndrome(code: StabilizerCode, error: Pauli) -> int:
+    """Bit i set iff the error anticommutes with generator i."""
+    if error.n != code.n:
+        raise DimensionError(f"error on {error.n} qubits vs code on {code.n}")
+    return sum(1 << i for i, g in enumerate(code.generators) if not commutes(error, g))
+
+
+def normalizer_class(code: StabilizerCode, p: Pauli) -> str:
+    """Logical class of a normalizer element by commutation with the reps."""
+    return LETTERS[(not commutes(p, code.logical_z)) | (not commutes(p, code.logical_x)) << 1]
+
+
 def from_letters(n: int, letters: Mapping[int, str]) -> Pauli:
     """The product of ``letter`` on ``q`` for each entry, identity elsewhere."""
     p = Pauli(n, 0, 0)
     for q, letter in letters.items():
-        p = p * Pauli.single(n, q, letter)
+        p = p * single(n, q, letter)
     return p
 
 
@@ -202,7 +233,7 @@ def signed_product(generators, combo: int, n: int) -> Pauli:
 def reference_construction_error(name: str, generators, logical_x: Pauli,
                                  logical_z: Pauli) -> str | None:
     """The message ``StabilizerCode`` refuses these operators with, by
-    pairwise ``Pauli.commutes`` checks in the constructor's order, or None
+    pairwise ``commutes`` checks in the constructor's order, or None
     when they form a code."""
     n, ops = logical_x.n, (*generators, logical_x, logical_z)
     for i, p in enumerate(ops):
@@ -214,14 +245,14 @@ def reference_construction_error(name: str, generators, logical_x: Pauli,
     if len(generators) != n - 1:
         return f"{name}: need {n - 1} generators, got {len(generators)}"
     for a, b in itertools.combinations(generators, 2):
-        if not a.commutes(b):
+        if not commutes(a, b):
             return f"{name}: generators {a} and {b} anticommute"
     if len(rref([g.x << n | g.z for g in generators])) != n - 1:
         return f"{name}: generators not independent"
     for g in generators:
-        if not (logical_x.commutes(g) and logical_z.commutes(g)):
+        if not (commutes(logical_x, g) and commutes(logical_z, g)):
             return f"{name}: logical rep anticommutes with {g}"
-    if logical_x.commutes(logical_z):
+    if commutes(logical_x, logical_z):
         return f"{name}: logical X and Z must anticommute"
     return None
 
@@ -258,7 +289,7 @@ def reference_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
     rows = stabilizers + [p for block in placed for p in block[-2:]]
     logicals = list(itertools.product(range(m), "XZ"))
     wants = [Pauli(total, 0, 0)] * len(stabilizers)
-    for image in gates.conjugate_through([Pauli.single(m, *lg) for lg in logicals], [claimed]):
+    for image in gates.conjugate_through([single(m, *lg) for lg in logicals], [claimed]):
         want = Pauli(total, 0, 0, image.phase_exp)
         for c, (bits, rep) in itertools.product(range(m), ((image.x, -2), (image.z, -1))):
             want = want * placed[c][rep] if (bits >> c) & 1 else want
@@ -437,11 +468,11 @@ def reference_propagate(circuit: GadgetCircuit, fault_list):
 
 def reference_block_word(code: StabilizerCode, x: int, z: int) -> int:
     """Block word of the error X^x Z^z from its definition: the syndrome bits
-    (``codes.syndrome``), then whether the error anticommutes with logical Z
+    (``syndrome``), then whether the error anticommutes with logical Z
     (bit n - 1) and with logical X (bit n)."""
     error = Pauli(code.n, x, z, 0)
-    return (syndrome(code, error) | (not error.commutes(code.logical_z)) << code.n - 1
-            | (not error.commutes(code.logical_x)) << code.n)
+    return (syndrome(code, error) | (not commutes(error, code.logical_z)) << code.n - 1
+            | (not commutes(error, code.logical_x)) << code.n)
 
 
 def reference_block_words(ctx: faults.DecodeContext, x: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -14,11 +14,11 @@ import pytest
 
 from nuconcat import cli, faults, gates, library, simulate
 from nuconcat.circuits import GadgetCircuit, SynthesisError, circuit_to_text
-from nuconcat.codes import distance
+from nuconcat.codes import anticommutation, distance
 from nuconcat.concat import bare_layout, concatenated_distance, flatten, non_uniform_layout
 from nuconcat.gates import gate
 from nuconcat.pauli import Pauli
-from reference import hierarchical_decode, pauli_matrix, staircase_gadget
+from reference import commutes, hierarchical_decode, pauli_matrix, single, staircase_gadget
 
 FIDELITY_TOL = 1e-10
 
@@ -184,12 +184,14 @@ def test_criterion_9_property_suites(cat, layouts):
         got = pauli_matrix(p * q)
         ref = pauli_matrix(p) @ pauli_matrix(q)
         assert np.allclose(got, ref)
-        assert p.commutes(q) == np.allclose(ref, pauli_matrix(q) @ pauli_matrix(p))
+        commuting = np.allclose(ref, pauli_matrix(q) @ pauli_matrix(p))
+        assert commutes(p, q) == commuting
+        assert anticommutation([q], [p.x], [p.z])[0, 0] == (not commuting)
     # weight-1 errors on all six layouts
     for layout in layouts.values():
         for qubit in range(layout.total_n):
             for letter in "XYZ":
-                err = Pauli.single(layout.total_n, qubit, letter)
+                err = single(layout.total_n, qubit, letter)
                 assert hierarchical_decode(layout, err) == "I", (layout.descriptor, qubit, letter)
     # flattened stabilizer commutation and rank checks run inside
     # flatten; reaching here means they held for all layouts

@@ -171,6 +171,19 @@ def test_ftcheck_budget_refusal(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["codes", "list", "steane"], "codes list takes no code name, got 'steane'"),
+    (["codes", "dump", "rm15"], "codes dump takes no code name, got 'rm15'"),
+    (["ftcheck", "--layout", "code49", "--gates", "T", "--budget", "5"], "--budget 5"),
+], ids=["codes-list", "codes-dump", "ftcheck-budget"])
+def test_an_argument_the_command_would_ignore_is_refused(capsys, argv, named):
+    """A code name after ``list`` or ``dump``, or a --budget without --pairs,
+    is a usage error naming it (exit 2) rather than a run that ignores it."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and named in err
+
+
 def test_table1_budget_refusal(capsys):
     """A budget too small for the pair searches withholds the effective
     distance: exit 3 naming the row and its gadgets, not a discrepancy."""

@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 from nuconcat import cli, gates
 from nuconcat._bitlin import rref
 from nuconcat.codes import (BARE, CodeConstructionError, StabilizerCode, _coset_order,
-                            build_decoder, code_space, distance, five_prime,
+                            anticommutation, build_decoder, code_space, distance, five_prime,
                             five_qubit, min_weight_candidates, min_weight_logical,
-                            normalizer_class, reed_muller_15, stabilizer_group,
-                            staircase_support, steane, syndrome, transform_code)
+                            reed_muller_15, stabilizer_group, staircase_support, steane,
+                            transform_code)
 from nuconcat.concat import flatten, non_uniform_layout, parse_layout
-from nuconcat.pauli import DimensionError, Pauli
-from reference import (equals_up_to_phase, from_letters, is_identity, lookup_correction,
-                       reference_block_word, reference_construction_error,
-                       signed_membership, signed_product, stabilizer_elements)
+from nuconcat.pauli import LETTERS, DimensionError, Pauli
+from reference import (commutes, equals_up_to_phase, from_letters, is_identity,
+                       lookup_correction, normalizer_class, reference_block_word,
+                       reference_construction_error, signed_membership, signed_product,
+                       single, stabilizer_elements, syndrome)
 
 ALL_CODES = [steane, five_qubit, five_prime, reed_muller_15]
 
@@ -36,10 +37,10 @@ def test_code_shape(ctor):
     assert len(code.generators) == code.n - 1
     assert code.k == 1
     for a, b in itertools.combinations(code.generators, 2):
-        assert a.commutes(b)
-    assert not code.logical_x.commutes(code.logical_z)
+        assert commutes(a, b)
+    assert not commutes(code.logical_x, code.logical_z)
     for g in code.generators:
-        assert code.logical_x.commutes(g) and code.logical_z.commutes(g)
+        assert commutes(code.logical_x, g) and commutes(code.logical_z, g)
 
 
 @pytest.mark.parametrize("ctor,n,css", [
@@ -86,7 +87,7 @@ def test_five_qubit_distance_brute_force():
         for support in itertools.combinations(range(5), support_size):
             for letters in itertools.product("XYZ", repeat=support_size):
                 p = from_letters(5, dict(zip(support, letters)))
-                if all(p.commutes(g) for g in code.generators):
+                if all(commutes(p, g) for g in code.generators):
                     assert normalizer_class(code, p) == "I" and p in stabilizer_group(code)
 
 
@@ -168,7 +169,7 @@ def test_syndrome_basics():
     # the parity-check column of the position label
     z_gen_positions = [i for i, g in enumerate(code.generators) if g.z]
     for q in range(7):
-        s = syndrome(code, Pauli.single(7, q, "X"))
+        s = syndrome(code, single(7, q, "X"))
         hit = [i for i in range(6) if (s >> i) & 1]
         assert set(hit) <= set(z_gen_positions)
         label = 0
@@ -185,7 +186,7 @@ def test_decoder_corrects_all_weight_one(ctor):
     assert is_identity(lookup_correction(decoder, 0))
     for q in range(code.n):
         for letter in "XYZ":
-            err = Pauli.single(code.n, q, letter)
+            err = single(code.n, q, letter)
             corr = lookup_correction(decoder, syndrome(code, err))
             assert equals_up_to_phase(corr, err)
             assert residual_logical_action(code, err, decoder) == "I"
@@ -218,6 +219,26 @@ def test_block_words_follow_their_definition(cat, data):
         x, z = (np.array([e[c] for e in errors], np.uint64) for c in (0, 1))
         assert build_decoder(code).words(x, z).tolist() == [
             reference_block_word(code, ex, ez) for ex, ez in errors], code.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_anticommutation_rows_match_the_pairwise_references(layouts, data):
+    """A row of ``anticommutation`` against a code's ``checks`` is the reference
+    ``syndrome``, then ``normalizer_class`` as two bits, and each entry is the
+    pairwise ``commutes``: on the four base codes, ``BARE`` and the six flattened
+    layouts, for the identity and random signed Paulis (Y where x and z meet)."""
+    codes = [*(ctor() for ctor in ALL_CODES), BARE, *map(flatten, layouts.values())]
+    code = data.draw(st.sampled_from(codes), label="code")
+    n, masks = code.n, st.integers(0, (1 << code.n) - 1)
+    errors = [Pauli(n, 0, 0)] + data.draw(st.lists(st.builds(
+        Pauli, st.just(n), masks, masks, st.integers(0, 3)), min_size=1, max_size=8))
+    rows = anticommutation(code.checks, [e.x for e in errors], [e.z for e in errors])
+    assert rows.shape == (len(errors), n + 1)
+    for e, row in zip(errors, rows.tolist()):
+        assert row == [int(not commutes(e, p)) for p in code.checks]
+        assert sum(bit << i for i, bit in enumerate(row[:-2])) == syndrome(code, e)
+        assert LETTERS[row[-2] | row[-1] << 1] == normalizer_class(code, e)
 
 
 def test_rm15_weight_two_errors():
@@ -334,8 +355,8 @@ def test_css_syndromes_decouple(ctor):
     x_bits = [i for i, g in enumerate(code.generators) if g.x]
     z_bits = [i for i, g in enumerate(code.generators) if g.z]
     for q in range(code.n):
-        sx = syndrome(code, Pauli.single(code.n, q, "X"))
-        sz = syndrome(code, Pauli.single(code.n, q, "Z"))
+        sx = syndrome(code, single(code.n, q, "X"))
+        sz = syndrome(code, single(code.n, q, "Z"))
         assert all((sx >> i) & 1 == 0 for i in x_bits)
         assert all((sz >> i) & 1 == 0 for i in z_bits)
 
@@ -347,7 +368,7 @@ def reference_decoder(code):
     """Weight-by-weight scan: syndrome -> (x, z, weight) of the first
     correction found, ties broken on the smallest (x, z)."""
     n = code.n
-    letter_syndrome = {(q, letter): syndrome(code, Pauli.single(n, q, letter))
+    letter_syndrome = {(q, letter): syndrome(code, single(n, q, letter))
                        for q in range(n) for letter in "XYZ"}
     table = {0: (0, 0, 0)}
     letters = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -418,7 +439,7 @@ def test_malformed_codes_are_refused_as_the_reference_refuses_them(code, case, d
         p = signed_product(gens, others & ~(1 << i), n)
         gens[i] = Pauli(n, p.x, p.z, p.phase_exp + sign)
     elif case == "anticommuting":
-        e = Pauli.single(n, data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from("XYZ")))
+        e = single(n, data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from("XYZ")))
         if data.draw(st.booleans()):
             lx = Pauli.hermitian(n, lx.x ^ e.x, lx.z ^ e.z)
         else:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from nuconcat.codes import anticommutation
 from nuconcat.pauli import DimensionError, Pauli
-from reference import display_phase, from_letters, is_identity, pauli_matrix, restrict
+from reference import commutes, display_phase, from_letters, is_identity, pauli_matrix, restrict
 
 
 def test_single_qubit_letters():
@@ -44,17 +45,17 @@ def test_weight():
 
 
 def test_commutes():
-    assert Pauli.from_string("XX").commutes(Pauli.from_string("ZZ"))
-    assert not Pauli.from_string("XI").commutes(Pauli.from_string("ZI"))
+    assert commutes(Pauli.from_string("XX"), Pauli.from_string("ZZ"))
+    assert not commutes(Pauli.from_string("XI"), Pauli.from_string("ZI"))
     p = Pauli.from_string("-iXYZ")
-    assert p.commutes(Pauli(3, 0, 0))
+    assert commutes(p, Pauli(3, 0, 0))
 
 
 def test_dimension_errors():
     with pytest.raises(DimensionError):
         Pauli.from_string("X") * Pauli.from_string("XX")
     with pytest.raises(DimensionError):
-        Pauli.from_string("X").commutes(Pauli.from_string("XX"))
+        commutes(Pauli.from_string("X"), Pauli.from_string("XX"))
 
 
 def test_string_round_trip():
@@ -76,7 +77,8 @@ def test_phase_convention_y_is_ixz():
 
 @pytest.mark.parametrize("n,cases", [(1, 10_000), (2, 10_000)])
 def test_randomized_algebra_against_dense(n, cases):
-    """Multiplication and commutation agree with dense matrix algebra."""
+    """Multiplication and commutation, the reference's and the package's
+    symplectic product, agree with dense matrix algebra."""
     rng = np.random.default_rng(1234 + n)
     mats = {}
 
@@ -93,7 +95,9 @@ def test_randomized_algebra_against_dense(n, cases):
                   int(rng.integers(0, 4)))
         assert np.allclose(matrix(p) @ matrix(q), matrix(p * q))
         commutator = matrix(p) @ matrix(q) - matrix(q) @ matrix(p)
-        assert p.commutes(q) == np.allclose(commutator, 0)
+        commuting = np.allclose(commutator, 0)
+        assert commutes(p, q) == commuting
+        assert anticommutation([q], [p.x], [p.z])[0, 0] == (not commuting)
 
 
 def test_commutation_consistent_with_multiplication():
@@ -105,4 +109,5 @@ def test_commutation_consistent_with_multiplication():
         pq, qp = p * q, q * p
         assert (pq.x, pq.z) == (qp.x, qp.z)
         same_phase = pq.phase_exp == qp.phase_exp
-        assert p.commutes(q) == same_phase
+        assert commutes(p, q) == same_phase
+        assert anticommutation([q], [p.x], [p.z])[0, 0] == (not same_phase)
