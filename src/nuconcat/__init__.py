@@ -7,7 +7,7 @@ from .catalog import Catalog, default_catalog, dump_catalog, parse_catalog
 from .circuits import GadgetCircuit, SynthesisError, circuit_from_text, circuit_to_text
 from .codes import (LookupDecoder, StabilizerCode, build_decoder, distance,
                     five_prime, five_qubit, min_weight_logical, reed_muller_15,
-                    stabilizer_group, steane, transform_code)
+                    steane, transform_code)
 from .concat import (Layout, bare_layout, concatenated_distance, flatten,
                      non_uniform_layout, parse_layout, uniform_layout)
 from .faults import (FaultLocation, FaultReport, check_single_fault_ft,

@@ -1,10 +1,10 @@
 """GF(2) linear algebra on int bit-masks (rows as plain Python ints).
 
 ``rref`` is the one eliminator: it builds a fully reduced basis, and
-``reduce`` clears every pivot bit of a row against such a basis.  ``rank``
-and ``solve_affine`` read the basis.  To learn which input rows combine to
-a vector, tag each row with one low bit per row before reducing (as
-``codes.StabilizerGroup`` does).
+``reduce`` clears every pivot bit of a row against such a basis.  To learn
+which input rows combine to a vector, tag each row with one low bit per
+row before reducing (as ``codes.StabilizerGroup`` does for a code's
+generators and logical Z).
 """
 
 from __future__ import annotations
@@ -33,21 +33,3 @@ def rref(rows: list[int]) -> list[int]:
             reduced = [r ^ row if r & top else r for r in reduced]
             reduced.append(row)
     return reduced
-
-
-def rank(rows: list[int]) -> int:
-    return len(rref(rows))
-
-
-def solve_affine(rows: list[int], targets: list[int]) -> int | None:
-    """A solution v of ``parity(rows[i] & v) == targets[i]``, or None when
-    the system is inconsistent."""
-    # The target is the lowest bit of each augmented row, so it is a pivot
-    # only of the reduced row 1, which reads 0 = 1.
-    reduced = rref([row << 1 | t for row, t in zip(rows, targets)])
-    if 1 in reduced:
-        return None
-    solution = 0
-    for r in reduced:
-        solution |= (r & 1) << (r.bit_length() - 2)
-    return solution

@@ -142,6 +142,12 @@ def parse_catalog(text: str) -> Catalog:
                                  f"lacks its 'end' line")
             if name in cat.codes:
                 raise ValueError(f"bad catalog line {line!r}: code {name!r} already read")
+            if name == codelib.BARE.name:
+                raise ValueError(f"bad catalog line {line!r}: layout descriptors read "
+                                 f"{name!r} as the bare qubit")
+            if separators := sorted(set(name) & set(":;,")):
+                raise ValueError(f"bad catalog line {line!r}: layout descriptors split on "
+                                 f"{', '.join(map(repr, separators))}")
             current = {"name": name, "stabilizers": [], "rules": {}, "lines": {},
                        "derivation": ""}
         elif current is None:

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gates
-from ._bitlin import rank, reduce, rref, solve_affine
+from ._bitlin import reduce, rref
 from .pauli import DimensionError, Pauli
 
 LOGICAL_CLASSES = ("X", "Y", "Z")
@@ -40,6 +40,52 @@ def anticommutation(ops, xs, zs) -> np.ndarray:
     return gates.parities([x << n | z for x, z in zip(xs, zs)], [p.z << n | p.x for p in ops])
 
 
+class StabilizerGroup:
+    """A code's signed stabilizer group, read off one elimination of its
+    generators with logical Z last.
+
+    Row i is operator i's symplectic row x << n | z above k + 1 tag bits,
+    with tag bit i set: bits 0 .. k - 1 for the k generators, bit k for
+    logical Z.  Reducing a Pauli to no symplectic bits leaves in the tag
+    bits the combination c of operators that is it up to sign, and it lies
+    in the group when c lacks bit k.  Membership is exact including the
+    sign: ``p in group`` holds only when ``p`` equals a product of
+    generators.  A product in index order has the phase form
+    sum_{i in c} e_i + 2 |c & u_i|, with u_i the j > i where z_i & x_j is
+    odd (quant-ph/0406196), read off one ``gates.parities`` Gram matrix
+    built on first use.
+    """
+
+    def __init__(self, generators: tuple[Pauli, ...], logical_z: Pauli):
+        self.ops, self.n, self.k = (*generators, logical_z), logical_z.n, len(generators)
+        self.reduced = rref([(p.x << self.n | p.z) << self.k + 1 | 1 << i
+                             for i, p in enumerate(self.ops)])
+
+    @cached_property
+    def _form(self) -> list[tuple[int, int]]:
+        # u_i: row i, right of the diagonal, of the Gram matrix of z parts against x parts
+        upper = np.triu(gates.parities([p.z for p in self.ops], [p.x for p in self.ops]), 1)
+        return [(p.phase_exp, int.from_bytes(np.packbits(row, bitorder="little"), "little"))
+                for p, row in zip(self.ops, upper)]
+
+    def phase(self, x: int, z: int) -> int | None:
+        """Phase exponent e of the element i^e X^x Z^z, or None off the group."""
+        if not x | z:
+            return 0
+        combo = reduce(self.reduced, (x << self.n | z) << self.k + 1)
+        return None if combo >> self.k else self._combo_phase(combo)
+
+    def _combo_phase(self, combo: int) -> int:
+        """Phase exponent of the product of the operators in ``combo``, read off the form."""
+        return sum(e + 2 * (combo & upper).bit_count()
+                   for i, (e, upper) in enumerate(self._form) if combo >> i & 1) & 3
+
+    def __contains__(self, p: Pauli) -> bool:
+        if p.n != self.n:
+            raise DimensionError(f"{p.n}-qubit operator vs a group on {self.n} qubits")
+        return self.phase(p.x, p.z) == p.phase_exp
+
+
 @dataclass(frozen=True)
 class StabilizerCode:
     """[[n, 1, d]] stabilizer code with signed generators and logical reps; n is their size."""
@@ -50,6 +96,7 @@ class StabilizerCode:
     logical_x: Pauli
     logical_z: Pauli
     k: int = field(default=1, init=False)
+    group: StabilizerGroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.logical_x.n)
@@ -67,8 +114,11 @@ class StabilizerCode:
         if (pairs := np.argwhere(np.triu(anti[:k, :k]))).size:  # the diagonal is 0
             a, b = pairs[0]
             raise CodeConstructionError(f"{self.name}: generators {ops[a]} and {ops[b]} anticommute")
-        if rank([g.x << self.n | g.z for g in self.generators]) != self.n - 1:
+        # a reduced row below tag bit k is a product of generators alone that is the identity
+        group = StabilizerGroup(self.generators, self.logical_z)
+        if min(group.reduced) < 1 << k:
             raise CodeConstructionError(f"{self.name}: generators not independent")
+        object.__setattr__(self, "group", group)
         if (bad := np.flatnonzero(anti[k:, :k].any(0))).size:
             raise CodeConstructionError(f"{self.name}: logical rep anticommutes with {ops[bad[0]]}")
         if not anti[k, k + 1]:
@@ -322,68 +372,22 @@ def build_decoder(code: StabilizerCode) -> LookupDecoder:
     return LookupDecoder(code, best)
 
 
-class StabilizerGroup:
-    """Group generated by independent commuting signed Paulis on ``n`` qubits.
-
-    Membership is exact including the sign: ``p in group`` holds only when
-    ``p`` equals a product of generators.  The symplectic rows are reduced
-    with one low tag bit per generator, so reducing ``p`` to no symplectic
-    bits leaves the combination c of generators in the tag bits.  Their
-    product in index order has the phase form sum_{i in c} e_i + 2 |c & u_i|,
-    with u_i the j > i where z_i & x_j is odd (quant-ph/0406196), read off
-    one ``gates.parities`` Gram matrix.
-    """
-
-    def __init__(self, generators, n: int):
-        self.generators = generators = tuple(generators)
-        self.n, k = n, len(generators)
-        self._reduced = rref([(g.x << n | g.z) << k | 1 << i for i, g in enumerate(generators)])
-        # u_i: row i, right of the diagonal, of the Gram matrix of z parts against x parts
-        upper = np.triu(gates.parities([g.z for g in generators], [g.x for g in generators]), 1)
-        self._form = [(g.phase_exp, int.from_bytes(np.packbits(row, bitorder="little"), "little"))
-                      for g, row in zip(generators, upper)]
-
-    def phase(self, x: int, z: int) -> int | None:
-        """Phase exponent e of the element i^e X^x Z^z, or None off the span."""
-        if not x | z:
-            return 0
-        k = len(self.generators)
-        combo = reduce(self._reduced, (x << self.n | z) << k)
-        return None if combo >> k else self._combo_phase(combo)
-
-    def _combo_phase(self, combo: int) -> int:
-        """Phase exponent of the product of the generators in ``combo``, read off the form."""
-        return sum(e + 2 * (combo & upper).bit_count()
-                   for i, (e, upper) in enumerate(self._form) if combo >> i & 1) & 3
-
-    def __contains__(self, p: Pauli) -> bool:
-        if p.n != self.n:
-            raise DimensionError(f"{p.n}-qubit operator vs a group on {self.n} qubits")
-        return self.phase(p.x, p.z) == p.phase_exp
-
-
-@lru_cache(maxsize=None)
-def stabilizer_group(code: StabilizerCode) -> StabilizerGroup:
-    return StabilizerGroup(code.generators, code.n)
-
-
 @lru_cache(maxsize=None)
 def code_space(code: StabilizerCode) -> tuple[int, tuple[Pauli, ...], int]:
     """``(seed, moves, flip)``: up to normalisation, |0-bar> sums i^e (-1)^(z.seed)
     |seed ^ x> over the products i^e X^x Z^z of subsets of ``moves``
-    (Dehaene-De Moor, quant-ph/0304125).  One tag-bit elimination of the
-    generators and logical Z splits their group into the moves, whose X
-    parts are a fully reduced basis, and pure-Z elements +-Z^w, whose
-    signs fix the parities w.c of the support words c; ``seed`` is the
-    least of them.  Each is read off its reduced row, x, z, then n tag bits
-    (one per generator and logical Z), its sign off the tags.  ``flip`` is
-    logical X's X part reduced against the moves'."""
-    n, mask = code.n, (1 << code.n) - 1
-    group = StabilizerGroup((*code.generators, code.logical_z), n)
+    (Dehaene-De Moor, quant-ph/0304125).  The code group's rows (x, z, then
+    n tag bits, one per generator and logical Z) split it into the moves,
+    whose X parts are a fully reduced basis, and pure-Z elements +-Z^w,
+    whose signs fix the parities w.c of the support words c; each is read
+    off its row, its sign off the tags.  The pure-Z rows are fully reduced,
+    so the word with each one's sign bit at its pivot meets every parity;
+    ``seed``, the least support word, is that word reduced against the
+    moves.  ``flip`` is logical X's X part reduced against the moves'."""
+    n, mask, group = code.n, (1 << code.n) - 1, code.group
     elements = [Pauli(n, row >> 2 * n, row >> n & mask, group._combo_phase(row & mask))
-                for row in group._reduced]
+                for row in group.reduced]
     moves = tuple(p for p in elements if p.x)
-    pure_z = [p for p in elements if not p.x]
-    seed = solve_affine([p.z for p in pure_z], [p.phase_exp >> 1 for p in pure_z])
+    seed = sum((p.phase_exp >> 1) << p.z.bit_length() - 1 for p in elements if not p.x)
     basis = [p.x for p in moves]
     return reduce(basis, seed), moves, reduce(basis, code.logical_x.x)

@@ -38,7 +38,7 @@ import numpy as np
 from . import gates
 from ._bitlin import rref
 from .circuits import GadgetCircuit
-from .codes import StabilizerCode, code_space, signed_products, stabilizer_group
+from .codes import StabilizerCode, code_space, signed_products
 from .gates import Gate
 from .pauli import Pauli
 
@@ -230,7 +230,7 @@ def verify_clifford_action(code: StabilizerCode, circuit: GadgetCircuit,
         raise NotApplicable("Heisenberg check requires a Clifford circuit")
     if not claimed.is_clifford:
         raise NotApplicable("claimed gate is not Clifford")
-    total, group, mask = circuit.register_size, stabilizer_group(code), (1 << code.n) - 1
+    total, group, mask = circuit.register_size, code.group, (1 << code.n) - 1
     # rows (x, z, sign), the Hermitian Pauli of x and z, negated if sign: the generators,
     # then X_0, Z_0, X_1, ... of the blocks, then of the operands on the extra qubits
     rows = [(p.x << offset, p.z << offset, p.display_phase_exp >> 1) for ps in

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuconcat._bitlin import rank, reduce, rref, solve_affine
+from nuconcat._bitlin import reduce, rref
 from reference import nullspace
 
 WIDTH = 10
@@ -41,7 +41,7 @@ def test_rref_is_reduced_and_spans_the_input(system):
     for r in reduced:
         assert [p for p in pivots if (r >> p) & 1] == [r.bit_length() - 1]
     assert span(reduced) == span(rows)
-    assert rank(rows) == len(reduced) == len(span(rows)).bit_length() - 1
+    assert len(reduced) == len(span(rows)).bit_length() - 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -49,22 +49,8 @@ def test_rref_is_reduced_and_spans_the_input(system):
 def test_nullspace_spans_exactly_the_kernel(system):
     rows, n_bits = system
     basis = nullspace(rows, n_bits)
-    assert len(basis) == n_bits - rank(rows) == rank(basis)
+    assert len(basis) == n_bits - len(rref(rows)) == len(rref(basis))
     assert span(basis) == kernel(rows, n_bits)
-
-
-@settings(max_examples=200, deadline=None)
-@given(systems(), st.data())
-def test_solve_affine_matches_brute_force(system, data):
-    rows, n_bits = system
-    targets = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
-    solutions = {v for v in range(1 << n_bits)
-                 if all(parity(r & v) == t for r, t in zip(rows, targets))}
-    particular = solve_affine(rows, targets)
-    if not solutions:
-        assert particular is None
-        return
-    assert {particular ^ v for v in span(nullspace(rows, n_bits))} == solutions
 
 
 @settings(max_examples=200, deadline=None)

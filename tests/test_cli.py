@@ -619,6 +619,12 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
     ("catalog", CATALOG_TEXT.replace("fixup Z@2", "fixup", 1),
      "bad transversal declaration 'transversal K bitwise K fixup'; expected 'transversal KIND rep' or "
      "'transversal KIND bitwise PHYS [fixup KIND@QUBIT ...]'"),
+    ("catalog", CATALOG_TEXT.replace("code steane", "code bare", 1),
+     "bad catalog line 'code bare': layout descriptors read 'bare' as the bare qubit"),
+    ("catalog", CATALOG_TEXT.replace("code steane", "code st:eane", 1),
+     "bad catalog line 'code st:eane': layout descriptors split on ':'"),
+    ("catalog", CATALOG_TEXT.replace("code rm15", "code rm,1;5", 1),
+     "bad catalog line 'code rm,1;5': layout descriptors split on ',', ';'"),
 ], ids=["no-style", "no-physical-gate", "no-size", "size-not-integer", "n-too-large", "n-zero",
         "stabilizer-short", "fixup-not-integer",
         "fixup-outside-code", "unknown-kind", "z-theta-kind", "ckz-theta-kind",
@@ -630,7 +636,8 @@ def run_parsed(kind: str, text: str, tmp: Path) -> tuple[int, str, str]:
         "too-few-qubits", "angle-on-named-kind", "bad-angle", "second-angle",
         "blocks-past-register", "blocks-overlap", "unequal-blocks", "blocks-short-of-register",
         "place-not-integer", "no-place", "bad-letter", "extra-field", "fixup-without-keyword",
-        "fixup-keyword-twice", "fixup-keyword-dangling"])
+        "fixup-keyword-twice", "fixup-keyword-dangling", "code-named-bare", "code-name-with-colon",
+        "code-name-with-comma-and-semicolon"])
 def test_malformed_catalog_lines_are_usage_errors(tmp_path, kind, text, named):
     """A malformed catalog line, circuit line or replay fault exits 2 with
     a message naming it and, where one applies, the expected form."""

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nuconcat import cli, gates
+from nuconcat import _bitlin, cli, codes, gates
 from nuconcat._bitlin import rref
 from nuconcat.codes import (BARE, CodeConstructionError, StabilizerCode, _coset_order,
                             anticommutation, build_decoder, code_space, distance, five_prime,
                             five_qubit, min_weight_candidates, min_weight_logical,
-                            reed_muller_15, stabilizer_group, staircase_support, steane,
-                            transform_code)
+                            reed_muller_15, staircase_support, steane, transform_code)
 from nuconcat.concat import flatten, non_uniform_layout, parse_layout
 from nuconcat.pauli import LETTERS, DimensionError, Pauli
-from reference import (commutes, equals_up_to_phase, from_letters, is_identity,
-                       lookup_correction, normalizer_class, reference_block_word,
+from nuconcat.simulate import verify_clifford_action
+from reference import (commutes, equals_up_to_phase, expand_transversal, from_letters,
+                       is_identity, lookup_correction, normalizer_class, reference_block_word,
                        reference_construction_error, signed_membership, signed_product,
                        single, stabilizer_elements, syndrome)
 
@@ -88,7 +88,7 @@ def test_five_qubit_distance_brute_force():
             for letters in itertools.product("XYZ", repeat=support_size):
                 p = from_letters(5, dict(zip(support, letters)))
                 if all(commutes(p, g) for g in code.generators):
-                    assert normalizer_class(code, p) == "I" and p in stabilizer_group(code)
+                    assert normalizer_class(code, p) == "I" and p in code.group
 
 
 def test_five_prime_transform():
@@ -292,8 +292,8 @@ def test_syndrome_weight_multiset_invariant_under_local_clifford():
 def test_group_membership_is_sign_exact():
     code = five_prime()
     g = code.generators[0]
-    assert g in stabilizer_group(code)
-    assert g.negate() not in stabilizer_group(code)
+    assert g in code.group
+    assert g.negate() not in code.group
 
 
 def test_group_membership_refuses_another_register_size():
@@ -301,7 +301,7 @@ def test_group_membership_refuses_another_register_size():
     group and no non-member either: the sizes do not match."""
     g = steane().generators[0]
     with pytest.raises(DimensionError, match="8-qubit operator vs a group on 7 qubits"):
-        Pauli(8, g.x, g.z, g.phase_exp) in stabilizer_group(steane())
+        Pauli(8, g.x, g.z, g.phase_exp) in steane().group
 
 
 GROUP_CODES = {"steane": steane, "rm15": reed_muller_15, "five_prime": five_prime,
@@ -330,7 +330,7 @@ def test_phase_form_matches_pauli_products(name, combo, shift, x, z, phase_exp, 
     reference judges it.  Combo 0 and x = z = 0 are the identity, which
     ``phase`` answers without elimination."""
     code = GROUP_CODES[name]()
-    group, n, k = stabilizer_group(code), code.n, len(code.generators)
+    group, n, k = code.group, code.n, len(code.generators)
     combo &= (1 << k) - 1
     p = signed_product(code.generators, combo, n)
     assert group.phase(p.x, p.z) == p.phase_exp
@@ -460,7 +460,7 @@ def test_malformed_codes_are_refused_as_the_reference_refuses_them(code, case, d
 @settings(max_examples=60, deadline=None)
 @given(derived_codes(), st.data())
 def test_group_membership_matches_reference(code, data):
-    """``p in stabilizer_group(code)`` exactly when ``p`` is a signed group
+    """``p in code.group`` exactly when ``p`` is a signed group
     element, for elements, their negations, other phases and random Paulis."""
     elements = sorted(signed(s) for s in stabilizer_elements(code))
     x, z, e = data.draw(st.sampled_from(elements))
@@ -469,7 +469,7 @@ def test_group_membership_matches_reference(code, data):
     candidates = [Pauli(n, x, z, e), Pauli(n, x, z, e).negate(),
                   Pauli(n, x, z, data.draw(st.integers(0, 3))),
                   Pauli(n, data.draw(word), data.draw(word), data.draw(st.integers(0, 3)))]
-    group = stabilizer_group(code)
+    group = code.group
     for p in candidates:
         assert (p in group) == (signed(p) in elements)
     assert candidates[0] in group and candidates[1] not in group
@@ -526,3 +526,57 @@ def test_code_space_moves_have_a_fully_reduced_x_basis(cat):
     for code in [*cat.codes.values(), *shortcuts]:
         xs = [move.x for move in code_space(code)[1]]
         assert rref(xs) == xs, code.name
+
+
+def check_code_space_seed(code, combos):
+    """``code_space``'s seed has parity z.seed equal to the sign bit of each pure-Z product,
+    in ``combos``, of the generators and logical Z (at +1), and no pivot bit of the moves'
+    X basis."""
+    seed, moves, _ = code_space(code)
+    ops = (*code.generators, code.logical_z)
+    pure_z = [p for p in (signed_product(ops, combo, code.n) for combo in combos) if not p.x]
+    assert pure_z, code.name
+    for p in pure_z:
+        assert (p.z & seed).bit_count() & 1 == p.phase_exp >> 1, code.name
+    assert not any(seed >> move.x.bit_length() - 1 & 1 for move in moves), code.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(derived_codes())
+def test_code_space_seed_meets_every_pure_z_sign(code):
+    check_code_space_seed(code, range(1 << code.n))
+
+
+def test_code_space_seed_meets_the_pure_z_signs_of_the_layouts(cat):
+    """On the flattened layout shortcuts, each of the group's pure-Z rows (whose
+    products are every pure-Z element) is checked as a product the reference forms."""
+    for d in cli.LAYOUT_SHORTCUTS.values():
+        code = flatten(parse_layout(d, cat.code))
+        check_code_space_seed(code, [row & (1 << code.n) - 1 for row in code.group.reduced])
+
+
+def test_each_code_eliminates_its_generators_once(cat, monkeypatch):
+    """A code's generators and logical Z are eliminated once, as it is built: its group,
+    its code space, a membership query and a Heisenberg certificate read those rows.
+    The six flattened layout codes and a Steane code, built with every cache bypassed,
+    make one ``rref`` call each, of n rows."""
+    layouts = [parse_layout(d, cat.code) for d in cli.LAYOUT_SHORTCUTS.values()]
+    calls = []
+
+    def counted(rows, real=_bitlin.rref):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(_bitlin, "rref", counted)
+    monkeypatch.setattr(codes, "rref", counted)
+    built = []
+    for layout in layouts:
+        code = flatten.__wrapped__(layout)
+        code_space.__wrapped__(code)
+        assert code.generators[0] in code.group
+        built.append(code)
+    code = steane()
+    circuit = expand_transversal(code, gates.H, cat.rules["steane"][gates.H])
+    assert verify_clifford_action(code, circuit, gates.gate(gates.H, 0)).passed
+    built.append(code)
+    assert calls == [code.n for code in built]
